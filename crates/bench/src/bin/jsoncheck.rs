@@ -1,9 +1,9 @@
 //! CI artifact validator: checks that each file argument is one
-//! well-formed JSON value, using the same dependency-free validator
-//! (`bench::json`) the smoke runners gate their own output with.
+//! well-formed JSON value, using the dependency-free validator in
+//! `bench::json`.
 //!
 //! ```sh
-//! jsoncheck BENCH_engine.json
+//! jsoncheck runs/table2/summary.json
 //! jsoncheck --require final --require per_shard runs/table2/metrics.json
 //! ```
 //!

@@ -1,33 +1,15 @@
-//! # bench — benchmark harness helpers and the perf-trajectory smoke
-//! runners
+//! # bench — the engine ring driver and the JSON validator
 //!
-//! The criterion targets under `benches/` regenerate every table and
-//! figure of the paper; this library crate carries what they share:
+//! What the repository benchmark (`perfbench/`) and CI still call:
 //!
-//! * [`show`] — banner printing for regenerated artefacts;
-//! * [`engine_driver`] — the budget-bounded forwarding-ring
-//!   microbenchmark used by the `engine` criterion target and the
-//!   `trajectory` smoke binary (events/sec of the raw event loop);
-//! * [`movecost`] — the memcpy/move-cost microbenchmark that prices the
-//!   by-value moves of each hot-path struct at its exact size;
-//! * [`obsprobe`] — the flight-recorder ring microbenchmark: events/sec
-//!   with the ring recording vs. the arithmetic-only baseline that
-//!   stands in for the compiled-out sink, so the cost of enabling
-//!   tracing is a recorded number, not folklore;
-//! * [`artifact`] — the shared `BENCH_engine.json` renderer/writer, so
-//!   the criterion smoke and `trajectory --engine-only` emit one shape;
-//!   each write appends this run's headline rate to the artifact's
-//!   `history` array, turning the file into a per-PR trajectory;
-//! * [`json`] — a tiny dependency-free JSON validator, so the CI smoke
-//!   runners can fail the build on malformed `BENCH_*.json` output
-//!   without shelling out to `jq`.
+//! * [`engine_driver`] — the budget-bounded forwarding-ring simulation
+//!   behind `perfbench`'s `netsim.ring_ns_per_event` probe (raw
+//!   event-loop cost with no scenario logic on top);
+//! * [`json`] — a tiny dependency-free JSON validator, used by the
+//!   `jsoncheck` binary and the campaign tests to fail on malformed
+//!   `metrics.json`/`summary.json` without shelling out to `jq`.
 
 #![warn(missing_docs)]
-
-/// Prints a regenerated artefact with a banner, once per bench run.
-pub fn show(title: &str, body: &str) {
-    println!("\n──── regenerated: {title} ────\n{body}");
-}
 
 pub mod engine_driver {
     //! The engine microbenchmark: a ring of hosts forwarding one datagram
@@ -85,385 +67,33 @@ pub mod engine_driver {
         sim.stats()
     }
 
-    /// Defrag-cache churn: one planted fragment per second for `rounds`
-    /// rounds, so every insert past the timeout horizon also expires the
-    /// oldest entry through the time-ordered ring. Returns the peak
-    /// pending-reassembly count (the artifact's `defrag_peak_pending`).
-    pub fn defrag_churn(rounds: u64) -> usize {
-        let mut cache =
-            DefragCache::new(DefragConfig { max_pending_per_pair: 64, ..DefragConfig::default() });
-        let src = Ipv4Addr::new(10, 0, 0, 1);
-        let dst = Ipv4Addr::new(10, 0, 0, 2);
-        let base = Ipv4Packet::udp(src, dst, 0, bytes::Bytes::from(vec![0xAB; 2000]));
-        let template = fragment(base, 1028).expect("fragments")[1].clone();
-        let mut pending_peak = 0;
-        for round in 0..rounds {
-            let mut f = template.clone();
-            f.id = (round % 0x1_0000) as u16;
-            let now = SimTime::ZERO + SimDuration::from_secs(round);
-            cache.insert(now, f);
-            pending_peak = pending_peak.max(cache.pending_reassemblies());
-        }
-        pending_peak
-    }
-
-    /// Best-of-three timed drives of the same seed: identical stats every
-    /// time, minimum elapsed seconds — the recorded number reflects the
-    /// engine, not scheduler noise or seed luck.
-    // Wall-clock reads are the point here: crates/bench is the simlint
-    // R3 allowlist (clippy mirrors the rule workspace-wide).
-    #[allow(clippy::disallowed_methods)]
-    pub fn measure() -> (SimStats, f64) {
-        let one = || {
-            let start = std::time::Instant::now();
-            let stats = drive(1);
-            (stats, start.elapsed().as_secs_f64())
-        };
-        let (mut stats, mut elapsed) = one();
-        for _ in 0..2 {
-            let (s, e) = one();
-            if e < elapsed {
-                (stats, elapsed) = (s, e);
-            }
-        }
-        (stats, elapsed)
-    }
-}
-
-pub mod movecost {
-    //! The memcpy/move-cost microbenchmark: measures the cost of moving
-    //! values by stride size, one stride per hot-path struct. The event
-    //! loop moves packets and events *by value* (wheel cascades, batch
-    //! drains, slab dispatch), so throughput is bounded by how fast the
-    //! machine shuffles N-byte objects — this pins the measured ns/move
-    //! for each struct's exact size next to the recorded sizes, making a
-    //! layout regression show up as a *cost*, not just a byte count.
-
-    /// Moves timed per stride (enough to escape timer granularity).
-    const LANES: usize = 4096;
-    /// Timed repetitions; best-of is recorded.
-    const ROUNDS: u32 = 64;
-
-    /// Cost of moving one `size`-byte value, in nanoseconds, measured as
-    /// a strided buffer-to-buffer copy (the same access pattern as a
-    /// wheel slot draining into the batch ring). Best of `ROUNDS`
-    /// passes over `LANES` lanes.
-    // Wall-clock reads are the point: crates/bench is the simlint R3
-    // allowlist (clippy mirrors the rule workspace-wide).
-    #[allow(clippy::disallowed_methods)]
-    pub fn ns_per_move(size: usize) -> f64 {
-        let src = vec![0xA5u8; size * LANES];
-        let mut dst = vec![0u8; size * LANES];
-        let mut best = f64::INFINITY;
-        for _ in 0..ROUNDS {
-            let start = std::time::Instant::now();
-            for lane in 0..LANES {
-                let at = lane * size;
-                dst[at..at + size].copy_from_slice(&src[at..at + size]);
-            }
-            std::hint::black_box(&mut dst);
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best * 1e9 / LANES as f64
-    }
-}
-
-pub mod obsprobe {
-    //! The flight-recorder ring microbenchmark: how fast can the obs ring
-    //! absorb events, and what does that cost relative to not recording
-    //! at all? The "baseline" loop performs the identical per-event
-    //! arithmetic (tick/host/payload derivation) without touching the
-    //! ring — it is the stand-in for the compiled-out sink, where the
-    //! trace call sites vanish entirely. Both rates land in
-    //! `BENCH_engine.json` so a ring-layout regression shows up in the
-    //! artifact diff.
-
-    use obs::FlightRecorder;
-
-    /// Events pushed per timed round (many ring laps at the default
-    /// capacity, so steady-state overwrite is what gets measured).
-    pub const EVENTS_PER_ROUND: u64 = 1_000_000;
-    /// Timed repetitions; best-of is recorded.
-    const ROUNDS: u32 = 5;
-
-    /// The probe's result: recording vs. arithmetic-only throughput.
-    pub struct ObsProbe {
-        /// Events/sec with every event recorded into the ring.
-        pub enabled_events_per_sec: f64,
-        /// Events/sec of the identical loop without the ring (the
-        /// compiled-out representation).
-        pub baseline_events_per_sec: f64,
-        /// Payload digest of the final ring state — pins that the
-        /// enabled loop really recorded what it claims.
-        pub digest: u64,
-    }
-
-    impl ObsProbe {
-        /// Baseline rate over enabled rate: how many times faster the
-        /// loop runs when the sink is compiled out (≥ 1.0 in practice).
-        pub fn overhead_ratio(&self) -> f64 {
-            self.baseline_events_per_sec / self.enabled_events_per_sec.max(1e-9)
-        }
-    }
-
-    /// One synthetic event stream, shared by both loops so they do the
-    /// same arithmetic: a fold that derives tick/host/kind/payload from
-    /// the index. Returns an accumulator so nothing is optimised away.
-    #[inline]
-    fn event(i: u64) -> (u64, u32, u16, u64, u64) {
-        let tick = i >> 4;
-        let host = (i % 97) as u32;
-        let kind = obs::kind::FRAG_RX + (i % 5) as u16;
-        (tick, host, kind, i, i ^ 0x9E37_79B9_7F4A_7C15)
-    }
-
-    /// Runs the probe: best-of-`ROUNDS` timed passes of
-    /// [`EVENTS_PER_ROUND`] events through the recording loop and the
-    /// baseline loop.
-    // Wall-clock reads are the point: crates/bench is the simlint R3
-    // allowlist (clippy mirrors the rule workspace-wide).
-    #[allow(clippy::disallowed_methods)]
-    pub fn measure() -> ObsProbe {
-        let mut ring = FlightRecorder::new(obs::DEFAULT_CAPACITY);
-        let mut enabled_best = f64::INFINITY;
-        for _ in 0..ROUNDS {
-            ring.clear();
-            let start = std::time::Instant::now();
-            for i in 0..EVENTS_PER_ROUND {
-                let (tick, host, kind, a, b) = event(i);
-                ring.record(tick, host, kind, a, b);
-            }
-            std::hint::black_box(&mut ring);
-            enabled_best = enabled_best.min(start.elapsed().as_secs_f64());
-        }
-        let digest = ring.digest_payload();
-
-        let mut baseline_best = f64::INFINITY;
-        let mut acc = 0u64;
-        for _ in 0..ROUNDS {
-            let start = std::time::Instant::now();
-            for i in 0..EVENTS_PER_ROUND {
-                let (tick, host, kind, a, b) = event(i);
-                acc = acc
-                    .wrapping_add(tick)
-                    .wrapping_add(host as u64)
-                    .wrapping_add(kind as u64)
-                    .wrapping_add(a ^ b);
-            }
-            std::hint::black_box(&mut acc);
-            baseline_best = baseline_best.min(start.elapsed().as_secs_f64());
-        }
-
-        ObsProbe {
-            enabled_events_per_sec: EVENTS_PER_ROUND as f64 / enabled_best.max(1e-9),
-            baseline_events_per_sec: EVENTS_PER_ROUND as f64 / baseline_best.max(1e-9),
-            digest,
-        }
-    }
-}
-
-pub mod artifact {
-    //! Builds and writes `BENCH_engine.json`, shared by the criterion
-    //! `engine` smoke target and the `trajectory --engine-only` runner so
-    //! both emit the identical artifact shape. The JSON is validated by
-    //! [`crate::json::validate`] before it is written — emitting a
-    //! malformed artifact panics, which is the CI gate.
-    //!
-    //! The writer appends two sections **after** the headline fields
-    //! (so [`crate::json::number_field`], which reads the *first*
-    //! occurrence of a key, still finds the headline numbers): an `obs`
-    //! object with the flight-recorder ring throughput probe, and a
-    //! `history` array carrying one `{ run, events_per_sec }` entry per
-    //! artifact write — the per-PR perf trajectory.
-
-    use timeshift::prelude::*;
-
-    /// Renders the engine perf-trajectory artifact: headline events/sec,
-    /// pool behaviour, defrag churn, and the hot-path struct sizes with
-    /// their measured per-move cost (see [`crate::movecost`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rendered JSON fails validation or the steady-state
-    /// pool hit rate falls below 99 % — both are CI gates, not warnings.
-    pub fn render_engine_json(stats: &SimStats, elapsed_secs: f64, defrag_peak: usize) -> String {
-        let rate = stats.events_dispatched as f64 / elapsed_secs.max(1e-9);
-        let pool_served = stats.pool_hits + stats.pool_misses;
-        let pool_hit_rate =
-            if pool_served == 0 { 1.0 } else { stats.pool_hits as f64 / pool_served as f64 };
-        let mut sizes = String::new();
-        let mut moves = String::new();
-        for (i, (name, size)) in hot_struct_sizes().iter().enumerate() {
-            if i > 0 {
-                sizes.push_str(", ");
-                moves.push_str(",\n");
-            }
-            sizes.push_str(&format!("\"{name}\": {size}"));
-            moves.push_str(&format!(
-                "    {{ \"struct\": \"{name}\", \"bytes\": {size}, \"ns_per_move\": {:.3} }}",
-                crate::movecost::ns_per_move(*size)
-            ));
-        }
-        let json = format!(
-            "{{\n  \"bench\": \"engine\",\n  \"events_dispatched\": {},\n  \
-             \"elapsed_secs\": {:.6},\n  \"events_per_sec\": {:.0},\n  \
-             \"peak_queue_depth\": {},\n  \"ipid_evictions\": {},\n  \
-             \"pool_hits\": {},\n  \"pool_misses\": {},\n  \"pool_hit_rate\": {:.6},\n  \
-             \"defrag_spray_rounds\": 30000,\n  \"defrag_peak_pending\": {},\n  \
-             \"struct_sizes\": {{ {} }},\n  \"move_cost\": [\n{}\n  ]\n}}\n",
-            stats.events_dispatched,
-            elapsed_secs,
-            rate,
-            stats.peak_queue_depth,
-            stats.ipid_evictions,
-            stats.pool_hits,
-            stats.pool_misses,
-            pool_hit_rate,
-            defrag_peak,
-            sizes,
-            moves,
-        );
-        crate::json::validate(&json).expect("BENCH_engine.json must be well-formed JSON");
-        assert!(
-            pool_hit_rate >= 0.99,
-            "steady-state deliver path must be allocation-free: pool hit rate {pool_hit_rate:.4} \
-             ({} hits / {} misses)",
-            stats.pool_hits,
-            stats.pool_misses
-        );
-        json
-    }
-
-    /// Workspace-root path of `BENCH_engine.json`.
-    pub const ENGINE_JSON_PATH: &str =
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-
-    /// Renders the `history` array for this write: the entries carried
-    /// over from `previous` (the artifact's prior contents, if any) plus
-    /// one new `{ run, events_per_sec }` entry. Run numbers are
-    /// append-ordered: one greater than the number of carried entries.
-    pub fn render_history(previous: Option<&str>, events_per_sec: f64) -> String {
-        let carried = previous.and_then(extract_history).unwrap_or_default();
-        let run = carried.iter().filter(|e| e.contains("\"run\"")).count() + 1;
-        let mut out = String::from("[\n");
-        for entry in &carried {
-            out.push_str("    ");
-            out.push_str(entry);
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "    {{ \"run\": {run}, \"events_per_sec\": {events_per_sec:.0} }}\n  ]"
-        ));
-        out
-    }
-
-    /// Pulls the `history` entries (one rendered object per element) out
-    /// of a prior artifact. `None` for artifacts predating the section.
-    fn extract_history(json: &str) -> Option<Vec<String>> {
-        let at = json.find("\"history\": [")? + "\"history\": [".len();
-        let body = &json[at..];
-        let end = body.find(']')?; // entries are flat objects: no nested ']'
-        Some(
-            body[..end]
-                .split('}')
-                .filter_map(|s| {
-                    let s = s.trim().trim_start_matches(',').trim();
-                    s.starts_with('{').then(|| format!("{s} }}"))
-                })
-                .collect(),
-        )
-    }
-
-    /// Renders the flight-recorder ring probe section (see
-    /// [`crate::obsprobe`]).
-    pub fn render_obs_json(probe: &crate::obsprobe::ObsProbe) -> String {
-        format!(
-            "{{ \"ring_capacity\": {}, \"events_per_round\": {}, \
-             \"enabled_events_per_sec\": {:.0}, \"baseline_events_per_sec\": {:.0}, \
-             \"overhead_ratio\": {:.4}, \"payload_digest\": \"{:016x}\" }}",
-            obs::DEFAULT_CAPACITY,
-            crate::obsprobe::EVENTS_PER_ROUND,
-            probe.enabled_events_per_sec,
-            probe.baseline_events_per_sec,
-            probe.overhead_ratio(),
-            probe.digest,
-        )
-    }
-
-    /// Splices the trailing sections into the headline artifact. They go
-    /// **after** every headline field so [`crate::json::number_field`]
-    /// (first occurrence wins) keeps reading the headline numbers.
-    pub fn with_trailing_sections(headline: &str, obs_json: &str, history: &str) -> String {
-        let body = headline.trim_end().strip_suffix('}').expect("artifact is a JSON object");
-        let json =
-            format!("{},\n  \"obs\": {obs_json},\n  \"history\": {history}\n}}\n", body.trim_end());
-        crate::json::validate(&json).expect("BENCH_engine.json must stay well-formed JSON");
-        json
-    }
-
-    /// Renders and writes the artifact: headline sections, the obs ring
-    /// probe, and the appended per-run `history` trajectory (carried over
-    /// from the file's previous contents). Failure to *write* (a
-    /// read-only checkout) only warns; malformed output panics in the
-    /// renderer.
-    pub fn write_engine_json(stats: &SimStats, elapsed_secs: f64, defrag_peak: usize) {
-        let headline = render_engine_json(stats, elapsed_secs, defrag_peak);
-        let previous = std::fs::read_to_string(ENGINE_JSON_PATH).ok();
-        let probe = crate::obsprobe::measure();
-        println!(
-            "obs ring {:.2} M events/sec recorded, {:.2} M baseline ({:.2}x)",
-            probe.enabled_events_per_sec / 1e6,
-            probe.baseline_events_per_sec / 1e6,
-            probe.overhead_ratio(),
-        );
-        let history = render_history(
-            previous.as_deref(),
-            stats.events_dispatched as f64 / elapsed_secs.max(1e-9),
-        );
-        let json = with_trailing_sections(&headline, &render_obs_json(&probe), &history);
-        match std::fs::write(ENGINE_JSON_PATH, json) {
-            Ok(()) => println!("wrote {ENGINE_JSON_PATH}"),
-            Err(e) => eprintln!("warning: could not write {ENGINE_JSON_PATH}: {e}"),
-        }
-    }
-
     #[cfg(test)]
     mod tests {
-        use super::{render_history, with_trailing_sections};
+        use super::{drive, EVENTS_PER_ITER};
 
+        /// Per-event probes divide by [`EVENTS_PER_ITER`], so the budget
+        /// must be what ends a drive; and the steady-state forward path
+        /// must be served from the buffer pool.
         #[test]
-        fn history_appends_one_entry_per_write() {
-            let first = render_history(None, 1_000_000.0);
-            assert!(first.contains("\"run\": 1"), "{first}");
-            assert!(first.contains("\"events_per_sec\": 1000000"), "{first}");
-            // A prior artifact carrying that history: the next write keeps
-            // run 1 and appends run 2.
-            let artifact = format!("{{\n  \"bench\": \"engine\",\n  \"history\": {first}\n}}\n");
-            let second = render_history(Some(&artifact), 2_000_000.0);
-            assert!(second.contains("\"run\": 1") && second.contains("1000000"), "{second}");
-            assert!(second.contains("\"run\": 2") && second.contains("2000000"), "{second}");
-            crate::json::validate(&second).expect("history array is well-formed");
-        }
-
-        #[test]
-        fn trailing_sections_never_shadow_headline_fields() {
-            let headline = "{\n  \"bench\": \"engine\",\n  \"events_per_sec\": 100\n}\n";
-            let history = render_history(None, 999_999.0);
-            let obs = "{ \"enabled_events_per_sec\": 42 }";
-            let json = with_trailing_sections(headline, obs, &history);
-            crate::json::validate(&json).expect("spliced artifact is well-formed");
-            // number_field reads the FIRST occurrence: the headline rate,
-            // not the history entry's.
-            assert_eq!(crate::json::number_field(&json, "events_per_sec"), Some(100.0));
-            assert!(json.contains("\"obs\":") && json.contains("\"history\":"));
+        fn drive_dispatches_the_budget_from_the_pool() {
+            let stats = drive(1);
+            assert_eq!(stats.events_dispatched, EVENTS_PER_ITER);
+            let served = stats.pool_hits + stats.pool_misses;
+            let hit_rate = stats.pool_hits as f64 / served.max(1) as f64;
+            assert!(
+                hit_rate >= 0.99,
+                "pool hit rate {hit_rate:.4} ({} hits / {} misses)",
+                stats.pool_hits,
+                stats.pool_misses
+            );
         }
     }
 }
 
 pub mod json {
     //! A tiny JSON validator (no parsing into values, no dependencies):
-    //! just enough to let the smoke runners verify the `BENCH_*.json`
-    //! files they emit are well-formed before CI uploads them.
+    //! just enough to check that a campaign's `metrics.json` or
+    //! `summary.json` is well-formed.
 
     /// Validates that `input` is one well-formed JSON value (objects,
     /// arrays, strings with escapes, numbers, booleans, null) with
@@ -483,21 +113,6 @@ pub mod json {
             return Err(format!("trailing data at byte {pos}"));
         }
         Ok(())
-    }
-
-    /// Extracts the first top-level-ish numeric field named `key` from
-    /// (already-validated) JSON: the value following `"key":`. Enough for
-    /// the perf gate to read a headline number out of a `BENCH_*.json`
-    /// artifact without a JSON tree in the workspace.
-    pub fn number_field(input: &str, key: &str) -> Option<f64> {
-        let needle = format!("\"{key}\"");
-        let at = input.find(&needle)? + needle.len();
-        let rest = input[at..].trim_start();
-        let rest = rest.strip_prefix(':')?.trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
     }
 
     fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -618,8 +233,13 @@ pub mod json {
             }
             *pos > from
         }
+        let int_start = *pos;
         if !digits(b, pos) {
             return Err(format!("bad number at byte {start}"));
+        }
+        // RFC 8259 §6: the integer part is `0` or starts with 1-9.
+        if b[int_start] == b'0' && *pos - int_start > 1 {
+            return Err(format!("leading zero in number at byte {start}"));
         }
         if b.get(*pos) == Some(&b'.') {
             *pos += 1;
@@ -650,7 +270,7 @@ pub mod json {
 
     #[cfg(test)]
     mod tests {
-        use super::{number_field, validate};
+        use super::validate;
 
         #[test]
         fn accepts_well_formed_documents() {
@@ -681,19 +301,11 @@ pub mod json {
                 "nul",
                 "{\"a\": 1e}",
                 "{1: 2}",
+                "01",
+                "[-00.5]",
             ] {
                 assert!(validate(bad).is_err(), "should reject: {bad}");
             }
-        }
-
-        #[test]
-        fn number_field_reads_headline_values() {
-            let doc = r#"{ "bench": "engine", "engine_events_per_sec": 6500000,
-                           "nested": { "elapsed_secs": 0.015 } }"#;
-            assert_eq!(number_field(doc, "engine_events_per_sec"), Some(6_500_000.0));
-            assert_eq!(number_field(doc, "elapsed_secs"), Some(0.015));
-            assert_eq!(number_field(doc, "missing"), None);
-            assert_eq!(number_field(r#"{"a": "str"}"#, "a"), None);
         }
     }
 }

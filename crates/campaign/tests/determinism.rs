@@ -254,8 +254,8 @@ fn table2_explain_section_is_identical_across_modes() {
     assert_eq!(jsons[1], *baseline, "explain section diverged between exec modes");
 }
 
-/// The summary JSON artifact is well-formed (the same validator CI uses
-/// for the BENCH artifacts) and carries the digest.
+/// The summary JSON artifact is well-formed (the validator behind CI's
+/// `jsoncheck`) and carries the digest.
 #[test]
 fn summary_json_is_well_formed() {
     let scenario = registry::find("pmtud").expect("registered");

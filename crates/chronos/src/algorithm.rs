@@ -10,8 +10,8 @@
 //! Panic mode here also enforces the `ω` agreement check among survivors
 //! (configurable). With the check on, a full time-shift requires the
 //! attacker to control ≥ 2/3 of the pool — the bound the DSN'20 paper's
-//! §VI analysis uses (poisoning by the 12th DNS lookup, `N ≤ 11`). The
-//! ablation bench disables it to show the partial-shift regime.
+//! §VI analysis uses (poisoning by the 12th DNS lookup, `N ≤ 11`).
+//! Without it a sub-supermajority attacker gets a partial shift.
 
 use ntp::timestamp::NtpDuration;
 

@@ -1,6 +1,6 @@
 //! One function per table and figure of the paper's evaluation. Each
 //! returns a typed report whose `Display` prints rows in the paper's
-//! layout; the Criterion benches and the examples call these.
+//! layout; the examples call these.
 
 use core::fmt;
 

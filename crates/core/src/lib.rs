@@ -11,7 +11,7 @@
 //! * [`analysis`] — the closed-form models: Table III probabilities, the
 //!   Chronos 2/3 pool bound (N ≤ 11), the 5-fragment boot budget;
 //! * [`experiments`] — one function per table and figure, with paper-style
-//!   formatting (used by the `bench` crate and the examples);
+//!   formatting (used by the examples);
 //! * [`runner`] — the parallel Monte-Carlo trial driver: independent
 //!   per-seed simulations fanned across worker threads and merged in seed
 //!   order (bit-identical results for any worker count).

@@ -433,7 +433,8 @@ mod tests {
     #[test]
     fn boot_time_attack_shifts_every_client_kind() {
         // The paper's Table I: all seven clients fall to the boot-time
-        // attack. (Single seed per kind; the full sweep lives in the bench.)
+        // attack. (Single seed per kind; the full sweep lives in
+        // tests/boot_time_attack.rs.)
         for kind in [ClientKind::Ntpd, ClientKind::SystemdTimesyncd, ClientKind::Ntpdate] {
             let outcome = run_boot_time_attack(ScenarioConfig::default(), kind);
             assert!(outcome.success, "{}: boot-time attack failed: {outcome:?}", kind.name());

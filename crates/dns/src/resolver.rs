@@ -43,7 +43,7 @@ pub struct ResolverConfig {
     /// Upstream retransmissions before SERVFAIL.
     pub max_retries: u32,
     /// Randomise source ports (RFC 5452). When false, ports are sequential
-    /// from 2048 — the pre-Kaminsky configuration for the ablation bench.
+    /// from 2048 — the pre-Kaminsky configuration.
     pub randomize_ports: bool,
     /// Randomise TXIDs. When false, sequential from 1.
     pub randomize_txid: bool,

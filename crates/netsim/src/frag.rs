@@ -290,8 +290,9 @@ impl DefragCache {
         let entry = self.entries.entry(key).or_insert_with(|| {
             expiry.push_back((now, key));
             // simlint: allow(hot-alloc) — `Vec::new` itself never touches
-            // the heap; the list grows on push, which the defrag-churn
-            // bench scores (fragments are zero-copy `Bytes` slices).
+            // the heap; the list grows on push, which perfbench's
+            // `netsim.defrag_insert_ns` probe prices (fragments are
+            // zero-copy `Bytes` slices).
             Entry { fragments: Vec::new(), created: now }
         });
         let ttl = pkt.ttl;

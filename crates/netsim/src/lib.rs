@@ -75,8 +75,8 @@ pub mod prelude {
     pub use crate::link::{LinkSpec, Topology};
     pub use crate::os::{IpidMode, OsProfile, PmtudPolicy, DEFAULT_IPID_CACHE_CAP};
     pub use crate::sim::{
-        hot_struct_sizes, Ctx, Datagram, Host, HostId, NetStack, ReceiveOutcome, SimStats,
-        Simulator, StackOutput, TimerToken,
+        Ctx, Datagram, Host, HostId, NetStack, ReceiveOutcome, SimStats, Simulator, StackOutput,
+        TimerToken,
     };
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::udp::{UdpDatagram, UDP_HEADER_LEN};

@@ -864,24 +864,6 @@ struct HostSlot {
 // the `Bytes` diet (72 → 24 B) must show up here too or it bought nothing.
 const _: () = assert!(std::mem::size_of::<Datagram>() <= 40, "Datagram grew past 40 bytes");
 
-/// Sizes of the types moved per event on the hot path, including the
-/// crate-private dispatch enums and slab slot: the bench records these in
-/// `BENCH_engine.json` so layout regressions are visible in the perf
-/// trajectory, not just as a compile error.
-pub fn hot_struct_sizes() -> [(&'static str, usize); 8] {
-    use std::mem::size_of;
-    [
-        ("Bytes", size_of::<Bytes>()),
-        ("Ipv4Packet", size_of::<Ipv4Packet>()),
-        ("UdpDatagram", size_of::<UdpDatagram>()),
-        ("Datagram", size_of::<Datagram>()),
-        ("Action", size_of::<Action>()),
-        ("EventKind", size_of::<EventKind>()),
-        ("StackHot", size_of::<StackHot>()),
-        ("HostSlot", size_of::<HostSlot>()),
-    ]
-}
-
 /// The deterministic discrete-event simulator.
 ///
 /// ```
@@ -931,8 +913,7 @@ pub struct Simulator {
     route_cache: Vec<(Ipv4Addr, HostId)>,
     max_events: u64,
     /// The flight recorder, compiled in only under the `trace` feature:
-    /// the default build carries no ring and no stores (perfgate holds the
-    /// untraced engine to its baseline).
+    /// the default build carries no ring and no stores.
     #[cfg(feature = "trace")]
     recorder: obs::FlightRecorder,
 }

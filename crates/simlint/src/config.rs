@@ -1,5 +1,5 @@
 //! Embedded workspace configuration: which trees are walked, which paths
-//! may read the wall clock, and which enums must carry a compile-time
+//! may print to the console, and which enums must carry a compile-time
 //! size assertion.
 //!
 //! The tables live in code rather than a config file on purpose: changing
@@ -17,11 +17,6 @@ pub const WALK_ROOTS: &[&str] = &["src", "tests", "examples", "crates", "vendor/
 /// deliberately-violating sources for the CI negative smoke.
 pub const SKIP_DIRS: &[&str] = &["target", "fixtures"];
 
-/// Path prefixes where wall-clock reads (R3) are legitimate: benchmark
-/// timing is *about* wall time. Everything else must take time from the
-/// simulator so results stay a pure function of `(scale, seed, index)`.
-pub const WALL_CLOCK_ALLOW: &[&str] = &["crates/bench/"];
-
 /// Path fragments that mark a file as test code: R2 (std hash containers)
 /// and R5 (hot-path allocations) do not apply there. `#[cfg(test)]`
 /// modules inside library files are detected separately.
@@ -37,8 +32,7 @@ pub const HOT_ENUMS: &[(&str, &[&str])] =
 /// Structs on the hot list with explicit byte budgets (R6): every one
 /// must have a compile-time `size_of::<Name>() <= N` assertion in its
 /// crate with `N` no larger than the budget here. These are the types the
-/// event loop moves per event; the budgets are the cache-shape contract
-/// `BENCH_engine.json` records `ns_per_move` against.
+/// event loop moves per event; the budgets are their cache-shape contract.
 /// Format: (crate directory, [(struct name, max bytes)]).
 pub const HOT_STRUCTS: &[(&str, &[(&str, u64)])] = &[
     (
@@ -56,11 +50,10 @@ pub const HOT_STRUCTS: &[(&str, &[(&str, u64)])] = &[
 ];
 
 /// Path prefixes where raw console macros (R7) are legitimate library
-/// code: `crates/bench/` *is* console output (artifact banners),
-/// `crates/obs/` defines the sanctioned `console!` funnel itself.
+/// code: `crates/obs/` defines the sanctioned `console!` funnel itself.
 /// Binaries (`main.rs`, `src/bin/`, `examples/`) are exempted by shape
 /// in [`console_allowed`] — a CLI's job is to print.
-pub const CONSOLE_ALLOW: &[&str] = &["crates/bench/", "crates/obs/"];
+pub const CONSOLE_ALLOW: &[&str] = &["crates/obs/"];
 
 /// Every rule simlint knows, by id. `allow(...)` comments naming
 /// anything else are themselves an error.
@@ -79,11 +72,6 @@ pub const RULES: &[&str] = &[
 /// location alone.
 pub fn is_test_path(path: &str) -> bool {
     TEST_PATH_MARKERS.iter().any(|m| path.starts_with(m) || path.contains(&format!("/{m}")))
-}
-
-/// True when `path` may read the wall clock.
-pub fn wall_clock_allowed(path: &str) -> bool {
-    WALL_CLOCK_ALLOW.iter().any(|p| path.starts_with(p))
 }
 
 /// True when `path` may call raw console macros (R7): binaries and
@@ -111,19 +99,12 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_allowlist_covers_bench_only() {
-        assert!(wall_clock_allowed("crates/bench/src/lib.rs"));
-        assert!(!wall_clock_allowed("crates/netsim/src/sim.rs"));
-        assert!(!wall_clock_allowed("crates/campaign/src/exec.rs"));
-    }
-
-    #[test]
     fn console_allowlist_covers_binaries_and_the_funnel() {
         assert!(console_allowed("crates/campaign/src/main.rs"));
-        assert!(console_allowed("crates/bench/src/bin/perfgate.rs"));
-        assert!(console_allowed("crates/bench/src/lib.rs"));
+        assert!(console_allowed("crates/bench/src/bin/jsoncheck.rs"));
         assert!(console_allowed("crates/obs/src/lib.rs"));
         assert!(console_allowed("examples/demo.rs"));
+        assert!(!console_allowed("crates/bench/src/lib.rs"));
         assert!(!console_allowed("crates/campaign/src/supervisor.rs"));
         assert!(!console_allowed("crates/netsim/src/sim.rs"));
     }

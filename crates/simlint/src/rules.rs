@@ -4,7 +4,7 @@
 //! |---------------|----------------------------------------------------------------|
 //! | `safety`      | every `unsafe` is preceded by a SAFETY comment / doc section   |
 //! | `std-hash`    | no `HashMap`/`HashSet` in non-test library code                |
-//! | `wall-clock`  | no `Instant::now`/`SystemTime::now` outside the bench allowlist|
+//! | `wall-clock`  | no `Instant::now`/`SystemTime::now`, anywhere                  |
 //! | `ambient-rng` | no `thread_rng`/`from_entropy`/`rand::random`, anywhere        |
 //! | `hot-alloc`   | no allocation idioms in files marked hot-path                  |
 //! | `enum-size`   | every hot-list enum has a compile-time `size_of` assertion     |
@@ -197,7 +197,7 @@ fn method_call(toks: &[Tok], i: usize, name: &str) -> bool {
 }
 
 /// Lints one file's source. `path` must be workspace-root-relative with
-/// `/` separators — the rules use it for the test/bench/allowlist scopes.
+/// `/` separators — the rules use it for the test and allowlist scopes.
 pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
     lint_lexed(path, &lex(source))
 }
@@ -301,16 +301,15 @@ pub fn lint_lexed(path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
             }
             // R3 — simulated time comes from the simulator.
             Some("Instant" | "SystemTime")
-                if qualified(toks, i, t.ident().unwrap_or_default(), "now")
-                    && !config::wall_clock_allowed(path) =>
+                if qualified(toks, i, t.ident().unwrap_or_default(), "now") =>
             {
                 push(
                     line,
                     col,
                     "wall-clock",
                     format!(
-                        "`{}::now` outside the bench allowlist: simulated time must \
-                         come from the simulator, not the host clock",
+                        "`{}::now`: simulated time must come from the simulator, not \
+                         the host clock",
                         t.ident().unwrap_or_default()
                     ),
                 );
@@ -352,8 +351,7 @@ pub fn lint_lexed(path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
                     "console",
                     format!(
                         "`{name}!` in library code: route diagnostics through \
-                         `obs::console!` (binaries, examples, and crates/bench \
-                         are exempt)"
+                         `obs::console!` (binaries and examples are exempt)"
                     ),
                 );
             }
@@ -660,9 +658,11 @@ mod tests {
     }
 
     #[test]
-    fn bench_crate_may_read_the_wall_clock() {
+    fn no_crate_may_read_the_wall_clock() {
         let src = "let t = Instant::now();\n";
-        assert_eq!(lint_source("crates/bench/src/lib.rs", src), vec![]);
+        let rules: Vec<&str> =
+            lint_source("crates/bench/src/lib.rs", src).iter().map(|d| d.rule).collect();
+        assert_eq!(rules, vec!["wall-clock"]);
     }
 
     #[test]
@@ -760,8 +760,7 @@ mod tests {
         let src = "fn f() { println!(\"x\"); }\n";
         for path in [
             "crates/campaign/src/main.rs",
-            "crates/bench/src/bin/perfgate.rs",
-            "crates/bench/src/lib.rs",
+            "crates/bench/src/bin/jsoncheck.rs",
             "crates/obs/src/lib.rs",
             "crates/demo/tests/it.rs",
             "examples/demo.rs",
