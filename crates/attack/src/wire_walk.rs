@@ -3,10 +3,12 @@
 //! The fragment forger needs to know *where in the byte stream* each record
 //! field sits — which glue addresses fall into the second fragment, where a
 //! TTL can serve as checksum slack. This walker parses the wire format
-//! without building a full [`dns::message::Message`], reporting byte spans.
+//! without building a full [`dns::message::Message`], reporting byte spans;
+//! owner names are skipped and decoded only on request
+//! ([`RecordSpan::name`]).
 
 use dns::error::DnsError;
-use dns::name::Name;
+use dns::name::{read_name_at, Name};
 use dns::record::RecordType;
 
 /// Which message section a record came from.
@@ -23,8 +25,6 @@ pub enum Section {
 /// The byte layout of one resource record within the message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordSpan {
-    /// Owner name (decoded through compression pointers).
-    pub name: Name,
     /// Record type.
     pub rtype: RecordType,
     /// Section the record belongs to.
@@ -37,6 +37,23 @@ pub struct RecordSpan {
     pub rdata_offset: usize,
     /// RDATA length in bytes.
     pub rdata_len: usize,
+}
+
+impl RecordSpan {
+    /// Decodes the owner name (through compression pointers) from the
+    /// message the span was walked over.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DnsError`] if the name is malformed.
+    pub fn name(&self, dns_bytes: &[u8]) -> Result<Name, DnsError> {
+        read_name_at(dns_bytes, self.record_offset).map(|(name, _)| name)
+    }
+
+    /// True for a glue record: an A record in the additional section.
+    pub fn is_glue(&self) -> bool {
+        self.section == Section::Additional && self.rtype == RecordType::A
+    }
 }
 
 /// Walks all records of an encoded DNS message, in order.
@@ -57,14 +74,16 @@ pub fn walk_records(dns_bytes: &[u8]) -> Result<Vec<RecordSpan>, DnsError> {
         pos = skip_name(dns_bytes, pos)?;
         pos += 4; // qtype + qclass
     }
-    let mut spans = Vec::new();
+    // Every record takes at least 11 bytes (a root owner and the fixed
+    // fields), which bounds the allocation whatever the counts claim.
+    let total = usize::from(ancount) + usize::from(nscount) + usize::from(arcount);
+    let mut spans = Vec::with_capacity(total.min(dns_bytes.len() / 11));
     let sections =
         [(Section::Answer, ancount), (Section::Authority, nscount), (Section::Additional, arcount)];
     for (section, count) in sections {
         for _ in 0..count {
             let record_offset = pos;
-            let (name, after_name) = read_name(dns_bytes, pos)?;
-            pos = after_name;
+            pos = skip_name(dns_bytes, pos)?;
             if pos + 10 > dns_bytes.len() {
                 return Err(DnsError::Truncated { context: "record fixed fields" });
             }
@@ -79,7 +98,6 @@ pub fn walk_records(dns_bytes: &[u8]) -> Result<Vec<RecordSpan>, DnsError> {
             }
             pos = rdata_offset + rdata_len;
             spans.push(RecordSpan {
-                name,
                 rtype,
                 section,
                 record_offset,
@@ -96,54 +114,19 @@ pub fn walk_records(dns_bytes: &[u8]) -> Result<Vec<RecordSpan>, DnsError> {
 fn skip_name(data: &[u8], mut pos: usize) -> Result<usize, DnsError> {
     loop {
         let len = *data.get(pos).ok_or(DnsError::Truncated { context: "name" })?;
-        if len & 0xC0 == 0xC0 {
-            return Ok(pos + 2);
-        }
-        if len == 0 {
-            return Ok(pos + 1);
-        }
-        pos += 1 + usize::from(len);
-    }
-}
-
-/// Reads a (possibly compressed) name, returning it and the position after
-/// the in-stream representation.
-fn read_name(data: &[u8], start: usize) -> Result<(Name, usize), DnsError> {
-    let mut labels: Vec<String> = Vec::new();
-    let mut pos = start;
-    let mut after = None;
-    let mut hops = 0;
-    loop {
-        let len = *data.get(pos).ok_or(DnsError::Truncated { context: "name" })?;
-        if len & 0xC0 == 0xC0 {
-            let lo = *data.get(pos + 1).ok_or(DnsError::Truncated { context: "pointer" })?;
-            if after.is_none() {
-                after = Some(pos + 2);
-            }
-            hops += 1;
-            if hops > 32 {
-                return Err(DnsError::BadPointer);
-            }
-            pos = usize::from(u16::from_be_bytes([len & 0x3F, lo]));
-        } else if len == 0 {
-            pos += 1;
-            break;
-        } else {
-            let n = usize::from(len);
-            if pos + 1 + n > data.len() {
-                return Err(DnsError::Truncated { context: "label" });
-            }
-            labels.push(String::from_utf8_lossy(&data[pos + 1..pos + 1 + n]).into_owned());
-            pos += 1 + n;
+        match len {
+            0 => return Ok(pos + 1),
+            1..=0x3F => pos += 1 + usize::from(len),
+            0xC0..=0xFF => return Ok(pos + 2),
+            _ => return Err(DnsError::BadName { reason: "label length > 63" }),
         }
     }
-    Ok((Name::from_labels(labels)?, after.unwrap_or(pos)))
 }
 
 /// Convenience: the glue A records (additional-section A records) of a
 /// response, in order.
 pub fn glue_spans(spans: &[RecordSpan]) -> Vec<&RecordSpan> {
-    spans.iter().filter(|s| s.section == Section::Additional && s.rtype == RecordType::A).collect()
+    spans.iter().filter(|s| s.is_glue()).collect()
 }
 
 #[cfg(test)]
@@ -185,7 +168,7 @@ mod tests {
         let (resp, wire) = sample_response();
         let spans = walk_records(&wire).unwrap();
         for (span, record) in glue_spans(&spans).iter().zip(&resp.additionals) {
-            assert_eq!(span.name, record.name);
+            assert_eq!(span.name(&wire).unwrap(), record.name);
             let addr = Ipv4Addr::new(
                 wire[span.rdata_offset],
                 wire[span.rdata_offset + 1],

@@ -120,7 +120,7 @@ impl AuthServer {
         }
         if self.include_authority && q.qtype != RecordType::Ns {
             resp.authorities = zone.ns_records().to_vec();
-            resp.additionals = zone.glue_records();
+            resp.additionals = zone.glue_records().to_vec();
         }
         resp
     }

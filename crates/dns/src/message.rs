@@ -7,11 +7,10 @@
 //! servers do.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use netsim::fasthash::FastMap;
 use std::net::Ipv4Addr;
 
 use crate::error::DnsError;
-use crate::name::Name;
+use crate::name::{read_name_at, Name};
 use crate::record::{RData, Record, RecordType};
 
 /// Response codes.
@@ -244,45 +243,146 @@ impl Message {
 
 struct Encoder {
     buf: BytesMut,
-    // Canonical dotted suffix -> offset of its first occurrence.
-    offsets: FastMap<String, u16>,
+    /// Name-compression table: a trie of every label suffix written so
+    /// far, keyed on wire-form labels compared in place in `buf`. Node 0
+    /// is the root; a name is looked up from its last label inwards.
+    suffixes: Vec<Suffix>,
 }
+
+/// One written suffix (a label plus its parent suffix) in the
+/// compression trie.
+struct Suffix {
+    /// Buffer offset of the suffix's first label (its length byte).
+    label_at: usize,
+    /// That label's first eight wire bytes (see [`label_key`]).
+    key: u64,
+    /// Compression target, or [`NO_POINTER`] when the suffix was first
+    /// written beyond the range the encoder points into.
+    pointer: u16,
+    /// First child suffix (one more label in front); 0 for none.
+    first_child: u32,
+    /// Next suffix with the same parent; 0 for none.
+    next_sibling: u32,
+}
+
+/// The first eight bytes of a wire label (length byte first, zero-padded):
+/// equal keys mean equal labels for labels of up to seven bytes, so
+/// sibling scans rarely touch the buffer.
+fn label_key(label: &[u8]) -> u64 {
+    match label.first_chunk::<8>() {
+        Some(head) => u64::from_le_bytes(*head),
+        None => label.iter().rev().fold(0, |key, &b| key << 8 | u64::from(b)),
+    }
+}
+
+const NO_POINTER: u16 = u16::MAX;
+/// Suffixes first written at or beyond this offset are not pointer targets.
+const POINTER_LIMIT: usize = 0x3FFF;
 
 impl Encoder {
     fn new() -> Self {
-        Encoder { buf: BytesMut::with_capacity(512), offsets: FastMap::default() }
+        let mut suffixes = Vec::with_capacity(64);
+        suffixes.push(Suffix {
+            label_at: 0,
+            key: 0,
+            pointer: NO_POINTER,
+            first_child: 0,
+            next_sibling: 0,
+        });
+        Encoder { buf: BytesMut::with_capacity(512), suffixes }
     }
 
+    /// Writes `name`, pointing at the longest suffix already written.
     fn put_name(&mut self, name: &Name) {
-        let labels = name.labels();
-        for i in 0..labels.len() {
-            let suffix = labels[i..].join(".");
-            if let Some(&off) = self.offsets.get(&suffix) {
-                self.buf.put_u16(0xC000 | off);
-                return;
-            }
-            if self.buf.len() < 0x3FFF {
-                self.offsets.insert(suffix, self.buf.len() as u16);
-            }
-            let label = &labels[i];
-            self.buf.put_u8(label.len() as u8);
-            self.buf.put_slice(label.as_bytes());
+        let wire = name.as_wire();
+        // Label start offsets: a 254-byte name has at most 127 labels.
+        let mut starts = [0u8; 128];
+        let mut count = 0;
+        let mut at = 0;
+        while at < wire.len() {
+            starts[count] = at as u8;
+            count += 1;
+            at += 1 + usize::from(wire[at]);
         }
-        self.buf.put_u8(0);
+        let start = |k: usize| if k < count { usize::from(starts[k]) } else { wire.len() };
+        // Walk the trie from the last label inwards: `known` indexes the
+        // longest suffix with a node, `reuse` the longest one a pointer
+        // can name.
+        let (mut node, mut known, mut reuse) = (0, count, None);
+        for k in (0..count).rev() {
+            let Some(child) = self.find_child(node, &wire[start(k)..start(k + 1)]) else { break };
+            node = child;
+            known = k;
+            let pointer = self.suffixes[child as usize].pointer;
+            if pointer != NO_POINTER {
+                reuse = Some((k, pointer));
+            }
+        }
+        let base = self.buf.len();
+        match reuse {
+            Some((k, pointer)) => {
+                self.buf.put_slice(&wire[..start(k)]);
+                self.buf.put_u16(0xC000 | pointer);
+            }
+            None => {
+                self.buf.put_slice(wire);
+                self.buf.put_u8(0);
+            }
+        }
+        // Remember the suffixes written here for the first time.
+        for k in (0..known).rev() {
+            let label_at = base + start(k);
+            let pointer = if label_at < POINTER_LIMIT { label_at as u16 } else { NO_POINTER };
+            let key = label_key(&wire[start(k)..start(k + 1)]);
+            node = self.add_child(
+                node,
+                Suffix { label_at, key, pointer, first_child: 0, next_sibling: 0 },
+            );
+        }
+    }
+
+    /// The child of `parent` whose first label is `label` (length byte
+    /// included).
+    fn find_child(&self, parent: u32, label: &[u8]) -> Option<u32> {
+        let key = label_key(label);
+        let mut child = self.suffixes[parent as usize].first_child;
+        while child != 0 {
+            let suffix = &self.suffixes[child as usize];
+            if suffix.key == key
+                && (label.len() <= 8
+                    || self.buf.get(suffix.label_at..suffix.label_at + label.len()) == Some(label))
+            {
+                return Some(child);
+            }
+            child = suffix.next_sibling;
+        }
+        None
+    }
+
+    /// Links `suffix` in as the newest child of `parent`.
+    fn add_child(&mut self, parent: u32, mut suffix: Suffix) -> u32 {
+        let id = self.suffixes.len() as u32;
+        suffix.next_sibling = self.suffixes[parent as usize].first_child;
+        self.suffixes.push(suffix);
+        self.suffixes[parent as usize].first_child = id;
+        id
     }
 
     fn put_record(&mut self, record: &Record) -> Result<(), DnsError> {
         self.put_name(&record.name);
-        self.buf.put_u16(record.rtype().code());
         // Class: IN for everything except OPT, where EDNS0 reuses the class
         // field as the advertised UDP payload size (RFC 6891).
-        match record.data {
-            RData::Opt { udp_payload_size } => self.buf.put_u16(udp_payload_size),
-            _ => self.buf.put_u16(1),
-        }
-        self.buf.put_u32(record.ttl);
-        let rdlen_pos = self.buf.len();
-        self.buf.put_u16(0); // placeholder
+        let class = match record.data {
+            RData::Opt { udp_payload_size } => udp_payload_size,
+            _ => 1,
+        };
+        // Type, class, TTL and an RDLENGTH placeholder, in one write.
+        let mut fixed = [0u8; 10];
+        fixed[..2].copy_from_slice(&record.rtype().code().to_be_bytes());
+        fixed[2..4].copy_from_slice(&class.to_be_bytes());
+        fixed[4..8].copy_from_slice(&record.ttl.to_be_bytes());
+        self.buf.put_slice(&fixed);
+        let rdlen_pos = self.buf.len() - 2;
         match &record.data {
             RData::A(addr) => self.buf.put_slice(&addr.octets()),
             RData::Ns(target) | RData::Cname(target) => self.put_name(target),
@@ -305,10 +405,7 @@ impl Encoder {
             RData::Rrsig { type_covered, signer, signature } => {
                 self.buf.put_u16(type_covered.code());
                 // Signer name, uncompressed per RFC 4034 §3.1.7.
-                for label in signer.labels() {
-                    self.buf.put_u8(label.len() as u8);
-                    self.buf.put_slice(label.as_bytes());
-                }
+                self.buf.put_slice(signer.as_wire());
                 self.buf.put_u8(0);
                 self.buf.put_u64(*signature);
             }
@@ -452,47 +549,6 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Reads a possibly-compressed name starting at `pos`; returns the name and
-/// the position just after it (in the un-followed stream).
-fn read_name_at(data: &[u8], mut pos: usize) -> Result<(Name, usize), DnsError> {
-    let mut labels: Vec<String> = Vec::new();
-    let mut next_after = None;
-    let mut hops = 0;
-    loop {
-        let len = *data.get(pos).ok_or(DnsError::Truncated { context: "name" })?;
-        if len & 0xC0 == 0xC0 {
-            let lo = *data.get(pos + 1).ok_or(DnsError::Truncated { context: "pointer" })?;
-            let target = usize::from(u16::from_be_bytes([len & 0x3F, lo]));
-            if next_after.is_none() {
-                next_after = Some(pos + 2);
-            }
-            if target >= pos && hops == 0 {
-                return Err(DnsError::BadPointer); // forward pointer
-            }
-            hops += 1;
-            if hops > 32 {
-                return Err(DnsError::BadPointer);
-            }
-            pos = target;
-        } else if len == 0 {
-            pos += 1;
-            break;
-        } else {
-            let len = usize::from(len);
-            if len > 63 {
-                return Err(DnsError::BadName { reason: "label length > 63" });
-            }
-            if pos + 1 + len > data.len() {
-                return Err(DnsError::Truncated { context: "label" });
-            }
-            labels.push(String::from_utf8_lossy(&data[pos + 1..pos + 1 + len]).into_owned());
-            pos += 1 + len;
-        }
-    }
-    let name = Name::from_labels(labels)?;
-    Ok((name, next_after.unwrap_or(pos)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -608,6 +664,21 @@ mod tests {
         let wire = resp.encode().unwrap();
         let cut = &wire[..wire.len() - 2];
         assert!(Message::decode(cut).is_err());
+    }
+
+    #[test]
+    fn dotted_label_does_not_alias_a_label_boundary() {
+        // One label "a.b" and the two labels "a", "b" print alike but
+        // differ on the wire: the answer must not compress onto the
+        // question's name.
+        let dotted = Name::from_labels(["a.b"]).unwrap();
+        let two: Name = "a.b".parse().unwrap();
+        let mut m = Message::query(1, dotted, RecordType::A, false);
+        m.header.qr = true;
+        m.answers.push(Record::a(two, 60, Ipv4Addr::new(192, 0, 2, 1)));
+        let back = Message::decode(&m.encode().unwrap()).unwrap();
+        assert_eq!(back, m);
+        assert_eq!(back.answers[0].name.label_count(), 2);
     }
 
     #[test]

@@ -61,12 +61,22 @@ pub struct Zone {
     /// Answer policy for A queries.
     pub policy: AnswerPolicy,
     records: FastMap<(Name, RecordType), Vec<Record>>,
+    /// Glue A records for the apex NS targets, kept current by
+    /// [`Zone::add`] so an answer copies them instead of looking each
+    /// target up.
+    glue: Vec<Record>,
 }
 
 impl Zone {
     /// Creates an empty, unsigned, static zone.
     pub fn new(origin: Name) -> Self {
-        Zone { origin, key: None, policy: AnswerPolicy::Static, records: FastMap::default() }
+        Zone {
+            origin,
+            key: None,
+            policy: AnswerPolicy::Static,
+            records: FastMap::default(),
+            glue: Vec::new(),
+        }
     }
 
     /// Adds a record to the store.
@@ -81,7 +91,21 @@ impl Zone {
             record.name,
             self.origin
         );
+        let refresh_glue = match record.rtype() {
+            RecordType::Ns => record.name == self.origin,
+            RecordType::A => true,
+            _ => false,
+        };
         self.records.entry((record.name.clone(), record.rtype())).or_default().push(record);
+        if refresh_glue {
+            self.glue = self
+                .ns_records()
+                .iter()
+                .filter_map(Record::as_ns)
+                .flat_map(|target| self.lookup(target, RecordType::A))
+                .cloned()
+                .collect();
+        }
         self
     }
 
@@ -114,16 +138,12 @@ impl Zone {
 
     /// The zone's NS records at the apex.
     pub fn ns_records(&self) -> &[Record] {
-        self.lookup(&self.origin.clone(), RecordType::Ns)
+        self.lookup(&self.origin, RecordType::Ns)
     }
 
-    /// Glue A records for every apex NS target.
-    pub fn glue_records(&self) -> Vec<Record> {
-        self.ns_records()
-            .iter()
-            .filter_map(Record::as_ns)
-            .flat_map(|target| self.lookup(target, RecordType::A).to_vec())
-            .collect()
+    /// Glue A records for every apex NS target, in NS order.
+    pub fn glue_records(&self) -> &[Record] {
+        &self.glue
     }
 }
 
@@ -175,6 +195,21 @@ mod tests {
         assert_eq!(zone.glue_records()[0].as_a(), Some(Ipv4Addr::new(198, 51, 100, 1)));
         assert!(zone.name_exists(&"pool.ntp.org".parse().unwrap()));
         assert!(zone.name_exists(&"2.pool.ntp.org".parse().unwrap()));
+    }
+
+    #[test]
+    fn glue_follows_ns_order_whatever_the_insertion_order() {
+        let origin: Name = "example.org".parse().unwrap();
+        let (ns1, ns2): (Name, Name) =
+            ("ns1.example.org".parse().unwrap(), "ns2.example.org".parse().unwrap());
+        let mut zone = Zone::new(origin.clone());
+        zone.add(Record::a(ns2.clone(), 60, Ipv4Addr::new(192, 0, 2, 2)));
+        zone.add(Record::ns(origin.clone(), 60, ns1.clone()));
+        zone.add(Record::ns(origin, 60, ns2));
+        zone.add(Record::a(ns1, 60, Ipv4Addr::new(192, 0, 2, 1)));
+        let glue: Vec<_> = zone.glue_records().iter().filter_map(Record::as_a).collect();
+        assert_eq!(glue, [Ipv4Addr::new(192, 0, 2, 1), Ipv4Addr::new(192, 0, 2, 2)]);
+        assert_eq!(zone.ns_records().len(), 2);
     }
 
     #[test]

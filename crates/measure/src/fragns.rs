@@ -57,8 +57,8 @@ impl FragmentingNs {
         }
         let extra = qname.label_count() - self.zone.label_count();
         match extra {
-            1 => Some(qname.labels()[0].clone()), // sigfail / sigright
-            2 => Some(qname.labels()[1].clone()), // T.<kind>
+            1 => qname.labels().next().map(str::to_owned), // sigfail / sigright
+            2 => qname.labels().nth(1).map(str::to_owned), // T.<kind>
             _ => None,
         }
     }

@@ -97,8 +97,8 @@ impl Host for LoggingNs {
             return;
         }
         let Some(q) = query.question() else { return };
-        if let Some(token) = q.name.labels().first() {
-            self.seen.insert(token.clone(), d.src);
+        if let Some(token) = q.name.labels().next() {
+            self.seen.insert(token.to_owned(), d.src);
         }
         let mut resp = Message::response_to(&query);
         resp.header.aa = true;

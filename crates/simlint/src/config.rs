@@ -47,6 +47,7 @@ pub const HOT_STRUCTS: &[(&str, &[(&str, u64)])] = &[
         ],
     ),
     ("vendor/bytes", &[("Bytes", 24)]),
+    ("crates/dns", &[("Name", 32)]),
 ];
 
 /// Path prefixes where raw console macros (R7) are legitimate library
