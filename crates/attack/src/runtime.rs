@@ -105,7 +105,7 @@ impl RuntimeAttacker {
         // server's limiter attributes them to the victim and silences it.
         let t = NtpTimestamp::at_sim_time(ctx.now());
         let payload = NtpPacket::client_request(t).encode();
-        for &server in self.flood_targets.iter().collect::<Vec<_>>() {
+        for &server in &self.flood_targets {
             self.stats.spoofed_queries += 1;
             ctx.send_udp_spoofed(self.victim, server, NTP_PORT, NTP_PORT, payload.clone());
         }

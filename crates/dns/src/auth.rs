@@ -8,12 +8,14 @@
 
 use std::net::Ipv4Addr;
 
+use bytes::Bytes;
 use netsim::prelude::*;
 use rand::seq::index::sample;
 use rand::Rng;
 
 use crate::dnssec::make_rrsig;
-use crate::message::{Message, Rcode};
+use crate::error::DnsError;
+use crate::message::{Message, Question, Rcode};
 use crate::record::{Record, RecordType};
 use crate::zone::{AnswerPolicy, Zone};
 
@@ -36,15 +38,42 @@ pub struct AuthStats {
 pub struct AuthServer {
     zones: Vec<Zone>,
     include_authority: bool,
+    /// Encoded authority + additional sections, from this server's own
+    /// full encodes (see [`AuthServer::encode_reply`]).
+    tails: Vec<Tail>,
     /// Counters.
     pub stats: AuthStats,
 }
+
+/// The authority and additional sections of one full encode, reusable by
+/// replies to the same question from the same zone with as many answers.
+#[derive(Debug)]
+struct Tail {
+    zone: usize,
+    question: Question,
+    /// Answer count; with the question it fixes the length of the
+    /// header, question and answer sections in front of the tail.
+    answers: usize,
+    /// NSCOUNT and ARCOUNT.
+    counts: [u16; 2],
+    /// The section bytes: a slice of the full encode they came from.
+    bytes: Bytes,
+}
+
+/// Cached tails per server: a pool nameserver sees a handful of rotating
+/// names, and a server asked for many names stops caching.
+const MAX_TAILS: usize = 8;
 
 impl AuthServer {
     /// Creates a server for `zones`. Responses to A queries include the
     /// zone's NS records and glue in the authority/additional sections.
     pub fn new(zones: Vec<Zone>) -> Self {
-        AuthServer { zones, include_authority: true, stats: AuthStats::default() }
+        AuthServer {
+            zones,
+            include_authority: true,
+            tails: Vec::new(),
+            stats: AuthStats::default(),
+        }
     }
 
     /// Disables the authority/additional sections (small responses that
@@ -57,12 +86,38 @@ impl AuthServer {
     /// Builds the response for a query, drawing random pool subsets where
     /// the zone's policy asks for it.
     pub fn answer<R: Rng + ?Sized>(&mut self, query: &Message, rng: &mut R) -> Message {
+        let (mut resp, tail_zone) = self.respond(query, rng);
+        if let Some(zone) = tail_zone {
+            self.fill(&mut resp, zone);
+        }
+        resp
+    }
+
+    /// The encoded response to `query`: the bytes [`Host::on_datagram`]
+    /// sends, equal to `answer(query, rng).encode()` after the same draws.
+    fn reply<R: Rng + ?Sized>(&mut self, query: &Message, rng: &mut R) -> Result<Bytes, DnsError> {
+        let (resp, tail_zone) = self.respond(query, rng);
+        match tail_zone {
+            Some(zone) => self.encode_reply(resp, zone),
+            None => resp.encode(),
+        }
+    }
+
+    /// The policy step: the header, question and answer section of the
+    /// response (every RNG draw happens here), and the zone whose NS
+    /// records and glue belong in its authority and additional sections,
+    /// if any.
+    fn respond<R: Rng + ?Sized>(
+        &mut self,
+        query: &Message,
+        rng: &mut R,
+    ) -> (Message, Option<usize>) {
         self.stats.queries += 1;
         let mut resp = Message::response_to(query);
         resp.header.ra = false;
         let Some(q) = query.question().cloned() else {
             resp.header.rcode = Rcode::FormErr;
-            return resp;
+            return (resp, None);
         };
         let Some(zone_idx) = self
             .zones
@@ -74,35 +129,32 @@ impl AuthServer {
         else {
             self.stats.refused += 1;
             resp.header.rcode = Rcode::Refused;
-            return resp;
+            return (resp, None);
         };
         resp.header.aa = true;
-        // Synthesise rotated/wildcard A answers, or fall back to statics.
-        let answers = {
-            let zone = &self.zones[zone_idx];
-            match (&zone.policy, q.qtype) {
-                (AnswerPolicy::Rotate { names, addrs, per_response, ttl }, RecordType::A)
-                    if names.contains(&q.name) && !addrs.is_empty() =>
-                {
-                    let n = (*per_response).min(addrs.len());
-                    sample(rng, addrs.len(), n)
-                        .into_iter()
-                        .map(|i| Record::a(q.name.clone(), *ttl, addrs[i]))
-                        .collect::<Vec<_>>()
-                }
-                (AnswerPolicy::Wildcard { addrs, per_response, ttl }, RecordType::A)
-                    if !addrs.is_empty() =>
-                {
-                    let n = (*per_response).min(addrs.len());
-                    addrs[..n].iter().map(|&addr| Record::a(q.name.clone(), *ttl, addr)).collect()
-                }
-                _ => zone.lookup(&q.name, q.qtype).to_vec(),
-            }
-        };
         let zone = &self.zones[zone_idx];
+        // Synthesise rotated/wildcard A answers, or fall back to statics.
+        let answers = match (&zone.policy, q.qtype) {
+            (AnswerPolicy::Rotate { names, addrs, per_response, ttl }, RecordType::A)
+                if names.contains(&q.name) && !addrs.is_empty() =>
+            {
+                let n = (*per_response).min(addrs.len());
+                sample(rng, addrs.len(), n)
+                    .into_iter()
+                    .map(|i| Record::a(q.name.clone(), *ttl, addrs[i]))
+                    .collect::<Vec<_>>()
+            }
+            (AnswerPolicy::Wildcard { addrs, per_response, ttl }, RecordType::A)
+                if !addrs.is_empty() =>
+            {
+                let n = (*per_response).min(addrs.len());
+                addrs[..n].iter().map(|&addr| Record::a(q.name.clone(), *ttl, addr)).collect()
+            }
+            _ => zone.lookup(&q.name, q.qtype).to_vec(),
+        };
         if answers.is_empty() && !zone.name_exists(&q.name) {
             resp.header.rcode = Rcode::NxDomain;
-            return resp;
+            return (resp, None);
         }
         resp.answers = answers;
         if let Some(key) = zone.key {
@@ -118,11 +170,64 @@ impl AuthServer {
                 resp.answers.push(sig);
             }
         }
-        if self.include_authority && q.qtype != RecordType::Ns {
-            resp.authorities = zone.ns_records().to_vec();
-            resp.additionals = zone.glue_records().to_vec();
+        let with_tail = self.include_authority && q.qtype != RecordType::Ns;
+        (resp, with_tail.then_some(zone_idx))
+    }
+
+    /// The section fill: `zone`'s NS records and glue.
+    fn fill(&self, resp: &mut Message, zone: usize) {
+        let zone = &self.zones[zone];
+        resp.authorities = zone.ns_records().to_vec();
+        resp.additionals = zone.glue_records().to_vec();
+    }
+
+    /// Encodes `resp` (header, question and answers, from
+    /// [`AuthServer::respond`]) with `zone`'s authority and additional
+    /// sections.
+    ///
+    /// Those sections are spliced in from a cached [`Tail`] when the
+    /// answers add no compression target: one question, and every answer
+    /// an A record owned by the question name (each compresses to a
+    /// pointer at offset 12) in an unsigned zone. The encoder's output for
+    /// the later sections depends only on its compression table and its
+    /// buffer offset, and both are then fixed by the question and the
+    /// answer count; NSCOUNT and ARCOUNT are the only bytes of the
+    /// sections written outside them. Anything else — and a cache miss,
+    /// which fills the cache from its one full encode — encodes in full.
+    fn encode_reply(&mut self, mut resp: Message, zone: usize) -> Result<Bytes, DnsError> {
+        let spliceable = matches!(resp.questions.as_slice(), [q]
+            if self.zones[zone].key.is_none()
+                && resp.answers.iter().all(|r| r.rtype() == RecordType::A && r.name == q.name));
+        if !spliceable {
+            self.fill(&mut resp, zone);
+            return resp.encode();
         }
-        resp
+        let question = &resp.questions[0];
+        let answers = resp.answers.len();
+        let cached = self
+            .tails
+            .iter()
+            .find(|t| t.zone == zone && t.answers == answers && t.question == *question);
+        if let Some(tail) = cached {
+            let wire = resp.encode_spliced(tail.counts, &tail.bytes)?;
+            if cfg!(debug_assertions) {
+                self.fill(&mut resp, zone);
+                assert_eq!(resp.encode().as_ref(), Ok(&wire), "splice differs from a full encode");
+            }
+            return Ok(wire);
+        }
+        self.fill(&mut resp, zone);
+        let (wire, tail_at) = resp.encode_split()?;
+        if self.tails.len() < MAX_TAILS {
+            self.tails.push(Tail {
+                zone,
+                question: resp.questions[0].clone(),
+                answers,
+                counts: [resp.authorities.len() as u16, resp.additionals.len() as u16],
+                bytes: wire.slice(tail_at..),
+            });
+        }
+        Ok(wire)
     }
 }
 
@@ -135,8 +240,7 @@ impl Host for AuthServer {
         if query.header.qr {
             return; // not a query
         }
-        let resp = self.answer(&query, ctx.rng());
-        if let Ok(wire) = resp.encode() {
+        if let Ok(wire) = self.reply(&query, ctx.rng()) {
             self.stats.responses += 1;
             ctx.send_udp(d.src, DNS_PORT, d.src_port, wire);
         }
@@ -258,6 +362,76 @@ mod tests {
         let mut srv = AuthServer::new(vec![zone]);
         let r = srv.answer(&query("nonexistent.pool.ntp.org"), &mut rng());
         assert_eq!(r.header.rcode, Rcode::NxDomain);
+    }
+
+    /// Asks `server` and a twin each query three times (so spliced
+    /// replies follow the encode that filled the cache), as A and as NS,
+    /// under equal RNG seeds.
+    fn assert_replies_match_answers(label: &str, server: impl Fn() -> AuthServer, names: &[&str]) {
+        use rand::RngExt;
+        let (mut sent_by, mut answered_by) = (server(), server());
+        let mut seed = 0;
+        for round in 0..3u16 {
+            for name in names {
+                for qtype in [RecordType::A, RecordType::Ns] {
+                    seed += 1;
+                    let query = Message::query(round, name.parse().unwrap(), qtype, false);
+                    let (mut rng_a, mut rng_b) =
+                        (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+                    let sent = sent_by.reply(&query, &mut rng_a).unwrap();
+                    let full = answered_by.answer(&query, &mut rng_b).encode().unwrap();
+                    assert_eq!(sent, full, "{label}: {name} {qtype} round {round}");
+                    assert_eq!(rng_a.random::<u64>(), rng_b.random::<u64>(), "{label}: {name}");
+                }
+            }
+        }
+        assert_eq!(sent_by.stats, answered_by.stats, "{label}");
+    }
+
+    /// What `on_datagram` sends — spliced or encoded in full — equals the
+    /// full encode of `answer` and leaves the RNG in the same state.
+    #[test]
+    fn replies_equal_full_encodes_of_answer() {
+        use crate::dnssec::ZoneKey;
+        let pool = || pool_zone(servers(8), 23, Ipv4Addr::new(198, 51, 100, 1));
+        let names = [
+            "pool.ntp.org",
+            "0.pool.ntp.org",
+            "1.pool.ntp.org",
+            "2.pool.ntp.org",
+            "3.pool.ntp.org",
+            "ns1.pool.ntp.org",
+            "nonexistent.pool.ntp.org",
+            "example.com",
+        ];
+        assert_replies_match_answers("pool", || AuthServer::new(vec![pool()]), &names);
+        let signed = || AuthServer::new(vec![pool().with_key(ZoneKey(7))]);
+        assert_replies_match_answers("signed", signed, &names);
+        let bare = || AuthServer::new(vec![pool()]).without_authority_sections();
+        assert_replies_match_answers("bare", bare, &names);
+        // More names than the tail cache holds.
+        let names: Vec<String> = (0..2 * MAX_TAILS).map(|i| format!("{i}.pool.ntp.org")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let attacker = || AuthServer::new(vec![malicious_pool_zone(servers(89), 89, 86_400 * 2)]);
+        assert_replies_match_answers("attacker", attacker, &names);
+    }
+
+    /// Only the unsigned pool server with authority sections splices: it
+    /// caches one tail per (question, answer count) it has answered.
+    #[test]
+    fn only_plain_a_answers_cache_a_tail() {
+        use crate::dnssec::ZoneKey;
+        let pool = || pool_zone(servers(8), 23, Ipv4Addr::new(198, 51, 100, 1));
+        let ns_query = Message::query(1, "pool.ntp.org".parse().unwrap(), RecordType::Ns, false);
+        let tails_after = |mut srv: AuthServer| {
+            for query in [query("pool.ntp.org"), query("pool.ntp.org"), ns_query.clone()] {
+                srv.reply(&query, &mut rng()).unwrap();
+            }
+            srv.tails.len()
+        };
+        assert_eq!(tails_after(AuthServer::new(vec![pool()])), 1);
+        assert_eq!(tails_after(AuthServer::new(vec![pool().with_key(ZoneKey(7))])), 0);
+        assert_eq!(tails_after(AuthServer::new(vec![pool()]).without_authority_sections()), 0);
     }
 
     #[test]

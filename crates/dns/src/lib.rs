@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::cache::{CacheHit, DnsCache};
     pub use crate::dnssec::{make_rrsig, sign_rrset, TrustAnchors, ZoneKey};
     pub use crate::error::DnsError;
-    pub use crate::message::{Header, Message, Question, Rcode};
+    pub use crate::message::{Header, Message, MessageView, Question, Rcode};
     pub use crate::name::Name;
     pub use crate::record::{RData, Record, RecordType};
     pub use crate::resolver::{Resolver, ResolverConfig, ResolverStats};

@@ -10,7 +10,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use std::net::Ipv4Addr;
 
 use crate::error::DnsError;
-use crate::name::{read_name_at, Name};
+use crate::name::{read_name_at, skip_name_at, Name};
 use crate::record::{RData, Record, RecordType};
 
 /// Response codes.
@@ -151,46 +151,29 @@ impl Message {
     ///
     /// Returns [`DnsError::Oversize`] if the result exceeds 65 535 bytes.
     pub fn encode(&self) -> Result<Bytes, DnsError> {
+        self.encode_split().map(|(wire, _)| wire)
+    }
+
+    /// [`Message::encode`], plus the offset where the authority section
+    /// starts.
+    pub(crate) fn encode_split(&self) -> Result<(Bytes, usize), DnsError> {
         let mut enc = Encoder::new();
-        enc.buf.put_u16(self.header.id);
-        let mut flags: u16 = 0;
-        if self.header.qr {
-            flags |= 0x8000;
-        }
-        flags |= u16::from(self.header.opcode & 0xF) << 11;
-        if self.header.aa {
-            flags |= 0x0400;
-        }
-        if self.header.tc {
-            flags |= 0x0200;
-        }
-        if self.header.rd {
-            flags |= 0x0100;
-        }
-        if self.header.ra {
-            flags |= 0x0080;
-        }
-        if self.header.ad {
-            flags |= 0x0020;
-        }
-        flags |= u16::from(self.header.rcode.code());
-        enc.buf.put_u16(flags);
-        enc.buf.put_u16(self.questions.len() as u16);
-        enc.buf.put_u16(self.answers.len() as u16);
-        enc.buf.put_u16(self.authorities.len() as u16);
-        enc.buf.put_u16(self.additionals.len() as u16);
-        for q in &self.questions {
-            enc.put_name(&q.name);
-            enc.buf.put_u16(q.qtype.code());
-            enc.buf.put_u16(1); // class IN
-        }
-        for record in self.answers.iter().chain(&self.authorities).chain(&self.additionals) {
+        enc.put_head(self, [self.authorities.len() as u16, self.additionals.len() as u16])?;
+        let tail_at = enc.buf.len();
+        for record in self.authorities.iter().chain(&self.additionals) {
             enc.put_record(record)?;
         }
-        if enc.buf.len() > usize::from(u16::MAX) {
-            return Err(DnsError::Oversize { len: enc.buf.len() });
-        }
-        Ok(enc.buf.freeze())
+        enc.finish().map(|wire| (wire, tail_at))
+    }
+
+    /// Encodes the header (with NSCOUNT and ARCOUNT from `counts`), the
+    /// questions and the answers, then appends `tail` verbatim as the
+    /// authority and additional sections; `self`'s own are ignored.
+    pub(crate) fn encode_spliced(&self, counts: [u16; 2], tail: &[u8]) -> Result<Bytes, DnsError> {
+        let mut enc = Encoder::new();
+        enc.put_head(self, counts)?;
+        enc.buf.put_slice(tail);
+        enc.finish()
     }
 
     /// Decodes a message from wire bytes.
@@ -199,45 +182,42 @@ impl Message {
     ///
     /// Returns [`DnsError`] on truncation, bad pointers or malformed fields.
     pub fn decode(data: &[u8]) -> Result<Message, DnsError> {
-        let mut dec = Decoder { data, pos: 0 };
-        if data.len() < 12 {
-            return Err(DnsError::Truncated { context: "header" });
-        }
-        let id = dec.u16()?;
-        let flags = dec.u16()?;
-        let qdcount = dec.u16()?;
-        let ancount = dec.u16()?;
-        let nscount = dec.u16()?;
-        let arcount = dec.u16()?;
-        let header = Header {
-            id,
-            qr: flags & 0x8000 != 0,
-            opcode: ((flags >> 11) & 0xF) as u8,
-            aa: flags & 0x0400 != 0,
-            tc: flags & 0x0200 != 0,
-            rd: flags & 0x0100 != 0,
-            ra: flags & 0x0080 != 0,
-            ad: flags & 0x0020 != 0,
-            rcode: Rcode::from_code(flags as u8),
-        };
-        let mut questions = Vec::with_capacity(usize::from(qdcount));
-        for _ in 0..qdcount {
-            let name = dec.read_name()?;
-            let qtype = RecordType::from_code(dec.u16()?);
-            let _class = dec.u16()?;
-            questions.push(Question { name, qtype });
-        }
-        let read_section = |dec: &mut Decoder<'_>, count: u16| -> Result<Vec<Record>, DnsError> {
-            let mut out = Vec::with_capacity(usize::from(count));
-            for _ in 0..count {
-                out.push(dec.read_record()?);
-            }
-            Ok(out)
-        };
-        let answers = read_section(&mut dec, ancount)?;
-        let authorities = read_section(&mut dec, nscount)?;
-        let additionals = read_section(&mut dec, arcount)?;
+        let Walked { header, questions, sections } = walk::<Build>(data)?;
+        let [answers, authorities, additionals] = sections;
         Ok(Message { header, questions, answers, authorities, additionals })
+    }
+}
+
+/// A checked DNS message, borrowed: [`MessageView::new`] accepts exactly
+/// the bytes [`Message::decode`] accepts — the same walk, the same
+/// checks — but builds no name, record or section, so it never allocates
+/// (bar the lossy copy of a non-UTF-8 label). For paths that only read
+/// the header.
+#[derive(Debug, Clone, Copy)]
+pub struct MessageView<'a> {
+    data: &'a [u8],
+    header: Header,
+}
+
+impl<'a> MessageView<'a> {
+    /// Checks the whole message in `data`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`DnsError`] [`Message::decode`] returns for `data`.
+    pub fn new(data: &'a [u8]) -> Result<Self, DnsError> {
+        let walked = walk::<Check>(data)?;
+        Ok(MessageView { data, header: walked.header })
+    }
+
+    /// The message header.
+    pub fn header(&self) -> &Header {
+        &self.header
+    }
+
+    /// The checked message bytes.
+    pub fn bytes(&self) -> &'a [u8] {
+        self.data
     }
 }
 
@@ -290,6 +270,56 @@ impl Encoder {
             next_sibling: 0,
         });
         Encoder { buf: BytesMut::with_capacity(512), suffixes }
+    }
+
+    /// Writes the header, with NSCOUNT and ARCOUNT from `counts`, then
+    /// the questions and the answers.
+    fn put_head(&mut self, msg: &Message, counts: [u16; 2]) -> Result<(), DnsError> {
+        let header = &msg.header;
+        let mut flags: u16 = 0;
+        if header.qr {
+            flags |= 0x8000;
+        }
+        flags |= u16::from(header.opcode & 0xF) << 11;
+        if header.aa {
+            flags |= 0x0400;
+        }
+        if header.tc {
+            flags |= 0x0200;
+        }
+        if header.rd {
+            flags |= 0x0100;
+        }
+        if header.ra {
+            flags |= 0x0080;
+        }
+        if header.ad {
+            flags |= 0x0020;
+        }
+        flags |= u16::from(header.rcode.code());
+        for word in [header.id, flags, msg.questions.len() as u16, msg.answers.len() as u16] {
+            self.buf.put_u16(word);
+        }
+        for count in counts {
+            self.buf.put_u16(count);
+        }
+        for q in &msg.questions {
+            self.put_name(&q.name);
+            self.buf.put_u16(q.qtype.code());
+            self.buf.put_u16(1); // class IN
+        }
+        for record in &msg.answers {
+            self.put_record(record)?;
+        }
+        Ok(())
+    }
+
+    /// The encoded message, if it fits the 16-bit length limit.
+    fn finish(self) -> Result<Bytes, DnsError> {
+        if self.buf.len() > usize::from(u16::MAX) {
+            return Err(DnsError::Oversize { len: self.buf.len() });
+        }
+        Ok(self.buf.freeze())
     }
 
     /// Writes `name`, pointing at the longest suffix already written.
@@ -421,12 +451,148 @@ impl Encoder {
     }
 }
 
+/// What a walk over a message keeps of what it reads. The walk itself —
+/// header, sections and the per-type RDATA rules — exists once, in
+/// [`walk`] and [`Decoder::read_record`]; [`Build`] keeps everything and
+/// [`Check`] keeps nothing.
+trait Keep {
+    /// A read name.
+    type Name;
+    /// A read question.
+    type Question;
+    /// A read record.
+    type Record;
+    /// Reads the name at `pos`; returns it and the position after it.
+    fn name(data: &[u8], pos: usize) -> Result<(Self::Name, usize), DnsError>;
+    /// Keeps a question.
+    fn question(name: Self::Name, qtype: RecordType) -> Self::Question;
+    /// Keeps a record whose RDATA holds no name; `rdata` runs only if the
+    /// record is kept.
+    fn record(owner: Self::Name, ttl: u32, rdata: impl FnOnce() -> RData) -> Self::Record;
+    /// Keeps a record whose RDATA holds the name `target`.
+    fn record_with(
+        owner: Self::Name,
+        ttl: u32,
+        target: Self::Name,
+        rdata: impl FnOnce(Name) -> RData,
+    ) -> Self::Record;
+}
+
+/// Keeps every name and record: [`Message::decode`].
+struct Build;
+
+impl Keep for Build {
+    type Name = Name;
+    type Question = Question;
+    type Record = Record;
+
+    fn name(data: &[u8], pos: usize) -> Result<(Name, usize), DnsError> {
+        read_name_at(data, pos)
+    }
+
+    fn question(name: Name, qtype: RecordType) -> Question {
+        Question { name, qtype }
+    }
+
+    fn record(owner: Name, ttl: u32, rdata: impl FnOnce() -> RData) -> Record {
+        Record { name: owner, ttl, data: rdata() }
+    }
+
+    fn record_with(
+        owner: Name,
+        ttl: u32,
+        target: Name,
+        rdata: impl FnOnce(Name) -> RData,
+    ) -> Record {
+        Record { name: owner, ttl, data: rdata(target) }
+    }
+}
+
+/// Keeps nothing, so its sections are `Vec<()>`s, which never allocate:
+/// [`MessageView`].
+struct Check;
+
+impl Keep for Check {
+    type Name = ();
+    type Question = ();
+    type Record = ();
+
+    fn name(data: &[u8], pos: usize) -> Result<((), usize), DnsError> {
+        skip_name_at(data, pos).map(|next| ((), next))
+    }
+
+    fn question((): (), _: RecordType) {}
+
+    fn record((): (), _: u32, _: impl FnOnce() -> RData) {}
+
+    fn record_with((): (), _: u32, (): (), _: impl FnOnce(Name) -> RData) {}
+}
+
+/// A message as walked by `K`.
+struct Walked<K: Keep> {
+    header: Header,
+    questions: Vec<K::Question>,
+    /// Answer, authority and additional records.
+    sections: [Vec<K::Record>; 3],
+}
+
+/// Smallest wire size of a question (root name, type, class) and of a
+/// record (root owner and the fixed fields): the section counts are the
+/// sender's, so capacities are bounded by the bytes that are left.
+const MIN_QUESTION_LEN: usize = 5;
+const MIN_RECORD_LEN: usize = 11;
+
+/// Walks and checks a whole message, keeping what `K` keeps.
+fn walk<K: Keep>(data: &[u8]) -> Result<Walked<K>, DnsError> {
+    let mut dec = Decoder { data, pos: 0 };
+    if data.len() < 12 {
+        return Err(DnsError::Truncated { context: "header" });
+    }
+    let id = dec.u16()?;
+    let flags = dec.u16()?;
+    let counts = [dec.u16()?, dec.u16()?, dec.u16()?, dec.u16()?];
+    let header = Header {
+        id,
+        qr: flags & 0x8000 != 0,
+        opcode: ((flags >> 11) & 0xF) as u8,
+        aa: flags & 0x0400 != 0,
+        tc: flags & 0x0200 != 0,
+        rd: flags & 0x0100 != 0,
+        ra: flags & 0x0080 != 0,
+        ad: flags & 0x0020 != 0,
+        rcode: Rcode::from_code(flags as u8),
+    };
+    let mut questions = Vec::with_capacity(dec.capacity(counts[0], MIN_QUESTION_LEN));
+    for _ in 0..counts[0] {
+        let (name, next) = K::name(data, dec.pos)?;
+        dec.pos = next;
+        let qtype = RecordType::from_code(dec.u16()?);
+        let _class = dec.u16()?;
+        questions.push(K::question(name, qtype));
+    }
+    let mut section = |count: u16| -> Result<Vec<K::Record>, DnsError> {
+        let mut out = Vec::with_capacity(dec.capacity(count, MIN_RECORD_LEN));
+        for _ in 0..count {
+            out.push(dec.read_record::<K>()?);
+        }
+        Ok(out)
+    };
+    let sections = [section(counts[1])?, section(counts[2])?, section(counts[3])?];
+    Ok(Walked { header, questions, sections })
+}
+
 struct Decoder<'a> {
     data: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Decoder<'a> {
+    /// A capacity for `count` entries of at least `min_len` bytes each
+    /// that the rest of the message could hold.
+    fn capacity(&self, count: u16, min_len: usize) -> usize {
+        usize::from(count).min(self.data.len().saturating_sub(self.pos) / min_len)
+    }
+
     fn u8(&mut self) -> Result<u8, DnsError> {
         let b = *self.data.get(self.pos).ok_or(DnsError::Truncated { context: "u8" })?;
         self.pos += 1;
@@ -454,14 +620,10 @@ impl<'a> Decoder<'a> {
         Ok(out)
     }
 
-    fn read_name(&mut self) -> Result<Name, DnsError> {
-        let (name, next) = read_name_at(self.data, self.pos)?;
+    /// Reads one record: the per-type RDATA rules.
+    fn read_record<K: Keep>(&mut self) -> Result<K::Record, DnsError> {
+        let (owner, next) = K::name(self.data, self.pos)?;
         self.pos = next;
-        Ok(name)
-    }
-
-    fn read_record(&mut self) -> Result<Record, DnsError> {
-        let name = self.read_name()?;
         let rtype = RecordType::from_code(self.u16()?);
         let class_or_size = self.u16()?;
         let ttl = self.u32()?;
@@ -470,83 +632,97 @@ impl<'a> Decoder<'a> {
         if rdata_start + rdlen > self.data.len() {
             return Err(DnsError::Truncated { context: "rdata" });
         }
-        let data = match rtype {
+        let rdata_end = rdata_start + rdlen;
+        Ok(match rtype {
             RecordType::A => {
                 if rdlen != 4 {
                     return Err(DnsError::BadField { field: "A rdlength" });
                 }
                 let b = self.take(4)?;
-                RData::A(Ipv4Addr::new(b[0], b[1], b[2], b[3]))
+                K::record(owner, ttl, || RData::A(Ipv4Addr::new(b[0], b[1], b[2], b[3])))
             }
             RecordType::Ns | RecordType::Cname => {
-                let (target, next) = read_name_at(self.data, rdata_start)?;
-                if next > rdata_start + rdlen {
+                let (target, next) = K::name(self.data, rdata_start)?;
+                if next > rdata_end {
                     return Err(DnsError::Truncated { context: "name rdata" });
                 }
-                self.pos = rdata_start + rdlen;
-                if rtype == RecordType::Ns {
-                    RData::Ns(target)
-                } else {
-                    RData::Cname(target)
-                }
+                self.pos = rdata_end;
+                K::record_with(owner, ttl, target, |target| {
+                    if rtype == RecordType::Ns {
+                        RData::Ns(target)
+                    } else {
+                        RData::Cname(target)
+                    }
+                })
             }
             RecordType::Soa => {
-                let (mname, next) = read_name_at(self.data, rdata_start)?;
-                let (_rname, next) = read_name_at(self.data, next)?;
+                let (mname, next) = K::name(self.data, rdata_start)?;
+                let next = skip_name_at(self.data, next)?; // rname
                 let mut tail = Decoder { data: self.data, pos: next };
                 let serial = tail.u32()?;
                 let _refresh = tail.u32()?;
                 let _retry = tail.u32()?;
                 let _expire = tail.u32()?;
                 let minimum = tail.u32()?;
-                self.pos = rdata_start + rdlen;
-                RData::Soa { mname, serial, minimum }
+                self.pos = rdata_end;
+                K::record_with(owner, ttl, mname, |mname| RData::Soa { mname, serial, minimum })
             }
             RecordType::Txt => {
                 let raw = self.take(rdlen)?;
-                let mut text = String::new();
-                let mut i = 0;
-                while i < raw.len() {
-                    let n = usize::from(raw[i]);
-                    i += 1;
-                    if i + n > raw.len() {
-                        return Err(DnsError::Truncated { context: "txt" });
-                    }
-                    text.push_str(&String::from_utf8_lossy(&raw[i..i + n]));
-                    i += n;
+                if txt_strings(raw).any(|s| s.is_none()) {
+                    return Err(DnsError::Truncated { context: "txt" });
                 }
-                RData::Txt(text)
+                K::record(owner, ttl, || {
+                    RData::Txt(txt_strings(raw).flatten().map(String::from_utf8_lossy).collect())
+                })
             }
             RecordType::Opt => {
                 self.take(rdlen)?;
-                RData::Opt { udp_payload_size: class_or_size }
+                K::record(owner, ttl, || RData::Opt { udp_payload_size: class_or_size })
             }
             RecordType::Rrsig => {
                 let mut tail = Decoder { data: self.data, pos: rdata_start };
                 let type_covered = RecordType::from_code(tail.u16()?);
-                let (signer, next) = read_name_at(self.data, tail.pos)?;
+                let (signer, next) = K::name(self.data, tail.pos)?;
                 let mut sig_dec = Decoder { data: self.data, pos: next };
                 let hi = sig_dec.u32()?;
                 let lo = sig_dec.u32()?;
-                self.pos = rdata_start + rdlen;
-                RData::Rrsig {
+                self.pos = rdata_end;
+                K::record_with(owner, ttl, signer, |signer| RData::Rrsig {
                     type_covered,
                     signer,
                     signature: (u64::from(hi) << 32) | u64::from(lo),
-                }
+                })
             }
             RecordType::Dnskey => {
                 let mut tail = Decoder { data: self.data, pos: rdata_start };
                 let key_tag = tail.u16()?;
-                self.pos = rdata_start + rdlen;
-                RData::Dnskey { key_tag }
+                self.pos = rdata_end;
+                K::record(owner, ttl, || RData::Dnskey { key_tag })
             }
             RecordType::Unknown(code) => {
-                RData::Unknown { rtype: code, data: Bytes::copy_from_slice(self.take(rdlen)?) }
+                let raw = self.take(rdlen)?;
+                K::record(owner, ttl, || RData::Unknown {
+                    rtype: code,
+                    data: Bytes::copy_from_slice(raw),
+                })
             }
-        };
-        Ok(Record { name, ttl, data })
+        })
     }
+}
+
+/// The character-strings of TXT RDATA, in order; `None` (then the end)
+/// for a string that runs past the RDATA.
+fn txt_strings(mut raw: &[u8]) -> impl Iterator<Item = Option<&[u8]>> {
+    std::iter::from_fn(move || {
+        let (&len, rest) = raw.split_first()?;
+        let Some((string, rest)) = rest.split_at_checked(usize::from(len)) else {
+            raw = &[];
+            return Some(None);
+        };
+        raw = rest;
+        Some(Some(string))
+    })
 }
 
 #[cfg(test)]

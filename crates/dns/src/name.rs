@@ -386,6 +386,12 @@ pub fn read_name_at(data: &[u8], pos: usize) -> Result<(Name, usize), DnsError> 
     Ok((name, walked.next))
 }
 
+/// Checks the name at `pos` as [`read_name_at`] does — the same walk,
+/// the same errors — without building it; returns the position after it.
+pub(crate) fn skip_name_at(data: &[u8], pos: usize) -> Result<usize, DnsError> {
+    walk_name(data, pos, &mut []).map(|walked| walked.next)
+}
+
 /// Second pass for a name too long to keep inline.
 #[cold]
 fn read_long_name(data: &[u8], pos: usize) -> Result<Name, DnsError> {

@@ -6,6 +6,8 @@
 //! bytes, `FastMap` hashes and ordering. The real `pool.ntp.org` referral
 //! is also truncated at every offset and garbled at every byte: decoding
 //! never panics and matches the reference wherever either accepts.
+//! Wherever `Message::decode` runs, `MessageView::new` runs too and must
+//! agree with it on `Ok`/`Err`, the error and the header.
 //!
 //! The one intended difference — the reference encoder confusing a label
 //! containing `.` with a label boundary — is covered by a regression test
@@ -233,7 +235,18 @@ fn gen_message(rng: &mut SmallRng) -> Message {
 }
 
 fn check_decode(data: &[u8]) -> Result<(), TestCaseError> {
-    match (Message::decode(data), oracle::decode(data)) {
+    let decoded = Message::decode(data);
+    match (MessageView::new(data), &decoded) {
+        (Ok(view), Ok(msg)) => {
+            prop_assert_eq!(view.header(), &msg.header);
+            prop_assert_eq!(view.bytes(), data);
+        }
+        (Err(e), Err(decode_e)) => prop_assert_eq!(&e, decode_e),
+        (view, decoded) => {
+            prop_assert!(false, "view disagrees: view {view:?}, decode {decoded:?}");
+        }
+    }
+    match (decoded, oracle::decode(data)) {
         (Ok(new), Ok(old)) => prop_assert_eq!(new, old),
         (Err(e), Err(old_e)) => prop_assert_eq!(e, old_e),
         (new, old) => prop_assert!(false, "decode disagrees: new {new:?}, reference {old:?}"),
@@ -304,6 +317,24 @@ proptest! {
         let soup = gen_name_soup(rng);
         for pos in 0..=soup.len() {
             check_read(dns::name::read_name_at(&soup, pos), oracle::read_name_at(&soup, pos))?;
+        }
+    }
+
+    /// Random headers over name-shaped bytes: the view and the decoder
+    /// agree (and match the reference) whatever the counts claim.
+    #[test]
+    fn random_headers_match_reference(seed in any::<u64>()) {
+        let rng = &mut SmallRng::seed_from_u64(seed);
+        for _ in 0..64 {
+            let mut data: Vec<u8> = (0..12).map(|_| rng.random()).collect();
+            for count in data[4..12].chunks_mut(2) {
+                if rng.random_bool(0.8) {
+                    count.copy_from_slice(&rng.random_range(0..4u16).to_be_bytes());
+                }
+            }
+            data.extend(gen_name_soup(rng));
+            data.extend((0..rng.random_range(0..32)).map(|_| rng.random::<u8>() % 8));
+            check_decode(&data)?;
         }
     }
 
