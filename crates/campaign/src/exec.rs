@@ -8,8 +8,8 @@
 //! pure function of `(scenario, scale, master seed, global index)`, and a
 //! shard's file is its records in index order. Subprocess workers
 //! additionally stream every record line over their stdout pipe, which
-//! the coordinator drains for live progress (the checkpoint file stays
-//! the durable copy the merge reads).
+//! the coordinator drains and validates for live progress (the checkpoint
+//! file stays the durable copy the merge reads).
 //!
 //! Resume: before running anything the executor recovers every shard
 //! checkpoint ([`checkpoint::recover`]) and restarts each shard at its
@@ -18,14 +18,14 @@
 //! checkpoint with mid-file corruption is quarantined (renamed aside) and
 //! its shard restarts at record 0; the rest of the resume is kept.
 //!
-//! This module is the *fail-fast* executor: any worker failure aborts the
-//! run (after killing the other children). [`crate::supervisor`] wraps
-//! the same spawn/drain machinery in a lease loop that retries and
-//! quarantines instead.
+//! Subprocess mode is [`supervisor::run_supervised`] with no retries and
+//! no stall timeout: the first failed lease quarantines its shard and
+//! [`run_campaign`] returns [`CampaignError::ShardQuarantined`]. The
+//! failed shard's siblings are not killed — they run to completion, so
+//! their checkpoints are complete and a rerun redoes only the failed
+//! shard.
 
-use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
 
 use runner::{shard_range, TrialRunner};
 use timeshift::experiments::Scale;
@@ -34,9 +34,10 @@ use crate::checkpoint::{self, Appender};
 use crate::error::CampaignError;
 use crate::faults::{FaultSpec, GARBAGE_LINE, TORN_BYTES};
 use crate::metrics::Metrics;
-use crate::record::{decode_line, encode_line, Schema};
+use crate::record::encode_line;
 use crate::registry::Scenario;
 use crate::summary::{self, Summary};
+use crate::supervisor::{self, SupervisorConfig};
 
 /// How shards execute.
 #[derive(Debug, Clone)]
@@ -157,31 +158,41 @@ pub(crate) fn prepare_dir(config: &CampaignConfig, shards: usize) -> Result<(), 
 ///
 /// # Errors
 ///
-/// Planning, I/O, worker, or merge failures.
+/// Planning, I/O, or merge failures; in subprocess mode, a failed worker
+/// quarantines its shard and surfaces as
+/// [`CampaignError::ShardQuarantined`].
 pub fn run_campaign(config: &CampaignConfig) -> Result<Summary, CampaignError> {
+    if let ExecMode::Subprocess { exe } = &config.mode {
+        let sup = SupervisorConfig {
+            max_retries: 0,
+            worker_timeout_ms: u64::MAX,
+            ..SupervisorConfig::default()
+        };
+        let summary = supervisor::run_supervised(config, exe, &sup)?.summary;
+        return match summary.coverage.iter().find(|c| c.quarantined) {
+            Some(c) => Err(CampaignError::ShardQuarantined {
+                shard: c.shard,
+                attempts: c.attempts,
+                last: c.last_error.clone().unwrap_or_default(),
+            }),
+            None => Ok(summary),
+        };
+    }
+
     let shards = config.shards.max(1);
     prepare_dir(config, shards)?;
     let built = config.scenario.build(config.scale);
-    let total = built.trials();
-    let (ranges, pending) = plan_and_recover(config, shards, total)?;
-
-    match &config.mode {
-        ExecMode::InProcess => {
-            // One population build shared by every shard thread.
-            let campaign = &*built;
-            let results = TrialRunner::new(config.workers.max(1)).run(
-                &pending,
-                |_, (k, range, done)| -> Result<(), CampaignError> {
-                    run_shard_in_process(config, campaign, *k, range.clone(), *done)
-                },
-            );
-            for r in results {
-                r?;
-            }
-        }
-        ExecMode::Subprocess { exe } => {
-            run_subprocess_shards(config, exe, shards, &pending)?;
-        }
+    let (ranges, pending) = plan_and_recover(config, shards, built.trials())?;
+    // One population build shared by every shard thread.
+    let campaign = &*built;
+    let results = TrialRunner::new(config.workers.max(1)).run(
+        &pending,
+        |_, (k, range, done)| -> Result<(), CampaignError> {
+            run_shard_in_process(config, campaign, *k, range.clone(), *done)
+        },
+    );
+    for r in results {
+        r?;
     }
 
     let summary = summary::merge(
@@ -195,103 +206,6 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<Summary, CampaignError> {
     // summary, so it is bit-identical for any worker count or exec mode.
     Metrics::final_snapshot(&summary).write(&config.dir)?;
     Ok(summary)
-}
-
-/// One in-flight subprocess worker: shard index, records expected from
-/// its stream, the child process, and its stdout drain thread.
-type ActiveWorker =
-    (usize, usize, std::process::Child, std::thread::JoinHandle<Result<usize, CampaignError>>);
-
-/// Runs the pending shards as `campaign worker` children, keeping up to
-/// `workers` in flight and backfilling each freed slot immediately (no
-/// wave barriers — resume makes shard sizes uneven, and a nearly-empty
-/// shard must not hold a slot hostage). Each child's stdout is drained on
-/// its own thread so no worker ever stalls on a full pipe. On any
-/// failure, every still-running child is killed and reaped before the
-/// error returns — an orphan worker appending to a checkpoint that a
-/// rerun will also write would interleave two record streams.
-fn run_subprocess_shards(
-    config: &CampaignConfig,
-    exe: &Path,
-    shards: usize,
-    pending: &[PendingShard],
-) -> Result<(), CampaignError> {
-    let workers = config.workers.max(1);
-    let mut queue = pending.iter();
-    let mut active: Vec<ActiveWorker> = Vec::new();
-    let mut first_err: Option<CampaignError> = None;
-    loop {
-        if let Some(e) = first_err.take() {
-            for (_, _, mut child, drain) in active.drain(..) {
-                let _ = child.kill();
-                let _ = child.wait();
-                let _ = drain.join();
-            }
-            return Err(e);
-        }
-        // Keep the slots full.
-        while active.len() < workers {
-            let Some((k, range, done)) = queue.next() else { break };
-            let expected = range.end - range.start - done;
-            match spawn_worker(config, exe, *k, shards, *done, None) {
-                Ok(mut child) => match child.stdout.take() {
-                    Some(stdout) => {
-                        let (k, verbose) = (*k, config.verbose);
-                        let drain = std::thread::spawn(move || {
-                            drain_stream(stdout, k, expected, verbose, None)
-                        });
-                        active.push((k, expected, child, drain));
-                    }
-                    None => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        first_err = Some(CampaignError::WorkerSpawn {
-                            shard: *k,
-                            detail: "no stdout pipe".into(),
-                        });
-                    }
-                },
-                Err(e) => first_err = Some(e),
-            }
-            if first_err.is_some() {
-                break;
-            }
-        }
-        if first_err.is_some() {
-            continue; // kill + return above
-        }
-        if active.is_empty() {
-            return Ok(());
-        }
-        // Reap the next finished worker: its drain thread ends at stream
-        // EOF, i.e. when the child exits.
-        if let Some(i) = active.iter().position(|(_, _, _, drain)| drain.is_finished()) {
-            let (k, expected, mut child, drain) = active.swap_remove(i);
-            let outcome = (|| {
-                let streamed = drain.join().map_err(|_| {
-                    CampaignError::Internal(format!("shard {k}: drain thread panicked"))
-                })??;
-                let status = child
-                    .wait()
-                    .map_err(|e| CampaignError::io(format!("wait for shard {k} worker"), e))?;
-                if !status.success() {
-                    return Err(CampaignError::WorkerExit { shard: k, status: status.to_string() });
-                }
-                if streamed != expected {
-                    return Err(CampaignError::WorkerStream {
-                        shard: k,
-                        detail: format!("streamed {streamed} records, expected {expected}"),
-                    });
-                }
-                Ok(())
-            })();
-            if let Err(e) = outcome {
-                first_err = Some(e);
-            }
-        } else {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-    }
 }
 
 fn run_shard_in_process(
@@ -310,74 +224,6 @@ fn run_shard_in_process(
         obs::console!("shard {k}: complete ({} records)", range.end - range.start);
     }
     Ok(())
-}
-
-/// Spawns one `campaign worker` child for shard `k`, optionally carrying
-/// a `--fault` injection flag (the supervisor's chaos harness).
-pub(crate) fn spawn_worker(
-    config: &CampaignConfig,
-    exe: &Path,
-    k: usize,
-    shards: usize,
-    skip: usize,
-    fault: Option<FaultSpec>,
-) -> Result<std::process::Child, CampaignError> {
-    let mut cmd = Command::new(exe);
-    cmd.arg("worker")
-        .arg("--scenario")
-        .arg(config.scenario.name)
-        .arg("--shard")
-        .arg(format!("{k}/{shards}"))
-        .arg("--skip")
-        .arg(skip.to_string())
-        .arg("--checkpoint")
-        .arg(checkpoint::shard_path(&config.dir, k))
-        .arg("--scale-spec")
-        .arg(scale_spec(&config.scale));
-    if let Some(fault) = fault {
-        cmd.arg("--fault").arg(fault.render());
-    }
-    cmd.stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .spawn()
-        .map_err(|e| CampaignError::WorkerSpawn { shard: k, detail: e.to_string() })
-}
-
-/// Drains a worker's stdout record stream, counting lines (the live
-/// progress channel — the durable copy is the checkpoint file). Runs on
-/// its own thread per child so no worker blocks on a full pipe.
-///
-/// With `validate` set, every line is decoded against the schema and the
-/// drain ends early on the first corrupt line — the supervisor's
-/// corrupt-stream detector. (The plain executor skips validation here
-/// because the merge pass decodes every checkpointed record anyway.)
-pub(crate) fn drain_stream(
-    stdout: std::process::ChildStdout,
-    k: usize,
-    expected: usize,
-    verbose: bool,
-    validate: Option<&'static Schema>,
-) -> Result<usize, CampaignError> {
-    let reader = BufReader::new(stdout);
-    let mut streamed = 0usize;
-    let tick = (expected / 4).max(1);
-    for line in reader.lines() {
-        let line =
-            line.map_err(|e| CampaignError::io(format!("read shard {k} worker stream"), e))?;
-        if let Some(schema) = validate {
-            if let Err(e) = decode_line(schema, &line) {
-                return Err(CampaignError::WorkerStream {
-                    shard: k,
-                    detail: format!("corrupt record {} on stdout: {e}", streamed + 1),
-                });
-            }
-        }
-        streamed += 1;
-        if verbose && streamed.is_multiple_of(tick) {
-            obs::console!("shard {k}: {streamed}/{expected} records streamed");
-        }
-    }
-    Ok(streamed)
 }
 
 /// The worker-process entry point: runs shard `k` of `shards`, skipping

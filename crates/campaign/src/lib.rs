@@ -11,8 +11,9 @@
 //!   `table5_adstudy`, `ratelimit`, `pmtud`, `chronos_bound`), each with
 //!   a typed record [`record::Schema`] and per-trial entry point;
 //! * [`exec`] — the shard planner + executor: contiguous index-range
-//!   shards ([`runner::shard_range`]) run on in-process threads or as
-//!   `campaign worker --shard k/K` child processes;
+//!   shards ([`runner::shard_range`]) run on in-process threads, or as
+//!   `campaign worker --shard k/K` child processes under the
+//!   [`supervisor`] with no retries;
 //! * [`checkpoint`] — per-shard append-only NDJSON checkpoints with
 //!   torn-tail recovery: an interrupted campaign resumes at its first
 //!   missing record; mid-file corruption quarantines the file and the
@@ -30,9 +31,9 @@
 //!   atomically each supervision tick, plus the normalized (deterministic)
 //!   final snapshot every run writes after its merge;
 //! * [`summary`] — the deterministic merge + [`stats`] online aggregation
-//!   (Welford moments, P² quantiles, Wilson intervals, and — for declared
-//!   histogram fields — fixed-bin streaming histograms plus mergeable rank
-//!   sketches) in memory independent of the trial count;
+//!   (Welford moments, Wilson intervals, mergeable rank-sketch quantiles,
+//!   and — for declared histogram fields — fixed-bin streaming
+//!   histograms) in memory independent of the trial count;
 //! * [`digest`] — the FNV-1a stream digest that pins it all down: equal
 //!   for any shard count, worker schedule, in-process vs. subprocess
 //!   execution, and interrupt + resume.
@@ -73,7 +74,7 @@ pub mod prelude {
     pub use crate::metrics::{metrics_path, Estimator, Metrics, ShardMetric};
     pub use crate::record::{Field, FieldKind, HistSpec, Record, Schema, Value};
     pub use crate::registry::{self, Campaign, Scenario};
-    pub use crate::stats::{wilson95, Aggregate, P2Quantile, RankSketch, StreamHist, Welford};
+    pub use crate::stats::{wilson95, Aggregate, RankSketch, StreamHist, Welford};
     pub use crate::summary::Summary;
     pub use crate::supervisor::{run_supervised, SupervisedRun, SupervisorConfig};
 }

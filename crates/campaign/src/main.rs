@@ -3,10 +3,10 @@
 //! ```sh
 //! campaign list                          # registered scenarios
 //! campaign run table2 --shards 4         # 4 in-process shard threads
-//! campaign run fig6 --shards 4 --subprocess --workers 2
+//! campaign run fig6 --shards 4 --supervised --workers 2
 //! campaign run fig5 --paper --master-seed 7 --out runs/fig5
-//! campaign run table2 --supervised --max-retries 2 --worker-timeout 2000
-//! campaign worker …                      # internal: spawned by --subprocess
+//! campaign run table2 --supervised --max-retries 0   # fail on the first worker failure
+//! campaign worker …                      # internal: spawned by --supervised
 //! ```
 //!
 //! `run` resumes automatically: if the campaign directory already holds
@@ -14,15 +14,16 @@
 //! digest is bit-identical to an uninterrupted run. `--fresh` wipes the
 //! directory's checkpoints first.
 //!
-//! `--supervised` runs the shards under the self-healing lease supervisor
-//! (always subprocess workers): dead, hung, or corrupt-stream workers are
-//! re-leased from their last good checkpoint, and a shard that exhausts
-//! `--max-retries` is quarantined into a partial summary with a coverage
-//! report. `--fault <shard>:<spec>[:xN]` injects deterministic failures
-//! for chaos testing (see `campaign::faults`). Supervised runs rewrite a
-//! `metrics.json` sidecar in the campaign directory every poll tick;
-//! `--trace-dir DIR` additionally dumps each shard's supervision
-//! flight-recorder ring as `DIR/shard-K.trace` when the run ends.
+//! `--supervised` runs the shards as `campaign worker` subprocesses under
+//! the self-healing lease supervisor: dead, hung, or corrupt-stream
+//! workers are re-leased from their last good checkpoint, and a shard
+//! that exhausts `--max-retries` is quarantined into a partial summary
+//! with a coverage report. `--fault <shard>:<spec>[:xN]` injects
+//! deterministic failures for chaos testing (see `campaign::faults`).
+//! Supervised runs rewrite a `metrics.json` sidecar in the campaign
+//! directory every poll tick; `--trace-dir DIR` additionally dumps each
+//! shard's supervision flight-recorder ring as `DIR/shard-K.trace` when
+//! the run ends.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -44,7 +45,7 @@ fn main() -> ExitCode {
                 "usage: campaign <list | run <scenario> [options] | worker …>\n\
                  run options: [--shards K] [--workers N] [--master-seed S]\n\
                  \x20            [--scale quick|paper] [--paper] [--resolvers N]\n\
-                 \x20            [--subprocess] [--out DIR] [--fresh] [--quiet]\n\
+                 \x20            [--out DIR] [--fresh] [--quiet]\n\
                  \x20            [--supervised] [--max-retries R] [--worker-timeout MS]\n\
                  \x20            [--poll-interval MS] [--fault shard:spec[:xN]]…\n\
                  \x20            [--trace-dir DIR]"
@@ -141,7 +142,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             "fault",
             "trace-dir",
         ],
-        &["paper", "subprocess", "fresh", "quiet", "supervised"],
+        &["paper", "fresh", "quiet", "supervised"],
     )?;
     let [name] = parsed.positional.as_slice() else {
         return Err("run takes exactly one scenario name (see `campaign list`)".into());
@@ -184,15 +185,18 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         checkpoint::wipe(&dir).map_err(|e| e.to_string())?;
     }
 
-    let supervised = parsed.has("supervised");
-    if parsed.has("trace-dir") && !supervised {
+    // `--supervised` is the one switch for subprocess workers: they are
+    // spawned from this binary.
+    let exe = if parsed.has("supervised") {
+        Some(std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?)
+    } else if parsed.has("trace-dir") {
         return Err("--trace-dir requires --supervised (rings record supervision events)".into());
-    }
-    let mode = if parsed.has("subprocess") || supervised {
-        let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-        ExecMode::Subprocess { exe }
     } else {
-        ExecMode::InProcess
+        None
+    };
+    let mode = match &exe {
+        Some(exe) => ExecMode::Subprocess { exe: exe.clone() },
+        None => ExecMode::InProcess,
     };
 
     let config = CampaignConfig {
@@ -206,7 +210,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         verbose: !parsed.has("quiet"),
     };
 
-    let summary = if supervised {
+    let summary = if let Some(exe) = &exe {
         let defaults = SupervisorConfig::default();
         let mut faults = FaultPlan::none();
         for (name, value) in &parsed.flags {
@@ -222,9 +226,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             faults,
             trace_dir: parsed.flag("trace-dir").map(PathBuf::from),
             ..defaults
-        };
-        let ExecMode::Subprocess { exe } = &config.mode else {
-            return Err("supervised mode requires subprocess workers".into());
         };
         let run = supervisor::run_supervised(&config, exe, &sup).map_err(|e| e.to_string())?;
         if config.verbose {

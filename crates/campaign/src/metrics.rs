@@ -22,6 +22,7 @@
 use std::path::{Path, PathBuf};
 
 use crate::error::CampaignError;
+use crate::record::JsonStr;
 use crate::stats::{Aggregate, FieldAgg};
 use crate::summary::Summary;
 
@@ -178,12 +179,12 @@ impl Metrics {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\n  \"campaign\": \"{}\",\n  \"scale\": \"{}\",\n  \"master_seed\": {},\n  \
+            "{{\n  \"campaign\": {},\n  \"scale\": {},\n  \"master_seed\": {},\n  \
              \"final\": {},\n  \"tick\": {},\n  \"workers\": {},\n  \"shards\": {},\n  \
              \"records\": {},\n  \"planned\": {},\n  \"attempts\": {},\n  \"quarantined\": {},\n  \
              \"complete\": {},\n  \"records_per_tick\": {},\n  \"per_shard\": [",
-            self.scenario,
-            self.scale_label,
+            JsonStr(self.scenario),
+            JsonStr(&self.scale_label),
             self.master_seed,
             self.tick.is_none(),
             self.tick.map_or("null".into(), |t| t.to_string()),

@@ -20,9 +20,9 @@ use std::fmt::Write as _;
 /// The histogram kinds are wire-identical to their scalar bases (`HistU64`
 /// encodes/decodes exactly like `U64`, `HistF64` like `F64`) — the
 /// [`HistSpec`] only changes how the coordinator *aggregates* the field:
-/// instead of P² quantiles it builds a fixed-bin `StreamHist` plus a
-/// mergeable rank sketch, which is what puts a figure-ready histogram
-/// section into `summary.json`.
+/// next to the moments and rank sketch every numeric field gets, it
+/// builds a fixed-bin `StreamHist`, which is what puts a figure-ready
+/// histogram section into `summary.json`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FieldKind {
     /// `true` / `false` (nullable).
@@ -179,22 +179,40 @@ fn encode_value(out: &mut String, value: &Value) {
             let _ = write!(out, "{x}");
         }
         Value::Str(s) => {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
+            let _ = write!(out, "{}", JsonStr(s));
         }
+    }
+}
+
+/// Renders a string as a quoted JSON string literal: `"` and `\` are
+/// backslash-escaped, `\n`/`\r`/`\t` get their short escapes and every other
+/// control character becomes `\u00XX`. The one JSON string escaper of this
+/// crate — record lines, `summary.json` and `metrics.json` all use it.
+pub(crate) struct JsonStr<'a>(pub(crate) &'a str);
+
+impl std::fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("\"")?;
+        let mut start = 0;
+        for (i, c) in self.0.char_indices() {
+            let short = match c {
+                '"' => Some("\\\""),
+                '\\' => Some("\\\\"),
+                '\n' => Some("\\n"),
+                '\r' => Some("\\r"),
+                '\t' => Some("\\t"),
+                c if (c as u32) >= 0x20 => continue,
+                _ => None,
+            };
+            f.write_str(&self.0[start..i])?;
+            match short {
+                Some(escape) => f.write_str(escape)?,
+                None => write!(f, "\\u{:04x}", c as u32)?,
+            }
+            start = i + c.len_utf8();
+        }
+        f.write_str(&self.0[start..])?;
+        f.write_str("\"")
     }
 }
 
@@ -364,6 +382,13 @@ mod tests {
         ]);
         let line = encode_line(SCHEMA, &rec);
         assert_eq!(decode_line(SCHEMA, &line).expect("round trip"), rec);
+    }
+
+    #[test]
+    fn json_escape_handles_control_and_quote_chars() {
+        assert_eq!(JsonStr("plain").to_string(), "\"plain\"");
+        assert_eq!(JsonStr("a\"b\\c\nd").to_string(), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(JsonStr("\u{1}π").to_string(), "\"\\u0001π\"");
     }
 
     #[test]

@@ -1,26 +1,23 @@
 //! Online aggregation: every statistic the campaign coordinator reports is
 //! computed in one pass over the merged record stream with memory
-//! independent of the trial count — Welford mean/variance, P²-estimated
-//! quantiles, Wilson score intervals for success rates, and (for fields
-//! declared `HistU64`/`HistF64`) a fixed-bin [`StreamHist`] plus a
-//! mergeable [`RankSketch`].
+//! independent of the trial count — Welford mean/variance, Wilson score
+//! intervals for success rates, a mergeable [`RankSketch`] for the
+//! quantiles of every numeric field, and (for fields declared
+//! `HistU64`/`HistF64`) a fixed-bin [`StreamHist`].
 //!
-//! Two families of estimator live here, with different merge stories:
-//!
-//! * **Sequential folds** (Welford, P²): correct when fed the merged
-//!   `(shard, index)`-ordered stream, which the coordinator always does —
-//!   summaries are bit-identical for any shard count or worker schedule.
-//!   P² is *not* mergeable: combining two P² states is undefined.
-//! * **Mergeable state** ([`StreamHist`], [`RankSketch`]): pure multiset
-//!   functions of the samples. `merge(a, b) == merge(b, a)` exactly, and a
-//!   sharded merge equals the single-stream fold bit-for-bit — the
-//!   property that makes shard placement free at paper scale (1.58 M
-//!   records). The property tests in `tests/stats_props.rs` pin both
-//!   families against exact batch oracles.
+//! Welford is a sequential fold: bit-identical results need the merged
+//! `(shard, index)`-ordered stream, which the coordinator always feeds it.
+//! The sketch and the histogram are pure multiset functions of the
+//! samples: `merge(a, b) == merge(b, a)` exactly, and a sharded merge
+//! equals the single-stream fold bit-for-bit — the property that makes
+//! shard placement free at paper scale (1.58 M records). Every quantile
+//! in `summary.json` is within the sketch's 1 % relative error of the
+//! exact nearest-rank quantile. The property tests in
+//! `tests/stats_props.rs` pin both against exact batch oracles.
 
 pub use runner::StreamHist;
 
-use crate::record::{Field, FieldKind, HistSpec, Record, Schema, Value};
+use crate::record::{Field, FieldKind, HistSpec, JsonStr, Record, Schema, Value};
 
 // ------------------------------------------------------------- Welford
 
@@ -96,130 +93,15 @@ impl Welford {
     }
 }
 
-// ------------------------------------------------------- P² quantiles
-
-/// The P² single-quantile estimator (Jain & Chlamtac, 1985): tracks the
-/// `p`-quantile of a stream with five markers and no sample storage.
-///
-/// The first five observations are held exactly; from the sixth on, the
-/// middle markers move by parabolic (falling back to linear) interpolation
-/// toward their desired positions. Estimates are always within the
-/// observed `[min, max]` and converge on the true quantile for
-/// well-behaved streams; the property tests bound the error against exact
-/// batch quantiles.
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    p: f64,
-    /// Marker heights (`q`) and 1-based positions (`n`), 5 of each.
-    q: [f64; 5],
-    n: [f64; 5],
-    count: u64,
-    /// Exact buffer for the first five observations.
-    init: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// An estimator for the `p`-quantile, `0 < p < 1`.
-    pub fn new(p: f64) -> Self {
-        assert!(p > 0.0 && p < 1.0, "quantile must be in (0, 1)");
-        P2Quantile { p, q: [0.0; 5], n: [0.0; 5], count: 0, init: Vec::with_capacity(5) }
-    }
-
-    /// Folds one sample in.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if self.init.len() < 5 {
-            self.init.push(x);
-            if self.init.len() == 5 {
-                let mut sorted = self.init.clone();
-                sorted.sort_by(f64::total_cmp);
-                self.q.copy_from_slice(&sorted);
-                self.n = [1.0, 2.0, 3.0, 4.0, 5.0];
-            }
-            return;
-        }
-        let p = self.p;
-        // Locate the cell, extending the extremes when x falls outside.
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x >= self.q[4] {
-            self.q[4] = x;
-            3
-        } else {
-            // x < q[4] here, so some cell matches; the fallback guards the
-            // supervision path against NaN-poisoned markers ever panicking.
-            (0..4).find(|&i| x < self.q[i + 1]).unwrap_or(3)
-        };
-        for i in (k + 1)..5 {
-            self.n[i] += 1.0;
-        }
-        // Desired positions of the three middle markers for this count.
-        let total = self.count as f64;
-        for i in 1..4 {
-            let want = match i {
-                1 => 1.0 + (total - 1.0) * p / 2.0,
-                2 => 1.0 + (total - 1.0) * p,
-                _ => 1.0 + (total - 1.0) * (1.0 + p) / 2.0,
-            };
-            let d = want - self.n[i];
-            if (d >= 1.0 && self.n[i + 1] - self.n[i] > 1.0)
-                || (d <= -1.0 && self.n[i - 1] - self.n[i] < -1.0)
-            {
-                let s = d.signum();
-                let candidate = self.parabolic(i, s);
-                self.q[i] = if self.q[i - 1] < candidate && candidate < self.q[i + 1] {
-                    candidate
-                } else {
-                    self.linear(i, s)
-                };
-                self.n[i] += s;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, s: f64) -> f64 {
-        let (q, n) = (&self.q, &self.n);
-        q[i] + s / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + s) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - s) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, s: f64) -> f64 {
-        let j = if s > 0.0 { i + 1 } else { i - 1 };
-        self.q[i] + s * (self.q[j] - self.q[i]) / (self.n[j] - self.n[i])
-    }
-
-    /// The current estimate. While the stream is still entirely inside
-    /// the five-sample buffer (≤ 5 samples) this is the exact
-    /// nearest-rank quantile of everything seen; `None` with no samples.
-    pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.count as usize <= self.init.len() {
-            let mut sorted = self.init.clone();
-            sorted.sort_by(f64::total_cmp);
-            return Some(exact_quantile(&sorted, self.p));
-        }
-        Some(self.q[2])
-    }
-
-    /// Samples folded so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
+// ------------------------------------------------------- Rank sketch
 
 /// Exact nearest-rank quantile of a **sorted** slice (the reference the
-/// property tests compare P² against, and the small-sample fallback).
+/// property tests compare [`RankSketch`] against).
 pub fn exact_quantile(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "quantile of an empty slice");
     let rank = (p * (sorted.len() - 1) as f64).round() as usize;
     sorted[rank.min(sorted.len() - 1)]
 }
-
-// ------------------------------------------------------- Rank sketch
 
 /// Magnitudes below this collapse into the sketch's zero bucket.
 const SKETCH_MIN_MAG: f64 = 1e-9;
@@ -234,8 +116,7 @@ const SKETCH_MIN_MAG: f64 = 1e-9;
 /// representative value `2γᵏ/(γ+1)` is within `α` of every sample in
 /// bucket `k`.
 ///
-/// Unlike [`P2Quantile`], the state is a pure multiset function of the
-/// samples: [`RankSketch::merge`] is bucket-wise counter addition, hence
+/// The state is a pure multiset function of the samples: [`RankSketch::merge`] is bucket-wise counter addition, hence
 /// exactly commutative, associative, and order-insensitive — merging
 /// per-shard sketches equals the single-stream fold bit-for-bit.
 ///
@@ -408,8 +289,8 @@ pub enum FieldAgg {
         /// `false` observations.
         falses: u64,
     },
-    /// Numeric (`U64`/`F64`): moments, extremes and three P² quantiles
-    /// (boxed: the marker state dwarfs the other variants).
+    /// Numeric (`U64`/`F64`): moments, extremes and a rank sketch
+    /// (boxed: the sketch state dwarfs the other variants).
     Num(Box<NumAgg>),
     /// Declared histogram (`HistU64`/`HistF64`): moments plus the
     /// schema-declared fixed-bin histogram and a mergeable rank sketch.
@@ -428,34 +309,23 @@ pub enum FieldAgg {
 pub struct NumAgg {
     /// Mean/variance/min/max.
     pub welford: Welford,
-    /// Streaming median.
-    pub p50: P2Quantile,
-    /// Streaming 90th percentile.
-    pub p90: P2Quantile,
-    /// Streaming 99th percentile.
-    pub p99: P2Quantile,
+    /// Mergeable rank sketch (1 % relative error) for p50/p90/p99.
+    pub sketch: RankSketch,
 }
 
 impl NumAgg {
     fn new() -> Box<NumAgg> {
-        Box::new(NumAgg {
-            welford: Welford::default(),
-            p50: P2Quantile::new(0.5),
-            p90: P2Quantile::new(0.9),
-            p99: P2Quantile::new(0.99),
-        })
+        Box::new(NumAgg { welford: Welford::default(), sketch: RankSketch::default_error() })
     }
 
     fn push(&mut self, x: f64) {
         self.welford.push(x);
-        self.p50.push(x);
-        self.p90.push(x);
-        self.p99.push(x);
+        self.sketch.push(x);
     }
 }
 
-/// The per-field aggregate state for a declared histogram field: the
-/// figure-ready buckets, a mergeable quantile sketch, and Welford moments.
+/// The per-field aggregate state for a declared histogram field: a
+/// numeric field's moments and sketch plus the figure-ready buckets.
 /// Everything in here is a pure multiset function of the samples, so the
 /// rendered section is identical for any shard split of the stream.
 #[derive(Debug, Clone)]
@@ -618,51 +488,9 @@ fn render_field_json(out: &mut String, field: &Field, agg: &FieldAgg, nulls: u64
                  \"rate\": {rate}, \"wilson95_low\": {lo}, \"wilson95_high\": {hi}"
             );
         }
-        FieldAgg::Num(num) => {
-            let welford = &num.welford;
-            let _ = write!(
-                out,
-                ", \"kind\": \"num\", \"count\": {}, \"mean\": {}, \"stddev\": {}, \
-                 \"min\": {}, \"max\": {}",
-                welford.count(),
-                welford.mean(),
-                welford.stddev(),
-                welford.min(),
-                welford.max()
-            );
-            for (label, q) in [("p50", &num.p50), ("p90", &num.p90), ("p99", &num.p99)] {
-                match q.estimate() {
-                    Some(v) => {
-                        let _ = write!(out, ", \"{label}\": {v}");
-                    }
-                    None => {
-                        let _ = write!(out, ", \"{label}\": null");
-                    }
-                }
-            }
-        }
+        FieldAgg::Num(num) => render_moments(out, "num", &num.welford, &num.sketch),
         FieldAgg::Hist(hist) => {
-            let welford = &hist.welford;
-            let _ = write!(
-                out,
-                ", \"kind\": \"hist\", \"count\": {}, \"mean\": {}, \"stddev\": {}, \
-                 \"min\": {}, \"max\": {}",
-                welford.count(),
-                welford.mean(),
-                welford.stddev(),
-                welford.min(),
-                welford.max()
-            );
-            for (label, p) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
-                match hist.sketch.quantile(p) {
-                    Some(v) => {
-                        let _ = write!(out, ", \"{label}\": {v}");
-                    }
-                    None => {
-                        let _ = write!(out, ", \"{label}\": null");
-                    }
-                }
-            }
+            render_moments(out, "hist", &hist.welford, &hist.sketch);
             let _ = write!(
                 out,
                 ", \"hist\": {{ \"lo\": {}, \"width\": {}, \"counts\": [",
@@ -677,19 +505,38 @@ fn render_field_json(out: &mut String, field: &Field, agg: &FieldAgg, nulls: u64
         FieldAgg::Str { counts, overflow } => {
             let _ = write!(out, ", \"kind\": \"str\", \"values\": {{");
             for (i, (v, c)) in counts.iter().enumerate() {
-                let escaped: String = crate::record::encode_line(
-                    &[Field { name: "v", kind: FieldKind::Str }],
-                    &Record(vec![Value::Str(v.clone())]),
-                );
-                // Reuse the record encoder's escaping: extract the value
-                // part of `{"v":"..."}`.
-                let quoted = &escaped[5..escaped.len() - 1];
-                let _ = write!(out, "{}{quoted}: {c}", if i > 0 { ", " } else { " " });
+                let _ = write!(out, "{}{}: {c}", if i > 0 { ", " } else { " " }, JsonStr(v));
             }
             let _ = write!(out, " }}, \"overflow\": {overflow}");
         }
     }
     out.push_str(" }");
+}
+
+/// Renders the moments and sketch quantiles numeric and histogram fields
+/// share.
+fn render_moments(out: &mut String, kind: &str, welford: &Welford, sketch: &RankSketch) {
+    use std::fmt::Write as _;
+    let _ = write!(
+        out,
+        ", \"kind\": \"{kind}\", \"count\": {}, \"mean\": {}, \"stddev\": {}, \"min\": {}, \
+         \"max\": {}",
+        welford.count(),
+        welford.mean(),
+        welford.stddev(),
+        welford.min(),
+        welford.max()
+    );
+    for (label, p) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
+        match sketch.quantile(p) {
+            Some(v) => {
+                let _ = write!(out, ", \"{label}\": {v}");
+            }
+            None => {
+                let _ = write!(out, ", \"{label}\": null");
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -710,33 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn p2_median_of_uniform_ramp_is_central() {
-        let mut q = P2Quantile::new(0.5);
-        for i in 0..1001 {
-            q.push(f64::from(i));
-        }
-        let est = q.estimate().expect("samples seen");
-        assert!((est - 500.0).abs() < 20.0, "median estimate {est} too far from 500");
-    }
-
-    #[test]
-    fn p2_small_samples_are_exact() {
-        let mut q = P2Quantile::new(0.5);
-        for x in [9.0, 1.0, 5.0] {
-            q.push(x);
-        }
-        assert_eq!(q.estimate(), Some(5.0));
-        assert_eq!(P2Quantile::new(0.9).estimate(), None);
-        // Exactly five samples: still the exact tail, not the median
-        // marker.
-        let mut q = P2Quantile::new(0.99);
-        for x in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            q.push(x);
-        }
-        assert_eq!(q.estimate(), Some(5.0));
-    }
-
-    #[test]
     fn wilson_interval_brackets_the_rate() {
         let (lo, hi) = wilson95(38, 100);
         assert!(lo < 0.38 && 0.38 < hi);
@@ -748,21 +568,27 @@ mod tests {
 
     #[test]
     fn rank_sketch_tracks_exact_quantiles_within_alpha() {
-        let mut s = RankSketch::default_error();
-        let samples: Vec<f64> = (0..2000).map(|i| f64::from(i) - 500.0).collect();
-        for &x in &samples {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 2000);
-        let mut sorted = samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        for p in [0.1, 0.5, 0.9, 0.99] {
-            let est = s.quantile(p).expect("samples seen");
-            let exact = exact_quantile(&sorted, p);
-            assert!(
-                (est - exact).abs() <= 0.01 * exact.abs() + 1e-9,
-                "p{p}: estimate {est} vs exact {exact}"
-            );
+        let ramp: Vec<f64> = (0..2000).map(|i| f64::from(i) - 500.0).collect();
+        // What numeric fields such as `observed_shift` produce: mostly
+        // zeros, with negative fractional shifts in the lower tail.
+        let shifts: Vec<f64> =
+            (0..400).map(|i| if i % 4 == 0 { -500.0 + f64::from(i) * 0.37 } else { 0.0 }).collect();
+        for samples in [ramp, shifts] {
+            let mut s = RankSketch::default_error();
+            for &x in &samples {
+                s.push(x);
+            }
+            assert_eq!(s.count(), samples.len() as u64);
+            let mut sorted = samples.clone();
+            sorted.sort_by(f64::total_cmp);
+            for p in [0.01, 0.1, 0.5, 0.9, 0.99] {
+                let est = s.quantile(p).expect("samples seen");
+                let exact = exact_quantile(&sorted, p);
+                assert!(
+                    (est - exact).abs() <= 0.01 * exact.abs() + 1e-9,
+                    "p{p}: estimate {est} vs exact {exact}"
+                );
+            }
         }
         assert_eq!(RankSketch::default_error().quantile(0.5), None);
     }

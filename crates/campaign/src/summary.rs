@@ -4,8 +4,9 @@
 //! shard files **in shard order** — which, with contiguous shard ranges,
 //! is exactly global trial order — feeding each line to the campaign
 //! digest and the per-field aggregators. Memory stays O(1) in the trial
-//! count: one line buffer, five P² markers per quantile, a handful of
-//! counters. The result is written as `summary.json` next to the shards.
+//! count: one line buffer, a bounded rank sketch per numeric field, a
+//! handful of counters. The result is written as `summary.json` next to
+//! the shards.
 //!
 //! A supervised run that quarantined shards still merges — into a
 //! **partial** summary (`complete: false`) whose coverage report says
@@ -22,7 +23,7 @@ use std::path::Path;
 use crate::checkpoint;
 use crate::digest::Digest;
 use crate::error::CampaignError;
-use crate::record::decode_line;
+use crate::record::{decode_line, JsonStr};
 use crate::registry::Scenario;
 use crate::stats::Aggregate;
 
@@ -98,26 +99,6 @@ pub struct Summary {
     pub aggregate: Aggregate,
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Summary {
     /// Renders `summary.json` (validated well-formed by the test suite).
     /// Field order is stable; in particular `"digest"` precedes
@@ -128,11 +109,11 @@ impl Summary {
         use std::fmt::Write as _;
         let _ = write!(
             out,
-            "{{\n  \"campaign\": \"{}\",\n  \"scale\": \"{}\",\n  \"master_seed\": {},\n  \
+            "{{\n  \"campaign\": {},\n  \"scale\": {},\n  \"master_seed\": {},\n  \
              \"shards\": {},\n  \"records\": {},\n  \"complete\": {},\n  \"digest\": \"{}\",\n  \
              \"shard_digests\": [",
-            self.scenario,
-            self.scale_label,
+            JsonStr(self.scenario),
+            JsonStr(&self.scale_label),
             self.master_seed,
             self.shards,
             self.records,
@@ -152,7 +133,7 @@ impl Summary {
         out.push_str("\n  ],\n  \"coverage\": [");
         for (i, c) in self.coverage.iter().enumerate() {
             let last = match &c.last_error {
-                Some(e) => format!("\"{}\"", json_escape(e)),
+                Some(e) => JsonStr(e).to_string(),
                 None => "null".into(),
             };
             let _ = write!(
@@ -332,16 +313,4 @@ pub fn merge_with_quarantine(
     std::fs::write(checkpoint::summary_path(dir), summary.render_json())
         .map_err(|e| CampaignError::io("write summary.json", e))?;
     Ok(summary)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escape_handles_control_and_quote_chars() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
 }

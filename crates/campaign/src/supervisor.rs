@@ -47,14 +47,16 @@
 //! backoff are tick counts, and no code path ever reads a clock. Ticks
 //! only pace the supervision loop; results never depend on them.
 
+use std::io::{BufRead, BufReader};
 use std::path::Path;
+use std::process::{Command, Stdio};
 
 use runner::mix64;
 
 use crate::checkpoint;
 use crate::error::CampaignError;
 use crate::exec::{self, CampaignConfig};
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, FaultSpec};
 use crate::metrics::{self, Metrics, ShardMetric};
 use crate::record::{decode_line, Schema};
 use crate::stats::Aggregate;
@@ -71,7 +73,7 @@ const SUPERVISION_RING_CAPACITY: usize = 256;
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Retries allowed per shard *after* its first lease. A shard may
-    /// consume `max_retries + 1` worker spawns before quarantine.
+    /// fail `max_retries + 1` leases before quarantine.
     pub max_retries: usize,
     /// Stall timeout in milliseconds: a lease whose checkpoint makes no
     /// progress for this long is killed and counted failed. Converted to
@@ -213,9 +215,10 @@ fn failure_kind(err: &CampaignError) -> u16 {
 
 /// Per-shard incremental checkpoint tail reader: consumes only the bytes
 /// appended since the last tick, folds every complete record line into
-/// the shared live aggregate, and counts records exactly (one `\n` per
-/// record). This is what turns the stall detector's byte watch into live
-/// estimator snapshots without ever re-reading a checkpoint prefix.
+/// the shared live aggregate, and counts the lines that decode — so a
+/// garbage line never counts as a record. This is what turns the stall
+/// detector's byte watch into live estimator snapshots without
+/// re-reading a checkpoint prefix on the success path.
 struct TailReader {
     offset: u64,
     carry: Vec<u8>,
@@ -231,18 +234,19 @@ impl TailReader {
     /// complete lines into `agg`. Live-path tolerant: I/O failures and
     /// undecodable lines are skipped (recovery and the merge own
     /// correctness; this feed is advisory).
+    ///
+    /// If the checkpoint shrank (torn-tail truncation, or a corruption
+    /// quarantine that restarts the shard at record 0), the record count
+    /// is rebuilt from the valid lines of what is left. Samples already
+    /// folded into `agg` stay folded — the live estimators are advisory,
+    /// and the final snapshot is rebuilt from the ordered merge.
     fn scan(&mut self, path: &Path, schema: &'static Schema, agg: &mut Aggregate) {
         use std::io::{Read as _, Seek as _, SeekFrom};
         let Ok(mut file) = std::fs::File::open(path) else { return };
         let len = file.metadata().map(|m| m.len()).unwrap_or(0);
-        if len < self.offset {
-            // The checkpoint shrank under us (torn-tail truncation or a
-            // corruption quarantine on re-lease). Already-folded samples
-            // can't be rewound, so just resync — the final snapshot is
-            // rebuilt from the ordered merge regardless.
-            self.offset = len;
-            self.carry.clear();
-            return;
+        let fold = len >= self.offset;
+        if !fold {
+            *self = TailReader::new();
         }
         if len == self.offset || file.seek(SeekFrom::Start(self.offset)).is_err() {
             return;
@@ -255,9 +259,12 @@ impl TailReader {
         self.carry.extend_from_slice(&buf);
         while let Some(pos) = self.carry.iter().position(|&b| b == b'\n') {
             let line: Vec<u8> = self.carry.drain(..=pos).collect();
-            self.records += 1;
-            if let Ok(body) = std::str::from_utf8(&line[..line.len() - 1]) {
-                if let Ok(record) = decode_line(schema, body) {
+            let record = std::str::from_utf8(&line[..pos])
+                .ok()
+                .and_then(|body| decode_line(schema, body).ok());
+            if let Some(record) = record {
+                self.records += 1;
+                if fold {
                     agg.push(&record);
                 }
             }
@@ -270,7 +277,9 @@ impl TailReader {
 /// good checkpoint with bounded, deterministically-jittered backoff, and
 /// quarantines shards that exhaust their retries instead of aborting the
 /// run. Always subprocess-mode (an in-process thread can neither be
-/// killed nor isolated from the coordinator).
+/// killed nor isolated from the coordinator). This is also the engine of
+/// [`exec::run_campaign`]'s subprocess mode, which runs it with
+/// `max_retries: 0` and the stall watch off.
 ///
 /// # Errors
 ///
@@ -290,7 +299,7 @@ pub fn run_supervised(
 
     let workers = config.workers.max(1);
     let timeout_ticks = sup.timeout_ticks();
-    let max_spawns = sup.max_retries + 1;
+    let max_leases = sup.max_retries + 1;
     let mut states: Vec<ShardState> = pending
         .into_iter()
         .map(|(k, range, _done)| ShardState {
@@ -323,7 +332,7 @@ pub fn run_supervised(
             match lease_shard(config, exe, shards, sup, st, now, ring) {
                 Ok(true) => running += 1,
                 Ok(false) => {} // shard turned out complete on disk
-                Err(e) => fail_lease(sup, config.scale.seed, st, now, max_spawns, e, ring),
+                Err(e) => fail_lease(sup, config.scale.seed, st, now, max_leases, e, ring),
             }
         }
 
@@ -349,7 +358,7 @@ pub fn run_supervised(
                                 }
                             }
                             Err(e) => {
-                                fail_lease(sup, config.scale.seed, st, now, max_spawns, e, ring);
+                                fail_lease(sup, config.scale.seed, st, now, max_leases, e, ring);
                             }
                         }
                         continue;
@@ -370,7 +379,7 @@ pub fn run_supervised(
                         let _ = r.drain.join();
                         let e =
                             CampaignError::WorkerStalled { shard: st.shard, ticks: stalled_ticks };
-                        fail_lease(sup, config.scale.seed, st, now, max_spawns, e, ring);
+                        fail_lease(sup, config.scale.seed, st, now, max_leases, e, ring);
                     } else {
                         st.lease = Lease::Running(r);
                     }
@@ -500,7 +509,7 @@ fn lease_shard(
     }
     let attempt = st.spawns; // 0-based attempt index for the fault plan
     let fault = sup.faults.fault_for(st.shard, attempt);
-    let mut child = exec::spawn_worker(config, exe, st.shard, shards, done, fault)?;
+    let mut child = spawn_worker(config, exe, st.shard, shards, done, fault)?;
     let Some(stdout) = child.stdout.take() else {
         let _ = child.kill();
         let _ = child.wait();
@@ -511,8 +520,7 @@ fn lease_shard(
     };
     let expected = planned - done;
     let (k, verbose, schema) = (st.shard, config.verbose, config.scenario.schema);
-    let drain =
-        std::thread::spawn(move || exec::drain_stream(stdout, k, expected, verbose, Some(schema)));
+    let drain = std::thread::spawn(move || drain_stream(stdout, k, expected, verbose, schema));
     let last_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     st.spawns += 1;
     ring.record(now, st.shard as u32, obs::kind::LEASE_GRANTED, st.spawns as u64, done as u64);
@@ -530,6 +538,70 @@ fn lease_shard(
     st.lease =
         Lease::Running(Running { child, drain, expected, last_progress_tick: now, last_len });
     Ok(true)
+}
+
+/// Spawns one `campaign worker` child for shard `k`, optionally carrying
+/// a `--fault` injection flag (the supervisor's chaos harness).
+fn spawn_worker(
+    config: &CampaignConfig,
+    exe: &Path,
+    k: usize,
+    shards: usize,
+    skip: usize,
+    fault: Option<FaultSpec>,
+) -> Result<std::process::Child, CampaignError> {
+    let mut cmd = Command::new(exe);
+    cmd.arg("worker")
+        .arg("--scenario")
+        .arg(config.scenario.name)
+        .arg("--shard")
+        .arg(format!("{k}/{shards}"))
+        .arg("--skip")
+        .arg(skip.to_string())
+        .arg("--checkpoint")
+        .arg(checkpoint::shard_path(&config.dir, k))
+        .arg("--scale-spec")
+        .arg(exec::scale_spec(&config.scale));
+    if let Some(fault) = fault {
+        cmd.arg("--fault").arg(fault.render());
+    }
+    cmd.stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .spawn()
+        .map_err(|e| CampaignError::WorkerSpawn { shard: k, detail: e.to_string() })
+}
+
+/// Drains a worker's stdout record stream, counting lines (the live
+/// progress channel — the durable copy is the checkpoint file). Runs on
+/// its own thread per child so no worker blocks on a full pipe.
+///
+/// Every line is decoded against the schema and the drain ends early on
+/// the first corrupt line — the corrupt-stream detector.
+fn drain_stream(
+    stdout: std::process::ChildStdout,
+    k: usize,
+    expected: usize,
+    verbose: bool,
+    schema: &'static Schema,
+) -> Result<usize, CampaignError> {
+    let reader = BufReader::new(stdout);
+    let mut streamed = 0usize;
+    let tick = (expected / 4).max(1);
+    for line in reader.lines() {
+        let line =
+            line.map_err(|e| CampaignError::io(format!("read shard {k} worker stream"), e))?;
+        if let Err(e) = decode_line(schema, &line) {
+            return Err(CampaignError::WorkerStream {
+                shard: k,
+                detail: format!("corrupt record {} on stdout: {e}", streamed + 1),
+            });
+        }
+        streamed += 1;
+        if verbose && streamed.is_multiple_of(tick) {
+            obs::console!("shard {k}: {streamed}/{expected} records streamed");
+        }
+    }
+    Ok(streamed)
 }
 
 /// Settles a lease whose drain thread ended: classifies the outcome as
@@ -570,23 +642,26 @@ fn reap_lease(shard: usize, r: Running) -> Result<(), CampaignError> {
 
 /// Books a lease failure: records it, then either schedules the retry
 /// (deterministic backoff from the master seed) or quarantines the shard
-/// once its spawn budget (`max_retries + 1`) is spent.
+/// once its lease budget (`max_retries + 1`) is spent. The budget counts
+/// failed leases, not spawns: a lease that fails before its worker
+/// starts (spawn error, checkpoint recovery error, stale checkpoint)
+/// uses it up too, or an unspawnable shard would be retried forever.
 fn fail_lease(
     sup: &SupervisorConfig,
     master_seed: u64,
     st: &mut ShardState,
     now: u64,
-    max_spawns: usize,
+    max_leases: usize,
     err: CampaignError,
     ring: &mut obs::FlightRecorder,
 ) {
     ring.record(now, st.shard as u32, failure_kind(&err), st.spawns as u64, 0);
     st.failures.push(err.to_string());
-    if st.spawns >= max_spawns {
+    if st.failures.len() >= max_leases {
         ring.record(now, st.shard as u32, obs::kind::SHARD_QUARANTINED, st.spawns as u64, 0);
         st.lease = Lease::Quarantined;
     } else {
-        let attempt = st.spawns.max(1) as u64; // 1-based retry number
+        let attempt = st.failures.len() as u64; // 1-based retry number
         let delay = backoff_ticks(sup, master_seed, st.shard, attempt);
         st.lease = Lease::Ready { at_tick: now + delay };
     }
@@ -626,6 +701,36 @@ mod tests {
         let spread: std::collections::BTreeSet<u64> =
             (0..16).map(|shard| backoff_ticks(&cfg, 2020, shard, 1)).collect();
         assert!(spread.len() > 1, "jitter should separate shard retries");
+    }
+
+    #[test]
+    fn tail_reader_counts_only_decoded_lines_and_recounts_after_a_shrink() {
+        use crate::record::{Field, FieldKind};
+        const SCHEMA: &Schema = &[Field { name: "n", kind: FieldKind::U64 }];
+        let dir = std::env::temp_dir().join(format!("tail-reader-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("shard-0.ndjson");
+        let lines = |ns: std::ops::RangeInclusive<u64>| -> String {
+            ns.map(|n| format!("{{\"n\":{n}}}\n")).collect()
+        };
+        let (mut tail, mut agg) = (TailReader::new(), Aggregate::new(SCHEMA));
+
+        let garbage = crate::faults::GARBAGE_LINE;
+        std::fs::write(&path, format!("{}{garbage}\n", lines(1..=3))).expect("write");
+        tail.scan(&path, SCHEMA, &mut agg);
+        assert_eq!(tail.records, 3, "the garbage line is not a record");
+
+        std::fs::write(&path, lines(1..=2)).expect("truncate");
+        tail.scan(&path, SCHEMA, &mut agg);
+        assert_eq!(tail.records, 2, "a shrink recounts the remaining prefix");
+
+        use std::io::Write as _;
+        let mut file = std::fs::OpenOptions::new().append(true).open(&path).expect("open");
+        file.write_all(lines(3..=3).as_bytes()).expect("append");
+        tail.scan(&path, SCHEMA, &mut agg);
+        assert_eq!(tail.records, 3);
+        assert_eq!(agg.records, 4, "the recounted prefix is not folded twice");
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! healthy bystanders whose leases must be unaffected.
 
 use std::path::PathBuf;
+use std::time::Duration;
 
+use campaign::error::CampaignError;
 use campaign::exec::{run_campaign, CampaignConfig, ExecMode};
 use campaign::faults::FaultPlan;
 use campaign::supervisor::{run_supervised, SupervisedRun, SupervisorConfig};
@@ -223,5 +225,55 @@ fn quarantined_shard_heals_on_a_later_fault_free_run() {
         vec![2],
         "healthy shards must not re-run"
     );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Runs `f` on its own thread and waits at most 30 s for it, so a
+/// coordinator that never settles fails the test instead of hanging it.
+fn settles<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || tx.send(f()).expect("receiver waits"));
+    let out = rx.recv_timeout(Duration::from_secs(30)).expect("the run must settle, not loop");
+    handle.join().expect("run thread exits cleanly");
+    out
+}
+
+/// A lease that fails before its worker spawns uses up the retry budget
+/// like any other failure: with no worker binary the run settles with
+/// every shard quarantined instead of re-leasing forever.
+#[test]
+fn unspawnable_workers_quarantine_instead_of_retrying_forever() {
+    let dir = tmp_dir("nospawn");
+    let cfg = CampaignConfig { shards: 2, workers: 2, ..config(dir.clone()) };
+    let exe = dir.join("no-such-campaign-binary");
+    let sup_cfg =
+        SupervisorConfig { max_retries: 1, poll_interval_ms: 1, ..SupervisorConfig::default() };
+    let run = settles(move || run_supervised(&cfg, &exe, &sup_cfg))
+        .expect("quarantine degrades, never aborts");
+    assert!(!run.summary.complete);
+    assert!(run.summary.coverage.iter().all(|c| c.quarantined && c.records == 0));
+    assert_eq!(run.reports.len(), 2);
+    for r in &run.reports {
+        assert!(r.quarantined, "shard {} must quarantine", r.shard);
+        assert_eq!(r.attempts, 0, "no worker ever spawned");
+        assert_eq!(r.failures.len(), 2, "first lease + one retry: {:?}", r.failures);
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Subprocess mode without supervision flags fails fast: the first failed
+/// lease quarantines its shard and `run_campaign` returns the typed
+/// error, promptly.
+#[test]
+fn bare_subprocess_run_fails_on_the_first_failed_lease() {
+    let dir = tmp_dir("bare-nospawn");
+    let exe = dir.join("no-such-campaign-binary");
+    let cfg = CampaignConfig { mode: ExecMode::Subprocess { exe }, ..config(dir.clone()) };
+    match settles(move || run_campaign(&cfg)) {
+        Err(CampaignError::ShardQuarantined { attempts: 0, last, .. }) => {
+            assert!(last.contains("spawn worker"), "names the spawn failure: {last}");
+        }
+        other => panic!("expected a quarantined shard, got {other:?}"),
+    }
     std::fs::remove_dir_all(dir).ok();
 }

@@ -268,3 +268,23 @@ fn summary_json_is_well_formed() {
     assert_eq!(json, summary.render_json());
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// Free-form strings are escaped: a scale label with a quote, a
+/// backslash and a newline still yields well-formed `summary.json` and
+/// `metrics.json`.
+#[test]
+fn scale_label_is_escaped_in_summary_and_metrics() {
+    let scenario = registry::find("chronos_bound").expect("registered");
+    let dir = tmp_dir("escape");
+    let config = CampaignConfig {
+        scale_label: "a\"b\\c\n".into(),
+        ..CampaignConfig::in_process(scenario, Scale::quick(), 2, dir.clone())
+    };
+    run_campaign(&config).expect("campaign runs");
+    for path in [checkpoint::summary_path(&dir), campaign::metrics::metrics_path(&dir)] {
+        let json = std::fs::read_to_string(&path).expect("written");
+        bench::json::validate(&json).expect("well-formed despite the label");
+        assert!(json.contains(r#""scale": "a\"b\\c\n""#), "{json}");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
