@@ -9,6 +9,8 @@
 //!    responses yield both the response byte layout (for forging) and the
 //!    IPID counter samples (for prediction). A reply is only checked and
 //!    kept; it is forged into a spoofed tail when a plant round uses it.
+//!    Once the resolver is fully poisoned no plant round is left, so the
+//!    probes still go out but their replies and IPIDs go unread.
 //! 3. **Plant**: every 25 s (under the 30 s Linux reassembly timeout),
 //!    spoofed second fragments for a window of predicted IPIDs are placed
 //!    in the resolver's defragmentation cache, for every target NS.
@@ -149,14 +151,8 @@ pub struct PoisonPipeline {
     last_plant: Option<SimTime>,
     last_check: Option<SimTime>,
     last_trigger: Option<SimTime>,
-    /// Set once RD=0 snooping sees poisoned glue.
-    pub glue_poisoned: bool,
-    /// Set once RD=0 snooping sees the malicious A set for the pool domain.
-    pub fully_poisoned: bool,
-    /// When the glue poisoning was first confirmed.
-    pub glue_poisoned_at: Option<SimTime>,
-    /// When full poisoning was first confirmed.
-    pub fully_poisoned_at: Option<SimTime>,
+    glue_poisoned_at: Option<SimTime>,
+    fully_poisoned_at: Option<SimTime>,
     /// Counters.
     pub stats: PoisonStats,
 }
@@ -183,12 +179,30 @@ impl PoisonPipeline {
             last_plant: None,
             last_check: None,
             last_trigger: None,
-            glue_poisoned: false,
-            fully_poisoned: false,
             glue_poisoned_at: None,
             fully_poisoned_at: None,
             stats: PoisonStats::default(),
         }
+    }
+
+    /// True once RD=0 snooping has seen poisoned glue; never cleared.
+    pub fn glue_poisoned(&self) -> bool {
+        self.glue_poisoned_at.is_some()
+    }
+
+    /// True once RD=0 snooping has seen the malicious pool A set; never cleared.
+    pub fn fully_poisoned(&self) -> bool {
+        self.fully_poisoned_at.is_some()
+    }
+
+    /// When the glue poisoning was first confirmed.
+    pub fn glue_poisoned_at(&self) -> Option<SimTime> {
+        self.glue_poisoned_at
+    }
+
+    /// When full poisoning was first confirmed.
+    pub fn fully_poisoned_at(&self) -> Option<SimTime> {
+        self.fully_poisoned_at
     }
 
     /// Kick off: force fragmentation and start probing.
@@ -197,7 +211,8 @@ impl PoisonPipeline {
         self.send_probes(ctx);
     }
 
-    /// Periodic driver; call every simulated second.
+    /// Periodic driver. Each step self-limits to its configured interval,
+    /// so call this at any period no longer than the shortest of them.
     pub fn tick(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         if due(now, self.last_icmp, self.config.icmp_refresh) {
@@ -206,11 +221,11 @@ impl PoisonPipeline {
         if due(now, self.last_probe, self.config.probe_interval) {
             self.send_probes(ctx);
         }
-        if !self.fully_poisoned && due(now, self.last_plant, self.config.plant_interval) {
+        if !self.fully_poisoned() && due(now, self.last_plant, self.config.plant_interval) {
             self.plant(ctx);
         }
         if let Some(interval) = self.config.check_interval {
-            if !self.fully_poisoned && due(now, self.last_check, interval) {
+            if !self.fully_poisoned() && due(now, self.last_check, interval) {
                 self.send_checks(ctx);
             }
         }
@@ -219,7 +234,7 @@ impl PoisonPipeline {
         // opportunity; after it, the next resolution fetches the malicious
         // A set from the attacker's nameserver.
         if let Some(interval) = self.config.trigger_interval {
-            if !self.fully_poisoned && due(now, self.last_trigger, interval) {
+            if !self.fully_poisoned() && due(now, self.last_trigger, interval) {
                 self.send_trigger(ctx);
             }
         }
@@ -235,6 +250,8 @@ impl PoisonPipeline {
         }
     }
 
+    /// Probes every nameserver. Once the resolver is fully poisoned the
+    /// same probes go out, but nothing waits for their replies.
     fn send_probes(&mut self, ctx: &mut Ctx<'_>) {
         self.last_probe = Some(ctx.now());
         for &ns in &self.config.ns_targets {
@@ -242,7 +259,9 @@ impl PoisonPipeline {
             let query = Message::query(txid, self.config.pool_domain.clone(), RecordType::A, false);
             if let Ok(wire) = query.encode() {
                 self.stats.probes_sent += 1;
-                self.probe_pending.insert(txid, ns);
+                if !self.fully_poisoned() {
+                    self.probe_pending.insert(txid, ns);
+                }
                 ctx.send_udp(ns, PROBE_PORT, DNS_PORT, wire);
             }
         }
@@ -286,7 +305,7 @@ impl PoisonPipeline {
             }
         };
         if let Some(name) = self.check_name.clone() {
-            if !self.glue_poisoned {
+            if !self.glue_poisoned() {
                 send(self, ctx, name, ControlQuery::CheckGlue);
             }
         }
@@ -305,9 +324,10 @@ impl PoisonPipeline {
         }
     }
 
-    /// Raw tap: harvest IPIDs from nameserver responses.
+    /// Raw tap: harvest IPIDs from nameserver responses, until the
+    /// resolver is fully poisoned and no plant round reads them.
     pub fn handle_raw(&mut self, now: SimTime, pkt: &netsim::ipv4::Ipv4Packet) {
-        if pkt.is_fragment() {
+        if pkt.is_fragment() || self.fully_poisoned() {
             return;
         }
         if let Some(state) = self.targets.get_mut(&pkt.src) {
@@ -333,12 +353,28 @@ impl PoisonPipeline {
         }
     }
 
+    /// Records confirmed poisoning of the glue, and of the A set if `full`.
+    /// Full poisoning ends the plant rounds, the only readers of the probe
+    /// replies, so the kept replies and the pending probes are dropped.
+    fn confirm(&mut self, now: SimTime, full: bool) {
+        self.glue_poisoned_at.get_or_insert(now);
+        if full && self.fully_poisoned_at.is_none() {
+            self.fully_poisoned_at = Some(now);
+            self.probe_pending.clear();
+            for state in self.targets.values_mut() {
+                state.reply = None;
+            }
+        }
+    }
+
     /// Datagram handling; returns `true` if the datagram belonged to the
     /// pipeline.
     pub fn handle_datagram(&mut self, ctx: &mut Ctx<'_>, d: &Datagram) -> bool {
         match d.dst_port {
             PROBE_PORT => {
-                self.accept_probe_reply(d.src, &d.payload);
+                if !self.fully_poisoned() {
+                    self.accept_probe_reply(d.src, &d.payload);
+                }
                 true
             }
             CONTROL_PORT => {
@@ -348,16 +384,12 @@ impl PoisonPipeline {
                 match kind {
                     ControlQuery::CheckGlue => {
                         if addrs.contains(&self.config.attacker_ns) {
-                            self.glue_poisoned = true;
-                            self.glue_poisoned_at.get_or_insert(ctx.now());
+                            self.confirm(ctx.now(), false);
                         }
                     }
                     ControlQuery::CheckPool | ControlQuery::Trigger => {
                         if !addrs.is_empty() && addrs.iter().all(|&a| self.config.is_malicious(a)) {
-                            self.glue_poisoned = true;
-                            self.glue_poisoned_at.get_or_insert(ctx.now());
-                            self.fully_poisoned = true;
-                            self.fully_poisoned_at.get_or_insert(ctx.now());
+                            self.confirm(ctx.now(), true);
                         }
                     }
                 }
@@ -434,6 +466,49 @@ mod tests {
         pipeline.accept_probe_reply(ns, &second);
         assert_eq!(reply_of(&pipeline), Some(second));
         assert!(pipeline.probe_pending.is_empty());
+    }
+
+    /// Once the resolver is fully poisoned the probes keep going out, but
+    /// nothing waits for their replies and no reply is kept.
+    #[test]
+    fn no_probe_reply_state_after_full_poisoning() {
+        use crate::poisoner::tests::{boot_time_world, ATTACKER};
+        fn pipeline(sim: &Simulator) -> &PoisonPipeline {
+            &sim.host::<crate::poisoner::OffPathPoisoner>(ATTACKER).unwrap().pipeline
+        }
+        let mut sim = boot_time_world(42, true);
+        let mut probes_at_poisoning = None;
+        for _ in 0..30 {
+            sim.run_for(SimDuration::from_mins(1));
+            let p = pipeline(&sim);
+            probes_at_poisoning =
+                probes_at_poisoning.or(p.fully_poisoned().then_some(p.stats.probes_sent));
+        }
+        let p = pipeline(&sim);
+        assert!(p.fully_poisoned(), "stats: {:?}", p.stats);
+        assert!(p.probe_pending.is_empty(), "{} probes pending", p.probe_pending.len());
+        assert!(p.targets.values().all(|t| t.reply.is_none()), "a probe reply is kept");
+        assert!(p.stats.probes_sent > probes_at_poisoning.unwrap(), "probing must go on");
+    }
+
+    /// Confirmed glue keeps the probe state; confirmed full poisoning
+    /// drops it, a probe still in flight too. The first times stick.
+    #[test]
+    fn confirming_full_poisoning_drops_the_probe_state() {
+        let ns: Ipv4Addr = "198.51.100.1".parse().unwrap();
+        let mut p = PoisonPipeline::new(PoisonConfig::open_resolver(ns, vec![ns], ns));
+        p.probe_pending.insert(7, ns);
+        p.targets.get_mut(&ns).unwrap().reply = Some(Bytes::from_static(b"reply"));
+        let state = |p: &PoisonPipeline| {
+            let kept = (p.probe_pending.len(), p.targets[&ns].reply.is_some());
+            (p.glue_poisoned_at(), p.fully_poisoned_at(), kept)
+        };
+        let t = SimTime::from_secs;
+        p.confirm(t(1), false);
+        assert_eq!(state(&p), (Some(t(1)), None, (1, true)));
+        p.confirm(t(2), true);
+        p.confirm(t(3), true);
+        assert_eq!(state(&p), (Some(t(1)), Some(t(2)), (0, false)));
     }
 
     #[test]

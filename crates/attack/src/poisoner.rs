@@ -29,12 +29,12 @@ impl OffPathPoisoner {
 
     /// True once the resolver serves attacker glue.
     pub fn glue_poisoned(&self) -> bool {
-        self.pipeline.glue_poisoned
+        self.pipeline.glue_poisoned()
     }
 
     /// True once the resolver serves the attacker's pool A records.
     pub fn fully_poisoned(&self) -> bool {
-        self.pipeline.fully_poisoned
+        self.pipeline.fully_poisoned()
     }
 
     /// Pipeline counters.
@@ -67,14 +67,39 @@ impl Host for OffPathPoisoner {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dns::prelude::*;
     use std::net::Ipv4Addr;
 
     const RESOLVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 53);
-    const ATTACKER: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 66);
+    pub(crate) const ATTACKER: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 66);
     const ATTACKER_NS: Ipv4Addr = Ipv4Addr::new(66, 66, 0, 1);
+
+    /// The boot-time world: 8 pool nameservers, an open resolver (which
+    /// takes fragments only if `accept_fragments`), the attacker's
+    /// nameserver and the poisoner at [`ATTACKER`].
+    pub(crate) fn boot_time_world(seed: u64, accept_fragments: bool) -> Simulator {
+        let mut sim = Simulator::with_topology(
+            seed,
+            Topology::uniform(LinkSpec::fixed(SimDuration::from_millis(15))),
+        );
+        let pool_servers: Vec<Ipv4Addr> = (1..=8).map(|i| Ipv4Addr::new(192, 0, 2, i)).collect();
+        let zone = pool_zone(pool_servers, 23, Ipv4Addr::new(198, 51, 100, 1));
+        let ns_list = spawn_zone_nameservers(&mut sim, &zone, OsProfile::nameserver(548));
+        let mut profile = OsProfile::linux();
+        profile.accept_fragments = accept_fragments;
+        let hints = vec![("pool.ntp.org".parse().unwrap(), ns_list.clone())];
+        let resolver = Resolver::new(ResolverConfig::default(), hints);
+        sim.add_host(RESOLVER, profile, Box::new(resolver)).unwrap();
+        // Attacker's malicious nameserver (what the poisoned glue points to).
+        let malicious = (1..=89u32).map(|i| Ipv4Addr::from(0x4242_0100 + i)).collect();
+        let attacker_ns = AuthServer::new(vec![malicious_pool_zone(malicious, 89, 2 * 86_400)]);
+        sim.add_host(ATTACKER_NS, OsProfile::linux(), Box::new(attacker_ns)).unwrap();
+        let config = PoisonConfig::open_resolver(RESOLVER, ns_list, ATTACKER_NS);
+        sim.add_host(ATTACKER, OsProfile::linux(), Box::new(OffPathPoisoner::new(config))).unwrap();
+        sim
+    }
 
     /// Full off-path boot-time poisoning, end to end through the simulator:
     /// ICMP MTU forcing → IPID probing → fragment planting → triggered
@@ -82,34 +107,7 @@ mod tests {
     /// pool A set in the resolver cache.
     #[test]
     fn end_to_end_glue_then_full_poisoning() {
-        let mut sim = Simulator::with_topology(
-            42,
-            Topology::uniform(LinkSpec::fixed(SimDuration::from_millis(15))),
-        );
-        let pool_servers: Vec<Ipv4Addr> = (1..=8).map(|i| Ipv4Addr::new(192, 0, 2, i)).collect();
-        let zone = pool_zone(pool_servers, 23, Ipv4Addr::new(198, 51, 100, 1));
-        let ns_list = spawn_zone_nameservers(&mut sim, &zone, OsProfile::nameserver(548));
-        sim.add_host(
-            RESOLVER,
-            OsProfile::linux(),
-            Box::new(Resolver::new(
-                ResolverConfig::default(),
-                vec![("pool.ntp.org".parse().unwrap(), ns_list.clone())],
-            )),
-        )
-        .unwrap();
-        // Attacker's malicious nameserver (what the poisoned glue points to).
-        let malicious: Vec<Ipv4Addr> =
-            (1..=89u32).map(|i| Ipv4Addr::from(0x4242_0100 + i)).collect();
-        sim.add_host(
-            ATTACKER_NS,
-            OsProfile::linux(),
-            Box::new(AuthServer::new(vec![malicious_pool_zone(malicious, 89, 2 * 86_400)])),
-        )
-        .unwrap();
-        let config = PoisonConfig::open_resolver(RESOLVER, ns_list, ATTACKER_NS);
-        sim.add_host(ATTACKER, OsProfile::linux(), Box::new(OffPathPoisoner::new(config))).unwrap();
-
+        let mut sim = boot_time_world(42, true);
         sim.run_for(SimDuration::from_mins(30));
         let attacker: &OffPathPoisoner = sim.host(ATTACKER).unwrap();
         assert!(attacker.glue_poisoned(), "glue must be poisoned; stats: {:?}", attacker.stats());
@@ -132,34 +130,7 @@ mod tests {
     /// identical attack fails.
     #[test]
     fn fragment_filtering_resolver_defeats_poisoning() {
-        let mut sim = Simulator::with_topology(
-            43,
-            Topology::uniform(LinkSpec::fixed(SimDuration::from_millis(15))),
-        );
-        let pool_servers: Vec<Ipv4Addr> = (1..=8).map(|i| Ipv4Addr::new(192, 0, 2, i)).collect();
-        let zone = pool_zone(pool_servers, 23, Ipv4Addr::new(198, 51, 100, 1));
-        let ns_list = spawn_zone_nameservers(&mut sim, &zone, OsProfile::nameserver(548));
-        let mut profile = OsProfile::linux();
-        profile.accept_fragments = false;
-        sim.add_host(
-            RESOLVER,
-            profile,
-            Box::new(Resolver::new(
-                ResolverConfig::default(),
-                vec![("pool.ntp.org".parse().unwrap(), ns_list.clone())],
-            )),
-        )
-        .unwrap();
-        let malicious: Vec<Ipv4Addr> =
-            (1..=89u32).map(|i| Ipv4Addr::from(0x4242_0100 + i)).collect();
-        sim.add_host(
-            ATTACKER_NS,
-            OsProfile::linux(),
-            Box::new(AuthServer::new(vec![malicious_pool_zone(malicious, 89, 2 * 86_400)])),
-        )
-        .unwrap();
-        let config = PoisonConfig::open_resolver(RESOLVER, ns_list, ATTACKER_NS);
-        sim.add_host(ATTACKER, OsProfile::linux(), Box::new(OffPathPoisoner::new(config))).unwrap();
+        let mut sim = boot_time_world(43, false);
         sim.run_for(SimDuration::from_mins(30));
         let attacker: &OffPathPoisoner = sim.host(ATTACKER).unwrap();
         assert!(!attacker.glue_poisoned(), "fragment filtering must stop the attack");

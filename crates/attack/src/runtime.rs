@@ -130,8 +130,8 @@ impl Host for RuntimeAttacker {
         }
         let now = ctx.now();
         self.flood(ctx);
-        // The 1 Hz pipeline work rides the same timer (it self-limits via
-        // its internal intervals).
+        // The pipeline's work rides the same timer, which fires every
+        // `flood_interval` (2 Hz); `tick` self-limits to its own intervals.
         self.pipeline.tick(ctx);
         if let RuntimeScenario::RefidDiscovery { probe_interval } = self.scenario {
             let due =

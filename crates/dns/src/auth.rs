@@ -8,7 +8,7 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use netsim::prelude::*;
 use rand::seq::index::sample;
 use rand::Rng;
@@ -38,31 +38,33 @@ pub struct AuthStats {
 pub struct AuthServer {
     zones: Vec<Zone>,
     include_authority: bool,
-    /// Encoded authority + additional sections, from this server's own
-    /// full encodes (see [`AuthServer::encode_reply`]).
-    tails: Vec<Tail>,
+    /// Whole-reply templates, from this server's own full encodes (see
+    /// [`AuthServer::encode_reply`]).
+    templates: Vec<Template>,
     /// Counters.
     pub stats: AuthStats,
 }
 
-/// The authority and additional sections of one full encode, reusable by
-/// replies to the same question from the same zone with as many answers.
+/// One full encode, reusable by replies to the same question from the
+/// same zone with as many answers: they differ from it only in the ID,
+/// the flags and each answer's TTL and address.
 #[derive(Debug)]
-struct Tail {
+struct Template {
     zone: usize,
     question: Question,
-    /// Answer count; with the question it fixes the length of the
-    /// header, question and answer sections in front of the tail.
     answers: usize,
-    /// NSCOUNT and ARCOUNT.
-    counts: [u16; 2],
-    /// The section bytes: a slice of the full encode they came from.
-    bytes: Bytes,
+    wire: Bytes,
+    /// Offset of the answer section in `wire`.
+    answers_at: usize,
 }
 
-/// Cached tails per server: a pool nameserver sees a handful of rotating
-/// names, and a server asked for many names stops caching.
-const MAX_TAILS: usize = 8;
+/// Cached templates per server: a pool nameserver sees a handful of
+/// rotating names, and a server asked for many names stops caching.
+const MAX_TEMPLATES: usize = 8;
+
+/// An A answer owned by the question name: `c00c`, type, class, TTL,
+/// RDLENGTH 4, address.
+const A_ANSWER_LEN: usize = 16;
 
 impl AuthServer {
     /// Creates a server for `zones`. Responses to A queries include the
@@ -71,7 +73,7 @@ impl AuthServer {
         AuthServer {
             zones,
             include_authority: true,
-            tails: Vec::new(),
+            templates: Vec::new(),
             stats: AuthStats::default(),
         }
     }
@@ -185,47 +187,49 @@ impl AuthServer {
     /// [`AuthServer::respond`]) with `zone`'s authority and additional
     /// sections.
     ///
-    /// Those sections are spliced in from a cached [`Tail`] when the
-    /// answers add no compression target: one question, and every answer
-    /// an A record owned by the question name (each compresses to a
-    /// pointer at offset 12) in an unsigned zone. The encoder's output for
-    /// the later sections depends only on its compression table and its
-    /// buffer offset, and both are then fixed by the question and the
-    /// answer count; NSCOUNT and ARCOUNT are the only bytes of the
-    /// sections written outside them. Anything else — and a cache miss,
-    /// which fills the cache from its one full encode — encodes in full.
+    /// The reply is patched from a cached [`Template`] when the answers
+    /// add no compression target: one question, and every answer an A
+    /// record owned by the question name (each compresses to a pointer at
+    /// offset 12) in an unsigned zone. The encoder's output then depends
+    /// only on the header, the question and the answer count, bar the ID
+    /// and flags (bytes 0..4) and each answer's TTL and address, which the
+    /// patch writes in. Anything else — and a cache miss, which fills the
+    /// cache from its one full encode — encodes in full.
     fn encode_reply(&mut self, mut resp: Message, zone: usize) -> Result<Bytes, DnsError> {
-        let spliceable = matches!(resp.questions.as_slice(), [q]
+        let patchable = matches!(resp.questions.as_slice(), [q]
             if self.zones[zone].key.is_none()
-                && resp.answers.iter().all(|r| r.rtype() == RecordType::A && r.name == q.name));
-        if !spliceable {
+                && resp.answers.iter().all(|r| r.as_a().is_some() && r.name == q.name));
+        if !patchable {
             self.fill(&mut resp, zone);
             return resp.encode();
         }
         let question = &resp.questions[0];
         let answers = resp.answers.len();
         let cached = self
-            .tails
+            .templates
             .iter()
             .find(|t| t.zone == zone && t.answers == answers && t.question == *question);
-        if let Some(tail) = cached {
-            let wire = resp.encode_spliced(tail.counts, &tail.bytes)?;
+        if let Some(template) = cached {
+            let mut wire = BytesMut::with_capacity(template.wire.len());
+            wire.extend_from_slice(&template.wire);
+            wire[..4].copy_from_slice(&resp.header.id_and_flags());
+            let slots = wire[template.answers_at..].chunks_exact_mut(A_ANSWER_LEN);
+            for (slot, record) in slots.zip(&resp.answers) {
+                slot[6..10].copy_from_slice(&record.ttl.to_be_bytes());
+                slot[12..].copy_from_slice(&record.as_a().map_or([0; 4], |addr| addr.octets()));
+            }
+            let wire = wire.freeze();
             if cfg!(debug_assertions) {
                 self.fill(&mut resp, zone);
-                assert_eq!(resp.encode().as_ref(), Ok(&wire), "splice differs from a full encode");
+                assert_eq!(resp.encode().as_ref(), Ok(&wire), "patch differs from a full encode");
             }
             return Ok(wire);
         }
         self.fill(&mut resp, zone);
-        let (wire, tail_at) = resp.encode_split()?;
-        if self.tails.len() < MAX_TAILS {
-            self.tails.push(Tail {
-                zone,
-                question: resp.questions[0].clone(),
-                answers,
-                counts: [resp.authorities.len() as u16, resp.additionals.len() as u16],
-                bytes: wire.slice(tail_at..),
-            });
+        let (wire, answers_at) = resp.encode_split()?;
+        if self.templates.len() < MAX_TEMPLATES {
+            let (question, wire) = (resp.questions[0].clone(), wire.clone());
+            self.templates.push(Template { zone, question, answers, wire, answers_at });
         }
         Ok(wire)
     }
@@ -364,23 +368,27 @@ mod tests {
         assert_eq!(r.header.rcode, Rcode::NxDomain);
     }
 
-    /// Asks `server` and a twin each query three times (so spliced
+    /// Asks `server` and a twin each query three times (so patched
     /// replies follow the encode that filled the cache), as A and as NS,
-    /// under equal RNG seeds.
+    /// with RD clear and set and a fresh ID each time, under equal RNG
+    /// seeds.
     fn assert_replies_match_answers(label: &str, server: impl Fn() -> AuthServer, names: &[&str]) {
         use rand::RngExt;
         let (mut sent_by, mut answered_by) = (server(), server());
         let mut seed = 0;
         for round in 0..3u16 {
             for name in names {
-                for qtype in [RecordType::A, RecordType::Ns] {
+                for (qtype, rd) in
+                    [(RecordType::A, false), (RecordType::A, true), (RecordType::Ns, true)]
+                {
                     seed += 1;
-                    let query = Message::query(round, name.parse().unwrap(), qtype, false);
+                    let id = (seed as u16).wrapping_mul(0x9E37);
+                    let query = Message::query(id, name.parse().unwrap(), qtype, rd);
                     let (mut rng_a, mut rng_b) =
                         (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
                     let sent = sent_by.reply(&query, &mut rng_a).unwrap();
                     let full = answered_by.answer(&query, &mut rng_b).encode().unwrap();
-                    assert_eq!(sent, full, "{label}: {name} {qtype} round {round}");
+                    assert_eq!(sent, full, "{label}: {name} {qtype} rd={rd} round {round}");
                     assert_eq!(rng_a.random::<u64>(), rng_b.random::<u64>(), "{label}: {name}");
                 }
             }
@@ -388,7 +396,7 @@ mod tests {
         assert_eq!(sent_by.stats, answered_by.stats, "{label}");
     }
 
-    /// What `on_datagram` sends — spliced or encoded in full — equals the
+    /// What `on_datagram` sends — patched or encoded in full — equals the
     /// full encode of `answer` and leaves the RNG in the same state.
     #[test]
     fn replies_equal_full_encodes_of_answer() {
@@ -409,29 +417,30 @@ mod tests {
         assert_replies_match_answers("signed", signed, &names);
         let bare = || AuthServer::new(vec![pool()]).without_authority_sections();
         assert_replies_match_answers("bare", bare, &names);
-        // More names than the tail cache holds.
-        let names: Vec<String> = (0..2 * MAX_TAILS).map(|i| format!("{i}.pool.ntp.org")).collect();
+        // More names than the template cache holds.
+        let names: Vec<String> =
+            (0..2 * MAX_TEMPLATES).map(|i| format!("{i}.pool.ntp.org")).collect();
         let names: Vec<&str> = names.iter().map(String::as_str).collect();
         let attacker = || AuthServer::new(vec![malicious_pool_zone(servers(89), 89, 86_400 * 2)]);
         assert_replies_match_answers("attacker", attacker, &names);
     }
 
-    /// Only the unsigned pool server with authority sections splices: it
-    /// caches one tail per (question, answer count) it has answered.
+    /// Only the unsigned pool server with authority sections patches: it
+    /// caches one template per (question, answer count) it has answered.
     #[test]
     fn only_plain_a_answers_cache_a_tail() {
         use crate::dnssec::ZoneKey;
         let pool = || pool_zone(servers(8), 23, Ipv4Addr::new(198, 51, 100, 1));
         let ns_query = Message::query(1, "pool.ntp.org".parse().unwrap(), RecordType::Ns, false);
-        let tails_after = |mut srv: AuthServer| {
+        let templates_after = |mut srv: AuthServer| {
             for query in [query("pool.ntp.org"), query("pool.ntp.org"), ns_query.clone()] {
                 srv.reply(&query, &mut rng()).unwrap();
             }
-            srv.tails.len()
+            srv.templates.len()
         };
-        assert_eq!(tails_after(AuthServer::new(vec![pool()])), 1);
-        assert_eq!(tails_after(AuthServer::new(vec![pool().with_key(ZoneKey(7))])), 0);
-        assert_eq!(tails_after(AuthServer::new(vec![pool()]).without_authority_sections()), 0);
+        assert_eq!(templates_after(AuthServer::new(vec![pool()])), 1);
+        assert_eq!(templates_after(AuthServer::new(vec![pool().with_key(ZoneKey(7))])), 0);
+        assert_eq!(templates_after(AuthServer::new(vec![pool()]).without_authority_sections()), 0);
     }
 
     #[test]

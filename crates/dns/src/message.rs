@@ -86,6 +86,23 @@ pub struct Header {
     pub rcode: Rcode,
 }
 
+impl Header {
+    /// The first four wire bytes: the ID, then the flags word.
+    pub(crate) fn id_and_flags(&self) -> [u8; 4] {
+        let bit = |set: bool, mask: u16| if set { mask } else { 0 };
+        let flags = bit(self.qr, 0x8000)
+            | u16::from(self.opcode & 0xF) << 11
+            | bit(self.aa, 0x0400)
+            | bit(self.tc, 0x0200)
+            | bit(self.rd, 0x0100)
+            | bit(self.ra, 0x0080)
+            | bit(self.ad, 0x0020)
+            | u16::from(self.rcode.code());
+        let ([id_hi, id_lo], [hi, lo]) = (self.id.to_be_bytes(), flags.to_be_bytes());
+        [id_hi, id_lo, hi, lo]
+    }
+}
+
 /// A question entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Question {
@@ -154,26 +171,16 @@ impl Message {
         self.encode_split().map(|(wire, _)| wire)
     }
 
-    /// [`Message::encode`], plus the offset where the authority section
+    /// [`Message::encode`], plus the offset where the answer section
     /// starts.
     pub(crate) fn encode_split(&self) -> Result<(Bytes, usize), DnsError> {
         let mut enc = Encoder::new();
-        enc.put_head(self, [self.authorities.len() as u16, self.additionals.len() as u16])?;
-        let tail_at = enc.buf.len();
-        for record in self.authorities.iter().chain(&self.additionals) {
+        enc.put_head(self);
+        let answers_at = enc.buf.len();
+        for record in self.answers.iter().chain(&self.authorities).chain(&self.additionals) {
             enc.put_record(record)?;
         }
-        enc.finish().map(|wire| (wire, tail_at))
-    }
-
-    /// Encodes the header (with NSCOUNT and ARCOUNT from `counts`), the
-    /// questions and the answers, then appends `tail` verbatim as the
-    /// authority and additional sections; `self`'s own are ignored.
-    pub(crate) fn encode_spliced(&self, counts: [u16; 2], tail: &[u8]) -> Result<Bytes, DnsError> {
-        let mut enc = Encoder::new();
-        enc.put_head(self, counts)?;
-        enc.buf.put_slice(tail);
-        enc.finish()
+        enc.finish().map(|wire| (wire, answers_at))
     }
 
     /// Decodes a message from wire bytes.
@@ -272,46 +279,18 @@ impl Encoder {
         Encoder { buf: BytesMut::with_capacity(512), suffixes }
     }
 
-    /// Writes the header, with NSCOUNT and ARCOUNT from `counts`, then
-    /// the questions and the answers.
-    fn put_head(&mut self, msg: &Message, counts: [u16; 2]) -> Result<(), DnsError> {
-        let header = &msg.header;
-        let mut flags: u16 = 0;
-        if header.qr {
-            flags |= 0x8000;
-        }
-        flags |= u16::from(header.opcode & 0xF) << 11;
-        if header.aa {
-            flags |= 0x0400;
-        }
-        if header.tc {
-            flags |= 0x0200;
-        }
-        if header.rd {
-            flags |= 0x0100;
-        }
-        if header.ra {
-            flags |= 0x0080;
-        }
-        if header.ad {
-            flags |= 0x0020;
-        }
-        flags |= u16::from(header.rcode.code());
-        for word in [header.id, flags, msg.questions.len() as u16, msg.answers.len() as u16] {
-            self.buf.put_u16(word);
-        }
-        for count in counts {
-            self.buf.put_u16(count);
+    /// Writes the header, then the questions.
+    fn put_head(&mut self, msg: &Message) {
+        self.buf.put_slice(&msg.header.id_and_flags());
+        let (questions, answers) = (msg.questions.len(), msg.answers.len());
+        for count in [questions, answers, msg.authorities.len(), msg.additionals.len()] {
+            self.buf.put_u16(count as u16);
         }
         for q in &msg.questions {
             self.put_name(&q.name);
             self.buf.put_u16(q.qtype.code());
             self.buf.put_u16(1); // class IN
         }
-        for record in &msg.answers {
-            self.put_record(record)?;
-        }
-        Ok(())
     }
 
     /// The encoded message, if it fits the 16-bit length limit.

@@ -184,3 +184,77 @@ fn seeded_boot_sweep_merges_in_seed_order() {
     let parallel = TrialRunner::new(8).run_seeded(99, 6, attack);
     assert_eq!(sequential, parallel);
 }
+
+/// The traffic of a 30-minute boot-time run with the poisoner, which goes
+/// well past full poisoning: `SimStats` and `PoisonStats` renderings.
+fn boot_time_traffic(seed: u64) -> String {
+    let mut scenario = Scenario::build(ScenarioConfig { seed, ..ScenarioConfig::default() });
+    scenario.launch_poisoner();
+    scenario.sim.run_for(SimDuration::from_mins(30));
+    let poisoner = scenario.poisoner().expect("poisoner");
+    assert!(poisoner.fully_poisoned(), "the run must go past full poisoning");
+    format!("{:?}\n{:?}", traffic(&scenario), poisoner.stats())
+}
+
+/// The traffic of one Table II run-time trial, run as
+/// `experiments::table2_row` runs it: `SimStats` and `PoisonStats`
+/// renderings.
+fn runtime_traffic(seed: u64, case: &experiments::Table2Case) -> String {
+    let config = ScenarioConfig { seed: seed ^ case.kind as u64, ..ScenarioConfig::default() };
+    let mut scenario = Scenario::build(config);
+    let victim = scenario.spawn_victim(case.kind);
+    scenario.sim.run_for(SimDuration::from_mins(20));
+    let attack_start = scenario.sim.now();
+    scenario.launch_runtime_attacker(victim, case.scenario.clone());
+    let stepped =
+        scenario.run_until_condition(SimDuration::from_mins(1), SimDuration::from_hours(3), |s| {
+            s.victim().and_then(NtpClient::first_large_step).is_some_and(|(t, _)| t > attack_start)
+        });
+    assert!(stepped.is_some(), "the trial must land");
+    let attacker = scenario.runtime_attacker().expect("attacker");
+    format!("{:?}\n{:?}", traffic(&scenario), attacker.poison_stats())
+}
+
+/// `scenario`'s `SimStats` without the buffer-pool counters: they measure
+/// the allocator (and differ between debug and release builds, where the
+/// codec skips its self-checks), not the traffic.
+fn traffic(scenario: &Scenario) -> SimStats {
+    SimStats { pool_hits: 0, pool_misses: 0, ..scenario.sim.stats() }
+}
+
+/// Packet counts, drops and pipeline counters of two attacks, pinned. No
+/// Table I/II record carries them, so this is what notices a change in
+/// the traffic after the resolver is poisoned.
+#[test]
+fn attack_traffic_is_pinned() {
+    assert_eq!(
+        boot_time_traffic(2020),
+        "SimStats { packets_sent: 7328, packets_lost: 0, packets_delivered: 7305, \
+         packets_unrouted: 0, datagrams_delivered: 4176, datagrams_dropped: 2945, \
+         drops: DropCounts { no_frag_support: 0, tiny_fragment: 0, defrag_cap_full: 0, \
+         duplicate_fragment: 1355, defrag_expired: 1472, udp_truncated: 0, \
+         udp_length_mismatch: 0, udp_bad_checksum: 0, icmp_malformed: 0, unknown_protocol: 0 }, \
+         timers_fired: 1802, events_dispatched: 9230, ipid_evictions: 0, peak_queue_depth: 372, \
+         pool_hits: 0, pool_misses: 0 }\n\
+         PoisonStats { icmps_sent: 184, probes_sent: 2093, fragments_planted: 2944, \
+         triggers_sent: 7, checks_sent: 9 }"
+    );
+    let cases = experiments::table2_cases();
+    let openntpd = cases.iter().find(|c| c.client == "openntpd").expect("Table II case");
+    let runtime = runtime_traffic(2020, openntpd);
+    // The same trial as the Table II row.
+    let packets = experiments::table2_row(2020, openntpd).outcome.packets_sent;
+    assert!(runtime.starts_with(&format!("SimStats {{ packets_sent: {packets},")), "{packets}");
+    assert_eq!(
+        runtime,
+        "SimStats { packets_sent: 84935, packets_lost: 0, packets_delivered: 84904, \
+         packets_unrouted: 0, datagrams_delivered: 81522, datagrams_dropped: 2945, \
+         drops: DropCounts { no_frag_support: 0, tiny_fragment: 0, defrag_cap_full: 0, \
+         duplicate_fragment: 1355, defrag_expired: 1589, udp_truncated: 0, \
+         udp_length_mismatch: 0, udp_bad_checksum: 0, icmp_malformed: 0, unknown_protocol: 0 }, \
+         timers_fired: 14523, events_dispatched: 99551, ipid_evictions: 0, peak_queue_depth: 381, \
+         pool_hits: 0, pool_misses: 0 }\n\
+         PoisonStats { icmps_sent: 437, probes_sent: 5129, fragments_planted: 2944, \
+         triggers_sent: 7, checks_sent: 9 }"
+    );
+}
