@@ -1,22 +1,22 @@
-//! Differential test: the registry's streaming histogram aggregation vs.
-//! the legacy in-process survey bucketing.
+//! Differential test: the campaign's streaming histogram aggregation vs.
+//! the typed survey result's bucketing.
 //!
-//! `fig6`/`fig7` used to be produced two ways — the `timeshift::experiments`
-//! drivers bucketing materialized sample vectors, and the campaign registry
-//! streaming records through [`campaign::stats::Aggregate`]. Both paths now
-//! funnel into `runner::StreamHist` reading the same
-//! [`timeshift::experiments::figspec`] constants; this test pins them
-//! bucket-for-bucket so a change to either can never silently diverge the
-//! paper artifacts.
+//! `fig6`/`fig7` come out two ways — a campaign streams the snoop scan's
+//! records through [`campaign::stats::Aggregate`], and the in-process
+//! `format_fig6`/`format_fig7` bucket the samples of the `SurveyResult`
+//! the same scan folds to. Both funnel into `runner::StreamHist` reading
+//! the same [`timeshift::experiments::figspec`] constants; this test pins
+//! them bucket-for-bucket so a change to either can never silently
+//! diverge the paper artifacts.
 
 use campaign::registry;
 use campaign::stats::{Aggregate, FieldAgg};
-use timeshift::experiments::{self, figspec, Scale};
+use timeshift::experiments::{figspec, Scale};
 
 /// Streams every `fig6` campaign record through the aggregate and returns
-/// it alongside the legacy survey run at the same scale.
+/// it alongside the survey folded from the same scan at the same scale.
 fn run_both(scale: Scale) -> (Aggregate, measure::prelude::SurveyResult) {
-    let survey = experiments::resolver_survey(scale);
+    let survey = registry::snoop(scale).fold(scale.workers);
     let scenario = registry::find("fig6").expect("fig6 registered");
     let campaign = scenario.build(scale);
     let mut agg = Aggregate::new(scenario.schema);

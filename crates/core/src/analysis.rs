@@ -1,7 +1,8 @@
 //! Closed-form analyses from the paper: the run-time attack probabilities
-//! of §V-B (Table III), the Chronos pool bound of §VI-C, and the boot-time
-//! fragment budget of §IV-A — each with Monte-Carlo cross-checks used by
-//! the property tests.
+//! of §V-B (Table III) and the boot-time fragment budget of §IV-A — each
+//! with Monte-Carlo cross-checks used by the property tests. The Chronos
+//! pool bound of §VI-C lives in [`chronos::bound`], next to the client it
+//! bounds.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -88,27 +89,6 @@ pub fn p2_monte_carlo(m: u32, n: u32, p: f64, trials: u32, seed: u64) -> f64 {
     f64::from(hits) / f64::from(trials)
 }
 
-/// §VI-C: after `n_honest_lookups` honest pool lookups (4 addresses each)
-/// and one poisoned response carrying `malicious` addresses, the attacker
-/// controls `malicious / (malicious + 4·N)` of the pool. Chronos falls when
-/// that is ≥ 2/3. (The closed form lives in [`chronos::bound`], next to
-/// the client it bounds; this re-derivation point keeps the historic API.)
-pub fn chronos_attacker_fraction(n_honest_lookups: u32, malicious: u32) -> f64 {
-    chronos::bound::attacker_fraction(n_honest_lookups, malicious)
-}
-
-/// Whether the Chronos attack succeeds after `n` honest lookups with the
-/// paper's 89-address response: `2/3 · (89 + 4N) ≤ 89`.
-pub fn chronos_attack_succeeds(n_honest_lookups: u32, malicious: u32) -> bool {
-    chronos::bound::attack_succeeds(n_honest_lookups, malicious)
-}
-
-/// The paper's headline bound: the largest N for which the attack still
-/// succeeds (N ≤ 11 for 89 malicious addresses).
-pub fn chronos_max_n(malicious: u32) -> u32 {
-    chronos::bound::max_n(malicious)
-}
-
 /// §IV-A: the number of spoofed fragments needed to keep one planted for a
 /// whole A-record TTL window: `⌈ttl / defrag_timeout⌉` (150 s / 30 s = 5).
 pub fn boot_fragment_budget(record_ttl_secs: u32, defrag_timeout_secs: u32) -> u32 {
@@ -184,27 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn chronos_bound_is_n_11() {
-        assert_eq!(chronos_max_n(89), 11, "paper §VI-C: N ≤ 11");
-        assert!(chronos_attack_succeeds(11, 89));
-        assert!(!chronos_attack_succeeds(12, 89));
-        // Fraction crosses 2/3 exactly there.
-        assert!(chronos_attacker_fraction(11, 89) >= 2.0 / 3.0);
-        assert!(chronos_attacker_fraction(12, 89) < 2.0 / 3.0);
-    }
-
-    #[test]
     fn boot_budget_matches_paper() {
         // TTL 150 s, Linux defrag timeout 30 s → 5 fragments (§IV-A).
         assert_eq!(boot_fragment_budget(150, 30), 5);
         // Windows: 60 s timeout → 3 fragments.
         assert_eq!(boot_fragment_budget(150, 60), 3);
-    }
-
-    #[test]
-    fn chronos_12_tries_in_24_hours() {
-        // §VI-C: "the attacker effectively has 12 tries in 24 hours".
-        let tries = (0..24).filter(|&n| chronos_attack_succeeds(n, 89)).count();
-        assert_eq!(tries, 12, "N = 0..=11");
     }
 }

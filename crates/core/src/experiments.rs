@@ -1,6 +1,11 @@
-//! One function per table and figure of the paper's evaluation. Each
-//! returns a typed report whose `Display` prints rows in the paper's
-//! layout; the examples call these.
+//! The paper's tables and figures in paper layout: per-trial row
+//! functions for the attack tables (`table1_row`, `table2_row`,
+//! `chronos_bound_row`), the closed-form reports (Table III, the §IV-A
+//! budget), the §VIII-B3 shared-resolver study, and one `format_*` per
+//! artifact. The big scans (Fig. 5, §VII-B, Table IV / Fig. 6 / Fig. 7,
+//! Table V, §VII-A) are defined once, as typed scans in the campaign
+//! scenario registry (`campaign::registry`); the formatters here render
+//! the typed results those scans fold to.
 
 use core::fmt;
 
@@ -11,7 +16,6 @@ use ntp::prelude::{ClientKind, ClientProfile};
 use serde::Serialize;
 
 use crate::analysis::{self, Table3Row, P_RATE};
-use crate::runner::TrialRunner;
 use crate::scenario::{run_boot_time_attack, run_runtime_attack, AttackOutcome, ScenarioConfig};
 
 /// Sizing knobs for the measurement experiments: `quick` for tests and CI,
@@ -36,9 +40,10 @@ pub struct Scale {
 
 /// Seed salts: each scan derives its population seed and its per-item
 /// scan-seed base by XOR-ing one of these into the master seed, so the
-/// streams are distinct but reproducible. The campaign scenario registry
-/// (`crates/campaign`) must derive the **same** trials as the drivers in
-/// this module, so both read these constants — never retype the numbers.
+/// streams are distinct but reproducible. The scan constructors of the
+/// campaign scenario registry (`crates/campaign`) and [`shared_scan`]
+/// read these; tools that re-derive a scan's seeds (the population pins,
+/// the benchmark probes) read them too — never retype the numbers.
 pub mod salts {
     /// Fig. 5 domain-nameserver population.
     pub const FIG5_POP: u64 = 0xF5;
@@ -97,13 +102,13 @@ impl Scale {
     }
 
     /// The paper's true population sizes — including the full 1 583 045
-    /// open resolvers of the Table IV / Fig. 6 / Fig. 7 survey. Runs at
-    /// this scale go through the campaign layer (`campaign run
-    /// table4_snoop --scale paper`), which generates each resolver spec
-    /// lazily from its trial index and aggregates online, so memory stays
-    /// bounded; wall-clock is CPU-bound (hours on one box, shardable).
-    /// The in-process `resolver_survey` driver materializes its
-    /// population and is only meant for [`Scale::quick`]-sized runs.
+    /// open resolvers of the Table IV / Fig. 6 / Fig. 7 survey. Every
+    /// registry scan generates each spec lazily from its trial index, so
+    /// the population is never materialized. A sharded campaign (`campaign
+    /// run table4_snoop --scale paper`) also aggregates online, so memory
+    /// stays bounded; wall-clock is CPU-bound (hours on one box,
+    /// shardable). An in-process `Scan::run` keeps every `(spec, verdict)`
+    /// pair, so it suits [`Scale::quick`]-sized runs.
     pub fn paper() -> Self {
         Scale {
             resolvers: 1_583_045,
@@ -135,8 +140,8 @@ pub struct Table1Row {
 }
 
 /// One Table I row: the full boot-time attack against one client kind, in
-/// its own seeded simulation. A pure function of `(seed, kind)` — the
-/// campaign registry and the sweep below both call this.
+/// its own seeded simulation. A pure function of `(seed, kind)`; the
+/// `table1` registry scenario runs one per trial.
 pub fn table1_row(seed: u64, kind: ClientKind) -> Table1Row {
     let profile = ClientProfile::for_kind(kind);
     let outcome = run_boot_time_attack(
@@ -150,15 +155,6 @@ pub fn table1_row(seed: u64, kind: ClientKind) -> Table1Row {
         run_time: profile.vulnerable_run_time(),
         observed_boot_shift: outcome.observed_shift,
     }
-}
-
-/// Table I: attack scenarios for popular NTP clients. Boot-time entries are
-/// verified by running the full attack in-simulator per client; the trials
-/// are independent, so they fan across `workers` threads and merge in
-/// client order — results are bit-identical for any worker count.
-pub fn table1(seed: u64, workers: usize) -> Vec<Table1Row> {
-    let kinds = ClientKind::all();
-    TrialRunner::new(workers).run(&kinds, |_, &kind| table1_row(seed, kind))
 }
 
 /// Formats Table I.
@@ -255,8 +251,8 @@ pub fn table2_cases() -> Vec<Table2Case> {
 }
 
 /// One Table II row: the full end-to-end run-time attack for one case. A
-/// pure function of `(seed, case)` — the campaign registry and the sweep
-/// below both call this.
+/// pure function of `(seed, case)`; the `table2` registry scenario runs
+/// one per trial.
 pub fn table2_row(seed: u64, case: &Table2Case) -> Table2Row {
     let outcome = run_runtime_attack(
         ScenarioConfig { seed: seed ^ case.kind as u64, ..ScenarioConfig::default() },
@@ -270,15 +266,6 @@ pub fn table2_row(seed: u64, case: &Table2Case) -> Table2Row {
         paper_mins: case.paper_mins,
         outcome,
     }
-}
-
-/// Table II: run-time attack durations. Each row is a full end-to-end
-/// simulation: convergence, rate-limit abuse, DNS poisoning, redirection,
-/// clock step. Rows are independent trials fanned across `workers` threads
-/// and merged in case order (bit-identical for any worker count).
-pub fn table2(seed: u64, workers: usize) -> Vec<Table2Row> {
-    let cases = table2_cases();
-    TrialRunner::new(workers).run(&cases, |_, case| table2_row(seed, case))
 }
 
 fn p1_scenario() -> RuntimeScenario {
@@ -329,16 +316,6 @@ pub fn format_table3(rows: &[Table3Row]) -> String {
 }
 
 // --------------------------------------------- Table IV + Fig. 6 + Fig. 7
-
-/// Runs the open-resolver survey once; Table IV, Fig. 6 and Fig. 7 all
-/// read from it. Each resolver is probed in its own mini-simulation with a
-/// seed derived from its population index, fanned across the trial runner
-/// inside [`measure::snoop::run_survey`]: the sweep is bit-identical for
-/// any worker count.
-pub fn resolver_survey(scale: Scale) -> SurveyResult {
-    let population = open_resolvers(scale.resolvers, scale.seed);
-    measure::snoop::run_survey(&population, scale.seed ^ salts::SNOOP_SCAN, scale.workers)
-}
 
 /// Formats Table IV from a survey.
 pub fn format_table4(survey: &SurveyResult) -> String {
@@ -396,12 +373,6 @@ pub fn format_fig7(survey: &SurveyResult) -> String {
 
 // ---------------------------------------------------------------- Table V
 
-/// Runs the ad study.
-pub fn table5(scale: Scale) -> AdStudyResult {
-    let population = ad_clients_scaled(scale.seed ^ salts::TABLE5_POP, scale.ad_fraction);
-    measure::adstudy::run_study(&population, scale.seed ^ salts::TABLE5_SCAN, scale.workers)
-}
-
 /// Formats Table V.
 pub fn format_table5(result: &AdStudyResult) -> String {
     let mut out = String::from(
@@ -425,18 +396,6 @@ pub fn format_table5(result: &AdStudyResult) -> String {
 }
 
 // ----------------------------------------------------------------- Fig. 5
-
-/// Runs the 1M-domain PMTUD scan (scaled).
-pub fn fig5(scale: Scale) -> PmtudScanResult {
-    let population = domain_nameservers(scale.domains, scale.seed ^ salts::FIG5_POP);
-    measure::pmtud::run_scan(&population, scale.seed ^ salts::FIG5_SCAN, scale.workers)
-}
-
-/// Runs the §VII-B pool-nameserver scan (30 NS).
-pub fn pool_ns_scan(scale: Scale) -> PmtudScanResult {
-    let population = pool_nameservers(scale.seed ^ salts::POOL_NS_POP);
-    measure::pmtud::run_scan(&population, scale.seed ^ salts::POOL_NS_SCAN, scale.workers)
-}
 
 /// Formats Fig. 5.
 pub fn format_fig5(result: &PmtudScanResult) -> String {
@@ -474,17 +433,29 @@ pub struct ChronosBoundRow {
     pub success: bool,
 }
 
-/// The §VI-C sweep: N = 0..=23 honest lookups before the poisoning lands.
+/// Attacker addresses in the paper's poisoned Chronos response.
+const CHRONOS_MALICIOUS: u32 = 89;
+
+/// Honest-lookup counts in the §VI-C sweep: one per hour of a day, so
+/// N = 0..=23.
+pub const CHRONOS_LOOKUPS: u32 = 24;
+
+/// One §VI-C row: `n` honest lookups (4 addresses each) before the
+/// poisoned response lands. The `chronos_bound` registry scenario runs
+/// one per trial.
+pub fn chronos_bound_row(n: u32) -> ChronosBoundRow {
+    ChronosBoundRow {
+        n,
+        honest: 4 * n,
+        malicious: CHRONOS_MALICIOUS,
+        fraction: chronos::bound::attacker_fraction(n, CHRONOS_MALICIOUS),
+        success: chronos::bound::attack_succeeds(n, CHRONOS_MALICIOUS),
+    }
+}
+
+/// The §VI-C sweep: every row for N = 0..[`CHRONOS_LOOKUPS`].
 pub fn chronos_bound() -> Vec<ChronosBoundRow> {
-    (0..24)
-        .map(|n| ChronosBoundRow {
-            n,
-            honest: 4 * n,
-            malicious: 89,
-            fraction: analysis::chronos_attacker_fraction(n, 89),
-            success: analysis::chronos_attack_succeeds(n, 89),
-        })
-        .collect()
+    (0..CHRONOS_LOOKUPS).map(chronos_bound_row).collect()
 }
 
 /// Formats the Chronos bound sweep.
@@ -503,18 +474,12 @@ pub fn format_chronos_bound(rows: &[ChronosBoundRow]) -> String {
             if r.success { "YES" } else { "no" }
         ));
     }
-    let max_n = analysis::chronos_max_n(89);
+    let max_n = chronos::bound::max_n(CHRONOS_MALICIOUS);
     out.push_str(&format!("=> attack succeeds iff poisoned by lookup N <= {max_n} (paper: 11)\n"));
     out
 }
 
 // ----------------------------------------------------------- §VII-A scan
-
-/// Runs the rate-limiting scan.
-pub fn ratelimit_scan(scale: Scale) -> RateLimitScanResult {
-    let population = pool_servers(scale.pool_servers, scale.seed ^ salts::RATELIMIT_POP);
-    measure::ratelimit::run_scan(&population, scale.seed ^ salts::RATELIMIT_SCAN, scale.workers)
-}
 
 /// Formats the §VII-A scan.
 pub fn format_ratelimit(result: &RateLimitScanResult) -> String {
@@ -626,7 +591,11 @@ mod tests {
 
     #[test]
     fn quick_scale_survey_has_sane_table4() {
-        let survey = resolver_survey(Scale { resolvers: 60, ..Scale::quick() });
+        let scale = Scale { resolvers: 60, ..Scale::quick() };
+        let base = scale.seed ^ salts::SNOOP_SCAN;
+        let survey: SurveyResult = (0..scale.resolvers)
+            .map(|idx| scan_resolver(&open_resolver_at(scale.seed, idx), scan_seed(base, idx)))
+            .collect();
         let text = format_table4(&survey);
         assert!(text.contains("pool.ntp.org IN A"));
         assert!(survey.verified > 0);

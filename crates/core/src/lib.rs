@@ -8,13 +8,16 @@
 //! * [`scenario`] — one-call construction of the victim network and
 //!   runners for the boot-time (§IV-A), run-time (§IV-B) and Chronos (§VI)
 //!   attacks;
-//! * [`analysis`] — the closed-form models: Table III probabilities, the
-//!   Chronos 2/3 pool bound (N ≤ 11), the 5-fragment boot budget;
-//! * [`experiments`] — one function per table and figure, with paper-style
-//!   formatting (used by the examples);
-//! * [`runner`] — the parallel Monte-Carlo trial driver: independent
-//!   per-seed simulations fanned across worker threads and merged in seed
-//!   order (bit-identical results for any worker count).
+//! * [`analysis`] — the closed-form models: Table III probabilities and
+//!   the 5-fragment boot budget (the Chronos 2/3 pool bound, N ≤ 11, is
+//!   [`chronos::bound`]);
+//! * [`experiments`] — the per-trial rows of the attack tables, the
+//!   closed-form reports, and the paper-style formatters the examples
+//!   print. The measurement scans themselves are defined once, as typed
+//!   scans in the campaign scenario registry (`campaign::registry`).
+//!
+//! The parallel Monte-Carlo trial runner, [`TrialRunner`](prelude::TrialRunner),
+//! lives in the `runner` crate and is re-exported in the [`prelude`].
 //!
 //! ## Quickstart
 //!
@@ -34,7 +37,6 @@
 
 pub mod analysis;
 pub mod experiments;
-pub mod runner;
 pub mod scenario;
 
 pub use attack;
@@ -46,12 +48,8 @@ pub use ntp;
 
 /// Commonly used types across the workspace.
 pub mod prelude {
-    pub use crate::analysis::{
-        boot_fragment_budget, chronos_attack_succeeds, chronos_attacker_fraction, chronos_max_n,
-        p1, p2, table3, Table3Row, P_KOD, P_RATE,
-    };
+    pub use crate::analysis::{boot_fragment_budget, p1, p2, table3, Table3Row, P_KOD, P_RATE};
     pub use crate::experiments::{self, Scale};
-    pub use crate::runner::{trial_seed, TrialRunner};
     pub use crate::scenario::{
         run_boot_time_attack, run_chronos_attack, run_runtime_attack, Addrs, AttackOutcome,
         ChronosOutcome, Scenario, ScenarioConfig,
@@ -62,4 +60,5 @@ pub mod prelude {
     pub use measure::prelude::*;
     pub use netsim::prelude::*;
     pub use ntp::prelude::*;
+    pub use runner::{trial_seed, TrialRunner};
 }

@@ -198,41 +198,45 @@ pub fn run_client(spec: &AdClientSpec, seed: u64) -> ClientResult {
     sim.host::<TestPage>(CLIENT).expect("client exists").result
 }
 
-/// Runs the whole study over a population, fanned across the shared
-/// [`runner::TrialRunner`], and aggregates Table V. Per-item seeds come
-/// from [`crate::scan_seed`] on the population index, so results are
-/// identical for any worker count.
-pub fn run_study(population: &[AdClientSpec], seed: u64, workers: usize) -> AdStudyResult {
-    let results: Vec<(AdClientSpec, ClientResult)> = runner::TrialRunner::new(workers)
-        .run(population, |idx, spec| (*spec, run_client(spec, crate::scan_seed(seed, idx))));
-
-    let valid: Vec<&(AdClientSpec, ClientResult)> =
-        results.iter().filter(|(_, r)| r.valid()).collect();
-    let row = |label: &str, filter: &dyn Fn(&AdClientSpec) -> bool| -> Table5Row {
-        let group: Vec<_> = valid.iter().filter(|(s, _)| filter(s)).collect();
-        Table5Row {
-            label: label.to_owned(),
-            tiny: group.iter().filter(|(_, r)| r.accepts_tiny()).count(),
-            any: group.iter().filter(|(_, r)| r.accepts_any()).count(),
-            validating: group.iter().filter(|(_, r)| r.validates()).count(),
-            total: group.len(),
+/// Aggregates Table V from `(client, result)` pairs in population order.
+impl FromIterator<(AdClientSpec, ClientResult)> for AdStudyResult {
+    fn from_iter<T: IntoIterator<Item = (AdClientSpec, ClientResult)>>(results: T) -> Self {
+        let results: Vec<(AdClientSpec, ClientResult)> = results.into_iter().collect();
+        let valid: Vec<&(AdClientSpec, ClientResult)> =
+            results.iter().filter(|(_, r)| r.valid()).collect();
+        let row = |label: &str, filter: &dyn Fn(&AdClientSpec) -> bool| -> Table5Row {
+            let group: Vec<_> = valid.iter().filter(|(s, _)| filter(s)).collect();
+            Table5Row {
+                label: label.to_owned(),
+                tiny: group.iter().filter(|(_, r)| r.accepts_tiny()).count(),
+                any: group.iter().filter(|(_, r)| r.accepts_any()).count(),
+                validating: group.iter().filter(|(_, r)| r.validates()).count(),
+                total: group.len(),
+            }
+        };
+        let mut rows = Vec::new();
+        for region in Region::all() {
+            rows.push(row(region.name(), &|s| s.region == region));
         }
-    };
-    let mut rows = Vec::new();
-    for region in Region::all() {
-        rows.push(row(region.name(), &|s| s.region == region));
+        rows.push(row("ALL", &|_| true));
+        rows.push(row("Without Google", &|s| !s.google_resolver));
+        rows.push(row("PC", &|s| !s.mobile));
+        rows.push(row("Mobile,Tablet", &|s| s.mobile));
+        AdStudyResult { rows, invalid: results.len() - valid.len() }
     }
-    rows.push(row("ALL", &|_| true));
-    rows.push(row("Without Google", &|s| !s.google_resolver));
-    rows.push(row("PC", &|s| !s.mobile));
-    rows.push(row("Mobile,Tablet", &|s| s.mobile));
-    AdStudyResult { rows, invalid: results.len() - valid.len() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::population::ad_clients_scaled;
+
+    fn study(population: &[AdClientSpec], seed: u64, workers: usize) -> AdStudyResult {
+        runner::TrialRunner::new(workers)
+            .run(population, |idx, spec| (*spec, run_client(spec, crate::scan_seed(seed, idx))))
+            .into_iter()
+            .collect()
+    }
 
     fn spec(min_accept: u16, validates: bool) -> AdClientSpec {
         AdClientSpec {
@@ -279,7 +283,7 @@ mod tests {
     #[test]
     fn small_study_recovers_shape() {
         let population = ad_clients_scaled(5, 0.02); // ~30+ per region
-        let result = run_study(&population, 6, 4);
+        let result = study(&population, 6, 4);
         let all = result.rows.iter().find(|r| r.label == "ALL").expect("ALL row");
         assert!(all.total > 100);
         let tiny_pct = Table5Row::pct(all.tiny, all.total);

@@ -38,24 +38,17 @@ pub mod snoop;
 
 /// Commonly used types.
 pub mod prelude {
-    pub use crate::adstudy::{run_client, run_study, AdStudyResult, ClientResult, Table5Row};
+    pub use crate::adstudy::{run_client, AdStudyResult, ClientResult, Table5Row};
     pub use crate::fragns::FragmentingNs;
-    pub use crate::pmtud::{
-        run_scan as run_pmtud_scan, scan_nameserver, PmtudScanResult, PmtudVerdict, CDF_THRESHOLDS,
-    };
+    pub use crate::pmtud::{scan_nameserver, PmtudScanResult, PmtudVerdict, CDF_THRESHOLDS};
     pub use crate::population::{
-        ad_client_at, ad_client_count, ad_clients, ad_clients_scaled, domain_nameserver_at,
-        domain_nameservers, open_resolver_at, open_resolvers, pool_nameservers, pool_server_at,
-        pool_servers, shared_resolver_at, shared_resolvers, AdClientSpec, NameserverSpec,
-        OpenResolverSpec, PoolServerSpec, Region, SharedResolverSpec, POOL_SCAN_SIZE,
-        SHARED_STUDY_SIZE,
+        ad_client_at, ad_client_count, ad_clients_scaled, domain_nameserver_at, domain_nameservers,
+        open_resolver_at, open_resolvers, pool_nameservers, pool_server_at, pool_servers,
+        shared_resolver_at, shared_resolvers, AdClientSpec, NameserverSpec, OpenResolverSpec,
+        PoolServerSpec, Region, SharedResolverSpec, POOL_SCAN_SIZE, SHARED_STUDY_SIZE,
     };
-    pub use crate::ratelimit::{
-        run_scan as run_ratelimit_scan, scan_server, RateLimitScanResult, ServerVerdict,
-    };
+    pub use crate::ratelimit::{scan_server, RateLimitScanResult, ServerVerdict};
     pub use crate::scan_seed;
-    pub use crate::shared::{run_scan as run_shared_scan, SharedScanResult};
-    pub use crate::snoop::{
-        probed_records, run_survey, scan_resolver, ResolverOutcome, SurveyResult,
-    };
+    pub use crate::shared::SharedScanResult;
+    pub use crate::snoop::{probed_records, scan_resolver, ResolverOutcome, SurveyResult};
 }

@@ -183,38 +183,44 @@ pub fn scan_nameserver(spec: &NameserverSpec, seed: u64) -> PmtudVerdict {
 /// Thresholds reported in Fig. 5.
 pub const CDF_THRESHOLDS: [u16; 5] = [68, 292, 548, 1276, 1492];
 
-/// Runs the scan over a population, fanned across the shared
-/// [`runner::TrialRunner`]. Per-item seeds come from [`crate::scan_seed`]
-/// on the population index, so results are identical for any worker count.
-pub fn run_scan(population: &[NameserverSpec], seed: u64, workers: usize) -> PmtudScanResult {
-    let verdicts = runner::TrialRunner::new(workers)
-        .run(population, |idx, spec| scan_nameserver(spec, crate::scan_seed(seed, idx)));
-    let mut result = PmtudScanResult { scanned: population.len(), ..Default::default() };
-    for v in &verdicts {
-        if v.signed {
-            result.signed += 1;
+/// Folds per-nameserver verdicts, in population order, into the Fig. 5 /
+/// §VII-B aggregate.
+impl FromIterator<PmtudVerdict> for PmtudScanResult {
+    fn from_iter<T: IntoIterator<Item = PmtudVerdict>>(verdicts: T) -> Self {
+        let mut result =
+            PmtudScanResult { cdf: CDF_THRESHOLDS.map(|t| (t, 0)).to_vec(), ..Default::default() };
+        for v in verdicts {
+            result.scanned += 1;
+            if v.signed {
+                result.signed += 1;
+            }
+            if v.min_fragment_size.is_some() {
+                result.fragmenting += 1;
+            }
+            if v.vulnerable() {
+                result.vulnerable += 1;
+                for (t, count) in &mut result.cdf {
+                    if v.fragments_below(*t) {
+                        *count += 1;
+                    }
+                }
+            }
         }
-        if v.min_fragment_size.is_some() {
-            result.fragmenting += 1;
-        }
-        if v.vulnerable() {
-            result.vulnerable += 1;
-        }
+        result
     }
-    result.cdf = CDF_THRESHOLDS
-        .iter()
-        .map(|&t| {
-            let count = verdicts.iter().filter(|v| v.vulnerable() && v.fragments_below(t)).count();
-            (t, count)
-        })
-        .collect();
-    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::population::{domain_nameservers, pool_nameservers};
+
+    fn scan_all(population: &[NameserverSpec], seed: u64, workers: usize) -> PmtudScanResult {
+        runner::TrialRunner::new(workers)
+            .run(population, |idx, spec| scan_nameserver(spec, crate::scan_seed(seed, idx)))
+            .into_iter()
+            .collect()
+    }
 
     #[test]
     fn fragmenting_ns_floor_observed() {
@@ -246,7 +252,7 @@ mod tests {
 
     #[test]
     fn pool_ns_scan_recovers_16_of_30() {
-        let result = run_scan(&pool_nameservers(7), 8, 4);
+        let result = scan_all(&pool_nameservers(7), 8, 4);
         assert_eq!(result.scanned, 30);
         let below_548 = result.cdf.iter().find(|(t, _)| *t == 548).map(|(_, c)| *c).unwrap_or(0);
         assert_eq!(below_548, 16, "16 of 30 fragment ≤ 548 B: {result:?}");
@@ -256,7 +262,7 @@ mod tests {
     #[test]
     fn domain_scan_cdf_shape() {
         let population = domain_nameservers(600, 9);
-        let result = run_scan(&population, 10, 4);
+        let result = scan_all(&population, 10, 4);
         assert!(
             (result.vulnerable_fraction() - 0.0766).abs() < 0.03,
             "vulnerable {}",

@@ -14,7 +14,7 @@
 //! and memory, which is what lets the campaign layer run the paper's
 //! 1 583 045-resolver survey without ever materializing a `Vec` of specs;
 //! the `Vec`-returning functions are thin `(0..n).map(..)` wrappers kept
-//! for the in-process drivers. Where a population assigns exact per-class
+//! for tests and the population pins. Where a population assigns exact per-class
 //! quotas (Table V), class membership at an index comes from a seeded
 //! Feistel permutation (`permute_index`) instead of a materialized
 //! Fisher–Yates shuffle — exact quotas, position-uncorrelated, still O(1)
@@ -134,14 +134,11 @@ pub fn domain_nameservers(n: usize, seed: u64) -> Vec<NameserverSpec> {
 
 fn sample_floor(rng: &mut SmallRng) -> u16 {
     let roll: f64 = rng.random();
-    let mut prev = 0.0;
     for &(floor, cum) in &FIG5_CDF_POINTS {
         if roll < cum {
             return floor;
         }
-        prev = cum;
     }
-    let _ = prev;
     1492
 }
 
@@ -315,11 +312,6 @@ pub struct AdClientSpec {
     pub min_fragment_accepted: u16,
     /// Whether the resolver validates DNSSEC.
     pub validates: bool,
-}
-
-/// Draws the Table V client population (all regions, paper counts).
-pub fn ad_clients(seed: u64) -> Vec<AdClientSpec> {
-    ad_clients_scaled(seed, 1.0)
 }
 
 /// The per-region client count at a population scale (minimum 30).

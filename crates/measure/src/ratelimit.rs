@@ -34,6 +34,12 @@ impl ServerVerdict {
     pub fn rate_limiting(&self) -> bool {
         self.first_half as i64 - self.second_half as i64 > 8
     }
+
+    /// The §VII-A counting rule: KoD is "a clear indicator", and silent
+    /// limiters are caught by the halves heuristic.
+    pub fn counted_as_rate_limiting(&self) -> bool {
+        self.rate_limiting() || self.kod_seen
+    }
 }
 
 /// Aggregate result of the scan.
@@ -151,33 +157,32 @@ pub fn scan_server(spec: &PoolServerSpec, seed: u64) -> ServerVerdict {
     sim.host::<Scanner>(scanner_addr).expect("scanner exists").verdict
 }
 
-/// Runs the full §VII-A scan over a population, fanned across the shared
-/// [`runner::TrialRunner`]. Per-item seeds come from [`crate::scan_seed`]
-/// on the population index, so results are identical for any worker count.
-pub fn run_scan(population: &[PoolServerSpec], seed: u64, workers: usize) -> RateLimitScanResult {
-    let verdicts = runner::TrialRunner::new(workers)
-        .run(population, |idx, spec| scan_server(spec, crate::scan_seed(seed, idx)));
-    let mut result = RateLimitScanResult { scanned: population.len(), ..Default::default() };
-    for v in &verdicts {
-        if v.kod_seen {
-            result.kod_senders += 1;
+/// Folds per-server verdicts, in population order, into the §VII-A
+/// aggregate.
+impl FromIterator<ServerVerdict> for RateLimitScanResult {
+    fn from_iter<T: IntoIterator<Item = ServerVerdict>>(verdicts: T) -> Self {
+        let mut result = RateLimitScanResult::default();
+        for v in verdicts {
+            result.scanned += 1;
+            result.kod_senders += usize::from(v.kod_seen);
+            result.rate_limiting += usize::from(v.counted_as_rate_limiting());
+            result.config_open += usize::from(v.config_open);
         }
-        if v.rate_limiting() || v.kod_seen {
-            // Paper: KoD is "a clear indicator"; silent servers are caught
-            // by the halves heuristic.
-            result.rate_limiting += 1;
-        }
-        if v.config_open {
-            result.config_open += 1;
-        }
+        result
     }
-    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::population::pool_servers;
+
+    fn scan_all(population: &[PoolServerSpec], seed: u64, workers: usize) -> RateLimitScanResult {
+        runner::TrialRunner::new(workers)
+            .run(population, |idx, spec| scan_server(spec, crate::scan_seed(seed, idx)))
+            .into_iter()
+            .collect()
+    }
 
     #[test]
     fn limiting_server_detected_by_halves_rule() {
@@ -220,7 +225,7 @@ mod tests {
     #[test]
     fn small_population_scan_recovers_marginals() {
         let population = pool_servers(300, 11);
-        let result = run_scan(&population, 12, 4);
+        let result = scan_all(&population, 12, 4);
         assert_eq!(result.scanned, 300);
         assert!(
             (result.rate_limit_fraction() - 0.38).abs() < 0.08,

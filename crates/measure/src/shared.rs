@@ -17,7 +17,6 @@ use dns::name::Name;
 use dns::record::{Record, RecordType};
 use dns::resolver::{Resolver, ResolverConfig};
 use dns::stub::StubResolver;
-use dns::zone::Zone;
 use netsim::prelude::*;
 use serde::Serialize;
 
@@ -191,7 +190,6 @@ pub fn run_scan(population: &[SharedResolverSpec], seed: u64) -> SharedScanResul
     let log_ns: Ipv4Addr = "203.0.113.12".parse().expect("static");
     let scan_zone: Name = "scan.example".parse().expect("static");
     sim.add_host(log_ns, OsProfile::linux(), Box::new(LoggingNs::default())).expect("log ns");
-    let _ = Zone::new(scan_zone.clone());
 
     let mut resolvers = Vec::new();
     let mut smtp_candidates = Vec::new();
@@ -200,19 +198,13 @@ pub fn run_scan(population: &[SharedResolverSpec], seed: u64) -> SharedScanResul
         // /24 per resolver: 10.X.Y.53.
         let base = 0x0A00_0000u32 + ((i as u32) << 8);
         let resolver_addr = Ipv4Addr::from(base + 53);
-        let config = ResolverConfig {
-            // Closed resolvers refuse strangers: modelled by not answering
-            // queries from off-net clients. Our Resolver has no ACL, so
-            // closed-ness is modelled via respects_rd? No — use a flag:
-            // the scanner's direct query is recursive; a closed resolver
-            // simply is not reachable for it. We model that by placing
-            // closed resolvers behind a blackholed link below.
-            ..ResolverConfig::default()
-        };
         sim.add_host(
             resolver_addr,
             OsProfile::linux(),
-            Box::new(Resolver::new(config, vec![(scan_zone.clone(), vec![log_ns])])),
+            Box::new(Resolver::new(
+                ResolverConfig::default(),
+                vec![(scan_zone.clone(), vec![log_ns])],
+            )),
         )
         .expect("resolver");
         if !spec.open {

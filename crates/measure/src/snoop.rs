@@ -363,49 +363,47 @@ pub fn scan_resolver(spec: &OpenResolverSpec, seed: u64) -> ResolverOutcome {
     outcome
 }
 
-/// Folds per-resolver outcomes (in population order) into the aggregate
-/// survey result. Exposed so parallel drivers (the `timeshift` trial
-/// runner) can scan with [`scan_resolver`] and merge here.
-pub fn aggregate_outcomes(probed: usize, outcomes: &[ResolverOutcome]) -> SurveyResult {
-    let mut result = SurveyResult { probed, ..Default::default() };
-    for o in outcomes {
-        if !o.verified {
-            continue;
-        }
-        result.verified += 1;
-        for (idx, ttl) in o.cached_ttls.iter().enumerate() {
-            if let Some(ttl) = ttl {
-                result.cached_counts[idx] += 1;
-                if idx == 1 {
-                    result.ttl_samples.push(*ttl);
+/// Folds per-resolver outcomes, in population order, into the aggregate
+/// survey result.
+impl FromIterator<ResolverOutcome> for SurveyResult {
+    fn from_iter<T: IntoIterator<Item = ResolverOutcome>>(outcomes: T) -> Self {
+        let mut result = SurveyResult::default();
+        for o in outcomes {
+            result.probed += 1;
+            if !o.verified {
+                continue;
+            }
+            result.verified += 1;
+            for (idx, ttl) in o.cached_ttls.iter().enumerate() {
+                if let Some(ttl) = ttl {
+                    result.cached_counts[idx] += 1;
+                    if idx == 1 {
+                        result.ttl_samples.push(*ttl);
+                    }
                 }
             }
+            if o.accepts_fragments {
+                result.fragment_acceptors += 1;
+            }
+            if let Some(d) = o.timing_diff_ms {
+                result.timing_diffs_ms.push(d);
+            }
         }
-        if o.accepts_fragments {
-            result.fragment_acceptors += 1;
-        }
-        if let Some(d) = o.timing_diff_ms {
-            result.timing_diffs_ms.push(d);
-        }
+        result
     }
-    result
-}
-
-/// Runs the survey over a population, fanned across the shared
-/// [`runner::TrialRunner`]: [`scan_resolver`] per item seeded by
-/// [`crate::scan_seed`] on its population index, folded by
-/// [`aggregate_outcomes`] in population order — bit-identical for any
-/// worker count.
-pub fn run_survey(population: &[OpenResolverSpec], seed: u64, workers: usize) -> SurveyResult {
-    let outcomes = runner::TrialRunner::new(workers)
-        .run(population, |idx, spec| scan_resolver(spec, crate::scan_seed(seed, idx)));
-    aggregate_outcomes(population.len(), &outcomes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::population::open_resolvers;
+
+    fn survey(population: &[OpenResolverSpec], seed: u64, workers: usize) -> SurveyResult {
+        runner::TrialRunner::new(workers)
+            .run(population, |idx, spec| scan_resolver(spec, crate::scan_seed(seed, idx)))
+            .into_iter()
+            .collect()
+    }
 
     fn spec(respects_rd: bool, cached_a: Option<u32>) -> OpenResolverSpec {
         OpenResolverSpec {
@@ -461,7 +459,7 @@ mod tests {
     #[test]
     fn small_survey_recovers_table4_shape() {
         let population = open_resolvers(150, 7);
-        let result = run_survey(&population, 8, 4);
+        let result = survey(&population, 8, 4);
         assert!(result.verified > 0);
         // A-record row must be the most-cached one, near 69 %.
         let a = result.cached_fraction(1);

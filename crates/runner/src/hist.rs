@@ -3,7 +3,7 @@
 //! This is the workspace's one bucketing rule for the paper's figure
 //! histograms (Fig. 6 TTL buckets, Fig. 7 clamped timing buckets): the
 //! `measure::snoop` survey and the campaign aggregator both delegate
-//! here, so a figure rendered from an in-process sweep and one rendered
+//! here, so a figure rendered from an in-process scan and one rendered
 //! from a merged campaign stream bucket identically by construction.
 //!
 //! Semantics: bin `i` covers `[lo + i·width, lo + (i+1)·width)`, samples

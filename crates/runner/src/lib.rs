@@ -8,9 +8,10 @@
 //! the output is byte-identical to the sequential path for any worker
 //! count: parallelism changes only wall-clock time, never results.
 //!
-//! This crate sits below both `measure` (the §VII–§VIII scan drivers) and
-//! `timeshift` (the table/figure experiments), so the whole workspace
-//! shares one parallel code path and one per-index seed scheme.
+//! This crate sits below both `measure` (whose population accessors use
+//! the seed scheme) and `timeshift`, so the whole workspace shares one
+//! parallel code path and one per-index seed scheme; the campaign
+//! registry's scans and in-process shards run on it.
 //!
 //! Determinism contract: a trial's seed must be a pure function of the
 //! master seed and the item index (see [`scan_seed`] / [`trial_seed`]) —

@@ -36,20 +36,23 @@ fn main() {
     let workers: usize = parsed_flag("--workers", shards).max(1);
     println!("== timeshift measurement campaign (scale: {scale:?}) ==\n");
 
-    println!("{}", experiments::format_table1(&experiments::table1(scale.seed, scale.workers)));
+    let table1 = ClientKind::all().map(|kind| experiments::table1_row(scale.seed, kind));
+    println!("{}", experiments::format_table1(&table1));
 
     println!("{}", experiments::format_table3(&experiments::table3()));
 
-    let survey = experiments::resolver_survey(scale);
+    let survey: SurveyResult = registry::snoop(scale).fold(scale.workers);
     println!("{}", experiments::format_table4(&survey));
     println!("{}", experiments::format_fig6(&survey));
     println!("{}", experiments::format_fig7(&survey));
 
-    println!("{}", experiments::format_table5(&experiments::table5(scale)));
+    let table5: AdStudyResult = registry::table5(scale).run(scale.workers).into_iter().collect();
+    println!("{}", experiments::format_table5(&table5));
 
-    println!("{}", experiments::format_fig5(&experiments::fig5(scale)));
+    let fig5: PmtudScanResult = registry::fig5(scale).fold(scale.workers);
+    println!("{}", experiments::format_fig5(&fig5));
 
-    let pool_ns = experiments::pool_ns_scan(scale);
+    let pool_ns: PmtudScanResult = registry::pmtud(scale).fold(scale.workers);
     println!(
         "§VII-B — pool.ntp.org nameservers: {}/{} fragment <= 548 B (paper: 16/30), {} signed (paper: 0)\n",
         pool_ns.cdf.iter().find(|(t, _)| *t == 548).map(|(_, c)| *c).unwrap_or(0),
@@ -57,7 +60,8 @@ fn main() {
         pool_ns.signed
     );
 
-    println!("{}", experiments::format_ratelimit(&experiments::ratelimit_scan(scale)));
+    let ratelimit: RateLimitScanResult = registry::ratelimit(scale).fold(scale.workers);
+    println!("{}", experiments::format_ratelimit(&ratelimit));
 
     println!("{}", experiments::format_shared(&experiments::shared_scan(scale)));
 

@@ -11,7 +11,8 @@ use timeshift::prelude::*;
 
 fn main() {
     println!("== Table II (live): run-time attack durations ==\n");
-    let rows = experiments::table2(7, Scale::quick().workers);
+    let rows: Vec<_> =
+        experiments::table2_cases().iter().map(|case| experiments::table2_row(7, case)).collect();
     print!("{}", experiments::format_table2(&rows));
     println!("\nShape checks (the reproduction target):");
     let p2 = rows[0].duration_mins.expect("ntpd P2");

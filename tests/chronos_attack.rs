@@ -77,7 +77,7 @@ fn chronos_attack_is_easier_than_plain_ntp_boot_time() {
     // §VI-C: "the attacker effectively has 12 tries in 24 hours" — one
     // successful poisoning in ANY of the first 12 lookup windows wins,
     // versus a single 150 s TTL window per boot for plain NTP.
-    let windows = (0..24).filter(|&n| chronos_attack_succeeds(n, 89)).count();
+    let windows = (0..24).filter(|&n| chronos::bound::attack_succeeds(n, 89)).count();
     assert_eq!(windows, 12);
-    assert_eq!(chronos_max_n(89), 11);
+    assert_eq!(chronos::bound::max_n(89), 11);
 }

@@ -6,6 +6,7 @@
 //! "Byte-identical" is asserted on the Debug renderings, which cover every
 //! field (including float bit patterns as printed).
 
+use campaign::registry;
 use timeshift::prelude::*;
 
 /// Two runs, same seed: byte-identical `SimStats` and `AttackOutcome`.
@@ -28,75 +29,69 @@ fn same_seed_same_stats_and_outcome() {
     assert_eq!(stats(7), stats(7));
 }
 
-/// The parallel trial runner must not leak scheduling into results:
-/// Table I with 1 worker and with 8 workers, same master seed, must be
-/// byte-identical.
-#[test]
-fn table1_is_worker_count_independent() {
-    let sequential = format!("{:?}", experiments::table1(2020, 1));
-    let parallel = format!("{:?}", experiments::table1(2020, 8));
-    assert_eq!(sequential, parallel);
-}
-
-/// Same for Table II (the long-running run-time attacks).
-#[test]
-fn table2_is_worker_count_independent() {
-    let sequential = format!("{:?}", experiments::table2(2020, 1));
-    let parallel = format!("{:?}", experiments::table2(2020, 8));
-    assert_eq!(sequential, parallel);
-}
-
-/// The Fig. 6/7 survey sweep: per-resolver seeds are a function of the
-/// population index, so the aggregate is identical for any worker count.
-#[test]
-fn resolver_survey_is_worker_count_independent() {
-    let run = |workers| {
-        let scale = Scale { resolvers: 120, workers, ..Scale::quick() };
-        format!("{:?}", experiments::resolver_survey(scale))
-    };
-    assert_eq!(run(1), run(8));
-}
-
-/// The measure-crate scans (Fig. 5, Table V, §VII-A) run through the
-/// shared `TrialRunner` and seed every item by its population index —
-/// also worker-count independent, so the whole measurement campaign is.
+/// The five registry scans (Fig. 5, §VII-B, the Table IV / Fig. 6 / Fig. 7
+/// survey, Table V, §VII-A) seed every trial by its index, so
+/// `Scan::run` gives byte-identical `(spec, verdict)` pairs at 1 and 8
+/// workers.
 #[test]
 fn measure_scans_are_worker_count_independent() {
-    let run = |workers| {
-        let scale =
-            Scale { domains: 150, ad_fraction: 0.01, pool_servers: 90, workers, ..Scale::quick() };
-        format!(
-            "{:?}\n{:?}\n{:?}",
-            experiments::fig5(scale),
-            experiments::table5(scale),
-            experiments::ratelimit_scan(scale)
-        )
+    let scale = Scale {
+        resolvers: 40,
+        domains: 60,
+        ad_fraction: 0.001,
+        pool_servers: 40,
+        ..Scale::quick()
     };
-    assert_eq!(run(1), run(7));
-}
-
-/// The four measure scans ported onto `runner::TrialRunner` (Fig. 5
-/// PMTUD, §VII-A rate limiting, Table V ad study, the Table IV / Fig. 6/7
-/// snooping survey), driven through the `measure` API directly:
-/// byte-identical at 1, 2 and 8 workers.
-#[test]
-fn ported_measure_scans_match_at_1_2_and_8_workers() {
-    let nameservers = domain_nameservers(60, 3);
-    let pool = pool_servers(40, 4);
-    let ads = ad_clients_scaled(5, 0.001);
-    let resolvers = open_resolvers(40, 6);
     let run = |workers: usize| {
         format!(
-            "{:?}\n{:?}\n{:?}\n{:?}",
-            measure::pmtud::run_scan(&nameservers, 9, workers),
-            measure::ratelimit::run_scan(&pool, 10, workers),
-            measure::adstudy::run_study(&ads, 11, workers),
-            measure::snoop::run_survey(&resolvers, 12, workers),
+            "{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
+            registry::fig5(scale).run(workers),
+            registry::pmtud(scale).run(workers),
+            registry::snoop(scale).run(workers),
+            registry::table5(scale).run(workers),
+            registry::ratelimit(scale).run(workers),
         )
     };
-    let sequential = run(1);
-    assert_eq!(sequential, run(2), "2 workers must match sequential");
-    assert_eq!(sequential, run(8), "8 workers must match sequential");
+    assert_eq!(run(1), run(8), "8 workers must match sequential");
+}
+
+/// The typed results of every measurement scan and the Table I/II rows,
+/// pinned by the FNV digest of their `Debug` renderings. The value was
+/// computed by the per-table sweep functions that the registry scans
+/// replaced, at the scales `tests/measurements.rs` uses, so it is the
+/// differential test against that code.
+#[test]
+fn typed_scan_results_are_pinned() {
+    let quick = Scale::quick();
+    let survey: SurveyResult =
+        registry::snoop(Scale { resolvers: 250, ..quick }).fold(quick.workers);
+    let fig5: PmtudScanResult = registry::fig5(Scale { domains: 700, ..quick }).fold(quick.workers);
+    let pool_ns: PmtudScanResult = registry::pmtud(quick).fold(quick.workers);
+    let table5: AdStudyResult = registry::table5(Scale { ad_fraction: 0.025, ..quick })
+        .run(quick.workers)
+        .into_iter()
+        .collect();
+    let ratelimit: RateLimitScanResult =
+        registry::ratelimit(Scale { pool_servers: 350, ..quick }).fold(quick.workers);
+    let table1 = ClientKind::all().map(|kind| experiments::table1_row(2020, kind));
+    let table2: Vec<_> = experiments::table2_cases()
+        .iter()
+        .map(|case| experiments::table2_row(2020, case))
+        .collect();
+
+    let mut digest = campaign::digest::Digest::new();
+    for rendering in [
+        format!("{survey:?}"),
+        format!("{fig5:?}"),
+        format!("{pool_ns:?}"),
+        format!("{table5:?}"),
+        format!("{ratelimit:?}"),
+        format!("{table1:?}"),
+        format!("{table2:?}"),
+    ] {
+        digest.update_line(&rendering);
+    }
+    assert_eq!(digest.hex(), "cd35d8fd7efe75b9");
 }
 
 /// Buffer pooling is invisible to results: the same attack with the

@@ -1,6 +1,7 @@
 //! The measurement pipeline at quick scale: every table and figure
 //! generator must produce paper-shaped output.
 
+use campaign::registry;
 use timeshift::prelude::*;
 
 fn quick() -> Scale {
@@ -18,7 +19,8 @@ fn table3_is_exact() {
 
 #[test]
 fn table4_survey_shape() {
-    let survey = experiments::resolver_survey(Scale { resolvers: 250, ..quick() });
+    let scale = Scale { resolvers: 250, ..quick() };
+    let survey: SurveyResult = registry::snoop(scale).fold(scale.workers);
     assert!(survey.verified >= 50, "verified {}", survey.verified);
     // The apex A row (~69 %) must exceed the NS row (~58 %).
     assert!(
@@ -42,7 +44,8 @@ fn table4_survey_shape() {
 
 #[test]
 fn fig5_cdf_steps_at_548() {
-    let result = experiments::fig5(Scale { domains: 700, ..quick() });
+    let scale = Scale { domains: 700, ..quick() };
+    let result: PmtudScanResult = registry::fig5(scale).fold(scale.workers);
     let at_292 = result.cdf_at(292);
     let at_548 = result.cdf_at(548);
     assert!(at_548 > 0.7, "CDF(548) = {at_548} (paper: 83.2 %)");
@@ -52,7 +55,7 @@ fn fig5_cdf_steps_at_548() {
 
 #[test]
 fn pool_ns_scan_is_16_of_30_and_unsigned() {
-    let result = experiments::pool_ns_scan(quick());
+    let result: PmtudScanResult = registry::pmtud(quick()).fold(quick().workers);
     assert_eq!(result.scanned, 30);
     let below = result.cdf.iter().find(|(t, _)| *t == 548).map(|(_, c)| *c).unwrap_or(0);
     assert_eq!(below, 16, "§VII-B: 16 of 30 fragment ≤ 548 B");
@@ -61,7 +64,8 @@ fn pool_ns_scan_is_16_of_30_and_unsigned() {
 
 #[test]
 fn ratelimit_scan_recovers_38_33() {
-    let result = experiments::ratelimit_scan(Scale { pool_servers: 350, ..quick() });
+    let scale = Scale { pool_servers: 350, ..quick() };
+    let result: RateLimitScanResult = registry::ratelimit(scale).fold(scale.workers);
     assert!(
         (result.rate_limit_fraction() - 0.38).abs() < 0.07,
         "rate limiting {} (paper 38%)",
@@ -77,7 +81,8 @@ fn ratelimit_scan_recovers_38_33() {
 
 #[test]
 fn table5_shape_and_validation_range() {
-    let result = experiments::table5(Scale { ad_fraction: 0.025, ..quick() });
+    let scale = Scale { ad_fraction: 0.025, ..quick() };
+    let result: AdStudyResult = registry::table5(scale).run(scale.workers).into_iter().collect();
     let all = result.rows.iter().find(|r| r.label == "ALL").expect("ALL row");
     let tiny = measure::adstudy::Table5Row::pct(all.tiny, all.total);
     let any = measure::adstudy::Table5Row::pct(all.any, all.total);
@@ -109,13 +114,15 @@ fn all_formatters_produce_output() {
         pool_servers: 60,
         ..quick()
     };
-    let survey = experiments::resolver_survey(scale);
+    let survey: SurveyResult = registry::snoop(scale).fold(scale.workers);
     assert!(experiments::format_table4(&survey).contains("TABLE IV"));
     assert!(experiments::format_fig6(&survey).contains("FIG. 6"));
     assert!(experiments::format_fig7(&survey).contains("FIG. 7"));
     assert!(experiments::format_table3(&experiments::table3()).contains("TABLE III"));
-    assert!(experiments::format_fig5(&experiments::fig5(scale)).contains("FIG. 5"));
-    assert!(experiments::format_ratelimit(&experiments::ratelimit_scan(scale)).contains("§VII-A"));
+    let fig5: PmtudScanResult = registry::fig5(scale).fold(scale.workers);
+    assert!(experiments::format_fig5(&fig5).contains("FIG. 5"));
+    let ratelimit: RateLimitScanResult = registry::ratelimit(scale).fold(scale.workers);
+    assert!(experiments::format_ratelimit(&ratelimit).contains("§VII-A"));
     assert!(experiments::format_shared(&experiments::shared_scan(scale)).contains("§VIII-B3"));
     assert!(experiments::format_chronos_bound(&experiments::chronos_bound()).contains("N <= 11"));
     assert!(experiments::boot_budget().to_string().contains("5 fragments"));
