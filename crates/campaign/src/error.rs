@@ -6,8 +6,8 @@
 //! quarantine, or an operator mistake to report? — instead of matching on
 //! message strings. A worker failure must never be able to crash the
 //! coordinator: the supervision path carries no `unwrap`/`expect`/`panic!`
-//! on data that crosses a process boundary (worker exit codes, stdout
-//! streams, checkpoint bytes all arrive here as typed variants).
+//! on data that crosses a process boundary (worker exit codes and
+//! checkpoint bytes arrive here as typed variants).
 
 use std::path::PathBuf;
 
@@ -89,11 +89,12 @@ pub enum CampaignError {
         /// Rendered exit status (code or signal).
         status: String,
     },
-    /// A worker's NDJSON stdout stream was corrupt or miscounted.
+    /// A worker's checkpoint tail held a corrupt record, or the worker
+    /// exited cleanly short of its planned records.
     WorkerStream {
         /// Shard index.
         shard: usize,
-        /// What went wrong with the stream.
+        /// What went wrong with the checkpoint.
         detail: String,
     },
     /// A worker made no checkpoint progress within the stall timeout.
@@ -116,8 +117,6 @@ pub enum CampaignError {
     },
     /// A malformed CLI value, scale spec, fault spec, or shard spec.
     BadSpec(String),
-    /// An internal invariant failed (thread join, lease bookkeeping).
-    Internal(String),
 }
 
 impl CampaignError {
@@ -173,7 +172,7 @@ impl std::fmt::Display for CampaignError {
             CampaignError::ShardQuarantined { shard, attempts, last } => {
                 write!(f, "shard {shard}: quarantined after {attempts} attempts (last: {last})")
             }
-            CampaignError::BadSpec(s) | CampaignError::Internal(s) => f.write_str(s),
+            CampaignError::BadSpec(s) => f.write_str(s),
         }
     }
 }

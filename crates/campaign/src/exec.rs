@@ -4,12 +4,12 @@
 //! binary (`campaign worker --shard k/K`), each shard appending its record
 //! stream to its own checkpoint file.
 //!
-//! Both modes produce byte-identical checkpoints: a trial's record is a
-//! pure function of `(scenario, scale, master seed, global index)`, and a
-//! shard's file is its records in index order. Subprocess workers
-//! additionally stream every record line over their stdout pipe, which
-//! the coordinator drains and validates for live progress (the checkpoint
-//! file stays the durable copy the merge reads).
+//! Both modes run the same shard loop and produce byte-identical
+//! checkpoints: a trial's record is a pure function of `(scenario, scale,
+//! master seed, global index)`, and a shard's file is its records in
+//! index order. The checkpoint is a worker's only output channel; the
+//! coordinator watches its tail for progress and corrupt records (see
+//! [`crate::supervisor`]).
 //!
 //! Resume: before running anything the executor recovers every shard
 //! checkpoint ([`checkpoint::recover`]) and restarts each shard at its
@@ -25,6 +25,7 @@
 //! their checkpoints are complete and a rerun redoes only the failed
 //! shard.
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use runner::{shard_range, TrialRunner};
@@ -35,7 +36,7 @@ use crate::error::CampaignError;
 use crate::faults::{FaultSpec, GARBAGE_LINE, TORN_BYTES};
 use crate::metrics::Metrics;
 use crate::record::encode_line;
-use crate::registry::Scenario;
+use crate::registry::{Campaign, Scenario};
 use crate::summary::{self, Summary};
 use crate::supervisor::{self, SupervisorConfig};
 
@@ -98,7 +99,7 @@ impl CampaignConfig {
 
 /// A planned-but-unfinished shard: index, global range, records already
 /// checkpointed.
-pub(crate) type PendingShard = (usize, std::ops::Range<usize>, usize);
+pub(crate) type PendingShard = (usize, Range<usize>, usize);
 
 /// Plans the shard ranges and recovers every checkpoint (quarantining
 /// corrupt ones), returning `(all ranges, pending shards)`.
@@ -106,7 +107,7 @@ pub(crate) fn plan_and_recover(
     config: &CampaignConfig,
     shards: usize,
     total: usize,
-) -> Result<(Vec<std::ops::Range<usize>>, Vec<PendingShard>), CampaignError> {
+) -> Result<(Vec<Range<usize>>, Vec<PendingShard>), CampaignError> {
     let ranges: Vec<_> = (0..shards).map(|k| shard_range(total, k, shards)).collect();
     let mut pending: Vec<PendingShard> = Vec::new();
     for (k, range) in ranges.iter().enumerate() {
@@ -188,7 +189,12 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<Summary, CampaignError> {
     let results = TrialRunner::new(config.workers.max(1)).run(
         &pending,
         |_, (k, range, done)| -> Result<(), CampaignError> {
-            run_shard_in_process(config, campaign, *k, range.clone(), *done)
+            let path = checkpoint::shard_path(&config.dir, *k);
+            run_shard(config.scenario, campaign, range.clone(), *done, &path, None)?;
+            if config.verbose {
+                obs::console!("shard {k}: complete ({} records)", range.len());
+            }
+            Ok(())
         },
     );
     for r in results {
@@ -208,27 +214,9 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<Summary, CampaignError> {
     Ok(summary)
 }
 
-fn run_shard_in_process(
-    config: &CampaignConfig,
-    campaign: &dyn crate::registry::Campaign,
-    k: usize,
-    range: std::ops::Range<usize>,
-    done: usize,
-) -> Result<(), CampaignError> {
-    let mut out = Appender::open(&checkpoint::shard_path(&config.dir, k))?;
-    for idx in range.start + done..range.end {
-        let record = campaign.run_trial(idx);
-        out.append_line(&encode_line(config.scenario.schema, &record))?;
-    }
-    if config.verbose {
-        obs::console!("shard {k}: complete ({} records)", range.end - range.start);
-    }
-    Ok(())
-}
-
 /// The worker-process entry point: runs shard `k` of `shards`, skipping
-/// the first `skip` already-checkpointed trials, appending each record to
-/// `checkpoint` and echoing it on stdout (the coordinator's stream).
+/// the first `skip` already-checkpointed trials and appending each record
+/// to `checkpoint`.
 ///
 /// `fault` deterministically injects one failure mode (see
 /// [`crate::faults`]) — the supervision chaos harness. `None` in
@@ -257,28 +245,34 @@ pub fn run_worker(
     if range.start + skip > range.end {
         return Err(CampaignError::BadSpec(format!("skip {skip} exceeds shard range {range:?}")));
     }
-    let mut out = Appender::open(checkpoint_path)?;
-    let stdout = std::io::stdout();
+    run_shard(scenario, &*campaign, range, skip, checkpoint_path, fault)
+}
+
+/// The one shard loop: appends the records of `range` after its first
+/// `skip` to the checkpoint at `path`, firing `fault` (worker processes
+/// only) at its scheduled point.
+fn run_shard(
+    scenario: &'static Scenario,
+    campaign: &dyn Campaign,
+    range: Range<usize>,
+    skip: usize,
+    path: &Path,
+    fault: Option<FaultSpec>,
+) -> Result<(), CampaignError> {
+    let mut out = Appender::open(path)?;
     for (written, idx) in (range.start + skip..range.end).enumerate() {
         // `written` counts records completed by THIS invocation — the
         // fault counters are relative to it, so a re-injected fault fires
         // at a well-defined point of a resumed stream too.
-        inject_pre_record(fault, written, checkpoint_path, &mut out)?;
-        let line = encode_line(scenario.schema, &campaign.run_trial(idx));
-        out.append_line(&line)?;
-        use std::io::Write as _;
-        let mut lock = stdout.lock();
-        lock.write_all(line.as_bytes())
-            .and_then(|()| lock.write_all(b"\n"))
-            .and_then(|()| lock.flush())
-            .map_err(|e| CampaignError::io("stream record", e))?;
+        inject_pre_record(fault, written, path, &mut out)?;
+        out.append_line(&encode_line(scenario.schema, &campaign.run_trial(idx)))?;
     }
     Ok(())
 }
 
 /// Fires any fault scheduled for the point just before the
 /// `written + 1`-th record of this invocation. Crash/stall/torn-write
-/// never return; garbage-record emits its line and lets the worker
+/// never return; garbage-record appends its line and lets the worker
 /// continue.
 fn inject_pre_record(
     fault: Option<FaultSpec>,
@@ -306,17 +300,8 @@ fn inject_pre_record(
             std::process::exit(103);
         }
         Some(FaultSpec::GarbageRecord(k)) if written == k => {
-            // A complete but schema-invalid line, on both channels the
-            // coordinator watches: the checkpoint and the stdout stream.
-            out.append_line(GARBAGE_LINE)?;
-            use std::io::Write as _;
-            let stdout = std::io::stdout();
-            let mut lock = stdout.lock();
-            lock.write_all(GARBAGE_LINE.as_bytes())
-                .and_then(|()| lock.write_all(b"\n"))
-                .and_then(|()| lock.flush())
-                .map_err(|e| CampaignError::io("stream garbage record", e))?;
-            Ok(())
+            // A complete but schema-invalid checkpoint line.
+            out.append_line(GARBAGE_LINE)
         }
         _ => Ok(()),
     }

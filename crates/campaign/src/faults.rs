@@ -17,7 +17,7 @@
 //! | `crash-after=K`    | write K records, then exit with code 101                        |
 //! | `stall-after=K`    | write K records, then sleep forever (the stall-timeout target)  |
 //! | `torn-write[=K]`   | write K records, append a torn half-line, exit 103              |
-//! | `garbage-record[=K]`| write K records, emit one schema-invalid line, keep going      |
+//! | `garbage-record[=K]`| write K records, append one schema-invalid line, keep going    |
 //! | `exit=N`           | exit immediately with code N, before any record                 |
 
 use crate::error::CampaignError;
@@ -32,9 +32,10 @@ pub enum FaultSpec {
     /// Append a torn (newline-less) half-record after this many records,
     /// then exit(103) — exactly the file state a mid-write kill leaves.
     TornWrite(usize),
-    /// Emit one complete but schema-invalid line (checkpoint + stdout)
-    /// after this many records, then continue normally — the mid-file
-    /// corruption + corrupt-stream detection case.
+    /// Append one complete but schema-invalid line to the checkpoint
+    /// after this many records, then continue normally — the case for
+    /// the supervisor's corrupt-record detector and for mid-file
+    /// quarantine.
     GarbageRecord(usize),
     /// Exit with this code before writing anything.
     Exit(i32),
@@ -43,7 +44,7 @@ pub enum FaultSpec {
 /// The half-line a `torn-write` fault appends (no terminating newline).
 pub const TORN_BYTES: &[u8] = b"{\"torn\":";
 
-/// The schema-invalid line a `garbage-record` fault emits.
+/// The schema-invalid line a `garbage-record` fault appends.
 pub const GARBAGE_LINE: &str = "{\"fault\":\"garbage-record\"}";
 
 impl FaultSpec {
@@ -75,7 +76,7 @@ impl FaultSpec {
                 let code: i32 = v.parse().map_err(|_| bad())?;
                 if code == 0 {
                     // exit=0 would be indistinguishable from success with
-                    // a short stream — reject it rather than inject a
+                    // a short checkpoint — reject it rather than inject a
                     // fault the supervisor classifies differently.
                     return Err(bad());
                 }

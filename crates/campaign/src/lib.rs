@@ -3,8 +3,9 @@
 //! The paper's results are Monte-Carlo campaigns; this crate is the layer
 //! that runs them at scale, the way Internet-wide scan pipelines do: a
 //! coordinator fans deterministic seed-range shards to workers, workers
-//! stream newline-delimited JSON records, and the coordinator merges the
-//! streams in shard order and aggregates online.
+//! append newline-delimited JSON records to per-shard checkpoints, and
+//! the coordinator merges the checkpoints in shard order and aggregates
+//! online.
 //!
 //! * [`registry`] — every reproducible artifact addressable by name
 //!   (`table1`, `table2`, `fig5`, `fig6`, `fig7`, `table4_snoop`,
@@ -19,7 +20,7 @@
 //!   missing record; mid-file corruption quarantines the file and the
 //!   shard restarts cleanly;
 //! * [`supervisor`] + [`faults`] — self-healing supervision: dead, hung,
-//!   or corrupt-stream workers are re-leased from their last good
+//!   or garbage-writing workers are re-leased from their last good
 //!   checkpoint under deterministic backoff, shards that exhaust their
 //!   retries are quarantined into a partial summary with a coverage
 //!   report, and the deterministic fault injector proves the healed

@@ -15,7 +15,7 @@
 //! directory's checkpoints first.
 //!
 //! `--supervised` runs the shards as `campaign worker` subprocesses under
-//! the self-healing lease supervisor: dead, hung, or corrupt-stream
+//! the self-healing lease supervisor: dead, hung, or garbage-writing
 //! workers are re-leased from their last good checkpoint, and a shard
 //! that exhausts `--max-retries` is quarantined into a partial summary
 //! with a coverage report. `--fault <shard>:<spec>[:xN]` injects
@@ -225,7 +225,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             poll_interval_ms: parsed.parse("poll-interval", defaults.poll_interval_ms)?,
             faults,
             trace_dir: parsed.flag("trace-dir").map(PathBuf::from),
-            ..defaults
         };
         let run = supervisor::run_supervised(&config, exe, &sup).map_err(|e| e.to_string())?;
         if config.verbose {

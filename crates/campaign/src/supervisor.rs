@@ -1,16 +1,18 @@
 //! Self-healing campaign supervision: the lease-based coordinator that
 //! keeps a sharded run alive through worker failures.
 //!
-//! [`run_supervised`] owns a pool of `campaign worker` subprocesses. Each
-//! pending shard is **leased** to a worker; the supervisor watches three
-//! failure channels:
+//! [`run_supervised`] owns a pool of `campaign worker` subprocesses on
+//! this host. Each pending shard is **leased** to a worker. A worker's
+//! only output is its shard checkpoint: every poll tick the supervisor
+//! reads the exit status, then the bytes the worker appended since the
+//! last tick, and watches three failure channels:
 //!
 //! * **exit** — the worker terminated with a nonzero status (crash,
 //!   injected `exit=N`, kill signal);
-//! * **stream** — the worker's NDJSON stdout carried a schema-invalid
-//!   record, or ended with fewer records than the lease expected;
-//! * **stall** — the worker's checkpoint file stopped growing for a full
-//!   stall timeout (hung trial, deadlock, injected `stall-after=K`).
+//! * **stream** — the checkpoint tail held a schema-invalid record, or
+//!   the worker exited cleanly with fewer records than the lease planned;
+//! * **stall** — the checkpoint tail stopped growing for a full stall
+//!   timeout (hung trial, deadlock, injected `stall-after=K`).
 //!
 //! A failed lease is **re-leased from its last good checkpoint**: the
 //! checkpoint is recovered first ([`checkpoint::recover`] truncates a
@@ -34,9 +36,9 @@
 //! failures, quarantine, heal), dumped to
 //! [`SupervisorConfig::trace_dir`]`/shard-K.trace` at the end of the run.
 //! The loop also rewrites a `metrics.json` sidecar ([`crate::metrics`])
-//! atomically every poll tick: per-shard records on disk, lease states,
-//! attempt counts, the tick-based record rate, and incremental estimator
-//! snapshots folded from the checkpoints' appended bytes.
+//! atomically every poll tick, best-effort: per-shard records on disk,
+//! lease states, attempt counts, and incremental estimator snapshots
+//! folded from the checkpoints' appended bytes.
 //!
 //! ## No wall clock
 //!
@@ -47,7 +49,7 @@
 //! backoff are tick counts, and no code path ever reads a clock. Ticks
 //! only pace the supervision loop; results never depend on them.
 
-use std::io::{BufRead, BufReader};
+use std::ops::Range;
 use std::path::Path;
 use std::process::{Command, Stdio};
 
@@ -68,8 +70,14 @@ use crate::summary::{self, QuarantinedShard, Summary};
 /// for pathological retry storms.
 const SUPERVISION_RING_CAPACITY: usize = 256;
 
-/// Supervision policy: retry budget, stall timeout, backoff schedule,
-/// and the (normally empty) fault-injection plan.
+/// Retry `a` waits `min(BACKOFF_BASE_TICKS << (a-1), BACKOFF_CAP_TICKS)`
+/// ticks plus a jitter of at most `BACKOFF_BASE_TICKS`.
+const BACKOFF_BASE_TICKS: u64 = 2;
+/// The cap on the exponential part of a retry's backoff, in ticks.
+const BACKOFF_CAP_TICKS: u64 = 16;
+
+/// Supervision policy: retry budget, stall timeout, poll tick, and the
+/// (normally empty) fault-injection plan.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Retries allowed per shard *after* its first lease. A shard may
@@ -82,11 +90,6 @@ pub struct SupervisorConfig {
     /// Poll-loop tick length in milliseconds (the supervision clock's
     /// granularity).
     pub poll_interval_ms: u64,
-    /// Backoff base, in ticks: retry `a` waits
-    /// `min(base << (a-1), cap) + jitter` ticks.
-    pub backoff_base_ticks: u64,
-    /// Backoff cap, in ticks.
-    pub backoff_cap_ticks: u64,
     /// Deterministic fault injections (chaos harness). Empty in
     /// production.
     pub faults: FaultPlan,
@@ -103,8 +106,6 @@ impl Default for SupervisorConfig {
             max_retries: 2,
             worker_timeout_ms: 2000,
             poll_interval_ms: 20,
-            backoff_base_ticks: 2,
-            backoff_cap_ticks: 16,
             faults: FaultPlan::none(),
             trace_dir: None,
         }
@@ -123,13 +124,12 @@ impl SupervisorConfig {
 /// The jitter decorrelates shards that died together (so their retries
 /// don't re-stampede a shared bottleneck) while staying a pure function
 /// of `(master seed, shard, attempt)` — reruns back off identically.
-pub fn backoff_ticks(cfg: &SupervisorConfig, master_seed: u64, shard: usize, attempt: u64) -> u64 {
-    let base = cfg.backoff_base_ticks.max(1);
-    let exp = base
+pub fn backoff_ticks(master_seed: u64, shard: usize, attempt: u64) -> u64 {
+    let exp = BACKOFF_BASE_TICKS
         .checked_shl(attempt.saturating_sub(1).min(32) as u32)
-        .unwrap_or(cfg.backoff_cap_ticks)
-        .min(cfg.backoff_cap_ticks);
-    let jitter = mix64(master_seed ^ ((shard as u64) << 32) ^ attempt) % (base + 1);
+        .unwrap_or(BACKOFF_CAP_TICKS)
+        .min(BACKOFF_CAP_TICKS);
+    let jitter = mix64(master_seed ^ ((shard as u64) << 32) ^ attempt) % (BACKOFF_BASE_TICKS + 1);
     exp + jitter
 }
 
@@ -147,9 +147,8 @@ pub struct ShardReport {
     pub quarantined: bool,
 }
 
-/// What a supervised run returns: the (possibly partial) merged summary,
-/// the per-shard supervision reports, and how many supervision ticks the
-/// run took.
+/// What a supervised run returns: the (possibly partial) merged summary
+/// and the per-shard supervision reports.
 #[derive(Debug)]
 pub struct SupervisedRun {
     /// The merged summary; `summary.complete == false` iff any shard was
@@ -158,19 +157,12 @@ pub struct SupervisedRun {
     /// One report per shard that needed supervision this run (shards
     /// already complete on disk don't appear).
     pub reports: Vec<ShardReport>,
-    /// Supervision ticks elapsed (wall-clock pacing only — never part of
-    /// any result).
-    pub ticks: u64,
 }
 
-/// A live lease: the child, its stdout drain thread, and the progress
-/// bookkeeping the stall detector reads.
+/// A live lease: the child and the tick its checkpoint tail last grew.
 struct Running {
     child: std::process::Child,
-    drain: std::thread::JoinHandle<Result<usize, CampaignError>>,
-    expected: usize,
     last_progress_tick: u64,
-    last_len: u64,
 }
 
 enum Lease {
@@ -185,10 +177,15 @@ enum Lease {
 
 struct ShardState {
     shard: usize,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     lease: Lease,
     spawns: usize,
     failures: Vec<String>,
+    /// Supervision flight recorder: leases, failures, quarantine, heal.
+    ring: obs::FlightRecorder,
+    /// The shard's checkpoint tail, the supervisor's one view of its
+    /// worker.
+    tail: TailReader,
 }
 
 impl ShardState {
@@ -199,6 +196,53 @@ impl ShardState {
             Lease::Done => "done",
             Lease::Quarantined => "quarantined",
         }
+    }
+
+    /// One tick of a running lease. Returns `None` while it stays
+    /// healthy, else its outcome with the worker killed and reaped — a
+    /// worker that kept appending to a checkpoint the retry also writes
+    /// would interleave two record streams. The exit status is read
+    /// before the tail, so an exited worker's last records are in the
+    /// scan that settles it; a corrupt record outranks the exit status.
+    fn watch(
+        &mut self,
+        config: &CampaignConfig,
+        now: u64,
+        timeout_ticks: u64,
+        agg: &mut Aggregate,
+    ) -> Option<Result<(), CampaignError>> {
+        let Lease::Running(r) = &mut self.lease else { return None };
+        let shard = self.shard;
+        let exited = r.child.try_wait();
+        let offset = self.tail.offset;
+        let path = checkpoint::shard_path(&config.dir, shard);
+        let corrupt = self.tail.scan(&path, config.scenario.schema, agg);
+        let (records, planned) = (self.tail.records, self.range.len());
+        let stalled = now.saturating_sub(r.last_progress_tick);
+        let outcome = match (corrupt, exited) {
+            (Some(line), _) => Err(CampaignError::WorkerStream {
+                shard,
+                detail: format!("corrupt record at checkpoint line {line}"),
+            }),
+            (None, Err(e)) => Err(CampaignError::io(format!("wait for shard {shard} worker"), e)),
+            (None, Ok(Some(status))) if !status.success() => {
+                Err(CampaignError::WorkerExit { shard, status: status.to_string() })
+            }
+            (None, Ok(Some(_))) if records != planned => Err(CampaignError::WorkerStream {
+                shard,
+                detail: format!("short checkpoint: {records} records at exit, planned {planned}"),
+            }),
+            (None, Ok(Some(_))) => Ok(()),
+            (None, Ok(None)) if self.tail.offset > offset => {
+                r.last_progress_tick = now;
+                return None;
+            }
+            (None, Ok(None)) if stalled < timeout_ticks => return None,
+            (None, Ok(None)) => Err(CampaignError::WorkerStalled { shard, ticks: stalled }),
+        };
+        let _ = r.child.kill();
+        let _ = r.child.wait();
+        Some(outcome)
     }
 }
 
@@ -216,9 +260,11 @@ fn failure_kind(err: &CampaignError) -> u16 {
 /// Per-shard incremental checkpoint tail reader: consumes only the bytes
 /// appended since the last tick, folds every complete record line into
 /// the shared live aggregate, and counts the lines that decode — so a
-/// garbage line never counts as a record. This is what turns the stall
-/// detector's byte watch into live estimator snapshots without
-/// re-reading a checkpoint prefix on the success path.
+/// garbage line never counts as a record. It gives the supervisor its
+/// progress signal (the stall watch), the corrupt-record detector, the
+/// record count a clean exit is checked against, and the live estimator
+/// snapshots, without re-reading a checkpoint prefix on the success path.
+#[derive(Default)]
 struct TailReader {
     offset: u64,
     carry: Vec<u8>,
@@ -226,49 +272,46 @@ struct TailReader {
 }
 
 impl TailReader {
-    fn new() -> TailReader {
-        TailReader { offset: 0, carry: Vec::new(), records: 0 }
+    /// Restarts the reader at the end of a just-recovered checkpoint of
+    /// `len` bytes holding `records` records. Samples already folded into
+    /// the live aggregate stay folded — the live estimators are advisory,
+    /// and the final snapshot is rebuilt from the ordered merge.
+    fn rewind(&mut self, len: u64, records: usize) {
+        *self = TailReader { offset: len, carry: Vec::new(), records };
     }
 
     /// Reads `path` from the consumed offset to its current end, folding
-    /// complete lines into `agg`. Live-path tolerant: I/O failures and
-    /// undecodable lines are skipped (recovery and the merge own
-    /// correctness; this feed is advisory).
-    ///
-    /// If the checkpoint shrank (torn-tail truncation, or a corruption
-    /// quarantine that restarts the shard at record 0), the record count
-    /// is rebuilt from the valid lines of what is left. Samples already
-    /// folded into `agg` stay folded — the live estimators are advisory,
-    /// and the final snapshot is rebuilt from the ordered merge.
-    fn scan(&mut self, path: &Path, schema: &'static Schema, agg: &mut Aggregate) {
+    /// complete record lines into `agg`, and returns the 1-based line
+    /// number of the first complete line that does not decode. A file
+    /// that cannot be read counts as no new bytes.
+    fn scan(&mut self, path: &Path, schema: &'static Schema, agg: &mut Aggregate) -> Option<usize> {
         use std::io::{Read as _, Seek as _, SeekFrom};
-        let Ok(mut file) = std::fs::File::open(path) else { return };
-        let len = file.metadata().map(|m| m.len()).unwrap_or(0);
-        let fold = len >= self.offset;
-        if !fold {
-            *self = TailReader::new();
-        }
-        if len == self.offset || file.seek(SeekFrom::Start(self.offset)).is_err() {
-            return;
-        }
         let mut buf = Vec::new();
-        if file.read_to_end(&mut buf).is_err() {
-            return;
+        let read = std::fs::File::open(path).and_then(|mut file| {
+            file.seek(SeekFrom::Start(self.offset))?;
+            file.read_to_end(&mut buf)
+        });
+        if read.is_err() {
+            return None;
         }
         self.offset += buf.len() as u64;
         self.carry.extend_from_slice(&buf);
-        while let Some(pos) = self.carry.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.carry.drain(..=pos).collect();
-            let record = std::str::from_utf8(&line[..pos])
-                .ok()
-                .and_then(|body| decode_line(schema, body).ok());
-            if let Some(record) = record {
-                self.records += 1;
-                if fold {
+        let (mut start, mut corrupt) = (0, None);
+        while let Some(len) = self.carry[start..].iter().position(|&b| b == b'\n') {
+            let body = &self.carry[start..start + len];
+            start += len + 1;
+            match std::str::from_utf8(body).ok().and_then(|body| decode_line(schema, body).ok()) {
+                Some(record) => {
+                    self.records += 1;
                     agg.push(&record);
+                }
+                None => {
+                    corrupt.get_or_insert(self.records + 1);
                 }
             }
         }
+        self.carry.drain(..start);
+        corrupt
     }
 }
 
@@ -300,117 +343,79 @@ pub fn run_supervised(
     let workers = config.workers.max(1);
     let timeout_ticks = sup.timeout_ticks();
     let max_leases = sup.max_retries + 1;
+    // The shared live-estimator aggregate the tail readers feed, seeded
+    // with every recovered checkpoint prefix.
+    let mut live_agg = Aggregate::new(config.scenario.schema);
     let mut states: Vec<ShardState> = pending
         .into_iter()
-        .map(|(k, range, _done)| ShardState {
-            shard: k,
-            range,
-            lease: Lease::Ready { at_tick: 0 },
-            spawns: 0,
-            failures: Vec::new(),
+        .map(|(shard, range, _done)| {
+            let mut tail = TailReader::default();
+            let path = checkpoint::shard_path(&config.dir, shard);
+            tail.scan(&path, config.scenario.schema, &mut live_agg);
+            ShardState {
+                shard,
+                range,
+                lease: Lease::Ready { at_tick: 0 },
+                spawns: 0,
+                failures: Vec::new(),
+                ring: obs::FlightRecorder::new(SUPERVISION_RING_CAPACITY),
+                tail,
+            }
         })
         .collect();
-    // One supervision flight recorder and one checkpoint tail reader per
-    // supervised shard, plus the shared live-estimator aggregate the tail
-    // readers feed.
-    let mut rings: Vec<obs::FlightRecorder> =
-        states.iter().map(|_| obs::FlightRecorder::new(SUPERVISION_RING_CAPACITY)).collect();
-    let mut tails: Vec<TailReader> = states.iter().map(|_| TailReader::new()).collect();
-    let mut live_agg = Aggregate::new(config.scenario.schema);
 
     let mut now: u64 = 0;
     loop {
         // Lease phase: fill free slots with due shards.
         let mut running = states.iter().filter(|s| matches!(s.lease, Lease::Running(_))).count();
-        for (st, ring) in states.iter_mut().zip(rings.iter_mut()) {
+        for st in &mut states {
             if running >= workers {
                 break;
             }
             if !matches!(st.lease, Lease::Ready { at_tick } if at_tick <= now) {
                 continue;
             }
-            match lease_shard(config, exe, shards, sup, st, now, ring) {
+            match lease_shard(config, exe, shards, sup, st, now) {
                 Ok(true) => running += 1,
                 Ok(false) => {} // shard turned out complete on disk
-                Err(e) => fail_lease(sup, config.scale.seed, st, now, max_leases, e, ring),
+                Err(e) => fail_lease(config.scale.seed, st, now, max_leases, e),
             }
         }
 
-        // Reap phase: finished drains and stalled leases. Each running
-        // lease is taken out of its slot, settled or re-shelved.
-        for (st, ring) in states.iter_mut().zip(rings.iter_mut()) {
-            match std::mem::replace(&mut st.lease, Lease::Done) {
-                Lease::Running(mut r) => {
-                    if r.drain.is_finished() {
-                        match reap_lease(st.shard, r) {
-                            Ok(()) => {
-                                if !st.failures.is_empty() {
-                                    ring.record(
-                                        now,
-                                        st.shard as u32,
-                                        obs::kind::SHARD_HEALED,
-                                        st.spawns as u64,
-                                        0,
-                                    );
-                                }
-                                if config.verbose {
-                                    obs::console!("shard {}: lease complete", st.shard);
-                                }
-                            }
-                            Err(e) => {
-                                fail_lease(sup, config.scale.seed, st, now, max_leases, e, ring);
-                            }
-                        }
-                        continue;
+        // Watch phase: every running lease reads its checkpoint tail and
+        // is settled, failed, or left running.
+        for st in &mut states {
+            match st.watch(config, now, timeout_ticks, &mut live_agg) {
+                None => {}
+                Some(Ok(())) => {
+                    if !st.failures.is_empty() {
+                        let spawns = st.spawns as u64;
+                        st.ring.record(now, st.shard as u32, obs::kind::SHARD_HEALED, spawns, 0);
                     }
-                    // Stall watch: checkpoint growth is the progress signal
-                    // (workers flush every record).
-                    let len = std::fs::metadata(checkpoint::shard_path(&config.dir, st.shard))
-                        .map(|m| m.len())
-                        .unwrap_or(r.last_len);
-                    if len > r.last_len {
-                        r.last_len = len;
-                        r.last_progress_tick = now;
-                        st.lease = Lease::Running(r);
-                    } else if now.saturating_sub(r.last_progress_tick) >= timeout_ticks {
-                        let stalled_ticks = now.saturating_sub(r.last_progress_tick);
-                        let _ = r.child.kill();
-                        let _ = r.child.wait();
-                        let _ = r.drain.join();
-                        let e =
-                            CampaignError::WorkerStalled { shard: st.shard, ticks: stalled_ticks };
-                        fail_lease(sup, config.scale.seed, st, now, max_leases, e, ring);
-                    } else {
-                        st.lease = Lease::Running(r);
+                    if config.verbose {
+                        obs::console!("shard {}: lease complete", st.shard);
                     }
+                    st.lease = Lease::Done;
                 }
-                other => st.lease = other,
+                Some(Err(e)) => fail_lease(config.scale.seed, st, now, max_leases, e),
             }
         }
 
-        // Metrics phase: fold the checkpoints' appended bytes into the
-        // live estimators, then atomically rewrite the metrics sidecar —
-        // one coherent snapshot per supervision tick.
-        for (st, tail) in states.iter().zip(tails.iter_mut()) {
-            tail.scan(
-                &checkpoint::shard_path(&config.dir, st.shard),
-                config.scenario.schema,
-                &mut live_agg,
-            );
-        }
+        // Metrics phase: one coherent snapshot per supervision tick. The
+        // live sidecar is advisory, so a failed write never stops
+        // supervision (the final snapshot below is checked).
         let per_shard: Vec<ShardMetric> = states
             .iter()
-            .zip(&tails)
-            .map(|(st, tail)| ShardMetric {
+            .map(|st| ShardMetric {
                 shard: st.shard,
-                planned: st.range.end - st.range.start,
-                records: tail.records,
+                planned: st.range.len(),
+                records: st.tail.records,
                 attempts: st.spawns,
                 state: st.lease_state(),
             })
             .collect();
         let complete = per_shard.iter().all(|s| s.records >= s.planned && s.state != "quarantined");
-        Metrics {
+        let _ = Metrics {
             scenario: config.scenario.name,
             scale_label: config.scale_label.clone(),
             master_seed: config.scale.seed,
@@ -420,7 +425,7 @@ pub fn run_supervised(
             per_shard,
             estimators: metrics::estimators_from(&live_agg),
         }
-        .write(&config.dir)?;
+        .write(&config.dir);
 
         if states.iter().all(|s| matches!(s.lease, Lease::Done | Lease::Quarantined)) {
             break;
@@ -452,9 +457,9 @@ pub fn run_supervised(
     if let Some(trace_dir) = &sup.trace_dir {
         std::fs::create_dir_all(trace_dir)
             .map_err(|e| CampaignError::io(format!("create {}", trace_dir.display()), e))?;
-        for (st, ring) in states.iter().zip(&rings) {
+        for st in &states {
             let path = trace_dir.join(format!("shard-{}.trace", st.shard));
-            std::fs::write(&path, ring.render_text())
+            std::fs::write(&path, st.ring.render_text())
                 .map_err(|e| CampaignError::io(format!("write {}", path.display()), e))?;
         }
     }
@@ -479,14 +484,15 @@ pub fn run_supervised(
             quarantined: matches!(s.lease, Lease::Quarantined),
         })
         .collect();
-    Ok(SupervisedRun { summary, reports, ticks: now })
+    Ok(SupervisedRun { summary, reports })
 }
 
 /// (Re)leases one shard: recovers its checkpoint (truncating torn tails,
-/// quarantining corruption), then spawns a worker resuming at the first
-/// missing record — with this attempt's injected fault, if the chaos plan
-/// has one. Returns `Ok(false)` if recovery shows the shard already
-/// complete (a worker died *after* its last record).
+/// quarantining corruption), restarts the tail reader at what is left,
+/// then spawns a worker resuming at the first missing record — with this
+/// attempt's injected fault, if the chaos plan has one. Returns
+/// `Ok(false)` if recovery shows the shard already complete (a worker
+/// died *after* its last record).
 fn lease_shard(
     config: &CampaignConfig,
     exe: &Path,
@@ -494,37 +500,26 @@ fn lease_shard(
     sup: &SupervisorConfig,
     st: &mut ShardState,
     now: u64,
-    ring: &mut obs::FlightRecorder,
 ) -> Result<bool, CampaignError> {
-    let planned = st.range.end - st.range.start;
+    let planned = st.range.len();
     let path = checkpoint::shard_path(&config.dir, st.shard);
-    let recovery = checkpoint::recover(&path, config.scenario.schema)?;
-    let done = recovery.records();
+    let done = checkpoint::recover(&path, config.scenario.schema)?.records();
     if done > planned {
         return Err(CampaignError::StaleCheckpoint { shard: st.shard, have: done, planned });
     }
+    // Rewind before the worker starts: it may write past the old offset
+    // within one tick, and the tail must not resume mid-line.
+    st.tail.rewind(std::fs::metadata(&path).map_or(0, |m| m.len()), done);
     if done == planned {
         st.lease = Lease::Done;
         return Ok(false);
     }
     let attempt = st.spawns; // 0-based attempt index for the fault plan
     let fault = sup.faults.fault_for(st.shard, attempt);
-    let mut child = spawn_worker(config, exe, st.shard, shards, done, fault)?;
-    let Some(stdout) = child.stdout.take() else {
-        let _ = child.kill();
-        let _ = child.wait();
-        return Err(CampaignError::WorkerSpawn {
-            shard: st.shard,
-            detail: "no stdout pipe".into(),
-        });
-    };
-    let expected = planned - done;
-    let (k, verbose, schema) = (st.shard, config.verbose, config.scenario.schema);
-    let drain = std::thread::spawn(move || drain_stream(stdout, k, expected, verbose, schema));
-    let last_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+    let child = spawn_worker(config, exe, st.shard, shards, done, fault)?;
     st.spawns += 1;
-    ring.record(now, st.shard as u32, obs::kind::LEASE_GRANTED, st.spawns as u64, done as u64);
-    if verbose {
+    st.ring.record(now, st.shard as u32, obs::kind::LEASE_GRANTED, st.spawns as u64, done as u64);
+    if config.verbose {
         obs::console!(
             "shard {}: leased (attempt {}, resuming at {done}/{planned}{})",
             st.shard,
@@ -535,8 +530,7 @@ fn lease_shard(
             }
         );
     }
-    st.lease =
-        Lease::Running(Running { child, drain, expected, last_progress_tick: now, last_len });
+    st.lease = Lease::Running(Running { child, last_progress_tick: now });
     Ok(true)
 }
 
@@ -566,78 +560,9 @@ fn spawn_worker(
         cmd.arg("--fault").arg(fault.render());
     }
     cmd.stdin(Stdio::null())
-        .stdout(Stdio::piped())
+        .stdout(Stdio::null())
         .spawn()
         .map_err(|e| CampaignError::WorkerSpawn { shard: k, detail: e.to_string() })
-}
-
-/// Drains a worker's stdout record stream, counting lines (the live
-/// progress channel — the durable copy is the checkpoint file). Runs on
-/// its own thread per child so no worker blocks on a full pipe.
-///
-/// Every line is decoded against the schema and the drain ends early on
-/// the first corrupt line — the corrupt-stream detector.
-fn drain_stream(
-    stdout: std::process::ChildStdout,
-    k: usize,
-    expected: usize,
-    verbose: bool,
-    schema: &'static Schema,
-) -> Result<usize, CampaignError> {
-    let reader = BufReader::new(stdout);
-    let mut streamed = 0usize;
-    let tick = (expected / 4).max(1);
-    for line in reader.lines() {
-        let line =
-            line.map_err(|e| CampaignError::io(format!("read shard {k} worker stream"), e))?;
-        if let Err(e) = decode_line(schema, &line) {
-            return Err(CampaignError::WorkerStream {
-                shard: k,
-                detail: format!("corrupt record {} on stdout: {e}", streamed + 1),
-            });
-        }
-        streamed += 1;
-        if verbose && streamed.is_multiple_of(tick) {
-            obs::console!("shard {k}: {streamed}/{expected} records streamed");
-        }
-    }
-    Ok(streamed)
-}
-
-/// Settles a lease whose drain thread ended: classifies the outcome as
-/// success, a corrupt stream, a short stream, or a worker exit failure.
-/// On a stream failure the child is killed first — a worker that keeps
-/// appending to a checkpoint the retry will also write would interleave
-/// two record streams.
-fn reap_lease(shard: usize, r: Running) -> Result<(), CampaignError> {
-    let Running { mut child, drain, expected, .. } = r;
-    match drain.join() {
-        Err(_) => {
-            let _ = child.kill();
-            let _ = child.wait();
-            Err(CampaignError::Internal(format!("shard {shard}: drain thread panicked")))
-        }
-        Ok(Err(stream_err)) => {
-            let _ = child.kill();
-            let _ = child.wait();
-            Err(stream_err)
-        }
-        Ok(Ok(streamed)) => {
-            let status = child
-                .wait()
-                .map_err(|e| CampaignError::io(format!("wait for shard {shard} worker"), e))?;
-            if !status.success() {
-                Err(CampaignError::WorkerExit { shard, status: status.to_string() })
-            } else if streamed != expected {
-                Err(CampaignError::WorkerStream {
-                    shard,
-                    detail: format!("streamed {streamed} records, expected {expected}"),
-                })
-            } else {
-                Ok(())
-            }
-        }
-    }
 }
 
 /// Books a lease failure: records it, then either schedules the retry
@@ -647,22 +572,20 @@ fn reap_lease(shard: usize, r: Running) -> Result<(), CampaignError> {
 /// starts (spawn error, checkpoint recovery error, stale checkpoint)
 /// uses it up too, or an unspawnable shard would be retried forever.
 fn fail_lease(
-    sup: &SupervisorConfig,
     master_seed: u64,
     st: &mut ShardState,
     now: u64,
     max_leases: usize,
     err: CampaignError,
-    ring: &mut obs::FlightRecorder,
 ) {
-    ring.record(now, st.shard as u32, failure_kind(&err), st.spawns as u64, 0);
+    st.ring.record(now, st.shard as u32, failure_kind(&err), st.spawns as u64, 0);
     st.failures.push(err.to_string());
     if st.failures.len() >= max_leases {
-        ring.record(now, st.shard as u32, obs::kind::SHARD_QUARANTINED, st.spawns as u64, 0);
+        st.ring.record(now, st.shard as u32, obs::kind::SHARD_QUARANTINED, st.spawns as u64, 0);
         st.lease = Lease::Quarantined;
     } else {
         let attempt = st.failures.len() as u64; // 1-based retry number
-        let delay = backoff_ticks(sup, master_seed, st.shard, attempt);
+        let delay = backoff_ticks(master_seed, st.shard, attempt);
         st.lease = Lease::Ready { at_tick: now + delay };
     }
 }
@@ -673,13 +596,12 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_to_the_cap() {
-        let cfg = SupervisorConfig::default();
         // Strip jitter by comparing lower bounds: exp component doubles.
         let exp = |attempt: u64| {
-            cfg.backoff_base_ticks
+            BACKOFF_BASE_TICKS
                 .checked_shl(attempt.saturating_sub(1).min(32) as u32)
-                .unwrap_or(cfg.backoff_cap_ticks)
-                .min(cfg.backoff_cap_ticks)
+                .unwrap_or(BACKOFF_CAP_TICKS)
+                .min(BACKOFF_CAP_TICKS)
         };
         assert_eq!(exp(1), 2);
         assert_eq!(exp(2), 4);
@@ -688,23 +610,22 @@ mod tests {
         assert_eq!(exp(5), 16, "capped");
         assert_eq!(exp(60), 16, "huge attempts stay capped, no shift overflow");
         for attempt in 1..6 {
-            let t = backoff_ticks(&cfg, 2020, 3, attempt);
-            assert!(t >= exp(attempt) && t <= exp(attempt) + cfg.backoff_base_ticks);
+            let t = backoff_ticks(2020, 3, attempt);
+            assert!(t >= exp(attempt) && t <= exp(attempt) + BACKOFF_BASE_TICKS);
         }
     }
 
     #[test]
     fn backoff_is_deterministic_and_shard_decorrelated() {
-        let cfg = SupervisorConfig::default();
-        assert_eq!(backoff_ticks(&cfg, 2020, 1, 1), backoff_ticks(&cfg, 2020, 1, 1));
+        assert_eq!(backoff_ticks(2020, 1, 1), backoff_ticks(2020, 1, 1));
         // Jitter varies across shards/attempts for at least some inputs.
         let spread: std::collections::BTreeSet<u64> =
-            (0..16).map(|shard| backoff_ticks(&cfg, 2020, shard, 1)).collect();
+            (0..16).map(|shard| backoff_ticks(2020, shard, 1)).collect();
         assert!(spread.len() > 1, "jitter should separate shard retries");
     }
 
     #[test]
-    fn tail_reader_counts_only_decoded_lines_and_recounts_after_a_shrink() {
+    fn tail_reader_counts_only_decoded_lines_and_resumes_after_a_rewind() {
         use crate::record::{Field, FieldKind};
         const SCHEMA: &Schema = &[Field { name: "n", kind: FieldKind::U64 }];
         let dir = std::env::temp_dir().join(format!("tail-reader-{}", std::process::id()));
@@ -713,23 +634,23 @@ mod tests {
         let lines = |ns: std::ops::RangeInclusive<u64>| -> String {
             ns.map(|n| format!("{{\"n\":{n}}}\n")).collect()
         };
-        let (mut tail, mut agg) = (TailReader::new(), Aggregate::new(SCHEMA));
+        let (mut tail, mut agg) = (TailReader::default(), Aggregate::new(SCHEMA));
 
         let garbage = crate::faults::GARBAGE_LINE;
         std::fs::write(&path, format!("{}{garbage}\n", lines(1..=3))).expect("write");
-        tail.scan(&path, SCHEMA, &mut agg);
+        assert_eq!(tail.scan(&path, SCHEMA, &mut agg), Some(4), "reports the garbage line");
         assert_eq!(tail.records, 3, "the garbage line is not a record");
 
+        // What recovery leaves: the clean two-record prefix.
         std::fs::write(&path, lines(1..=2)).expect("truncate");
-        tail.scan(&path, SCHEMA, &mut agg);
-        assert_eq!(tail.records, 2, "a shrink recounts the remaining prefix");
+        tail.rewind(lines(1..=2).len() as u64, 2);
 
         use std::io::Write as _;
         let mut file = std::fs::OpenOptions::new().append(true).open(&path).expect("open");
         file.write_all(lines(3..=3).as_bytes()).expect("append");
-        tail.scan(&path, SCHEMA, &mut agg);
+        assert_eq!(tail.scan(&path, SCHEMA, &mut agg), None);
         assert_eq!(tail.records, 3);
-        assert_eq!(agg.records, 4, "the recounted prefix is not folded twice");
+        assert_eq!(agg.records, 4, "the prefix is not folded twice");
         std::fs::remove_dir_all(dir).ok();
     }
 

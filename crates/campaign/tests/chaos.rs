@@ -277,3 +277,27 @@ fn bare_subprocess_run_fails_on_the_first_failed_lease() {
     }
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// The live `metrics.json` sidecar is advisory: a failed per-tick write
+/// must not end supervision early and orphan the running workers. With
+/// the sidecar's temp path blocked by a directory, every shard still
+/// runs to completion (shard 1 through a stall and a re-lease), and only
+/// the final snapshot write reports the error.
+#[test]
+fn failed_live_metrics_writes_do_not_orphan_workers() {
+    let mut faults = FaultPlan::none();
+    faults.push_cli("1:stall-after=0").expect("valid fault entry");
+    let dir = tmp_dir("metrics-blocked");
+    std::fs::create_dir_all(dir.join(".metrics.json.tmp")).expect("block the sidecar temp path");
+    let cfg = config(dir.clone());
+    let schema = cfg.scenario.schema;
+    let err = settles(move || run_supervised(&cfg, &campaign_exe(), &sup(1, faults)))
+        .expect_err("the final metrics snapshot cannot be written");
+    assert!(err.to_string().contains("metrics"), "names the metrics write: {err}");
+    for k in 0..3 {
+        let path = checkpoint::shard_path(&dir, k);
+        let records = checkpoint::recover(&path, schema).expect("recoverable").records();
+        assert_eq!(records, 8, "shard {k} ran to completion");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}

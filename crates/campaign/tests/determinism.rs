@@ -4,7 +4,6 @@
 //! resume. These are the ISSUE's acceptance checks for `table2` and
 //! `fig6`, run at reduced-but-representative scales.
 
-use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
@@ -113,18 +112,24 @@ fn killed_worker_resumes_to_identical_digest() {
         .arg(checkpoint::shard_path(&dir, 0))
         .arg("--scale-spec")
         .arg(scale_spec(&scale))
-        .stdout(Stdio::piped())
+        .stdout(Stdio::null())
         .spawn()
         .expect("spawn worker");
-    // Let it stream a few records, then kill it mid-campaign.
-    {
-        let stdout = child.stdout.as_mut().expect("stdout");
-        let mut reader = BufReader::new(stdout);
-        let mut line = String::new();
-        for _ in 0..5 {
-            line.clear();
-            assert!(reader.read_line(&mut line).expect("read") > 0, "worker died early");
+    // Let it checkpoint a few records, then kill it mid-campaign. The
+    // exit status is read before the checkpoint, so a worker that wrote
+    // its records and exited is not mistaken for one that died early.
+    let lines = || {
+        std::fs::read(checkpoint::shard_path(&dir, 0))
+            .map_or(0, |bytes| bytes.iter().filter(|&&b| b == b'\n').count())
+    };
+    for waited_ms in 0.. {
+        let exited = child.try_wait().expect("poll worker");
+        if lines() >= 5 {
+            break;
         }
+        assert!(exited.is_none(), "worker exited before checkpointing 5 records: {exited:?}");
+        assert!(waited_ms < 30_000, "worker checkpointed fewer than 5 records in 30 s");
+        std::thread::sleep(std::time::Duration::from_millis(1));
     }
     child.kill().expect("kill worker");
     child.wait().expect("reap worker");

@@ -95,12 +95,6 @@ pub fn boot_fragment_budget(record_ttl_secs: u32, defrag_timeout_secs: u32) -> u
     record_ttl_secs.div_ceil(defrag_timeout_secs)
 }
 
-/// Expected number of poisoning opportunities (resolver re-resolutions)
-/// within `window_secs`, given the record TTL: one per TTL expiry.
-pub fn poisoning_opportunities(window_secs: u64, record_ttl_secs: u64) -> u64 {
-    window_secs / record_ttl_secs.max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -381,8 +381,6 @@ pub fn run_runtime_attack(
 /// Outcome of the Chronos pool-poisoning attack (§VI).
 #[derive(Debug, Clone, Serialize)]
 pub struct ChronosOutcome {
-    /// Honest DNS lookups completed before the poisoning landed.
-    pub honest_lookups_before: u32,
     /// Fraction of the final pool controlled by the attacker.
     pub malicious_fraction: f64,
     /// Final clock offset in seconds.
@@ -411,7 +409,6 @@ pub fn run_chronos_attack(config: ScenarioConfig, dns_interval: SimDuration) -> 
     let malicious_fraction = client.generator().fraction_in(|a| a.octets()[0] == 66);
     let observed = client.offset_secs(scenario.sim.now());
     ChronosOutcome {
-        honest_lookups_before: 0, // full pipeline: poisoning raced generation
         malicious_fraction,
         observed_shift: observed,
         success: (observed - target_shift).abs() < 1.0,

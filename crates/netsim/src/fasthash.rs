@@ -82,11 +82,6 @@ pub fn map_with_capacity<K, V>(capacity: usize) -> FastMap<K, V> {
     FastMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default())
 }
 
-/// A [`FastSet`] pre-sized for `capacity` entries (see [`map_with_capacity`]).
-pub fn set_with_capacity<T>(capacity: usize) -> FastSet<T> {
-    FastSet::with_capacity_and_hasher(capacity, BuildHasherDefault::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

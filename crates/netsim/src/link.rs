@@ -87,14 +87,6 @@ impl Topology {
         Topology { default, overrides: FastMap::default() }
     }
 
-    /// Pre-sizes the override table for `additional` more directional
-    /// links, so topology builders with known link counts never rehash
-    /// mid-setup.
-    pub fn reserve_links(&mut self, additional: usize) -> &mut Self {
-        self.overrides.reserve(additional);
-        self
-    }
-
     /// Sets the directional link from `src` to `dst`.
     pub fn set_link(&mut self, src: Ipv4Addr, dst: Ipv4Addr, spec: LinkSpec) -> &mut Self {
         self.overrides.insert((src, dst), spec);
