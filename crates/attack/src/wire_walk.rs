@@ -4,11 +4,11 @@
 //! field sits — which glue addresses fall into the second fragment, where a
 //! TTL can serve as checksum slack. This walker parses the wire format
 //! without building a full [`dns::message::Message`], reporting byte spans;
-//! owner names are skipped and decoded only on request
-//! ([`RecordSpan::name`]).
+//! owner names are checked by the decoder's own name walk
+//! ([`skip_name_at`]) and decoded only on request ([`RecordSpan::name`]).
 
 use dns::error::DnsError;
-use dns::name::{read_name_at, Name};
+use dns::name::{read_name_at, skip_name_at, Name};
 use dns::record::RecordType;
 
 /// Which message section a record came from.
@@ -71,7 +71,7 @@ pub fn walk_records(dns_bytes: &[u8]) -> Result<Vec<RecordSpan>, DnsError> {
     let arcount = u16::from_be_bytes([dns_bytes[10], dns_bytes[11]]);
     let mut pos = 12usize;
     for _ in 0..qdcount {
-        pos = skip_name(dns_bytes, pos)?;
+        pos = skip_name_at(dns_bytes, pos)?;
         pos += 4; // qtype + qclass
     }
     // Every record takes at least 11 bytes (a root owner and the fixed
@@ -83,7 +83,7 @@ pub fn walk_records(dns_bytes: &[u8]) -> Result<Vec<RecordSpan>, DnsError> {
     for (section, count) in sections {
         for _ in 0..count {
             let record_offset = pos;
-            pos = skip_name(dns_bytes, pos)?;
+            pos = skip_name_at(dns_bytes, pos)?;
             if pos + 10 > dns_bytes.len() {
                 return Err(DnsError::Truncated { context: "record fixed fields" });
             }
@@ -108,19 +108,6 @@ pub fn walk_records(dns_bytes: &[u8]) -> Result<Vec<RecordSpan>, DnsError> {
         }
     }
     Ok(spans)
-}
-
-/// Skips a (possibly compressed) name, returning the position after it.
-fn skip_name(data: &[u8], mut pos: usize) -> Result<usize, DnsError> {
-    loop {
-        let len = *data.get(pos).ok_or(DnsError::Truncated { context: "name" })?;
-        match len {
-            0 => return Ok(pos + 1),
-            1..=0x3F => pos += 1 + usize::from(len),
-            0xC0..=0xFF => return Ok(pos + 2),
-            _ => return Err(DnsError::BadName { reason: "label length > 63" }),
-        }
-    }
 }
 
 /// Convenience: the glue A records (additional-section A records) of a

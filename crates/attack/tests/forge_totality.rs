@@ -1,8 +1,8 @@
 //! The attacker's wire readers on hostile bytes: the real `pool.ntp.org`
 //! referral truncated at every offset and garbled at every byte.
-//! `walk_records` and `forge_tail` must never panic, and wherever both
-//! `walk_records` and `Message::decode` accept, the walk must describe the
-//! decoded records (same count, types and owner names).
+//! `walk_records` and `forge_tail` must never panic, and wherever
+//! `Message::decode` accepts, `walk_records` must accept too and describe
+//! the decoded records (same count, types and owner names).
 
 use std::net::Ipv4Addr;
 
@@ -25,7 +25,9 @@ fn referral() -> Vec<u8> {
 
 fn check(bytes: &[u8], what: &str) {
     let _ = forge_tail(bytes, FORCED_MTU, ATTACKER_NS);
-    let (Ok(spans), Ok(msg)) = (walk_records(bytes), Message::decode(bytes)) else { return };
+    let walked = walk_records(bytes);
+    let Ok(msg) = Message::decode(bytes) else { return };
+    let spans = walked.unwrap_or_else(|e| panic!("{what}: decoded, but the walk failed: {e:?}"));
     let records: Vec<&Record> =
         msg.answers.iter().chain(&msg.authorities).chain(&msg.additionals).collect();
     assert_eq!(spans.len(), records.len(), "{what}: record count");
@@ -45,6 +47,18 @@ fn intact_referral_is_forged_from_its_glue() {
     assert!(tail.poisoned_names.len() >= 20);
     assert!(tail.poisoned_names.iter().all(|n| glue.contains(&n)));
     assert!(!tail.poisoned_names.contains(tail.slack_name.as_ref().unwrap()));
+}
+
+#[test]
+fn forward_pointer_owner_is_rejected() {
+    let mut wire = referral();
+    let first = walk_records(&wire).unwrap()[0].record_offset;
+    assert_eq!(wire[first] & 0xC0, 0xC0, "the first owner name is a compression pointer");
+    // Point it at the bytes just after itself: a forward pointer.
+    let target = u16::try_from(first + 2).unwrap();
+    wire[first..first + 2].copy_from_slice(&(0xC000 | target).to_be_bytes());
+    assert!(Message::decode(&wire).is_err());
+    assert!(walk_records(&wire).is_err(), "the walk must reject what the decoder rejects");
 }
 
 #[test]

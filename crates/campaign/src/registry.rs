@@ -11,11 +11,12 @@
 //! never from the shard, which is the whole determinism story.
 //!
 //! The measurement scans (Fig. 5, §VII-B, Table IV / Fig. 6 / Fig. 7,
-//! Table V, §VII-A) are typed [`Scan`]s, and their public constructors
-//! ([`fig5`], [`pmtud`], [`snoop`], [`table5`], [`ratelimit`]) are the one
-//! definition of each scan's population and seeds. A campaign streams a
-//! scan's records; [`Scan::run`] returns its typed `(spec, verdict)`
-//! pairs in process, which fold into the `measure` result types.
+//! Table V, §VII-A, §VIII-B3) are typed [`Scan`]s, and their public
+//! constructors ([`fig5`], [`pmtud`], [`snoop`], [`table5`],
+//! [`ratelimit`], [`shared`]) are the one definition of each scan's
+//! population and seeds. A campaign streams a scan's records;
+//! [`Scan::run`] returns its typed `(spec, verdict)` pairs in process,
+//! which fold into the `measure` result types.
 
 use measure::prelude::*;
 use ntp::prelude::ClientKind;
@@ -71,7 +72,7 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
     REGISTRY.iter().find(|s| s.name == name)
 }
 
-static REGISTRY: [Scenario; 10] = [
+static REGISTRY: [Scenario; 11] = [
     Scenario {
         name: "table1",
         about: "Table I: boot-time attack verified live against all seven NTP clients",
@@ -127,6 +128,12 @@ static REGISTRY: [Scenario; 10] = [
         about: "SVII-B: fragmentation floors of the 30 pool.ntp.org nameservers",
         schema: PMTUD_SCHEMA,
         build: |scale| Box::new(pmtud(scale)),
+    },
+    Scenario {
+        name: "shared",
+        about: "SVIII-B3: web-client resolvers an attacker can trigger (open or SMTP-shared)",
+        schema: SHARED_SCHEMA,
+        build: |scale| Box::new(shared(scale)),
     },
     Scenario {
         name: "chronos_bound",
@@ -428,6 +435,31 @@ pub fn ratelimit(scale: Scale) -> Scan<u64, PoolServerSpec, ServerVerdict> {
         base_seed: scale.seed ^ salts::RATELIMIT_SCAN,
         probe: scan_server,
         record: ratelimit_record,
+    }
+}
+
+// -------------------------------------------- SVIII-B3 shared resolvers
+
+const SHARED_SCHEMA: &Schema = &[
+    Field { name: "open", kind: FieldKind::Bool },
+    Field { name: "smtp_shared", kind: FieldKind::Bool },
+    Field { name: "triggerable", kind: FieldKind::Bool },
+];
+
+fn shared_record(_: &SharedResolverSpec, v: &SharedVerdict) -> Record {
+    Record(vec![v.open.into(), v.smtp_shared.into(), v.triggerable().into()])
+}
+
+/// §VIII-B3: the shared-resolver study of `scale.shared` web-client
+/// resolvers, one /24 world per resolver.
+pub fn shared(scale: Scale) -> Scan<u64, SharedResolverSpec, SharedVerdict> {
+    Scan {
+        trials: scale.shared,
+        pop: scale.seed ^ salts::SHARED_POP,
+        spec_at: |&seed, idx| shared_resolver_at(seed, idx),
+        base_seed: scale.seed ^ salts::SHARED_SCAN,
+        probe: measure::shared::scan_resolver,
+        record: shared_record,
     }
 }
 

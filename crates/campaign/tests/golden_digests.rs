@@ -11,7 +11,7 @@ use timeshift::experiments::Scale;
 
 /// `(scenario, digest)`. fig6, fig7 and table4_snoop share one snoop
 /// survey, hence one stream.
-const GOLDEN: [(&str, &str); 10] = [
+const GOLDEN: [(&str, &str); 11] = [
     ("table1", "07bc8e0c7ab789b9"),
     ("table2", "30af30c75d7c41fb"),
     ("fig5", "395f98cbaf5e45d4"),
@@ -21,6 +21,7 @@ const GOLDEN: [(&str, &str); 10] = [
     ("table5_adstudy", "231a26359cebfe14"),
     ("ratelimit", "837b0046ea00db3e"),
     ("pmtud", "d57c7c75648a3689"),
+    ("shared", "d9cdaebe125bf342"),
     ("chronos_bound", "04f9eff29b5fd8b5"),
 ];
 

@@ -1,11 +1,11 @@
 //! The paper's tables and figures in paper layout: per-trial row
 //! functions for the attack tables (`table1_row`, `table2_row`,
 //! `chronos_bound_row`), the closed-form reports (Table III, the §IV-A
-//! budget), the §VIII-B3 shared-resolver study, and one `format_*` per
-//! artifact. The big scans (Fig. 5, §VII-B, Table IV / Fig. 6 / Fig. 7,
-//! Table V, §VII-A) are defined once, as typed scans in the campaign
-//! scenario registry (`campaign::registry`); the formatters here render
-//! the typed results those scans fold to.
+//! budget), and one `format_*` per artifact. The measurement scans
+//! (Fig. 5, §VII-B, Table IV / Fig. 6 / Fig. 7, Table V, §VII-A,
+//! §VIII-B3) are defined once, as typed scans in the campaign scenario
+//! registry (`campaign::registry`); the formatters here render the typed
+//! results those scans fold to.
 
 use core::fmt;
 
@@ -13,14 +13,13 @@ use attack::prelude::RuntimeScenario;
 use measure::prelude::*;
 use netsim::time::SimDuration;
 use ntp::prelude::{ClientKind, ClientProfile};
-use serde::Serialize;
 
 use crate::analysis::{self, Table3Row, P_RATE};
 use crate::scenario::{run_boot_time_attack, run_runtime_attack, AttackOutcome, ScenarioConfig};
 
 /// Sizing knobs for the measurement experiments: `quick` for tests and CI,
 /// `paper` for full-scale regeneration.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Scale {
     /// Open resolvers surveyed (paper: 1 583 045 probed / 646 212 verified).
     pub resolvers: usize,
@@ -41,9 +40,9 @@ pub struct Scale {
 /// Seed salts: each scan derives its population seed and its per-item
 /// scan-seed base by XOR-ing one of these into the master seed, so the
 /// streams are distinct but reproducible. The scan constructors of the
-/// campaign scenario registry (`crates/campaign`) and [`shared_scan`]
-/// read these; tools that re-derive a scan's seeds (the population pins,
-/// the benchmark probes) read them too — never retype the numbers.
+/// campaign scenario registry (`crates/campaign`) read these; tools that
+/// re-derive a scan's seeds (the population pins, the benchmark probes)
+/// read them too — never retype the numbers.
 pub mod salts {
     /// Fig. 5 domain-nameserver population.
     pub const FIG5_POP: u64 = 0xF5;
@@ -66,7 +65,7 @@ pub mod salts {
     pub const RATELIMIT_SCAN: u64 = 0x7AA;
     /// §VIII-B3 shared-resolver population.
     pub const SHARED_POP: u64 = 0x8B;
-    /// §VIII-B3 scan seed.
+    /// §VIII-B3 per-resolver scan seeds.
     pub const SHARED_SCAN: u64 = 0x8BB;
 }
 
@@ -125,7 +124,7 @@ impl Scale {
 // ---------------------------------------------------------------- Table I
 
 /// One Table I row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Client name.
     pub client: &'static str,
@@ -184,7 +183,7 @@ pub fn format_table1(rows: &[Table1Row]) -> String {
 // --------------------------------------------------------------- Table II
 
 /// One Table II row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Client under attack.
     pub client: &'static str,
@@ -419,7 +418,7 @@ pub fn format_fig5(result: &PmtudScanResult) -> String {
 // ------------------------------------------------------- Chronos (§VI-C)
 
 /// One row of the Chronos bound sweep.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ChronosBoundRow {
     /// Honest lookups completed before poisoning.
     pub n: u32,
@@ -501,12 +500,6 @@ pub fn format_ratelimit(result: &RateLimitScanResult) -> String {
 
 // --------------------------------------------------------- §VIII-B3 scan
 
-/// Runs the shared-resolver discovery study.
-pub fn shared_scan(scale: Scale) -> SharedScanResult {
-    let population = shared_resolvers(scale.shared, scale.seed ^ salts::SHARED_POP);
-    measure::shared::run_scan(&population, scale.seed ^ salts::SHARED_SCAN)
-}
-
 /// Formats the §VIII-B3 result.
 pub fn format_shared(result: &SharedScanResult) -> String {
     let pct = |n: usize| n as f64 * 100.0 / result.total.max(1) as f64;
@@ -534,7 +527,7 @@ pub fn format_shared(result: &SharedScanResult) -> String {
 // -------------------------------------------------------- §IV-A analysis
 
 /// The boot-time fragment budget report.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BootBudget {
     /// Fragments per attack window on Linux (30 s timeout).
     pub linux: u32,

@@ -388,7 +388,11 @@ pub fn read_name_at(data: &[u8], pos: usize) -> Result<(Name, usize), DnsError> 
 
 /// Checks the name at `pos` as [`read_name_at`] does — the same walk,
 /// the same errors — without building it; returns the position after it.
-pub(crate) fn skip_name_at(data: &[u8], pos: usize) -> Result<usize, DnsError> {
+///
+/// # Errors
+///
+/// Returns the [`DnsError`] that [`read_name_at`] would.
+pub fn skip_name_at(data: &[u8], pos: usize) -> Result<usize, DnsError> {
     walk_name(data, pos, &mut []).map(|walked| walked.next)
 }
 

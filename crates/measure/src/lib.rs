@@ -17,8 +17,9 @@
 //!   the (unusable) latency side channel;
 //! * [`adstudy`] — Table V: the seven-image test page measuring fragment
 //!   acceptance and DNSSEC validation per region and device class;
-//! * [`shared`] — §VIII-B3: open/SMTP-shared resolver discovery via
-//!   direct queries, port scans and bounce-triggered lookups;
+//! * [`shared`] — §VIII-B3: open/SMTP-shared resolver discovery via a
+//!   direct query, an SMTP probe and a bounce-triggered lookup per
+//!   resolver;
 //! * [`fragns`] — the study's always-fragmenting test nameserver.
 
 #![warn(missing_docs)]
@@ -49,6 +50,6 @@ pub mod prelude {
     };
     pub use crate::ratelimit::{scan_server, RateLimitScanResult, ServerVerdict};
     pub use crate::scan_seed;
-    pub use crate::shared::SharedScanResult;
+    pub use crate::shared::{SharedScanResult, SharedVerdict};
     pub use crate::snoop::{probed_records, scan_resolver, ResolverOutcome, SurveyResult};
 }

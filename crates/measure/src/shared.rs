@@ -2,13 +2,17 @@
 //! web clients can an attacker trigger queries through — via open
 //! recursion or via SMTP servers in the same /24 that share the resolver?
 //!
-//! Methodology as in the paper: (1) direct queries to each resolver to
-//! find open ones; (2) an SMTP sweep of each resolver's /24; (3) emails to
-//! the found SMTP servers, whose bounce processing makes *their* resolver
-//! query the scanner's nameserver — correlating tokens in the logs maps
-//! SMTP servers to resolvers.
+//! Methodology as in the paper: (1) a direct query to each resolver finds
+//! the open ones; (2) an SMTP probe of the resolver's /24 finds a mail
+//! server; (3) mail to that server, whose bounce processing makes *its*
+//! resolver look up a token under the scanner's nameserver — a token in
+//! the log means the SMTP server shares the resolver.
+//!
+//! [`scan_resolver`] probes one resolver in its own /24 world (a verdict
+//! depends only on that resolver's spec), and the verdicts fold into a
+//! [`SharedScanResult`]. The campaign scenario registry runs it as the
+//! `shared` scan, one trial per resolver.
 
-use netsim::fasthash::{FastMap, FastSet};
 use std::net::Ipv4Addr;
 
 use dns::auth::DNS_PORT;
@@ -18,12 +22,11 @@ use dns::record::{Record, RecordType};
 use dns::resolver::{Resolver, ResolverConfig};
 use dns::stub::StubResolver;
 use netsim::prelude::*;
-use serde::Serialize;
 
 use crate::population::SharedResolverSpec;
 
 /// Aggregate §VIII-B3 result.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedScanResult {
     /// Total web-client resolvers considered.
     pub total: usize,
@@ -46,6 +49,40 @@ impl SharedScanResult {
     /// Triggerable fraction.
     pub fn triggerable_fraction(&self) -> f64 {
         self.triggerable() as f64 / self.total.max(1) as f64
+    }
+}
+
+/// What the scan learns about one web-client resolver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SharedVerdict {
+    /// The resolver answered the scanner's direct recursive query.
+    pub open: bool,
+    /// Mail to the SMTP server in the resolver's /24 made the resolver
+    /// look up the scanner's token.
+    pub smtp_shared: bool,
+}
+
+impl SharedVerdict {
+    /// An attacker can trigger queries through this resolver.
+    pub fn triggerable(&self) -> bool {
+        self.open || self.smtp_shared
+    }
+}
+
+/// Folds per-resolver verdicts into the §VIII-B3 categories.
+impl FromIterator<SharedVerdict> for SharedScanResult {
+    fn from_iter<T: IntoIterator<Item = SharedVerdict>>(verdicts: T) -> Self {
+        let mut result = SharedScanResult::default();
+        for v in verdicts {
+            result.total += 1;
+            match (v.open, v.smtp_shared) {
+                (true, true) => result.open_and_smtp += 1,
+                (true, false) => result.open += 1,
+                (false, true) => result.web_and_smtp += 1,
+                (false, false) => result.web_only += 1,
+            }
+        }
+        result
     }
 }
 
@@ -78,12 +115,11 @@ impl Host for SmtpServer {
     }
 }
 
-/// The scanner's logging nameserver: records which resolver asked for each
-/// token under `scan.example`.
+/// The scanner's logging nameserver: answers every name under
+/// `scan.example` and notes whether a `mail…` token was looked up.
 #[derive(Debug, Default)]
 struct LoggingNs {
-    /// token label -> querying resolver address.
-    seen: FastMap<String, Ipv4Addr>,
+    mail_seen: bool,
 }
 
 impl Host for LoggingNs {
@@ -96,8 +132,8 @@ impl Host for LoggingNs {
             return;
         }
         let Some(q) = query.question() else { return };
-        if let Some(token) = q.name.labels().next() {
-            self.seen.insert(token.to_owned(), d.src);
+        if q.name.labels().next().is_some_and(|token| token.starts_with("mail")) {
+            self.mail_seen = true;
         }
         let mut resp = Message::response_to(&query);
         resp.header.aa = true;
@@ -108,172 +144,97 @@ impl Host for LoggingNs {
     }
 }
 
-/// The driver host: direct-queries resolvers, port-scans /24s, sends mail.
-#[derive(Debug)]
-struct ShareScanner {
-    resolvers: Vec<Ipv4Addr>,
-    smtp_candidates: Vec<Ipv4Addr>,
-    /// Resolvers that answered a direct recursive query.
-    open_found: Vec<Ipv4Addr>,
-    /// SMTP servers that answered the port probe.
-    smtp_found: Vec<Ipv4Addr>,
-    txids: FastMap<u16, Ipv4Addr>,
-    phase: u8,
+// Each probe's world: the scanner and its logging nameserver, and the
+// resolver's /24.
+const SCANNER: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 11);
+const LOG_NS: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 12);
+const RESOLVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 53);
+const SMTP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 25);
+const DIRECT_TXID: u16 = 0;
+
+/// The scanner: one RD=1 query to the resolver and one SMTP probe of the
+/// /24's `.25`; 5 s later it mails a token to the SMTP server if the probe
+/// was answered.
+#[derive(Debug, Default)]
+struct ShareProbe {
+    /// The resolver answered the direct query.
+    open: bool,
+    /// The SMTP probe was answered.
+    smtp_found: bool,
 }
 
-impl Host for ShareScanner {
+impl Host for ShareProbe {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        // Phase 1: direct queries to every resolver.
-        for (i, &r) in self.resolvers.clone().iter().enumerate() {
-            let txid = i as u16;
-            self.txids.insert(txid, r);
-            let name: Name = format!("direct{i}.scan.example").parse().expect("name");
-            let q = Message::query(txid, name, RecordType::A, true);
-            if let Ok(wire) = q.encode() {
-                ctx.send_udp(r, 5402, DNS_PORT, wire);
-            }
+        let name: Name = "direct.scan.example".parse().expect("static");
+        let q = Message::query(DIRECT_TXID, name, RecordType::A, true);
+        if let Ok(wire) = q.encode() {
+            ctx.send_udp(RESOLVER, 5402, DNS_PORT, wire);
         }
-        // Phase 2: SMTP probe of each /24's canonical mail host.
-        for &c in &self.smtp_candidates.clone() {
-            ctx.send_udp(c, 5403, SMTP_PORT, bytes::Bytes::from_static(b"probe"));
-        }
+        ctx.send_udp(SMTP, 5403, SMTP_PORT, bytes::Bytes::from_static(b"probe"));
         ctx.set_timer(SimDuration::from_secs(5), 1);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken) {
-        if self.phase != 0 {
-            return;
-        }
-        self.phase = 1;
-        // Phase 3: mail each discovered SMTP server with a tokenised sender
-        // domain; its resolver will query our logging NS for it.
-        for (i, &smtp) in self.smtp_found.clone().iter().enumerate() {
-            let domain = format!("mail{i}.scan.example");
-            ctx.send_udp(smtp, 5404, SMTP_PORT, bytes::Bytes::from(domain.into_bytes()));
+        if self.smtp_found {
+            // The sender domain is the token the SMTP server's resolver
+            // will look up at the logging nameserver.
+            let domain = bytes::Bytes::from_static(b"mail.scan.example");
+            ctx.send_udp(SMTP, 5404, SMTP_PORT, domain);
         }
     }
 
-    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, d: &Datagram) {
-        let _ = ctx;
+    fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, d: &Datagram) {
         match d.dst_port {
-            5402 => {
+            5402 if d.src == RESOLVER => {
                 if let Ok(msg) = Message::decode(&d.payload) {
-                    if !msg.answers.is_empty() {
-                        if let Some(&r) = self.txids.get(&msg.header.id) {
-                            if r == d.src {
-                                self.open_found.push(r);
-                            }
-                        }
-                    }
+                    self.open |= msg.header.id == DIRECT_TXID && !msg.answers.is_empty();
                 }
             }
-            5403 => {
-                self.smtp_found.push(d.src);
-            }
+            5403 => self.smtp_found = true,
             _ => {}
         }
     }
 }
 
-/// Runs the shared-resolver study over a population. `n` resolvers are
-/// placed in distinct /24s; SMTP servers appear at `.25` of a /24 when the
-/// spec says so.
-pub fn run_scan(population: &[SharedResolverSpec], seed: u64) -> SharedScanResult {
-    let mut sim = Simulator::with_topology(
-        seed,
-        Topology::uniform(LinkSpec::fixed(SimDuration::from_millis(10))),
-    );
-    // Scanner + logging NS + one resolver (and possibly one SMTP server)
-    // per population entry: reserve the slab up front.
-    sim.reserve_hosts(2 * population.len() + 2);
-    let scanner_addr: Ipv4Addr = "203.0.113.11".parse().expect("static");
-    let log_ns: Ipv4Addr = "203.0.113.12".parse().expect("static");
+/// Probes one web-client resolver in a 30 s world of its own: the
+/// scanner, the logging nameserver, the resolver at `.53` of a /24 and,
+/// when the spec says it shares the resolver, an SMTP server at `.25`. A
+/// closed resolver's ACL is modelled by dropping every scanner→resolver
+/// packet on the link (the SMTP server still reaches it).
+pub fn scan_resolver(spec: &SharedResolverSpec, seed: u64) -> SharedVerdict {
+    let link = LinkSpec::fixed(SimDuration::from_millis(10));
+    let mut sim = Simulator::with_topology(seed, Topology::uniform(link));
+    sim.add_host(LOG_NS, OsProfile::linux(), Box::new(LoggingNs::default())).expect("log ns");
     let scan_zone: Name = "scan.example".parse().expect("static");
-    sim.add_host(log_ns, OsProfile::linux(), Box::new(LoggingNs::default())).expect("log ns");
-
-    let mut resolvers = Vec::new();
-    let mut smtp_candidates = Vec::new();
-    let mut smtp_resolver: FastMap<Ipv4Addr, Ipv4Addr> = FastMap::default();
-    for (i, spec) in population.iter().enumerate() {
-        // /24 per resolver: 10.X.Y.53.
-        let base = 0x0A00_0000u32 + ((i as u32) << 8);
-        let resolver_addr = Ipv4Addr::from(base + 53);
-        sim.add_host(
-            resolver_addr,
-            OsProfile::linux(),
-            Box::new(Resolver::new(
-                ResolverConfig::default(),
-                vec![(scan_zone.clone(), vec![log_ns])],
-            )),
-        )
-        .expect("resolver");
-        if !spec.open {
-            // ACL stand-in: the scanner's packets to a closed resolver are
-            // dropped on the link (internal clients still reach it).
-            sim.topology_mut().set_link(
-                scanner_addr,
-                resolver_addr,
-                LinkSpec::fixed(SimDuration::from_millis(10)).with_loss(1.0),
-            );
-        }
-        if spec.smtp_shares {
-            let smtp_addr = Ipv4Addr::from(base + 25);
-            sim.add_host(
-                smtp_addr,
-                OsProfile::linux(),
-                Box::new(SmtpServer {
-                    resolver: resolver_addr,
-                    stub: StubResolver::new(resolver_addr, 5405),
-                }),
-            )
-            .expect("smtp");
-            smtp_resolver.insert(smtp_addr, resolver_addr);
-        }
-        // The scanner probes .25 in every /24 regardless.
-        smtp_candidates.push(Ipv4Addr::from(base + 25));
-        resolvers.push(resolver_addr);
+    let resolver = Resolver::new(ResolverConfig::default(), vec![(scan_zone, vec![LOG_NS])]);
+    sim.add_host(RESOLVER, OsProfile::linux(), Box::new(resolver)).expect("resolver");
+    if !spec.open {
+        sim.topology_mut().set_link(SCANNER, RESOLVER, link.with_loss(1.0));
     }
-    sim.add_host(
-        scanner_addr,
-        OsProfile::linux(),
-        Box::new(ShareScanner {
-            resolvers: resolvers.clone(),
-            smtp_candidates,
-            open_found: Vec::new(),
-            smtp_found: Vec::new(),
-            txids: FastMap::default(),
-            phase: 0,
-        }),
-    )
-    .expect("scanner");
+    if spec.smtp_shares {
+        let smtp = SmtpServer { resolver: RESOLVER, stub: StubResolver::new(RESOLVER, 5405) };
+        sim.add_host(SMTP, OsProfile::linux(), Box::new(smtp)).expect("smtp");
+    }
+    sim.add_host(SCANNER, OsProfile::linux(), Box::new(ShareProbe::default())).expect("scanner");
     sim.run_for(SimDuration::from_secs(30));
-
-    let scanner = sim.host::<ShareScanner>(scanner_addr).expect("scanner exists");
-    let log = sim.host::<LoggingNs>(log_ns).expect("log ns exists");
-    // Resolvers observed doing bounce lookups (tokens "mailN"):
-    let smtp_shared: FastSet<Ipv4Addr> = log
-        .seen
-        .iter()
-        .filter(|(token, _)| token.starts_with("mail"))
-        .map(|(_, &resolver)| resolver)
-        .collect();
-    let open: FastSet<Ipv4Addr> = scanner.open_found.iter().copied().collect();
-    let mut result = SharedScanResult { total: population.len(), ..Default::default() };
-    for r in &resolvers {
-        match (open.contains(r), smtp_shared.contains(r)) {
-            (true, true) => result.open_and_smtp += 1,
-            (true, false) => result.open += 1,
-            (false, true) => result.web_and_smtp += 1,
-            (false, false) => result.web_only += 1,
-        }
+    SharedVerdict {
+        open: sim.host::<ShareProbe>(SCANNER).expect("scanner exists").open,
+        smtp_shared: sim.host::<LoggingNs>(LOG_NS).expect("log ns exists").mail_seen,
     }
-    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::population::shared_resolvers;
+
+    fn scan_all(population: &[SharedResolverSpec], seed: u64) -> SharedScanResult {
+        population
+            .iter()
+            .enumerate()
+            .map(|(idx, spec)| scan_resolver(spec, crate::scan_seed(seed, idx)))
+            .collect()
+    }
 
     #[test]
     fn categories_detected_end_to_end() {
@@ -283,7 +244,7 @@ mod tests {
             SharedResolverSpec { smtp_shares: false, open: true },
             SharedResolverSpec { smtp_shares: true, open: true },
         ];
-        let result = run_scan(&population, 1);
+        let result = scan_all(&population, 1);
         assert_eq!(result.total, 4);
         assert_eq!(result.web_only, 1, "{result:?}");
         assert_eq!(result.web_and_smtp, 1, "{result:?}");
@@ -295,7 +256,7 @@ mod tests {
     #[test]
     fn population_scan_recovers_marginals() {
         let population = shared_resolvers(400, 2);
-        let result = run_scan(&population, 3);
+        let result = scan_all(&population, 3);
         let frac = result.triggerable_fraction();
         assert!((frac - 0.138).abs() < 0.05, "triggerable {frac} (paper: 13.8 %); {result:?}");
         assert!(result.web_only > result.triggerable());

@@ -8,7 +8,7 @@ use crate::fasthash::FastMap;
 use crate::time::SimDuration;
 
 /// Properties of the path between two hosts.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Base one-way latency.
     pub latency: SimDuration,

@@ -793,7 +793,7 @@ impl<'a> Ctx<'a> {
 }
 
 /// Aggregate counters, useful for assertions in tests and experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// IPv4 packets (incl. fragments) put on the wire.
     pub packets_sent: u64,

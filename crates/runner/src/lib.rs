@@ -25,8 +25,6 @@ pub use hist::StreamHist;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crossbeam::thread;
-
 /// The seed for the population item at index `idx`: a pure function of the
 /// master seed and the index (splitmix-style mixing), so every sweep in
 /// the workspace produces identical results for any worker count or
@@ -117,10 +115,10 @@ impl TrialRunner {
         }
         let cursor = AtomicUsize::new(0);
         let trial = &trial;
-        let per_worker: Vec<Vec<(usize, T)>> = thread::scope(|s| {
+        let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    s.spawn(|_| {
+                    s.spawn(|| {
                         let mut out = Vec::new();
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -132,8 +130,7 @@ impl TrialRunner {
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("trial worker panicked")).collect()
-        })
-        .expect("trial scope");
+        });
         // Deterministic merge: slot every result at its item index.
         let mut results: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
         for (i, value) in per_worker.into_iter().flatten() {

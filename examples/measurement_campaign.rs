@@ -63,7 +63,8 @@ fn main() {
     let ratelimit: RateLimitScanResult = registry::ratelimit(scale).fold(scale.workers);
     println!("{}", experiments::format_ratelimit(&ratelimit));
 
-    println!("{}", experiments::format_shared(&experiments::shared_scan(scale)));
+    let shared: SharedScanResult = registry::shared(scale).fold(scale.workers);
+    println!("{}", experiments::format_shared(&shared));
 
     println!("{}", experiments::format_chronos_bound(&experiments::chronos_bound()));
 

@@ -29,8 +29,8 @@ fn same_seed_same_stats_and_outcome() {
     assert_eq!(stats(7), stats(7));
 }
 
-/// The five registry scans (Fig. 5, §VII-B, the Table IV / Fig. 6 / Fig. 7
-/// survey, Table V, §VII-A) seed every trial by its index, so
+/// The six registry scans (Fig. 5, §VII-B, the Table IV / Fig. 6 / Fig. 7
+/// survey, Table V, §VII-A, §VIII-B3) seed every trial by its index, so
 /// `Scan::run` gives byte-identical `(spec, verdict)` pairs at 1 and 8
 /// workers.
 #[test]
@@ -40,16 +40,18 @@ fn measure_scans_are_worker_count_independent() {
         domains: 60,
         ad_fraction: 0.001,
         pool_servers: 40,
+        shared: 40,
         ..Scale::quick()
     };
     let run = |workers: usize| {
         format!(
-            "{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
+            "{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
             registry::fig5(scale).run(workers),
             registry::pmtud(scale).run(workers),
             registry::snoop(scale).run(workers),
             registry::table5(scale).run(workers),
             registry::ratelimit(scale).run(workers),
+            registry::shared(scale).run(workers),
         )
     };
     assert_eq!(run(1), run(8), "8 workers must match sequential");
@@ -92,6 +94,28 @@ fn typed_scan_results_are_pinned() {
         digest.update_line(&rendering);
     }
     assert_eq!(digest.hex(), "cd35d8fd7efe75b9");
+}
+
+/// The §VIII-B3 scan, one /24 world per resolver, folds to exactly the
+/// categories that the single world holding every resolver (the scan it
+/// replaced) found at seed 2020: at quick scale, at 600 resolvers and at
+/// the paper's 18,668.
+#[test]
+fn shared_scan_results_are_pinned() {
+    let quick = Scale::quick();
+    let fold = |shared| -> SharedScanResult {
+        registry::shared(Scale { shared, ..quick }).fold(quick.workers)
+    };
+    let pinned = |total, web_only, web_and_smtp, open, open_and_smtp| SharedScanResult {
+        total,
+        web_only,
+        web_and_smtp,
+        open,
+        open_and_smtp,
+    };
+    assert_eq!(fold(quick.shared), pinned(500, 438, 52, 9, 1));
+    assert_eq!(fold(600), pinned(600, 521, 64, 13, 2));
+    assert_eq!(fold(Scale::paper().shared), pinned(18_668, 16_101, 2_120, 419, 28));
 }
 
 /// Buffer pooling is invisible to results: the same attack with the

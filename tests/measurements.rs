@@ -95,7 +95,8 @@ fn table5_shape_and_validation_range() {
 
 #[test]
 fn shared_scan_triggerable_fraction() {
-    let result = experiments::shared_scan(Scale { shared: 600, ..quick() });
+    let scale = Scale { shared: 600, ..quick() };
+    let result: SharedScanResult = registry::shared(scale).fold(scale.workers);
     assert!(
         (result.triggerable_fraction() - 0.138).abs() < 0.04,
         "triggerable {} (paper ≥13.8%)",
@@ -123,7 +124,8 @@ fn all_formatters_produce_output() {
     assert!(experiments::format_fig5(&fig5).contains("FIG. 5"));
     let ratelimit: RateLimitScanResult = registry::ratelimit(scale).fold(scale.workers);
     assert!(experiments::format_ratelimit(&ratelimit).contains("§VII-A"));
-    assert!(experiments::format_shared(&experiments::shared_scan(scale)).contains("§VIII-B3"));
+    let shared: SharedScanResult = registry::shared(scale).fold(scale.workers);
+    assert!(experiments::format_shared(&shared).contains("§VIII-B3"));
     assert!(experiments::format_chronos_bound(&experiments::chronos_bound()).contains("N <= 11"));
     assert!(experiments::boot_budget().to_string().contains("5 fragments"));
 }
