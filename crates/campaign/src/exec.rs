@@ -242,7 +242,7 @@ pub fn run_worker(
     }
     let campaign = scenario.build(scale);
     let range = shard_range(campaign.trials(), k, shards);
-    if range.start + skip > range.end {
+    if skip > range.len() {
         return Err(CampaignError::BadSpec(format!("skip {skip} exceeds shard range {range:?}")));
     }
     run_shard(scenario, &*campaign, range, skip, checkpoint_path, fault)
@@ -373,5 +373,18 @@ mod tests {
     fn scale_spec_rejects_malformed_input() {
         assert!(parse_scale_spec("1,2,3").is_err());
         assert!(parse_scale_spec("a,2,0.5,4,5,6,7").is_err());
+    }
+
+    #[test]
+    fn worker_rejects_a_skip_past_its_shard_without_wrapping() {
+        let scenario = crate::registry::find("chronos_bound").expect("registered");
+        let dir = std::env::temp_dir().join(format!("exec-skip-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("shard-1.ndjson");
+        let result = run_worker(scenario, Scale::quick(), 1, 2, usize::MAX, &path, None);
+        let written = std::fs::read(&path).map_or(0, |bytes| bytes.len());
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(matches!(result, Err(CampaignError::BadSpec(_))), "{result:?}");
+        assert_eq!(written, 0, "no record may reach the checkpoint");
     }
 }

@@ -60,5 +60,5 @@ pub mod prelude {
     pub use measure::prelude::*;
     pub use netsim::prelude::*;
     pub use ntp::prelude::*;
-    pub use runner::{trial_seed, TrialRunner};
+    pub use runner::TrialRunner;
 }

@@ -4,7 +4,7 @@
 //! IPID counters per its [`OsProfile`]) and implements [`Host`]. Packets are
 //! real encoded IPv4 bytes-on-structs; delivery times come from the
 //! [`Topology`]'s link specs; everything is driven by a deterministic,
-//! seeded event heap.
+//! seeded event loop over a timing wheel.
 //!
 //! ## Engine layout
 //!
@@ -44,12 +44,7 @@
 //! Beyond allocation, the loop is laid out for cache residency (see
 //! `docs/ARCHITECTURE.md` § "Hot-path data layout"): the host slab keeps
 //! each slot to 48 B by splitting every stack into an inline hot half and
-//! a boxed cold half ([`NetStack`]), and dispatch is **batched** — each
-//! same-instant wheel run is drained into a scratch ring in one motion and
-//! dispatched front to back, preserving the exact `(at, seq)` order (the
-//! one-event reference loop remains available via
-//! [`Simulator::set_batched_dispatch`] and the differential tests hold the
-//! two modes bit-identical).
+//! a boxed cold half ([`NetStack`]).
 // simlint: hot-path — the dispatch loop, the SoA host slab and the send/
 // receive paths below run once per simulated event; the steady state is
 // allocation-free (pooled boxes, reused scratch buffers, inline `Bytes`),
@@ -163,17 +158,10 @@ pub struct NetStack {
 /// stale `true` only costs the dereference (never correctness).
 #[derive(Debug)]
 struct StackHot {
-    /// Compact [`OsProfile::ipid`] discriminant (`IPID_*` below). The
-    /// per-destination modes carry a fourth state: "the counter for the
-    /// single tracked destination is cached inline" — the common
-    /// one-peer-conversation case assigns IPIDs without touching the cold
-    /// map at all.
+    /// Compact [`OsProfile::ipid`] discriminant (`IPID_*` below).
     ipid_mode: u8,
-    /// The inline IPID counter: the global-sequential counter, or (in
-    /// [`IPID_PER_DST_CACHED`] mode) the cached per-destination counter.
+    /// The global-sequential IPID counter.
     ipid_counter: u16,
-    /// Destination the cached per-destination counter belongs to.
-    ipid_cached_dst: u32,
     /// Copy of [`OsProfile::interface_mtu`].
     interface_mtu: u16,
     /// Copy of [`OsProfile::min_fragment_size`].
@@ -190,12 +178,8 @@ struct StackHot {
 const IPID_GLOBAL: u8 = 0;
 /// [`StackHot::ipid_mode`]: uniformly random IPIDs.
 const IPID_RANDOM: u8 = 1;
-/// [`StackHot::ipid_mode`]: per-destination counters, all in the cold map.
+/// [`StackHot::ipid_mode`]: per-destination counters in the cold map.
 const IPID_PER_DST: u8 = 2;
-/// [`StackHot::ipid_mode`]: per-destination counters, and the map's single
-/// entry is cached in [`StackHot::ipid_counter`]/[`StackHot::ipid_cached_dst`]
-/// (the map entry's counter is stale until the cache is flushed back).
-const IPID_PER_DST_CACHED: u8 = 3;
 
 /// The cold half of a [`NetStack`]: per-host config and the caches only
 /// touched when their hot-side summary flag says so.
@@ -285,7 +269,6 @@ impl NetStack {
                     IpidMode::PerDestination { .. } => IPID_PER_DST,
                 },
                 ipid_counter: ipid_start,
-                ipid_cached_dst: 0,
                 interface_mtu: profile.interface_mtu,
                 min_fragment_size: profile.min_fragment_size,
                 accept_fragments: profile.accept_fragments,
@@ -316,66 +299,25 @@ impl NetStack {
     #[inline]
     pub fn next_ipid<R: Rng + ?Sized>(&mut self, dst: Ipv4Addr, rng: &mut R) -> u16 {
         match self.hot.ipid_mode {
-            IPID_PER_DST_CACHED if self.hot.ipid_cached_dst == u32::from(dst) => {
-                // The single tracked destination again: counter lives
-                // inline, no cold-map traffic at all.
-                let id = self.hot.ipid_counter;
-                self.hot.ipid_counter = id.wrapping_add(1);
-                id
-            }
             IPID_GLOBAL => {
                 let id = self.hot.ipid_counter;
                 self.hot.ipid_counter = id.wrapping_add(1);
                 id
             }
             IPID_RANDOM => rng.random(),
-            _ => self.next_ipid_per_dst_slow(dst),
+            _ => self.next_ipid_per_dst(dst),
         }
-    }
-
-    /// The per-destination miss path: flushes the inline cache back into
-    /// the map, runs the exact LRU-bounded algorithm, and re-caches the
-    /// counter inline whenever the map is back down to a single tracked
-    /// destination. Eviction requires `len > cap >= 1`, i.e. at least two
-    /// tracked destinations, so a cached (single-entry) stack can never
-    /// owe an eviction — deferring its map/LRU bookkeeping to the next
-    /// miss changes no observable ID, victim, or eviction count.
-    fn next_ipid_per_dst_slow(&mut self, dst: Ipv4Addr) -> u16 {
-        if self.hot.ipid_mode == IPID_PER_DST_CACHED {
-            let cached_dst = Ipv4Addr::from(self.hot.ipid_cached_dst);
-            let counter = self.hot.ipid_counter;
-            let cold = &mut *self.cold;
-            cold.ipid_tick += 1;
-            let tick = cold.ipid_tick;
-            let slot = cold.ipid_per_dst.get_mut(&cached_dst).expect("cached dst is tracked");
-            // One flush summarises the whole cached streak: the counter
-            // catches up and the destination keeps its most-recently-used
-            // rank (it *was* the last one touched before this miss).
-            slot.counter = counter;
-            slot.tick = tick;
-            cold.ipid_lru.push_back((tick, cached_dst));
-            self.hot.ipid_mode = IPID_PER_DST;
-        }
-        let IpidMode::PerDestination { start } = self.cold.profile.ipid else {
-            unreachable!("slow path only runs in per-destination mode")
-        };
-        let id = self.next_ipid_per_dst(dst, start);
-        if self.cold.ipid_per_dst.len() == 1 {
-            // Sole tracked destination (necessarily `dst`): move its
-            // counter inline until a different destination shows up.
-            self.hot.ipid_mode = IPID_PER_DST_CACHED;
-            self.hot.ipid_cached_dst = u32::from(dst);
-            self.hot.ipid_counter = id.wrapping_add(1);
-        }
-        id
     }
 
     /// Per-destination counter with an LRU-bounded table: spoofed-source
     /// sprays touch unbounded destination sets, so the map is capped at
     /// [`OsProfile::ipid_cache_cap`] and the least-recently-used counter is
     /// evicted (and counted) past the cap.
-    fn next_ipid_per_dst(&mut self, dst: Ipv4Addr, start: u16) -> u16 {
+    fn next_ipid_per_dst(&mut self, dst: Ipv4Addr) -> u16 {
         let cold = &mut *self.cold;
+        let IpidMode::PerDestination { start } = cold.profile.ipid else {
+            unreachable!("per-destination counters only run in per-destination mode")
+        };
         cold.ipid_tick += 1;
         let tick = cold.ipid_tick;
         let slot = cold.ipid_per_dst.entry(dst).or_insert(IpidSlot { counter: start, tick });
@@ -893,15 +835,6 @@ pub struct Simulator {
     scratch: Vec<Action>,
     /// Reusable fragment buffer for the send path (no per-send allocation).
     pkt_scratch: Vec<Ipv4Packet>,
-    /// Scratch ring for batched dispatch: a whole same-instant wheel run is
-    /// drained here, then dispatched front to back.
-    batch: Vec<EventKind>,
-    /// Events drained into `batch` but not yet dispatched; they still count
-    /// as "scheduled, not dispatched" for [`SimStats::peak_queue_depth`].
-    batch_pending: u64,
-    /// Batched slot-drain dispatch on (default) or the one-event-at-a-time
-    /// reference loop (kept for the differential test suite).
-    batched: bool,
     /// Recycled boxes for the boxed `Action`/`EventKind` variants.
     boxes: BoxPool,
     /// Per-origin last-destination cache, indexed by sender [`HostId`]:
@@ -942,10 +875,6 @@ impl Simulator {
             scratch: Vec::new(),
             // simlint: allow(hot-alloc) — cold constructor: empty.
             pkt_scratch: Vec::new(),
-            // simlint: allow(hot-alloc) — cold constructor: empty.
-            batch: Vec::new(),
-            batch_pending: 0,
-            batched: true,
             boxes: BoxPool::default(),
             // simlint: allow(hot-alloc) — cold constructor: empty.
             route_cache: Vec::new(),
@@ -1110,59 +1039,16 @@ impl Simulator {
     }
 
     /// Dispatches queued events up to `deadline` within the event budget,
-    /// leaving `now` at the last dispatched event.
-    ///
-    /// Batched mode drains each same-instant wheel run into a scratch ring
-    /// in one motion and dispatches it front to back, so the loop crosses
-    /// the wheel once per *instant* instead of once per event and
-    /// consecutive events for the same host hit a slab slot that is still
-    /// cache-resident. The dispatch order is identical to the reference
-    /// loop below: a run is complete when drained (every queued event at
-    /// that instant is in the wheel's ready run — see
-    /// [`TimingWheel::pop_run_into`]), and anything a handler schedules
-    /// carries a later `(at, seq)` key, so it lands after the run.
+    /// one wheel pop per event, leaving `now` at the last dispatched event.
     fn drain_until(&mut self, deadline: SimTime) {
-        if !self.batched {
-            // Reference loop: one wheel pop per event. The differential
-            // suite pins batched dispatch to this order bit for bit.
-            while let Some(at) = self.queue.peek() {
-                if at > deadline || self.stats.events_dispatched >= self.max_events {
-                    break;
-                }
-                let (at, kind) = self.queue.pop().expect("peeked event exists");
-                self.now = self.now.max(at);
-                self.dispatch(kind);
-            }
-            return;
-        }
-        loop {
-            let remaining = self.max_events.saturating_sub(self.stats.events_dispatched);
-            if remaining == 0 {
+        while let Some(at) = self.queue.peek() {
+            if at > deadline || self.stats.events_dispatched >= self.max_events {
                 break;
             }
-            let limit = usize::try_from(remaining).unwrap_or(usize::MAX);
-            let mut batch = std::mem::take(&mut self.batch);
-            debug_assert!(batch.is_empty());
-            let run_at = self.queue.pop_run_into(deadline, limit, &mut batch);
-            let Some(at) = run_at else {
-                self.batch = batch;
-                break;
-            };
+            let (at, kind) = self.queue.pop().expect("peeked event exists");
             self.now = self.now.max(at);
-            self.batch_pending = batch.len() as u64;
-            for kind in batch.drain(..) {
-                self.batch_pending -= 1;
-                self.dispatch(kind);
-            }
-            self.batch = batch;
+            self.dispatch(kind);
         }
-    }
-
-    /// Selects batched (default) or one-event-at-a-time dispatch. Both
-    /// produce bit-identical event order, stats, and RNG consumption; the
-    /// reference loop exists so tests can prove exactly that.
-    pub fn set_batched_dispatch(&mut self, batched: bool) {
-        self.batched = batched;
     }
 
     /// Runs for a span of simulated time.
@@ -1192,9 +1078,7 @@ impl Simulator {
 
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
         self.queue.schedule(at, kind);
-        // Count events drained into the batch ring but not yet dispatched,
-        // so the high-water mark is identical in both dispatch modes.
-        let depth = self.queue.len() as u64 + self.batch_pending;
+        let depth = self.queue.len() as u64;
         self.stats.peak_queue_depth = self.stats.peak_queue_depth.max(depth);
     }
 

@@ -175,49 +175,6 @@ impl<T> TimingWheel<T> {
         Some((entry.at, entry.value))
     }
 
-    /// Drains the entire front run of events sharing the earliest queued
-    /// instant — at most `limit` of them — appending their values to `out`
-    /// in `(at, seq)` order, and returns that instant. Returns `None`
-    /// (draining nothing) when the queue is empty, the earliest instant is
-    /// past `deadline`, or `limit` is 0.
-    ///
-    /// Why a same-instant run may be drained wholesale: an entry sits in
-    /// `ready` exactly when its tick is at or behind the cursor, and
-    /// `prime` exposes a whole level-0 slot (one
-    /// tick) at a time — so the moment an instant surfaces, *every* queued
-    /// entry with that instant is already in the sorted ready run, and the
-    /// run is maximal. Anything scheduled while the caller dispatches the
-    /// drained run gets a later sequence number (and a non-earlier
-    /// instant, under a monotonic clock), so it sorts strictly after the
-    /// run — batch dispatch preserves the exact `(at, seq)` total order.
-    pub fn pop_run_into(
-        &mut self,
-        deadline: SimTime,
-        limit: usize,
-        out: &mut Vec<T>,
-    ) -> Option<SimTime> {
-        if limit == 0 {
-            return None;
-        }
-        let at = self.peek()?;
-        if at > deadline {
-            return None;
-        }
-        let mut taken = 0;
-        while taken < limit {
-            match self.ready.front() {
-                Some(e) if e.at == at => {
-                    let entry = self.ready.pop_front().expect("front checked");
-                    out.push(entry.value);
-                    taken += 1;
-                }
-                _ => break,
-            }
-        }
-        self.len -= taken;
-        Some(at)
-    }
-
     /// Files an entry into the ready run, a wheel slot, or the overflow.
     fn insert(&mut self, entry: Entry<T>) {
         let t = tick_of(entry.at);

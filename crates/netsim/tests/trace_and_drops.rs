@@ -1,7 +1,7 @@
 //! Integration tests for the observability layer: the exhaustive drop
 //! taxonomy of the receive path, its aggregation into [`SimStats`], and —
 //! under the `trace` feature — the flight recorder's determinism contract
-//! (bit-identical trace digests across repeat runs and dispatch modes).
+//! (bit-identical trace digests across repeat runs).
 
 use std::net::Ipv4Addr;
 
@@ -174,9 +174,8 @@ impl Host for BigSender {
     }
 }
 
-fn fragmented_exchange(seed: u64, batched: bool) -> Simulator {
+fn fragmented_exchange(seed: u64) -> Simulator {
     let mut sim = Simulator::new(seed);
-    sim.set_batched_dispatch(batched);
     sim.add_host(A, OsProfile::linux(), Box::new(BigSender { peer: B })).unwrap();
     sim.add_host(B, OsProfile::linux(), Box::new(Sink)).unwrap();
     sim.run_for(SimDuration::from_secs(1));
@@ -184,11 +183,11 @@ fn fragmented_exchange(seed: u64, batched: bool) -> Simulator {
 }
 
 #[test]
-fn drop_taxonomy_is_identical_across_dispatch_modes() {
-    let batched = fragmented_exchange(5, true);
-    let reference = fragmented_exchange(5, false);
-    assert_eq!(batched.stats(), reference.stats());
-    assert_eq!(batched.stats().datagrams_delivered, 1);
+fn drop_taxonomy_is_identical_across_runs() {
+    let first = fragmented_exchange(5);
+    let second = fragmented_exchange(5);
+    assert_eq!(first.stats(), second.stats());
+    assert_eq!(first.stats().datagrams_delivered, 1);
 }
 
 #[cfg(feature = "trace")]
@@ -196,18 +195,16 @@ mod traced {
     use super::*;
 
     #[test]
-    fn trace_digest_is_bit_identical_across_runs_and_dispatch_modes() {
-        let first = fragmented_exchange(42, true);
-        let second = fragmented_exchange(42, true);
-        let reference = fragmented_exchange(42, false);
+    fn trace_digest_is_bit_identical_across_runs() {
+        let first = fragmented_exchange(42);
+        let second = fragmented_exchange(42);
         assert_ne!(first.trace_digest(), obs::FlightRecorder::new(4).digest());
         assert_eq!(first.trace_digest(), second.trace_digest());
-        assert_eq!(first.trace_digest(), reference.trace_digest());
     }
 
     #[test]
     fn ring_records_the_attack_causal_chain() {
-        let sim = fragmented_exchange(42, true);
+        let sim = fragmented_exchange(42);
         let kinds: Vec<u16> = sim.recorder().iter().map(|e| e.kind).collect();
         let count = |k: u16| kinds.iter().filter(|&&x| x == k).count();
         assert_eq!(count(obs::kind::FRAG_RX), 3, "4000 B at MTU 1500 → 3 fragments");

@@ -84,62 +84,4 @@ proptest! {
         }
         prop_assert_eq!(popped, expected);
     }
-
-    /// `pop_run_into` (the batched drain) agrees with a model built from
-    /// individual reference pops: it takes exactly the maximal front run
-    /// of equal-`at` entries — clipped by `limit` and `deadline` — in the
-    /// same `(at, seq)` order, for arbitrary schedule/drain interleavings.
-    #[test]
-    fn pop_run_into_matches_individual_pops(
-        ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400),
-    ) {
-        let mut wheel: TimingWheel<u32> = TimingWheel::new();
-        let mut heap: BinaryHeap<Reverse<(SimTime, u64, u32)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut out: Vec<u32> = Vec::new();
-        for (tag, &(op, raw)) in ops.iter().enumerate() {
-            if op % 3 == 2 {
-                // Drain one batch. Deadline lands before, at, or past the
-                // front entry; tiny limits exercise mid-run clipping.
-                let limit = 1 + (raw % 5) as usize;
-                let deadline = match heap.peek() {
-                    Some(&Reverse((at, _, _))) => {
-                        SimTime::from_nanos(at.as_nanos().saturating_add(raw % 3).wrapping_sub(1))
-                    }
-                    None => SimTime::from_nanos(raw),
-                };
-                out.clear();
-                let run_at = wheel.pop_run_into(deadline, limit, &mut out);
-                // Reference: pop entries one at a time while they share
-                // the front instant and fit the limit and deadline.
-                let mut expect: Vec<u32> = Vec::new();
-                let mut expect_at = None;
-                while expect.len() < limit {
-                    match heap.peek() {
-                        Some(&Reverse((at, _, _)))
-                            if at <= deadline
-                                && (expect_at.is_none() || expect_at == Some(at)) =>
-                        {
-                            let Reverse((at, _, v)) = heap.pop().expect("peeked");
-                            expect_at = Some(at);
-                            expect.push(v);
-                        }
-                        _ => break,
-                    }
-                }
-                prop_assert_eq!(run_at, expect_at);
-                prop_assert_eq!(&out, &expect);
-            } else {
-                let at = SimTime::from_nanos(match op % 2 {
-                    0 => raw % (1 << 24),
-                    _ => raw % (1 << 44),
-                });
-                let tag = tag as u32;
-                wheel.schedule(at, tag);
-                heap.push(Reverse((at, seq, tag)));
-                seq += 1;
-            }
-            prop_assert_eq!(wheel.len(), heap.len());
-        }
-    }
 }

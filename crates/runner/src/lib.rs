@@ -14,8 +14,8 @@
 //! registry's scans and in-process shards run on it.
 //!
 //! Determinism contract: a trial's seed must be a pure function of the
-//! master seed and the item index (see [`scan_seed`] / [`trial_seed`]) —
-//! never of which worker picks the item up or when.
+//! master seed and the item index (see [`scan_seed`]) — never of which
+//! worker picks the item up or when.
 
 #![warn(missing_docs)]
 
@@ -32,12 +32,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// `SmallRng::seed_from_u64`.
 pub fn scan_seed(seed: u64, idx: usize) -> u64 {
     seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Derives the per-trial seed for item `idx` under `master` — an alias of
-/// [`scan_seed`], the workspace's one per-index seed scheme.
-pub fn trial_seed(master: u64, idx: usize) -> u64 {
-    scan_seed(master, idx)
 }
 
 /// The splitmix64 finalizer: a full-avalanche 64-bit mixing function
@@ -138,17 +132,6 @@ impl TrialRunner {
         }
         results.into_iter().map(|r| r.expect("every item ran exactly once")).collect()
     }
-
-    /// Runs `trials` seeded trials: trial `i` receives
-    /// [`trial_seed`]`(master_seed, i)`. Results come back in trial order.
-    pub fn run_seeded<T, F>(&self, master_seed: u64, trials: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(u64) -> T + Sync,
-    {
-        let seeds: Vec<u64> = (0..trials).map(|i| trial_seed(master_seed, i)).collect();
-        self.run(&seeds, |_, &seed| f(seed))
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +151,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_bit_for_bit() {
         let items: Vec<u64> = (0..64).collect();
-        let f = |idx: usize, &item: &u64| trial_seed(item, idx).to_le_bytes();
+        let f = |idx: usize, &item: &u64| scan_seed(item, idx).to_le_bytes();
         let seq = TrialRunner::new(1).run(&items, f);
         let par = TrialRunner::new(8).run(&items, f);
         assert_eq!(seq, par);
@@ -176,8 +159,9 @@ mod tests {
 
     #[test]
     fn seeded_sweep_is_worker_count_independent() {
-        let one = TrialRunner::new(1).run_seeded(2020, 40, |seed| seed.wrapping_mul(3));
-        let eight = TrialRunner::new(8).run_seeded(2020, 40, |seed| seed.wrapping_mul(3));
+        let seeds: Vec<u64> = (0..40).map(|i| scan_seed(2020, i)).collect();
+        let one = TrialRunner::new(1).run(&seeds, |_, &seed| seed.wrapping_mul(3));
+        let eight = TrialRunner::new(8).run(&seeds, |_, &seed| seed.wrapping_mul(3));
         assert_eq!(one, eight);
     }
 
@@ -190,7 +174,7 @@ mod tests {
 
     #[test]
     fn trial_seeds_are_well_spread() {
-        let mut seeds: Vec<u64> = (0..1000).map(|i| trial_seed(7, i)).collect();
+        let mut seeds: Vec<u64> = (0..1000).map(|i| scan_seed(7, i)).collect();
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 1000, "no collisions across 1000 indices");
@@ -209,13 +193,6 @@ mod tests {
         for bit in 0..64 {
             let delta = (mix64(0x1234_5678) ^ mix64(0x1234_5678 ^ (1 << bit))).count_ones();
             assert!(delta >= 16, "weak avalanche on bit {bit}: {delta}");
-        }
-    }
-
-    #[test]
-    fn scan_and_trial_seed_agree() {
-        for idx in [0usize, 1, 17, 4096] {
-            assert_eq!(scan_seed(0xABCD, idx), trial_seed(0xABCD, idx));
         }
     }
 

@@ -199,8 +199,9 @@ fn seeded_boot_sweep_merges_in_seed_order() {
         let config = ScenarioConfig { seed, ..ScenarioConfig::default() };
         format!("{:?}", run_boot_time_attack(config, ClientKind::Ntpdate))
     };
-    let sequential = TrialRunner::new(1).run_seeded(99, 6, attack);
-    let parallel = TrialRunner::new(8).run_seeded(99, 6, attack);
+    let seeds: Vec<u64> = (0..6).map(|i| scan_seed(99, i)).collect();
+    let sequential = TrialRunner::new(1).run(&seeds, |_, &seed| attack(seed));
+    let parallel = TrialRunner::new(8).run(&seeds, |_, &seed| attack(seed));
     assert_eq!(sequential, parallel);
 }
 
