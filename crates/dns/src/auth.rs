@@ -10,12 +10,13 @@ use std::net::Ipv4Addr;
 
 use bytes::{Bytes, BytesMut};
 use netsim::prelude::*;
-use rand::seq::index::sample;
+use rand::seq::index::sample_into;
 use rand::Rng;
 
 use crate::dnssec::make_rrsig;
 use crate::error::DnsError;
-use crate::message::{Message, Question, Rcode};
+use crate::message::{Header, Message, MessageView, Question, Rcode};
+use crate::name::{read_name_at, Name};
 use crate::record::{Record, RecordType};
 use crate::zone::{AnswerPolicy, Zone};
 
@@ -41,6 +42,9 @@ pub struct AuthServer {
     /// Whole-reply templates, from this server's own full encodes (see
     /// [`AuthServer::encode_reply`]).
     templates: Vec<Template>,
+    /// The answer indices of the reply being built, reused across
+    /// queries.
+    picks: Vec<usize>,
     /// Counters.
     pub stats: AuthStats,
 }
@@ -74,6 +78,7 @@ impl AuthServer {
             zones,
             include_authority: true,
             templates: Vec::new(),
+            picks: Vec::new(),
             stats: AuthStats::default(),
         }
     }
@@ -121,14 +126,7 @@ impl AuthServer {
             resp.header.rcode = Rcode::FormErr;
             return (resp, None);
         };
-        let Some(zone_idx) = self
-            .zones
-            .iter()
-            .enumerate()
-            .filter(|(_, z)| q.name.is_subdomain_of(&z.origin))
-            .max_by_key(|(_, z)| z.origin.label_count())
-            .map(|(i, _)| i)
-        else {
+        let Some(zone_idx) = self.zone_of(&q.name) else {
             self.stats.refused += 1;
             resp.header.rcode = Rcode::Refused;
             return (resp, None);
@@ -141,10 +139,8 @@ impl AuthServer {
                 if names.contains(&q.name) && !addrs.is_empty() =>
             {
                 let n = (*per_response).min(addrs.len());
-                sample(rng, addrs.len(), n)
-                    .into_iter()
-                    .map(|i| Record::a(q.name.clone(), *ttl, addrs[i]))
-                    .collect::<Vec<_>>()
+                sample_into(rng, addrs.len(), n, &mut self.picks);
+                self.picks.iter().map(|&i| Record::a(q.name.clone(), *ttl, addrs[i])).collect()
             }
             (AnswerPolicy::Wildcard { addrs, per_response, ttl }, RecordType::A)
                 if !addrs.is_empty() =>
@@ -176,6 +172,16 @@ impl AuthServer {
         (resp, with_tail.then_some(zone_idx))
     }
 
+    /// The zone `name` belongs to: the one with the longest origin.
+    fn zone_of(&self, name: &Name) -> Option<usize> {
+        self.zones
+            .iter()
+            .enumerate()
+            .filter(|(_, z)| name.is_subdomain_of(&z.origin))
+            .max_by_key(|(_, z)| z.origin.label_count())
+            .map(|(i, _)| i)
+    }
+
     /// The section fill: `zone`'s NS records and glue.
     fn fill(&self, resp: &mut Message, zone: usize) {
         let zone = &self.zones[zone];
@@ -185,53 +191,157 @@ impl AuthServer {
 
     /// Encodes `resp` (header, question and answers, from
     /// [`AuthServer::respond`]) with `zone`'s authority and additional
-    /// sections.
-    ///
-    /// The reply is patched from a cached [`Template`] when the answers
+    /// sections, caching the encode as a [`Template`] when the answers
     /// add no compression target: one question, and every answer an A
     /// record owned by the question name (each compresses to a pointer at
     /// offset 12) in an unsigned zone. The encoder's output then depends
     /// only on the header, the question and the answer count, bar the ID
-    /// and flags (bytes 0..4) and each answer's TTL and address, which the
-    /// patch writes in. Anything else — and a cache miss, which fills the
-    /// cache from its one full encode — encodes in full.
+    /// and flags (bytes 0..4) and each answer's TTL and address, which
+    /// [`AuthServer::patched_reply`] writes in for later queries.
     fn encode_reply(&mut self, mut resp: Message, zone: usize) -> Result<Bytes, DnsError> {
         let patchable = matches!(resp.questions.as_slice(), [q]
             if self.zones[zone].key.is_none()
                 && resp.answers.iter().all(|r| r.as_a().is_some() && r.name == q.name));
+        self.fill(&mut resp, zone);
         if !patchable {
-            self.fill(&mut resp, zone);
             return resp.encode();
         }
-        let question = &resp.questions[0];
-        let answers = resp.answers.len();
+        let (wire, answers_at) = resp.encode_split()?;
+        let (question, answers) = (&resp.questions[0], resp.answers.len());
         let cached = self
             .templates
             .iter()
-            .find(|t| t.zone == zone && t.answers == answers && t.question == *question);
-        if let Some(template) = cached {
-            let mut wire = BytesMut::with_capacity(template.wire.len());
-            wire.extend_from_slice(&template.wire);
-            wire[..4].copy_from_slice(&resp.header.id_and_flags());
-            let slots = wire[template.answers_at..].chunks_exact_mut(A_ANSWER_LEN);
-            for (slot, record) in slots.zip(&resp.answers) {
-                slot[6..10].copy_from_slice(&record.ttl.to_be_bytes());
-                slot[12..].copy_from_slice(&record.as_a().map_or([0; 4], |addr| addr.octets()));
-            }
-            let wire = wire.freeze();
-            if cfg!(debug_assertions) {
-                self.fill(&mut resp, zone);
-                assert_eq!(resp.encode().as_ref(), Ok(&wire), "patch differs from a full encode");
-            }
-            return Ok(wire);
-        }
-        self.fill(&mut resp, zone);
-        let (wire, answers_at) = resp.encode_split()?;
-        if self.templates.len() < MAX_TEMPLATES {
-            let (question, wire) = (resp.questions[0].clone(), wire.clone());
+            .any(|t| t.zone == zone && t.answers == answers && t.question == *question);
+        if !cached && self.templates.len() < MAX_TEMPLATES {
+            let (question, wire) = (question.clone(), wire.clone());
             self.templates.push(Template { zone, question, answers, wire, answers_at });
         }
         Ok(wire)
+    }
+
+    /// The reply [`Host::on_datagram`] sends to the query bytes `query`,
+    /// if any: a template hit is patched straight from the bytes
+    /// ([`AuthServer::patched_reply`]); anything else decodes in full and
+    /// takes [`AuthServer::reply`]. Malformed bytes and responses get no
+    /// reply.
+    fn wire_reply<R: Rng + ?Sized>(&mut self, query: &[u8], rng: &mut R) -> Option<Bytes> {
+        if let Some(wire) = self.patched_reply(query, rng) {
+            return Some(wire);
+        }
+        let query = Message::decode(query).ok()?;
+        if query.header.qr {
+            return None; // not a query
+        }
+        self.reply(&query, rng).ok()
+    }
+
+    /// Answers a template hit from the query bytes alone: equal to
+    /// `reply` of the decoded query, after the same draws, without
+    /// building a message. It reads the one question in place, selects
+    /// the zone, the answers [`AuthServer::respond`] would give and the
+    /// [`Template`], checks the whole query with the decoder's walk, then
+    /// draws the answers and patches the template. A template exists only
+    /// for a reply [`AuthServer::encode_reply`] found patchable, and the
+    /// zones never change, so finding one proves the reply is patchable.
+    ///
+    /// `None` for anything else — not exactly one question, a response,
+    /// malformed bytes, a reply that is not cached as a template — and
+    /// then no draw or counter has moved.
+    fn patched_reply<R: Rng + ?Sized>(&mut self, query: &[u8], rng: &mut R) -> Option<Bytes> {
+        let head = query.first_chunk::<12>()?;
+        let (id, flags, qdcount) = (&head[..2], head[2], &head[4..6]);
+        if flags & 0x80 != 0 || qdcount != [0, 1] {
+            return None;
+        }
+        let (name, next) = read_name_at(query, 12).ok()?;
+        let qtype = query.get(next..next + 2)?;
+        let qtype = RecordType::from_code(u16::from_be_bytes([qtype[0], qtype[1]]));
+        let zone_idx = self.zone_of(&name)?;
+        let zone = &self.zones[zone_idx];
+        // The answers `respond` gives.
+        let (source, n) = match (&zone.policy, qtype) {
+            (AnswerPolicy::Rotate { names, addrs, per_response, ttl }, RecordType::A)
+                if names.contains(&name) && !addrs.is_empty() =>
+            {
+                (Answers::Drawn(addrs, *ttl), (*per_response).min(addrs.len()))
+            }
+            (AnswerPolicy::Wildcard { addrs, per_response, ttl }, RecordType::A)
+                if !addrs.is_empty() =>
+            {
+                (Answers::Prefix(addrs, *ttl), (*per_response).min(addrs.len()))
+            }
+            _ => {
+                let records = zone.lookup(&name, qtype);
+                (Answers::Static(records), records.len())
+            }
+        };
+        let template = self.templates.iter().find(|t| {
+            t.zone == zone_idx
+                && t.answers == n
+                && t.question.qtype == qtype
+                && t.question.name == name
+        })?;
+        MessageView::new(query).ok()?;
+        self.stats.queries += 1;
+        if let Answers::Drawn(addrs, _) = source {
+            sample_into(rng, addrs.len(), n, &mut self.picks);
+        }
+        let answer = |k: usize| match source {
+            Answers::Drawn(addrs, ttl) => (ttl, addrs[self.picks[k]]),
+            Answers::Prefix(addrs, ttl) => (ttl, addrs[k]),
+            Answers::Static(records) => {
+                (records[k].ttl, records[k].as_a().unwrap_or(Ipv4Addr::UNSPECIFIED))
+            }
+        };
+        let header = Header {
+            id: u16::from_be_bytes([id[0], id[1]]),
+            qr: true,
+            aa: true,
+            rd: flags & 0x01 != 0,
+            ..Header::default()
+        };
+        let wire = template.patch(header.id_and_flags(), (0..n).map(answer));
+        if cfg!(debug_assertions) {
+            let mut resp = Message::response_to(&Message::decode(query).expect("checked query"));
+            resp.header.aa = true;
+            resp.answers =
+                (0..n).map(answer).map(|(ttl, a)| Record::a(name.clone(), ttl, a)).collect();
+            self.fill(&mut resp, zone_idx);
+            assert_eq!(resp.encode().as_ref(), Ok(&wire), "patch differs from a full encode");
+        }
+        Some(wire)
+    }
+}
+
+/// Where the answers of a patched reply come from.
+#[derive(Clone, Copy)]
+enum Answers<'z> {
+    /// A rotation: the addresses at the drawn [`AuthServer::picks`], with
+    /// the TTL.
+    Drawn(&'z [Ipv4Addr], u32),
+    /// A wildcard: the first addresses, with the TTL.
+    Prefix(&'z [Ipv4Addr], u32),
+    /// Static A records owned by the question name.
+    Static(&'z [Record]),
+}
+
+impl Template {
+    /// This template with the ID and flags `id_and_flags` and each
+    /// answer's TTL and address from `answers`, in order.
+    fn patch(
+        &self,
+        id_and_flags: [u8; 4],
+        answers: impl Iterator<Item = (u32, Ipv4Addr)>,
+    ) -> Bytes {
+        let mut wire = BytesMut::with_capacity(self.wire.len());
+        wire.extend_from_slice(&self.wire);
+        wire[..4].copy_from_slice(&id_and_flags);
+        let slots = wire[self.answers_at..].chunks_exact_mut(A_ANSWER_LEN);
+        for (slot, (ttl, addr)) in slots.zip(answers) {
+            slot[6..10].copy_from_slice(&ttl.to_be_bytes());
+            slot[12..].copy_from_slice(&addr.octets());
+        }
+        wire.freeze()
     }
 }
 
@@ -240,11 +350,7 @@ impl Host for AuthServer {
         if d.dst_port != DNS_PORT {
             return;
         }
-        let Ok(query) = Message::decode(&d.payload) else { return };
-        if query.header.qr {
-            return; // not a query
-        }
-        if let Ok(wire) = self.reply(&query, ctx.rng()) {
+        if let Some(wire) = self.wire_reply(&d.payload, ctx.rng()) {
             self.stats.responses += 1;
             ctx.send_udp(d.src, DNS_PORT, d.src_port, wire);
         }
@@ -368,40 +474,85 @@ mod tests {
         assert_eq!(r.header.rcode, Rcode::NxDomain);
     }
 
-    /// Asks `server` and a twin each query three times (so patched
-    /// replies follow the encode that filled the cache), as A and as NS,
-    /// with RD clear and set and a fresh ID each time, under equal RNG
-    /// seeds.
-    fn assert_replies_match_answers(label: &str, server: impl Fn() -> AuthServer, names: &[&str]) {
+    /// What `on_datagram` must send for the query bytes `wire`: the full
+    /// encode of `answer` to the decoded query, or nothing for bytes that
+    /// do not decode to a query.
+    fn full_reply(server: &mut AuthServer, wire: &[u8], rng: &mut SmallRng) -> Option<Bytes> {
+        let query = Message::decode(wire).ok().filter(|q| !q.header.qr)?;
+        Some(server.answer(&query, rng).encode().unwrap())
+    }
+
+    /// Hands `wire` to `sent_by` as `on_datagram` does and to its twin
+    /// `answered_by` through [`full_reply`], under equal RNG seeds: the
+    /// bytes, the RNG state afterwards and the counters must agree.
+    fn assert_same_reply(
+        label: &str,
+        (sent_by, answered_by): (&mut AuthServer, &mut AuthServer),
+        wire: &[u8],
+        seed: u64,
+    ) {
         use rand::RngExt;
+        let (mut rng_a, mut rng_b) = (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+        let sent = sent_by.wire_reply(wire, &mut rng_a);
+        let full = full_reply(answered_by, wire, &mut rng_b);
+        assert_eq!(sent, full, "{label}");
+        assert_eq!(rng_a.random::<u64>(), rng_b.random::<u64>(), "{label}: RNG state");
+        assert_eq!(sent_by.stats, answered_by.stats, "{label}: counters");
+    }
+
+    /// `name` as an encoded query, with its question name upper-cased on
+    /// the wire if `upper`.
+    fn query_wire(id: u16, name: &str, qtype: RecordType, rd: bool, upper: bool) -> Vec<u8> {
+        let mut wire =
+            Message::query(id, name.parse().unwrap(), qtype, rd).encode().unwrap().to_vec();
+        let question_end = wire.len() - 4;
+        if upper {
+            // Label lengths stay below 0x40, so only letters change.
+            wire[12..question_end].make_ascii_uppercase();
+        }
+        wire
+    }
+
+    /// Asks `server` and a twin each query three times (so patched
+    /// replies follow the encode that filled the cache), as A, NS, AAAA
+    /// and TXT, with RD clear and set, in lower and upper case, and with a
+    /// fresh ID each time.
+    fn assert_replies_match_answers(label: &str, server: impl Fn() -> AuthServer, names: &[&str]) {
         let (mut sent_by, mut answered_by) = (server(), server());
+        let qtypes = [RecordType::A, RecordType::Ns, RecordType::Unknown(28), RecordType::Txt];
         let mut seed = 0;
         for round in 0..3u16 {
             for name in names {
-                for (qtype, rd) in
-                    [(RecordType::A, false), (RecordType::A, true), (RecordType::Ns, true)]
-                {
-                    seed += 1;
-                    let id = (seed as u16).wrapping_mul(0x9E37);
-                    let query = Message::query(id, name.parse().unwrap(), qtype, rd);
-                    let (mut rng_a, mut rng_b) =
-                        (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
-                    let sent = sent_by.reply(&query, &mut rng_a).unwrap();
-                    let full = answered_by.answer(&query, &mut rng_b).encode().unwrap();
-                    assert_eq!(sent, full, "{label}: {name} {qtype} rd={rd} round {round}");
-                    assert_eq!(rng_a.random::<u64>(), rng_b.random::<u64>(), "{label}: {name}");
+                for qtype in qtypes {
+                    for (rd, upper) in [(false, false), (true, false), (false, true), (true, true)]
+                    {
+                        seed += 1;
+                        let id = (seed as u16).wrapping_mul(0x9E37);
+                        let wire = query_wire(id, name, qtype, rd, upper);
+                        let what =
+                            format!("{label}: {name} {qtype} rd={rd} upper={upper} round {round}");
+                        assert_same_reply(&what, (&mut sent_by, &mut answered_by), &wire, seed);
+                    }
                 }
             }
         }
-        assert_eq!(sent_by.stats, answered_by.stats, "{label}");
     }
 
-    /// What `on_datagram` sends — patched or encoded in full — equals the
-    /// full encode of `answer` and leaves the RNG in the same state.
+    fn pool() -> Zone {
+        pool_zone(servers(8), 23, Ipv4Addr::new(198, 51, 100, 1))
+    }
+
+    fn attacker() -> AuthServer {
+        AuthServer::new(vec![malicious_pool_zone(servers(89), 89, 86_400 * 2)])
+    }
+
+    /// What `on_datagram` sends — patched from the query bytes, patched
+    /// from a decoded query, or encoded in full — equals the full encode
+    /// of `answer` and leaves the RNG in the same state: rotated,
+    /// wildcard and static answers, signed and bare zones.
     #[test]
     fn replies_equal_full_encodes_of_answer() {
         use crate::dnssec::ZoneKey;
-        let pool = || pool_zone(servers(8), 23, Ipv4Addr::new(198, 51, 100, 1));
         let names = [
             "pool.ntp.org",
             "0.pool.ntp.org",
@@ -421,8 +572,84 @@ mod tests {
         let names: Vec<String> =
             (0..2 * MAX_TEMPLATES).map(|i| format!("{i}.pool.ntp.org")).collect();
         let names: Vec<&str> = names.iter().map(String::as_str).collect();
-        let attacker = || AuthServer::new(vec![malicious_pool_zone(servers(89), 89, 86_400 * 2)]);
         assert_replies_match_answers("attacker", attacker, &names);
+    }
+
+    /// Queries the question read in place must leave to the full decode —
+    /// no question, two questions, a response, and every truncation and
+    /// single-byte garble of a query whose template is cached — get what
+    /// the full decode gives them: the same reply, or none.
+    #[test]
+    fn odd_and_malformed_queries_match_the_full_decode() {
+        let twins = [
+            ("pool", AuthServer::new(vec![pool()]), AuthServer::new(vec![pool()])),
+            ("attacker", attacker(), attacker()),
+        ];
+        for (label, mut sent_by, mut answered_by) in twins {
+            let servers = (&mut sent_by, &mut answered_by);
+            let hit = query_wire(0x1234, "pool.ntp.org", RecordType::A, true, false);
+            assert_same_reply(label, (servers.0, servers.1), &hit, 1);
+            let pool: Name = "pool.ntp.org".parse().unwrap();
+            let question = Question { name: pool.clone(), qtype: RecordType::A };
+            let mut odd = Vec::new();
+            for questions in [vec![], vec![question.clone(), question]] {
+                let msg =
+                    Message { questions, ..Message::query(7, pool.clone(), RecordType::A, true) };
+                odd.push(msg.encode().unwrap().to_vec());
+            }
+            let mut response = hit.clone();
+            response[2] |= 0x80;
+            odd.push(response);
+            for (i, wire) in odd.iter().enumerate() {
+                assert_same_reply(&format!("{label}: odd {i}"), (servers.0, servers.1), wire, 2);
+            }
+            for cut in 0..hit.len() {
+                let what = format!("{label}: cut at {cut}");
+                assert_same_reply(&what, (servers.0, servers.1), &hit[..cut], 3);
+            }
+            for at in 0..hit.len() {
+                for value in [0x00, 0xFF, 0xC0, 0x3F, 0x01, hit[at] ^ 0x20] {
+                    let mut garbled = hit.clone();
+                    garbled[at] = value;
+                    let what = format!("{label}: byte {at} set to {value:#04x}");
+                    assert_same_reply(&what, (servers.0, servers.1), &garbled, 4);
+                }
+            }
+            // A trailing byte after the question: the walk accepts it.
+            let mut long = hit.clone();
+            long.push(0);
+            assert_same_reply(&format!("{label}: trailing byte"), (servers.0, servers.1), &long, 5);
+        }
+    }
+
+    /// Once a template is cached, every reply it fits is answered from
+    /// the query bytes — rotated, wildcard and static A sets and empty
+    /// answers — and nothing else is.
+    #[test]
+    fn template_hits_are_patched_from_the_query_bytes() {
+        use crate::dnssec::ZoneKey;
+        let mut rng = rng();
+        let patched_after_one_reply = |srv: &mut AuthServer, wire: &[u8], rng: &mut SmallRng| {
+            assert!(srv.patched_reply(wire, rng).is_none(), "nothing is cached yet");
+            assert!(srv.wire_reply(wire, rng).is_some());
+            srv.patched_reply(wire, rng).is_some()
+        };
+        for (name, qtype) in [
+            ("POOL.ntp.org", RecordType::A),
+            ("ns1.pool.ntp.org", RecordType::A),
+            ("pool.ntp.org", RecordType::Txt),
+        ] {
+            let wire = query_wire(1, name, qtype, false, false);
+            let mut srv = AuthServer::new(vec![pool()]);
+            assert!(patched_after_one_reply(&mut srv, &wire, &mut rng), "{name} {qtype}");
+        }
+        let any_a = query_wire(3, "x.pool.ntp.org", RecordType::A, true, true);
+        assert!(patched_after_one_reply(&mut attacker(), &any_a, &mut rng));
+        let pool_a = query_wire(1, "pool.ntp.org", RecordType::A, false, false);
+        let mut signed = AuthServer::new(vec![pool().with_key(ZoneKey(7))]);
+        assert!(!patched_after_one_reply(&mut signed, &pool_a, &mut rng));
+        let pool_ns = query_wire(2, "pool.ntp.org", RecordType::Ns, false, false);
+        assert!(!patched_after_one_reply(&mut AuthServer::new(vec![pool()]), &pool_ns, &mut rng));
     }
 
     /// Only the unsigned pool server with authority sections patches: it

@@ -189,7 +189,7 @@ impl Message {
     ///
     /// Returns [`DnsError`] on truncation, bad pointers or malformed fields.
     pub fn decode(data: &[u8]) -> Result<Message, DnsError> {
-        let Walked { header, questions, sections } = walk::<Build>(data)?;
+        let Walked { header, questions, sections } = walk(data, &mut Build)?;
         let [answers, authorities, additionals] = sections;
         Ok(Message { header, questions, answers, authorities, additionals })
     }
@@ -199,7 +199,7 @@ impl Message {
 /// the bytes [`Message::decode`] accepts — the same walk, the same
 /// checks — but builds no name, record or section, so it never allocates
 /// (bar the lossy copy of a non-UTF-8 label). For paths that only read
-/// the header.
+/// the header, or the layout of the records ([`MessageView::with_spans`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MessageView<'a> {
     data: &'a [u8],
@@ -213,7 +213,30 @@ impl<'a> MessageView<'a> {
     ///
     /// Returns the [`DnsError`] [`Message::decode`] returns for `data`.
     pub fn new(data: &'a [u8]) -> Result<Self, DnsError> {
-        let walked = walk::<Check>(data)?;
+        let walked = walk(data, &mut Check)?;
+        Ok(MessageView { data, header: walked.header })
+    }
+
+    /// [`MessageView::new`], keeping where every record sits: `spans` is
+    /// cleared and filled with one [`RecordSpan`] per record, in wire
+    /// order. The walk is the same, so this accepts exactly what
+    /// [`MessageView::new`] accepts; on an error `spans` holds the records
+    /// before the one that failed. Reusing `spans` makes the walk
+    /// allocation-free.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`DnsError`] [`Message::decode`] returns for `data`.
+    pub fn with_spans(data: &'a [u8], spans: &mut Vec<RecordSpan>) -> Result<Self, DnsError> {
+        spans.clear();
+        if let Some(counts) = data.get(6..12) {
+            // The counts are the sender's: reserve no more records than
+            // the bytes could hold.
+            let records: usize =
+                counts.chunks_exact(2).map(|c| usize::from(u16::from_be_bytes([c[0], c[1]]))).sum();
+            spans.reserve(records.min(data.len() / MIN_RECORD_LEN));
+        }
+        let walked = walk(data, &mut Spans(spans))?;
         Ok(MessageView { data, header: walked.header })
     }
 
@@ -225,6 +248,52 @@ impl<'a> MessageView<'a> {
     /// The checked message bytes.
     pub fn bytes(&self) -> &'a [u8] {
         self.data
+    }
+}
+
+/// Which message section a record came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Section {
+    /// Answer section.
+    Answer,
+    /// Authority section.
+    Authority,
+    /// Additional section.
+    Additional,
+}
+
+/// The byte layout of one resource record within its message, as the
+/// checked walk ([`MessageView::with_spans`]) found it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecordSpan {
+    /// Record type.
+    pub rtype: RecordType,
+    /// Section the record belongs to.
+    pub section: Section,
+    /// Byte offset of the record's start (owner name).
+    pub record_offset: usize,
+    /// Byte offset of the 4-byte TTL field.
+    pub ttl_offset: usize,
+    /// Byte offset of the RDATA.
+    pub rdata_offset: usize,
+    /// RDATA length in bytes.
+    pub rdata_len: usize,
+}
+
+impl RecordSpan {
+    /// Decodes the owner name (through compression pointers) from the
+    /// message the span was walked over.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DnsError`] if the name is malformed.
+    pub fn name(&self, data: &[u8]) -> Result<Name, DnsError> {
+        read_name_at(data, self.record_offset).map(|(name, _)| name)
+    }
+
+    /// True for a glue record: an A record in the additional section.
+    pub fn is_glue(&self) -> bool {
+        self.section == Section::Additional && self.rtype == RecordType::A
     }
 }
 
@@ -432,8 +501,8 @@ impl Encoder {
 
 /// What a walk over a message keeps of what it reads. The walk itself —
 /// header, sections and the per-type RDATA rules — exists once, in
-/// [`walk`] and [`Decoder::read_record`]; [`Build`] keeps everything and
-/// [`Check`] keeps nothing.
+/// [`walk`] and [`Decoder::read_record`]; [`Build`] keeps everything,
+/// [`Check`] keeps nothing and [`Spans`] keeps each record's layout.
 trait Keep {
     /// A read name.
     type Name;
@@ -455,6 +524,8 @@ trait Keep {
         target: Self::Name,
         rdata: impl FnOnce(Name) -> RData,
     ) -> Self::Record;
+    /// Sees the layout of a record that passed its checks.
+    fn span(&mut self, _span: RecordSpan) {}
 }
 
 /// Keeps every name and record: [`Message::decode`].
@@ -507,6 +578,30 @@ impl Keep for Check {
     fn record_with((): (), _: u32, (): (), _: impl FnOnce(Name) -> RData) {}
 }
 
+/// Keeps what [`Check`] keeps, plus every record's [`RecordSpan`]:
+/// [`MessageView::with_spans`].
+struct Spans<'a>(&'a mut Vec<RecordSpan>);
+
+impl Keep for Spans<'_> {
+    type Name = ();
+    type Question = ();
+    type Record = ();
+
+    fn name(data: &[u8], pos: usize) -> Result<((), usize), DnsError> {
+        Check::name(data, pos)
+    }
+
+    fn question((): (), _: RecordType) {}
+
+    fn record((): (), _: u32, _: impl FnOnce() -> RData) {}
+
+    fn record_with((): (), _: u32, (): (), _: impl FnOnce(Name) -> RData) {}
+
+    fn span(&mut self, span: RecordSpan) {
+        self.0.push(span);
+    }
+}
+
 /// A message as walked by `K`.
 struct Walked<K: Keep> {
     header: Header,
@@ -521,8 +616,8 @@ struct Walked<K: Keep> {
 const MIN_QUESTION_LEN: usize = 5;
 const MIN_RECORD_LEN: usize = 11;
 
-/// Walks and checks a whole message, keeping what `K` keeps.
-fn walk<K: Keep>(data: &[u8]) -> Result<Walked<K>, DnsError> {
+/// Walks and checks a whole message, keeping what `keep` keeps.
+fn walk<K: Keep>(data: &[u8], keep: &mut K) -> Result<Walked<K>, DnsError> {
     let mut dec = Decoder { data, pos: 0 };
     if data.len() < 12 {
         return Err(DnsError::Truncated { context: "header" });
@@ -549,14 +644,18 @@ fn walk<K: Keep>(data: &[u8]) -> Result<Walked<K>, DnsError> {
         let _class = dec.u16()?;
         questions.push(K::question(name, qtype));
     }
-    let mut section = |count: u16| -> Result<Vec<K::Record>, DnsError> {
+    let mut section = |section: Section, count: u16| -> Result<Vec<K::Record>, DnsError> {
         let mut out = Vec::with_capacity(dec.capacity(count, MIN_RECORD_LEN));
         for _ in 0..count {
-            out.push(dec.read_record::<K>()?);
+            out.push(dec.read_record(keep, section)?);
         }
         Ok(out)
     };
-    let sections = [section(counts[1])?, section(counts[2])?, section(counts[3])?];
+    let sections = [
+        section(Section::Answer, counts[1])?,
+        section(Section::Authority, counts[2])?,
+        section(Section::Additional, counts[3])?,
+    ];
     Ok(Walked { header, questions, sections })
 }
 
@@ -599,10 +698,16 @@ impl<'a> Decoder<'a> {
         Ok(out)
     }
 
-    /// Reads one record: the per-type RDATA rules.
-    fn read_record<K: Keep>(&mut self) -> Result<K::Record, DnsError> {
+    /// Reads one record of `section`: the per-type RDATA rules.
+    fn read_record<K: Keep>(
+        &mut self,
+        keep: &mut K,
+        section: Section,
+    ) -> Result<K::Record, DnsError> {
+        let record_offset = self.pos;
         let (owner, next) = K::name(self.data, self.pos)?;
         self.pos = next;
+        let ttl_offset = next + 4;
         let rtype = RecordType::from_code(self.u16()?);
         let class_or_size = self.u16()?;
         let ttl = self.u32()?;
@@ -612,7 +717,7 @@ impl<'a> Decoder<'a> {
             return Err(DnsError::Truncated { context: "rdata" });
         }
         let rdata_end = rdata_start + rdlen;
-        Ok(match rtype {
+        let record = match rtype {
             RecordType::A => {
                 if rdlen != 4 {
                     return Err(DnsError::BadField { field: "A rdlength" });
@@ -686,7 +791,16 @@ impl<'a> Decoder<'a> {
                     data: Bytes::copy_from_slice(raw),
                 })
             }
-        })
+        };
+        keep.span(RecordSpan {
+            rtype,
+            section,
+            record_offset,
+            ttl_offset,
+            rdata_offset: rdata_start,
+            rdata_len: rdlen,
+        });
+        Ok(record)
     }
 }
 

@@ -324,7 +324,12 @@ impl NetStack {
         let id = slot.counter;
         slot.counter = slot.counter.wrapping_add(1);
         slot.tick = tick;
-        cold.ipid_lru.push_back((tick, dst));
+        match cold.ipid_lru.back_mut() {
+            // A repeat send to the newest destination: moving its entry's
+            // tick keeps the queue order without growing the queue.
+            Some((last, addr)) if *addr == dst => *last = tick,
+            _ => cold.ipid_lru.push_back((tick, dst)),
+        }
         let cap = cold.profile.ipid_cache_cap.max(1);
         if cold.ipid_per_dst.len() > cap {
             while let Some((t, addr)) = cold.ipid_lru.pop_front() {
@@ -1678,6 +1683,119 @@ mod tests {
                 "warm destination must never be evicted"
             );
         }
+    }
+
+    /// The per-destination IPID table as it was when every send pushed
+    /// onto the LRU queue, kept as the reference for the in-place update
+    /// of a repeat send.
+    struct PushAlwaysIpids {
+        start: u16,
+        cap: usize,
+        map: FastMap<Ipv4Addr, IpidSlot>,
+        lru: VecDeque<(u64, Ipv4Addr)>,
+        tick: u64,
+        evicted: Vec<Ipv4Addr>,
+        high_water: usize,
+    }
+
+    impl PushAlwaysIpids {
+        fn new(start: u16, cap: usize) -> Self {
+            PushAlwaysIpids {
+                start,
+                cap: cap.max(1),
+                map: FastMap::default(),
+                lru: VecDeque::new(),
+                tick: 0,
+                evicted: Vec::new(),
+                high_water: 0,
+            }
+        }
+
+        fn next(&mut self, dst: Ipv4Addr) -> u16 {
+            self.tick += 1;
+            let tick = self.tick;
+            let slot = self.map.entry(dst).or_insert(IpidSlot { counter: self.start, tick });
+            let id = slot.counter;
+            slot.counter = slot.counter.wrapping_add(1);
+            slot.tick = tick;
+            self.lru.push_back((tick, dst));
+            self.high_water = self.high_water.max(self.lru.len());
+            if self.map.len() > self.cap {
+                while let Some((t, addr)) = self.lru.pop_front() {
+                    if self.map.get(&addr).is_some_and(|s| s.tick == t) {
+                        self.map.remove(&addr);
+                        self.evicted.push(addr);
+                        break;
+                    }
+                }
+            }
+            if self.lru.len() > 2 * self.cap + 64 {
+                let map = &self.map;
+                self.lru.retain(|(t, addr)| map.get(addr).is_some_and(|s| s.tick == *t));
+            }
+            id
+        }
+    }
+
+    /// Overwriting the back entry on a repeat send changes nothing
+    /// observable: on seeded streams with bursts of repeats, the stack
+    /// hands out the reference's IDs and evicts the reference's
+    /// destinations in the reference's order. Returns the two queues'
+    /// high-water marks.
+    fn ipids_match_push_always(cap: usize, seed: u64, sends: usize) -> (usize, usize) {
+        let mut profile = OsProfile::linux();
+        profile.ipid_cache_cap = cap;
+        let IpidMode::PerDestination { start } = profile.ipid else { unreachable!() };
+        let mut stack = NetStack::new(profile);
+        let mut reference = PushAlwaysIpids::new(start, cap);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let peers = 2 * cap as u32 + 3;
+        let mut high_water = 0;
+        let mut sent = 0;
+        while sent < sends {
+            let dst = Ipv4Addr::from(0x0A00_0000 + rng.random_range(0..peers));
+            for _ in 0..rng.random_range(1..5usize) {
+                let id = stack.next_ipid(dst, &mut rng);
+                assert_eq!(id, reference.next(dst), "cap {cap} seed {seed}: send {sent}");
+                let evictions = reference.evicted.len() as u64;
+                assert_eq!(stack.ipid_evictions(), evictions, "cap {cap} seed {seed}: {sent}");
+                assert_eq!(stack.ipid_tracked_destinations(), reference.map.len());
+                if let Some(gone) = reference.evicted.last() {
+                    assert!(!stack.cold.ipid_per_dst.contains_key(gone), "evicted {gone}");
+                }
+                high_water = high_water.max(stack.cold.ipid_lru.len());
+                sent += 1;
+            }
+        }
+        (high_water, reference.high_water)
+    }
+
+    #[test]
+    fn repeat_sends_overwrite_the_lru_back_without_changing_ids_or_evictions() {
+        for cap in [1, 2, 16, 4096] {
+            for seed in 0..4 {
+                let sends = 4 * (2 * cap + 3) + 200;
+                let (high_water, reference) = ipids_match_push_always(cap, seed, sends);
+                assert!(high_water <= reference, "cap {cap}: {high_water} > {reference}");
+            }
+        }
+    }
+
+    /// A single-destination stack keeps one queue entry, where pushing on
+    /// every send grew the queue to `2·cap + 65` before compacting.
+    #[test]
+    fn single_destination_sends_keep_one_lru_entry() {
+        let profile = OsProfile::linux();
+        let cap = profile.ipid_cache_cap;
+        let IpidMode::PerDestination { start } = profile.ipid else { unreachable!() };
+        let mut stack = NetStack::new(profile);
+        let mut reference = PushAlwaysIpids::new(start, cap);
+        let mut rng = SmallRng::seed_from_u64(5);
+        for _ in 0..3 * cap {
+            assert_eq!(stack.next_ipid(B, &mut rng), reference.next(B));
+            assert_eq!(stack.cold.ipid_lru.len(), 1);
+        }
+        assert_eq!(reference.high_water, 2 * cap + 65);
     }
 
     #[test]

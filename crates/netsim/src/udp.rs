@@ -3,6 +3,7 @@
 //! The UDP checksum is the last line of defence against the spoofed-fragment
 //! attack: a reassembled datagram whose payload was altered without a
 //! matching checksum fix-up is dropped here, exactly as a real stack would.
+// simlint: hot-path — every datagram is encoded and verified here.
 
 use core::fmt;
 use std::net::Ipv4Addr;
