@@ -86,7 +86,7 @@ pub(crate) mod tests {
         );
         let pool_servers: Vec<Ipv4Addr> = (1..=8).map(|i| Ipv4Addr::new(192, 0, 2, i)).collect();
         let zone = pool_zone(pool_servers, 23, Ipv4Addr::new(198, 51, 100, 1));
-        let ns_list = spawn_zone_nameservers(&mut sim, &zone, OsProfile::nameserver(548));
+        let ns_list = spawn_zone_nameservers(&mut sim, [zone], OsProfile::nameserver(548));
         let mut profile = OsProfile::linux();
         profile.accept_fragments = accept_fragments;
         let hints = vec![("pool.ntp.org".parse().unwrap(), ns_list.clone())];

@@ -107,7 +107,7 @@ impl Scenario {
             .expect("pool server address free");
         }
         let zone = pool_zone(pool_servers.clone(), config.ns_count, Ipv4Addr::new(198, 51, 100, 1));
-        let ns_list = spawn_zone_nameservers(&mut sim, &zone, OsProfile::nameserver(548));
+        let ns_list = spawn_zone_nameservers(&mut sim, [zone], OsProfile::nameserver(548));
         let resolver_addr = Ipv4Addr::new(10, 0, 0, 53);
         sim.add_host(
             resolver_addr,

@@ -7,6 +7,7 @@
 //! IPIDs of the fragments are predictable.
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 use netsim::prelude::*;
@@ -37,7 +38,9 @@ pub struct AuthStats {
 /// An authoritative nameserver serving a set of zones.
 #[derive(Debug)]
 pub struct AuthServer {
-    zones: Vec<Zone>,
+    /// The zones, shared with every server built from the same set (a
+    /// nameserver fleet, or every world a scan builds).
+    zones: Arc<[Zone]>,
     include_authority: bool,
     /// Whole-reply templates, from this server's own full encodes (see
     /// [`AuthServer::encode_reply`]).
@@ -71,11 +74,13 @@ const MAX_TEMPLATES: usize = 8;
 const A_ANSWER_LEN: usize = 16;
 
 impl AuthServer {
-    /// Creates a server for `zones`. Responses to A queries include the
-    /// zone's NS records and glue in the authority/additional sections.
-    pub fn new(zones: Vec<Zone>) -> Self {
+    /// Creates a server for `zones`: a `Vec` or array it takes over, or a
+    /// shared set it serves without a copy. Responses to A queries include
+    /// the zone's NS records and glue in the authority/additional
+    /// sections.
+    pub fn new(zones: impl Into<Arc<[Zone]>>) -> Self {
         AuthServer {
-            zones,
+            zones: zones.into(),
             include_authority: true,
             templates: Vec::new(),
             picks: Vec::new(),
@@ -369,21 +374,24 @@ pub fn ns_addrs(zone: &Zone) -> Vec<Ipv4Addr> {
     zone.glue_records().iter().filter_map(Record::as_a).collect()
 }
 
-/// Registers one [`AuthServer`] host per glue address of `zone` in `sim`
-/// (each nameserver rotates independently, like the real pool NS fleet).
-/// Returns the nameserver addresses for use as resolver hints.
+/// Registers one [`AuthServer`] host per glue address of each zone in
+/// `zones` in `sim`, every one serving the same shared set (each
+/// nameserver still rotates independently, like the real pool NS fleet).
+/// Returns the nameserver addresses, in zone and glue order, for use as
+/// resolver hints.
 ///
 /// # Panics
 ///
 /// Panics if any glue address is already occupied.
 pub fn spawn_zone_nameservers(
     sim: &mut netsim::sim::Simulator,
-    zone: &Zone,
+    zones: impl Into<Arc<[Zone]>>,
     profile: OsProfile,
 ) -> Vec<Ipv4Addr> {
-    let addrs = ns_addrs(zone);
+    let zones = zones.into();
+    let addrs: Vec<Ipv4Addr> = zones.iter().flat_map(ns_addrs).collect();
     for &addr in &addrs {
-        sim.add_host(addr, profile.clone(), Box::new(AuthServer::new(vec![zone.clone()])))
+        sim.add_host(addr, profile.clone(), Box::new(AuthServer::new(Arc::clone(&zones))))
             .expect("glue address free");
     }
     addrs

@@ -218,8 +218,8 @@ impl Resolver {
         self.stats.upstream_queries += 1;
         let (server, sport) = (p.server, p.sport);
         ctx.send_udp(server, sport, DNS_PORT, wire);
-        let attempts = p.attempts;
-        ctx.set_timer(self.config.upstream_timeout, encode_timer(id, attempts));
+        let token = encode_timer(id, p.depth, p.attempts);
+        ctx.set_timer(self.config.upstream_timeout, token);
     }
 
     fn reply_to_clients(&mut self, ctx: &mut Ctx<'_>, id: u64, answers: Vec<Record>, rcode: Rcode) {
@@ -422,12 +422,16 @@ impl Resolver {
     }
 }
 
-fn encode_timer(id: u64, attempts: u32) -> TimerToken {
-    (id << 8) | u64::from(attempts & 0xFF)
+/// The timeout token of one upstream send: the resolution's id, its
+/// delegation depth and the attempt at that depth. A delegation starts
+/// the next hop at attempt 0, so the depth is what keeps the previous
+/// hop's timer from firing as the new hop's.
+fn encode_timer(id: u64, depth: u32, attempts: u32) -> TimerToken {
+    (id << 16) | (u64::from(depth & 0xFF) << 8) | u64::from(attempts & 0xFF)
 }
 
-fn decode_timer(token: TimerToken) -> (u64, u32) {
-    (token >> 8, (token & 0xFF) as u32)
+fn decode_timer(token: TimerToken) -> (u64, u32, u32) {
+    (token >> 16, ((token >> 8) & 0xFF) as u32, (token & 0xFF) as u32)
 }
 
 impl Host for Resolver {
@@ -441,10 +445,10 @@ impl Host for Resolver {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
-        let (id, attempts) = decode_timer(token);
+        let (id, depth, attempts) = decode_timer(token);
         let Some(p) = self.pending.get_mut(&id) else { return };
-        if p.attempts != attempts {
-            return; // stale timer from an earlier attempt
+        if (p.depth, p.attempts) != (depth, attempts) {
+            return; // stale timer from an earlier hop or attempt
         }
         self.stats.timeouts += 1;
         p.attempts += 1;
@@ -491,7 +495,7 @@ mod tests {
         let servers: Vec<Ipv4Addr> = (1..=8).map(|i| Ipv4Addr::new(192, 0, 2, i)).collect();
         let zone = pool_zone(servers, 4, NS);
         let ns_list =
-            crate::auth::spawn_zone_nameservers(&mut sim, &zone, OsProfile::nameserver(548));
+            crate::auth::spawn_zone_nameservers(&mut sim, [zone], OsProfile::nameserver(548));
         let resolver = Resolver::new(config, vec![(pool_name(), ns_list)]);
         sim.add_host(RESOLVER, OsProfile::linux(), Box::new(resolver)).unwrap();
         sim
@@ -562,6 +566,47 @@ mod tests {
         let r: &Resolver = sim.host(RESOLVER).unwrap();
         assert_eq!(r.stats.upstream_queries, 3, "initial + 2 retries");
         assert_eq!(r.stats.servfails, 1);
+    }
+
+    /// Answers every query with a referral of `pool.ntp.org` to
+    /// `ns1.pool.ntp.org` at `child`, glue included.
+    struct Referral {
+        child: Ipv4Addr,
+    }
+
+    impl Host for Referral {
+        fn on_datagram(&mut self, ctx: &mut Ctx<'_>, d: &Datagram) {
+            let Ok(query) = Message::decode(&d.payload) else { return };
+            let ns: Name = "ns1.pool.ntp.org".parse().unwrap();
+            let mut resp = Message::response_to(&query);
+            resp.authorities.push(Record::ns(pool_name(), 3600, ns.clone()));
+            resp.additionals.push(Record::a(ns, 3600, self.child));
+            ctx.send_udp(d.src, DNS_PORT, d.src_port, resp.encode().unwrap());
+        }
+    }
+
+    /// A delegation starts the next hop's attempts afresh, and the first
+    /// hop's timer must not fire as the second hop's: with hop round trips
+    /// of 1.0 s and 1.6 s under the 2 s timeout, the first hop's timer
+    /// falls due while the second hop's answer is still on its way.
+    #[test]
+    fn first_hop_timer_does_not_time_out_the_second_hop() {
+        let parent = Ipv4Addr::new(198, 51, 100, 200);
+        let mut sim = Simulator::new(12);
+        let topology = sim.topology_mut();
+        topology.set_link_bidir(RESOLVER, parent, LinkSpec::fixed(SimDuration::from_millis(500)));
+        topology.set_link_bidir(RESOLVER, NS, LinkSpec::fixed(SimDuration::from_millis(800)));
+        sim.add_host(parent, OsProfile::linux(), Box::new(Referral { child: NS })).unwrap();
+        let servers: Vec<Ipv4Addr> = (1..=8).map(|i| Ipv4Addr::new(192, 0, 2, i)).collect();
+        let child = crate::auth::AuthServer::new([pool_zone(servers, 4, NS)]);
+        sim.add_host(NS, OsProfile::nameserver(548), Box::new(child)).unwrap();
+        let hints = vec![("ntp.org".parse().unwrap(), vec![parent])];
+        let resolver = Resolver::new(ResolverConfig::default(), hints);
+        sim.add_host(RESOLVER, OsProfile::linux(), Box::new(resolver)).unwrap();
+        let addrs = lookup_once(&mut sim, CLIENT, RESOLVER, &pool_name());
+        assert_eq!(addrs.len(), 4);
+        let r: &Resolver = sim.host(RESOLVER).unwrap();
+        assert_eq!((r.stats.timeouts, r.stats.upstream_queries), (0, 2), "{:?}", r.stats);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use netsim::fasthash::FastMap;
 use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 use crate::dnssec::ZoneKey;
 use crate::name::Name;
@@ -61,10 +62,11 @@ pub struct Zone {
     /// Answer policy for A queries.
     pub policy: AnswerPolicy,
     records: FastMap<(Name, RecordType), Vec<Record>>,
-    /// Glue A records for the apex NS targets, kept current by
-    /// [`Zone::add`] so an answer copies them instead of looking each
-    /// target up.
-    glue: Vec<Record>,
+    /// Glue A records for the apex NS targets, derived on the first
+    /// [`Zone::glue_records`] after the last [`Zone::add`] (which empties
+    /// the cell), so an answer copies them instead of looking each target
+    /// up, and building a zone derives them once, not once per record.
+    glue: OnceLock<Vec<Record>>,
 }
 
 impl Zone {
@@ -75,7 +77,7 @@ impl Zone {
             key: None,
             policy: AnswerPolicy::Static,
             records: FastMap::default(),
-            glue: Vec::new(),
+            glue: OnceLock::new(),
         }
     }
 
@@ -91,21 +93,8 @@ impl Zone {
             record.name,
             self.origin
         );
-        let refresh_glue = match record.rtype() {
-            RecordType::Ns => record.name == self.origin,
-            RecordType::A => true,
-            _ => false,
-        };
         self.records.entry((record.name.clone(), record.rtype())).or_default().push(record);
-        if refresh_glue {
-            self.glue = self
-                .ns_records()
-                .iter()
-                .filter_map(Record::as_ns)
-                .flat_map(|target| self.lookup(target, RecordType::A))
-                .cloned()
-                .collect();
-        }
+        self.glue.take();
         self
     }
 
@@ -143,7 +132,14 @@ impl Zone {
 
     /// Glue A records for every apex NS target, in NS order.
     pub fn glue_records(&self) -> &[Record] {
-        &self.glue
+        self.glue.get_or_init(|| {
+            self.ns_records()
+                .iter()
+                .filter_map(Record::as_ns)
+                .flat_map(|target| self.lookup(target, RecordType::A))
+                .cloned()
+                .collect()
+        })
     }
 }
 
@@ -185,6 +181,8 @@ pub fn malicious_pool_zone(addrs: Vec<Ipv4Addr>, per_response: usize, ttl: u32) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::RData;
+    use proptest::prelude::*;
 
     #[test]
     fn pool_zone_has_ns_and_glue() {
@@ -218,6 +216,76 @@ mod tests {
         assert!(zone.name_exists(&"pool.ntp.org".parse().unwrap()));
         assert!(zone.name_exists(&"3.pool.ntp.org".parse().unwrap()));
         assert!(!zone.name_exists(&"example.com".parse().unwrap()));
+    }
+
+    /// The glue rule the lazy cell replaced: after every apex NS insert
+    /// and every A insert, re-derive the whole glue list.
+    struct EagerGlue {
+        zone: Zone,
+        glue: Vec<Record>,
+    }
+
+    impl EagerGlue {
+        fn add(&mut self, record: Record) {
+            let refresh_glue = match record.rtype() {
+                RecordType::Ns => record.name == self.zone.origin,
+                RecordType::A => true,
+                _ => false,
+            };
+            self.zone.add(record);
+            if refresh_glue {
+                self.glue = self
+                    .zone
+                    .ns_records()
+                    .iter()
+                    .filter_map(Record::as_ns)
+                    .flat_map(|target| self.zone.lookup(target, RecordType::A))
+                    .cloned()
+                    .collect();
+            }
+        }
+    }
+
+    /// One insert of the differential below: `(kind, target, address,
+    /// check)` with `kind` selecting an apex NS (whose target may never
+    /// get an A), a glue A, a non-glue A, a TXT, a delegation NS below
+    /// the apex, or an apex NS to an out-of-zone target.
+    fn insert(origin: &Name, (kind, target, addr, _): (u8, u8, u8, u8)) -> Record {
+        let at = |label: String| origin.child(&label).unwrap();
+        let ns = at(format!("ns{target}"));
+        let v4 = Ipv4Addr::new(192, 0, 2, addr);
+        match kind {
+            0 => Record::ns(origin.clone(), 60, ns),
+            1 => Record::a(ns, 60, v4),
+            2 => Record::a(at(format!("host{target}")), 60, v4),
+            3 => Record::new(origin.clone(), 60, RData::Txt(format!("t{addr}"))),
+            4 => Record::ns(at("sub".into()), 60, ns),
+            _ => Record::ns(origin.clone(), 60, format!("ns{target}.example.net").parse().unwrap()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The glue derived on demand equals, record for record and in
+        /// order, the glue the eager rule keeps — read after random
+        /// prefixes of random insert sequences, duplicates included.
+        #[test]
+        fn lazy_glue_equals_the_eager_recompute(
+            inserts in proptest::collection::vec((0..6u8, 0..5u8, 0..3u8, 0..3u8), 0..40),
+        ) {
+            let origin: Name = "example.org".parse().unwrap();
+            let mut lazy = Zone::new(origin.clone());
+            let mut eager = EagerGlue { zone: Zone::new(origin.clone()), glue: Vec::new() };
+            for (step, &op) in inserts.iter().enumerate() {
+                lazy.add(insert(&origin, op));
+                eager.add(insert(&origin, op));
+                if op.3 == 0 {
+                    prop_assert_eq!(lazy.glue_records(), &eager.glue[..], "after insert {}", step);
+                }
+            }
+            prop_assert_eq!(lazy.glue_records(), &eager.glue[..], "{:?}", inserts);
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! reveals whether the zone is DNSSEC-signed (RRSIG present).
 
 use std::net::Ipv4Addr;
+use std::sync::{Arc, LazyLock};
 
 use bytes::Bytes;
 use dns::auth::{AuthServer, DNS_PORT};
@@ -123,6 +124,15 @@ impl Host for Probe {
     }
 }
 
+/// The scanned domain's apex.
+static ORIGIN: LazyLock<Name> = LazyLock::new(|| "bigdomain.example".parse().expect("static"));
+
+/// The scanned domain's zone, unsigned and signed, built once per process
+/// and shared by every scan world.
+static SCAN_ZONES: LazyLock<[Arc<[Zone]>; 2]> = LazyLock::new(|| {
+    [false, true].map(|signed| -> Arc<[Zone]> { Arc::new([scan_zone(&ORIGIN, signed, 1700)]) })
+});
+
 /// Builds the scanned domain's zone: a TXT record padded to `payload` bytes
 /// so the response always exceeds any candidate MTU.
 fn scan_zone(origin: &Name, signed: bool, payload: usize) -> Zone {
@@ -137,9 +147,7 @@ fn scan_zone(origin: &Name, signed: bool, payload: usize) -> Zone {
 
 /// Probes one nameserver in an isolated mini-simulation.
 pub fn scan_nameserver(spec: &NameserverSpec, seed: u64) -> PmtudVerdict {
-    let probe_addr: Ipv4Addr = "203.0.113.7".parse().expect("static");
     let ns_addr: Ipv4Addr = "192.0.2.10".parse().expect("static");
-    let origin: Name = "bigdomain.example".parse().expect("static");
     let mut sim = Simulator::with_topology(
         seed,
         Topology::uniform(LinkSpec::fixed(SimDuration::from_millis(10))),
@@ -149,19 +157,22 @@ pub fn scan_nameserver(spec: &NameserverSpec, seed: u64) -> PmtudVerdict {
     } else {
         OsProfile::nameserver_no_pmtud()
     };
-    let zone = scan_zone(&origin, spec.signed, 1700);
-    sim.add_host(
-        ns_addr,
-        profile,
-        Box::new(AuthServer::new(vec![zone]).without_authority_sections()),
-    )
-    .expect("ns addr");
+    let zones = Arc::clone(&SCAN_ZONES[usize::from(spec.signed)]);
+    sim.add_host(ns_addr, profile, Box::new(AuthServer::new(zones).without_authority_sections()))
+        .expect("ns addr");
+    probe(sim, ns_addr)
+}
+
+/// Adds the probing host to a world holding the scanned nameserver at
+/// `ns_addr` and runs the scan against it.
+fn probe(mut sim: Simulator, ns_addr: Ipv4Addr) -> PmtudVerdict {
+    let probe_addr: Ipv4Addr = "203.0.113.7".parse().expect("static");
     sim.add_host(
         probe_addr,
         OsProfile::linux(),
         Box::new(Probe {
             target: ns_addr,
-            qname: origin,
+            qname: ORIGIN.clone(),
             fragment_sizes: Vec::new(),
             signed: false,
             answered: false,
@@ -212,7 +223,7 @@ impl FromIterator<PmtudVerdict> for PmtudScanResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::population::{domain_nameservers, pool_nameservers};
+    use crate::population::{domain_nameserver_at, domain_nameservers, pool_nameservers};
 
     fn scan_all(population: &[NameserverSpec], seed: u64, workers: usize) -> PmtudScanResult {
         runner::TrialRunner::new(workers)
@@ -271,5 +282,36 @@ mod tests {
         assert!((cdf_548 - 0.832).abs() < 0.08, "CDF(548) {cdf_548}");
         assert!(result.cdf_at(292) < cdf_548);
         assert!((result.cdf_at(1492) - 1.0).abs() < 1e-9);
+    }
+
+    /// The scanned nameserver [`scan_nameserver`] built before its zones
+    /// were built once per process: the zone and its name built per trial.
+    fn per_trial_world(spec: &NameserverSpec, seed: u64) -> (Simulator, Ipv4Addr) {
+        let ns_addr: Ipv4Addr = "192.0.2.10".parse().unwrap();
+        let origin: Name = "bigdomain.example".parse().unwrap();
+        let topology = Topology::uniform(LinkSpec::fixed(SimDuration::from_millis(10)));
+        let mut sim = Simulator::with_topology(seed, topology);
+        let profile = if spec.honours_pmtud {
+            OsProfile::nameserver(spec.min_fragment_mtu)
+        } else {
+            OsProfile::nameserver_no_pmtud()
+        };
+        let zone = scan_zone(&origin, spec.signed, 1700);
+        let server = AuthServer::new(vec![zone]).without_authority_sections();
+        sim.add_host(ns_addr, profile, Box::new(server)).unwrap();
+        (sim, ns_addr)
+    }
+
+    /// The worlds sharing the process-wide zones scan every nameserver
+    /// exactly as the per-trial build did, over 500 indices of the Fig. 5
+    /// domain population.
+    #[test]
+    fn shared_zone_worlds_match_the_per_trial_build() {
+        for idx in 0..500 {
+            let (spec, seed) = (domain_nameserver_at(2020, idx), crate::scan_seed(2020, idx));
+            let (sim, ns_addr) = per_trial_world(&spec, seed);
+            let per_trial = probe(sim, ns_addr);
+            assert_eq!(scan_nameserver(&spec, seed), per_trial, "nameserver {idx}: {spec:?}");
+        }
     }
 }

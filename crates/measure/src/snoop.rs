@@ -13,8 +13,9 @@
 //!    `t_first − t_avg` (Fig. 7 shows why this is unusable as a detector).
 
 use std::net::Ipv4Addr;
+use std::sync::{Arc, LazyLock};
 
-use dns::auth::{spawn_zone_nameservers, DNS_PORT};
+use dns::auth::{spawn_zone_nameservers, AuthServer, DNS_PORT};
 use dns::dnssec::ZoneKey;
 use dns::message::Message;
 use dns::name::Name;
@@ -28,13 +29,14 @@ use crate::fragns::FragmentingNs;
 use crate::population::OpenResolverSpec;
 
 /// The six records probed in Table IV.
-pub fn probed_records() -> Vec<(Name, RecordType)> {
-    let pool: Name = "pool.ntp.org".parse().expect("static");
-    let mut out = vec![(pool.clone(), RecordType::Ns), (pool.clone(), RecordType::A)];
-    for i in 0..4 {
-        out.push((pool.child(&i.to_string()).expect("label"), RecordType::A));
-    }
-    out
+pub fn probed_records() -> &'static [(Name, RecordType); 6] {
+    static RECORDS: LazyLock<[(Name, RecordType); 6]> = LazyLock::new(|| {
+        let pool = &NAMES.pool;
+        let child = |i: u8| (pool.child(&i.to_string()).expect("label"), RecordType::A);
+        let (ns, a) = ((pool.clone(), RecordType::Ns), (pool.clone(), RecordType::A));
+        [ns, a, child(0), child(1), child(2), child(3)]
+    });
+    &RECORDS
 }
 
 /// Per-resolver outcome.
@@ -124,6 +126,42 @@ const RESOLVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 53);
 const AUX_NS: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 99);
 const FRAG_NS: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 98);
 
+/// The names every scan world uses, parsed once per process.
+struct Names {
+    pool: Name,
+    pool_ns1: Name,
+    canary: Name,
+    known: Name,
+    prime: Name,
+    adtest: Name,
+}
+
+static NAMES: LazyLock<Names> = LazyLock::new(|| {
+    let name = |s: &str| s.parse::<Name>().expect("static name");
+    Names {
+        pool: name("pool.ntp.org"),
+        pool_ns1: name("ns1.pool.ntp.org"),
+        canary: name("canary.example"),
+        known: name("known.canary.example"),
+        prime: name("prime.canary.example"),
+        adtest: name("adtest.example"),
+    }
+});
+
+/// The zones every scan world serves, built once per process and shared
+/// by all its nameservers: the pool zone (8 servers, 4 nameservers), for
+/// the timing probe's uncached path, and the canary zone.
+static POOL_ZONES: LazyLock<Arc<[Zone]>> = LazyLock::new(|| {
+    let pool_servers: Vec<Ipv4Addr> = (1..=8).map(|i| Ipv4Addr::new(192, 0, 2, i)).collect();
+    Arc::new([pool_zone(pool_servers, 4, Ipv4Addr::new(198, 51, 100, 1))])
+});
+static CANARY_ZONES: LazyLock<Arc<[Zone]>> = LazyLock::new(|| {
+    let mut zone = Zone::new(NAMES.canary.clone());
+    zone.add(Record::a(NAMES.known.clone(), 300, Ipv4Addr::new(198, 51, 0, 1)));
+    zone.add(Record::a(NAMES.prime.clone(), 300, Ipv4Addr::new(198, 51, 0, 2)));
+    Arc::new([zone])
+});
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Step {
     VerifyNoncached,
@@ -142,7 +180,6 @@ struct Scanner {
     step: Step,
     txid: u16,
     outcome: ResolverOutcome,
-    records: Vec<(Name, RecordType)>,
     timing: Vec<f64>,
     sent_at: SimTime,
     seq: u64,
@@ -155,7 +192,7 @@ impl Scanner {
             VerifyNoncached => Prime,
             Prime => VerifyCached,
             VerifyCached => Snoop(0),
-            Snoop(i) if i + 1 < self.records.len() => Snoop(i + 1),
+            Snoop(i) if i + 1 < probed_records().len() => Snoop(i + 1),
             Snoop(_) => FragProbe,
             FragProbe => Timing(0),
             Timing(i) if i + 1 < 4 => Timing(i + 1),
@@ -167,20 +204,18 @@ impl Scanner {
     fn send_current(&mut self, ctx: &mut Ctx<'_>) {
         use Step::*;
         let (name, rtype, rd): (Name, RecordType, bool) = match self.step {
-            VerifyNoncached => {
-                ("known.canary.example".parse().expect("static"), RecordType::A, false)
-            }
-            Prime => ("prime.canary.example".parse().expect("static"), RecordType::A, true),
-            VerifyCached => ("prime.canary.example".parse().expect("static"), RecordType::A, false),
+            VerifyNoncached => (NAMES.known.clone(), RecordType::A, false),
+            Prime => (NAMES.prime.clone(), RecordType::A, true),
+            VerifyCached => (NAMES.prime.clone(), RecordType::A, false),
             Snoop(i) => {
-                let (n, t) = self.records[i].clone();
+                let (n, t) = probed_records()[i].clone();
                 (n, t, false)
             }
             FragProbe => {
                 let name = format!("t{}.fsmall.adtest.example", self.seq);
                 (name.parse().expect("label"), RecordType::A, true)
             }
-            Timing(_) => ("pool.ntp.org".parse().expect("static"), RecordType::Ns, true),
+            Timing(_) => (NAMES.pool.clone(), RecordType::Ns, true),
             Done => return,
         };
         self.seq += 1;
@@ -264,14 +299,6 @@ impl Host for Scanner {
     }
 }
 
-fn canary_zone() -> Zone {
-    let origin: Name = "canary.example".parse().expect("static");
-    let mut zone = Zone::new(origin.clone());
-    zone.add(Record::a(origin.child("known").expect("label"), 300, Ipv4Addr::new(198, 51, 0, 1)));
-    zone.add(Record::a(origin.child("prime").expect("label"), 300, Ipv4Addr::new(198, 51, 0, 2)));
-    zone
-}
-
 /// Probes one resolver in an isolated mini-simulation.
 pub fn scan_resolver(spec: &OpenResolverSpec, seed: u64) -> ResolverOutcome {
     let mut sim = Simulator::new(seed);
@@ -281,22 +308,12 @@ pub fn scan_resolver(spec: &OpenResolverSpec, seed: u64) -> ResolverOutcome {
     let link = LinkSpec { latency: base, jitter, loss: 0.0 };
     sim.topology_mut().set_link_bidir(SCANNER, RESOLVER, link);
 
-    // Pool NS fleet (for the timing probe's uncached path).
-    let pool_servers: Vec<Ipv4Addr> = (1..=8).map(|i| Ipv4Addr::new(192, 0, 2, i)).collect();
-    let zone = pool_zone(pool_servers, 4, Ipv4Addr::new(198, 51, 100, 1));
-    let ns_list = spawn_zone_nameservers(&mut sim, &zone, OsProfile::nameserver(548));
-    sim.add_host(
-        AUX_NS,
-        OsProfile::linux(),
-        Box::new(dns::auth::AuthServer::new(vec![canary_zone()])),
-    )
-    .expect("aux ns");
-    sim.add_host(
-        FRAG_NS,
-        OsProfile::linux(),
-        Box::new(FragmentingNs::new("adtest.example".parse().expect("static"), ZoneKey(0x1234))),
-    )
-    .expect("frag ns");
+    let pool_ns = OsProfile::nameserver(548);
+    let ns_list = spawn_zone_nameservers(&mut sim, Arc::clone(&POOL_ZONES), pool_ns);
+    let canary_ns = Box::new(AuthServer::new(Arc::clone(&CANARY_ZONES)));
+    sim.add_host(AUX_NS, OsProfile::linux(), canary_ns).expect("aux ns");
+    let frag_ns = Box::new(FragmentingNs::new(NAMES.adtest.clone(), ZoneKey(0x1234)));
+    sim.add_host(FRAG_NS, OsProfile::linux(), frag_ns).expect("frag ns");
 
     let mut profile = OsProfile::linux();
     profile.accept_fragments = spec.accepts_fragments;
@@ -304,23 +321,20 @@ pub fn scan_resolver(spec: &OpenResolverSpec, seed: u64) -> ResolverOutcome {
     let mut resolver = Resolver::new(
         config,
         vec![
-            ("pool.ntp.org".parse().expect("static"), ns_list),
-            ("canary.example".parse().expect("static"), vec![AUX_NS]),
-            ("adtest.example".parse().expect("static"), vec![FRAG_NS]),
+            (NAMES.pool.clone(), ns_list),
+            (NAMES.canary.clone(), vec![AUX_NS]),
+            (NAMES.adtest.clone(), vec![FRAG_NS]),
         ],
     );
     // Prime the cache per the population snapshot ("an NTP client resolved
     // this `age` seconds ago"): remaining TTL = full − age.
-    let records = probed_records();
     for (idx, age) in spec.cached.iter().enumerate() {
         let Some(age) = age else { continue };
-        let (name, rtype) = &records[idx];
+        let (name, rtype) = &probed_records()[idx];
         let full = crate::population::TABLE4_TTLS[idx];
         let remaining = full.saturating_sub(*age).max(1);
         let record = match rtype {
-            RecordType::Ns => {
-                Record::ns(name.clone(), remaining, "ns1.pool.ntp.org".parse().expect("static"))
-            }
+            RecordType::Ns => Record::ns(name.clone(), remaining, NAMES.pool_ns1.clone()),
             _ => Record::a(name.clone(), remaining, Ipv4Addr::new(192, 0, 2, 1)),
         };
         resolver.cache_mut().insert(
@@ -331,6 +345,12 @@ pub fn scan_resolver(spec: &OpenResolverSpec, seed: u64) -> ResolverOutcome {
         );
     }
     sim.add_host(RESOLVER, profile, Box::new(resolver)).expect("resolver");
+    scan(sim)
+}
+
+/// Adds the scanner to a world holding the resolver at [`RESOLVER`] and
+/// runs the per-resolver protocol against it.
+fn scan(mut sim: Simulator) -> ResolverOutcome {
     sim.add_host(
         SCANNER,
         OsProfile::linux(),
@@ -344,7 +364,6 @@ pub fn scan_resolver(spec: &OpenResolverSpec, seed: u64) -> ResolverOutcome {
                 accepts_fragments: false,
                 timing_diff_ms: None,
             },
-            records,
             timing: Vec::new(),
             sent_at: netsim::time::SimTime::ZERO,
             seq: 0,
@@ -395,7 +414,7 @@ impl FromIterator<ResolverOutcome> for SurveyResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::population::open_resolvers;
+    use crate::population::{open_resolver_at, open_resolvers};
 
     fn survey(population: &[OpenResolverSpec], seed: u64, workers: usize) -> SurveyResult {
         runner::TrialRunner::new(workers)
@@ -467,5 +486,76 @@ mod tests {
         assert!(result.ttl_samples.iter().all(|&t| t <= 150));
         // Fig. 7: samples exist and straddle a wide range.
         assert!(!result.timing_diffs_ms.is_empty());
+    }
+
+    /// [`probed_records`] as each trial built it before the names were
+    /// built once per process.
+    fn per_trial_records() -> Vec<(Name, RecordType)> {
+        let pool: Name = "pool.ntp.org".parse().unwrap();
+        let mut records = vec![(pool.clone(), RecordType::Ns), (pool.clone(), RecordType::A)];
+        records.extend((0..4).map(|i| (pool.child(&i.to_string()).unwrap(), RecordType::A)));
+        records
+    }
+
+    /// The world [`scan_resolver`] built before its zones and names were
+    /// built once per process: every zone and name built per trial, and a
+    /// copy of the pool zone per nameserver.
+    fn per_trial_world(spec: &OpenResolverSpec, seed: u64) -> Simulator {
+        let mut sim = Simulator::new(seed);
+        let base = SimDuration::from_millis(spec.rtt_ms);
+        let jitter = SimDuration::from_millis(spec.rtt_ms / 2);
+        let link = LinkSpec { latency: base, jitter, loss: 0.0 };
+        sim.topology_mut().set_link_bidir(SCANNER, RESOLVER, link);
+        let pool_servers: Vec<Ipv4Addr> = (1..=8).map(|i| Ipv4Addr::new(192, 0, 2, i)).collect();
+        let zone = pool_zone(pool_servers, 4, Ipv4Addr::new(198, 51, 100, 1));
+        let ns_list = dns::auth::ns_addrs(&zone);
+        for &addr in &ns_list {
+            let server = Box::new(AuthServer::new(vec![zone.clone()]));
+            sim.add_host(addr, OsProfile::nameserver(548), server).unwrap();
+        }
+        let origin: Name = "canary.example".parse().unwrap();
+        let mut canary = Zone::new(origin.clone());
+        canary.add(Record::a(origin.child("known").unwrap(), 300, Ipv4Addr::new(198, 51, 0, 1)));
+        canary.add(Record::a(origin.child("prime").unwrap(), 300, Ipv4Addr::new(198, 51, 0, 2)));
+        sim.add_host(AUX_NS, OsProfile::linux(), Box::new(AuthServer::new(vec![canary]))).unwrap();
+        let adtest = "adtest.example".parse().unwrap();
+        let frag_ns = Box::new(FragmentingNs::new(adtest, ZoneKey(0x1234)));
+        sim.add_host(FRAG_NS, OsProfile::linux(), frag_ns).unwrap();
+        let mut profile = OsProfile::linux();
+        profile.accept_fragments = spec.accepts_fragments;
+        let config = ResolverConfig { respects_rd: spec.respects_rd, ..ResolverConfig::default() };
+        let hints = vec![
+            ("pool.ntp.org".parse().unwrap(), ns_list),
+            ("canary.example".parse().unwrap(), vec![AUX_NS]),
+            ("adtest.example".parse().unwrap(), vec![FRAG_NS]),
+        ];
+        let mut resolver = Resolver::new(config, hints);
+        let records = per_trial_records();
+        let ns1: Name = "ns1.pool.ntp.org".parse().unwrap();
+        for (idx, age) in spec.cached.iter().enumerate() {
+            let Some(age) = age else { continue };
+            let (name, rtype) = &records[idx];
+            let remaining = crate::population::TABLE4_TTLS[idx].saturating_sub(*age).max(1);
+            let record = match rtype {
+                RecordType::Ns => Record::ns(name.clone(), remaining, ns1.clone()),
+                _ => Record::a(name.clone(), remaining, Ipv4Addr::new(192, 0, 2, 1)),
+            };
+            resolver.cache_mut().insert(SimTime::ZERO, name.clone(), *rtype, vec![record]);
+        }
+        sim.add_host(RESOLVER, profile, Box::new(resolver)).unwrap();
+        sim
+    }
+
+    /// The worlds sharing the process-wide zones and names scan every
+    /// resolver exactly as the per-trial build did, over 2,000 indices of
+    /// the open-resolver population.
+    #[test]
+    fn shared_zone_worlds_match_the_per_trial_build() {
+        assert_eq!(probed_records()[..], per_trial_records()[..]);
+        for idx in 0..2_000 {
+            let (spec, seed) = (open_resolver_at(2020, idx), crate::scan_seed(2020, idx));
+            let per_trial = scan(per_trial_world(&spec, seed));
+            assert_eq!(scan_resolver(&spec, seed), per_trial, "resolver {idx}: {spec:?}");
+        }
     }
 }

@@ -688,7 +688,7 @@ mod tests {
             sim.add_host(s, OsProfile::linux(), Box::new(host)).unwrap();
         }
         let zone = pool_zone(servers, 4, NS);
-        let ns_list = spawn_zone_nameservers(&mut sim, &zone, OsProfile::nameserver(548));
+        let ns_list = spawn_zone_nameservers(&mut sim, [zone], OsProfile::nameserver(548));
         sim.add_host(
             RESOLVER,
             OsProfile::linux(),

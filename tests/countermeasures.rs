@@ -39,7 +39,7 @@ fn dnssec_validation_blocks_the_redirected_answer() {
         sim.add_host(s, OsProfile::linux(), Box::new(NtpServer::honest())).unwrap();
     }
     let zone = pool_zone(pool_servers, 23, std::net::Ipv4Addr::new(198, 51, 100, 1)).with_key(key);
-    let ns_list = spawn_zone_nameservers(&mut sim, &zone, OsProfile::nameserver(548));
+    let ns_list = spawn_zone_nameservers(&mut sim, [zone], OsProfile::nameserver(548));
     let mut anchors = TrustAnchors::new();
     anchors.add(pool_name.clone(), key);
     let resolver_addr: std::net::Ipv4Addr = "10.0.0.53".parse().unwrap();
@@ -152,7 +152,7 @@ fn classic_spoofing_without_fragmentation_needs_the_entropy() {
     let pool_servers: Vec<std::net::Ipv4Addr> =
         (1..=4).map(|i| std::net::Ipv4Addr::new(192, 0, 2, i)).collect();
     let zone = pool_zone(pool_servers, 4, "198.51.100.1".parse().unwrap());
-    let ns_list = spawn_zone_nameservers(&mut sim, &zone, OsProfile::nameserver(548));
+    let ns_list = spawn_zone_nameservers(&mut sim, [zone], OsProfile::nameserver(548));
     let resolver_addr: std::net::Ipv4Addr = "10.0.0.53".parse().unwrap();
     sim.add_host(
         resolver_addr,
