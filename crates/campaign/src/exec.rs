@@ -315,7 +315,7 @@ fn inject_pre_record(
 ///
 /// # Errors
 ///
-/// Malformed spec.
+/// Malformed spec, or an `ad_fraction` outside `[0, 1]`.
 pub fn parse_scale_spec(spec: &str) -> Result<Scale, CampaignError> {
     let parts: Vec<&str> = spec.split(',').collect();
     if parts.len() != 7 {
@@ -325,6 +325,14 @@ pub fn parse_scale_spec(spec: &str) -> Result<Scale, CampaignError> {
         )));
     }
     let err = |field: &str, e: String| CampaignError::BadSpec(format!("scale spec {field}: {e}"));
+    let ad_fraction: f64 = parts[2]
+        .parse()
+        .map_err(|e: std::num::ParseFloatError| err("ad_fraction", e.to_string()))?;
+    // A fraction of the paper's client counts. NaN and negative values
+    // mean nothing, and a huge one overflows the Table V client count.
+    if !(0.0..=1.0).contains(&ad_fraction) {
+        return Err(err("ad_fraction", format!("{ad_fraction} is not a fraction in [0, 1]")));
+    }
     Ok(Scale {
         resolvers: parts[0]
             .parse()
@@ -332,9 +340,7 @@ pub fn parse_scale_spec(spec: &str) -> Result<Scale, CampaignError> {
         domains: parts[1]
             .parse()
             .map_err(|e: std::num::ParseIntError| err("domains", e.to_string()))?,
-        ad_fraction: parts[2]
-            .parse()
-            .map_err(|e: std::num::ParseFloatError| err("ad_fraction", e.to_string()))?,
+        ad_fraction,
         shared: parts[3]
             .parse()
             .map_err(|e: std::num::ParseIntError| err("shared", e.to_string()))?,
@@ -373,6 +379,11 @@ mod tests {
     fn scale_spec_rejects_malformed_input() {
         assert!(parse_scale_spec("1,2,3").is_err());
         assert!(parse_scale_spec("a,2,0.5,4,5,6,7").is_err());
+        for fraction in ["inf", "NaN", "-1", "1e300"] {
+            let result = parse_scale_spec(&format!("1,1,{fraction},1,1,1,2020"));
+            assert!(matches!(result, Err(CampaignError::BadSpec(_))), "{fraction}: {result:?}");
+        }
+        assert!(parse_scale_spec("1,1,1,1,1,1,2020").is_ok());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! * [`registry`] — every reproducible artifact addressable by name
 //!   (`table1`, `table2`, `fig5`, `fig6`, `fig7`, `table4_snoop`,
-//!   `table5_adstudy`, `ratelimit`, `pmtud`, `chronos_bound`), each with
-//!   a typed record [`record::Schema`] and per-trial entry point;
+//!   `table5_adstudy`, `ratelimit`, `pmtud`, `shared`, `chronos_bound`),
+//!   each a typed [`registry::Scan`] with a record [`record::Schema`];
 //! * [`exec`] — the shard planner + executor: contiguous index-range
 //!   shards ([`runner::shard_range`]) run on in-process threads, or as
 //!   `campaign worker --shard k/K` child processes under the

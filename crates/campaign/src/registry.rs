@@ -10,18 +10,22 @@
 //! single record. Trial seeds are derived from the **global** index,
 //! never from the shard, which is the whole determinism story.
 //!
-//! The measurement scans (Fig. 5, §VII-B, Table IV / Fig. 6 / Fig. 7,
-//! Table V, §VII-A, §VIII-B3) are typed [`Scan`]s, and their public
-//! constructors ([`fig5`], [`pmtud`], [`snoop`], [`table5`],
-//! [`ratelimit`], [`shared`]) are the one definition of each scan's
-//! population and seeds. A campaign streams a scan's records;
+//! All 11 scenarios are typed [`Scan`]s, and their public constructors
+//! ([`table1`], [`table2`], [`fig5`], [`pmtud`], [`snoop`], [`table5`],
+//! [`ratelimit`], [`shared`], [`chronos_bound`]) are the one definition
+//! of each artifact's trials and seeds (`fig6`, `fig7` and
+//! `table4_snoop` share [`snoop`]). A campaign streams a scan's records;
 //! [`Scan::run`] returns its typed `(spec, verdict)` pairs in process,
-//! which fold into the `measure` result types.
+//! which the `experiments::format_*` printers render or which fold into
+//! the `measure` result types.
 
 use measure::prelude::*;
-use ntp::prelude::ClientKind;
+use ntp::prelude::{ClientKind, ClientProfile};
 use runner::{scan_seed, TrialRunner};
-use timeshift::experiments::{self, figspec, salts, Scale, Table2Case};
+use timeshift::experiments::{self, figspec, salts, Scale, Table2Case, CHRONOS_MALICIOUS};
+use timeshift::scenario::{
+    run_boot_time_attack, run_runtime_attack, AttackOutcome, ScenarioConfig,
+};
 
 use crate::record::{opt, Field, FieldKind, HistSpec, Record, Schema};
 
@@ -77,15 +81,13 @@ static REGISTRY: [Scenario; 11] = [
         name: "table1",
         about: "Table I: boot-time attack verified live against all seven NTP clients",
         schema: TABLE1_SCHEMA,
-        build: |scale| Box::new(Table1Campaign { seed: scale.seed }),
+        build: |scale| Box::new(table1(scale)),
     },
     Scenario {
         name: "table2",
         about: "Table II: end-to-end run-time attack durations (P1/P2)",
         schema: TABLE2_SCHEMA,
-        build: |scale| {
-            Box::new(Table2Campaign { seed: scale.seed, cases: experiments::table2_cases() })
-        },
+        build: |scale| Box::new(table2(scale)),
     },
     Scenario {
         name: "fig5",
@@ -139,98 +141,20 @@ static REGISTRY: [Scenario; 11] = [
         name: "chronos_bound",
         about: "SVI-C: attacker pool fraction vs honest lookups (2/3 bound)",
         schema: CHRONOS_SCHEMA,
-        build: |_| Box::new(ChronosBoundCampaign),
+        build: |scale| Box::new(chronos_bound(scale)),
     },
 ];
 
-// ---------------------------------------------------------------- Table I
+// ------------------------------------------------------------------ scans
 
-const TABLE1_SCHEMA: &Schema = &[
-    Field { name: "client", kind: FieldKind::Str },
-    Field { name: "pool_share", kind: FieldKind::F64 },
-    Field { name: "boot_time", kind: FieldKind::Bool },
-    Field { name: "run_time", kind: FieldKind::Bool },
-    Field { name: "observed_boot_shift", kind: FieldKind::F64 },
-];
-
-struct Table1Campaign {
-    seed: u64,
-}
-
-impl Campaign for Table1Campaign {
-    fn trials(&self) -> usize {
-        ClientKind::all().len()
-    }
-    fn run_trial(&self, idx: usize) -> Record {
-        let row = experiments::table1_row(self.seed, ClientKind::all()[idx]);
-        Record(vec![
-            row.client.into(),
-            opt(row.pool_share),
-            row.boot_time.into(),
-            opt(row.run_time),
-            row.observed_boot_shift.into(),
-        ])
-    }
-}
-
-// --------------------------------------------------------------- Table II
-
-const TABLE2_SCHEMA: &Schema = &[
-    Field { name: "client", kind: FieldKind::Str },
-    Field { name: "scenario", kind: FieldKind::Str },
-    Field { name: "discovery", kind: FieldKind::Str },
-    Field { name: "success", kind: FieldKind::Bool },
-    Field { name: "duration_mins", kind: FieldKind::F64 },
-    Field { name: "paper_mins", kind: FieldKind::F64 },
-    Field { name: "observed_shift", kind: FieldKind::F64 },
-    Field { name: "packets_sent", kind: FieldKind::U64 },
-    // The `explain_` prefix routes these through the summary's "explain"
-    // section: a per-trial account of *why* an attack failed (which drop
-    // family dominated) built from the simulator's drop taxonomy.
-    Field { name: "explain_fail_stage", kind: FieldKind::Str },
-    Field { name: "explain_frag_drops", kind: FieldKind::U64 },
-    Field { name: "explain_verify_drops", kind: FieldKind::U64 },
-    Field { name: "explain_total_drops", kind: FieldKind::U64 },
-];
-
-struct Table2Campaign {
-    seed: u64,
-    cases: Vec<Table2Case>,
-}
-
-impl Campaign for Table2Campaign {
-    fn trials(&self) -> usize {
-        self.cases.len()
-    }
-    fn run_trial(&self, idx: usize) -> Record {
-        let case = &self.cases[idx];
-        let row = experiments::table2_row(self.seed, case);
-        Record(vec![
-            row.client.into(),
-            row.scenario.into(),
-            case.scenario.label().into(),
-            row.outcome.success.into(),
-            opt(row.duration_mins),
-            row.paper_mins.into(),
-            row.outcome.observed_shift.into(),
-            row.outcome.packets_sent.into(),
-            row.outcome.fail_stage().into(),
-            row.outcome.frag_drops.into(),
-            row.outcome.verify_drops.into(),
-            row.outcome.total_drops.into(),
-        ])
-    }
-}
-
-// ------------------------------------------------------ measurement scans
-
-/// A measurement scan: trial `idx` derives its spec from the population
-/// handle `pop` (`spec_at`), probes it in an isolated mini-simulation
-/// seeded by `scan_seed(base_seed, idx)`, and projects `(spec, verdict)`
-/// to a flat record. The handle is a seed for the lazily-generated
-/// populations (O(1) work per index, so a paper-scale campaign of 1.58 M
-/// resolver trials holds **no** population `Vec`), `(seed, fraction)`
-/// for Table V, or the list itself for the 30 shuffled pool nameservers.
+/// A typed scan: trial `idx` derives its spec from the population handle
+/// `pop` (`spec_at`), probes it in an isolated simulation seeded by
+/// `scan_seed(base_seed, idx)`, and projects `(spec, verdict)` to a flat
+/// record. The handle is a seed for the lazily-generated populations
+/// (O(1) work per index, so a paper-scale campaign of 1.58 M resolver
+/// trials holds **no** population `Vec`), `(seed, fraction)` for Table V,
+/// the list itself for the 30 shuffled pool nameservers and the Table II
+/// cases, or nothing for the closed-form Chronos bound.
 pub struct Scan<P, S, V> {
     trials: usize,
     pop: P,
@@ -269,6 +193,102 @@ impl<P: Send + Sync, S: Send, V: Send> Campaign for Scan<P, S, V> {
     fn run_trial(&self, idx: usize) -> Record {
         let (spec, verdict) = self.trial(idx);
         (self.record)(&spec, &verdict)
+    }
+}
+
+// ------------------------------------------------------- Table I + II
+
+// The attack trials predate `scan_seed`: each seeds its simulation with
+// `scale.seed ^ kind`, the seed the `table1`/`table2` golden digests and
+// the benchmark's pinned attack digest are keyed to. So the seed travels
+// in the spec and the probes ignore the scan seed.
+
+const TABLE1_SCHEMA: &Schema = &[
+    Field { name: "client", kind: FieldKind::Str },
+    Field { name: "pool_share", kind: FieldKind::F64 },
+    Field { name: "boot_time", kind: FieldKind::Bool },
+    Field { name: "run_time", kind: FieldKind::Bool },
+    Field { name: "observed_boot_shift", kind: FieldKind::F64 },
+];
+
+fn table1_record(&(kind, _): &(ClientKind, u64), o: &AttackOutcome) -> Record {
+    Record(vec![
+        kind.name().into(),
+        opt(kind.pool_share()),
+        o.success.into(),
+        opt(ClientProfile::for_kind(kind).vulnerable_run_time()),
+        o.observed_shift.into(),
+    ])
+}
+
+/// Table I: the boot-time attack against each of the seven client
+/// models, in Table I order; the spec is `(kind, trial seed)`.
+pub fn table1(scale: Scale) -> Scan<u64, (ClientKind, u64), AttackOutcome> {
+    Scan {
+        trials: ClientKind::all().len(),
+        pop: scale.seed,
+        spec_at: |&seed, idx| {
+            let kind = ClientKind::all()[idx];
+            (kind, seed ^ kind as u64)
+        },
+        base_seed: scale.seed,
+        probe: |&(kind, seed), _| {
+            run_boot_time_attack(ScenarioConfig { seed, ..ScenarioConfig::default() }, kind)
+        },
+        record: table1_record,
+    }
+}
+
+const TABLE2_SCHEMA: &Schema = &[
+    Field { name: "client", kind: FieldKind::Str },
+    Field { name: "scenario", kind: FieldKind::Str },
+    Field { name: "discovery", kind: FieldKind::Str },
+    Field { name: "success", kind: FieldKind::Bool },
+    Field { name: "duration_mins", kind: FieldKind::F64 },
+    Field { name: "paper_mins", kind: FieldKind::F64 },
+    Field { name: "observed_shift", kind: FieldKind::F64 },
+    Field { name: "packets_sent", kind: FieldKind::U64 },
+    // The `explain_` prefix routes these through the summary's "explain"
+    // section: a per-trial account of *why* an attack failed (which drop
+    // family dominated) built from the simulator's drop taxonomy.
+    Field { name: "explain_fail_stage", kind: FieldKind::Str },
+    Field { name: "explain_frag_drops", kind: FieldKind::U64 },
+    Field { name: "explain_verify_drops", kind: FieldKind::U64 },
+    Field { name: "explain_total_drops", kind: FieldKind::U64 },
+];
+
+fn table2_record((case, _): &(Table2Case, u64), o: &AttackOutcome) -> Record {
+    Record(vec![
+        case.client.into(),
+        case.label.into(),
+        case.scenario.label().into(),
+        o.success.into(),
+        opt(o.duration_secs.map(|s| s / 60.0)),
+        case.paper_mins.into(),
+        o.observed_shift.into(),
+        o.packets_sent.into(),
+        o.fail_stage().into(),
+        o.frag_drops.into(),
+        o.verify_drops.into(),
+        o.total_drops.into(),
+    ])
+}
+
+/// Table II: the run-time attack for each of the four
+/// [`experiments::table2_cases`], in the paper's row order; the spec is
+/// `(case, trial seed)`.
+pub fn table2(scale: Scale) -> Scan<(u64, Vec<Table2Case>), (Table2Case, u64), AttackOutcome> {
+    let cases = experiments::table2_cases();
+    Scan {
+        trials: cases.len(),
+        pop: (scale.seed, cases),
+        spec_at: |(seed, cases), idx| (cases[idx].clone(), seed ^ cases[idx].kind as u64),
+        base_seed: scale.seed,
+        probe: |(case, seed), _| {
+            let config = ScenarioConfig { seed: *seed, ..ScenarioConfig::default() };
+            run_runtime_attack(config, case.kind, case.scenario.clone())
+        },
+        record: table2_record,
     }
 }
 
@@ -473,30 +493,35 @@ const CHRONOS_SCHEMA: &Schema = &[
     Field { name: "success", kind: FieldKind::Bool },
 ];
 
-/// The SVI-C sweep: trial `idx` is `N = idx` honest lookups against the
-/// paper's 89-address poisoned response.
-struct ChronosBoundCampaign;
+fn chronos_record(&n: &u32, &success: &bool) -> Record {
+    Record(vec![
+        n.into(),
+        (4 * n).into(),
+        CHRONOS_MALICIOUS.into(),
+        chronos::bound::attacker_fraction(n, CHRONOS_MALICIOUS).into(),
+        success.into(),
+    ])
+}
 
-impl Campaign for ChronosBoundCampaign {
-    fn trials(&self) -> usize {
-        experiments::CHRONOS_LOOKUPS as usize
-    }
-    fn run_trial(&self, idx: usize) -> Record {
-        let row = experiments::chronos_bound_row(idx as u32);
-        Record(vec![
-            row.n.into(),
-            row.honest.into(),
-            row.malicious.into(),
-            row.fraction.into(),
-            row.success.into(),
-        ])
+/// SVI-C: trial `idx` is `N = idx` honest lookups (4 addresses each)
+/// against the paper's 89-address poisoned response; the verdict is
+/// whether the attacker's pool share reaches the 2/3 bound. Closed form,
+/// so the probe ignores its seed.
+pub fn chronos_bound(scale: Scale) -> Scan<(), u32, bool> {
+    Scan {
+        trials: experiments::CHRONOS_LOOKUPS as usize,
+        pop: (),
+        spec_at: |(), idx| idx as u32,
+        base_seed: scale.seed,
+        probe: |&n, _| chronos::bound::attack_succeeds(n, CHRONOS_MALICIOUS),
+        record: chronos_record,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{encode_line, Value};
+    use crate::record::{decode_line, encode_line, Value};
 
     #[test]
     fn registry_names_are_unique_and_findable() {
@@ -508,6 +533,32 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), all().len(), "duplicate scenario names");
         assert!(find("nope").is_none());
+    }
+
+    /// Synthetic attack verdicts: one that landed and one that failed
+    /// with no duration.
+    fn synthetic_outcomes() -> [AttackOutcome; 2] {
+        let landed = AttackOutcome {
+            success: true,
+            observed_shift: -500.0,
+            duration_secs: Some(600.0),
+            packets_sent: 10,
+            frag_drops: 2,
+            verify_drops: 1,
+            total_drops: 3,
+        };
+        [landed.clone(), AttackOutcome { success: false, duration_secs: None, ..landed }]
+    }
+
+    /// Every spec of an attack scan projected with each synthetic verdict:
+    /// the record shape without running a simulation.
+    fn synthetic_records<P: Sync, S: Send>(scan: &Scan<P, S, AttackOutcome>) -> Vec<Record> {
+        (0..scan.trials)
+            .flat_map(|idx| {
+                let spec = (scan.spec_at)(&scan.pop, idx);
+                synthetic_outcomes().map(|o| (scan.record)(&spec, &o))
+            })
+            .collect()
     }
 
     #[test]
@@ -522,29 +573,46 @@ mod tests {
             seed: 2020,
         };
         for s in all() {
-            // The heavyweight attacks are exercised by the dedicated
-            // determinism tests; here just shape-check the cheap scans.
-            if matches!(s.name, "table1" | "table2") {
-                continue;
+            // The attack tables take minutes of simulation per trial (the
+            // determinism and golden-digest tests run them); their record
+            // projections are checked on synthetic verdicts.
+            let records = match s.name {
+                "table1" => synthetic_records(&table1(scale)),
+                "table2" => synthetic_records(&table2(scale)),
+                _ => vec![s.build(scale).run_trial(0)],
+            };
+            assert!(!records.is_empty(), "{}: no trials", s.name);
+            for record in records {
+                // Encoding asserts arity; decoding asserts kinds.
+                let line = encode_line(s.schema, &record);
+                let decoded =
+                    decode_line(s.schema, &line).unwrap_or_else(|e| panic!("{}: {e}", s.name));
+                assert_eq!(decoded, record, "{}: {line}", s.name);
             }
-            let c = s.build(scale);
-            assert!(c.trials() > 0, "{}: no trials", s.name);
-            let record = c.run_trial(0);
-            // Encoding asserts arity; decoding asserts kinds.
-            let line = encode_line(s.schema, &record);
-            crate::record::decode_line(s.schema, &line)
-                .unwrap_or_else(|e| panic!("{}: {e}", s.name));
         }
     }
 
     #[test]
+    fn a_failed_attack_encodes_its_duration_as_null() {
+        let scan = table2(Scale::quick());
+        let lines: Vec<_> =
+            synthetic_records(&scan).iter().map(|r| encode_line(TABLE2_SCHEMA, r)).collect();
+        assert_eq!(lines.len(), 2 * 4);
+        assert!(lines[0].contains("\"duration_mins\":10,"), "{}", lines[0]);
+        assert!(lines[1].contains("\"duration_mins\":null,"), "{}", lines[1]);
+        assert!(lines[1].contains("\"success\":false,"), "{}", lines[1]);
+    }
+
+    #[test]
     fn chronos_bound_records_cross_at_11() {
-        let c = ChronosBoundCampaign;
+        let c = chronos_bound(Scale::quick());
+        assert_eq!(c.trials(), 24);
         let success = |idx: usize| match c.run_trial(idx).0[4] {
             Value::Bool(b) => b,
             ref v => panic!("expected bool, got {v:?}"),
         };
         assert!(success(11));
         assert!(!success(12));
+        assert_eq!(c.trial(11), (11, true));
     }
 }

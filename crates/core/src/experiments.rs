@@ -1,11 +1,11 @@
-//! The paper's tables and figures in paper layout: per-trial row
-//! functions for the attack tables (`table1_row`, `table2_row`,
-//! `chronos_bound_row`), the closed-form reports (Table III, the §IV-A
-//! budget), and one `format_*` per artifact. The measurement scans
-//! (Fig. 5, §VII-B, Table IV / Fig. 6 / Fig. 7, Table V, §VII-A,
-//! §VIII-B3) are defined once, as typed scans in the campaign scenario
-//! registry (`campaign::registry`); the formatters here render the typed
-//! results those scans fold to.
+//! The paper's tables and figures in paper layout: the Table II cases,
+//! the closed-form reports (Table III, the §IV-A budget), and one
+//! `format_*` per artifact. Every trial-based artifact (Table I, Table II,
+//! the §VI-C Chronos bound and the measurement scans: Fig. 5, §VII-B,
+//! Table IV / Fig. 6 / Fig. 7, Table V, §VII-A, §VIII-B3) is defined once,
+//! as a typed scan in the campaign scenario registry
+//! (`campaign::registry`); the formatters here render the `(spec,
+//! verdict)` pairs those scans return or the typed results they fold to.
 
 use core::fmt;
 
@@ -15,7 +15,7 @@ use netsim::time::SimDuration;
 use ntp::prelude::{ClientKind, ClientProfile};
 
 use crate::analysis::{self, Table3Row, P_RATE};
-use crate::scenario::{run_boot_time_attack, run_runtime_attack, AttackOutcome, ScenarioConfig};
+use crate::scenario::AttackOutcome;
 
 /// Sizing knobs for the measurement experiments: `quick` for tests and CI,
 /// `paper` for full-scale regeneration.
@@ -123,79 +123,35 @@ impl Scale {
 
 // ---------------------------------------------------------------- Table I
 
-/// One Table I row.
-#[derive(Debug, Clone)]
-pub struct Table1Row {
-    /// Client name.
-    pub client: &'static str,
-    /// Pool usage share (None = "not listed").
-    pub pool_share: Option<f64>,
-    /// Boot-time attack applies (verified live in-simulator).
-    pub boot_time: bool,
-    /// Run-time attack applies (None = "n/a").
-    pub run_time: Option<bool>,
-    /// Observed boot-time shift from the live verification.
-    pub observed_boot_shift: f64,
-}
-
-/// One Table I row: the full boot-time attack against one client kind, in
-/// its own seeded simulation. A pure function of `(seed, kind)`; the
-/// `table1` registry scenario runs one per trial.
-pub fn table1_row(seed: u64, kind: ClientKind) -> Table1Row {
-    let profile = ClientProfile::for_kind(kind);
-    let outcome = run_boot_time_attack(
-        ScenarioConfig { seed: seed ^ kind as u64, ..ScenarioConfig::default() },
-        kind,
-    );
-    Table1Row {
-        client: kind.name(),
-        pool_share: kind.pool_share(),
-        boot_time: outcome.success,
-        run_time: profile.vulnerable_run_time(),
-        observed_boot_shift: outcome.observed_shift,
-    }
-}
-
-/// Formats Table I.
-pub fn format_table1(rows: &[Table1Row]) -> String {
+/// Formats Table I from the `table1` scan's `((kind, seed), outcome)`
+/// pairs: the pool share and the run-time column come from the client
+/// model, the boot-time column from the live attack.
+pub fn format_table1(rows: &[((ClientKind, u64), AttackOutcome)]) -> String {
     let mut out = String::from(
         "TABLE I — ATTACK SCENARIOS FOR POPULAR NTP CLIENTS\n\
          client      pool-share  boot-time  run-time  (observed boot shift)\n",
     );
-    for r in rows {
-        let share =
-            r.pool_share.map(|s| format!("{:5.1}%", s * 100.0)).unwrap_or_else(|| "  n/l ".into());
-        let run = match r.run_time {
+    for ((kind, _), outcome) in rows {
+        let share = kind
+            .pool_share()
+            .map(|s| format!("{:5.1}%", s * 100.0))
+            .unwrap_or_else(|| "  n/l ".into());
+        let run = match ClientProfile::for_kind(*kind).vulnerable_run_time() {
             Some(true) => "yes",
             Some(false) => "no ",
             None => "n/a",
         };
         out.push_str(&format!(
             "{:<11} {share}      {:<9} {run}       {:+.1}s\n",
-            r.client,
-            if r.boot_time { "yes" } else { "NO!" },
-            r.observed_boot_shift
+            kind.name(),
+            if outcome.success { "yes" } else { "NO!" },
+            outcome.observed_shift
         ));
     }
     out
 }
 
 // --------------------------------------------------------------- Table II
-
-/// One Table II row.
-#[derive(Debug, Clone)]
-pub struct Table2Row {
-    /// Client under attack.
-    pub client: &'static str,
-    /// Scenario label (P1/P2).
-    pub scenario: &'static str,
-    /// Attack duration in minutes (None: did not land within the budget).
-    pub duration_mins: Option<f64>,
-    /// The paper's measured duration, for comparison.
-    pub paper_mins: f64,
-    /// Full outcome.
-    pub outcome: AttackOutcome,
-}
 
 /// One Table II case: which client is attacked, how the attacker learns
 /// its upstreams, and the paper's measured duration for comparison.
@@ -249,41 +205,26 @@ pub fn table2_cases() -> Vec<Table2Case> {
     ]
 }
 
-/// One Table II row: the full end-to-end run-time attack for one case. A
-/// pure function of `(seed, case)`; the `table2` registry scenario runs
-/// one per trial.
-pub fn table2_row(seed: u64, case: &Table2Case) -> Table2Row {
-    let outcome = run_runtime_attack(
-        ScenarioConfig { seed: seed ^ case.kind as u64, ..ScenarioConfig::default() },
-        case.kind,
-        case.scenario.clone(),
-    );
-    Table2Row {
-        client: case.client,
-        scenario: case.label,
-        duration_mins: outcome.duration_secs.map(|s| s / 60.0),
-        paper_mins: case.paper_mins,
-        outcome,
-    }
-}
-
 fn p1_scenario() -> RuntimeScenario {
     let servers = (1..=8u32).map(|i| std::net::Ipv4Addr::from(0xC000_0200 + i)).collect();
     RuntimeScenario::KnownUpstreams { servers }
 }
 
-/// Formats Table II.
-pub fn format_table2(rows: &[Table2Row]) -> String {
+/// Formats Table II from the `table2` scan's `((case, seed), outcome)`
+/// pairs.
+pub fn format_table2(rows: &[((Table2Case, u64), AttackOutcome)]) -> String {
     let mut out = String::from(
         "TABLE II — RUN-TIME ATTACK DURATION AGAINST DIFFERENT CLIENTS\n\
          client      scenario  measured   paper   shift\n",
     );
-    for r in rows {
-        let measured =
-            r.duration_mins.map(|m| format!("{m:5.1} min")).unwrap_or_else(|| "  failed ".into());
+    for ((case, _), outcome) in rows {
+        let measured = outcome
+            .duration_secs
+            .map(|s| format!("{:5.1} min", s / 60.0))
+            .unwrap_or_else(|| "  failed ".into());
         out.push_str(&format!(
             "{:<11} {:<9} {measured}  {:>3.0} min  {:+.1}s\n",
-            r.client, r.scenario, r.paper_mins, r.outcome.observed_shift
+            case.client, case.label, case.paper_mins, outcome.observed_shift
         ));
     }
     out
@@ -417,60 +358,29 @@ pub fn format_fig5(result: &PmtudScanResult) -> String {
 
 // ------------------------------------------------------- Chronos (§VI-C)
 
-/// One row of the Chronos bound sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct ChronosBoundRow {
-    /// Honest lookups completed before poisoning.
-    pub n: u32,
-    /// Honest servers in the pool (4N).
-    pub honest: u32,
-    /// Attacker addresses injected.
-    pub malicious: u32,
-    /// Attacker pool fraction.
-    pub fraction: f64,
-    /// Whether the attack succeeds (2/3 bound).
-    pub success: bool,
-}
-
 /// Attacker addresses in the paper's poisoned Chronos response.
-const CHRONOS_MALICIOUS: u32 = 89;
+pub const CHRONOS_MALICIOUS: u32 = 89;
 
 /// Honest-lookup counts in the §VI-C sweep: one per hour of a day, so
 /// N = 0..=23.
 pub const CHRONOS_LOOKUPS: u32 = 24;
 
-/// One §VI-C row: `n` honest lookups (4 addresses each) before the
-/// poisoned response lands. The `chronos_bound` registry scenario runs
-/// one per trial.
-pub fn chronos_bound_row(n: u32) -> ChronosBoundRow {
-    ChronosBoundRow {
-        n,
-        honest: 4 * n,
-        malicious: CHRONOS_MALICIOUS,
-        fraction: chronos::bound::attacker_fraction(n, CHRONOS_MALICIOUS),
-        success: chronos::bound::attack_succeeds(n, CHRONOS_MALICIOUS),
-    }
-}
-
-/// The §VI-C sweep: every row for N = 0..[`CHRONOS_LOOKUPS`].
-pub fn chronos_bound() -> Vec<ChronosBoundRow> {
-    (0..CHRONOS_LOOKUPS).map(chronos_bound_row).collect()
-}
-
-/// Formats the Chronos bound sweep.
-pub fn format_chronos_bound(rows: &[ChronosBoundRow]) -> String {
+/// Formats the Chronos bound sweep from the `chronos_bound` scan's
+/// `(n, attack succeeds)` pairs: `n` honest lookups of 4 addresses each
+/// against the [`CHRONOS_MALICIOUS`] addresses of the poisoned response.
+pub fn format_chronos_bound(rows: &[(u32, bool)]) -> String {
     let mut out = String::from(
         "CHRONOS POOL POISONING (§VI-C): 89 malicious addresses vs 4N honest\n\
          N    honest  malicious  attacker-fraction  attack-succeeds\n",
     );
-    for r in rows {
+    for &(n, success) in rows {
         out.push_str(&format!(
             "{:<4} {:<7} {:<10} {:5.1}%             {}\n",
-            r.n,
-            r.honest,
-            r.malicious,
-            r.fraction * 100.0,
-            if r.success { "YES" } else { "no" }
+            n,
+            4 * n,
+            CHRONOS_MALICIOUS,
+            chronos::bound::attacker_fraction(n, CHRONOS_MALICIOUS) * 100.0,
+            if success { "YES" } else { "no" }
         ));
     }
     let max_n = chronos::bound::max_n(CHRONOS_MALICIOUS);
@@ -567,11 +477,61 @@ mod tests {
 
     #[test]
     fn chronos_bound_crosses_at_11() {
-        let rows = chronos_bound();
-        assert!(rows[11].success);
-        assert!(!rows[12].success);
+        let rows: Vec<_> = (0..CHRONOS_LOOKUPS)
+            .map(|n| (n, chronos::bound::attack_succeeds(n, CHRONOS_MALICIOUS)))
+            .collect();
+        assert!(rows[11].1);
+        assert!(!rows[12].1);
         let text = format_chronos_bound(&rows);
+        let lines: Vec<_> = text.lines().collect();
+        assert_eq!(lines.len(), 2 + 24 + 1);
+        assert!(lines[2 + 11].ends_with("YES") && lines[2 + 12].ends_with("no"));
         assert!(text.contains("N <= 11"));
+    }
+
+    /// A synthetic attack verdict: landed after `duration_secs` with the
+    /// paper's -500 s shift, or failed with no shift.
+    fn outcome(duration_secs: Option<f64>) -> AttackOutcome {
+        AttackOutcome {
+            success: duration_secs.is_some(),
+            observed_shift: if duration_secs.is_some() { -500.0 } else { 0.0 },
+            duration_secs,
+            packets_sent: 1,
+            frag_drops: 0,
+            verify_drops: 0,
+            total_drops: 0,
+        }
+    }
+
+    #[test]
+    fn table1_prints_every_client_and_marks_failures() {
+        let rows = ClientKind::all()
+            .map(|kind| ((kind, 0), outcome((kind != ClientKind::Chrony).then_some(60.0))));
+        let text = format_table1(&rows);
+        let lines: Vec<_> = text.lines().collect();
+        assert_eq!(lines.len(), 2 + 7, "{text}");
+        let row = |name: &str| *lines.iter().find(|l| l.starts_with(name)).expect(name);
+        assert!(row("chrony ").contains("NO!"), "{text}");
+        assert!(row("ntpdate ").contains("yes"), "{text}");
+        assert_eq!(text.matches("NO!").count(), 1, "{text}");
+        assert!(row("systemd ").contains("n/l"), "{text}");
+        assert_eq!(text.matches("n/l").count(), 1, "{text}");
+        assert!(row("NTPd ").contains("26.4%"), "{text}");
+    }
+
+    #[test]
+    fn table2_prints_failed_for_a_trial_without_duration() {
+        let rows: Vec<_> = table2_cases()
+            .into_iter()
+            .enumerate()
+            .map(|(i, case)| ((case, 0), outcome((i != 2).then_some(600.0))))
+            .collect();
+        let text = format_table2(&rows);
+        let lines: Vec<_> = text.lines().collect();
+        assert_eq!(lines.len(), 2 + 4, "{text}");
+        assert!(lines[2 + 2].starts_with("openntpd") && lines[2 + 2].contains("failed"), "{text}");
+        assert_eq!(text.matches("failed").count(), 1, "{text}");
+        assert!(lines[2].contains(" 10.0 min") && lines[2].contains("47 min"), "{text}");
     }
 
     #[test]

@@ -5,29 +5,18 @@
 //! cargo run --release --example boot_time_attack
 //! ```
 
+use campaign::registry;
 use timeshift::prelude::*;
 
 fn main() {
     println!("== Table I (live): boot-time attack vs every client model ==\n");
-    println!(
-        "{:<12} {:>10} {:>12} {:>16}",
-        "client", "pool-share", "boot-attack", "observed shift"
-    );
-    for kind in ClientKind::all() {
-        let outcome = run_boot_time_attack(
-            ScenarioConfig { seed: 42 ^ kind as u64, ..ScenarioConfig::default() },
-            kind,
-        );
-        let share =
-            kind.pool_share().map(|s| format!("{:.1}%", s * 100.0)).unwrap_or_else(|| "n/l".into());
-        println!(
-            "{:<12} {share:>10} {:>12} {:>14.1}s",
-            kind.name(),
-            if outcome.success { "SHIFTED" } else { "survived" },
-            outcome.observed_shift
-        );
-    }
+    let scale = Scale { seed: 42, ..Scale::quick() };
+    let rows = registry::table1(scale).run(scale.workers);
+    print!("{}", experiments::format_table1(&rows));
     println!("\n(paper: every client is vulnerable at boot — there is no");
     println!(" mitigation for the very first DNS lookup; §V-A1)");
     println!("\n{}", experiments::boot_budget());
+    for ((kind, _), outcome) in &rows {
+        assert!(outcome.success, "{}: the boot-time attack must land: {outcome:?}", kind.name());
+    }
 }

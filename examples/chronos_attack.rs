@@ -6,11 +6,13 @@
 //! cargo run --release --example chronos_attack
 //! ```
 
+use campaign::registry;
 use timeshift::prelude::*;
 
 fn main() {
     println!("== Chronos pool poisoning (§VI) ==\n");
-    print!("{}", experiments::format_chronos_bound(&experiments::chronos_bound()));
+    let bound = registry::chronos_bound(Scale::quick()).run(1);
+    print!("{}", experiments::format_chronos_bound(&bound));
 
     println!("\n-- live end-to-end run (compressed 24-lookup schedule) --");
     let outcome = run_chronos_attack(

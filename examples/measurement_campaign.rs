@@ -36,7 +36,7 @@ fn main() {
     let workers: usize = parsed_flag("--workers", shards).max(1);
     println!("== timeshift measurement campaign (scale: {scale:?}) ==\n");
 
-    let table1 = ClientKind::all().map(|kind| experiments::table1_row(scale.seed, kind));
+    let table1 = registry::table1(scale).run(scale.workers);
     println!("{}", experiments::format_table1(&table1));
 
     println!("{}", experiments::format_table3(&experiments::table3()));
@@ -66,7 +66,8 @@ fn main() {
     let shared: SharedScanResult = registry::shared(scale).fold(scale.workers);
     println!("{}", experiments::format_shared(&shared));
 
-    println!("{}", experiments::format_chronos_bound(&experiments::chronos_bound()));
+    let bound = registry::chronos_bound(scale).run(scale.workers);
+    println!("{}", experiments::format_chronos_bound(&bound));
 
     println!("{}", experiments::boot_budget());
 

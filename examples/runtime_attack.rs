@@ -7,18 +7,17 @@
 //! cargo run --release --example runtime_attack
 //! ```
 
+use campaign::registry;
 use timeshift::prelude::*;
 
 fn main() {
     println!("== Table II (live): run-time attack durations ==\n");
-    let rows: Vec<_> =
-        experiments::table2_cases().iter().map(|case| experiments::table2_row(7, case)).collect();
+    let scale = Scale { seed: 7, ..Scale::quick() };
+    let rows = registry::table2(scale).run(scale.workers);
     print!("{}", experiments::format_table2(&rows));
     println!("\nShape checks (the reproduction target):");
-    let p2 = rows[0].duration_mins.expect("ntpd P2");
-    let p1 = rows[1].duration_mins.expect("ntpd P1");
-    let openntpd = rows[2].duration_mins.expect("openntpd");
-    let chrony = rows[3].duration_mins.expect("chrony");
+    let mins = |row: usize| rows[row].1.duration_secs.expect("the attack lands") / 60.0;
+    let (p2, p1, openntpd, chrony) = (mins(0), mins(1), mins(2), mins(3));
     println!("  P2 slower than P1:          {} ({p2:.0} vs {p1:.0} min)", p2 > p1);
     println!("  chrony slower than ntpd P1: {} ({chrony:.0} vs {p1:.0} min)", chrony > p1);
     println!("  openntpd slowest:           {} ({openntpd:.0} min)", openntpd > chrony);

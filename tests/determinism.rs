@@ -57,11 +57,13 @@ fn measure_scans_are_worker_count_independent() {
     assert_eq!(run(1), run(8), "8 workers must match sequential");
 }
 
-/// The typed results of every measurement scan and the Table I/II rows,
-/// pinned by the FNV digest of their `Debug` renderings. The value was
-/// computed by the per-table sweep functions that the registry scans
-/// replaced, at the scales `tests/measurements.rs` uses, so it is the
-/// differential test against that code.
+/// The typed results of every measurement scan and the Table I/II
+/// `(spec, verdict)` pairs, pinned by the FNV digest of their `Debug`
+/// renderings. The value was computed by the code the registry scans
+/// replaced (the per-table sweep functions, and `run_boot_time_attack` /
+/// `run_runtime_attack` called at the seed `master ^ kind`), at the
+/// scales `tests/measurements.rs` uses, so it is the differential test
+/// against that code.
 #[test]
 fn typed_scan_results_are_pinned() {
     let quick = Scale::quick();
@@ -75,11 +77,8 @@ fn typed_scan_results_are_pinned() {
         .collect();
     let ratelimit: RateLimitScanResult =
         registry::ratelimit(Scale { pool_servers: 350, ..quick }).fold(quick.workers);
-    let table1 = ClientKind::all().map(|kind| experiments::table1_row(2020, kind));
-    let table2: Vec<_> = experiments::table2_cases()
-        .iter()
-        .map(|case| experiments::table2_row(2020, case))
-        .collect();
+    let table1 = registry::table1(quick).run(quick.workers);
+    let table2 = registry::table2(quick).run(quick.workers);
 
     let mut digest = campaign::digest::Digest::new();
     for rendering in [
@@ -93,7 +92,7 @@ fn typed_scan_results_are_pinned() {
     ] {
         digest.update_line(&rendering);
     }
-    assert_eq!(digest.hex(), "cd35d8fd7efe75b9");
+    assert_eq!(digest.hex(), "016eca3827ac8650");
 }
 
 /// The §VIII-B3 scan, one /24 world per resolver, folds to exactly the
@@ -216,9 +215,8 @@ fn boot_time_traffic(seed: u64) -> String {
     format!("{:?}\n{:?}", traffic(&scenario), poisoner.stats())
 }
 
-/// The traffic of one Table II run-time trial, run as
-/// `experiments::table2_row` runs it: `SimStats` and `PoisonStats`
-/// renderings.
+/// The traffic of one Table II run-time trial, run as the `table2`
+/// registry scan runs it: `SimStats` and `PoisonStats` renderings.
 fn runtime_traffic(seed: u64, case: &experiments::Table2Case) -> String {
     let config = ScenarioConfig { seed: seed ^ case.kind as u64, ..ScenarioConfig::default() };
     let mut scenario = Scenario::build(config);
@@ -260,10 +258,11 @@ fn attack_traffic_is_pinned() {
          triggers_sent: 7, checks_sent: 9 }"
     );
     let cases = experiments::table2_cases();
-    let openntpd = cases.iter().find(|c| c.client == "openntpd").expect("Table II case");
-    let runtime = runtime_traffic(2020, openntpd);
-    // The same trial as the Table II row.
-    let packets = experiments::table2_row(2020, openntpd).outcome.packets_sent;
+    let idx = cases.iter().position(|c| c.client == "openntpd").expect("Table II case");
+    let runtime = runtime_traffic(2020, &cases[idx]);
+    // The same trial as the `table2` scan's.
+    let packets =
+        registry::table2(Scale { seed: 2020, ..Scale::quick() }).trial(idx).1.packets_sent;
     assert!(runtime.starts_with(&format!("SimStats {{ packets_sent: {packets},")), "{packets}");
     assert_eq!(
         runtime,

@@ -126,6 +126,7 @@ fn all_formatters_produce_output() {
     assert!(experiments::format_ratelimit(&ratelimit).contains("§VII-A"));
     let shared: SharedScanResult = registry::shared(scale).fold(scale.workers);
     assert!(experiments::format_shared(&shared).contains("§VIII-B3"));
-    assert!(experiments::format_chronos_bound(&experiments::chronos_bound()).contains("N <= 11"));
+    let bound = registry::chronos_bound(scale).run(scale.workers);
+    assert!(experiments::format_chronos_bound(&bound).contains("N <= 11"));
     assert!(experiments::boot_budget().to_string().contains("5 fragments"));
 }
