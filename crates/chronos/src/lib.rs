@@ -21,7 +21,7 @@
 //! // 1/3 of samples lying by -500 s are trimmed away:
 //! let mut offsets = vec![NtpDuration::from_secs_f64(0.0); 6];
 //! offsets.extend(vec![NtpDuration::from_secs_f64(-500.0); 3]);
-//! match evaluate_sample(&offsets, &ChronosConfig::default()) {
+//! match evaluate_sample(&offsets) {
 //!     RoundDecision::Accept(avg) => assert!(avg.as_secs_f64().abs() < 0.1),
 //!     other => panic!("honest majority must win: {other:?}"),
 //! }

@@ -15,7 +15,7 @@ use netsim::time::SimDuration;
 use ntp::prelude::{ClientKind, ClientProfile};
 
 use crate::analysis::{self, Table3Row, P_RATE};
-use crate::scenario::AttackOutcome;
+use crate::scenario::{AttackOutcome, MALICIOUS_COUNT};
 
 /// Sizing knobs for the measurement experiments: `quick` for tests and CI,
 /// `paper` for full-scale regeneration.
@@ -358,16 +358,13 @@ pub fn format_fig5(result: &PmtudScanResult) -> String {
 
 // ------------------------------------------------------- Chronos (§VI-C)
 
-/// Attacker addresses in the paper's poisoned Chronos response.
-pub const CHRONOS_MALICIOUS: u32 = 89;
-
 /// Honest-lookup counts in the §VI-C sweep: one per hour of a day, so
 /// N = 0..=23.
 pub const CHRONOS_LOOKUPS: u32 = 24;
 
 /// Formats the Chronos bound sweep from the `chronos_bound` scan's
 /// `(n, attack succeeds)` pairs: `n` honest lookups of 4 addresses each
-/// against the [`CHRONOS_MALICIOUS`] addresses of the poisoned response.
+/// against the [`MALICIOUS_COUNT`] addresses of the poisoned response.
 pub fn format_chronos_bound(rows: &[(u32, bool)]) -> String {
     let mut out = String::from(
         "CHRONOS POOL POISONING (§VI-C): 89 malicious addresses vs 4N honest\n\
@@ -378,12 +375,12 @@ pub fn format_chronos_bound(rows: &[(u32, bool)]) -> String {
             "{:<4} {:<7} {:<10} {:5.1}%             {}\n",
             n,
             4 * n,
-            CHRONOS_MALICIOUS,
-            chronos::bound::attacker_fraction(n, CHRONOS_MALICIOUS) * 100.0,
+            MALICIOUS_COUNT,
+            chronos::bound::attacker_fraction(n, MALICIOUS_COUNT) * 100.0,
             if success { "YES" } else { "no" }
         ));
     }
-    let max_n = chronos::bound::max_n(CHRONOS_MALICIOUS);
+    let max_n = chronos::bound::max_n(MALICIOUS_COUNT);
     out.push_str(&format!("=> attack succeeds iff poisoned by lookup N <= {max_n} (paper: 11)\n"));
     out
 }
@@ -478,7 +475,7 @@ mod tests {
     #[test]
     fn chronos_bound_crosses_at_11() {
         let rows: Vec<_> = (0..CHRONOS_LOOKUPS)
-            .map(|n| (n, chronos::bound::attack_succeeds(n, CHRONOS_MALICIOUS)))
+            .map(|n| (n, chronos::bound::attack_succeeds(n, MALICIOUS_COUNT)))
             .collect();
         assert!(rows[11].1);
         assert!(!rows[12].1);

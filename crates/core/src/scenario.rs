@@ -30,15 +30,15 @@ pub struct Addrs {
     pub victim: Ipv4Addr,
 }
 
-/// Scenario parameters.
+/// Scenario parameters: what the paper's trials vary.
+///
+/// What they share is a constant: the honest pool of [`POOL_SIZE`]
+/// servers behind [`NS_COUNT`] nameservers, the [`MALICIOUS_COUNT`]
+/// attacker addresses, and a fixed [`LINK_LATENCY`] on every path.
 #[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// RNG seed for the whole simulation.
     pub seed: u64,
-    /// Honest pool size.
-    pub pool_size: usize,
-    /// Number of pool nameservers (23 puts all glue in fragment 2).
-    pub ns_count: usize,
     /// Rate limiting on the honest servers (the run-time attack needs it).
     pub rate_limit: RateLimitConfig,
     /// Time shift served by malicious NTP servers (paper: −500 s).
@@ -48,27 +48,29 @@ pub struct ScenarioConfig {
     /// Whether the resolver answers the attacker (open resolver): enables
     /// attacker-triggered resolution and RD=0 success checks.
     pub resolver_open: bool,
-    /// Number of attacker NTP servers / addresses in malicious responses.
-    pub malicious_count: usize,
-    /// Link model.
-    pub link: LinkSpec,
 }
 
 impl Default for ScenarioConfig {
     fn default() -> Self {
         ScenarioConfig {
             seed: 7,
-            pool_size: 8,
-            ns_count: 23,
             rate_limit: RateLimitConfig::kod(),
             shift_secs: -500.0,
             resolver: ResolverConfig::default(),
             resolver_open: true,
-            malicious_count: 89,
-            link: LinkSpec::fixed(SimDuration::from_millis(15)),
         }
     }
 }
+
+/// Honest pool servers.
+pub const POOL_SIZE: usize = 8;
+/// Pool nameservers (23 puts all glue in fragment 2).
+pub const NS_COUNT: usize = 23;
+/// Attacker NTP servers, and addresses in the attacker's poisoned pool
+/// response (paper §VI: 89).
+pub const MALICIOUS_COUNT: u32 = 89;
+/// One-way latency of every simulated path (fixed, lossless, no jitter).
+pub const LINK_LATENCY: SimDuration = SimDuration::from_millis(15);
 
 /// A constructed scenario: the simulator plus its address book.
 pub struct Scenario {
@@ -91,13 +93,14 @@ impl Scenario {
     /// (rate limiting per config), the attacker's nameserver and NTP
     /// servers. The attacker host itself is launched by the attack runners.
     pub fn build(config: ScenarioConfig) -> Scenario {
-        let mut sim = Simulator::with_topology(config.seed, Topology::uniform(config.link));
+        let link = LinkSpec::fixed(LINK_LATENCY);
+        let mut sim = Simulator::with_topology(config.seed, Topology::uniform(link));
         // Pre-size the host slab and address interner for the whole
         // population (pool + NS fleet + resolver + attacker NS + malicious
         // servers): one allocation, no mid-registration rehash.
-        sim.reserve_hosts(config.pool_size + config.ns_count + config.malicious_count + 2);
+        sim.reserve_hosts(POOL_SIZE + NS_COUNT + MALICIOUS_COUNT as usize + 2);
         let pool_servers: Vec<Ipv4Addr> =
-            (1..=config.pool_size as u32).map(|i| Ipv4Addr::from(0xC000_0200 + i)).collect();
+            (1..=POOL_SIZE as u32).map(|i| Ipv4Addr::from(0xC000_0200 + i)).collect();
         for &addr in &pool_servers {
             sim.add_host(
                 addr,
@@ -106,7 +109,7 @@ impl Scenario {
             )
             .expect("pool server address free");
         }
-        let zone = pool_zone(pool_servers.clone(), config.ns_count, Ipv4Addr::new(198, 51, 100, 1));
+        let zone = pool_zone(pool_servers.clone(), NS_COUNT, Ipv4Addr::new(198, 51, 100, 1));
         let ns_list = spawn_zone_nameservers(&mut sim, [zone], OsProfile::nameserver(548));
         let resolver_addr = Ipv4Addr::new(10, 0, 0, 53);
         sim.add_host(
@@ -114,20 +117,20 @@ impl Scenario {
             OsProfile::linux(),
             Box::new(Resolver::new(
                 config.resolver.clone(),
-                vec![("pool.ntp.org".parse().expect("static"), ns_list.clone())],
+                vec![(pool_domain(), ns_list.clone())],
             )),
         )
         .expect("resolver address free");
         // Attacker infrastructure.
         let attacker_ns = Ipv4Addr::new(66, 66, 0, 1);
         let malicious_ntp: Vec<Ipv4Addr> =
-            (1..=config.malicious_count as u32).map(|i| Ipv4Addr::from(0x4242_0100 + i)).collect();
+            (1..=MALICIOUS_COUNT).map(|i| Ipv4Addr::from(0x4242_0100 + i)).collect();
         sim.add_host(
             attacker_ns,
             OsProfile::linux(),
             Box::new(AuthServer::new(vec![malicious_pool_zone(
                 malicious_ntp.clone(),
-                config.malicious_count,
+                MALICIOUS_COUNT as usize,
                 2 * 86_400,
             )])),
         )
@@ -158,10 +161,7 @@ impl Scenario {
         } else {
             PoisonConfig::closed_resolver
         };
-        let mut config =
-            make(self.addrs.resolver, self.addrs.ns_list.clone(), self.addrs.attacker_ns);
-        config.malicious_net = (Ipv4Addr::new(66, 66, 0, 0), 16);
-        config
+        make(self.addrs.resolver, self.addrs.ns_list.clone(), self.addrs.attacker_ns)
     }
 
     /// Launches the boot-time/Chronos poisoner at the attacker address.
@@ -395,12 +395,8 @@ pub fn run_chronos_attack(config: ScenarioConfig, dns_interval: SimDuration) -> 
     let target_shift = config.shift_secs;
     let mut scenario = Scenario::build(config);
     scenario.launch_poisoner();
-    let schedule = ChronosSchedule {
-        dns_interval,
-        dns_rounds: 24,
-        poll_interval: SimDuration::from_secs(32),
-        ..ChronosSchedule::default()
-    };
+    let schedule =
+        ChronosSchedule { dns_interval, dns_rounds: 24, poll_interval: SimDuration::from_secs(32) };
     scenario.spawn_chronos(ChronosConfig::default(), schedule, PoolSanity::none());
     // Pool generation window plus sampling time.
     scenario.sim.run_for(dns_interval.saturating_mul(26) + SimDuration::from_mins(30));

@@ -65,6 +65,7 @@ pub mod prelude {
         a_records, lookup_once, raw_a_query, snoop_once, DnsReply, OneShot, StubResolver,
     };
     pub use crate::zone::{
-        malicious_pool_zone, pool_zone, AnswerPolicy, Zone, POOL_ADDRS_PER_RESPONSE, POOL_A_TTL,
+        malicious_pool_zone, pool_domain, pool_zone, AnswerPolicy, Zone, POOL_ADDRS_PER_RESPONSE,
+        POOL_A_TTL, POOL_DOMAIN,
     };
 }

@@ -2,8 +2,9 @@
 //!
 //! Implements the behaviours the paper's attack chain depends on:
 //!
-//! * random source ports and TXIDs (challenge-response entropy the
-//!   fragment attack bypasses — both live in the first fragment);
+//! * random source ports and TXIDs on every upstream query, always
+//!   (RFC 5452: the challenge-response entropy the fragment attack
+//!   bypasses, because both live in the first fragment);
 //! * caching of answer, authority **and glue** records subject to a
 //!   bailiwick check (the poisoned glue is in-bailiwick, so it caches);
 //! * following cached delegations, so a poisoned `nsX.pool.ntp.org` glue
@@ -11,6 +12,11 @@
 //!   nameserver;
 //! * RD=0 cache-only answers (the snooping primitive of Table IV);
 //! * optional DNSSEC-lite validation (the countermeasure of §IX).
+//!
+//! Port/TXID randomisation and delegation following are unconditional:
+//! no modelled resolver runs without them. The retry, timeout, depth and
+//! TTL limits are constants; [`ResolverConfig`] holds only what the
+//! paper's resolver populations vary.
 
 use netsim::fasthash::{FastMap, FastSet};
 use std::net::Ipv4Addr;
@@ -26,7 +32,8 @@ use crate::message::{Message, Rcode};
 use crate::name::Name;
 use crate::record::{Record, RecordType};
 
-/// Configuration of a [`Resolver`].
+/// What differs between the modelled resolvers: RD handling (Table IV's
+/// snooping population) and DNSSEC-lite validation (§IX).
 #[derive(Debug, Clone)]
 pub struct ResolverConfig {
     /// Answer RD=0 queries from cache only (RFC-compliant). Resolvers that
@@ -36,41 +43,22 @@ pub struct ResolverConfig {
     pub validating: bool,
     /// Trust anchors used when `validating`.
     pub anchors: TrustAnchors,
-    /// Cap on cached TTLs (BIND default: 7 days).
-    pub max_cache_ttl: u32,
-    /// Timeout before retrying an upstream query.
-    pub upstream_timeout: SimDuration,
-    /// Upstream retransmissions before SERVFAIL.
-    pub max_retries: u32,
-    /// Randomise source ports (RFC 5452). When false, ports are sequential
-    /// from 2048 — the pre-Kaminsky configuration.
-    pub randomize_ports: bool,
-    /// Randomise TXIDs. When false, sequential from 1.
-    pub randomize_txid: bool,
-    /// Use cached NS + glue for subsequent resolutions (standard resolver
-    /// behaviour; turning it off pins the resolver to its hints and defeats
-    /// the glue-poisoning redirection).
-    pub follow_cached_delegations: bool,
-    /// Maximum delegation-chasing depth.
-    pub max_depth: u32,
 }
 
 impl Default for ResolverConfig {
     fn default() -> Self {
-        ResolverConfig {
-            respects_rd: true,
-            validating: false,
-            anchors: TrustAnchors::new(),
-            max_cache_ttl: 7 * 86_400,
-            upstream_timeout: SimDuration::from_secs(2),
-            max_retries: 2,
-            randomize_ports: true,
-            randomize_txid: true,
-            follow_cached_delegations: true,
-            max_depth: 4,
-        }
+        ResolverConfig { respects_rd: true, validating: false, anchors: TrustAnchors::new() }
     }
 }
+
+/// Cap on cached TTLs (BIND default: 7 days).
+const MAX_CACHE_TTL: u32 = 7 * 86_400;
+/// Timeout before retrying an upstream query.
+const UPSTREAM_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// Upstream retransmissions before SERVFAIL.
+const MAX_RETRIES: u32 = 2;
+/// Maximum delegation-chasing depth.
+const MAX_DEPTH: u32 = 4;
 
 /// Counters exposed by a [`Resolver`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -120,8 +108,6 @@ pub struct Resolver {
     hints: Vec<(Name, Vec<Ipv4Addr>)>,
     pending: FastMap<u64, Pending>,
     next_id: u64,
-    seq_port: u16,
-    seq_txid: u16,
     /// Counters.
     pub stats: ResolverStats,
 }
@@ -130,15 +116,12 @@ impl Resolver {
     /// Creates a resolver with root-hint style knowledge: `hints` maps a
     /// zone apex to the addresses of its authoritative servers.
     pub fn new(config: ResolverConfig, hints: Vec<(Name, Vec<Ipv4Addr>)>) -> Self {
-        let cache = DnsCache::new(config.max_cache_ttl);
         Resolver {
             config,
-            cache,
+            cache: DnsCache::new(MAX_CACHE_TTL),
             hints,
             pending: FastMap::default(),
             next_id: 1,
-            seq_port: 2048,
-            seq_txid: 1,
             stats: ResolverStats::default(),
         }
     }
@@ -153,27 +136,11 @@ impl Resolver {
         &mut self.cache
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ResolverConfig {
-        &self.config
-    }
-
-    fn alloc_port(&mut self, ctx: &mut Ctx<'_>) -> u16 {
-        if self.config.randomize_ports {
-            ctx.rng().random_range(1024..=u16::MAX)
-        } else {
-            self.seq_port = self.seq_port.wrapping_add(1).max(1024);
-            self.seq_port
-        }
-    }
-
-    fn alloc_txid(&mut self, ctx: &mut Ctx<'_>) -> u16 {
-        if self.config.randomize_txid {
-            ctx.rng().random()
-        } else {
-            self.seq_txid = self.seq_txid.wrapping_add(1);
-            self.seq_txid
-        }
+    /// A fresh RFC 5452 challenge: a random source port above 1023, then
+    /// a random TXID (two RNG draws, in that order).
+    fn challenge(ctx: &mut Ctx<'_>) -> (u16, u16) {
+        let sport = ctx.rng().random_range(1024..=u16::MAX);
+        (sport, ctx.rng().random())
     }
 
     /// Picks the nameserver to ask for `qname`: cached delegations first
@@ -185,21 +152,19 @@ impl Resolver {
         qname: &Name,
     ) -> Option<(Name, Ipv4Addr)> {
         for zone in qname.self_and_ancestors() {
-            if self.config.follow_cached_delegations {
-                if let Some(hit) = self.cache.lookup(now, &zone, RecordType::Ns) {
-                    let addrs: Vec<Ipv4Addr> = hit
-                        .records
-                        .iter()
-                        .filter_map(Record::as_ns)
-                        .filter_map(|target| {
-                            self.cache
-                                .lookup(now, target, RecordType::A)
-                                .and_then(|glue| glue.records.first().and_then(Record::as_a))
-                        })
-                        .collect();
-                    if let Some(&addr) = addrs.choose(ctx.rng()) {
-                        return Some((zone.clone(), addr));
-                    }
+            if let Some(hit) = self.cache.lookup(now, &zone, RecordType::Ns) {
+                let addrs: Vec<Ipv4Addr> = hit
+                    .records
+                    .iter()
+                    .filter_map(Record::as_ns)
+                    .filter_map(|target| {
+                        self.cache
+                            .lookup(now, target, RecordType::A)
+                            .and_then(|glue| glue.records.first().and_then(Record::as_a))
+                    })
+                    .collect();
+                if let Some(&addr) = addrs.choose(ctx.rng()) {
+                    return Some((zone.clone(), addr));
                 }
             }
             if let Some((_, addrs)) = self.hints.iter().find(|(z, _)| *z == zone) {
@@ -219,7 +184,7 @@ impl Resolver {
         let (server, sport) = (p.server, p.sport);
         ctx.send_udp(server, sport, DNS_PORT, wire);
         let token = encode_timer(id, p.depth, p.attempts);
-        ctx.set_timer(self.config.upstream_timeout, token);
+        ctx.set_timer(UPSTREAM_TIMEOUT, token);
     }
 
     fn reply_to_clients(&mut self, ctx: &mut Ctx<'_>, id: u64, answers: Vec<Record>, rcode: Rcode) {
@@ -291,8 +256,7 @@ impl Resolver {
         };
         let id = self.next_id;
         self.next_id += 1;
-        let sport = self.alloc_port(ctx);
-        let txid = self.alloc_txid(ctx);
+        let (sport, txid) = Self::challenge(ctx);
         self.pending.insert(
             id,
             Pending {
@@ -402,9 +366,8 @@ impl Resolver {
             })
             .next();
         if let Some((subzone, addr)) = delegation {
-            if depth < self.config.max_depth {
-                let sport = self.alloc_port(ctx);
-                let txid = self.alloc_txid(ctx);
+            if depth < MAX_DEPTH {
+                let (sport, txid) = Self::challenge(ctx);
                 let p = self.pending.get_mut(&id).expect("pending exists");
                 p.zone = subzone;
                 p.server = addr;
@@ -430,6 +393,10 @@ fn encode_timer(id: u64, depth: u32, attempts: u32) -> TimerToken {
     (id << 16) | (u64::from(depth & 0xFF) << 8) | u64::from(attempts & 0xFF)
 }
 
+// Depth and attempt get 8 bits each: a wider value would wrap onto a
+// live (depth, attempt) pair and `on_timer` would drop the real timeout.
+const _: () = assert!(MAX_RETRIES < 256 && MAX_DEPTH < 256);
+
 fn decode_timer(token: TimerToken) -> (u64, u32, u32) {
     (token >> 16, ((token >> 8) & 0xFF) as u32, (token & 0xFF) as u32)
 }
@@ -452,15 +419,14 @@ impl Host for Resolver {
         }
         self.stats.timeouts += 1;
         p.attempts += 1;
-        if p.attempts > self.config.max_retries {
+        if p.attempts > MAX_RETRIES {
             self.reply_to_clients(ctx, id, Vec::new(), Rcode::ServFail);
             return;
         }
         // Re-randomise the challenge and re-select the nameserver on retry
         // (a dead NS must not wedge the resolution).
         let qname = p.qname.clone();
-        let sport = self.alloc_port(ctx);
-        let txid = self.alloc_txid(ctx);
+        let (sport, txid) = Self::challenge(ctx);
         let reselected = self.find_nameserver(ctx.now(), ctx, &qname);
         let p = self.pending.get_mut(&id).expect("pending exists");
         p.sport = sport;

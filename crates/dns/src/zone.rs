@@ -14,6 +14,15 @@ use crate::dnssec::ZoneKey;
 use crate::name::Name;
 use crate::record::{Record, RecordType};
 
+/// The domain under attack: every NTP client, Chronos client and attacker
+/// in the model resolves this name.
+pub const POOL_DOMAIN: &str = "pool.ntp.org";
+
+/// [`POOL_DOMAIN`] as a [`Name`].
+pub fn pool_domain() -> Name {
+    POOL_DOMAIN.parse().expect("static name")
+}
+
 /// The TTL of `pool.ntp.org` A records observed by the paper (§IV-A).
 pub const POOL_A_TTL: u32 = 150;
 /// Addresses returned per pool query.
@@ -151,7 +160,7 @@ impl Zone {
 /// is ≈900 bytes: fragmenting at MTU 548 puts **all glue records into the
 /// second fragment** — the layout the fragment-replacement attack needs.
 pub fn pool_zone(pool_addrs: Vec<Ipv4Addr>, ns_count: usize, ns_glue_base: Ipv4Addr) -> Zone {
-    let origin: Name = "pool.ntp.org".parse().expect("static name");
+    let origin = pool_domain();
     let mut zone = Zone::new(origin.clone());
     let base = u32::from(ns_glue_base);
     for i in 0..ns_count {
@@ -174,8 +183,7 @@ pub fn pool_zone(pool_addrs: Vec<Ipv4Addr>, ns_count: usize, ns_glue_base: Ipv4A
 /// Builds the attacker's malicious `pool.ntp.org` zone serving
 /// `per_response` of `addrs` with a high TTL for any name in the zone.
 pub fn malicious_pool_zone(addrs: Vec<Ipv4Addr>, per_response: usize, ttl: u32) -> Zone {
-    let origin: Name = "pool.ntp.org".parse().expect("static name");
-    Zone::new(origin).with_policy(AnswerPolicy::Wildcard { addrs, per_response, ttl })
+    Zone::new(pool_domain()).with_policy(AnswerPolicy::Wildcard { addrs, per_response, ttl })
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ pub enum DropReason {
     /// The per-(src, dst) defrag cache cap was reached (64 on Linux / 100
     /// on Windows, paper §III-2).
     DefragCapFull = 3,
-    /// A fragment for an already-covered byte range under `FirstWins`.
+    /// A fragment for an already-covered byte range (the earlier one wins).
     DuplicateFragment = 4,
     /// A pending reassembly hit its timeout; its stored fragments were
     /// discarded (counted once per expired reassembly entry).

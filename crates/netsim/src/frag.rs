@@ -110,21 +110,6 @@ impl FragKey {
     }
 }
 
-/// What the cache does when two fragments claim the same byte range.
-///
-/// Real stacks differ; the attack relies on the planted spoofed fragment
-/// surviving, which holds under [`DuplicatePolicy::FirstWins`] (the planted
-/// fragment arrives *before* the real one). The alternative is provided for
-/// the ablation study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DuplicatePolicy {
-    /// Keep the earlier-arrived fragment (classic BSD/Linux behaviour).
-    #[default]
-    FirstWins,
-    /// Let a later fragment overwrite an earlier duplicate.
-    LastWins,
-}
-
 /// Tuning knobs of a [`DefragCache`], matching an OS profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DefragConfig {
@@ -134,17 +119,11 @@ pub struct DefragConfig {
     /// Maximum concurrently-pending fragments per (src, dst) pair.
     /// Linux: 64, Windows: 100 (paper §III-2).
     pub max_pending_per_pair: usize,
-    /// Duplicate-range resolution policy.
-    pub duplicate_policy: DuplicatePolicy,
 }
 
 impl Default for DefragConfig {
     fn default() -> Self {
-        DefragConfig {
-            timeout: SimDuration::from_secs(30),
-            max_pending_per_pair: 64,
-            duplicate_policy: DuplicatePolicy::FirstWins,
-        }
+        DefragConfig { timeout: SimDuration::from_secs(30), max_pending_per_pair: 64 }
     }
 }
 
@@ -163,8 +142,7 @@ pub enum FragInsert {
     Stored,
     /// Dropped: the per-(src, dst) pending cap is full.
     CapFull,
-    /// Dropped: an already-covered byte range under
-    /// [`DuplicatePolicy::FirstWins`].
+    /// Dropped: an already-covered byte range (the earlier fragment wins).
     Duplicate,
 }
 
@@ -301,27 +279,15 @@ impl DefragCache {
             more: pkt.more_fragments,
             data: pkt.payload,
         };
-        let mut duplicate = false;
-        match entry.fragments.iter_mut().find(|f| f.offset == new_frag.offset) {
-            Some(existing) => {
-                if self.config.duplicate_policy == DuplicatePolicy::LastWins {
-                    *existing = new_frag;
-                } else {
-                    // FirstWins: planted fragment survives; the duplicate is
-                    // discarded without counting against the pair cap. The
-                    // entry is unchanged, so it cannot have become complete
-                    // (a complete entry would have been removed already).
-                    duplicate = true;
-                }
-            }
-            None => {
-                entry.fragments.push(new_frag);
-                *pending += 1;
-            }
-        }
-        if duplicate {
+        if entry.fragments.iter().any(|f| f.offset == new_frag.offset) {
+            // The earlier fragment wins: a planted fragment survives the
+            // real one, which is discarded without counting against the
+            // pair cap. The entry is unchanged, so it cannot have become
+            // complete (a complete entry would have been removed already).
             return (FragInsert::Duplicate, expired);
         }
+        entry.fragments.push(new_frag);
+        *pending += 1;
         if let Some(payload) = try_reassemble(&entry.fragments, &mut self.order) {
             let n = entry.fragments.len();
             self.entries.remove(&key);
@@ -413,7 +379,7 @@ fn try_reassemble(fragments: &[StoredFrag], order: &mut Vec<u32>) -> Option<Byte
     let mut assembly = BytesMut::with_capacity(total);
     assembly.resize(total, 0);
     // Write in reverse arrival-order so earlier fragments win overlaps
-    // (matching FirstWins duplicate handling for partial overlaps too).
+    // (first-wins duplicate handling, for partial overlaps too).
     for &i in order.iter().rev() {
         let f = &fragments[i as usize];
         let end = usize::min(f.offset + f.data.len(), total);
@@ -511,22 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn last_wins_policy_lets_real_fragment_replace_spoof() {
-        let p = pkt(2000, 7);
-        let frags = fragment(p.clone(), 1028).unwrap();
-        let mut spoofed = frags[1].clone();
-        spoofed.payload = Bytes::from(vec![0xEE; spoofed.payload.len()]);
-        let mut cache = DefragCache::new(DefragConfig {
-            duplicate_policy: DuplicatePolicy::LastWins,
-            ..DefragConfig::default()
-        });
-        cache.insert(SimTime::ZERO, spoofed.clone());
-        cache.insert(SimTime::ZERO, frags[1].clone()); // real second replaces spoof
-        let out = cache.insert(SimTime::ZERO, frags[0].clone()).unwrap();
-        assert_eq!(out.payload, p.payload);
-    }
-
-    #[test]
     fn timeout_expires_planted_fragment() {
         let p = pkt(2000, 8);
         let frags = fragment(p.clone(), 1028).unwrap();
@@ -576,7 +526,7 @@ mod tests {
                 cache.pending_reassemblies()
             );
         }
-        // Only the first 64 got in (FirstWins cap: later fragments dropped).
+        // Only the first 64 got in (the cap drops later fragments).
         assert_eq!(cache.pending_reassemblies(), 64);
         assert_eq!(cache.pending_for_pair(template.src, template.dst), 64);
         // Advance past the timeout of the first 10 entries only: exactly

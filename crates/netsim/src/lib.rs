@@ -67,9 +67,7 @@ pub mod wheel;
 pub mod prelude {
     pub use crate::drop::{DropCounts, DropReason};
     pub use crate::error::{FragmentError, SimError, WireError};
-    pub use crate::frag::{
-        fragment, DefragCache, DefragConfig, DuplicatePolicy, FragInsert, FragKey,
-    };
+    pub use crate::frag::{fragment, DefragCache, DefragConfig, FragInsert, FragKey};
     pub use crate::icmp::IcmpMessage;
     pub use crate::ipv4::{Ipv4Packet, IPV4_HEADER_LEN, MIN_IPV4_MTU, PROTO_ICMP, PROTO_UDP};
     pub use crate::link::{LinkSpec, Topology};

@@ -19,15 +19,6 @@ pub struct LinkSpec {
 }
 
 impl LinkSpec {
-    /// A LAN-like link: 0.5 ms latency, 0.1 ms jitter, lossless.
-    pub fn lan() -> Self {
-        LinkSpec {
-            latency: SimDuration::from_micros(500),
-            jitter: SimDuration::from_micros(100),
-            loss: 0.0,
-        }
-    }
-
     /// A WAN-like link: 20 ms latency, 5 ms jitter, lossless.
     pub fn wan() -> Self {
         LinkSpec {
@@ -149,14 +140,15 @@ mod tests {
         let a: Ipv4Addr = "10.0.0.1".parse().unwrap();
         let b: Ipv4Addr = "10.0.0.2".parse().unwrap();
         let mut topo = Topology::uniform(LinkSpec::wan());
-        topo.set_link(a, b, LinkSpec::lan());
-        assert_eq!(topo.link(a, b), &LinkSpec::lan());
+        let near = LinkSpec::fixed(SimDuration::from_micros(500));
+        topo.set_link(a, b, near);
+        assert_eq!(topo.link(a, b), &near);
         assert_eq!(topo.link(b, a), &LinkSpec::wan());
     }
 
     #[test]
     #[should_panic(expected = "loss probability")]
     fn invalid_loss_panics() {
-        let _ = LinkSpec::lan().with_loss(1.5);
+        let _ = LinkSpec::fixed(SimDuration::from_millis(1)).with_loss(1.5);
     }
 }

@@ -5,8 +5,14 @@
 //! spoofed fragments, whether ICMP fragmentation-needed messages are
 //! honoured and down to what MTU, and whether fragmented datagrams are
 //! accepted at all (some resolvers/middleboxes drop them).
+//!
+//! Only the behaviours that differ between the modelled hosts are profile
+//! fields. What every host shares is a constant next to its reader: the
+//! 1500-byte interface MTU and the 10-minute PMTU lifetime
+//! ([`crate::pmtu`]), and first-wins duplicate handling in the
+//! defragmentation cache ([`crate::frag`]).
 
-use crate::frag::{DefragConfig, DuplicatePolicy};
+use crate::frag::DefragConfig;
 use crate::time::SimDuration;
 
 /// How a host assigns the IPv4 identification field on sent packets.
@@ -47,18 +53,11 @@ pub struct PmtudPolicy {
     /// below this are clamped (Linux `min_pmtu`, default 552) or ignored.
     /// This produces the "minimum fragment size" distribution of Fig. 5.
     pub min_accepted_mtu: u16,
-    /// How long a learned path MTU is cached before expiring back to the
-    /// interface MTU (Linux default: 10 minutes).
-    pub cache_lifetime: SimDuration,
 }
 
 impl Default for PmtudPolicy {
     fn default() -> Self {
-        PmtudPolicy {
-            honour_icmp: true,
-            min_accepted_mtu: 548,
-            cache_lifetime: SimDuration::from_secs(600),
-        }
+        PmtudPolicy { honour_icmp: true, min_accepted_mtu: 548 }
     }
 }
 
@@ -70,17 +69,13 @@ impl PmtudPolicy {
 
     /// A policy honouring claims down to `min` bytes.
     pub fn honour_down_to(min: u16) -> Self {
-        PmtudPolicy { honour_icmp: true, min_accepted_mtu: min, ..PmtudPolicy::default() }
+        PmtudPolicy { honour_icmp: true, min_accepted_mtu: min }
     }
 }
 
 /// A complete OS network-stack profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OsProfile {
-    /// Human-readable name ("linux", "windows", ...).
-    pub name: String,
-    /// Interface MTU (1500 for Ethernet).
-    pub interface_mtu: u16,
     /// Defragmentation-cache behaviour.
     pub defrag: DefragConfig,
     /// Whether incoming fragments are processed at all. Middleboxes and
@@ -110,36 +105,11 @@ impl OsProfile {
     /// per-destination IPIDs, honours PMTUD down to 552 bytes.
     pub fn linux() -> Self {
         OsProfile {
-            name: "linux".to_owned(),
-            interface_mtu: 1500,
-            defrag: DefragConfig {
-                timeout: SimDuration::from_secs(30),
-                max_pending_per_pair: 64,
-                duplicate_policy: DuplicatePolicy::FirstWins,
-            },
+            defrag: DefragConfig { timeout: SimDuration::from_secs(30), max_pending_per_pair: 64 },
             accept_fragments: true,
             min_fragment_size: 0,
             pmtud: PmtudPolicy::honour_down_to(552),
             ipid: IpidMode::PerDestination { start: 1 },
-            ipid_cache_cap: DEFAULT_IPID_CACHE_CAP,
-        }
-    }
-
-    /// Windows: 60 s reassembly timeout, 100-fragment cap, global
-    /// sequential IPIDs.
-    pub fn windows() -> Self {
-        OsProfile {
-            name: "windows".to_owned(),
-            interface_mtu: 1500,
-            defrag: DefragConfig {
-                timeout: SimDuration::from_secs(60),
-                max_pending_per_pair: 100,
-                duplicate_policy: DuplicatePolicy::FirstWins,
-            },
-            accept_fragments: true,
-            min_fragment_size: 0,
-            pmtud: PmtudPolicy::honour_down_to(576),
-            ipid: IpidMode::GlobalSequential { start: 1 },
             ipid_cache_cap: DEFAULT_IPID_CACHE_CAP,
         }
     }
@@ -150,7 +120,6 @@ impl OsProfile {
     /// configuration the paper exploits).
     pub fn nameserver(min_mtu: u16) -> Self {
         OsProfile {
-            name: format!("nameserver-minmtu-{min_mtu}"),
             pmtud: PmtudPolicy::honour_down_to(min_mtu),
             ipid: IpidMode::GlobalSequential { start: 0x0100 },
             ..OsProfile::linux()
@@ -159,23 +128,14 @@ impl OsProfile {
 
     /// A nameserver that ignores PMTUD and never fragments.
     pub fn nameserver_no_pmtud() -> Self {
-        OsProfile {
-            name: "nameserver-no-pmtud".to_owned(),
-            pmtud: PmtudPolicy::ignore(),
-            ipid: IpidMode::Random,
-            ..OsProfile::linux()
-        }
+        OsProfile { pmtud: PmtudPolicy::ignore(), ipid: IpidMode::Random, ..OsProfile::linux() }
     }
 
     /// A resolver host that drops all incoming fragments (Google-style
     /// filtering of everything below `min_size` on-wire bytes; pass 0 to
     /// accept everything).
     pub fn resolver_filtering(min_size: u16) -> Self {
-        OsProfile {
-            name: format!("resolver-filter-{min_size}"),
-            min_fragment_size: min_size,
-            ..OsProfile::linux()
-        }
+        OsProfile { min_fragment_size: min_size, ..OsProfile::linux() }
     }
 }
 
@@ -194,9 +154,6 @@ mod tests {
         let linux = OsProfile::linux();
         assert_eq!(linux.defrag.timeout, SimDuration::from_secs(30));
         assert_eq!(linux.defrag.max_pending_per_pair, 64);
-        let win = OsProfile::windows();
-        assert_eq!(win.defrag.timeout, SimDuration::from_secs(60));
-        assert_eq!(win.defrag.max_pending_per_pair, 100);
     }
 
     #[test]

@@ -9,7 +9,14 @@ use std::net::Ipv4Addr;
 
 use crate::fasthash::FastMap;
 use crate::os::PmtudPolicy;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
+
+/// The interface MTU of every simulated host (Ethernet).
+pub const INTERFACE_MTU: u16 = 1500;
+
+/// How long a learned path MTU is cached before expiring back to
+/// [`INTERFACE_MTU`] (Linux default: 10 minutes).
+pub const PMTU_LIFETIME: SimDuration = SimDuration::from_secs(600);
 
 #[derive(Debug, Clone, Copy)]
 struct PmtuEntry {
@@ -48,7 +55,7 @@ impl PmtuCache {
             return None;
         }
         let mtu = claimed_mtu.max(policy.min_accepted_mtu);
-        let expires = now + policy.cache_lifetime;
+        let expires = now + PMTU_LIFETIME;
         let entry = self.entries.entry(dst).or_insert(PmtuEntry { mtu, expires });
         // Only ever lower the recorded MTU within its lifetime.
         if mtu < entry.mtu || entry.expires <= now {
@@ -60,20 +67,20 @@ impl PmtuCache {
     }
 
     /// Returns the effective MTU towards `dst`: the cached value if fresh,
-    /// else `interface_mtu`.
-    pub fn mtu_towards(&mut self, now: SimTime, dst: Ipv4Addr, interface_mtu: u16) -> u16 {
+    /// else [`INTERFACE_MTU`].
+    pub fn mtu_towards(&mut self, now: SimTime, dst: Ipv4Addr) -> u16 {
         // Hosts that never received a frag-needed skip the hash entirely —
         // this runs once per UDP send on the simulator's hot path.
         if self.entries.is_empty() {
-            return interface_mtu;
+            return INTERFACE_MTU;
         }
         match self.entries.get(&dst) {
-            Some(entry) if entry.expires > now => entry.mtu.min(interface_mtu),
+            Some(entry) if entry.expires > now => entry.mtu.min(INTERFACE_MTU),
             Some(_) => {
                 self.entries.remove(&dst);
-                interface_mtu
+                INTERFACE_MTU
             }
-            None => interface_mtu,
+            None => INTERFACE_MTU,
         }
     }
 
@@ -91,7 +98,6 @@ impl PmtuCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     const DST: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 5);
 
@@ -99,10 +105,10 @@ mod tests {
     fn frag_needed_lowers_mtu() {
         let mut cache = PmtuCache::new();
         let policy = PmtudPolicy::honour_down_to(548);
-        assert_eq!(cache.mtu_towards(SimTime::ZERO, DST, 1500), 1500);
+        assert_eq!(cache.mtu_towards(SimTime::ZERO, DST), 1500);
         let recorded = cache.on_frag_needed(SimTime::ZERO, DST, 600, &policy);
         assert_eq!(recorded, Some(600));
-        assert_eq!(cache.mtu_towards(SimTime::ZERO, DST, 1500), 600);
+        assert_eq!(cache.mtu_towards(SimTime::ZERO, DST), 600);
     }
 
     #[test]
@@ -118,7 +124,7 @@ mod tests {
         let mut cache = PmtuCache::new();
         let policy = PmtudPolicy::ignore();
         assert_eq!(cache.on_frag_needed(SimTime::ZERO, DST, 296, &policy), None);
-        assert_eq!(cache.mtu_towards(SimTime::ZERO, DST, 1500), 1500);
+        assert_eq!(cache.mtu_towards(SimTime::ZERO, DST), 1500);
         assert!(cache.is_empty());
     }
 
@@ -128,7 +134,7 @@ mod tests {
         let policy = PmtudPolicy::honour_down_to(548);
         cache.on_frag_needed(SimTime::ZERO, DST, 600, &policy);
         let later = SimTime::ZERO + SimDuration::from_secs(601);
-        assert_eq!(cache.mtu_towards(later, DST, 1500), 1500);
+        assert_eq!(cache.mtu_towards(later, DST), 1500);
     }
 
     #[test]
@@ -138,9 +144,9 @@ mod tests {
         cache.on_frag_needed(SimTime::ZERO, DST, 400, &policy);
         // A later, larger claim must not raise the cached value.
         cache.on_frag_needed(SimTime::ZERO, DST, 1200, &policy);
-        assert_eq!(cache.mtu_towards(SimTime::ZERO, DST, 1500), 400);
+        assert_eq!(cache.mtu_towards(SimTime::ZERO, DST), 400);
         // A smaller claim lowers it further.
         cache.on_frag_needed(SimTime::ZERO, DST, 296, &policy);
-        assert_eq!(cache.mtu_towards(SimTime::ZERO, DST, 1500), 296);
+        assert_eq!(cache.mtu_towards(SimTime::ZERO, DST), 296);
     }
 }

@@ -66,7 +66,7 @@ use crate::icmp::IcmpMessage;
 use crate::ipv4::{Ipv4Packet, IPV4_HEADER_LEN, PROTO_ICMP, PROTO_UDP};
 use crate::link::Topology;
 use crate::os::{IpidMode, OsProfile};
-use crate::pmtu::PmtuCache;
+use crate::pmtu::{PmtuCache, INTERFACE_MTU};
 use crate::time::{SimDuration, SimTime};
 use crate::udp::UdpDatagram;
 use crate::wheel::TimingWheel;
@@ -162,8 +162,6 @@ struct StackHot {
     ipid_mode: u8,
     /// The global-sequential IPID counter.
     ipid_counter: u16,
-    /// Copy of [`OsProfile::interface_mtu`].
-    interface_mtu: u16,
     /// Copy of [`OsProfile::min_fragment_size`].
     min_fragment_size: u16,
     /// Copy of [`OsProfile::accept_fragments`].
@@ -269,7 +267,6 @@ impl NetStack {
                     IpidMode::PerDestination { .. } => IPID_PER_DST,
                 },
                 ipid_counter: ipid_start,
-                interface_mtu: profile.interface_mtu,
                 min_fragment_size: profile.min_fragment_size,
                 accept_fragments: profile.accept_fragments,
                 pmtu_used: false,
@@ -288,11 +285,6 @@ impl NetStack {
                 profile,
             }),
         }
-    }
-
-    /// The profile this stack models.
-    pub fn profile(&self) -> &OsProfile {
-        &self.cold.profile
     }
 
     /// Assigns the IPID for the next packet towards `dst`.
@@ -395,11 +387,8 @@ impl NetStack {
         // `pmtu_used` is monotonic: until the first frag-needed arrives the
         // PMTU cache is empty and the interface MTU applies, without
         // touching the cold half at all.
-        let mtu = if self.hot.pmtu_used {
-            self.cold.pmtu.mtu_towards(now, dst, self.hot.interface_mtu)
-        } else {
-            self.hot.interface_mtu
-        };
+        let mtu =
+            if self.hot.pmtu_used { self.cold.pmtu.mtu_towards(now, dst) } else { INTERFACE_MTU };
         let _ = fragment_into(pkt, mtu, out);
     }
 
@@ -562,7 +551,7 @@ impl NetStack {
 
     /// Current effective MTU towards `dst` (testing / introspection).
     pub fn mtu_towards(&mut self, now: SimTime, dst: Ipv4Addr) -> u16 {
-        self.cold.pmtu.mtu_towards(now, dst, self.hot.interface_mtu)
+        self.cold.pmtu.mtu_towards(now, dst)
     }
 
     /// Access the defragmentation cache (testing / introspection).

@@ -70,7 +70,7 @@ fn every_receive_discard_names_a_reason() {
     }
     assert_eq!(stack.drop_counts().defrag_cap_full, 1);
 
-    // duplicate-fragment: FirstWins discards the re-sent range.
+    // duplicate-fragment: the earlier fragment wins; the re-sent range is discarded.
     let mut stack = NetStack::new(OsProfile::linux());
     let first = frags_of(3).remove(0);
     let dup = first.clone();

@@ -14,8 +14,8 @@
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
-use dns::name::Name;
 use dns::stub::StubResolver;
+use dns::zone::pool_domain;
 use netsim::prelude::*;
 
 use crate::clock::{ClockAdjustment, SystemClock};
@@ -88,8 +88,6 @@ impl ClientKind {
 pub struct ClientProfile {
     /// Which implementation this models.
     pub kind: ClientKind,
-    /// The pool domain looked up via DNS.
-    pub pool_domain: Name,
     /// Poll interval per association.
     pub poll_interval: SimDuration,
     /// Consecutive unanswered polls before an association is abandoned.
@@ -121,7 +119,6 @@ impl ClientProfile {
     fn base(kind: ClientKind) -> Self {
         ClientProfile {
             kind,
-            pool_domain: "pool.ntp.org".parse().expect("static name"),
             poll_interval: SimDuration::from_secs(64),
             unreach_polls: 8,
             max_associations: 4,
@@ -380,8 +377,7 @@ impl NtpClient {
         }
         self.last_dns = Some(ctx.now());
         self.stats.dns_lookups += 1;
-        let domain = self.profile.pool_domain.clone();
-        self.stub.query_a(ctx, &domain);
+        self.stub.query_a(ctx, &pool_domain());
     }
 
     fn mobilize(&mut self, ctx: &mut Ctx<'_>, addrs: &[Ipv4Addr]) {

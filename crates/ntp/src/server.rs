@@ -23,11 +23,6 @@ pub struct RateLimitConfig {
     /// Send a Kiss-o'-Death RATE packet when limiting starts (≈33 % of pool
     /// servers; the rest go silent immediately).
     pub send_kod: bool,
-    /// Minimum allowed inter-arrival per client IP (ntpd `discard average`,
-    /// default 2 s ⇒ a 1 Hz scanner trips it).
-    pub min_gap: SimDuration,
-    /// Violations tolerated before limiting starts.
-    pub burst: u32,
     /// How long after the most recent violation the client stays limited.
     pub cooldown: SimDuration,
 }
@@ -35,13 +30,7 @@ pub struct RateLimitConfig {
 impl RateLimitConfig {
     /// Limiter disabled.
     pub fn disabled() -> Self {
-        RateLimitConfig {
-            enabled: false,
-            send_kod: false,
-            min_gap: SimDuration::from_secs(2),
-            burst: 8,
-            cooldown: SimDuration::from_secs(60),
-        }
+        RateLimitConfig { enabled: false, send_kod: false, cooldown: SimDuration::from_secs(60) }
     }
 
     /// ntpd-style `restrict limited kod`: KoD once, then silence.
@@ -54,6 +43,12 @@ impl RateLimitConfig {
         RateLimitConfig { enabled: true, send_kod: false, ..RateLimitConfig::disabled() }
     }
 }
+
+/// Minimum allowed inter-arrival per client IP (ntpd `discard average`,
+/// default 2 s ⇒ a 1 Hz scanner trips it).
+const MIN_GAP: SimDuration = SimDuration::from_secs(2);
+/// Violations tolerated before limiting starts.
+const BURST: u32 = 8;
 
 #[derive(Debug, Default, Clone, Copy)]
 struct PerClient {
@@ -143,16 +138,16 @@ impl NtpServer {
         let state = self.clients.entry(src).or_default();
         if let Some(last) = state.last_seen {
             let gap = now.saturating_since(last);
-            if gap < config.min_gap {
+            if gap < MIN_GAP {
                 state.score += 1.0;
             } else {
-                // Decay one violation per multiple of min_gap elapsed.
-                let decay = gap.as_nanos() as f64 / config.min_gap.as_nanos().max(1) as f64;
+                // Decay one violation per multiple of MIN_GAP elapsed.
+                let decay = gap.as_nanos() as f64 / MIN_GAP.as_nanos() as f64;
                 state.score = (state.score - decay).max(0.0);
             }
         }
         state.last_seen = Some(now);
-        if state.score > f64::from(config.burst) {
+        if state.score > f64::from(BURST) {
             state.limited_until = Some(now + config.cooldown);
         }
         match state.limited_until {

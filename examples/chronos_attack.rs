@@ -41,4 +41,12 @@ fn main() {
          (TTL check rejected the response); pool stays honest: {:.0}% attacker",
         hardened.fraction_in(|a| a.octets()[0] == 0x42) * 100.0
     );
+
+    assert!(outcome.success, "the live Chronos attack must shift the clock: {outcome:?}");
+    assert!(
+        outcome.malicious_fraction >= 2.0 / 3.0,
+        "the attacker must hold 2/3 of the pool: {:.1}%",
+        outcome.malicious_fraction * 100.0
+    );
+    assert_eq!(added, 0, "the hardened generator must reject the poisoned response");
 }

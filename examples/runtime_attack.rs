@@ -18,9 +18,13 @@ fn main() {
     println!("\nShape checks (the reproduction target):");
     let mins = |row: usize| rows[row].1.duration_secs.expect("the attack lands") / 60.0;
     let (p2, p1, openntpd, chrony) = (mins(0), mins(1), mins(2), mins(3));
+    let slowest = openntpd > p1.max(p2).max(chrony);
     println!("  P2 slower than P1:          {} ({p2:.0} vs {p1:.0} min)", p2 > p1);
     println!("  chrony slower than ntpd P1: {} ({chrony:.0} vs {p1:.0} min)", chrony > p1);
-    println!("  openntpd slowest:           {} ({openntpd:.0} min)", openntpd > chrony);
+    println!("  openntpd slowest:           {slowest} ({openntpd:.0} min)");
     println!("\nTable III context — probability the pool even allows it:");
     print!("{}", experiments::format_table3(&experiments::table3()));
+    assert!(p2 > p1, "P2 must be slower than P1: {p2:.1} vs {p1:.1} min");
+    assert!(chrony > p1, "chrony must be slower than ntpd P1: {chrony:.1} vs {p1:.1} min");
+    assert!(slowest, "openntpd must be the slowest: {openntpd:.1} min");
 }
