@@ -20,6 +20,10 @@ use crate::pipeline::{PoisonConfig, PoisonPipeline, PoisonStats};
 
 const TICK: TimerToken = 1;
 
+/// Period of the spoofed rate-limit flood (2 Hz); the poisoning pipeline
+/// rides the same timer.
+pub const FLOOD_INTERVAL: SimDuration = SimDuration::from_millis(500);
+
 /// How the attacker learns the victim's upstream servers.
 #[derive(Debug, Clone)]
 pub enum RuntimeScenario {
@@ -65,7 +69,6 @@ pub struct RuntimeAttacker {
     victim: Ipv4Addr,
     scenario: RuntimeScenario,
     flood_targets: BTreeSet<Ipv4Addr>,
-    flood_interval: SimDuration,
     last_probe: Option<SimTime>,
     /// Counters.
     pub stats: RuntimeStats,
@@ -84,7 +87,6 @@ impl RuntimeAttacker {
             victim,
             scenario,
             flood_targets,
-            flood_interval: SimDuration::from_millis(500),
             last_probe: None,
             stats: RuntimeStats::default(),
         }
@@ -121,7 +123,7 @@ impl RuntimeAttacker {
 impl Host for RuntimeAttacker {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.pipeline.start(ctx);
-        ctx.set_timer(self.flood_interval, TICK);
+        ctx.set_timer(FLOOD_INTERVAL, TICK);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
@@ -131,7 +133,7 @@ impl Host for RuntimeAttacker {
         let now = ctx.now();
         self.flood(ctx);
         // The pipeline's work rides the same timer, which fires every
-        // `flood_interval` (2 Hz); `tick` self-limits to its own intervals.
+        // `FLOOD_INTERVAL` (2 Hz); `tick` self-limits to its own intervals.
         self.pipeline.tick(ctx);
         if let RuntimeScenario::RefidDiscovery { probe_interval } = self.scenario {
             let due =
@@ -141,7 +143,7 @@ impl Host for RuntimeAttacker {
                 self.probe_refid(ctx);
             }
         }
-        ctx.set_timer(self.flood_interval, TICK);
+        ctx.set_timer(FLOOD_INTERVAL, TICK);
     }
 
     fn on_raw_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &netsim::ipv4::Ipv4Packet) -> bool {

@@ -206,8 +206,7 @@ pub fn table2_cases() -> Vec<Table2Case> {
 }
 
 fn p1_scenario() -> RuntimeScenario {
-    let servers = (1..=8u32).map(|i| std::net::Ipv4Addr::from(0xC000_0200 + i)).collect();
-    RuntimeScenario::KnownUpstreams { servers }
+    RuntimeScenario::KnownUpstreams { servers: crate::scenario::pool_servers() }
 }
 
 /// Formats Table II from the `table2` scan's `((case, seed), outcome)`

@@ -72,6 +72,13 @@ pub const MALICIOUS_COUNT: u32 = 89;
 /// One-way latency of every simulated path (fixed, lossless, no jitter).
 pub const LINK_LATENCY: SimDuration = SimDuration::from_millis(15);
 
+/// The honest pool servers' addresses, `192.0.2.1` to `192.0.2.8`: the
+/// hosts of [`Scenario::build`] and the set a P1 run-time attacker
+/// enumerates.
+pub fn pool_servers() -> Vec<Ipv4Addr> {
+    (1..=POOL_SIZE as u32).map(|i| Ipv4Addr::from(0xC000_0200 + i)).collect()
+}
+
 /// A constructed scenario: the simulator plus its address book.
 pub struct Scenario {
     /// The simulator (run it, inspect hosts).
@@ -99,8 +106,7 @@ impl Scenario {
         // population (pool + NS fleet + resolver + attacker NS + malicious
         // servers): one allocation, no mid-registration rehash.
         sim.reserve_hosts(POOL_SIZE + NS_COUNT + MALICIOUS_COUNT as usize + 2);
-        let pool_servers: Vec<Ipv4Addr> =
-            (1..=POOL_SIZE as u32).map(|i| Ipv4Addr::from(0xC000_0200 + i)).collect();
+        let pool_servers = pool_servers();
         for &addr in &pool_servers {
             sim.add_host(
                 addr,

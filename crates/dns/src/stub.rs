@@ -1,33 +1,24 @@
 //! Client-side DNS helpers: a stub resolver for embedding in other hosts
 //! (NTP clients, scanners) and one-shot lookup utilities for tests.
 
-use netsim::fasthash::FastMap;
+use netsim::fasthash::FastSet;
 use std::net::Ipv4Addr;
 
-use bytes::Bytes;
 use netsim::prelude::*;
 use rand::RngExt;
 
 use crate::auth::DNS_PORT;
-use crate::message::{Message, Rcode};
+use crate::message::Message;
 use crate::name::Name;
-use crate::record::{Record, RecordType};
+use crate::record::RecordType;
 
 /// A parsed DNS reply delivered back through [`StubResolver::handle`].
 #[derive(Debug, Clone)]
 pub struct DnsReply {
-    /// The TXID this reply answered.
-    pub txid: u16,
-    /// The queried name.
-    pub qname: Name,
-    /// Response code.
-    pub rcode: Rcode,
     /// A-record addresses in the answer.
     pub addrs: Vec<Ipv4Addr>,
     /// TTLs parallel to `addrs`.
     pub ttls: Vec<u32>,
-    /// The full message for callers needing more.
-    pub message: Message,
 }
 
 /// A minimal stub resolver for hosts that perform DNS lookups through the
@@ -37,29 +28,20 @@ pub struct DnsReply {
 pub struct StubResolver {
     resolver: Ipv4Addr,
     port: u16,
-    pending: FastMap<u16, Name>,
+    /// TXIDs of the queries still awaiting a reply.
+    pending: FastSet<u16>,
 }
 
 impl StubResolver {
     /// Creates a stub pointing at `resolver`, sourcing queries from local
     /// UDP port `port`.
     pub fn new(resolver: Ipv4Addr, port: u16) -> Self {
-        StubResolver { resolver, port, pending: FastMap::default() }
-    }
-
-    /// The resolver queried by this stub.
-    pub fn resolver(&self) -> Ipv4Addr {
-        self.resolver
+        StubResolver { resolver, port, pending: FastSet::default() }
     }
 
     /// Repoints the stub at a different resolver.
     pub fn set_resolver(&mut self, resolver: Ipv4Addr) {
         self.resolver = resolver;
-    }
-
-    /// The local port replies are expected on.
-    pub fn port(&self) -> u16 {
-        self.port
     }
 
     /// Sends an A query with RD=1; returns the TXID.
@@ -73,7 +55,7 @@ impl StubResolver {
         let msg = Message::query(txid, name.clone(), qtype, rd);
         if let Ok(wire) = msg.encode() {
             ctx.send_udp(self.resolver, self.port, DNS_PORT, wire);
-            self.pending.insert(txid, name.clone());
+            self.pending.insert(txid);
         }
         txid
     }
@@ -88,21 +70,16 @@ impl StubResolver {
         if !msg.header.qr {
             return None;
         }
-        let qname = self.pending.remove(&msg.header.id)?;
+        if !self.pending.remove(&msg.header.id) {
+            return None;
+        }
         let (addrs, ttls) = msg
             .answers
             .iter()
             .filter(|r| r.rtype() == RecordType::A)
             .filter_map(|r| r.as_a().map(|a| (a, r.ttl)))
             .unzip();
-        Some(DnsReply {
-            txid: msg.header.id,
-            qname,
-            rcode: msg.header.rcode,
-            addrs,
-            ttls,
-            message: msg,
-        })
+        Some(DnsReply { addrs, ttls })
     }
 
     /// Number of queries still awaiting a reply.
@@ -122,14 +99,6 @@ pub struct OneShot {
     pub addrs: Vec<Ipv4Addr>,
     /// TTLs parallel to `addrs`.
     pub ttls: Vec<u32>,
-    /// Set when a reply (of any rcode) arrived.
-    pub replied: bool,
-    /// The rcode of the reply.
-    pub rcode: Option<Rcode>,
-    /// Time the query was sent.
-    pub sent_at: Option<SimTime>,
-    /// Time the reply arrived.
-    pub replied_at: Option<SimTime>,
 }
 
 impl OneShot {
@@ -141,10 +110,6 @@ impl OneShot {
             rd: true,
             addrs: Vec::new(),
             ttls: Vec::new(),
-            replied: false,
-            rcode: None,
-            sent_at: None,
-            replied_at: None,
         }
     }
 
@@ -169,18 +134,14 @@ impl OneShot {
 
 impl Host for OneShot {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.sent_at = Some(ctx.now());
         let name = self.name.clone();
         self.stub.query(ctx, &name, RecordType::A, self.rd);
     }
 
-    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, d: &Datagram) {
+    fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, d: &Datagram) {
         if let Some(reply) = self.stub.handle(d) {
-            self.replied = true;
-            self.rcode = Some(reply.rcode);
             self.addrs = reply.addrs;
             self.ttls = reply.ttls;
-            self.replied_at = Some(ctx.now());
         }
     }
 }
@@ -232,17 +193,6 @@ pub fn snoop_once(
     } else {
         Some((h.addrs.clone(), h.ttls.iter().copied().min().unwrap_or(0)))
     }
-}
-
-/// Payload helper: encodes an A query ready to be sent raw (used by
-/// attacker hosts that spoof their source address).
-pub fn raw_a_query(txid: u16, name: &Name, rd: bool) -> Bytes {
-    Message::query(txid, name.clone(), RecordType::A, rd).encode().expect("query encodes")
-}
-
-/// Extracts (addr, ttl) pairs from any records in `records`.
-pub fn a_records(records: &[Record]) -> Vec<(Ipv4Addr, u32)> {
-    records.iter().filter_map(|r| r.as_a().map(|a| (a, r.ttl))).collect()
 }
 
 #[cfg(test)]

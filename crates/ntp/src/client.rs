@@ -6,10 +6,14 @@
 //! through a resolver, associations with reachability registers, polling,
 //! offset computation, majority selection, clock stepping — and a
 //! [`ClientProfile`] encodes each implementation's documented differences:
-//! when DNS is queried (boot only, on association loss, per sync), how many
-//! associations are kept, how quickly unreachable servers are abandoned,
-//! and whether the client also acts as a server (leaking its upstream in
-//! the refid, the P2 discovery channel).
+//! how often it polls, how many associations are kept, how quickly
+//! unreachable servers are abandoned, whether the client also acts as a
+//! server (leaking its upstream in the refid, the P2 discovery channel),
+//! and above all when DNS is queried. That is one [`DnsPolicy`] of six:
+//! refill lost associations (ntpd, chrony), after a 60-minute total outage
+//! (OpenNTPD), once (ntpclient), once and exit after the first sync
+//! (ntpdate), from a cached address list (systemd-timesyncd), or before
+//! every sync (Android).
 
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -83,146 +87,83 @@ impl ClientKind {
     }
 }
 
+/// When a client asks DNS for servers: the question Table I sorts the
+/// clients by, and the one that decides whether the run-time attack works.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DnsPolicy {
+    /// ntpd, chrony: re-query while fewer than `max_associations` are
+    /// live, so an association the attacker breaks is replaced by a lookup.
+    Refill,
+    /// OpenNTPD: re-query only after a total outage of [`OUTAGE_REQUERY`].
+    AfterOutage,
+    /// ntpclient: resolve once at start, never again.
+    Once,
+    /// ntpdate: resolve, take the first 4 addresses, stop after the first
+    /// sync.
+    OneShot,
+    /// systemd-timesyncd: walk the address list cached from the last reply
+    /// one dead server at a time; re-query when the list is empty.
+    CachedList,
+    /// Android: a fresh lookup before every sync, one sync per
+    /// `poll_interval`.
+    PerSync,
+}
+
+/// How long a [`DnsPolicy::AfterOutage`] client waits with no live
+/// association before it resolves again.
+pub const OUTAGE_REQUERY: SimDuration = SimDuration::from_mins(60);
+
 /// Behaviour parameters of one client implementation.
 #[derive(Debug, Clone)]
 pub struct ClientProfile {
-    /// Which implementation this models.
-    pub kind: ClientKind,
-    /// Poll interval per association.
+    /// Poll interval per association (for [`DnsPolicy::PerSync`], the
+    /// interval between syncs).
     pub poll_interval: SimDuration,
     /// Consecutive unanswered polls before an association is abandoned.
     pub unreach_polls: u32,
     /// Maximum simultaneous associations.
     pub max_associations: usize,
-    /// Re-query DNS when live associations drop below this (ntpd
-    /// `NTP_MINCLOCK`).
-    pub min_associations: usize,
-    /// Whether DNS is re-queried during run time at all.
-    pub runtime_dns: bool,
-    /// OpenNTPD-style: re-resolve only after a full outage of this length.
-    pub reresolve_on_outage: Option<SimDuration>,
-    /// Android-style: a DNS lookup precedes every sync.
-    pub dns_per_sync: bool,
-    /// systemd-timesyncd-style: walk the cached address list from the last
-    /// DNS response before re-querying.
-    pub cache_dns_list: bool,
-    /// ntpdate-style: synchronise once and stop.
-    pub one_shot: bool,
+    /// When DNS is queried: one of the six policies of Table I.
+    pub dns: DnsPolicy,
     /// Whether the client answers mode-3 queries (ntpd default), leaking
     /// its system peer in the refid — attack scenario P2's channel.
     pub acts_as_server: bool,
-    /// Interval between syncs for `dns_per_sync` clients.
-    pub sync_interval: SimDuration,
 }
 
 impl ClientProfile {
-    fn base(kind: ClientKind) -> Self {
-        ClientProfile {
-            kind,
-            poll_interval: SimDuration::from_secs(64),
-            unreach_polls: 8,
-            max_associations: 4,
-            min_associations: 1,
-            runtime_dns: false,
-            reresolve_on_outage: None,
-            dns_per_sync: false,
-            cache_dns_list: false,
-            one_shot: false,
-            acts_as_server: false,
-            sync_interval: SimDuration::from_secs(64),
-        }
-    }
-
-    /// ntpd: 6 associations (4 pool + margin up to MAXCLOCK), MINCLOCK 3,
-    /// 8-bit reach register at 64 s polls, acts as a server by default.
-    pub fn ntpd() -> Self {
-        ClientProfile {
-            max_associations: 6,
-            min_associations: 3,
-            runtime_dns: true,
-            acts_as_server: true,
-            ..ClientProfile::base(ClientKind::Ntpd)
-        }
-    }
-
-    /// chrony: 4 sources, replaces offline sources via DNS; converged poll
-    /// interval is longer (256 s), making run-time attacks slower
-    /// (Table II).
-    pub fn chrony() -> Self {
-        ClientProfile {
-            max_associations: 4,
-            min_associations: 3,
-            runtime_dns: true,
-            poll_interval: SimDuration::from_secs(256),
-            unreach_polls: 10,
-            ..ClientProfile::base(ClientKind::Chrony)
-        }
-    }
-
-    /// OpenNTPD: resolves at start; no run-time DNS on association loss,
-    /// but re-resolves after a prolonged total outage.
-    pub fn openntpd() -> Self {
-        ClientProfile {
-            max_associations: 4,
-            min_associations: 1,
-            runtime_dns: false,
-            reresolve_on_outage: Some(SimDuration::from_mins(60)),
-            poll_interval: SimDuration::from_secs(90),
-            ..ClientProfile::base(ClientKind::OpenNtpd)
-        }
-    }
-
-    /// ntpdate: one shot — resolve, sync, exit.
-    pub fn ntpdate() -> Self {
-        ClientProfile { one_shot: true, ..ClientProfile::base(ClientKind::Ntpdate) }
-    }
-
-    /// systemd-timesyncd: SNTP, single association, walks the 4-address
-    /// cached list before re-querying DNS.
-    pub fn systemd_timesyncd() -> Self {
-        ClientProfile {
-            max_associations: 1,
-            runtime_dns: true,
-            cache_dns_list: true,
-            unreach_polls: 3,
-            poll_interval: SimDuration::from_secs(32),
-            ..ClientProfile::base(ClientKind::SystemdTimesyncd)
-        }
-    }
-
-    /// Android SNTP: fresh DNS lookup for every sync.
-    pub fn android() -> Self {
-        ClientProfile {
-            max_associations: 1,
-            dns_per_sync: true,
-            runtime_dns: true,
-            sync_interval: SimDuration::from_secs(64),
-            ..ClientProfile::base(ClientKind::AndroidSntp)
-        }
-    }
-
-    /// ntpclient: SNTP, resolves once at start, never re-resolves.
-    pub fn ntpclient() -> Self {
-        ClientProfile { max_associations: 1, ..ClientProfile::base(ClientKind::NtpClientTiny) }
-    }
-
-    /// The profile for a [`ClientKind`].
+    /// The profile for a [`ClientKind`]:
+    ///
+    /// * ntpd: 6 associations (4 pool + margin up to MAXCLOCK), 8-bit
+    ///   reach register at 64 s polls, acts as a server by default;
+    /// * chrony: 4 sources, replaced via DNS when offline; its converged
+    ///   poll interval is longer (256 s), making run-time attacks slower
+    ///   (Table II);
+    /// * OpenNTPD: no run-time DNS on association loss, but re-resolves
+    ///   after a prolonged total outage;
+    /// * ntpdate: one shot — resolve, sync, exit;
+    /// * systemd-timesyncd: SNTP, single association, walks the 4-address
+    ///   cached list before re-querying DNS;
+    /// * Android SNTP: a fresh DNS lookup for every sync;
+    /// * ntpclient: SNTP, resolves once at start, never re-resolves.
     pub fn for_kind(kind: ClientKind) -> Self {
-        match kind {
-            ClientKind::Ntpd => ClientProfile::ntpd(),
-            ClientKind::Chrony => ClientProfile::chrony(),
-            ClientKind::OpenNtpd => ClientProfile::openntpd(),
-            ClientKind::Ntpdate => ClientProfile::ntpdate(),
-            ClientKind::SystemdTimesyncd => ClientProfile::systemd_timesyncd(),
-            ClientKind::AndroidSntp => ClientProfile::android(),
-            ClientKind::NtpClientTiny => ClientProfile::ntpclient(),
+        use DnsPolicy::*;
+        // (poll interval s, unreachable after, max associations, DNS policy)
+        let (poll_secs, unreach_polls, max_associations, dns) = match kind {
+            ClientKind::Ntpd => (64, 8, 6, Refill),
+            ClientKind::Chrony => (256, 10, 4, Refill),
+            ClientKind::OpenNtpd => (90, 8, 4, AfterOutage),
+            ClientKind::Ntpdate => (64, 8, 4, OneShot),
+            ClientKind::SystemdTimesyncd => (32, 3, 1, CachedList),
+            ClientKind::AndroidSntp => (64, 8, 1, PerSync),
+            ClientKind::NtpClientTiny => (64, 8, 1, Once),
+        };
+        ClientProfile {
+            poll_interval: SimDuration::from_secs(poll_secs),
+            unreach_polls,
+            max_associations,
+            dns,
+            acts_as_server: kind == ClientKind::Ntpd,
         }
-    }
-
-    /// Table I column: vulnerable to the boot-time attack (all are; there
-    /// is no mitigation for the very first lookup).
-    pub fn vulnerable_boot_time(&self) -> bool {
-        true
     }
 
     /// Table I column: vulnerable to the run-time attack — the client can
@@ -230,10 +171,11 @@ impl ClientProfile {
     /// OpenNTPD's slow outage re-resolution and ntpdate's one-shot nature
     /// don't count (matching the paper's classification).
     pub fn vulnerable_run_time(&self) -> Option<bool> {
-        if self.one_shot {
-            return None; // "n/a" in the paper's table
+        match self.dns {
+            DnsPolicy::OneShot => None, // "n/a" in the paper's table
+            DnsPolicy::Refill | DnsPolicy::CachedList | DnsPolicy::PerSync => Some(true),
+            DnsPolicy::Once | DnsPolicy::AfterOutage => Some(false),
         }
-        Some(self.runtime_dns && (self.kind != ClientKind::OpenNtpd))
     }
 }
 
@@ -431,35 +373,40 @@ impl NtpClient {
     fn replenish(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         let live = self.assocs.iter().filter(|a| !a.dead).count();
-        if self.profile.cache_dns_list {
+        match self.profile.dns {
+            // ntpd-style pool behaviour: keep mobilising until
+            // `max_associations` are live (each pool lookup yields 4
+            // addresses; rotation surfaces fresh ones after the TTL). An
+            // association the attacker breaks takes the same path — the
+            // run-time attack's trigger.
+            DnsPolicy::Refill => {
+                if live < self.profile.max_associations {
+                    self.issue_dns(ctx);
+                }
+            }
+            DnsPolicy::AfterOutage => {
+                if live == 0 {
+                    let since = *self.outage_since.get_or_insert(now);
+                    if now.saturating_since(since) >= OUTAGE_REQUERY {
+                        self.outage_since = Some(now); // restart the timer
+                        self.issue_dns(ctx);
+                    }
+                } else {
+                    self.outage_since = None;
+                }
+            }
             // systemd-timesyncd: walk the cached list first.
-            if live == 0 {
-                if let Some(next) = self.cached_addrs.pop_front() {
-                    self.assocs.retain(|a| !a.dead);
-                    self.assocs.push(Association::new(next, now));
-                } else if self.profile.runtime_dns {
-                    self.issue_dns(ctx);
+            DnsPolicy::CachedList => {
+                if live == 0 {
+                    if let Some(next) = self.cached_addrs.pop_front() {
+                        self.assocs.retain(|a| !a.dead);
+                        self.assocs.push(Association::new(next, now));
+                    } else {
+                        self.issue_dns(ctx);
+                    }
                 }
             }
-            return;
-        }
-        // ntpd-style pool behaviour: keep mobilising until MAXCLOCK is
-        // reached (each pool lookup yields 4 addresses; rotation surfaces
-        // fresh ones after the TTL). Dropping below MINCLOCK forces the
-        // same path — the run-time attack's trigger.
-        if self.profile.runtime_dns && live < self.profile.max_associations {
-            self.issue_dns(ctx);
-        }
-        if let Some(outage_limit) = self.profile.reresolve_on_outage {
-            if live == 0 {
-                let since = *self.outage_since.get_or_insert(now);
-                if now.saturating_since(since) >= outage_limit {
-                    self.outage_since = Some(now); // restart the timer
-                    self.issue_dns(ctx);
-                }
-            } else {
-                self.outage_since = None;
-            }
+            DnsPolicy::Once | DnsPolicy::OneShot | DnsPolicy::PerSync => {}
         }
     }
 
@@ -520,7 +467,7 @@ impl NtpClient {
             }
             ClockAdjustment::PanicRejected => {}
         }
-        if self.profile.one_shot && self.synced_once {
+        if self.profile.dns == DnsPolicy::OneShot && self.synced_once {
             self.done = true;
         }
     }
@@ -557,32 +504,31 @@ impl NtpClient {
         self.try_discipline(ctx);
     }
 
-    fn handle_dns_reply(&mut self, ctx: &mut Ctx<'_>, addrs: Vec<Ipv4Addr>) {
+    fn handle_dns_reply(&mut self, ctx: &mut Ctx<'_>, addrs: &[Ipv4Addr]) {
         if addrs.is_empty() {
             return;
         }
-        if self.profile.cache_dns_list {
-            let mut iter = addrs.into_iter();
-            if let Some(first) = iter.next() {
-                self.cached_addrs = iter.collect();
+        match self.profile.dns {
+            DnsPolicy::CachedList => {
+                let first = addrs[0];
+                self.cached_addrs = addrs[1..].iter().copied().collect();
                 self.assocs.retain(|a| !a.dead);
                 if self.assocs.iter().all(|a| a.addr != first) {
                     self.assocs.clear();
                     self.assocs.push(Association::new(first, ctx.now()));
                 }
             }
-            return;
+            DnsPolicy::PerSync => {
+                // Android: one SNTP exchange against the first address.
+                self.assocs.clear();
+                self.assocs.push(Association::new(addrs[0], ctx.now()));
+                self.poll(ctx, 0);
+            }
+            DnsPolicy::OneShot => self.mobilize(ctx, &addrs[..addrs.len().min(4)]),
+            DnsPolicy::Refill | DnsPolicy::AfterOutage | DnsPolicy::Once => {
+                self.mobilize(ctx, addrs)
+            }
         }
-        if self.profile.dns_per_sync {
-            // Android: one SNTP exchange against the first address.
-            self.assocs.clear();
-            self.assocs.push(Association::new(addrs[0], ctx.now()));
-            self.poll(ctx, 0);
-            return;
-        }
-        let take = if self.profile.one_shot { addrs.len().min(4) } else { addrs.len() };
-        let slice: Vec<Ipv4Addr> = addrs.into_iter().take(take).collect();
-        self.mobilize(ctx, &slice);
     }
 
     fn serve_query(&mut self, ctx: &mut Ctx<'_>, d: &Datagram, req: NtpPacket) {
@@ -597,10 +543,9 @@ impl NtpClient {
 
 impl Host for NtpClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if self.profile.dns_per_sync {
-            self.next_sync = ctx.now();
-        } else {
-            self.issue_dns(ctx);
+        match self.profile.dns {
+            DnsPolicy::PerSync => self.next_sync = ctx.now(),
+            _ => self.issue_dns(ctx),
         }
         ctx.set_timer(TICK_INTERVAL, TICK);
     }
@@ -610,19 +555,24 @@ impl Host for NtpClient {
             return;
         }
         let now = ctx.now();
-        if self.profile.dns_per_sync && now >= self.next_sync {
-            self.next_sync = now + self.profile.sync_interval;
-            self.last_dns = None; // Android always re-queries
-            self.issue_dns(ctx);
-        }
-        if !self.profile.dns_per_sync {
-            for idx in 0..self.assocs.len() {
-                if !self.assocs[idx].dead && self.assocs[idx].next_poll <= now {
-                    self.poll(ctx, idx);
+        match self.profile.dns {
+            // Android polls from `handle_dns_reply`, one exchange per lookup.
+            DnsPolicy::PerSync => {
+                if now >= self.next_sync {
+                    self.next_sync = now + self.profile.poll_interval;
+                    self.last_dns = None; // Android always re-queries
+                    self.issue_dns(ctx);
                 }
             }
-            self.check_unreachable();
-            self.replenish(ctx);
+            _ => {
+                for idx in 0..self.assocs.len() {
+                    if !self.assocs[idx].dead && self.assocs[idx].next_poll <= now {
+                        self.poll(ctx, idx);
+                    }
+                }
+                self.check_unreachable();
+                self.replenish(ctx);
+            }
         }
         ctx.set_timer(TICK_INTERVAL, TICK);
     }
@@ -632,7 +582,7 @@ impl Host for NtpClient {
             return;
         }
         if let Some(reply) = self.stub.handle(d) {
-            self.handle_dns_reply(ctx, reply.addrs);
+            self.handle_dns_reply(ctx, &reply.addrs);
             return;
         }
         if d.dst_port == NTP_PORT {
@@ -674,8 +624,7 @@ mod tests {
             seed,
             Topology::uniform(LinkSpec::fixed(SimDuration::from_millis(15))),
         );
-        let servers = pool_servers(8);
-        for &s in &servers {
+        for s in pool_servers(8) {
             let host = if shift == 0.0 {
                 NtpServer::honest()
             } else {
@@ -683,8 +632,24 @@ mod tests {
             };
             sim.add_host(s, OsProfile::linux(), Box::new(host)).unwrap();
         }
-        let zone = pool_zone(servers, 4, NS);
-        let ns_list = spawn_zone_nameservers(&mut sim, [zone], OsProfile::nameserver(548));
+        add_dns_and_client(&mut sim, kind);
+        sim
+    }
+
+    /// The same network with no host behind any pool address: every
+    /// association dies after `unreach_polls` unanswered polls.
+    fn build_dead_pool(seed: u64, kind: ClientKind) -> Simulator {
+        let mut sim = Simulator::with_topology(
+            seed,
+            Topology::uniform(LinkSpec::fixed(SimDuration::from_millis(15))),
+        );
+        add_dns_and_client(&mut sim, kind);
+        sim
+    }
+
+    fn add_dns_and_client(sim: &mut Simulator, kind: ClientKind) {
+        let zone = pool_zone(pool_servers(8), 4, NS);
+        let ns_list = spawn_zone_nameservers(sim, [zone], OsProfile::nameserver(548));
         sim.add_host(
             RESOLVER,
             OsProfile::linux(),
@@ -700,7 +665,6 @@ mod tests {
             Box::new(NtpClient::new(ClientProfile::for_kind(kind), RESOLVER)),
         )
         .unwrap();
-        sim
     }
 
     #[test]
@@ -764,6 +728,64 @@ mod tests {
     }
 
     #[test]
+    fn systemd_walks_cached_list_before_requerying() {
+        // 32 s polls, 3 misses: each dead address lasts ~96 s. The boot
+        // lookup yields 4 addresses: one mobilised, three cached.
+        let mut sim = build_dead_pool(8, ClientKind::SystemdTimesyncd);
+        sim.run_for(SimDuration::from_secs(60));
+        let first = {
+            let c: &NtpClient = sim.host(CLIENT).unwrap();
+            assert_eq!(c.stats.dns_lookups, 1);
+            assert_eq!(c.live_servers().len(), 1);
+            c.live_servers()[0]
+        };
+        sim.run_for(SimDuration::from_secs(90));
+        {
+            let c: &NtpClient = sim.host(CLIENT).unwrap();
+            assert_eq!(c.stats.assocs_lost, 1);
+            assert_eq!(c.live_servers().len(), 1);
+            assert_ne!(c.live_servers()[0], first, "moved to the next cached address");
+            assert_eq!(c.stats.dns_lookups, 1, "a cached address needs no lookup");
+        }
+        // Three cached addresses walked (~388 s): still no lookup.
+        sim.run_for(SimDuration::from_secs(210));
+        {
+            let c: &NtpClient = sim.host(CLIENT).unwrap();
+            assert_eq!(c.stats.assocs_lost, 3);
+            assert_eq!(c.stats.dns_lookups, 1);
+        }
+        // The fourth address dies with the cache empty: one new lookup.
+        sim.run_for(SimDuration::from_secs(60));
+        let c: &NtpClient = sim.host(CLIENT).unwrap();
+        assert_eq!(c.stats.assocs_lost, 4);
+        assert_eq!(c.stats.dns_lookups, 2, "an empty cache forces a lookup");
+        assert_eq!(c.live_servers().len(), 1);
+    }
+
+    #[test]
+    fn openntpd_requeries_only_after_an_hour_of_outage() {
+        // 90 s polls, 8 misses: all 4 associations die at ~721 s, which
+        // starts the outage clock.
+        let mut sim = build_dead_pool(9, ClientKind::OpenNtpd);
+        sim.run_for(SimDuration::from_mins(13));
+        {
+            let c: &NtpClient = sim.host(CLIENT).unwrap();
+            assert_eq!(c.stats.assocs_lost, 4);
+            assert!(c.live_servers().is_empty());
+            assert_eq!(c.stats.dns_lookups, 1);
+        }
+        // 59 min into the outage: still no lookup.
+        sim.run_for(SimDuration::from_mins(58));
+        assert_eq!(sim.host::<NtpClient>(CLIENT).unwrap().stats.dns_lookups, 1);
+        // Past 60 min: exactly one more, which mobilises 4 fresh
+        // associations (they die again only at ~84 min).
+        sim.run_for(SimDuration::from_mins(9));
+        let c: &NtpClient = sim.host(CLIENT).unwrap();
+        assert_eq!(c.stats.dns_lookups, 2);
+        assert_eq!(c.live_servers().len(), 4);
+    }
+
+    #[test]
     fn origin_check_rejects_blind_spoof() {
         struct Spoofer {
             victim: Ipv4Addr,
@@ -806,19 +828,19 @@ mod tests {
 
     #[test]
     fn table1_vulnerability_matrix() {
-        // Matches the paper's Table I.
-        let expect: [(ClientKind, bool, Option<bool>); 7] = [
-            (ClientKind::Ntpd, true, Some(true)),
-            (ClientKind::OpenNtpd, true, Some(false)),
-            (ClientKind::Chrony, true, Some(true)),
-            (ClientKind::Ntpdate, true, None),
-            (ClientKind::AndroidSntp, true, Some(true)),
-            (ClientKind::NtpClientTiny, true, Some(false)),
-            (ClientKind::SystemdTimesyncd, true, Some(true)),
+        // Matches the paper's Table I run-time column (the boot-time
+        // column comes from the live attack).
+        let expect: [(ClientKind, Option<bool>); 7] = [
+            (ClientKind::Ntpd, Some(true)),
+            (ClientKind::OpenNtpd, Some(false)),
+            (ClientKind::Chrony, Some(true)),
+            (ClientKind::Ntpdate, None),
+            (ClientKind::AndroidSntp, Some(true)),
+            (ClientKind::NtpClientTiny, Some(false)),
+            (ClientKind::SystemdTimesyncd, Some(true)),
         ];
-        for (kind, boot, run) in expect {
+        for (kind, run) in expect {
             let p = ClientProfile::for_kind(kind);
-            assert_eq!(p.vulnerable_boot_time(), boot, "{}", kind.name());
             assert_eq!(p.vulnerable_run_time(), run, "{}", kind.name());
         }
     }

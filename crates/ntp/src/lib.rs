@@ -16,11 +16,13 @@
 //! ```
 //! use ntp::prelude::*;
 //!
-//! // Every Table I client model can be instantiated from its kind:
-//! for kind in ClientKind::all() {
-//!     let profile = ClientProfile::for_kind(kind);
-//!     assert!(profile.vulnerable_boot_time());
-//! }
+//! // Every Table I client model comes from its kind; its DNS policy alone
+//! // decides the run-time column:
+//! let ntpd = ClientProfile::for_kind(ClientKind::Ntpd);
+//! assert_eq!(ntpd.dns, DnsPolicy::Refill);
+//! assert_eq!(ntpd.vulnerable_run_time(), Some(true));
+//! let ntpdate = ClientProfile::for_kind(ClientKind::Ntpdate);
+//! assert_eq!(ntpdate.vulnerable_run_time(), None);
 //! ```
 
 #![warn(missing_docs)]
@@ -34,10 +36,12 @@ pub mod timestamp;
 
 /// Commonly used types.
 pub mod prelude {
-    pub use crate::client::{Association, ClientKind, ClientProfile, ClientStats, NtpClient};
+    pub use crate::client::{
+        Association, ClientKind, ClientProfile, ClientStats, DnsPolicy, NtpClient,
+    };
     pub use crate::clock::{ClockAdjustment, SystemClock};
     pub use crate::packet::{peek_mode, ControlMessage, NtpMode, NtpPacket, KOD_RATE, NTP_PORT};
     pub use crate::select::{default_window, select, OffsetSample, Selection};
-    pub use crate::server::{stratum2_with_upstream, NtpServer, RateLimitConfig, ServerStats};
+    pub use crate::server::{NtpServer, RateLimitConfig, ServerStats};
     pub use crate::timestamp::{offset_and_delay, NtpDuration, NtpTimestamp, SIM_NTP_EPOCH};
 }

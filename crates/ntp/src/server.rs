@@ -235,12 +235,6 @@ impl Host for NtpServer {
     }
 }
 
-/// A server whose refid leaks its upstream (stratum 2 with upstream `addr`),
-/// used in tests of the P2 discovery path.
-pub fn stratum2_with_upstream(upstream: Ipv4Addr) -> NtpServer {
-    NtpServer { ref_id: upstream.octets(), ..NtpServer::honest() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -72,38 +72,38 @@ fn dnssec_validation_blocks_the_redirected_answer() {
     assert!(resolver.stats.validation_failures > 0, "the forged answers were rejected");
 }
 
+/// §IX: "use a list of static IP addresses". A client that never asks DNS
+/// again cannot be redirected by poisoning the resolver. ntpclient models
+/// one: it resolves once at boot and keeps those servers. It syncs to the
+/// honest pool, the resolver is then fully poisoned, and half an hour
+/// later the client still has its honest servers and the true time.
 #[test]
 fn static_server_addresses_bypass_dns_entirely() {
-    // §IX: "use a list of static IP addresses". A client with no DNS
-    // dependency cannot be redirected: model by pre-mobilising a client
-    // against honest servers and removing its resolver.
     let mut scenario = Scenario::build(ScenarioConfig { seed: 10, ..ScenarioConfig::default() });
+    scenario.spawn_victim(ClientKind::NtpClientTiny);
+    scenario.sim.run_for(SimDuration::from_mins(5));
+    assert!(scenario.victim().expect("victim").stats.responses > 0, "synced to the honest pool");
     scenario.launch_poisoner();
-    // Fully poison the resolver first.
-    scenario.run_until_condition(SimDuration::from_secs(30), SimDuration::from_mins(30), |s| {
-        s.poisoner().map(OffPathPoisoner::fully_poisoned).unwrap_or(false)
-    });
-    // A "static" client: ntpclient resolves once — but here we point it at
-    // a dead resolver and hand it servers via the cached-list mechanism.
-    // Simplest faithful model: ntpclient that already resolved before the
-    // poisoning (it never re-resolves), running for an hour under attack.
-    let victim = scenario.addrs.victim;
-    scenario
-        .sim
-        .add_host(
-            victim,
-            OsProfile::linux(),
-            Box::new(NtpClient::new(
-                ClientProfile::ntpclient(),
-                "10.99.99.99".parse().unwrap(), // unreachable resolver
-            )),
-        )
-        .unwrap();
+    let poisoned =
+        scenario.run_until_condition(SimDuration::from_secs(30), SimDuration::from_mins(30), |s| {
+            s.poisoner().map(OffPathPoisoner::fully_poisoned).unwrap_or(false)
+        });
+    assert!(poisoned.is_some(), "the resolver must be poisoned for the check to mean anything");
+    let responses_before = scenario.victim().expect("victim").stats.responses;
     scenario.sim.run_for(SimDuration::from_mins(30));
     let client = scenario.victim().expect("victim");
     assert!(
         client.offset_secs(scenario.sim.now()).abs() < 1.0,
-        "a DNS-free client cannot be shifted by DNS poisoning"
+        "a client that never re-resolves cannot be shifted by DNS poisoning: offset {}",
+        client.offset_secs(scenario.sim.now())
+    );
+    assert_eq!(client.stats.dns_lookups, 1, "resolved once, at boot");
+    assert!(client.stats.responses > responses_before, "still polling under attack");
+    let live = client.live_servers();
+    assert!(!live.is_empty());
+    assert!(
+        live.iter().all(|a| scenario.addrs.pool_servers.contains(a)),
+        "only honest pool servers: {live:?}"
     );
 }
 

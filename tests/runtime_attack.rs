@@ -5,9 +5,7 @@
 use timeshift::prelude::*;
 
 fn p1() -> RuntimeScenario {
-    RuntimeScenario::KnownUpstreams {
-        servers: (1..=8u32).map(|i| std::net::Ipv4Addr::from(0xC000_0200 + i)).collect(),
-    }
+    RuntimeScenario::KnownUpstreams { servers: timeshift::scenario::pool_servers() }
 }
 
 fn p2() -> RuntimeScenario {
