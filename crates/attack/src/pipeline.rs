@@ -101,7 +101,7 @@ impl PoisonConfig {
 }
 
 /// True if `addr` is in the attacker's network ([`MALICIOUS_NET`]).
-fn is_malicious(addr: Ipv4Addr) -> bool {
+pub fn is_malicious(addr: Ipv4Addr) -> bool {
     let (net, len) = MALICIOUS_NET;
     let mask = u32::MAX << (32 - u32::from(len));
     (u32::from(addr) & mask) == (u32::from(net) & mask)

@@ -88,7 +88,7 @@ pub(crate) mod tests {
         let zone = pool_zone(pool_servers, 23, Ipv4Addr::new(198, 51, 100, 1));
         let ns_list = spawn_zone_nameservers(&mut sim, [zone], OsProfile::nameserver(548));
         let mut profile = OsProfile::linux();
-        profile.accept_fragments = accept_fragments;
+        profile.fragments = accept_fragments.then_some(0);
         let hints = vec![("pool.ntp.org".parse().unwrap(), ns_list.clone())];
         let resolver = Resolver::new(ResolverConfig::default(), hints);
         sim.add_host(RESOLVER, profile, Box::new(resolver)).unwrap();

@@ -4,7 +4,7 @@
 //! campaign list                          # registered scenarios
 //! campaign run table2 --shards 4         # 4 in-process shard threads
 //! campaign run fig6 --shards 4 --supervised --workers 2
-//! campaign run fig5 --paper --master-seed 7 --out runs/fig5
+//! campaign run fig5 --scale paper --master-seed 7 --out runs/fig5
 //! campaign run table2 --supervised --max-retries 0   # fail on the first worker failure
 //! campaign worker …                      # internal: spawned by --supervised
 //! ```
@@ -44,7 +44,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: campaign <list | run <scenario> [options] | worker …>\n\
                  run options: [--shards K] [--workers N] [--master-seed S]\n\
-                 \x20            [--scale quick|paper] [--paper] [--resolvers N]\n\
+                 \x20            [--scale quick|paper] [--resolvers N]\n\
                  \x20            [--out DIR] [--fresh] [--quiet]\n\
                  \x20            [--supervised] [--max-retries R] [--worker-timeout MS]\n\
                  \x20            [--poll-interval MS] [--fault shard:spec[:xN]]…\n\
@@ -142,7 +142,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             "fault",
             "trace-dir",
         ],
-        &["paper", "fresh", "quiet", "supervised"],
+        &["fresh", "quiet", "supervised"],
     )?;
     let [name] = parsed.positional.as_slice() else {
         return Err("run takes exactly one scenario name (see `campaign list`)".into());
@@ -150,13 +150,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let scenario = registry::find(name)
         .ok_or_else(|| format!("unknown scenario {name:?} (see `campaign list`)"))?;
 
-    // `--scale paper` is the canonical spelling; `--paper` stays as the
-    // historic alias. `--resolvers N` overrides just the survey population
-    // (labelled "custom" so run directories never collide with the stock
-    // scales).
+    // `--resolvers N` overrides just the survey population (labelled
+    // "custom" so run directories never collide with the stock scales).
     let paper = match parsed.flag("scale") {
-        None => parsed.has("paper"),
-        Some("quick") => false,
+        None | Some("quick") => false,
         Some("paper") => true,
         Some(other) => return Err(format!("--scale {other:?}: expected quick or paper")),
     };

@@ -11,7 +11,9 @@
 //! Numbers round-trip exactly: `f64` is printed with Rust's shortest
 //! round-trip `Display` and parsed back with `str::parse`, which recovers
 //! the identical bits for every finite value. Non-finite floats encode as
-//! `null` (JSON has no NaN/∞); scenario fields never produce them.
+//! `null` (JSON has no NaN/∞); scenario fields never produce them, and
+//! [`decode_line`] rejects a number that parses non-finite (`1e999`), so
+//! no line it accepts was not written by [`encode_line`].
 
 use std::fmt::Write as _;
 
@@ -290,7 +292,11 @@ impl Parser<'_> {
             }
             FieldKind::F64 | FieldKind::HistF64(_) => {
                 let tok = self.number_token()?;
-                tok.parse::<f64>().map(Value::F64).map_err(|e| format!("bad f64 {tok:?}: {e}"))
+                match tok.parse::<f64>() {
+                    Ok(x) if x.is_finite() => Ok(Value::F64(x)),
+                    Ok(_) => Err(format!("non-finite f64 {tok:?}")),
+                    Err(e) => Err(format!("bad f64 {tok:?}: {e}")),
+                }
             }
             FieldKind::Str => self.string().map(Value::Str),
         }
@@ -409,6 +415,22 @@ mod tests {
         ]);
         let line = encode_line(SCHEMA, &rec);
         assert!(line.contains("\"shift\":null"), "{line}");
+    }
+
+    #[test]
+    fn decode_rejects_numbers_that_overflow_to_infinity() {
+        // `encode_line` writes a non-finite float as `null`; a line holding
+        // one as a number was not written by it, and would carry ±∞ (and
+        // then NaN) into the summary's moments.
+        for bad in [
+            r#"{"ok":true,"count":2,"shift":1e999,"who":"x"}"#,
+            r#"{"ok":true,"count":2,"shift":-1e999,"who":"x"}"#,
+        ] {
+            let err = decode_line(SCHEMA, bad).expect_err("must reject");
+            assert!(err.contains("non-finite"), "{bad}: {err}");
+        }
+        let max = r#"{"ok":true,"count":2,"shift":1.7976931348623157e308,"who":"x"}"#;
+        assert!(decode_line(SCHEMA, max).is_ok(), "f64::MAX is finite");
     }
 
     #[test]

@@ -510,7 +510,7 @@ fn chronos_record(&n: &u32, &success: &bool) -> Record {
 /// so the probe ignores its seed.
 pub fn chronos_bound(scale: Scale) -> Scan<(), u32, bool> {
     Scan {
-        trials: experiments::CHRONOS_LOOKUPS as usize,
+        trials: chronos::LOOKUPS as usize,
         pop: (),
         spec_at: |(), idx| idx as u32,
         base_seed: scale.seed,

@@ -7,11 +7,10 @@
 //! enters *panic mode*: it queries the whole pool and applies the trimmed
 //! mean of the middle third.
 //!
-//! Panic mode here also enforces the `ω` agreement check among survivors
-//! (configurable). With the check on, a full time-shift requires the
-//! attacker to control ≥ 2/3 of the pool — the bound the DSN'20 paper's
-//! §VI analysis uses (poisoning by the 12th DNS lookup, `N ≤ 11`).
-//! Without it a sub-supermajority attacker gets a partial shift.
+//! Panic mode here also enforces the `ω` agreement check among survivors,
+//! so a full time-shift requires the attacker to control ≥ 2/3 of the
+//! pool — the bound the DSN'20 paper's §VI analysis uses (poisoning by the
+//! 12th DNS lookup, `N ≤ 11`).
 
 use ntp::timestamp::NtpDuration;
 
@@ -24,20 +23,6 @@ pub const OMEGA: NtpDuration = NtpDuration::from_nanos(100_000_000);
 pub const ERR_DRIFT: NtpDuration = NtpDuration::from_nanos(200_000_000);
 /// Failed rounds before panic mode (`K`).
 pub const MAX_RETRIES: u32 = 3;
-
-/// Tunables of the Chronos algorithm. The proposal's constants are
-/// [`SAMPLE_SIZE`], [`OMEGA`], [`ERR_DRIFT`] and [`MAX_RETRIES`].
-#[derive(Debug, Clone)]
-pub struct ChronosConfig {
-    /// Enforce the `ω` agreement check in panic mode too.
-    pub panic_omega_check: bool,
-}
-
-impl Default for ChronosConfig {
-    fn default() -> Self {
-        ChronosConfig { panic_omega_check: true }
-    }
-}
 
 /// Outcome of evaluating a round's samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,17 +80,15 @@ pub fn evaluate_sample(offsets: &[NtpDuration]) -> RoundDecision {
 /// Evaluates a panic round over the whole pool: trim the outer thirds and
 /// apply the middle's mean. The drift bound is *not* enforced (panic mode
 /// exists to recover from arbitrarily wrong clocks); the `ω` agreement
-/// check is enforced iff [`ChronosConfig::panic_omega_check`].
-pub fn evaluate_panic(offsets: &[NtpDuration], config: &ChronosConfig) -> RoundDecision {
+/// check is.
+pub fn evaluate_panic(offsets: &[NtpDuration]) -> RoundDecision {
     let survivors = trim_thirds(offsets);
     if survivors.is_empty() {
         return RoundDecision::Reject(RejectReason::TooFewSamples);
     }
-    if config.panic_omega_check {
-        let spread = *survivors.last().expect("nonempty") - survivors[0];
-        if spread > OMEGA {
-            return RoundDecision::Reject(RejectReason::SpreadTooWide);
-        }
+    let spread = *survivors.last().expect("nonempty") - survivors[0];
+    if spread > OMEGA {
+        return RoundDecision::Reject(RejectReason::SpreadTooWide);
     }
     RoundDecision::Accept(mean(&survivors))
 }
@@ -170,7 +153,7 @@ mod tests {
         // 2/3+ attacker: middle third is all attacker.
         let mut offsets = vec![NtpDuration::from_secs_f64(0.0); 4];
         offsets.extend(secs(&[-500.0; 9]));
-        match evaluate_panic(&offsets, &ChronosConfig::default()) {
+        match evaluate_panic(&offsets) {
             RoundDecision::Accept(avg) => {
                 assert!((avg.as_secs_f64() + 500.0).abs() < 0.01, "avg {avg}")
             }
@@ -184,24 +167,7 @@ mod tests {
         // blows ω, panic refuses — the clock stays safe.
         let mut offsets = vec![NtpDuration::from_secs_f64(0.0); 6];
         offsets.extend(secs(&[-500.0; 9])); // 9/15 = 60% < 2/3
-        assert_eq!(
-            evaluate_panic(&offsets, &ChronosConfig::default()),
-            RoundDecision::Reject(RejectReason::SpreadTooWide)
-        );
-    }
-
-    #[test]
-    fn panic_without_omega_check_gives_partial_shift() {
-        let config = ChronosConfig { panic_omega_check: false };
-        let mut offsets = vec![NtpDuration::from_secs_f64(0.0); 6];
-        offsets.extend(secs(&[-500.0; 9]));
-        match evaluate_panic(&offsets, &config) {
-            RoundDecision::Accept(avg) => {
-                let v = avg.as_secs_f64();
-                assert!(v < -100.0 && v > -500.0, "partial shift expected, got {v}");
-            }
-            other => panic!("expected accept, got {other:?}"),
-        }
+        assert_eq!(evaluate_panic(&offsets), RoundDecision::Reject(RejectReason::SpreadTooWide));
     }
 
     #[test]
@@ -210,16 +176,13 @@ mod tests {
         // middle third all malicious.
         let mut offsets = vec![NtpDuration::from_secs_f64(0.0); 44];
         offsets.extend(vec![NtpDuration::from_secs_f64(-500.0); 89]);
-        match evaluate_panic(&offsets, &ChronosConfig::default()) {
+        match evaluate_panic(&offsets) {
             RoundDecision::Accept(avg) => assert!((avg.as_secs_f64() + 500.0).abs() < 0.01),
             other => panic!("N=11 must fall: {other:?}"),
         }
         // N = 12 → 89/137 = 64.9% < 2/3: an honest sample survives.
         let mut offsets = vec![NtpDuration::from_secs_f64(0.0); 48];
         offsets.extend(vec![NtpDuration::from_secs_f64(-500.0); 89]);
-        assert_eq!(
-            evaluate_panic(&offsets, &ChronosConfig::default()),
-            RoundDecision::Reject(RejectReason::SpreadTooWide)
-        );
+        assert_eq!(evaluate_panic(&offsets), RoundDecision::Reject(RejectReason::SpreadTooWide));
     }
 }

@@ -18,26 +18,15 @@ use ntp::packet::{peek_mode, NtpMode, NtpPacket, NTP_PORT};
 use ntp::timestamp::{offset_and_delay, NtpDuration, NtpTimestamp};
 use rand::seq::IndexedRandom;
 
-use crate::algorithm::{
-    evaluate_panic, evaluate_sample, ChronosConfig, RoundDecision, MAX_RETRIES, SAMPLE_SIZE,
-};
+use crate::algorithm::{evaluate_panic, evaluate_sample, RoundDecision, MAX_RETRIES, SAMPLE_SIZE};
 use crate::pool::{PoolGenerator, PoolSanity};
 
 const TIMER_DNS: TimerToken = 1;
 const TIMER_POLL: TimerToken = 2;
 const TIMER_ROUND_END: TimerToken = 3;
 
-/// Scheduling parameters of the Chronos client.
-#[derive(Debug, Clone)]
-pub struct ChronosSchedule {
-    /// Interval between pool-generation DNS lookups (1 h in the proposal).
-    pub dns_interval: SimDuration,
-    /// Number of pool-generation lookups (24 in the proposal).
-    pub dns_rounds: u32,
-    /// Interval between time-sampling rounds.
-    pub poll_interval: SimDuration,
-}
-
+/// Interval between time-sampling rounds.
+const POLL_INTERVAL: SimDuration = SimDuration::from_secs(32);
 /// How long a sampling round waits for responses.
 const ROUND_WINDOW: SimDuration = SimDuration::from_secs(3);
 
@@ -66,8 +55,8 @@ struct Round {
 /// A Chronos-enhanced NTP client host.
 #[derive(Debug)]
 pub struct ChronosClient {
-    config: ChronosConfig,
-    schedule: ChronosSchedule,
+    /// Interval between pool-generation DNS lookups.
+    dns_interval: SimDuration,
     /// The disciplined clock.
     pub clock: SystemClock,
     stub: StubResolver,
@@ -80,22 +69,18 @@ pub struct ChronosClient {
 }
 
 impl ChronosClient {
-    /// Creates a client with the given algorithm config, schedule and pool
-    /// sanity policy, resolving through `resolver`.
-    pub fn new(
-        config: ChronosConfig,
-        schedule: ChronosSchedule,
-        sanity: PoolSanity,
-        resolver: Ipv4Addr,
-    ) -> Self {
+    /// Creates a client that runs its [`crate::LOOKUPS`] pool-generation
+    /// lookups `dns_interval` apart (1 h in the proposal; experiments
+    /// compress it) under the pool sanity policy `sanity`, resolving
+    /// through `resolver`.
+    pub fn new(dns_interval: SimDuration, sanity: PoolSanity, resolver: Ipv4Addr) -> Self {
         let mut clock = SystemClock::new();
         // Chronos replaces the NTP discipline entirely; its own algorithm
         // bounds corrections, so the ntpd panic threshold does not apply.
         clock.panic_threshold = None;
         ChronosClient {
-            generator: PoolGenerator::new(schedule.dns_rounds, sanity),
-            config,
-            schedule,
+            generator: PoolGenerator::new(sanity),
+            dns_interval,
             clock,
             stub: StubResolver::new(resolver, 5354),
             round: None,
@@ -158,7 +143,7 @@ impl ChronosClient {
     fn finish_round(&mut self, ctx: &mut Ctx<'_>) {
         let Some(round) = self.round.take() else { return };
         let decision = if round.panic {
-            evaluate_panic(&round.samples, &self.config)
+            evaluate_panic(&round.samples)
         } else {
             evaluate_sample(&round.samples)
         };
@@ -195,21 +180,21 @@ impl ChronosClient {
 impl Host for ChronosClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.issue_dns(ctx);
-        ctx.set_timer(self.schedule.dns_interval, TIMER_DNS);
-        ctx.set_timer(self.schedule.poll_interval, TIMER_POLL);
+        ctx.set_timer(self.dns_interval, TIMER_DNS);
+        ctx.set_timer(POLL_INTERVAL, TIMER_POLL);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
         match token {
             TIMER_DNS if !self.generator.complete() => {
                 self.issue_dns(ctx);
-                ctx.set_timer(self.schedule.dns_interval, TIMER_DNS);
+                ctx.set_timer(self.dns_interval, TIMER_DNS);
             }
             TIMER_POLL => {
                 if self.round.is_none() {
                     self.start_round(ctx, false);
                 }
-                ctx.set_timer(self.schedule.poll_interval, TIMER_POLL);
+                ctx.set_timer(POLL_INTERVAL, TIMER_POLL);
             }
             TIMER_ROUND_END => self.finish_round(ctx),
             _ => {}
@@ -252,16 +237,12 @@ mod tests {
     const NS: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
     const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 100);
 
-    fn fast_schedule() -> ChronosSchedule {
-        // Compressed pool generation: 6 lookups spaced past the 150 s pool
-        // TTL so each one reaches the authoritative rotation (the reason the
-        // real proposal spaces its 24 lookups an hour apart).
-        ChronosSchedule {
-            dns_interval: SimDuration::from_secs(160),
-            dns_rounds: 6,
-            poll_interval: SimDuration::from_secs(32),
-        }
-    }
+    /// Compressed pool generation: the 24 lookups spaced just past the
+    /// 150 s pool TTL so each one reaches the authoritative rotation (the
+    /// reason the real proposal spaces them an hour apart).
+    const DNS_INTERVAL: SimDuration = SimDuration::from_secs(160);
+    /// Long enough for all [`crate::LOOKUPS`] lookups to have run.
+    const GENERATION: SimDuration = SimDuration::from_secs(160 * crate::LOOKUPS as u64);
 
     fn build(seed: u64, honest: usize, shift: f64) -> Simulator {
         let mut sim = Simulator::with_topology(
@@ -292,12 +273,7 @@ mod tests {
         sim.add_host(
             CLIENT,
             OsProfile::linux(),
-            Box::new(ChronosClient::new(
-                ChronosConfig::default(),
-                fast_schedule(),
-                PoolSanity::none(),
-                RESOLVER,
-            )),
+            Box::new(ChronosClient::new(DNS_INTERVAL, PoolSanity::none(), RESOLVER)),
         )
         .unwrap();
         sim
@@ -306,18 +282,18 @@ mod tests {
     #[test]
     fn pool_accumulates_over_dns_rounds() {
         let mut sim = build(1, 24, 0.0);
-        sim.run_for(SimDuration::from_mins(18));
+        sim.run_for(GENERATION + SimDuration::from_mins(2));
         let c: &ChronosClient = sim.host(CLIENT).unwrap();
-        assert!(c.stats.dns_lookups >= 6, "lookups {}", c.stats.dns_lookups);
-        // Six TTL-spaced lookups, 4 random of 24 servers each: expected
-        // unique count ≈ 24·(1 − (20/24)⁶) ≈ 16.
-        assert!(c.pool().len() >= 13, "pool size {}", c.pool().len());
+        assert_eq!(c.stats.dns_lookups, u64::from(crate::LOOKUPS));
+        // 24 TTL-spaced lookups, 4 random of 24 servers each: expected
+        // unique count ≈ 24·(1 − (20/24)²⁴) ≈ 23.7.
+        assert!(c.pool().len() >= 22, "pool size {}", c.pool().len());
     }
 
     #[test]
     fn honest_pool_keeps_clock_sane() {
         let mut sim = build(2, 24, 0.0);
-        sim.run_for(SimDuration::from_mins(30));
+        sim.run_for(GENERATION + SimDuration::from_mins(14));
         let c: &ChronosClient = sim.host(CLIENT).unwrap();
         assert!(c.stats.rounds_accepted > 0);
         assert_eq!(c.stats.panics, 0);
@@ -330,7 +306,7 @@ mod tests {
         // normal rounds fail the drift check, panic fires, and the clock
         // shifts — Chronos' guarantees vanish once the pool is stacked.
         let mut sim = build(3, 24, -500.0);
-        sim.run_for(SimDuration::from_mins(30));
+        sim.run_for(GENERATION + SimDuration::from_mins(14));
         let c: &ChronosClient = sim.host(CLIENT).unwrap();
         assert!(c.stats.panics > 0, "panic mode must fire");
         let off = c.offset_secs(sim.now());
@@ -358,7 +334,7 @@ mod tests {
             let malicious: Vec<Ipv4Addr> = (1..=6).map(|i| Ipv4Addr::new(6, 6, 6, i)).collect();
             c.generator.absorb(&malicious, 150);
         }
-        sim.run_for(SimDuration::from_mins(30));
+        sim.run_for(GENERATION + SimDuration::from_mins(14));
         let c: &ChronosClient = sim.host(CLIENT).unwrap();
         assert!(
             c.offset_secs(sim.now()).abs() < 0.5,

@@ -34,11 +34,15 @@ pub mod bound;
 pub mod client;
 pub mod pool;
 
+/// Pool-generation DNS lookups: one an hour for a day in the proposal
+/// (the §VI-C sweep's `N` runs over them).
+pub const LOOKUPS: u32 = 24;
+
 /// Commonly used types.
 pub mod prelude {
     pub use crate::algorithm::{
-        evaluate_panic, evaluate_sample, trim_thirds, ChronosConfig, RejectReason, RoundDecision,
+        evaluate_panic, evaluate_sample, trim_thirds, RejectReason, RoundDecision,
     };
-    pub use crate::client::{ChronosClient, ChronosSchedule, ChronosStats};
+    pub use crate::client::{ChronosClient, ChronosStats};
     pub use crate::pool::{PoolGenerator, PoolSanity};
 }

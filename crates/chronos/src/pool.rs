@@ -16,6 +16,8 @@
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
+use crate::LOOKUPS;
+
 /// Sanity-check knobs (the paper's proposed countermeasures; both disabled
 /// in the original Chronos proposal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,27 +41,20 @@ impl PoolSanity {
     }
 }
 
-/// Accumulates the server pool across the 24 hourly DNS lookups.
+/// Accumulates the server pool across the [`LOOKUPS`] hourly DNS lookups.
 #[derive(Debug, Clone)]
 pub struct PoolGenerator {
     sanity: PoolSanity,
     pool: BTreeSet<Ipv4Addr>,
     lookups_done: u32,
-    lookups_total: u32,
     /// Responses rejected by a sanity check.
     pub rejected_responses: u32,
 }
 
 impl PoolGenerator {
-    /// A generator performing `lookups_total` lookups (24 in the proposal).
-    pub fn new(lookups_total: u32, sanity: PoolSanity) -> Self {
-        PoolGenerator {
-            sanity,
-            pool: BTreeSet::new(),
-            lookups_done: 0,
-            lookups_total,
-            rejected_responses: 0,
-        }
+    /// A generator for the proposal's [`LOOKUPS`] lookups.
+    pub fn new(sanity: PoolSanity) -> Self {
+        PoolGenerator { sanity, pool: BTreeSet::new(), lookups_done: 0, rejected_responses: 0 }
     }
 
     /// Feeds one DNS response (addresses + their minimum TTL) into the
@@ -80,9 +75,9 @@ impl PoolGenerator {
         self.pool.len() - before
     }
 
-    /// True once all scheduled lookups have run.
+    /// True once all [`LOOKUPS`] lookups have run.
     pub fn complete(&self) -> bool {
-        self.lookups_done >= self.lookups_total
+        self.lookups_done >= LOOKUPS
     }
 
     /// Lookups performed so far.
@@ -120,8 +115,8 @@ mod tests {
 
     #[test]
     fn honest_generation_accumulates_union() {
-        let mut generator = PoolGenerator::new(24, PoolSanity::none());
-        for round in 0..24u8 {
+        let mut generator = PoolGenerator::new(PoolSanity::none());
+        for round in 0..LOOKUPS as u8 {
             generator.absorb(&addrs(round, 4), 150);
         }
         assert!(generator.complete());
@@ -130,7 +125,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_not_double_counted() {
-        let mut generator = PoolGenerator::new(24, PoolSanity::none());
+        let mut generator = PoolGenerator::new(PoolSanity::none());
         generator.absorb(&addrs(1, 4), 150);
         generator.absorb(&addrs(1, 4), 150);
         assert_eq!(generator.pool().len(), 4);
@@ -139,7 +134,7 @@ mod tests {
     #[test]
     fn unchecked_pool_swallows_89_address_response() {
         // Weakness VI-B: one malicious response dominates the pool.
-        let mut generator = PoolGenerator::new(24, PoolSanity::none());
+        let mut generator = PoolGenerator::new(PoolSanity::none());
         for round in 0..4u8 {
             generator.absorb(&addrs(round, 4), 150);
         }
@@ -152,7 +147,7 @@ mod tests {
 
     #[test]
     fn hardened_pool_rejects_oversize_ttl_and_caps_records() {
-        let mut generator = PoolGenerator::new(24, PoolSanity::hardened());
+        let mut generator = PoolGenerator::new(PoolSanity::hardened());
         // Over-TTL response rejected outright.
         assert_eq!(generator.absorb(&addrs(66, 89), 86_400 * 2), 0);
         assert_eq!(generator.rejected_responses, 1);
@@ -162,7 +157,7 @@ mod tests {
 
     #[test]
     fn fraction_on_empty_pool_is_zero() {
-        let generator = PoolGenerator::new(24, PoolSanity::none());
+        let generator = PoolGenerator::new(PoolSanity::none());
         assert_eq!(generator.fraction_in(|_| true), 0.0);
     }
 }

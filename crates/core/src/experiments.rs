@@ -357,10 +357,6 @@ pub fn format_fig5(result: &PmtudScanResult) -> String {
 
 // ------------------------------------------------------- Chronos (§VI-C)
 
-/// Honest-lookup counts in the §VI-C sweep: one per hour of a day, so
-/// N = 0..=23.
-pub const CHRONOS_LOOKUPS: u32 = 24;
-
 /// Formats the Chronos bound sweep from the `chronos_bound` scan's
 /// `(n, attack succeeds)` pairs: `n` honest lookups of 4 addresses each
 /// against the [`MALICIOUS_COUNT`] addresses of the poisoned response.
@@ -473,7 +469,7 @@ mod tests {
 
     #[test]
     fn chronos_bound_crosses_at_11() {
-        let rows: Vec<_> = (0..CHRONOS_LOOKUPS)
+        let rows: Vec<_> = (0..chronos::LOOKUPS)
             .map(|n| (n, chronos::bound::attack_succeeds(n, MALICIOUS_COUNT)))
             .collect();
         assert!(rows[11].1);

@@ -39,8 +39,9 @@ pub struct Addrs {
 pub struct ScenarioConfig {
     /// RNG seed for the whole simulation.
     pub seed: u64,
-    /// Rate limiting on the honest servers (the run-time attack needs it).
-    pub rate_limit: RateLimitConfig,
+    /// Rate limiting on the honest servers (the run-time attack needs it;
+    /// `None` for none).
+    pub rate_limit: Option<RateLimitConfig>,
     /// Time shift served by malicious NTP servers (paper: −500 s).
     pub shift_secs: f64,
     /// Resolver behaviour.
@@ -54,7 +55,7 @@ impl Default for ScenarioConfig {
     fn default() -> Self {
         ScenarioConfig {
             seed: 7,
-            rate_limit: RateLimitConfig::kod(),
+            rate_limit: Some(RateLimitConfig::kod()),
             shift_secs: -500.0,
             resolver: ResolverConfig::default(),
             resolver_open: true,
@@ -77,6 +78,13 @@ pub const LINK_LATENCY: SimDuration = SimDuration::from_millis(15);
 /// enumerates.
 pub fn pool_servers() -> Vec<Ipv4Addr> {
     (1..=POOL_SIZE as u32).map(|i| Ipv4Addr::from(0xC000_0200 + i)).collect()
+}
+
+/// The attacker's [`MALICIOUS_COUNT`] NTP server addresses, `66.66.1.1`
+/// onwards (inside [`attack::pipeline::MALICIOUS_NET`]): the hosts of
+/// [`Scenario::build`] and the addresses of its poisoned pool response.
+pub fn malicious_servers() -> Vec<Ipv4Addr> {
+    (1..=MALICIOUS_COUNT).map(|i| Ipv4Addr::from(0x4242_0100 + i)).collect()
 }
 
 /// A constructed scenario: the simulator plus its address book.
@@ -129,8 +137,7 @@ impl Scenario {
         .expect("resolver address free");
         // Attacker infrastructure.
         let attacker_ns = Ipv4Addr::new(66, 66, 0, 1);
-        let malicious_ntp: Vec<Ipv4Addr> =
-            (1..=MALICIOUS_COUNT).map(|i| Ipv4Addr::from(0x4242_0100 + i)).collect();
+        let malicious_ntp = malicious_servers();
         sim.add_host(
             attacker_ns,
             OsProfile::linux(),
@@ -207,19 +214,15 @@ impl Scenario {
         addr
     }
 
-    /// Spawns a Chronos client.
-    pub fn spawn_chronos(
-        &mut self,
-        config: ChronosConfig,
-        schedule: ChronosSchedule,
-        sanity: PoolSanity,
-    ) -> Ipv4Addr {
+    /// Spawns a Chronos client whose pool-generation lookups run
+    /// `dns_interval` apart.
+    pub fn spawn_chronos(&mut self, dns_interval: SimDuration, sanity: PoolSanity) -> Ipv4Addr {
         let addr = self.addrs.victim;
         self.sim
             .add_host(
                 addr,
                 OsProfile::linux(),
-                Box::new(ChronosClient::new(config, schedule, sanity, self.addrs.resolver)),
+                Box::new(ChronosClient::new(dns_interval, sanity, self.addrs.resolver)),
             )
             .expect("victim address free");
         addr
@@ -401,13 +404,11 @@ pub fn run_chronos_attack(config: ScenarioConfig, dns_interval: SimDuration) -> 
     let target_shift = config.shift_secs;
     let mut scenario = Scenario::build(config);
     scenario.launch_poisoner();
-    let schedule =
-        ChronosSchedule { dns_interval, dns_rounds: 24, poll_interval: SimDuration::from_secs(32) };
-    scenario.spawn_chronos(ChronosConfig::default(), schedule, PoolSanity::none());
+    scenario.spawn_chronos(dns_interval, PoolSanity::none());
     // Pool generation window plus sampling time.
     scenario.sim.run_for(dns_interval.saturating_mul(26) + SimDuration::from_mins(30));
     let client: &ChronosClient = scenario.sim.host(scenario.addrs.victim).expect("chronos exists");
-    let malicious_fraction = client.generator().fraction_in(|a| a.octets()[0] == 66);
+    let malicious_fraction = client.generator().fraction_in(attack::pipeline::is_malicious);
     let observed = client.offset_secs(scenario.sim.now());
     ChronosOutcome {
         malicious_fraction,

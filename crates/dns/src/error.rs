@@ -27,11 +27,6 @@ pub enum DnsError {
         /// Attempted size.
         len: usize,
     },
-    /// The message is not a well-formed query/response for this operation.
-    BadMessage {
-        /// Human-readable reason.
-        reason: &'static str,
-    },
 }
 
 impl fmt::Display for DnsError {
@@ -44,7 +39,6 @@ impl fmt::Display for DnsError {
             DnsError::BadPointer => write!(f, "bad or looping compression pointer"),
             DnsError::BadField { field } => write!(f, "invalid field: {field}"),
             DnsError::Oversize { len } => write!(f, "message too large: {len} bytes"),
-            DnsError::BadMessage { reason } => write!(f, "bad message: {reason}"),
         }
     }
 }

@@ -39,15 +39,14 @@ pub struct ResolverConfig {
     /// Answer RD=0 queries from cache only (RFC-compliant). Resolvers that
     /// ignore the RD bit are excluded by the scan's verification step.
     pub respects_rd: bool,
-    /// Perform DNSSEC-lite validation against `anchors`.
-    pub validating: bool,
-    /// Trust anchors used when `validating`.
-    pub anchors: TrustAnchors,
+    /// DNSSEC-lite validation against these trust anchors; `None` for a
+    /// non-validating resolver.
+    pub validation: Option<TrustAnchors>,
 }
 
 impl Default for ResolverConfig {
     fn default() -> Self {
-        ResolverConfig { respects_rd: true, validating: false, anchors: TrustAnchors::new() }
+        ResolverConfig { respects_rd: true, validation: None }
     }
 }
 
@@ -308,7 +307,7 @@ impl Resolver {
             }
             rrsets.entry((r.name.clone(), r.rtype())).or_default().push(r.clone());
         }
-        if self.config.validating {
+        if let Some(anchors) = &self.config.validation {
             // Validate answer-section RRsets under signed zones. Glue and
             // authority data are not validated — matching real DNSSEC,
             // where glue is unsigned; this is precisely why the glue
@@ -324,7 +323,7 @@ impl Resolver {
                 if let Some(sigs) = rrsets.get(&(name.clone(), RecordType::Rrsig)) {
                     with_sigs.extend(sigs.iter().cloned());
                 }
-                if !self.config.anchors.validate(name, *rtype, &with_sigs) {
+                if !anchors.validate(name, *rtype, &with_sigs) {
                     self.stats.validation_failures += 1;
                     self.reply_to_clients(ctx, id, Vec::new(), Rcode::ServFail);
                     return;

@@ -39,11 +39,6 @@ impl StubResolver {
         StubResolver { resolver, port, pending: FastSet::default() }
     }
 
-    /// Repoints the stub at a different resolver.
-    pub fn set_resolver(&mut self, resolver: Ipv4Addr) {
-        self.resolver = resolver;
-    }
-
     /// Sends an A query with RD=1; returns the TXID.
     pub fn query_a(&mut self, ctx: &mut Ctx<'_>, name: &Name) -> u16 {
         self.query(ctx, name, RecordType::A, true)

@@ -170,15 +170,13 @@ pub fn run_client(spec: &AdClientSpec, seed: u64) -> ClientResult {
     sim.add_host(NS, OsProfile::linux(), Box::new(FragmentingNs::new(zone.clone(), ZONE_KEY)))
         .expect("ns");
     let mut profile = OsProfile::linux();
-    if spec.min_fragment_accepted == u16::MAX {
-        profile.accept_fragments = false;
-    } else {
-        profile.min_fragment_size = spec.min_fragment_accepted;
-    }
-    let mut anchors = TrustAnchors::new();
-    anchors.add(zone.clone(), ZONE_KEY);
-    let config =
-        ResolverConfig { validating: spec.validates, anchors, ..ResolverConfig::default() };
+    profile.fragments = Some(spec.min_fragment_accepted).filter(|&min| min != u16::MAX);
+    let validation = spec.validates.then(|| {
+        let mut anchors = TrustAnchors::new();
+        anchors.add(zone.clone(), ZONE_KEY);
+        anchors
+    });
+    let config = ResolverConfig { validation, ..ResolverConfig::default() };
     sim.add_host(RESOLVER, profile, Box::new(Resolver::new(config, vec![(zone, vec![NS])])))
         .expect("resolver");
     sim.add_host(

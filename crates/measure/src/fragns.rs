@@ -137,7 +137,7 @@ mod tests {
     const NS: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 77);
     const RESOLVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 53);
 
-    fn build(accepts_fragments: bool, min_fragment: u16, validating: bool) -> Simulator {
+    fn build(fragments: Option<u16>, validating: bool) -> Simulator {
         let zone: Name = "adtest.example".parse().unwrap();
         let key = ZoneKey(0x5EED);
         let mut sim = Simulator::with_topology(
@@ -147,11 +147,13 @@ mod tests {
         sim.add_host(NS, OsProfile::linux(), Box::new(FragmentingNs::new(zone.clone(), key)))
             .unwrap();
         let mut profile = OsProfile::linux();
-        profile.accept_fragments = accepts_fragments;
-        profile.min_fragment_size = min_fragment;
-        let mut anchors = TrustAnchors::new();
-        anchors.add(zone.clone(), key);
-        let config = ResolverConfig { validating, anchors, ..ResolverConfig::default() };
+        profile.fragments = fragments;
+        let validation = validating.then(|| {
+            let mut anchors = TrustAnchors::new();
+            anchors.add(zone.clone(), key);
+            anchors
+        });
+        let config = ResolverConfig { validation, ..ResolverConfig::default() };
         sim.add_host(RESOLVER, profile, Box::new(Resolver::new(config, vec![(zone, vec![NS])])))
             .unwrap();
         sim
@@ -159,7 +161,7 @@ mod tests {
 
     #[test]
     fn baseline_always_resolves() {
-        let mut sim = build(true, 0, false);
+        let mut sim = build(Some(0), false);
         let addrs = lookup_once(
             &mut sim,
             "10.0.0.1".parse().unwrap(),
@@ -171,7 +173,7 @@ mod tests {
 
     #[test]
     fn tiny_fragments_accepted_by_permissive_resolver() {
-        let mut sim = build(true, 0, false);
+        let mut sim = build(Some(0), false);
         let addrs = lookup_once(
             &mut sim,
             "10.0.0.1".parse().unwrap(),
@@ -183,7 +185,7 @@ mod tests {
 
     #[test]
     fn tiny_fragments_filtered_by_google_style_resolver() {
-        let mut sim = build(true, 1000, false);
+        let mut sim = build(Some(1000), false);
         let tiny = lookup_once(
             &mut sim,
             "10.0.0.1".parse().unwrap(),
@@ -203,7 +205,7 @@ mod tests {
     #[test]
     fn sig_tests_distinguish_validators() {
         // Validating resolver: sigright loads, sigfail does not.
-        let mut sim = build(true, 0, true);
+        let mut sim = build(Some(0), true);
         let right = lookup_once(
             &mut sim,
             "10.0.0.1".parse().unwrap(),
@@ -219,7 +221,7 @@ mod tests {
         );
         assert!(fail.is_empty(), "bad signature must SERVFAIL on a validator");
         // Non-validating resolver loads both.
-        let mut sim = build(true, 0, false);
+        let mut sim = build(Some(0), false);
         let fail = lookup_once(
             &mut sim,
             "10.0.0.3".parse().unwrap(),

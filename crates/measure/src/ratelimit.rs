@@ -126,12 +126,10 @@ pub fn scan_server(spec: &PoolServerSpec, seed: u64) -> ServerVerdict {
         seed,
         Topology::uniform(LinkSpec::fixed(SimDuration::from_millis(20))),
     );
-    let rate_limit = if spec.rate_limits {
-        let base = if spec.sends_kod { RateLimitConfig::kod() } else { RateLimitConfig::silent() };
-        RateLimitConfig { cooldown: SimDuration::from_secs(120), ..base }
-    } else {
-        RateLimitConfig::disabled()
-    };
+    let rate_limit = spec.rate_limits.then(|| RateLimitConfig {
+        send_kod: spec.sends_kod,
+        cooldown: SimDuration::from_secs(120),
+    });
     let mut server = NtpServer::honest().with_rate_limit(rate_limit);
     if spec.open_config {
         server = server.with_open_config(vec!["10.1.1.1".parse().expect("static")]);

@@ -91,7 +91,6 @@ impl FromIterator<SharedVerdict> for SharedScanResult {
 /// leaks the resolver identity).
 #[derive(Debug)]
 struct SmtpServer {
-    resolver: Ipv4Addr,
     stub: StubResolver,
 }
 
@@ -103,7 +102,6 @@ impl Host for SmtpServer {
             // "Mail" payload carries the sender domain to verify.
             if let Ok(domain) = std::str::from_utf8(&d.payload) {
                 if let Ok(name) = domain.parse::<Name>() {
-                    self.stub.set_resolver(self.resolver);
                     self.stub.query_a(ctx, &name);
                 }
             }
@@ -212,7 +210,7 @@ pub fn scan_resolver(spec: &SharedResolverSpec, seed: u64) -> SharedVerdict {
         sim.topology_mut().set_link(SCANNER, RESOLVER, link.with_loss(1.0));
     }
     if spec.smtp_shares {
-        let smtp = SmtpServer { resolver: RESOLVER, stub: StubResolver::new(RESOLVER, 5405) };
+        let smtp = SmtpServer { stub: StubResolver::new(RESOLVER, 5405) };
         sim.add_host(SMTP, OsProfile::linux(), Box::new(smtp)).expect("smtp");
     }
     sim.add_host(SCANNER, OsProfile::linux(), Box::new(ShareProbe::default())).expect("scanner");

@@ -316,7 +316,7 @@ pub fn scan_resolver(spec: &OpenResolverSpec, seed: u64) -> ResolverOutcome {
     sim.add_host(FRAG_NS, OsProfile::linux(), frag_ns).expect("frag ns");
 
     let mut profile = OsProfile::linux();
-    profile.accept_fragments = spec.accepts_fragments;
+    profile.fragments = spec.accepts_fragments.then_some(0);
     let config = ResolverConfig { respects_rd: spec.respects_rd, ..ResolverConfig::default() };
     let mut resolver = Resolver::new(
         config,
@@ -522,7 +522,7 @@ mod tests {
         let frag_ns = Box::new(FragmentingNs::new(adtest, ZoneKey(0x1234)));
         sim.add_host(FRAG_NS, OsProfile::linux(), frag_ns).unwrap();
         let mut profile = OsProfile::linux();
-        profile.accept_fragments = spec.accepts_fragments;
+        profile.fragments = spec.accepts_fragments.then_some(0);
         let config = ResolverConfig { respects_rd: spec.respects_rd, ..ResolverConfig::default() };
         let hints = vec![
             ("pool.ntp.org".parse().unwrap(), ns_list),

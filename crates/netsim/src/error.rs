@@ -119,11 +119,6 @@ pub enum SimError {
         /// The conflicting address.
         addr: std::net::Ipv4Addr,
     },
-    /// A referenced host does not exist.
-    NoSuchHost {
-        /// The missing address.
-        addr: std::net::Ipv4Addr,
-    },
     /// The event budget set via
     /// [`set_event_budget`](crate::sim::Simulator::set_event_budget) ran
     /// out with events still queued.
@@ -137,7 +132,6 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::DuplicateAddress { addr } => write!(f, "duplicate host address {addr}"),
-            SimError::NoSuchHost { addr } => write!(f, "no host registered at {addr}"),
             SimError::EventBudgetExceeded { max_events } => {
                 write!(f, "event budget of {max_events} exhausted with events still queued")
             }

@@ -110,12 +110,15 @@ impl FragKey {
     }
 }
 
-/// Tuning knobs of a [`DefragCache`], matching an OS profile.
+/// How long incomplete reassemblies are retained: Linux's 30 s, the
+/// timeout of every modelled host (Windows keeps 60–120 s and RFC 2460
+/// suggests 60 s, paper §IV-A; the §IV-A budget compares the two in
+/// closed form).
+pub const REASSEMBLY_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
+/// Tuning knob of a [`DefragCache`], matching an OS profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DefragConfig {
-    /// How long incomplete reassemblies are retained. Linux: 30 s;
-    /// Windows: 60–120 s; RFC 2460 suggests 60 s (paper §IV-A).
-    pub timeout: SimDuration,
     /// Maximum concurrently-pending fragments per (src, dst) pair.
     /// Linux: 64, Windows: 100 (paper §III-2).
     pub max_pending_per_pair: usize,
@@ -123,7 +126,7 @@ pub struct DefragConfig {
 
 impl Default for DefragConfig {
     fn default() -> Self {
-        DefragConfig { timeout: SimDuration::from_secs(30), max_pending_per_pair: 64 }
+        DefragConfig { max_pending_per_pair: 64 }
     }
 }
 
@@ -308,7 +311,7 @@ impl DefragCache {
         (FragInsert::Stored, expired)
     }
 
-    /// Drops reassemblies older than the configured timeout.
+    /// Drops reassemblies older than [`REASSEMBLY_TIMEOUT`].
     pub fn expire(&mut self, now: SimTime) {
         let _ = self.expire_counted(now);
     }
@@ -320,10 +323,9 @@ impl DefragCache {
     /// this pops expired entries off the front and never scans the live
     /// remainder of the table.
     pub fn expire_counted(&mut self, now: SimTime) -> usize {
-        let timeout = self.config.timeout;
         let mut dropped = 0;
         while let Some(&(created, key)) = self.expiry.front() {
-            if now.saturating_since(created) < timeout {
+            if now.saturating_since(created) < REASSEMBLY_TIMEOUT {
                 break;
             }
             self.expiry.pop_front();
@@ -492,7 +494,7 @@ mod tests {
 
     #[test]
     fn per_pair_cap_enforced() {
-        let config = DefragConfig { max_pending_per_pair: 4, ..DefragConfig::default() };
+        let config = DefragConfig { max_pending_per_pair: 4 };
         let mut cache = DefragCache::new(config);
         // Plant 10 second-fragments with distinct IPIDs; only 4 fit.
         let p = pkt(2000, 0);
@@ -511,8 +513,7 @@ mod tests {
         // The paper's 64-entry Linux cache under a planting spray: pending
         // reassemblies must never exceed the cap, and once the spray stops,
         // entries expire strictly oldest-first.
-        let config = DefragConfig { max_pending_per_pair: 64, ..DefragConfig::default() };
-        let mut cache = DefragCache::new(config);
+        let mut cache = DefragCache::new(DefragConfig { max_pending_per_pair: 64 });
         let template = fragment(pkt(2000, 0), 1028).unwrap()[1].clone();
         // 200 planted second-fragments, one per 100 ms, distinct IPIDs.
         for id in 0..200u16 {
@@ -531,8 +532,7 @@ mod tests {
         assert_eq!(cache.pending_for_pair(template.src, template.dst), 64);
         // Advance past the timeout of the first 10 entries only: exactly
         // those must be gone (creation order), the younger 54 retained.
-        let cutoff =
-            SimTime::ZERO + DefragConfig::default().timeout + SimDuration::from_millis(950);
+        let cutoff = SimTime::ZERO + REASSEMBLY_TIMEOUT + SimDuration::from_millis(950);
         cache.expire(cutoff);
         assert_eq!(cache.pending_reassemblies(), 54, "oldest 10 expired first");
         // Expiring far in the future drains everything and the pair debit.

@@ -10,7 +10,7 @@
 //!
 //! * [`ipv4`] / [`udp`] / [`icmp`] — wire codecs with real checksums;
 //! * [`frag`] — RFC 791 fragmentation and a receiver-side reassembly cache
-//!   with per-OS timeouts and caps ([`frag::DefragCache`]);
+//!   with the reassembly timeout and per-OS caps ([`frag::DefragCache`]);
 //! * [`pmtu`] — per-destination path-MTU caches fed by ICMP frag-needed;
 //! * [`os`] — OS stack profiles (Linux, Windows, filtering resolvers…);
 //! * [`link`] — latency/jitter/loss link models;
@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::icmp::IcmpMessage;
     pub use crate::ipv4::{Ipv4Packet, IPV4_HEADER_LEN, MIN_IPV4_MTU, PROTO_ICMP, PROTO_UDP};
     pub use crate::link::{LinkSpec, Topology};
-    pub use crate::os::{IpidMode, OsProfile, PmtudPolicy, DEFAULT_IPID_CACHE_CAP};
+    pub use crate::os::{IpidMode, OsProfile, DEFAULT_IPID_CACHE_CAP};
     pub use crate::sim::{
         Ctx, Datagram, Host, HostId, NetStack, ReceiveOutcome, SimStats, Simulator, StackOutput,
         TimerToken,

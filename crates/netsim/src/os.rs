@@ -13,7 +13,6 @@
 //! defragmentation cache ([`crate::frag`]).
 
 use crate::frag::DefragConfig;
-use crate::time::SimDuration;
 
 /// How a host assigns the IPv4 identification field on sent packets.
 ///
@@ -43,51 +42,23 @@ impl Default for IpidMode {
     }
 }
 
-/// Whether and how a host reacts to ICMP fragmentation-needed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PmtudPolicy {
-    /// Honour ICMP frag-needed at all. Hosts that ignore it never fragment
-    /// (the "no PMTUD" population of Fig. 5).
-    pub honour_icmp: bool,
-    /// The smallest MTU the host will accept from an ICMP message. Claims
-    /// below this are clamped (Linux `min_pmtu`, default 552) or ignored.
-    /// This produces the "minimum fragment size" distribution of Fig. 5.
-    pub min_accepted_mtu: u16,
-}
-
-impl Default for PmtudPolicy {
-    fn default() -> Self {
-        PmtudPolicy { honour_icmp: true, min_accepted_mtu: 548 }
-    }
-}
-
-impl PmtudPolicy {
-    /// A policy that ignores ICMP frag-needed entirely.
-    pub fn ignore() -> Self {
-        PmtudPolicy { honour_icmp: false, ..PmtudPolicy::default() }
-    }
-
-    /// A policy honouring claims down to `min` bytes.
-    pub fn honour_down_to(min: u16) -> Self {
-        PmtudPolicy { honour_icmp: true, min_accepted_mtu: min }
-    }
-}
-
 /// A complete OS network-stack profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OsProfile {
     /// Defragmentation-cache behaviour.
     pub defrag: DefragConfig,
-    /// Whether incoming fragments are processed at all. Middleboxes and
-    /// some resolvers (e.g. Google's public DNS for small fragments) drop
-    /// them, defeating the attack.
-    pub accept_fragments: bool,
-    /// Smallest incoming fragment size (on-wire bytes) that is accepted;
-    /// fragments below are dropped. Models resolvers that filter "tiny"
-    /// fragments (Table V columns).
-    pub min_fragment_size: u16,
-    /// Reaction to ICMP fragmentation-needed.
-    pub pmtud: PmtudPolicy,
+    /// Which incoming fragments are processed. `None` refuses every
+    /// fragment (middleboxes and resolvers that drop them, defeating the
+    /// attack). `Some(n)` drops non-final fragments under `n` on-wire
+    /// bytes, modelling resolvers that filter "tiny" fragments (Table V
+    /// columns); `Some(0)` accepts all fragments.
+    pub fragments: Option<u16>,
+    /// The smallest MTU accepted from an ICMP fragmentation-needed message;
+    /// claims below it are clamped up to it (Linux `min_pmtu`). This
+    /// produces the "minimum fragment size" distribution of Fig. 5. `None`
+    /// ignores frag-needed entirely: the host never fragments (the "no
+    /// PMTUD" population of Fig. 5).
+    pub pmtu_floor: Option<u16>,
     /// IPID assignment strategy.
     pub ipid: IpidMode,
     /// Cap on the per-destination IPID counter table
@@ -105,10 +76,9 @@ impl OsProfile {
     /// per-destination IPIDs, honours PMTUD down to 552 bytes.
     pub fn linux() -> Self {
         OsProfile {
-            defrag: DefragConfig { timeout: SimDuration::from_secs(30), max_pending_per_pair: 64 },
-            accept_fragments: true,
-            min_fragment_size: 0,
-            pmtud: PmtudPolicy::honour_down_to(552),
+            defrag: DefragConfig { max_pending_per_pair: 64 },
+            fragments: Some(0),
+            pmtu_floor: Some(552),
             ipid: IpidMode::PerDestination { start: 1 },
             ipid_cache_cap: DEFAULT_IPID_CACHE_CAP,
         }
@@ -120,7 +90,7 @@ impl OsProfile {
     /// configuration the paper exploits).
     pub fn nameserver(min_mtu: u16) -> Self {
         OsProfile {
-            pmtud: PmtudPolicy::honour_down_to(min_mtu),
+            pmtu_floor: Some(min_mtu),
             ipid: IpidMode::GlobalSequential { start: 0x0100 },
             ..OsProfile::linux()
         }
@@ -128,14 +98,14 @@ impl OsProfile {
 
     /// A nameserver that ignores PMTUD and never fragments.
     pub fn nameserver_no_pmtud() -> Self {
-        OsProfile { pmtud: PmtudPolicy::ignore(), ipid: IpidMode::Random, ..OsProfile::linux() }
+        OsProfile { pmtu_floor: None, ipid: IpidMode::Random, ..OsProfile::linux() }
     }
 
-    /// A resolver host that drops all incoming fragments (Google-style
-    /// filtering of everything below `min_size` on-wire bytes; pass 0 to
-    /// accept everything).
+    /// A resolver host that drops non-final incoming fragments below
+    /// `min_size` on-wire bytes (Google-style filtering; pass 0 to accept
+    /// everything).
     pub fn resolver_filtering(min_size: u16) -> Self {
-        OsProfile { min_fragment_size: min_size, ..OsProfile::linux() }
+        OsProfile { fragments: Some(min_size), ..OsProfile::linux() }
     }
 }
 
@@ -152,20 +122,20 @@ mod tests {
     #[test]
     fn presets_match_paper_constants() {
         let linux = OsProfile::linux();
-        assert_eq!(linux.defrag.timeout, SimDuration::from_secs(30));
         assert_eq!(linux.defrag.max_pending_per_pair, 64);
+        assert_eq!(linux.fragments, Some(0));
+        assert_eq!(linux.pmtu_floor, Some(552));
     }
 
     #[test]
     fn nameserver_profile_honours_requested_min_mtu() {
         let ns = OsProfile::nameserver(292);
-        assert!(ns.pmtud.honour_icmp);
-        assert_eq!(ns.pmtud.min_accepted_mtu, 292);
+        assert_eq!(ns.pmtu_floor, Some(292));
         assert!(matches!(ns.ipid, IpidMode::GlobalSequential { .. }));
     }
 
     #[test]
     fn no_pmtud_profile_ignores_icmp() {
-        assert!(!OsProfile::nameserver_no_pmtud().pmtud.honour_icmp);
+        assert_eq!(OsProfile::nameserver_no_pmtud().pmtu_floor, None);
     }
 }

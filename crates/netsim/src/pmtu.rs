@@ -8,7 +8,6 @@
 use std::net::Ipv4Addr;
 
 use crate::fasthash::FastMap;
-use crate::os::PmtudPolicy;
 use crate::time::{SimDuration, SimTime};
 
 /// The interface MTU of every simulated host (Ethernet).
@@ -36,25 +35,23 @@ impl PmtuCache {
         PmtuCache::default()
     }
 
-    /// Processes an ICMP frag-needed claiming `claimed_mtu` towards `dst`,
-    /// under `policy`. Returns the MTU actually recorded, if any.
+    /// Processes an ICMP frag-needed claiming `claimed_mtu` towards `dst`
+    /// on a host with PMTU floor `floor` ([`crate::os::OsProfile::pmtu_floor`];
+    /// `None` ignores the message). Returns the MTU actually recorded, if
+    /// any.
     ///
-    /// Claims below the policy's minimum are **clamped up** to the minimum
-    /// (Linux `min_pmtu` semantics) rather than ignored: the host still
-    /// fragments, but never to fragments smaller than its floor. This is
-    /// what produces the "minimum fragment size emitted" distribution in
-    /// Fig. 5 of the paper.
+    /// Claims below the floor are **clamped up** to it (Linux `min_pmtu`
+    /// semantics) rather than ignored: the host still fragments, but never
+    /// to fragments smaller than its floor. This is what produces the
+    /// "minimum fragment size emitted" distribution in Fig. 5 of the paper.
     pub fn on_frag_needed(
         &mut self,
         now: SimTime,
         dst: Ipv4Addr,
         claimed_mtu: u16,
-        policy: &PmtudPolicy,
+        floor: Option<u16>,
     ) -> Option<u16> {
-        if !policy.honour_icmp {
-            return None;
-        }
-        let mtu = claimed_mtu.max(policy.min_accepted_mtu);
+        let mtu = claimed_mtu.max(floor?);
         let expires = now + PMTU_LIFETIME;
         let entry = self.entries.entry(dst).or_insert(PmtuEntry { mtu, expires });
         // Only ever lower the recorded MTU within its lifetime.
@@ -104,9 +101,8 @@ mod tests {
     #[test]
     fn frag_needed_lowers_mtu() {
         let mut cache = PmtuCache::new();
-        let policy = PmtudPolicy::honour_down_to(548);
         assert_eq!(cache.mtu_towards(SimTime::ZERO, DST), 1500);
-        let recorded = cache.on_frag_needed(SimTime::ZERO, DST, 600, &policy);
+        let recorded = cache.on_frag_needed(SimTime::ZERO, DST, 600, Some(548));
         assert_eq!(recorded, Some(600));
         assert_eq!(cache.mtu_towards(SimTime::ZERO, DST), 600);
     }
@@ -114,16 +110,14 @@ mod tests {
     #[test]
     fn claims_below_floor_are_clamped() {
         let mut cache = PmtuCache::new();
-        let policy = PmtudPolicy::honour_down_to(548);
-        let recorded = cache.on_frag_needed(SimTime::ZERO, DST, 68, &policy);
+        let recorded = cache.on_frag_needed(SimTime::ZERO, DST, 68, Some(548));
         assert_eq!(recorded, Some(548));
     }
 
     #[test]
     fn ignoring_policy_records_nothing() {
         let mut cache = PmtuCache::new();
-        let policy = PmtudPolicy::ignore();
-        assert_eq!(cache.on_frag_needed(SimTime::ZERO, DST, 296, &policy), None);
+        assert_eq!(cache.on_frag_needed(SimTime::ZERO, DST, 296, None), None);
         assert_eq!(cache.mtu_towards(SimTime::ZERO, DST), 1500);
         assert!(cache.is_empty());
     }
@@ -131,8 +125,7 @@ mod tests {
     #[test]
     fn entries_expire() {
         let mut cache = PmtuCache::new();
-        let policy = PmtudPolicy::honour_down_to(548);
-        cache.on_frag_needed(SimTime::ZERO, DST, 600, &policy);
+        cache.on_frag_needed(SimTime::ZERO, DST, 600, Some(548));
         let later = SimTime::ZERO + SimDuration::from_secs(601);
         assert_eq!(cache.mtu_towards(later, DST), 1500);
     }
@@ -140,13 +133,13 @@ mod tests {
     #[test]
     fn mtu_only_lowers_within_lifetime() {
         let mut cache = PmtuCache::new();
-        let policy = PmtudPolicy::honour_down_to(296);
-        cache.on_frag_needed(SimTime::ZERO, DST, 400, &policy);
+        let floor = Some(296);
+        cache.on_frag_needed(SimTime::ZERO, DST, 400, floor);
         // A later, larger claim must not raise the cached value.
-        cache.on_frag_needed(SimTime::ZERO, DST, 1200, &policy);
+        cache.on_frag_needed(SimTime::ZERO, DST, 1200, floor);
         assert_eq!(cache.mtu_towards(SimTime::ZERO, DST), 400);
         // A smaller claim lowers it further.
-        cache.on_frag_needed(SimTime::ZERO, DST, 296, &policy);
+        cache.on_frag_needed(SimTime::ZERO, DST, 296, floor);
         assert_eq!(cache.mtu_towards(SimTime::ZERO, DST), 296);
     }
 }

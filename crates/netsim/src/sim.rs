@@ -162,10 +162,8 @@ struct StackHot {
     ipid_mode: u8,
     /// The global-sequential IPID counter.
     ipid_counter: u16,
-    /// Copy of [`OsProfile::min_fragment_size`].
-    min_fragment_size: u16,
-    /// Copy of [`OsProfile::accept_fragments`].
-    accept_fragments: bool,
+    /// Copy of [`OsProfile::fragments`].
+    fragments: Option<u16>,
     /// True once the PMTU cache may hold entries (set by frag-needed).
     pmtu_used: bool,
     /// True while the defrag cache may hold pending reassemblies.
@@ -267,8 +265,7 @@ impl NetStack {
                     IpidMode::PerDestination { .. } => IPID_PER_DST,
                 },
                 ipid_counter: ipid_start,
-                min_fragment_size: profile.min_fragment_size,
-                accept_fragments: profile.accept_fragments,
+                fragments: profile.fragments,
                 pmtu_used: false,
                 frag_pending: false,
             },
@@ -420,14 +417,14 @@ impl NetStack {
     ) -> ReceiveOutcome {
         let mut reassembled = false;
         let complete = if pkt.is_fragment() {
-            if !self.hot.accept_fragments {
+            let Some(min_size) = self.hot.fragments else {
                 return self.count_drop(global, DropReason::NoFragSupport);
-            }
+            };
             // Size filtering applies to non-final fragments: a datagram's
             // last fragment is legitimately small, but a small *leading*
             // fragment is the signature of the tiny-fragment attacks that
             // filtering resolvers (Table V) drop.
-            if pkt.more_fragments && pkt.wire_len() < usize::from(self.hot.min_fragment_size) {
+            if pkt.more_fragments && pkt.wire_len() < usize::from(min_size) {
                 return self.count_drop(global, DropReason::TinyFragment);
             }
             match self.defrag_insert(now, pkt, global) {
@@ -538,14 +535,14 @@ impl NetStack {
             if src == self_addr {
                 self.hot.pmtu_used = true;
                 let cold = &mut *self.cold;
-                cold.pmtu.on_frag_needed(now, dst, mtu, &cold.profile.pmtud);
+                cold.pmtu.on_frag_needed(now, dst, mtu, cold.profile.pmtu_floor);
             }
             return;
         };
         if embedded.src == self_addr {
             self.hot.pmtu_used = true;
             let cold = &mut *self.cold;
-            cold.pmtu.on_frag_needed(now, embedded.dst, mtu, &cold.profile.pmtud);
+            cold.pmtu.on_frag_needed(now, embedded.dst, mtu, cold.profile.pmtu_floor);
         }
     }
 

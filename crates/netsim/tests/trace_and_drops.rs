@@ -33,7 +33,7 @@ fn every_receive_discard_names_a_reason() {
 
     // no-frag-support: the profile refuses fragments outright.
     let mut profile = OsProfile::linux();
-    profile.accept_fragments = false;
+    profile.fragments = None;
     let mut stack = NetStack::new(profile);
     let frag = frags_of(1).remove(0);
     expect_drop(stack.receive_counted(now, frag, &mut global), DropReason::NoFragSupport);

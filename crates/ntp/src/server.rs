@@ -15,11 +15,10 @@ use crate::packet::{peek_mode, ControlMessage, NtpMode, NtpPacket, NTP_PORT};
 use crate::timestamp::{NtpDuration, NtpTimestamp};
 
 /// Rate-limiter configuration, modelled on ntpd's `discard` / `restrict
-/// limited [kod]` behaviour.
+/// limited [kod]` behaviour. A server runs a limiter only if it has one
+/// ([`NtpServer::rate_limit`]; ≈38 % of pool servers, §VII-A).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateLimitConfig {
-    /// Whether the limiter is active at all (≈38 % of pool servers, §VII-A).
-    pub enabled: bool,
     /// Send a Kiss-o'-Death RATE packet when limiting starts (≈33 % of pool
     /// servers; the rest go silent immediately).
     pub send_kod: bool,
@@ -28,19 +27,15 @@ pub struct RateLimitConfig {
 }
 
 impl RateLimitConfig {
-    /// Limiter disabled.
-    pub fn disabled() -> Self {
-        RateLimitConfig { enabled: false, send_kod: false, cooldown: SimDuration::from_secs(60) }
-    }
-
-    /// ntpd-style `restrict limited kod`: KoD once, then silence.
+    /// ntpd-style `restrict limited kod`: KoD once, then silence, with a
+    /// 60 s cooldown.
     pub fn kod() -> Self {
-        RateLimitConfig { enabled: true, send_kod: true, ..RateLimitConfig::disabled() }
+        RateLimitConfig { send_kod: true, cooldown: SimDuration::from_secs(60) }
     }
 
-    /// Silent limiting: just stop answering.
+    /// Silent limiting: just stop answering (60 s cooldown).
     pub fn silent() -> Self {
-        RateLimitConfig { enabled: true, send_kod: false, ..RateLimitConfig::disabled() }
+        RateLimitConfig { send_kod: false, ..RateLimitConfig::kod() }
     }
 }
 
@@ -84,8 +79,8 @@ pub struct NtpServer {
     /// Refid advertised — for stratum ≥ 2 this is the upstream's IPv4
     /// address (the P2 leak); defaults to a stratum-1 style tag.
     pub ref_id: [u8; 4],
-    /// Rate limiter.
-    pub rate_limit: RateLimitConfig,
+    /// Rate limiter; `None` answers every query.
+    pub rate_limit: Option<RateLimitConfig>,
     /// Whether the mode-6 configuration interface is exposed to the
     /// Internet (≈5.3 % of pool servers, §IV-B2c).
     pub open_config: bool,
@@ -103,7 +98,7 @@ impl NtpServer {
             shift: NtpDuration::ZERO,
             stratum: 2,
             ref_id: [127, 127, 1, 0],
-            rate_limit: RateLimitConfig::disabled(),
+            rate_limit: None,
             open_config: false,
             upstream_peers: Vec::new(),
             clients: FastMap::default(),
@@ -116,8 +111,8 @@ impl NtpServer {
         NtpServer { shift, ..NtpServer::honest() }
     }
 
-    /// Builder: sets the rate limiter.
-    pub fn with_rate_limit(mut self, config: RateLimitConfig) -> Self {
+    /// Builder: sets the rate limiter (`None` for none).
+    pub fn with_rate_limit(mut self, config: Option<RateLimitConfig>) -> Self {
         self.rate_limit = config;
         self
     }
@@ -131,10 +126,9 @@ impl NtpServer {
 
     /// The limiter's verdict for a query from `src` at `now`.
     fn limiter_verdict(&mut self, now: SimTime, src: Ipv4Addr) -> Verdict {
-        if !self.rate_limit.enabled {
+        let Some(config) = self.rate_limit else {
             return Verdict::Answer;
-        }
-        let config = self.rate_limit;
+        };
         let state = self.clients.entry(src).or_default();
         if let Some(last) = state.last_seen {
             let gap = now.saturating_since(last);
@@ -247,7 +241,7 @@ mod tests {
 
     #[test]
     fn limiter_allows_normal_polling() {
-        let mut server = NtpServer::honest().with_rate_limit(RateLimitConfig::kod());
+        let mut server = NtpServer::honest().with_rate_limit(Some(RateLimitConfig::kod()));
         // 64-second polls never trip the limiter.
         for i in 0..20 {
             let verdict = server.limiter_verdict(SimTime::from_secs(i * 64), CLIENT);
@@ -257,7 +251,7 @@ mod tests {
 
     #[test]
     fn flood_trips_limiter_then_kod_then_silence() {
-        let mut server = NtpServer::honest().with_rate_limit(RateLimitConfig::kod());
+        let mut server = NtpServer::honest().with_rate_limit(Some(RateLimitConfig::kod()));
         let mut verdicts = Vec::new();
         for i in 0..20u64 {
             verdicts.push(server.limiter_verdict(at((0, i * 100)), CLIENT));
@@ -270,7 +264,7 @@ mod tests {
 
     #[test]
     fn silent_limiter_never_kods() {
-        let mut server = NtpServer::honest().with_rate_limit(RateLimitConfig::silent());
+        let mut server = NtpServer::honest().with_rate_limit(Some(RateLimitConfig::silent()));
         let mut any_kod = false;
         for i in 0..20u64 {
             any_kod |= server.limiter_verdict(at((0, i * 100)), CLIENT) == Verdict::Kod;
@@ -283,7 +277,7 @@ mod tests {
     fn limited_client_blocks_even_slow_polls_while_flooded() {
         // The victim's legitimate 64 s polls are dropped while the attacker
         // keeps the score pinned with a continuing flood.
-        let mut server = NtpServer::honest().with_rate_limit(RateLimitConfig::silent());
+        let mut server = NtpServer::honest().with_rate_limit(Some(RateLimitConfig::silent()));
         // Flood: 50 packets, 200 ms apart.
         for i in 0..50u64 {
             let _ = server.limiter_verdict(at((0, i * 200)), CLIENT);
@@ -295,7 +289,7 @@ mod tests {
 
     #[test]
     fn cooldown_forgives_after_quiet_period() {
-        let mut server = NtpServer::honest().with_rate_limit(RateLimitConfig::silent());
+        let mut server = NtpServer::honest().with_rate_limit(Some(RateLimitConfig::silent()));
         for i in 0..50u64 {
             let _ = server.limiter_verdict(at((0, i * 200)), CLIENT);
         }
@@ -308,10 +302,10 @@ mod tests {
     fn scanner_pattern_first_half_vs_second_half() {
         // The paper's §VII-A methodology: 64 queries at 1 Hz; rate limiting
         // shows up as ≥8 more responses in the first half than the second.
-        let mut server = NtpServer::honest().with_rate_limit(RateLimitConfig {
+        let mut server = NtpServer::honest().with_rate_limit(Some(RateLimitConfig {
             cooldown: SimDuration::from_secs(120),
             ..RateLimitConfig::kod()
-        });
+        }));
         let mut first = 0;
         let mut second = 0;
         for i in 0..64u64 {
@@ -329,7 +323,7 @@ mod tests {
     #[test]
     fn limiter_state_is_per_client() {
         let other = Ipv4Addr::new(10, 0, 0, 8);
-        let mut server = NtpServer::honest().with_rate_limit(RateLimitConfig::silent());
+        let mut server = NtpServer::honest().with_rate_limit(Some(RateLimitConfig::silent()));
         for i in 0..50u64 {
             let _ = server.limiter_verdict(at((0, i * 100)), CLIENT);
         }

@@ -7,7 +7,9 @@
 //! ```
 
 use campaign::registry;
+use timeshift::attack::pipeline::is_malicious;
 use timeshift::prelude::*;
+use timeshift::scenario::malicious_servers;
 
 fn main() {
     println!("== Chronos pool poisoning (§VI) ==\n");
@@ -27,19 +29,17 @@ fn main() {
     println!("attack succeeded: {}", outcome.success);
 
     println!("\n-- countermeasure: pool-generation sanity checks (§VI-B) --");
-    let mut hardened = PoolGenerator::new(24, PoolSanity::hardened());
+    let mut hardened = PoolGenerator::new(PoolSanity::hardened());
     for round in 0..4u8 {
         let honest: Vec<std::net::Ipv4Addr> =
             (0..4).map(|i| std::net::Ipv4Addr::new(192, 0, round + 1, i)).collect();
         hardened.absorb(&honest, 150);
     }
-    let malicious: Vec<std::net::Ipv4Addr> =
-        (1..=89u32).map(|i| std::net::Ipv4Addr::from(0x4242_0100 + i)).collect();
-    let added = hardened.absorb(&malicious, 2 * 86_400);
+    let added = hardened.absorb(&malicious_servers(), 2 * 86_400);
     println!(
         "hardened generator absorbed {added} of 89 malicious addresses \
          (TTL check rejected the response); pool stays honest: {:.0}% attacker",
-        hardened.fraction_in(|a| a.octets()[0] == 0x42) * 100.0
+        hardened.fraction_in(is_malicious) * 100.0
     );
 
     assert!(outcome.success, "the live Chronos attack must shift the clock: {outcome:?}");

@@ -4,7 +4,7 @@
 #   1. non-test lines of the model: every line of the tracked
 #      `crates/*/src/*.rs` and `examples/*.rs` files up to the file's first
 #      `#[cfg(test)]` line;
-#   2. settable fields of the ten model config structs: the `pub` fields
+#   2. settable fields of the seven model config structs: the `pub` fields
 #      in the body of each `pub struct <Name> {`, per struct and in total.
 #
 # Run from anywhere inside the repository: `scripts/model-size.sh`.
@@ -19,8 +19,8 @@ lines=$(git ls-files 'crates/*/src/*.rs' 'examples/*.rs' \
 echo "non-test lines (crates/*/src + examples): $lines"
 
 total=0
-for struct in OsProfile PmtudPolicy DefragConfig ResolverConfig PoisonConfig \
-    ScenarioConfig RateLimitConfig ClientProfile ChronosConfig ChronosSchedule; do
+for struct in OsProfile DefragConfig ResolverConfig PoisonConfig ScenarioConfig \
+    RateLimitConfig ClientProfile; do
     file=$(git grep -l "^pub struct $struct {" -- 'crates/*/src/*.rs' | head -n 1)
     if [ -z "$file" ]; then
         echo "model-size: pub struct $struct not found" >&2
@@ -34,4 +34,4 @@ for struct in OsProfile PmtudPolicy DefragConfig ResolverConfig PoisonConfig \
     echo "  $struct ($file): $n"
     total=$((total + n))
 done
-echo "settable fields (ten model config structs): $total"
+echo "settable fields (seven model config structs): $total"

@@ -29,14 +29,13 @@ fn dnssec_validation_blocks_the_redirected_answer() {
         resolver_addr,
         OsProfile::linux(),
         Box::new(Resolver::new(
-            ResolverConfig { validating: true, anchors, ..ResolverConfig::default() },
+            ResolverConfig { validation: Some(anchors), ..ResolverConfig::default() },
             vec![(pool_name.clone(), ns_list.clone())],
         )),
     )
     .unwrap();
     let attacker_ns: std::net::Ipv4Addr = "66.66.0.1".parse().unwrap();
-    let malicious: Vec<std::net::Ipv4Addr> =
-        (1..=89u32).map(|i| std::net::Ipv4Addr::from(0x4242_0100 + i)).collect();
+    let malicious = timeshift::scenario::malicious_servers();
     sim.add_host(
         attacker_ns,
         OsProfile::linux(),

@@ -20,10 +20,7 @@ proptest! {
         // Small MTUs can exceed the OS cap of 64 pending fragments per
         // pair (that cap is itself tested in netsim); lift it here to test
         // the reassembly algebra alone.
-        let mut cache = DefragCache::new(DefragConfig {
-            max_pending_per_pair: 4096,
-            ..DefragConfig::default()
-        });
+        let mut cache = DefragCache::new(DefragConfig { max_pending_per_pair: 4096 });
         let mut out = None;
         for f in frags {
             prop_assert!(f.wire_len() <= usize::from(mtu));
@@ -114,10 +111,7 @@ proptest! {
 
         // Reassemble first fragment + forged tail (+ any further original
         // fragments) exactly as the victim's defrag cache would.
-        let mut cache = DefragCache::new(DefragConfig {
-            max_pending_per_pair: 4096,
-            ..DefragConfig::default()
-        });
+        let mut cache = DefragCache::new(DefragConfig { max_pending_per_pair: 4096 });
         let mut out = None;
         for f in std::iter::once(frags[0].clone())
             .chain(std::iter::once(spoofed))

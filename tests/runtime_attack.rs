@@ -91,11 +91,7 @@ fn runtime_attack_does_not_apply_to_ntpclient() {
 fn rate_limiting_is_the_lever_without_it_p1_fails() {
     // Ablation: servers without rate limiting cannot be silenced by
     // spoofed floods — the victim never declares them unreachable.
-    let config = ScenarioConfig {
-        seed: 5,
-        rate_limit: RateLimitConfig::disabled(),
-        ..ScenarioConfig::default()
-    };
+    let config = ScenarioConfig { seed: 5, rate_limit: None, ..ScenarioConfig::default() };
     let mut scenario = Scenario::build(config);
     let victim = scenario.spawn_victim(ClientKind::Ntpd);
     scenario.sim.run_for(SimDuration::from_mins(20));
