@@ -153,6 +153,27 @@ fn exhausted_retries_quarantine_into_an_accurate_partial_summary() {
     bench::json::validate(&json).expect("partial summary.json must stay well-formed");
     assert!(json.contains("\"complete\": false"));
     assert!(json.contains("\"quarantined\": true"));
+    // The coverage report's exact lines: one member per line, healthy
+    // shards with 0 attempts, the quarantined one with its final failure.
+    let coverage: Vec<&str> = json
+        .lines()
+        .skip_while(|l| *l != "  \"coverage\": [")
+        .take_while(|l| *l != "  ],")
+        .collect();
+    assert_eq!(
+        coverage,
+        [
+            "  \"coverage\": [",
+            "    { \"shard\": 0, \"planned\": 8, \"records\": 8, \"complete\": true, \
+             \"quarantined\": false, \"attempts\": 0, \"last_error\": null },",
+            "    { \"shard\": 1, \"planned\": 8, \"records\": 0, \"complete\": false, \
+             \"quarantined\": true, \"attempts\": 3, \
+             \"last_error\": \"shard 1: worker exited with exit status: 101\" },",
+            "    { \"shard\": 2, \"planned\": 8, \"records\": 8, \"complete\": true, \
+             \"quarantined\": false, \"attempts\": 0, \"last_error\": null }",
+        ],
+        "coverage lines of the partial summary.json"
+    );
     std::fs::remove_dir_all(dir).ok();
 }
 
