@@ -35,6 +35,8 @@
 //!   (Welford moments, Wilson intervals, mergeable rank-sketch quantiles,
 //!   and — for declared histogram fields — fixed-bin streaming
 //!   histograms) in memory independent of the trial count;
+//! * [`json`] — the one JSON writer the reports render through, and the
+//!   dependency-free reader behind `campaign jsoncheck`;
 //! * [`digest`] — the FNV-1a stream digest that pins it all down: equal
 //!   for any shard count, worker schedule, in-process vs. subprocess
 //!   execution, and interrupt + resume.
@@ -59,6 +61,7 @@ pub mod digest;
 pub mod error;
 pub mod exec;
 pub mod faults;
+pub mod json;
 pub mod metrics;
 pub mod record;
 pub mod registry;

@@ -7,6 +7,7 @@
 //! campaign run fig5 --scale paper --master-seed 7 --out runs/fig5
 //! campaign run table2 --supervised --max-retries 0   # fail on the first worker failure
 //! campaign worker …                      # internal: spawned by --supervised
+//! campaign jsoncheck --require final runs/table2/metrics.json
 //! ```
 //!
 //! `run` resumes automatically: if the campaign directory already holds
@@ -24,6 +25,11 @@
 //! directory every poll tick; `--trace-dir DIR` additionally dumps each
 //! shard's supervision flight-recorder ring as `DIR/shard-K.trace` when
 //! the run ends.
+//!
+//! `jsoncheck [--require KEY]… FILE…` checks that each file is one
+//! well-formed JSON value (`campaign::json::validate`) and, per
+//! `--require`, that it has a `"KEY":` member — how CI pins that
+//! `metrics.json` is the final normalized snapshot, not a stale live tick.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -31,7 +37,7 @@ use std::process::ExitCode;
 use campaign::exec::{self, CampaignConfig, ExecMode};
 use campaign::faults::{FaultPlan, FaultSpec};
 use campaign::supervisor::{self, SupervisorConfig};
-use campaign::{checkpoint, registry};
+use campaign::{checkpoint, json, registry};
 use timeshift::experiments::Scale;
 
 fn main() -> ExitCode {
@@ -40,9 +46,11 @@ fn main() -> ExitCode {
         Some("list") => cmd_list(),
         Some("run") => cmd_run(&args[1..]),
         Some("worker") => cmd_worker(&args[1..]),
+        Some("jsoncheck") => cmd_jsoncheck(&args[1..]),
         _ => {
             eprintln!(
-                "usage: campaign <list | run <scenario> [options] | worker …>\n\
+                "usage: campaign <list | run <scenario> [options] | worker … \
+                 | jsoncheck [--require KEY]… FILE…>\n\
                  run options: [--shards K] [--workers N] [--master-seed S]\n\
                  \x20            [--scale quick|paper] [--resolvers N]\n\
                  \x20            [--out DIR] [--fresh] [--quiet]\n\
@@ -271,4 +279,41 @@ fn cmd_worker(args: &[String]) -> Result<(), String> {
     };
     exec::run_worker(scenario, scale, k, shards, skip, &checkpoint_path, fault)
         .map_err(|e| e.to_string())
+}
+
+fn cmd_jsoncheck(args: &[String]) -> Result<(), String> {
+    let parsed = parse_args(args, &["require"], &[])?;
+    if parsed.positional.is_empty() {
+        return Err("jsoncheck needs at least one FILE".into());
+    }
+    let required: Vec<&str> = parsed.flags.iter().filter_map(|(_, key)| key.as_deref()).collect();
+    let mut failed = 0usize;
+    for path in &parsed.positional {
+        let checked = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| json::validate(&text).map(|()| text));
+        let problem = match checked {
+            Err(e) => Some(e),
+            Ok(text) => {
+                let missing: Vec<&str> = required
+                    .iter()
+                    .copied()
+                    .filter(|key| !text.contains(&format!("\"{key}\":")))
+                    .collect();
+                (!missing.is_empty())
+                    .then(|| format!("missing required key(s): {}", missing.join(", ")))
+            }
+        };
+        match problem {
+            None => println!("jsoncheck: {path}: ok"),
+            Some(problem) => {
+                eprintln!("jsoncheck: {path}: {problem}");
+                failed += 1;
+            }
+        }
+    }
+    match failed {
+        0 => Ok(()),
+        n => Err(format!("jsoncheck: {n} file(s) failed")),
+    }
 }

@@ -22,7 +22,7 @@
 use std::path::{Path, PathBuf};
 
 use crate::error::CampaignError;
-use crate::record::JsonStr;
+use crate::json::{object, Json};
 use crate::stats::{Aggregate, FieldAgg};
 use crate::summary::Summary;
 
@@ -65,33 +65,23 @@ pub struct Estimator {
 }
 
 /// Projects an [`Aggregate`] onto its compact estimator snapshot: one
-/// `rate` per boolean field, one `mean` per numeric/histogram field
-/// (string fields have no scalar estimator). Pure function of the
+/// `rate` per boolean field, one `mean` per numeric field (histograms
+/// included; string fields have no scalar estimator). Pure function of the
 /// aggregate state, so the final snapshot inherits the merge's
 /// determinism.
 pub fn estimators_from(agg: &Aggregate) -> Vec<Estimator> {
-    agg.schema
-        .iter()
-        .zip(&agg.fields)
-        .filter_map(|(field, (fagg, _nulls))| match fagg {
-            FieldAgg::Bool { trues, falses } => {
-                let n = trues + falses;
-                let rate = if n == 0 { 0.0 } else { *trues as f64 / n as f64 };
-                Some(Estimator { field: field.name, stat: "rate", value: rate, count: n })
-            }
-            FieldAgg::Num(num) => Some(Estimator {
-                field: field.name,
-                stat: "mean",
-                value: num.welford.mean(),
-                count: num.welford.count(),
-            }),
-            FieldAgg::Hist(hist) => Some(Estimator {
-                field: field.name,
-                stat: "mean",
-                value: hist.welford.mean(),
-                count: hist.welford.count(),
-            }),
-            FieldAgg::Str { .. } => None,
+    let fields = agg.schema.iter().zip(&agg.fields);
+    fields
+        .filter_map(|(field, (fagg, _nulls))| {
+            let (stat, value, count) = match fagg {
+                FieldAgg::Bool { trues, falses } => {
+                    let n = trues + falses;
+                    ("rate", *trues as f64 / n.max(1) as f64, n)
+                }
+                FieldAgg::Num(num) => ("mean", num.welford.mean(), num.welford.count()),
+                FieldAgg::Str { .. } => return None,
+            };
+            Some(Estimator { field: field.name, stat, value, count })
         })
         .collect()
 }
@@ -173,57 +163,24 @@ impl Metrics {
     }
 
     /// Renders the snapshot as JSON (validated well-formed by the test
-    /// suite and CI's `jsoncheck`).
+    /// suite and CI's `campaign jsoncheck`).
     pub fn render_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"campaign\": {},\n  \"scale\": {},\n  \"master_seed\": {},\n  \
-             \"final\": {},\n  \"tick\": {},\n  \"workers\": {},\n  \"shards\": {},\n  \
-             \"records\": {},\n  \"planned\": {},\n  \"attempts\": {},\n  \"quarantined\": {},\n  \
-             \"complete\": {},\n  \"records_per_tick\": {},\n  \"per_shard\": [",
-            JsonStr(self.scenario),
-            JsonStr(&self.scale_label),
-            self.master_seed,
-            self.tick.is_none(),
-            self.tick.map_or("null".into(), |t| t.to_string()),
-            self.workers.map_or("null".into(), |w| w.to_string()),
-            self.per_shard.len(),
-            self.records(),
-            self.planned(),
-            self.attempts(),
-            self.quarantined(),
-            self.complete,
-            self.records_per_tick().map_or("null".into(), |r| r.to_string()),
-        );
-        for (i, s) in self.per_shard.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{ \"shard\": {}, \"planned\": {}, \"records\": {}, \"attempts\": {}, \
-                 \"state\": \"{}\" }}",
-                if i > 0 { "," } else { "" },
-                s.shard,
-                s.planned,
-                s.records,
-                s.attempts,
-                s.state
-            );
-        }
-        out.push_str("\n  ],\n  \"estimators\": [");
-        for (i, e) in self.estimators.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{ \"field\": \"{}\", \"stat\": \"{}\", \"value\": {}, \"count\": {} }}",
-                if i > 0 { "," } else { "" },
-                e.field,
-                e.stat,
-                e.value,
-                e.count
-            );
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let per_shard = self.per_shard.iter().map(|s| {
+            object!("shard" => s.shard, "planned" => s.planned, "records" => s.records,
+                "attempts" => s.attempts, "state" => s.state)
+        });
+        let estimators = self.estimators.iter().map(|e| {
+            object!("field" => e.field, "stat" => e.stat, "value" => e.value, "count" => e.count)
+        });
+        object!("campaign" => self.scenario, "scale" => self.scale_label.as_str(),
+            "master_seed" => self.master_seed, "final" => self.tick.is_none(), "tick" => self.tick,
+            "workers" => self.workers, "shards" => self.per_shard.len(),
+            "records" => self.records(), "planned" => self.planned(), "attempts" => self.attempts(),
+            "quarantined" => self.quarantined(), "complete" => self.complete,
+            "records_per_tick" => self.records_per_tick(),
+            "per_shard" => Json::Array(per_shard.collect()),
+            "estimators" => Json::Array(estimators.collect()))
+        .render()
     }
 
     /// Writes the snapshot atomically: the rendered JSON goes to a

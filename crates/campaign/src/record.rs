@@ -17,6 +17,8 @@
 
 use std::fmt::Write as _;
 
+use crate::json::JsonStr;
+
 /// The type of one schema field.
 ///
 /// The histogram kinds are wire-identical to their scalar bases (`HistU64`
@@ -183,38 +185,6 @@ fn encode_value(out: &mut String, value: &Value) {
         Value::Str(s) => {
             let _ = write!(out, "{}", JsonStr(s));
         }
-    }
-}
-
-/// Renders a string as a quoted JSON string literal: `"` and `\` are
-/// backslash-escaped, `\n`/`\r`/`\t` get their short escapes and every other
-/// control character becomes `\u00XX`. The one JSON string escaper of this
-/// crate — record lines, `summary.json` and `metrics.json` all use it.
-pub(crate) struct JsonStr<'a>(pub(crate) &'a str);
-
-impl std::fmt::Display for JsonStr<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("\"")?;
-        let mut start = 0;
-        for (i, c) in self.0.char_indices() {
-            let short = match c {
-                '"' => Some("\\\""),
-                '\\' => Some("\\\\"),
-                '\n' => Some("\\n"),
-                '\r' => Some("\\r"),
-                '\t' => Some("\\t"),
-                c if (c as u32) >= 0x20 => continue,
-                _ => None,
-            };
-            f.write_str(&self.0[start..i])?;
-            match short {
-                Some(escape) => f.write_str(escape)?,
-                None => write!(f, "\\u{:04x}", c as u32)?,
-            }
-            start = i + c.len_utf8();
-        }
-        f.write_str(&self.0[start..])?;
-        f.write_str("\"")
     }
 }
 

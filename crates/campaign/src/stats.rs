@@ -17,11 +17,13 @@
 
 pub use runner::StreamHist;
 
-use crate::record::{Field, FieldKind, HistSpec, JsonStr, Record, Schema, Value};
+use crate::json::{members, object, Json};
+use crate::record::{Field, FieldKind, HistSpec, Record, Schema, Value};
 
 // ------------------------------------------------------------- Welford
 
-/// Welford's online mean/variance, plus exact min/max.
+/// Welford's online mean/variance, plus exact min/max. With no samples
+/// every statistic reads 0, the `Default` value of its field.
 #[derive(Debug, Clone, Default)]
 pub struct Welford {
     n: u64,
@@ -53,11 +55,7 @@ impl Welford {
 
     /// Running mean (0 with no samples).
     pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
+        self.mean
     }
 
     /// Population variance `m2 / n` (0 below two samples).
@@ -76,20 +74,12 @@ impl Welford {
 
     /// Smallest sample (0 with none).
     pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
+        self.min
     }
 
     /// Largest sample (0 with none).
     pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
+        self.max
     }
 }
 
@@ -182,11 +172,7 @@ impl RankSketch {
             return;
         }
         let key = self.key(x.abs());
-        let buckets = if x > 0.0 { &mut self.pos } else { &mut self.neg };
-        match buckets.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => buckets[i].1 += 1,
-            Err(i) => buckets.insert(i, (key, 1)),
-        }
+        add_to_bucket(if x > 0.0 { &mut self.pos } else { &mut self.neg }, key, 1);
     }
 
     /// Finite samples folded so far.
@@ -239,22 +225,20 @@ impl RankSketch {
             self.alpha.to_bits() == other.alpha.to_bits(),
             "merging sketches of different relative error"
         );
-        for &(key, c) in &other.pos {
-            match self.pos.binary_search_by_key(&key, |&(k, _)| k) {
-                Ok(i) => self.pos[i].1 += c,
-                Err(i) => self.pos.insert(i, (key, c)),
-            }
-        }
-        for &(key, c) in &other.neg {
-            match self.neg.binary_search_by_key(&key, |&(k, _)| k) {
-                Ok(i) => self.neg[i].1 += c,
-                Err(i) => self.neg.insert(i, (key, c)),
-            }
-        }
+        other.pos.iter().for_each(|&(key, c)| add_to_bucket(&mut self.pos, key, c));
+        other.neg.iter().for_each(|&(key, c)| add_to_bucket(&mut self.neg, key, c));
         self.zero += other.zero;
         self.count += other.count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+}
+
+/// Adds `count` samples to bucket `key` of a sorted `(key, count)` list.
+fn add_to_bucket(buckets: &mut Vec<(i32, u64)>, key: i32, count: u64) {
+    match buckets.binary_search_by_key(&key, |&(k, _)| k) {
+        Ok(i) => buckets[i].1 += count,
+        Err(i) => buckets.insert(i, (key, count)),
     }
 }
 
@@ -289,12 +273,11 @@ pub enum FieldAgg {
         /// `false` observations.
         falses: u64,
     },
-    /// Numeric (`U64`/`F64`): moments, extremes and a rank sketch
-    /// (boxed: the sketch state dwarfs the other variants).
+    /// Numeric (`U64`/`F64`, and the declared histograms `HistU64`/
+    /// `HistF64`): moments, extremes, a rank sketch and, for a declared
+    /// histogram, its fixed-bin buckets (boxed: the sketch state dwarfs
+    /// the other variants).
     Num(Box<NumAgg>),
-    /// Declared histogram (`HistU64`/`HistF64`): moments plus the
-    /// schema-declared fixed-bin histogram and a mergeable rank sketch.
-    Hist(Box<HistAgg>),
     /// String: distinct-value counts in first-seen order, capped.
     Str {
         /// `(value, occurrences)`, at most [`STR_DISTINCT_CAP`] entries.
@@ -304,53 +287,33 @@ pub enum FieldAgg {
     },
 }
 
-/// The numeric per-field aggregate state.
+/// The numeric per-field aggregate state. Everything in here is a pure
+/// multiset function of the samples except the Welford moments, which
+/// need the merged stream order the coordinator always feeds them.
 #[derive(Debug, Clone)]
 pub struct NumAgg {
     /// Mean/variance/min/max.
     pub welford: Welford,
     /// Mergeable rank sketch (1 % relative error) for p50/p90/p99.
     pub sketch: RankSketch,
+    /// The schema-declared fixed-bin histogram; `None` for a plain
+    /// `U64`/`F64` field.
+    pub hist: Option<StreamHist>,
 }
 
 impl NumAgg {
-    fn new() -> Box<NumAgg> {
-        Box::new(NumAgg { welford: Welford::default(), sketch: RankSketch::default_error() })
-    }
-
-    fn push(&mut self, x: f64) {
-        self.welford.push(x);
-        self.sketch.push(x);
-    }
-}
-
-/// The per-field aggregate state for a declared histogram field: a
-/// numeric field's moments and sketch plus the figure-ready buckets.
-/// Everything in here is a pure multiset function of the samples, so the
-/// rendered section is identical for any shard split of the stream.
-#[derive(Debug, Clone)]
-pub struct HistAgg {
-    /// Mean/variance/min/max.
-    pub welford: Welford,
-    /// The schema-declared fixed-bin histogram.
-    pub hist: StreamHist,
-    /// Mergeable rank sketch (1 % relative error) for p50/p90/p99.
-    pub sketch: RankSketch,
-}
-
-impl HistAgg {
-    fn new(spec: HistSpec) -> Box<HistAgg> {
-        Box::new(HistAgg {
+    fn new(spec: Option<HistSpec>) -> Box<NumAgg> {
+        Box::new(NumAgg {
             welford: Welford::default(),
-            hist: StreamHist::new(spec.lo, spec.width, spec.bins),
             sketch: RankSketch::default_error(),
+            hist: spec.map(|s| StreamHist::new(s.lo, s.width, s.bins)),
         })
     }
 
     fn push(&mut self, x: f64) {
         self.welford.push(x);
-        self.hist.push(x);
         self.sketch.push(x);
+        self.hist.iter_mut().for_each(|h| h.push(x));
     }
 }
 
@@ -376,9 +339,9 @@ impl Aggregate {
             .map(|f| {
                 let agg = match f.kind {
                     FieldKind::Bool => FieldAgg::Bool { trues: 0, falses: 0 },
-                    FieldKind::U64 | FieldKind::F64 => FieldAgg::Num(NumAgg::new()),
+                    FieldKind::U64 | FieldKind::F64 => FieldAgg::Num(NumAgg::new(None)),
                     FieldKind::HistU64(spec) | FieldKind::HistF64(spec) => {
-                        FieldAgg::Hist(HistAgg::new(spec))
+                        FieldAgg::Num(NumAgg::new(Some(spec)))
                     }
                     FieldKind::Str => FieldAgg::Str { counts: Vec::new(), overflow: 0 },
                 };
@@ -403,10 +366,6 @@ impl Aggregate {
                     // as a null rather than crash the coordinator mid-merge.
                     None => *nulls += 1,
                 },
-                (FieldAgg::Hist(hist), v) => match v.as_sample() {
-                    Some(sample) => hist.push(sample),
-                    None => *nulls += 1,
-                },
                 (FieldAgg::Str { counts, overflow }, Value::Str(s)) => {
                     if let Some(entry) = counts.iter_mut().find(|(v, _)| v == s) {
                         entry.1 += 1;
@@ -425,118 +384,44 @@ impl Aggregate {
         }
     }
 
-    /// Renders only the `explain_*`-prefixed fields — the compact
-    /// per-campaign failure-explanation aggregate that becomes the
-    /// `"explain"` section of `summary.json`. Schemas without explain
-    /// fields render an empty array, so the section is always present and
-    /// machine-checkable.
-    pub fn render_explain_json(&self, indent: &str) -> String {
-        let explain: Vec<_> = self
-            .schema
-            .iter()
-            .zip(&self.fields)
-            .filter(|(f, _)| f.name.starts_with("explain_"))
-            .collect();
-        if explain.is_empty() {
-            return "[]".into();
-        }
-        let mut out = String::from("[");
-        for (i, (field, (agg, nulls))) in explain.into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(indent);
-            render_field_json(&mut out, field, agg, *nulls);
-        }
-        out.push('\n');
-        out.push_str(&indent[..indent.len().saturating_sub(2)]);
-        out.push(']');
-        out
-    }
-
-    /// Renders the per-field aggregates as a JSON array (one object per
-    /// field, schema order) — the `"fields"` section of `summary.json`.
-    pub fn render_json(&self, indent: &str) -> String {
-        let mut out = String::from("[");
-        for (i, (field, (agg, nulls))) in self.schema.iter().zip(&self.fields).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(indent);
-            render_field_json(&mut out, field, agg, *nulls);
-        }
-        out.push('\n');
-        out.push_str(&indent[..indent.len().saturating_sub(2)]);
-        out.push(']');
-        out
+    /// The `"fields"` section of `summary.json` (every field) or its
+    /// `"explain"` section (the `explain_*` fields): one object per field
+    /// whose name passes `keep`, in schema order.
+    pub fn to_json(&self, keep: impl Fn(&str) -> bool) -> Json<'_> {
+        let fields = self.schema.iter().zip(&self.fields).filter(|(f, _)| keep(f.name));
+        Json::Array(fields.map(|(field, (agg, nulls))| field_json(field, agg, *nulls)).collect())
     }
 }
 
-fn render_field_json(out: &mut String, field: &Field, agg: &FieldAgg, nulls: u64) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{{ \"field\": \"{}\", \"nulls\": {nulls}", field.name);
-    match agg {
+/// One field's aggregate as a report object.
+fn field_json<'a>(field: &Field, agg: &'a FieldAgg, nulls: u64) -> Json<'a> {
+    let mut members = members!("field" => field.name, "nulls" => nulls);
+    members.extend(match agg {
         FieldAgg::Bool { trues, falses } => {
             let n = trues + falses;
-            let rate = if n == 0 { 0.0 } else { *trues as f64 / n as f64 };
-            let (lo, hi) = wilson95(*trues, n);
-            let _ = write!(
-                out,
-                ", \"kind\": \"bool\", \"true\": {trues}, \"false\": {falses}, \
-                 \"rate\": {rate}, \"wilson95_low\": {lo}, \"wilson95_high\": {hi}"
-            );
+            let ((lo, hi), rate) = (wilson95(*trues, n), *trues as f64 / n.max(1) as f64);
+            members!("kind" => "bool", "true" => *trues, "false" => *falses, "rate" => rate,
+                "wilson95_low" => lo, "wilson95_high" => hi)
         }
-        FieldAgg::Num(num) => render_moments(out, "num", &num.welford, &num.sketch),
-        FieldAgg::Hist(hist) => {
-            render_moments(out, "hist", &hist.welford, &hist.sketch);
-            let _ = write!(
-                out,
-                ", \"hist\": {{ \"lo\": {}, \"width\": {}, \"counts\": [",
-                hist.hist.lo(),
-                hist.hist.width()
-            );
-            for (i, c) in hist.hist.counts().iter().enumerate() {
-                let _ = write!(out, "{}{c}", if i > 0 { ", " } else { "" });
-            }
-            out.push_str("] }");
+        FieldAgg::Num(num) => {
+            let (w, q) = (&num.welford, |p| num.sketch.quantile(p));
+            let kind = if num.hist.is_some() { "hist" } else { "num" };
+            let mut moments = members!("kind" => kind, "count" => w.count(), "mean" => w.mean(),
+                "stddev" => w.stddev(), "min" => w.min(), "max" => w.max(),
+                "p50" => q(0.5), "p90" => q(0.9), "p99" => q(0.99));
+            moments.extend(num.hist.as_ref().map(|h| {
+                let counts = Json::Array(h.counts().iter().map(|&c| c.into()).collect());
+                ("hist", object!("lo" => h.lo(), "width" => h.width(), "counts" => counts))
+            }));
+            moments
         }
         FieldAgg::Str { counts, overflow } => {
-            let _ = write!(out, ", \"kind\": \"str\", \"values\": {{");
-            for (i, (v, c)) in counts.iter().enumerate() {
-                let _ = write!(out, "{}{}: {c}", if i > 0 { ", " } else { " " }, JsonStr(v));
-            }
-            let _ = write!(out, " }}, \"overflow\": {overflow}");
+            let values =
+                Json::Object(counts.iter().map(|(v, c)| (v.as_str(), (*c).into())).collect());
+            members!("kind" => "str", "values" => values, "overflow" => *overflow)
         }
-    }
-    out.push_str(" }");
-}
-
-/// Renders the moments and sketch quantiles numeric and histogram fields
-/// share.
-fn render_moments(out: &mut String, kind: &str, welford: &Welford, sketch: &RankSketch) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        ", \"kind\": \"{kind}\", \"count\": {}, \"mean\": {}, \"stddev\": {}, \"min\": {}, \
-         \"max\": {}",
-        welford.count(),
-        welford.mean(),
-        welford.stddev(),
-        welford.min(),
-        welford.max()
-    );
-    for (label, p) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
-        match sketch.quantile(p) {
-            Some(v) => {
-                let _ = write!(out, ", \"{label}\": {v}");
-            }
-            None => {
-                let _ = write!(out, ", \"{label}\": null");
-            }
-        }
-    }
+    });
+    Json::Object(members)
 }
 
 #[cfg(test)]
@@ -626,14 +511,15 @@ mod tests {
             agg.push(&Record(vec![v]));
         }
         match &agg.fields[0] {
-            (FieldAgg::Hist(h), 1) => {
-                assert_eq!(h.hist.counts(), &[1, 1, 1]);
+            (FieldAgg::Num(h), 1) => {
+                let hist = h.hist.as_ref().expect("a declared histogram keeps its buckets");
+                assert_eq!(hist.counts(), &[1, 1, 1]);
                 assert_eq!(h.welford.count(), 3);
                 assert_eq!(h.sketch.count(), 3);
             }
             other => panic!("unexpected hist aggregate: {other:?}"),
         }
-        let json = agg.render_json("    ");
+        let json = agg.to_json(|_| true).render();
         assert!(
             json.contains("\"hist\": { \"lo\": 0, \"width\": 10, \"counts\": [1, 1, 1] }"),
             "{json}"
@@ -662,7 +548,7 @@ mod tests {
             }
             other => panic!("unexpected str aggregate: {other:?}"),
         }
-        let json = agg.render_json("    ");
+        let json = agg.to_json(|_| true).render();
         assert!(json.contains("\"rate\": 0.5"), "{json}");
     }
 }

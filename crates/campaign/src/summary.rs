@@ -16,6 +16,7 @@
 //! shard is still 95+% of a dataset, and the coverage report is what
 //! makes the gap auditable instead of silent.
 
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
@@ -23,23 +24,15 @@ use std::path::Path;
 use crate::checkpoint;
 use crate::digest::Digest;
 use crate::error::CampaignError;
-use crate::record::{decode_line, JsonStr};
+use crate::json::{object, Json};
+use crate::record::decode_line;
 use crate::registry::Scenario;
 use crate::stats::Aggregate;
-
-/// One shard's slice of the merged stream.
-#[derive(Debug, Clone)]
-pub struct ShardSummary {
-    /// Shard index.
-    pub shard: usize,
-    /// Records the shard contributed.
-    pub records: usize,
-    /// Digest of the shard's own stream.
-    pub digest: String,
-}
+use crate::supervisor::ShardReport;
 
 /// One shard's line in the coverage report: how much of its planned range
-/// made it into the merge, and why the rest is missing.
+/// made it into the merge, the digest of what did, and why the rest is
+/// missing.
 #[derive(Debug, Clone)]
 pub struct ShardCoverage {
     /// Shard index.
@@ -48,26 +41,19 @@ pub struct ShardCoverage {
     pub planned: usize,
     /// Records actually merged from its checkpoint.
     pub records: usize,
+    /// Digest of the shard's own merged stream.
+    pub digest: String,
     /// Whether the shard delivered its full planned range.
     pub complete: bool,
     /// Whether the supervisor quarantined the shard (retry budget spent).
     pub quarantined: bool,
-    /// Worker spawns the shard consumed (0 for an unsupervised merge).
+    /// Worker spawns of a quarantined shard. It is 0 for every other
+    /// shard, healed ones included, so `summary.json` and the final
+    /// `metrics.json` stay identical across exec modes and fault plans;
+    /// a healed shard's spawns are in the supervisor's `ShardReport`.
     pub attempts: usize,
     /// The quarantining failure, rendered — `None` for healthy shards.
     pub last_error: Option<String>,
-}
-
-/// A quarantined shard as the supervisor hands it to the merge: which
-/// shard, how many attempts it burned, what finally killed it.
-#[derive(Debug, Clone)]
-pub struct QuarantinedShard {
-    /// Shard index.
-    pub shard: usize,
-    /// Worker spawns consumed (first lease + retries).
-    pub attempts: usize,
-    /// The final failure, rendered.
-    pub last_error: String,
 }
 
 /// The merged result of a campaign run.
@@ -79,8 +65,6 @@ pub struct Summary {
     pub scale_label: String,
     /// Master seed.
     pub master_seed: u64,
-    /// Shard count.
-    pub shards: usize,
     /// Total records merged.
     pub records: usize,
     /// Whether every shard delivered its planned range. A `false` here is
@@ -90,10 +74,9 @@ pub struct Summary {
     /// partial summary this digests only the merged prefix records and is
     /// *not* comparable to a complete run's digest.
     pub digest: String,
-    /// Per-shard slices.
-    pub shard_summaries: Vec<ShardSummary>,
-    /// Per-shard coverage report (always present; all-complete for a
-    /// healthy run).
+    /// Per-shard coverage report, in shard order (always present;
+    /// all-complete for a healthy run). `summary.json` renders it twice:
+    /// as the `shard_digests` array and as the `coverage` array.
     pub coverage: Vec<ShardCoverage>,
     /// Online per-field aggregates.
     pub aggregate: Aggregate,
@@ -103,102 +86,56 @@ impl Summary {
     /// Renders `summary.json` (validated well-formed by the test suite).
     /// Field order is stable; in particular `"digest"` precedes
     /// `"shard_digests"` and `"coverage"` — CI greps the first `"digest"`
-    /// occurrence as the campaign identity.
+    /// occurrence as the campaign identity. `"explain"` sits between
+    /// `"coverage"` and the full per-field dump, so explain-only consumers
+    /// can stop reading early.
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "{{\n  \"campaign\": {},\n  \"scale\": {},\n  \"master_seed\": {},\n  \
-             \"shards\": {},\n  \"records\": {},\n  \"complete\": {},\n  \"digest\": \"{}\",\n  \
-             \"shard_digests\": [",
-            JsonStr(self.scenario),
-            JsonStr(&self.scale_label),
-            self.master_seed,
-            self.shards,
-            self.records,
-            self.complete,
-            self.digest
+        let shard_digests = self.coverage.iter().map(
+            |c| object!("shard" => c.shard, "records" => c.records, "digest" => c.digest.as_str()),
         );
-        for (i, s) in self.shard_summaries.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{ \"shard\": {}, \"records\": {}, \"digest\": \"{}\" }}",
-                if i > 0 { "," } else { "" },
-                s.shard,
-                s.records,
-                s.digest
-            );
-        }
-        out.push_str("\n  ],\n  \"coverage\": [");
-        for (i, c) in self.coverage.iter().enumerate() {
-            let last = match &c.last_error {
-                Some(e) => JsonStr(e).to_string(),
-                None => "null".into(),
-            };
-            let _ = write!(
-                out,
-                "{}\n    {{ \"shard\": {}, \"planned\": {}, \"records\": {}, \"complete\": {}, \
-                 \"quarantined\": {}, \"attempts\": {}, \"last_error\": {} }}",
-                if i > 0 { "," } else { "" },
-                c.shard,
-                c.planned,
-                c.records,
-                c.complete,
-                c.quarantined,
-                c.attempts,
-                last
-            );
-        }
-        // "explain" sits between "coverage" and "fields": after the
-        // top-level "digest" (CI greps the first occurrence) and before
-        // the full per-field dump, so explain-only consumers can stop
-        // reading early.
-        out.push_str("\n  ],\n  \"explain\": ");
-        out.push_str(&self.aggregate.render_explain_json("    "));
-        out.push_str(",\n  \"fields\": ");
-        out.push_str(&self.aggregate.render_json("    "));
-        out.push_str("\n}\n");
-        out
+        let coverage = self.coverage.iter().map(|c| {
+            object!("shard" => c.shard, "planned" => c.planned, "records" => c.records,
+                "complete" => c.complete, "quarantined" => c.quarantined, "attempts" => c.attempts,
+                "last_error" => c.last_error.as_deref())
+        });
+        object!("campaign" => self.scenario, "scale" => self.scale_label.as_str(),
+            "master_seed" => self.master_seed, "shards" => self.coverage.len(),
+            "records" => self.records, "complete" => self.complete,
+            "digest" => self.digest.as_str(),
+            "shard_digests" => Json::Array(shard_digests.collect()),
+            "coverage" => Json::Array(coverage.collect()),
+            "explain" => self.aggregate.to_json(|name| name.starts_with("explain_")),
+            "fields" => self.aggregate.to_json(|_| true))
+        .render()
     }
 
     /// A short human-readable report for the CLI.
     pub fn render_text(&self) -> String {
+        let partial = if self.complete { "" } else { "  (PARTIAL)" };
         let mut out = format!(
-            "campaign {}  scale={}  seed={}  shards={}\n  records: {}{}\n  digest:  {}\n",
+            "campaign {}  scale={}  seed={}  shards={}\n  records: {}{partial}\n  digest:  {}\n",
             self.scenario,
             self.scale_label,
             self.master_seed,
-            self.shards,
+            self.coverage.len(),
             self.records,
-            if self.complete { String::new() } else { "  (PARTIAL)".into() },
             self.digest
         );
-        for s in &self.shard_summaries {
-            out.push_str(&format!(
-                "  shard {:>2}: {:>7} records  {}\n",
-                s.shard, s.records, s.digest
-            ));
+        for c in &self.coverage {
+            let _ = writeln!(out, "  shard {:>2}: {:>7} records  {}", c.shard, c.records, c.digest);
         }
         if !self.complete {
             out.push_str("  coverage:\n");
-            for c in self.coverage.iter().filter(|c| !c.complete) {
-                out.push_str(&format!(
-                    "    shard {:>2}: {}/{} records{}{}\n",
-                    c.shard,
-                    c.records,
-                    c.planned,
-                    if c.quarantined {
-                        format!("  QUARANTINED after {} attempts", c.attempts)
-                    } else {
-                        String::new()
-                    },
-                    match &c.last_error {
-                        Some(e) => format!("  ({})", e.lines().next().unwrap_or_default()),
-                        None => String::new(),
-                    },
-                ));
+        }
+        for c in self.coverage.iter().filter(|c| !c.complete) {
+            let _ = write!(out, "    shard {:>2}: {}/{} records", c.shard, c.records, c.planned);
+            if c.quarantined {
+                let _ = write!(out, "  QUARANTINED after {} attempts", c.attempts);
             }
+            if let Some(e) = &c.last_error {
+                let _ = write!(out, "  ({})", e.lines().next().unwrap_or_default());
+            }
+            out.push('\n');
         }
         out
     }
@@ -223,12 +160,12 @@ pub fn merge(
     merge_with_quarantine(scenario, scale_label, master_seed, dir, ranges, &[])
 }
 
-/// The quarantine-aware merge the supervisor uses: shards listed in
-/// `quarantined` may fall short of their planned range (their clean
-/// checkpoint prefix — possibly empty — still merges); every other shard
-/// must be complete. The summary is marked partial iff any shard fell
-/// short, and the coverage report carries each quarantined shard's
-/// attempt count and final failure.
+/// The quarantine-aware merge the supervisor uses: shards whose
+/// [`ShardReport`] says `quarantined` may fall short of their planned
+/// range (their clean checkpoint prefix — possibly empty — still merges);
+/// every other shard must be complete. The summary is marked partial iff
+/// any shard fell short, and the coverage report carries each quarantined
+/// shard's attempt count and final failure.
 ///
 /// # Errors
 ///
@@ -240,18 +177,15 @@ pub fn merge_with_quarantine(
     master_seed: u64,
     dir: &Path,
     ranges: &[std::ops::Range<usize>],
-    quarantined: &[QuarantinedShard],
+    reports: &[ShardReport],
 ) -> Result<Summary, CampaignError> {
     let mut total_digest = Digest::new();
     let mut aggregate = Aggregate::new(scenario.schema);
-    let mut shard_summaries = Vec::with_capacity(ranges.len());
     let mut coverage = Vec::with_capacity(ranges.len());
-    let mut records = 0usize;
-    let mut complete = true;
     for (k, range) in ranges.iter().enumerate() {
         let path = checkpoint::shard_path(dir, k);
         let planned = range.end - range.start;
-        let quarantine = quarantined.iter().find(|q| q.shard == k);
+        let quarantine = reports.iter().find(|r| r.shard == k && r.quarantined);
         let mut shard_digest = Digest::new();
         let mut count = 0usize;
         if planned > 0 && path.exists() {
@@ -284,29 +218,24 @@ pub fn merge_with_quarantine(
         if count != planned && quarantine.is_none() {
             return Err(CampaignError::IncompleteShard { shard: k, have: count, planned });
         }
-        let shard_complete = count == planned;
-        complete &= shard_complete;
-        records += count;
-        shard_summaries.push(ShardSummary { shard: k, records: count, digest: shard_digest.hex() });
         coverage.push(ShardCoverage {
             shard: k,
             planned,
             records: count,
-            complete: shard_complete,
+            digest: shard_digest.hex(),
+            complete: count == planned,
             quarantined: quarantine.is_some(),
-            attempts: quarantine.map_or(0, |q| q.attempts),
-            last_error: quarantine.map(|q| q.last_error.clone()),
+            attempts: quarantine.map_or(0, |r| r.attempts),
+            last_error: quarantine.and_then(|r| r.failures.last().cloned()),
         });
     }
     let summary = Summary {
         scenario: scenario.name,
         scale_label: scale_label.to_owned(),
         master_seed,
-        shards: ranges.len(),
-        records,
-        complete,
+        records: coverage.iter().map(|c| c.records).sum(),
+        complete: coverage.iter().all(|c| c.complete),
         digest: total_digest.hex(),
-        shard_summaries,
         coverage,
         aggregate,
     };

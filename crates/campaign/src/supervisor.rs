@@ -62,7 +62,7 @@ use crate::faults::{FaultPlan, FaultSpec};
 use crate::metrics::{self, Metrics, ShardMetric};
 use crate::record::{decode_line, Schema};
 use crate::stats::Aggregate;
-use crate::summary::{self, QuarantinedShard, Summary};
+use crate::summary::{self, Summary};
 
 /// Capacity of each shard's supervision flight-recorder ring. Supervision
 /// stories are short (a handful of lease/failure events per shard), so a
@@ -434,20 +434,20 @@ pub fn run_supervised(
         now += 1;
     }
 
+    let reports: Vec<ShardReport> = states
+        .iter()
+        .map(|s| ShardReport {
+            shard: s.shard,
+            attempts: s.spawns,
+            failures: s.failures.clone(),
+            quarantined: matches!(s.lease, Lease::Quarantined),
+        })
+        .collect();
     // Quarantined shards may have left a torn tail or corrupt file behind
     // their last failure; recover once more so the merge reads only a
     // clean prefix (or, for a quarantined file, nothing).
-    let quarantined: Vec<QuarantinedShard> = states
-        .iter()
-        .filter(|s| matches!(s.lease, Lease::Quarantined))
-        .map(|s| QuarantinedShard {
-            shard: s.shard,
-            attempts: s.spawns,
-            last_error: s.failures.last().cloned().unwrap_or_else(|| "unknown".into()),
-        })
-        .collect();
-    for q in &quarantined {
-        checkpoint::recover(&checkpoint::shard_path(&config.dir, q.shard), config.scenario.schema)?;
+    for r in reports.iter().filter(|r| r.quarantined) {
+        checkpoint::recover(&checkpoint::shard_path(&config.dir, r.shard), config.scenario.schema)?;
     }
 
     // Post-mortem channel: dump every supervised shard's supervision ring
@@ -470,20 +470,11 @@ pub fn run_supervised(
         config.scale.seed,
         &config.dir,
         &ranges,
-        &quarantined,
+        &reports,
     )?;
     // Replace the last live snapshot with the normalized final one (pure
     // function of the merged summary — deterministic across reruns).
     Metrics::final_snapshot(&summary).write(&config.dir)?;
-    let reports = states
-        .iter()
-        .map(|s| ShardReport {
-            shard: s.shard,
-            attempts: s.spawns,
-            failures: s.failures.clone(),
-            quarantined: matches!(s.lease, Lease::Quarantined),
-        })
-        .collect();
     Ok(SupervisedRun { summary, reports })
 }
 

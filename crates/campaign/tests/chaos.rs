@@ -150,7 +150,7 @@ fn exhausted_retries_quarantine_into_an_accurate_partial_summary() {
 
     // The partial summary.json is written, well-formed, and says so.
     let json = std::fs::read_to_string(checkpoint::summary_path(&dir)).expect("summary.json");
-    bench::json::validate(&json).expect("partial summary.json must stay well-formed");
+    campaign::json::validate(&json).expect("partial summary.json must stay well-formed");
     assert!(json.contains("\"complete\": false"));
     assert!(json.contains("\"quarantined\": true"));
     // The coverage report's exact lines: one member per line, healthy

@@ -215,7 +215,7 @@ fn final_metrics_snapshot_is_identical_across_workers_and_modes() {
         runs.push((tag, json));
     }
     let (baseline_tag, baseline) = &runs[0];
-    bench::json::validate(baseline).expect("metrics.json must be well-formed");
+    campaign::json::validate(baseline).expect("metrics.json must be well-formed");
     assert!(baseline.contains("\"final\": true"), "final snapshot must say so:\n{baseline}");
     assert!(baseline.contains("\"tick\": null"), "final snapshot carries no tick:\n{baseline}");
     for (tag, json) in &runs[1..] {
@@ -252,7 +252,7 @@ fn table2_explain_section_is_identical_across_modes() {
         jsons.push(json);
     }
     let baseline = &jsons[0];
-    bench::json::validate(baseline).expect("summary.json must be well-formed");
+    campaign::json::validate(baseline).expect("summary.json must be well-formed");
     assert!(baseline.contains("\"explain\":"), "summary carries an explain section");
     assert!(baseline.contains("explain_fail_stage"), "explain aggregates the failure stage");
     assert!(baseline.contains("explain_total_drops"), "explain aggregates the drop counts");
@@ -268,7 +268,7 @@ fn summary_json_is_well_formed() {
     let config = CampaignConfig::in_process(scenario, Scale::quick(), 3, dir.clone());
     let summary = run_campaign(&config).expect("campaign runs");
     let json = std::fs::read_to_string(checkpoint::summary_path(&dir)).expect("summary.json");
-    bench::json::validate(&json).expect("summary.json must be well-formed");
+    campaign::json::validate(&json).expect("summary.json must be well-formed");
     assert!(json.contains(&summary.digest));
     assert_eq!(json, summary.render_json());
     std::fs::remove_dir_all(dir).ok();
@@ -288,7 +288,7 @@ fn scale_label_is_escaped_in_summary_and_metrics() {
     run_campaign(&config).expect("campaign runs");
     for path in [checkpoint::summary_path(&dir), campaign::metrics::metrics_path(&dir)] {
         let json = std::fs::read_to_string(&path).expect("written");
-        bench::json::validate(&json).expect("well-formed despite the label");
+        campaign::json::validate(&json).expect("well-formed despite the label");
         assert!(json.contains(r#""scale": "a\"b\\c\n""#), "{json}");
     }
     std::fs::remove_dir_all(dir).ok();

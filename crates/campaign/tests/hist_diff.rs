@@ -28,7 +28,10 @@ fn run_both(scale: Scale) -> (Aggregate, measure::prelude::SurveyResult) {
 
 fn hist_field(agg: &Aggregate, field: usize) -> &runner::StreamHist {
     match &agg.fields[field].0 {
-        FieldAgg::Hist(h) => &h.hist,
+        FieldAgg::Num(num) => num
+            .hist
+            .as_ref()
+            .unwrap_or_else(|| panic!("field {field} is not a histogram aggregate: {num:?}")),
         other => panic!("field {field} is not a histogram aggregate: {other:?}"),
     }
 }

@@ -324,12 +324,6 @@ pub fn run_boot_time_attack(config: ScenarioConfig, kind: ClientKind) -> AttackO
     let duration_secs =
         victim.first_large_step().map(|(t, _)| t.saturating_since(boot_at).as_secs_f64());
     let success = poisoned_at.is_some() && (observed - target_shift).abs() < 1.0;
-    if poisoned_at.is_some() {
-        scenario.sim.note_trace(obs::kind::CACHE_POISONED, 1, 0);
-    }
-    if success {
-        scenario.sim.note_trace(obs::kind::NTP_SHIFTED, observed.abs().round() as u64, 1);
-    }
     let stats = scenario.sim.stats();
     AttackOutcome {
         success,
@@ -371,9 +365,6 @@ pub fn run_runtime_attack(
         .filter(|(t, _)| *t > attack_start)
         .map(|(t, _)| t.saturating_since(attack_start).as_secs_f64());
     let success = stepped_at.is_some() && (observed - target_shift).abs() < 1.0;
-    if success {
-        scenario.sim.note_trace(obs::kind::NTP_SHIFTED, observed.abs().round() as u64, 0);
-    }
     let stats = scenario.sim.stats();
     AttackOutcome {
         success,

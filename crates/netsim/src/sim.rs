@@ -911,7 +911,7 @@ impl Simulator {
     }
 
     /// Application-layer trace note (e.g. [`obs::kind::CACHE_POISONED`],
-    /// [`obs::kind::NTP_SHIFTED`] from the scenario layer): always
+    /// [`obs::kind::NTP_SHIFTED`]; no scenario emits one yet): always
     /// callable, recorded only when the `trace` feature is compiled in.
     /// Stamped with the current simulated time and no host context.
     pub fn note_trace(&mut self, kind: u16, a: u64, b: u64) {

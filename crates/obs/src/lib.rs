@@ -56,9 +56,10 @@ impl TraceEvent {
 /// The shared trace-event taxonomy.
 ///
 /// Engine events (`FRAG_*`, `UDP_*`, `DROP`) are emitted by `netsim`'s
-/// dispatch loop under its `trace` feature; attack-chain events
-/// (`CACHE_POISONED`, `NTP_SHIFTED`) by the scenario layer; supervision
-/// events (`LEASE_*`, `WORKER_*`, `SHARD_*`) by the campaign supervisor.
+/// dispatch loop under its `trace` feature; the attack-chain events
+/// (`CACHE_POISONED`, `NTP_SHIFTED`) are reserved for the scenario layer,
+/// which emits none yet; supervision events (`LEASE_*`, `WORKER_*`,
+/// `SHARD_*`) come from the campaign supervisor.
 pub mod kind {
     /// A fragment arrived at a host (`a` = IPID, `b` = fragment offset).
     pub const FRAG_RX: u16 = 1;

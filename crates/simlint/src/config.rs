@@ -102,7 +102,7 @@ mod tests {
     #[test]
     fn console_allowlist_covers_binaries_and_the_funnel() {
         assert!(console_allowed("crates/campaign/src/main.rs"));
-        assert!(console_allowed("crates/bench/src/bin/jsoncheck.rs"));
+        assert!(console_allowed("crates/demo/src/bin/tool.rs"));
         assert!(console_allowed("crates/obs/src/lib.rs"));
         assert!(console_allowed("examples/demo.rs"));
         assert!(!console_allowed("crates/bench/src/lib.rs"));

@@ -760,7 +760,7 @@ mod tests {
         let src = "fn f() { println!(\"x\"); }\n";
         for path in [
             "crates/campaign/src/main.rs",
-            "crates/bench/src/bin/jsoncheck.rs",
+            "crates/demo/src/bin/tool.rs",
             "crates/obs/src/lib.rs",
             "crates/demo/tests/it.rs",
             "examples/demo.rs",

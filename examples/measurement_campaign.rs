@@ -105,17 +105,25 @@ fn main() {
     // with a deterministically injected crash on shard 1: the supervisor
     // re-leases the dead shard from its checkpoint and the healed digest
     // matches the in-process run above bit-for-bit. Needs the `campaign`
-    // worker binary; skipped (not failed) when it isn't built.
-    let exe = std::env::var("CAMPAIGN_EXE").map(std::path::PathBuf::from).ok().or_else(|| {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-        ["target/release/campaign", "target/debug/campaign"]
-            .iter()
-            .map(|rel| root.join(rel))
-            .find(|p| p.is_file())
-    });
-    let Some(exe) = exe else {
+    // worker binary, looked up in `CAMPAIGN_EXE`, then
+    // `$CARGO_TARGET_DIR/{release,debug}`, then the workspace's own
+    // `target/{release,debug}`; skipped (not failed) when none is there.
+    let target_dirs = std::env::var_os("CARGO_TARGET_DIR")
+        .map(std::path::PathBuf::from)
+        .into_iter()
+        .chain([std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target")]);
+    let candidates: Vec<std::path::PathBuf> = std::env::var_os("CAMPAIGN_EXE")
+        .map(std::path::PathBuf::from)
+        .into_iter()
+        .chain(
+            target_dirs.flat_map(|dir| ["release", "debug"].map(|p| dir.join(p).join("campaign"))),
+        )
+        .collect();
+    let Some(exe) = candidates.iter().find(|p| p.is_file()).cloned() else {
+        let searched: Vec<String> = candidates.iter().map(|p| p.display().to_string()).collect();
         println!(
-            "\n(supervision demo skipped: campaign binary not built — `cargo build -p campaign`)"
+            "\n(supervision demo skipped: no campaign binary at {} — `cargo build -p campaign`)",
+            searched.join(", ")
         );
         return;
     };
