@@ -28,7 +28,7 @@ use std::net::Ipv4Addr;
 
 use bytes::{Bytes, BytesMut};
 use dns::auth::DNS_PORT;
-use dns::message::{Message, MessageView};
+use dns::message::{Message, MessageView, Section};
 use dns::name::Name;
 use dns::record::RecordType;
 use dns::zone::pool_domain;
@@ -129,6 +129,40 @@ struct TargetState {
     reply: Option<Bytes>,
     /// The layout of `reply`'s records, from the walk that accepted it.
     spans: Vec<RecordSpan>,
+}
+
+impl TargetState {
+    /// True if `reply` has the kept reply's layout: the same length and the
+    /// same bytes everywhere except the ID (bytes 0..2) and each A answer's
+    /// TTL and address. The message walk reads a TTL raw and takes any four
+    /// bytes as A RDATA, so such a reply walks to the kept spans, with the
+    /// kept reply's flags (QR set). That holds as long as no name in the
+    /// kept reply reads through those windows by a compression pointer,
+    /// which an encoder compressing to earlier names never writes; debug
+    /// builds check every reuse against a fresh walk.
+    fn same_layout(&self, reply: &[u8]) -> bool {
+        let Some(kept) = self.reply.as_deref() else { return false };
+        if kept.len() != reply.len() {
+            return false;
+        }
+        let mut from = 2;
+        for span in self.answer_a_spans() {
+            let ttl = span.ttl_offset;
+            let rdata = span.rdata_offset;
+            if kept[from..ttl] != reply[from..ttl] || kept[ttl + 4..rdata] != reply[ttl + 4..rdata]
+            {
+                return false;
+            }
+            from = rdata + 4;
+        }
+        kept[from..] == reply[from..]
+    }
+
+    /// The A records of the answer section, whose TTL and address may
+    /// differ between replies of one layout.
+    fn answer_a_spans(&self) -> impl Iterator<Item = &RecordSpan> {
+        self.spans.iter().filter(|s| s.section == Section::Answer && s.rtype == RecordType::A)
+    }
 }
 
 const PROBE_PORT: u16 = 5399;
@@ -331,18 +365,44 @@ impl PoisonPipeline {
     }
 
     /// Keeps a nameserver's reply to a pending probe, with the layout of
-    /// its records from the walk that checks it. A reply that fails the
-    /// message checks leaves the probe pending and the previous reply in
-    /// place.
+    /// its records from the walk that checks it. A reply with the kept
+    /// reply's layout ([`TargetState::same_layout`]) keeps the kept spans
+    /// and is not walked again. A reply that fails the message checks
+    /// leaves the probe pending and the previous reply in place.
     fn accept_probe_reply(&mut self, src: Ipv4Addr, payload: &Bytes) {
-        let Ok(msg) = MessageView::with_spans(payload, &mut self.scratch_spans) else { return };
-        let header = msg.header();
-        if !header.qr || self.probe_pending.remove(&header.id).is_none() {
+        let known = self.targets.get(&src).filter(|state| state.same_layout(payload));
+        let id = match known {
+            Some(state) => {
+                if cfg!(debug_assertions) {
+                    let mut fresh = Vec::new();
+                    let view = MessageView::with_spans(payload, &mut fresh).map(|v| *v.header());
+                    assert!(
+                        view.is_ok_and(|h| h.qr) && fresh == state.spans,
+                        "a reused layout differs from a fresh walk"
+                    );
+                }
+                u16::from_be_bytes([payload[0], payload[1]])
+            }
+            None => {
+                let Ok(msg) = MessageView::with_spans(payload, &mut self.scratch_spans) else {
+                    return;
+                };
+                let header = msg.header();
+                if !header.qr {
+                    return;
+                }
+                header.id
+            }
+        };
+        let walked = known.is_none();
+        if self.probe_pending.remove(&id).is_none() {
             return;
         }
         if let Some(state) = self.targets.get_mut(&src) {
             state.reply = Some(payload.clone());
-            std::mem::swap(&mut state.spans, &mut self.scratch_spans);
+            if walked {
+                std::mem::swap(&mut state.spans, &mut self.scratch_spans);
+            }
             if self.check_name.is_none() {
                 let forged =
                     SpanTail::forge(payload, &state.spans, FORCED_MTU, self.config.attacker_ns);
@@ -469,6 +529,92 @@ mod tests {
         pipeline.accept_probe_reply(ns, &second);
         assert_eq!(reply_of(&pipeline), Some(second));
         assert!(pipeline.probe_pending.is_empty());
+    }
+
+    /// A reply of the kept layout (another ID, other answer TTLs and
+    /// addresses) keeps the kept spans, and they are what a fresh walk
+    /// finds. A change to any other byte, to the length or to the answer
+    /// count is a new layout, which is walked.
+    #[test]
+    fn replies_of_the_kept_layout_reuse_its_spans() {
+        use crate::wire_walk::walk_records;
+        use dns::prelude::{pool_zone, AuthServer};
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+
+        let ns: Ipv4Addr = "198.51.100.1".parse().unwrap();
+        let config = PoisonConfig::closed_resolver(
+            "10.0.0.53".parse().unwrap(),
+            vec![ns],
+            "66.66.66.66".parse().unwrap(),
+        );
+        let mut pipeline = PoisonPipeline::new(config);
+        let servers = (1..=8).map(|i| Ipv4Addr::new(192, 0, 2, i)).collect();
+        let mut server = AuthServer::new(vec![pool_zone(servers, 23, ns)]);
+        let mut reply = |txid: u16| {
+            let query = Message::query(txid, "pool.ntp.org".parse().unwrap(), RecordType::A, false);
+            server.answer(&query, &mut SmallRng::seed_from_u64(u64::from(txid))).encode().unwrap()
+        };
+        let accept = |p: &mut PoisonPipeline, txid: u16, reply: &Bytes| {
+            p.probe_pending.insert(txid, ns);
+            p.accept_probe_reply(ns, reply);
+            assert!(p.probe_pending.is_empty(), "txid {txid} answered");
+            let state = &p.targets[&ns];
+            assert_eq!(state.reply.as_ref(), Some(reply));
+            assert_eq!(state.spans, walk_records(reply).unwrap(), "kept spans of txid {txid}");
+        };
+
+        let first = reply(1);
+        accept(&mut pipeline, 1, &first);
+        let state = &pipeline.targets[&ns];
+        let mut window = vec![false; first.len()];
+        window[..2].fill(true);
+        for span in state.answer_a_spans() {
+            window[span.ttl_offset..span.ttl_offset + 4].fill(true);
+            window[span.rdata_offset..span.rdata_offset + 4].fill(true);
+        }
+        assert_eq!(window.iter().filter(|&&w| w).count(), 2 + 4 * 8, "four A answers");
+
+        // Any single changed byte: reused inside the windows, walked outside.
+        for (i, &inside) in window.iter().enumerate() {
+            for flip in [0x01, 0x80, 0xFF] {
+                let mut changed = first.to_vec();
+                changed[i] ^= flip;
+                assert_eq!(state.same_layout(&changed), inside, "byte {i} ^ {flip:#04x}");
+            }
+        }
+        // Many window bytes at once: the kept spans are a fresh walk's.
+        let mut rng = SmallRng::seed_from_u64(9);
+        for _ in 0..200 {
+            let mut changed = first.to_vec();
+            for (byte, _) in changed.iter_mut().zip(&window).filter(|(_, w)| **w) {
+                if rng.random_bool(0.5) {
+                    *byte = rng.random();
+                }
+            }
+            assert!(state.same_layout(&changed));
+            assert_eq!(walk_records(&changed).unwrap(), state.spans);
+        }
+        // Another length, or another answer count, is another layout.
+        let mut longer = first.to_vec();
+        longer.push(0);
+        let mut fewer = Message::decode(&first).unwrap();
+        fewer.answers.pop();
+        let fewer = fewer.encode().unwrap();
+        for other in [&first[..first.len() - 1], &longer[..], &fewer[..]] {
+            assert!(!state.same_layout(other), "{} bytes", other.len());
+        }
+
+        // Through the pipeline: a later reply of the rotation is reused,
+        // one with an answer fewer is walked, then the layout is back.
+        let second = reply(2);
+        assert_ne!(second[12..], first[12..], "the rotation drew other answers");
+        assert!(pipeline.targets[&ns].same_layout(&second));
+        accept(&mut pipeline, 2, &second);
+        let mut fewer = Message::decode(&reply(3)).unwrap();
+        fewer.answers.pop();
+        accept(&mut pipeline, 3, &fewer.encode().unwrap());
+        accept(&mut pipeline, 4, &reply(4));
     }
 
     /// Once the resolver is fully poisoned the probes keep going out, but

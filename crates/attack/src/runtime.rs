@@ -15,6 +15,7 @@ use std::net::Ipv4Addr;
 use netsim::prelude::*;
 use ntp::packet::{peek_mode, NtpMode, NtpPacket, NTP_PORT};
 use ntp::timestamp::NtpTimestamp;
+use rand::RngExt;
 
 use crate::pipeline::{PoisonConfig, PoisonPipeline, PoisonStats};
 
@@ -105,11 +106,27 @@ impl RuntimeAttacker {
     fn flood(&mut self, ctx: &mut Ctx<'_>) {
         // Spoofed mode-3 queries with the victim's source address: the
         // server's limiter attributes them to the victim and silences it.
+        // One request goes to every target, so the round's datagrams are
+        // encoded into one buffer and each packet carries a slice of it.
+        if self.flood_targets.is_empty() {
+            return;
+        }
         let t = NtpTimestamp::at_sim_time(ctx.now());
-        let payload = NtpPacket::client_request(t).encode();
-        for &server in &self.flood_targets {
+        let dgram = UdpDatagram::new(NTP_PORT, NTP_PORT, NtpPacket::client_request(t).encode());
+        let Ok(wire) = dgram.encode_each(self.victim, self.flood_targets.iter().copied()) else {
+            return;
+        };
+        let len = dgram.wire_len();
+        for (i, &server) in self.flood_targets.iter().enumerate() {
             self.stats.spoofed_queries += 1;
-            ctx.send_udp_spoofed(self.victim, server, NTP_PORT, NTP_PORT, payload.clone());
+            // The IPID draw `Ctx::send_udp_spoofed` makes, in the same order.
+            let id = ctx.rng().random();
+            ctx.send_raw(Ipv4Packet::udp(
+                self.victim,
+                server,
+                id,
+                wire.slice(i * len..(i + 1) * len),
+            ));
         }
     }
 
@@ -174,6 +191,7 @@ impl Host for RuntimeAttacker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     #[test]
     fn p1_floods_known_servers_immediately() {
@@ -188,6 +206,108 @@ mod tests {
             RuntimeScenario::KnownUpstreams { servers: servers.clone() },
         );
         assert_eq!(attacker.flood_targets(), servers);
+    }
+
+    const VICTIM: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 100);
+
+    /// A flood target that keeps every packet it is sent.
+    #[derive(Default)]
+    struct Recorder {
+        /// Arrival time, IPID and UDP bytes of each packet.
+        packets: Vec<(SimTime, u16, Bytes)>,
+        /// Datagrams that passed the stack's checksum check.
+        verified: usize,
+    }
+
+    impl Host for Recorder {
+        fn on_raw_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Ipv4Packet) -> bool {
+            self.packets.push((ctx.now(), pkt.id, pkt.payload.clone()));
+            false
+        }
+        fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, _d: &Datagram) {
+            self.verified += 1;
+        }
+    }
+
+    /// The flood as it was sent before it shared one buffer per round:
+    /// one `Ctx::send_udp_spoofed` per target, each encoding its own
+    /// datagram. Everything else is the attacker's own P1 behaviour.
+    struct PerPacketFlood(RuntimeAttacker);
+
+    impl Host for PerPacketFlood {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.0.on_start(ctx);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+            let attacker = &mut self.0;
+            let t = NtpTimestamp::at_sim_time(ctx.now());
+            let payload = NtpPacket::client_request(t).encode();
+            for &server in &attacker.flood_targets {
+                attacker.stats.spoofed_queries += 1;
+                ctx.send_udp_spoofed(attacker.victim, server, NTP_PORT, NTP_PORT, payload.clone());
+            }
+            attacker.pipeline.tick(ctx);
+            assert_eq!(token, TICK);
+            ctx.set_timer(FLOOD_INTERVAL, TICK);
+        }
+        fn on_raw_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Ipv4Packet) -> bool {
+            self.0.on_raw_packet(ctx, pkt)
+        }
+        fn on_datagram(&mut self, ctx: &mut Ctx<'_>, d: &Datagram) {
+            self.0.on_datagram(ctx, d);
+        }
+    }
+
+    /// Ten seconds of P1 against four recording servers, over jittery WAN
+    /// links (whose delays draw from the same RNG as the IPIDs); returns
+    /// what each server received.
+    fn p1_flood(per_packet: bool) -> Vec<Vec<(SimTime, u16, Bytes)>> {
+        let servers: Vec<Ipv4Addr> = (1..=4).map(|i| Ipv4Addr::new(192, 0, 2, i)).collect();
+        let attacker = RuntimeAttacker::new(
+            PoisonConfig::closed_resolver(
+                "10.0.0.53".parse().unwrap(),
+                vec!["198.51.100.1".parse().unwrap()],
+                "66.66.0.1".parse().unwrap(),
+            ),
+            VICTIM,
+            RuntimeScenario::KnownUpstreams { servers: servers.clone() },
+        );
+        let mut sim = Simulator::new(7);
+        for &server in &servers {
+            sim.add_host(server, OsProfile::linux(), Box::<Recorder>::default()).unwrap();
+        }
+        let host: Box<dyn Host> =
+            if per_packet { Box::new(PerPacketFlood(attacker)) } else { Box::new(attacker) };
+        sim.add_host("10.0.0.66".parse().unwrap(), OsProfile::linux(), host).unwrap();
+        sim.run_for(SimDuration::from_secs(10));
+        servers
+            .iter()
+            .map(|&server| {
+                let recorder: &Recorder = sim.host(server).unwrap();
+                assert_eq!(recorder.verified, recorder.packets.len(), "checksums verify");
+                recorder.packets.clone()
+            })
+            .collect()
+    }
+
+    /// Every spoofed datagram of every flood round is the request of its
+    /// round encoded on its own for its server, and every IPID is the draw
+    /// `Ctx::send_udp_spoofed` makes for it.
+    #[test]
+    fn one_buffer_per_round_sends_the_per_packet_flood() {
+        let shared = p1_flood(false);
+        let servers = (1..=4).map(|i| Ipv4Addr::new(192, 0, 2, i));
+        for (received, server) in shared.iter().zip(servers) {
+            // Rounds at 0.5 s, 1 s, … 9.5 s arrive 20–25 ms later.
+            assert_eq!(received.len(), 19, "one packet per round to {server}");
+            for (at, _, wire) in received {
+                let round = SimTime::from_nanos(at.as_nanos() / 500_000_000 * 500_000_000);
+                let request = NtpPacket::client_request(NtpTimestamp::at_sim_time(round));
+                let dgram = UdpDatagram::new(NTP_PORT, NTP_PORT, request.encode());
+                assert_eq!(*wire, dgram.encode(VICTIM, server).unwrap(), "round {round}");
+            }
+        }
+        assert_eq!(shared, p1_flood(true), "IPIDs, arrival times or bytes differ");
     }
 
     #[test]

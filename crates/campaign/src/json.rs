@@ -12,7 +12,7 @@
 
 mod validate;
 
-pub use validate::validate;
+pub use validate::{top_level_keys, validate};
 
 /// One value of a report. Keys borrow from the structures being reported.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,6 +180,15 @@ mod tests {
         ] {
             assert!(validate(ok).is_ok(), "should accept: {ok}");
         }
+    }
+
+    #[test]
+    fn top_level_keys_skip_nested_members() {
+        let doc = r#"{ "final": true, "per_shard": [{ "stat": 1 }], "m": { "state": "x" } }"#;
+        assert_eq!(top_level_keys(doc), Ok(vec!["final", "per_shard", "m"]));
+        assert_eq!(top_level_keys(r#"[{ "a": 1 }]"#), Ok(vec![]));
+        assert_eq!(top_level_keys(r#" { "a\"b": {} } "#), Ok(vec![r#"a\"b"#]));
+        assert!(top_level_keys(r#"{ "a": 1 } {"#).is_err());
     }
 
     #[test]

@@ -11,15 +11,33 @@
 /// Returns a human-readable description of the first syntax error,
 /// with its byte offset.
 pub fn validate(input: &str) -> Result<(), String> {
+    top_level_keys(input).map(drop)
+}
+
+/// Validates `input` as [`validate`] does and returns the member names of
+/// its top-level object, in order, as written between the quotes
+/// (escapes are not decoded). Members of nested objects are not
+/// included, and a top-level value that is not an object has none.
+///
+/// # Errors
+///
+/// The error [`validate`] returns.
+pub fn top_level_keys(input: &str) -> Result<Vec<&str>, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
+    let mut keys = Vec::new();
     skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
+    if bytes.get(pos) == Some(&b'{') {
+        object(bytes, &mut pos, Some(&mut keys))?;
+    } else {
+        value(bytes, &mut pos)?;
+    }
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
-    Ok(())
+    // Each range lies between two ASCII quotes, so it is a char boundary.
+    Ok(keys.into_iter().map(|range| &input[range]).collect())
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -40,7 +58,7 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
 fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => object(b, pos),
+        Some(b'{') => object(b, pos, None),
         Some(b'[') => array(b, pos),
         Some(b'"') => string(b, pos),
         Some(b't') => literal(b, pos, "true"),
@@ -51,7 +69,12 @@ fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
     }
 }
 
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
+/// An object; the byte range of each member name goes to `keys`.
+fn object(
+    b: &[u8],
+    pos: &mut usize,
+    mut keys: Option<&mut Vec<std::ops::Range<usize>>>,
+) -> Result<(), String> {
     expect(b, pos, b'{')?;
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b'}') {
@@ -60,7 +83,11 @@ fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
     }
     loop {
         skip_ws(b, pos);
+        let key_start = *pos + 1;
         string(b, pos)?;
+        if let Some(keys) = keys.as_deref_mut() {
+            keys.push(key_start..*pos - 1);
+        }
         skip_ws(b, pos);
         expect(b, pos, b':')?;
         value(b, pos)?;

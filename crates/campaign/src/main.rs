@@ -28,7 +28,8 @@
 //!
 //! `jsoncheck [--require KEY]… FILE…` checks that each file is one
 //! well-formed JSON value (`campaign::json::validate`) and, per
-//! `--require`, that it has a `"KEY":` member — how CI pins that
+//! `--require`, that its top-level object has a `KEY` member (a member of
+//! a nested object does not count) — how CI pins that
 //! `metrics.json` is the final normalized snapshot, not a stale live tick.
 
 use std::path::PathBuf;
@@ -289,17 +290,16 @@ fn cmd_jsoncheck(args: &[String]) -> Result<(), String> {
     let required: Vec<&str> = parsed.flags.iter().filter_map(|(_, key)| key.as_deref()).collect();
     let mut failed = 0usize;
     for path in &parsed.positional {
-        let checked = std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| json::validate(&text).map(|()| text));
-        let problem = match checked {
+        let text = std::fs::read_to_string(path);
+        let keys = match &text {
+            Ok(text) => json::top_level_keys(text),
+            Err(e) => Err(e.to_string()),
+        };
+        let problem = match keys {
             Err(e) => Some(e),
-            Ok(text) => {
-                let missing: Vec<&str> = required
-                    .iter()
-                    .copied()
-                    .filter(|key| !text.contains(&format!("\"{key}\":")))
-                    .collect();
+            Ok(keys) => {
+                let missing: Vec<&str> =
+                    required.iter().copied().filter(|key| !keys.contains(key)).collect();
                 (!missing.is_empty())
                     .then(|| format!("missing required key(s): {}", missing.join(", ")))
             }

@@ -99,7 +99,9 @@ fn killed_worker_resumes_to_identical_digest() {
     // The coordinator writes the manifest before spawning workers; mirror
     // that so the resume below recognises the directory as its own.
     checkpoint::check_manifest(&dir, "fig6", &scale_spec(&scale), 2).expect("manifest");
-    // Launch shard 0's worker by hand (exactly as the coordinator would).
+    // Launch shard 0's worker by hand (exactly as the coordinator would),
+    // told to stall after 5 records so that the kill below always lands
+    // on a live worker mid-shard, however fast it runs.
     let mut child = Command::new(campaign_exe())
         .arg("worker")
         .arg("--scenario")
@@ -112,6 +114,8 @@ fn killed_worker_resumes_to_identical_digest() {
         .arg(checkpoint::shard_path(&dir, 0))
         .arg("--scale-spec")
         .arg(scale_spec(&scale))
+        .arg("--fault")
+        .arg("stall-after=5")
         .stdout(Stdio::null())
         .spawn()
         .expect("spawn worker");
@@ -271,6 +275,34 @@ fn summary_json_is_well_formed() {
     campaign::json::validate(&json).expect("summary.json must be well-formed");
     assert!(json.contains(&summary.digest));
     assert_eq!(json, summary.render_json());
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// `campaign jsoncheck --require KEY` asks for a member of the top-level
+/// object: `metrics.json` has `final` there, but `stat` only inside
+/// nested objects, so requiring `stat` fails.
+#[test]
+fn jsoncheck_requires_top_level_members() {
+    let scenario = registry::find("chronos_bound").expect("registered");
+    let dir = tmp_dir("jsoncheck");
+    run_campaign(&CampaignConfig::in_process(scenario, Scale::quick(), 2, dir.clone()))
+        .expect("campaign runs");
+    let metrics = campaign::metrics::metrics_path(&dir);
+    let text = std::fs::read_to_string(&metrics).expect("metrics.json");
+    assert!(text.contains("\"stat\":"), "a nested `stat` member exists");
+    let jsoncheck = |keys: &[&str]| {
+        let mut cmd = Command::new(campaign_exe());
+        cmd.arg("jsoncheck");
+        for key in keys {
+            cmd.arg("--require").arg(key);
+        }
+        cmd.arg(&metrics).stdout(Stdio::null()).output().expect("run jsoncheck")
+    };
+    assert!(jsoncheck(&["final", "per_shard", "estimators"]).status.success());
+    let missing = jsoncheck(&["final", "stat"]);
+    assert!(!missing.status.success(), "a nested `stat` passed as a top-level member");
+    let stderr = String::from_utf8_lossy(&missing.stderr);
+    assert!(stderr.contains("missing required key(s): stat\n"), "{stderr}");
     std::fs::remove_dir_all(dir).ok();
 }
 

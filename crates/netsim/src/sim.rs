@@ -1241,6 +1241,7 @@ impl Simulator {
                     // the box goes back to the pool for the next send.
                     drop(self.boxes.unbox_dgram(dgram));
                     for pkt in pkts.drain(..) {
+                        let pkt = self.boxes.pkt(pkt);
                         self.transmit(origin, origin_addr, pkt);
                     }
                     self.pkt_scratch = pkts;
@@ -1253,13 +1254,11 @@ impl Simulator {
                         self.stats.ipid_evictions += slot.stack.ipid_evictions() - evictions_before;
                         id
                     };
-                    let pkt = Ipv4Packet::icmp(origin_addr, dst, id, msg.encode());
+                    let pkt = self.boxes.pkt(Ipv4Packet::icmp(origin_addr, dst, id, msg.encode()));
                     self.transmit(origin, origin_addr, pkt);
                 }
-                Action::SendRaw(pkt) => {
-                    let pkt = self.boxes.unbox_pkt(pkt);
-                    self.transmit(origin, origin_addr, pkt);
-                }
+                // The box `Ctx::send_raw` filled rides on into the arrival.
+                Action::SendRaw(pkt) => self.transmit(origin, origin_addr, pkt),
                 Action::SetTimer { at, token } => {
                     self.push_event(at, EventKind::Timer { host: origin, token });
                 }
@@ -1268,8 +1267,9 @@ impl Simulator {
     }
 
     /// Puts a packet on the wire from the physical location `origin_addr`
-    /// (the host `origin`'s interface).
-    fn transmit(&mut self, origin: HostId, origin_addr: Ipv4Addr, pkt: Ipv4Packet) {
+    /// (the host `origin`'s interface). The packet keeps its box into the
+    /// `Arrival` event; a lost packet's box goes back to the pool.
+    fn transmit(&mut self, origin: HostId, origin_addr: Ipv4Addr, pkt: Box<Ipv4Packet>) {
         self.stats.packets_sent += 1;
         let link = self.topology.link(origin_addr, pkt.dst);
         match link.sample(&mut self.rng) {
@@ -1290,10 +1290,12 @@ impl Simulator {
                     }
                     resolved
                 };
-                let pkt = self.boxes.pkt(pkt);
                 self.push_event(at, EventKind::Arrival { dst, pkt });
             }
-            None => self.stats.packets_lost += 1,
+            None => {
+                self.stats.packets_lost += 1;
+                drop(self.boxes.unbox_pkt(pkt));
+            }
         }
     }
 }

@@ -50,35 +50,8 @@ impl UdpDatagram {
     ///
     /// Returns [`WireError::Oversize`] if the datagram exceeds 65 535 bytes.
     pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Result<Bytes, WireError> {
-        let len = self.wire_len();
-        if len > usize::from(u16::MAX) {
-            return Err(WireError::Oversize { len });
-        }
-        // The checksum is computed *before* the header is written: the
-        // header's contribution (ports + length, checksum field zero) is
-        // four words already sitting in registers, so only the payload is
-        // summed from memory. The header then goes out as one 8-byte write
-        // with the final checksum in place — no placeholder, no patch-up.
-        let len16 = len as u16;
-        let s = u64::from(u32::from(src));
-        let d = u64::from(u32::from(dst));
-        let sum = (s >> 16)
-            + (s & 0xFFFF)
-            + (d >> 16)
-            + (d & 0xFFFF)
-            + u64::from(PROTO_UDP)
-            + 2 * u64::from(len16) // pseudo-header length + header length word
-            + u64::from(self.src_port)
-            + u64::from(self.dst_port)
-            + u64::from(checksum::ones_complement_sum(&self.payload));
-        let ck = !checksum::fold_sum(sum);
-        // Per RFC 768 a computed checksum of zero is transmitted as 0xFFFF.
-        let ck = if ck == 0 { 0xFFFF } else { ck };
-        let sp = self.src_port.to_be_bytes();
-        let dp = self.dst_port.to_be_bytes();
-        let ln = len16.to_be_bytes();
-        let cb = ck.to_be_bytes();
-        let hdr = [sp[0], sp[1], dp[0], dp[1], ln[0], ln[1], cb[0], cb[1]];
+        let len = self.checked_len()?;
+        let hdr = self.header(src, dst, checksum::ones_complement_sum(&self.payload));
         // Datagrams that fit a `Bytes` inline buffer (NTP mode 3/4 probes,
         // short DNS queries) assemble in a stack array and never touch the
         // buffer pool; larger ones go through `BytesMut` as before.
@@ -92,6 +65,72 @@ impl UdpDatagram {
         buf.put_slice(&hdr);
         buf.put_slice(&self.payload);
         Ok(buf.freeze())
+    }
+
+    /// Encodes this datagram once for every destination in `dsts`, back to
+    /// back in one buffer: bytes `i * wire_len() .. (i + 1) * wire_len()`
+    /// equal `self.encode(src, dst_i)`. The payload is summed once; each
+    /// copy's checksum adds only its own pseudo-header words. A spoofed
+    /// flood sends one payload to many servers this way, one buffer per
+    /// round instead of one per packet.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::Oversize`] if the datagram exceeds 65 535 bytes.
+    pub fn encode_each(
+        &self,
+        src: Ipv4Addr,
+        dsts: impl ExactSizeIterator<Item = Ipv4Addr>,
+    ) -> Result<Bytes, WireError> {
+        let len = self.checked_len()?;
+        let payload_sum = checksum::ones_complement_sum(&self.payload);
+        let mut buf = BytesMut::with_capacity(len * dsts.len());
+        for dst in dsts {
+            buf.put_slice(&self.header(src, dst, payload_sum));
+            buf.put_slice(&self.payload);
+        }
+        Ok(buf.freeze())
+    }
+
+    /// The wire length, checked against the 16-bit length field.
+    fn checked_len(&self) -> Result<usize, WireError> {
+        let len = self.wire_len();
+        if len > usize::from(u16::MAX) {
+            return Err(WireError::Oversize { len });
+        }
+        Ok(len)
+    }
+
+    /// The 8-byte header towards `dst`, given the payload's
+    /// ones'-complement sum. The checksum is computed *before* the header
+    /// is written: the header's contribution (ports + length, checksum
+    /// field zero) is four words already sitting in registers, so only the
+    /// payload is summed from memory, and the header goes out as one 8-byte
+    /// write with the final checksum in place — no placeholder, no
+    /// patch-up.
+    #[inline]
+    fn header(&self, src: Ipv4Addr, dst: Ipv4Addr, payload_sum: u16) -> [u8; UDP_HEADER_LEN] {
+        // `checked_len` has bounded the length to 16 bits.
+        let len16 = self.wire_len() as u16;
+        let s = u64::from(u32::from(src));
+        let d = u64::from(u32::from(dst));
+        let sum = (s >> 16)
+            + (s & 0xFFFF)
+            + (d >> 16)
+            + (d & 0xFFFF)
+            + u64::from(PROTO_UDP)
+            + 2 * u64::from(len16) // pseudo-header length + header length word
+            + u64::from(self.src_port)
+            + u64::from(self.dst_port)
+            + u64::from(payload_sum);
+        let ck = !checksum::fold_sum(sum);
+        // Per RFC 768 a computed checksum of zero is transmitted as 0xFFFF.
+        let ck = if ck == 0 { 0xFFFF } else { ck };
+        let sp = self.src_port.to_be_bytes();
+        let dp = self.dst_port.to_be_bytes();
+        let ln = len16.to_be_bytes();
+        let cb = ck.to_be_bytes();
+        [sp[0], sp[1], dp[0], dp[1], ln[0], ln[1], cb[0], cb[1]]
     }
 
     /// Decodes wire bytes, verifying length and checksum against the
@@ -256,6 +295,25 @@ mod tests {
             UdpDatagram::decode(&bad, SRC, DST),
             Err(WireError::LengthMismatch { .. })
         ));
+    }
+
+    /// Each copy in an `encode_each` buffer is the datagram encoded for
+    /// its destination, for payloads below, at and above the inline size.
+    #[test]
+    fn encode_each_equals_one_encode_per_destination() {
+        let dsts: Vec<Ipv4Addr> =
+            [DST, Ipv4Addr::new(192, 0, 2, 1), Ipv4Addr::new(255, 255, 255, 255)].into();
+        for payload_len in [0, 1, 13, 14, 15, 48, 1000] {
+            let payload: Vec<u8> = (0..payload_len).map(|i| (i * 97 + 5) as u8).collect();
+            let d = UdpDatagram::new(123, 123, Bytes::from(payload));
+            let wire = d.encode_each(SRC, dsts.iter().copied()).unwrap();
+            assert_eq!(wire.len(), dsts.len() * d.wire_len());
+            for (copy, &dst) in wire.chunks(d.wire_len()).zip(&dsts) {
+                assert_eq!(copy, &d.encode(SRC, dst).unwrap()[..], "{payload_len} B to {dst}");
+            }
+        }
+        let d = UdpDatagram::new(1, 2, Bytes::from_static(b"none"));
+        assert!(d.encode_each(SRC, std::iter::empty()).unwrap().is_empty());
     }
 
     #[test]
