@@ -10,7 +10,7 @@
 pub mod engine_driver {
     //! The engine microbenchmark: a ring of hosts forwarding one datagram
     //! forever, terminated by the simulator's event budget. Measures raw
-    //! event-loop throughput (slab dispatch, timing wheel, pooled
+    //! event-loop throughput (slab dispatch, event queue, pooled
     //! buffers) with no scenario logic on top.
 
     use std::net::Ipv4Addr;

@@ -8,7 +8,7 @@
 //! online.
 //!
 //! * [`registry`] — every reproducible artifact addressable by name
-//!   (`table1`, `table2`, `fig5`, `fig6`, `fig7`, `table4_snoop`,
+//!   (`table1`, `table2`, `fig5`, `table4_snoop` (Table IV and Figs. 6/7),
 //!   `table5_adstudy`, `ratelimit`, `pmtud`, `shared`, `chronos_bound`),
 //!   each a typed [`registry::Scan`] with a record [`record::Schema`];
 //! * [`exec`] — the shard planner + executor: contiguous index-range

@@ -3,7 +3,7 @@
 //! ```sh
 //! campaign list                          # registered scenarios
 //! campaign run table2 --shards 4         # 4 in-process shard threads
-//! campaign run fig6 --shards 4 --supervised --workers 2
+//! campaign run table4_snoop --shards 4 --supervised --workers 2
 //! campaign run fig5 --scale paper --master-seed 7 --out runs/fig5
 //! campaign run table2 --supervised --max-retries 0   # fail on the first worker failure
 //! campaign worker …                      # internal: spawned by --supervised

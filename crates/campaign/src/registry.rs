@@ -10,14 +10,14 @@
 //! single record. Trial seeds are derived from the **global** index,
 //! never from the shard, which is the whole determinism story.
 //!
-//! All 11 scenarios are typed [`Scan`]s, and their public constructors
+//! All 9 scenarios are typed [`Scan`]s, and their public constructors
 //! ([`table1`], [`table2`], [`fig5`], [`pmtud`], [`snoop`], [`table5`],
 //! [`ratelimit`], [`shared`], [`chronos_bound`]) are the one definition
-//! of each artifact's trials and seeds (`fig6`, `fig7` and
-//! `table4_snoop` share [`snoop`]). A campaign streams a scan's records;
-//! [`Scan::run`] returns its typed `(spec, verdict)` pairs in process,
-//! which the `experiments::format_*` printers render or which fold into
-//! the `measure` result types.
+//! of each artifact's trials and seeds (`table4_snoop` is the one
+//! [`snoop`] survey behind Table IV and Figs. 6/7). A campaign streams a
+//! scan's records; [`Scan::run`] returns its typed `(spec, verdict)` pairs
+//! in process, which the `experiments::format_*` printers render or which
+//! fold into the `measure` result types.
 
 use measure::prelude::*;
 use ntp::prelude::{ClientKind, ClientProfile};
@@ -77,7 +77,7 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
     REGISTRY.iter().find(|s| s.name == name)
 }
 
-static REGISTRY: [Scenario; 11] = [
+static REGISTRY: [Scenario; 9] = [
     Scenario {
         name: "table1",
         about: "Table I: boot-time attack verified live against all seven NTP clients",
@@ -97,20 +97,8 @@ static REGISTRY: [Scenario; 11] = [
         build: |scale| Box::new(fig5(scale)),
     },
     Scenario {
-        name: "fig6",
-        about: "Fig. 6: TTLs of cached pool records (open-resolver survey)",
-        schema: SNOOP_SCHEMA,
-        build: |scale| Box::new(snoop(scale)),
-    },
-    Scenario {
-        name: "fig7",
-        about: "Fig. 7: t_first - t_avg latency side channel (open-resolver survey)",
-        schema: SNOOP_SCHEMA,
-        build: |scale| Box::new(snoop(scale)),
-    },
-    Scenario {
         name: "table4_snoop",
-        about: "Table IV: pool.ntp.org caching state via RD=0 snooping",
+        about: "Table IV + Figs. 6/7: open-resolver survey of pool.ntp.org caching (RD=0)",
         schema: SNOOP_SCHEMA,
         build: |scale| Box::new(snoop(scale)),
     },

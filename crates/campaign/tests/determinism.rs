@@ -1,8 +1,9 @@
 //! Campaign determinism: the merged record stream — and therefore the
 //! campaign digest — must be bit-identical for any shard count, for
 //! in-process vs. subprocess execution, and across a mid-campaign kill +
-//! resume. These are the ISSUE's acceptance checks for `table2` and
-//! `fig6`, run at reduced-but-representative scales.
+//! resume. These are the acceptance checks for `table2` and the
+//! `table4_snoop` survey (Table IV, Figs. 6/7), run at
+//! reduced-but-representative scales.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -49,21 +50,21 @@ fn small_survey_scale() -> Scale {
     Scale { resolvers: 60, ..Scale::quick() }
 }
 
-/// fig6 at 1, 2 and 4 shards, in-process and subprocess: six runs, one
-/// digest.
+/// The `table4_snoop` survey, whose records Fig. 6 is drawn from, at 1, 2
+/// and 4 shards, in-process and subprocess: six runs, one digest.
 #[test]
 fn fig6_digest_is_identical_across_shards_and_modes() {
-    let scenario = registry::find("fig6").expect("registered");
+    let scenario = registry::find("table4_snoop").expect("registered");
     let scale = small_survey_scale();
-    let baseline = digest_of(scenario, scale, 1, ExecMode::InProcess, "fig6-in-1");
+    let baseline = digest_of(scenario, scale, 1, ExecMode::InProcess, "snoop-in-1");
     for shards in [2usize, 4] {
         let d =
-            digest_of(scenario, scale, shards, ExecMode::InProcess, &format!("fig6-in-{shards}"));
+            digest_of(scenario, scale, shards, ExecMode::InProcess, &format!("snoop-in-{shards}"));
         assert_eq!(d, baseline, "in-process digest diverged at {shards} shards");
     }
     for shards in [1usize, 2, 4] {
         let mode = ExecMode::Subprocess { exe: campaign_exe() };
-        let d = digest_of(scenario, scale, shards, mode, &format!("fig6-sub-{shards}"));
+        let d = digest_of(scenario, scale, shards, mode, &format!("snoop-sub-{shards}"));
         assert_eq!(d, baseline, "subprocess digest diverged at {shards} shards");
     }
 }
@@ -90,7 +91,7 @@ fn table2_digest_is_identical_across_shards_and_modes() {
 /// the final digest must equal an uninterrupted run's.
 #[test]
 fn killed_worker_resumes_to_identical_digest() {
-    let scenario = registry::find("fig6").expect("registered");
+    let scenario = registry::find("table4_snoop").expect("registered");
     let scale = small_survey_scale();
     let uninterrupted = digest_of(scenario, scale, 2, ExecMode::InProcess, "kill-ref");
 
@@ -98,14 +99,14 @@ fn killed_worker_resumes_to_identical_digest() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     // The coordinator writes the manifest before spawning workers; mirror
     // that so the resume below recognises the directory as its own.
-    checkpoint::check_manifest(&dir, "fig6", &scale_spec(&scale), 2).expect("manifest");
+    checkpoint::check_manifest(&dir, "table4_snoop", &scale_spec(&scale), 2).expect("manifest");
     // Launch shard 0's worker by hand (exactly as the coordinator would),
     // told to stall after 5 records so that the kill below always lands
     // on a live worker mid-shard, however fast it runs.
     let mut child = Command::new(campaign_exe())
         .arg("worker")
         .arg("--scenario")
-        .arg("fig6")
+        .arg("table4_snoop")
         .arg("--shard")
         .arg("0/2")
         .arg("--skip")

@@ -9,14 +9,11 @@ use campaign::exec::{run_campaign, CampaignConfig};
 use campaign::registry;
 use timeshift::experiments::Scale;
 
-/// `(scenario, digest)`. fig6, fig7 and table4_snoop share one snoop
-/// survey, hence one stream.
-const GOLDEN: [(&str, &str); 11] = [
+/// `(scenario, digest)`.
+const GOLDEN: [(&str, &str); 9] = [
     ("table1", "07bc8e0c7ab789b9"),
     ("table2", "30af30c75d7c41fb"),
     ("fig5", "395f98cbaf5e45d4"),
-    ("fig6", "5b146221803ea97b"),
-    ("fig7", "5b146221803ea97b"),
     ("table4_snoop", "5b146221803ea97b"),
     ("table5_adstudy", "231a26359cebfe14"),
     ("ratelimit", "837b0046ea00db3e"),

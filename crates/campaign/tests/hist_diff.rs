@@ -1,23 +1,25 @@
 //! Differential test: the campaign's streaming histogram aggregation vs.
 //! the typed survey result's bucketing.
 //!
-//! `fig6`/`fig7` come out two ways — a campaign streams the snoop scan's
-//! records through [`campaign::stats::Aggregate`], and the in-process
-//! `format_fig6`/`format_fig7` bucket the samples of the `SurveyResult`
-//! the same scan folds to. Both funnel into `runner::StreamHist` reading
-//! the same [`timeshift::experiments::figspec`] constants; this test pins
-//! them bucket-for-bucket so a change to either can never silently
-//! diverge the paper artifacts.
+//! Figs. 6/7 come out two ways — a `table4_snoop` campaign streams the
+//! snoop scan's records through [`campaign::stats::Aggregate`], and the
+//! in-process `format_fig6`/`format_fig7` bucket the samples of the
+//! `SurveyResult` the same scan folds to. Both funnel into
+//! `runner::StreamHist` reading the same
+//! [`timeshift::experiments::figspec`] constants; this test pins them
+//! bucket-for-bucket so a change to either can never silently diverge the
+//! paper artifacts.
 
 use campaign::registry;
 use campaign::stats::{Aggregate, FieldAgg};
 use timeshift::experiments::{figspec, Scale};
 
-/// Streams every `fig6` campaign record through the aggregate and returns
-/// it alongside the survey folded from the same scan at the same scale.
+/// Streams every `table4_snoop` campaign record through the aggregate and
+/// returns it alongside the survey folded from the same scan at the same
+/// scale.
 fn run_both(scale: Scale) -> (Aggregate, measure::prelude::SurveyResult) {
     let survey = registry::snoop(scale).fold(scale.workers);
-    let scenario = registry::find("fig6").expect("fig6 registered");
+    let scenario = registry::find("table4_snoop").expect("table4_snoop registered");
     let campaign = scenario.build(scale);
     let mut agg = Aggregate::new(scenario.schema);
     for idx in 0..campaign.trials() {

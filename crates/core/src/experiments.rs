@@ -111,7 +111,7 @@ impl Scale {
     pub fn paper() -> Self {
         Scale {
             resolvers: 1_583_045,
-            domains: 50_000,
+            domains: 877_071,
             ad_fraction: 1.0,
             shared: SHARED_STUDY_SIZE,
             pool_servers: POOL_SCAN_SIZE,

@@ -54,8 +54,8 @@ pub struct Ipv4Packet {
 
 // Packets move by value wire → stack → host (zero-clone delivery), so the
 // struct rides every event: 40 B = 16 B of header scalars + the 24-B
-// `Bytes` handle. Growth here fattens `EventKind` moves and the wheel's
-// cascade memcpys — keep it a compile error.
+// `Bytes` handle. Growth here fattens every `EventKind` move, including
+// the event queue's sifts — keep it a compile error.
 const _: () = assert!(std::mem::size_of::<Ipv4Packet>() <= 40, "Ipv4Packet grew past 40 bytes");
 
 impl Ipv4Packet {

@@ -16,8 +16,8 @@
 //! * [`link`] — latency/jitter/loss link models;
 //! * [`sim`] — the event loop, [`sim::Host`] trait and per-host
 //!   [`sim::NetStack`];
-//! * [`wheel`] — the hierarchical timing wheel backing the event loop
-//!   (O(1) schedule/pop in heap `(time, sequence)` order).
+//! * [`queue`] — the event loop's binary-heap event queue, popped in
+//!   `(time, sequence)` order.
 //!
 //! ## Quickstart
 //!
@@ -58,10 +58,10 @@ pub mod ipv4;
 pub mod link;
 pub mod os;
 pub mod pmtu;
+pub mod queue;
 pub mod sim;
 pub mod time;
 pub mod udp;
-pub mod wheel;
 
 /// Convenient glob-import of the commonly used types.
 pub mod prelude {

@@ -4,7 +4,7 @@
 //! IPID counters per its [`OsProfile`]) and implements [`Host`]. Packets are
 //! real encoded IPv4 bytes-on-structs; delivery times come from the
 //! [`Topology`]'s link specs; everything is driven by a deterministic,
-//! seeded event loop over a timing wheel.
+//! seeded event loop over a binary-heap event queue.
 //!
 //! ## Engine layout
 //!
@@ -17,12 +17,11 @@
 //! deferred effects into a scratch buffer owned by the simulator, so steady
 //! state dispatch allocates nothing.
 //!
-//! Events are queued in a hierarchical [timing wheel](crate::wheel) — O(1)
-//! schedule/pop in the same `(time, sequence)` total order a binary heap
-//! would give — and packets are **move-delivered**: the simulator transfers
-//! ownership of each [`Ipv4Packet`] from the wire through the stack
-//! (reassembly, checksum verification) to the host callback without a
-//! single packet clone.
+//! Events are queued in an [`EventQueue`], a binary heap popped in
+//! `(time, sequence)` order, and packets are **move-delivered**: the
+//! simulator transfers ownership of each [`Ipv4Packet`] from the wire
+//! through the stack (reassembly, checksum verification) to the host
+//! callback without a single packet clone.
 //!
 //! ## Allocation discipline
 //!
@@ -67,9 +66,9 @@ use crate::ipv4::{Ipv4Packet, IPV4_HEADER_LEN, PROTO_ICMP, PROTO_UDP};
 use crate::link::Topology;
 use crate::os::{IpidMode, OsProfile};
 use crate::pmtu::{PmtuCache, INTERFACE_MTU};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::udp::UdpDatagram;
-use crate::wheel::TimingWheel;
 
 /// Token identifying a timer set by a host; the host chooses the value and
 /// receives it back in [`Host::on_timer`].
@@ -764,8 +763,9 @@ pub struct SimStats {
 }
 
 /// The payload-bearing `Arrival` variant boxes its packet (recycled via
-/// [`BoxPool`]) so the enum stays within 32 bytes — events are memcpy'd
-/// through the timing wheel's cascade, and small events keep that cheap.
+/// [`BoxPool`]) so the enum stays within 32 bytes — the event queue's
+/// sift moves events on every schedule and pop, and small events keep that
+/// cheap.
 #[derive(Debug, PartialEq, Eq)]
 enum EventKind {
     Start {
@@ -815,7 +815,7 @@ const _: () = assert!(std::mem::size_of::<Datagram>() <= 40, "Datagram grew past
 /// ```
 pub struct Simulator {
     now: SimTime,
-    queue: TimingWheel<EventKind>,
+    queue: EventQueue<EventKind>,
     slots: Vec<HostSlot>,
     addr_to_id: FastMap<Ipv4Addr, HostId>,
     topology: Topology,
@@ -855,7 +855,7 @@ impl Simulator {
         bytes::pool::reset();
         Simulator {
             now: SimTime::ZERO,
-            queue: TimingWheel::new(),
+            queue: EventQueue::new(),
             // simlint: allow(hot-alloc) — cold constructor: empty.
             slots: Vec::new(),
             addr_to_id: FastMap::default(),
@@ -1030,7 +1030,7 @@ impl Simulator {
     }
 
     /// Dispatches queued events up to `deadline` within the event budget,
-    /// one wheel pop per event, leaving `now` at the last dispatched event.
+    /// one queue pop per event, leaving `now` at the last dispatched event.
     fn drain_until(&mut self, deadline: SimTime) {
         while let Some(at) = self.queue.peek() {
             if at > deadline || self.stats.events_dispatched >= self.max_events {

@@ -93,9 +93,9 @@ mod tests {
     #[test]
     fn test_path_detection() {
         assert!(is_test_path("tests/pool.rs"));
-        assert!(is_test_path("crates/netsim/tests/wheel_vs_heap.rs"));
+        assert!(is_test_path("crates/netsim/tests/trace_and_drops.rs"));
         assert!(is_test_path("crates/bench/benches/table3.rs"));
-        assert!(!is_test_path("crates/netsim/src/wheel.rs"));
+        assert!(!is_test_path("crates/netsim/src/queue.rs"));
         assert!(!is_test_path("src/lib.rs"));
     }
 
