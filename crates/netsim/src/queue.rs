@@ -101,39 +101,43 @@ mod tests {
         out
     }
 
+    // The next two tests keep the names they had under the timing wheel
+    // this queue replaced: "levels" are the wheel's time scales, 0 ns to
+    // u64::MAX, and the overflow epoch held instants past 2^61 ns.
     #[test]
-    fn extreme_instants_pop_in_time_order() {
+    fn pops_in_time_order_across_levels() {
         let mut q = EventQueue::new();
-        let far = 1u64 << 62;
-        let times: [u64; 10] = [
-            5,
-            40_000,
-            3_000_000_000,
-            86_400_000_000_000,
-            u64::MAX,
-            far + 1_000_000,
-            far,
-            1,
-            0,
-            u64::MAX,
-        ];
+        let times: [u64; 9] =
+            [5, 40_000, 9_000_000, 3_000_000_000, 86_400_000_000_000, u64::MAX, 0, 1, u64::MAX];
         for (i, &t) in times.iter().enumerate() {
             q.schedule(SimTime::from_nanos(t), i as u32);
         }
         assert_eq!(q.len(), times.len());
         let expected: Vec<(u64, u32)> = vec![
-            (0, 8),
+            (0, 6),
             (1, 7),
             (5, 0),
             (40_000, 1),
-            (3_000_000_000, 2),
-            (86_400_000_000_000, 3),
-            (far, 6),
-            (far + 1_000_000, 5),
-            (u64::MAX, 4),
-            (u64::MAX, 9),
+            (9_000_000, 2),
+            (3_000_000_000, 3),
+            (86_400_000_000_000, 4),
+            (u64::MAX, 5),
+            (u64::MAX, 8),
         ];
         assert_eq!(drain(&mut q), expected);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn overflow_epoch_migration_preserves_order() {
+        let mut q = EventQueue::new();
+        let far = 1u64 << 62;
+        q.schedule(SimTime::from_nanos(far + 1_000_000), 1);
+        q.schedule(SimTime::from_nanos(far), 2);
+        q.schedule(SimTime::from_secs(1), 3);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 3)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(far), 2)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(far + 1_000_000), 1)));
         assert!(q.is_empty());
     }
 
