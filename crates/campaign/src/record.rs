@@ -15,6 +15,7 @@
 //! [`decode_line`] rejects a number that parses non-finite (`1e999`), so
 //! no line it accepts was not written by [`encode_line`].
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::json::JsonStr;
@@ -193,21 +194,24 @@ fn encode_value(out: &mut String, value: &Value) {
 /// declared kinds (or `null`). Strictness is what lets a resumed campaign
 /// trust a checkpoint file: any torn or foreign line fails loudly.
 ///
+/// One linear pass over the borrowed line: a key spelled exactly as
+/// [`encode_line`] writes it (`"name"`) is matched in place, and only
+/// any other spelling goes through the escape-aware string parse, so an
+/// escaped key such as `"verif\u0069ed"` still decodes. A record costs
+/// one allocation for its values plus one per non-empty string value.
+///
 /// # Errors
 ///
 /// Returns a description of the first deviation from the schema.
 pub fn decode_line(schema: &Schema, line: &str) -> Result<Record, String> {
-    let mut p = Parser { b: line.as_bytes(), pos: 0 };
+    let mut p = Parser { s: line, b: line.as_bytes(), pos: 0 };
     p.expect(b'{')?;
     let mut values = Vec::with_capacity(schema.len());
     for (i, field) in schema.iter().enumerate() {
         if i > 0 {
             p.expect(b',')?;
         }
-        let key = p.string()?;
-        if key != field.name {
-            return Err(format!("field {i}: expected key {:?}, got {key:?}", field.name));
-        }
+        p.key(i, field.name)?;
         p.expect(b':')?;
         values.push(p.value(field.kind)?);
     }
@@ -218,12 +222,16 @@ pub fn decode_line(schema: &Schema, line: &str) -> Result<Record, String> {
     Ok(Record(values))
 }
 
+/// A cursor over one line. `pos` only ever stops on an ASCII byte or at
+/// the end, so it is always a char boundary of `s` and slicing `s` there
+/// cannot panic.
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn expect(&mut self, c: u8) -> Result<(), String> {
         if self.b.get(self.pos) == Some(&c) {
             self.pos += 1;
@@ -240,6 +248,26 @@ impl Parser<'_> {
         } else {
             false
         }
+    }
+
+    /// Consumes the key of field `i`, which must read `name`. Schema names
+    /// hold no `"` or `\` (the encoder writes them unescaped), so the
+    /// literal `"name"` is exactly the spelling the string parse would
+    /// read as `name`.
+    fn key(&mut self, i: usize, name: &str) -> Result<(), String> {
+        let quoted = self.b[self.pos..]
+            .strip_prefix(b"\"")
+            .and_then(|rest| rest.strip_prefix(name.as_bytes()))
+            .and_then(|rest| rest.strip_prefix(b"\""));
+        if quoted.is_some() {
+            self.pos += name.len() + 2;
+            return Ok(());
+        }
+        let key = self.string()?;
+        if key != name {
+            return Err(format!("field {i}: expected key {name:?}, got {key:?}"));
+        }
+        Ok(())
     }
 
     fn value(&mut self, kind: FieldKind) -> Result<Value, String> {
@@ -268,11 +296,11 @@ impl Parser<'_> {
                     Err(e) => Err(format!("bad f64 {tok:?}: {e}")),
                 }
             }
-            FieldKind::Str => self.string().map(Value::Str),
+            FieldKind::Str => self.string().map(|s| Value::Str(s.into_owned())),
         }
     }
 
-    fn number_token(&mut self) -> Result<&str, String> {
+    fn number_token(&mut self) -> Result<&'a str, String> {
         let start = self.pos;
         while self
             .b
@@ -284,18 +312,39 @@ impl Parser<'_> {
         if self.pos == start {
             return Err(format!("expected a number at byte {start}"));
         }
-        std::str::from_utf8(&self.b[start..self.pos]).map_err(|e| e.to_string())
+        Ok(&self.s[start..self.pos])
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Moves `pos` to the next `"` or `\` (or the end) and returns the
+    /// run of plain text it passed over.
+    fn run(&mut self) -> &'a str {
+        let start = self.pos;
+        self.pos += self.b[start..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .unwrap_or(self.b.len() - start);
+        &self.s[start..self.pos]
+    }
+
+    /// Parses a JSON string. Without escapes it is a slice of the line;
+    /// with them, the unescaped runs are copied into one `String` sized
+    /// by the rest of the line, which the unescaped text never outgrows.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        let first = self.run();
+        if self.b.get(self.pos) == Some(&b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(first));
+        }
+        let mut out = String::with_capacity(self.b.len() - start);
+        out.push_str(first);
         loop {
             match self.b.get(self.pos) {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -322,16 +371,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Multi-byte UTF-8 passes through unmodified. The slice
-                    // is non-empty (guarded by the `Some`), but corrupt
-                    // checkpoint bytes reach this decoder, so fail typed
-                    // rather than assume.
-                    let s = std::str::from_utf8(&self.b[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("empty string continuation")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => out.push_str(self.run()),
             }
         }
     }
