@@ -14,12 +14,17 @@
 //! * `T.fbig.<zone>` — 1280 bytes;
 //! * `sigfail.<zone>` — DNSSEC-lite signature made with the wrong key;
 //! * `sigright.<zone>` — correctly signed.
+//!
+//! A resolver that drops the fragments retries the same question, so the
+//! server keeps its last encoded reply and answers a repeat with a copy
+//! under the new ID; only the fragmentation runs again, for the new IPID.
 
 use std::net::Ipv4Addr;
 
+use bytes::{Bytes, BytesMut};
 use dns::auth::DNS_PORT;
 use dns::dnssec::{make_rrsig, ZoneKey};
-use dns::message::{Message, Rcode};
+use dns::message::{Message, Question, Rcode};
 use dns::name::Name;
 use dns::record::{RData, Record, RecordType};
 use netsim::frag::fragment;
@@ -41,26 +46,72 @@ pub struct FragmentingNs {
     ipid: u16,
     /// Queries answered.
     pub queries: u64,
+    /// The last reply built, for a repeated query.
+    last: Option<LastReply>,
+}
+
+/// An encoded reply, keyed on all of the query it depends on besides the
+/// ID: the question section and the RD bit ([`Message::response_to`]
+/// copies nothing else, and the answers follow the first question).
+#[derive(Debug)]
+struct LastReply {
+    questions: Vec<Question>,
+    rd: bool,
+    wire: Bytes,
+    /// The fragment size the question's kind asks for.
+    mtu: u16,
 }
 
 impl FragmentingNs {
     /// Creates the server authoritative for `zone`.
     pub fn new(zone: Name, key: ZoneKey) -> Self {
-        FragmentingNs { zone, key, ipid: 1, queries: 0 }
+        FragmentingNs { zone, key, ipid: 1, queries: 0, last: None }
     }
 
     /// Classifies a query name: returns the behaviour label (second-level
     /// label under the zone, or the first label for `sigfail`/`sigright`).
-    fn kind_of(&self, qname: &Name) -> Option<String> {
+    fn kind_of<'n>(&self, qname: &'n Name) -> Option<&'n str> {
         if !qname.is_subdomain_of(&self.zone) {
             return None;
         }
         let extra = qname.label_count() - self.zone.label_count();
         match extra {
-            1 => qname.labels().next().map(str::to_owned), // sigfail / sigright
-            2 => qname.labels().nth(1).map(str::to_owned), // T.<kind>
+            1 => qname.labels().next(), // sigfail / sigright
+            2 => qname.labels().nth(1), // T.<kind>
             _ => None,
         }
+    }
+
+    /// The encoded reply to `query` and the fragment size for it, if the
+    /// query names a kind: the last reply with `query`'s ID written in
+    /// when the question section and RD bit repeat, else a fresh build
+    /// (kept for the next query).
+    fn reply(&mut self, query: &Message) -> Option<(Bytes, u16)> {
+        let repeat =
+            |last: &&LastReply| last.rd == query.header.rd && last.questions == query.questions;
+        if let Some(last) = self.last.as_ref().filter(repeat) {
+            let mut wire = BytesMut::with_capacity(last.wire.len());
+            wire.extend_from_slice(&last.wire);
+            wire[..2].copy_from_slice(&query.header.id.to_be_bytes());
+            let (wire, mtu) = (wire.freeze(), last.mtu);
+            if cfg!(debug_assertions) {
+                let fresh = self.fresh_reply(query).map(|(fresh, _)| fresh);
+                assert_eq!(fresh.as_ref(), Some(&wire), "reused reply differs from a fresh build");
+            }
+            return Some((wire, mtu));
+        }
+        let (wire, mtu) = self.fresh_reply(query)?;
+        let (questions, rd) = (query.questions.clone(), query.header.rd);
+        self.last = Some(LastReply { questions, rd, wire: wire.clone(), mtu });
+        Some((wire, mtu))
+    }
+
+    /// Builds and encodes the reply to `query`, with its fragment size.
+    fn fresh_reply(&self, query: &Message) -> Option<(Bytes, u16)> {
+        let kind = self.kind_of(&query.question()?.name)?;
+        let wire = self.build_answer(query, kind)?.encode().ok()?;
+        let mtu = SIZES.iter().find(|(k, _)| *k == kind).map_or(1500, |(_, mtu)| *mtu);
+        Some((wire, mtu))
     }
 
     fn build_answer(&self, query: &Message, kind: &str) -> Option<Message> {
@@ -107,18 +158,14 @@ impl Host for FragmentingNs {
         if query.header.qr {
             return;
         }
-        let Some(q) = query.question() else { return };
-        let Some(kind) = self.kind_of(&q.name) else { return };
-        let Some(resp) = self.build_answer(&query, &kind) else { return };
+        let Some((dns_bytes, mtu)) = self.reply(&query) else { return };
         self.queries += 1;
-        let Ok(dns_bytes) = resp.encode() else { return };
         let Ok(udp) = UdpDatagram::new(DNS_PORT, d.src_port, dns_bytes).encode(ctx.addr(), d.src)
         else {
             return;
         };
         self.ipid = self.ipid.wrapping_add(1);
         let pkt = Ipv4Packet::udp(ctx.addr(), d.src, self.ipid, udp);
-        let mtu = SIZES.iter().find(|(k, _)| *k == kind).map(|(_, mtu)| *mtu).unwrap_or(1500);
         // `fragment` cannot fail here: the MTUs come from SIZES (all ≥ 68)
         // and the packet is a fresh unfragmented one with DF clear.
         let Ok(frags) = fragment(pkt, mtu) else { return };
@@ -229,5 +276,94 @@ mod tests {
             &"sigfail.adtest.example".parse().unwrap(),
         );
         assert_eq!(fail.len(), 1);
+    }
+
+    const ASKER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+
+    /// Sends its queries to the server one second apart, each from its own
+    /// source port, and keeps the DNS bytes of every reassembled reply.
+    struct Asker {
+        queries: Vec<(u16, Message)>,
+        replies: Vec<(u16, Bytes)>,
+    }
+
+    impl Host for Asker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for i in 0..self.queries.len() {
+                ctx.set_timer(SimDuration::from_secs(i as u64), i as u64);
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+            let (port, query) = &self.queries[token as usize];
+            ctx.send_udp(NS, *port, DNS_PORT, query.encode().unwrap());
+        }
+
+        fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, d: &Datagram) {
+            self.replies.push((d.dst_port, d.payload.clone()));
+        }
+    }
+
+    /// The replies one server gives to `queries`, sent in turn.
+    fn replies_to(queries: &[(u16, Message)]) -> Vec<(u16, Bytes)> {
+        let zone: Name = "adtest.example".parse().unwrap();
+        let mut sim = Simulator::with_topology(
+            1,
+            Topology::uniform(LinkSpec::fixed(SimDuration::from_millis(5))),
+        );
+        sim.add_host(NS, OsProfile::linux(), Box::new(FragmentingNs::new(zone, ZoneKey(0x5EED))))
+            .unwrap();
+        let asker = Asker { queries: queries.to_vec(), replies: Vec::new() };
+        sim.add_host(ASKER, OsProfile::linux(), Box::new(asker)).unwrap();
+        sim.run_for(SimDuration::from_secs(queries.len() as u64 + 1));
+        sim.host::<Asker>(ASKER).unwrap().replies.clone()
+    }
+
+    fn query(id: u16, name: &str, rd: bool) -> Message {
+        Message::query(id, name.parse().unwrap(), RecordType::A, rd)
+    }
+
+    /// A repeated query — new ID, new source port — gets exactly the
+    /// bytes a fresh server builds for it, as do a flipped RD bit and a
+    /// different name after it.
+    #[test]
+    fn repeated_queries_get_the_bytes_of_a_fresh_build() {
+        let name = "t1.fsmall.adtest.example";
+        let queries = [
+            (5000, query(1, name, true)),
+            (5001, query(2, name, true)),
+            (5002, query(3, name, false)),
+            (5003, query(4, "t2.fsmall.adtest.example", false)),
+            (5004, query(5, "t2.fsmall.adtest.example", false)),
+        ];
+        let replies = replies_to(&queries);
+        assert_eq!(replies.len(), queries.len());
+        for (q, reply) in queries.iter().zip(&replies) {
+            assert_eq!(replies_to(std::slice::from_ref(q)), std::slice::from_ref(reply));
+            assert_eq!(Message::decode(&reply.1).unwrap().header.id, q.1.header.id);
+        }
+    }
+
+    /// The server keeps its reply across a repeat and builds anew for a
+    /// flipped RD bit or a different name.
+    #[test]
+    fn only_a_repeated_question_and_rd_bit_reuse_the_reply() {
+        let mut ns = FragmentingNs::new("adtest.example".parse().unwrap(), ZoneKey(0x5EED));
+        let mut kept = |query: Message| {
+            let (wire, mtu) = ns.reply(&query).unwrap();
+            assert_eq!(&wire[..2], query.header.id.to_be_bytes());
+            assert_eq!(mtu, 296);
+            ns.last.as_ref().unwrap().wire.as_ptr()
+        };
+        let name = "t1.fsmall.adtest.example";
+        let first = kept(query(1, name, true));
+        assert_eq!(kept(query(2, name, true)), first, "a repeat reuses the reply");
+        let flipped = kept(query(3, name, false));
+        assert_ne!(flipped, first, "a flipped RD bit rebuilds");
+        assert_ne!(
+            kept(query(4, "t2.fsmall.adtest.example", false)),
+            flipped,
+            "a new name rebuilds"
+        );
     }
 }

@@ -15,9 +15,10 @@
 use std::net::Ipv4Addr;
 use std::sync::{Arc, LazyLock};
 
+use bytes::BytesMut;
 use dns::auth::{spawn_zone_nameservers, AuthServer, DNS_PORT};
 use dns::dnssec::ZoneKey;
-use dns::message::Message;
+use dns::message::{Message, MessageView, RecordSpan, Section};
 use dns::name::Name;
 use dns::record::{Record, RecordType};
 use dns::resolver::{Resolver, ResolverConfig};
@@ -162,6 +163,44 @@ static CANARY_ZONES: LazyLock<Arc<[Zone]>> = LazyLock::new(|| {
     Arc::new([zone])
 });
 
+/// The query of every step but the fragment probe (whose name counts
+/// the queries sent before it), encoded once per process with ID 0: the
+/// ID is the only byte of a query that varies between trials.
+static FIXED_QUERIES: LazyLock<[Vec<u8>; 10]> = LazyLock::new(|| {
+    let query = |name: &Name, rtype, rd| {
+        let wire = Message::query(0, name.clone(), rtype, rd).encode().expect("a short query");
+        wire.to_vec()
+    };
+    let snoop = |i: usize| query(&probed_records()[i].0, probed_records()[i].1, false);
+    let names = &*NAMES;
+    [
+        query(&names.known, RecordType::A, false),
+        query(&names.prime, RecordType::A, true),
+        query(&names.prime, RecordType::A, false),
+        snoop(0),
+        snoop(1),
+        snoop(2),
+        snoop(3),
+        snoop(4),
+        snoop(5),
+        query(&names.pool, RecordType::Ns, true),
+    ]
+});
+
+/// Where a step's query sits in [`FIXED_QUERIES`]; `None` for the
+/// fragment probe (and for [`Step::Done`], which sends nothing).
+fn fixed_slot(step: Step) -> Option<usize> {
+    use Step::*;
+    match step {
+        VerifyNoncached => Some(0),
+        Prime => Some(1),
+        VerifyCached => Some(2),
+        Snoop(i) => Some(3 + i),
+        Timing(_) => Some(9),
+        FragProbe | Done => None,
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Step {
     VerifyNoncached,
@@ -173,7 +212,8 @@ enum Step {
     Done,
 }
 
-/// The survey scanner driving the per-resolver protocol.
+/// The survey scanner driving the per-resolver protocol. Its outcome is
+/// final once it reaches [`Step::Done`], and then it stops the simulation.
 #[derive(Debug)]
 struct Scanner {
     resolver: Ipv4Addr,
@@ -183,6 +223,8 @@ struct Scanner {
     timing: Vec<f64>,
     sent_at: SimTime,
     seq: u64,
+    /// Record layouts of the last reply, reused across replies.
+    spans: Vec<RecordSpan>,
 }
 
 impl Scanner {
@@ -202,35 +244,37 @@ impl Scanner {
     }
 
     fn send_current(&mut self, ctx: &mut Ctx<'_>) {
-        use Step::*;
-        let (name, rtype, rd): (Name, RecordType, bool) = match self.step {
-            VerifyNoncached => (NAMES.known.clone(), RecordType::A, false),
-            Prime => (NAMES.prime.clone(), RecordType::A, true),
-            VerifyCached => (NAMES.prime.clone(), RecordType::A, false),
-            Snoop(i) => {
-                let (n, t) = probed_records()[i].clone();
-                (n, t, false)
-            }
-            FragProbe => {
-                let name = format!("t{}.fsmall.adtest.example", self.seq);
-                (name.parse().expect("label"), RecordType::A, true)
-            }
-            Timing(_) => (NAMES.pool.clone(), RecordType::Ns, true),
-            Done => return,
-        };
+        if self.step == Step::Done {
+            return;
+        }
+        let sent = self.seq;
         self.seq += 1;
         self.txid = ctx.rng().random();
         self.sent_at = ctx.now();
-        let q = Message::query(self.txid, name, rtype, rd);
-        if let Ok(wire) = q.encode() {
+        let wire = match fixed_slot(self.step) {
+            Some(slot) => {
+                let fixed = &FIXED_QUERIES[slot];
+                let mut wire = BytesMut::with_capacity(fixed.len());
+                wire.extend_from_slice(fixed);
+                wire[..2].copy_from_slice(&self.txid.to_be_bytes());
+                Ok(wire.freeze())
+            }
+            None => {
+                let name = format!("t{sent}.fsmall.adtest.example").parse().expect("label");
+                Message::query(self.txid, name, RecordType::A, true).encode()
+            }
+        };
+        if let Ok(wire) = wire {
             ctx.send_udp(self.resolver, 5400, DNS_PORT, wire);
         }
         ctx.set_timer(SimDuration::from_secs(3), self.seq);
     }
 
-    fn handle_reply(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
+    /// Handles the reply to the current query: `min_ttl` is the smallest
+    /// answer TTL, `None` for a reply without answers.
+    fn handle_reply(&mut self, ctx: &mut Ctx<'_>, min_ttl: Option<u32>) {
         use Step::*;
-        let got_answer = !msg.answers.is_empty();
+        let got_answer = min_ttl.is_some();
         match self.step {
             VerifyNoncached => {
                 if got_answer {
@@ -247,12 +291,7 @@ impl Scanner {
                     return;
                 }
             }
-            Snoop(i) => {
-                if got_answer {
-                    let ttl = msg.answers.iter().map(|r| r.ttl).min().unwrap_or(0);
-                    self.outcome.cached_ttls[i] = Some(ttl);
-                }
-            }
+            Snoop(i) => self.outcome.cached_ttls[i] = min_ttl,
             FragProbe => {
                 self.outcome.accepts_fragments = got_answer;
             }
@@ -277,13 +316,11 @@ impl Host for Scanner {
         }
         // Timeout: treat as no-answer.
         match self.step {
-            Step::VerifyCached => {
-                self.step = Step::Done;
-            }
-            Step::Timing(_) => {
-                self.step = Step::Done;
-            }
+            Step::VerifyCached | Step::Timing(_) => self.step = Step::Done,
             _ => self.advance(ctx),
+        }
+        if self.step == Step::Done {
+            ctx.stop();
         }
     }
 
@@ -291,16 +328,42 @@ impl Host for Scanner {
         if d.src != self.resolver || d.dst_port != 5400 {
             return;
         }
-        let Ok(msg) = Message::decode(&d.payload) else { return };
-        if msg.header.id != self.txid {
+        // The checked walk accepts exactly what `Message::decode` does;
+        // the scanner reads only the answers' TTLs.
+        let Ok(view) = MessageView::with_spans(&d.payload, &mut self.spans) else { return };
+        if view.header().id != self.txid {
             return;
         }
-        self.handle_reply(ctx, &msg);
+        let data = view.bytes();
+        let min_ttl = self
+            .spans
+            .iter()
+            .filter(|span| span.section == Section::Answer)
+            .filter_map(|span| data.get(span.ttl_offset..)?.first_chunk::<4>().copied())
+            .map(u32::from_be_bytes)
+            .min();
+        self.handle_reply(ctx, min_ttl);
+        if self.step == Step::Done {
+            ctx.stop();
+        }
     }
 }
 
 /// Probes one resolver in an isolated mini-simulation.
 pub fn scan_resolver(spec: &OpenResolverSpec, seed: u64) -> ResolverOutcome {
+    scan(&mut world(spec, seed))
+}
+
+/// [`scan_resolver`], with the traffic counters of the trial's
+/// simulation: what the scan cost, for pinning.
+pub fn scan_resolver_traffic(spec: &OpenResolverSpec, seed: u64) -> (ResolverOutcome, SimStats) {
+    let mut sim = world(spec, seed);
+    (scan(&mut sim), sim.stats())
+}
+
+/// The world of one survey trial: the resolver at [`RESOLVER`] as `spec`
+/// describes it, and the nameservers it recurses to.
+fn world(spec: &OpenResolverSpec, seed: u64) -> Simulator {
     let mut sim = Simulator::new(seed);
     // Per-resolver network distance with jitter — the Fig. 7 confound.
     let base = SimDuration::from_millis(spec.rtt_ms);
@@ -345,12 +408,22 @@ pub fn scan_resolver(spec: &OpenResolverSpec, seed: u64) -> ResolverOutcome {
         );
     }
     sim.add_host(RESOLVER, profile, Box::new(resolver)).expect("resolver");
-    scan(sim)
+    sim
 }
 
+/// The simulated time a scan may take. Every step times out after 3 s, so
+/// the scanner is done well before it, and stops the run then.
+const SCAN_DEADLINE: SimDuration = SimDuration::from_secs(60);
+
 /// Adds the scanner to a world holding the resolver at [`RESOLVER`] and
-/// runs the per-resolver protocol against it.
-fn scan(mut sim: Simulator) -> ResolverOutcome {
+/// runs the per-resolver protocol against it, until the scanner is done.
+fn scan(sim: &mut Simulator) -> ResolverOutcome {
+    add_scanner(sim);
+    sim.run_for(SCAN_DEADLINE);
+    outcome(sim)
+}
+
+fn add_scanner(sim: &mut Simulator) {
     sim.add_host(
         SCANNER,
         OsProfile::linux(),
@@ -367,10 +440,14 @@ fn scan(mut sim: Simulator) -> ResolverOutcome {
             timing: Vec::new(),
             sent_at: netsim::time::SimTime::ZERO,
             seq: 0,
+            spans: Vec::new(),
         }),
     )
     .expect("scanner");
-    sim.run_for(SimDuration::from_secs(60));
+}
+
+/// The scanner's outcome, with the Fig. 7 timing sample folded in.
+fn outcome(sim: &Simulator) -> ResolverOutcome {
     let scanner = sim.host::<Scanner>(SCANNER).expect("scanner exists");
     let mut outcome = scanner.outcome.clone();
     if scanner.timing.len() >= 2 {
@@ -488,6 +565,33 @@ mod tests {
         assert!(!result.timing_diffs_ms.is_empty());
     }
 
+    /// Every fixed query, with an ID written in, is the full encode of the
+    /// question its step asks (the scanner's per-send encode before the
+    /// queries were encoded once per process).
+    #[test]
+    fn fixed_queries_are_full_encodes_of_their_questions() {
+        use Step::*;
+        let records = per_trial_records();
+        let question = |step| match step {
+            VerifyNoncached => ("known.canary.example".parse().unwrap(), RecordType::A, false),
+            Prime => ("prime.canary.example".parse().unwrap(), RecordType::A, true),
+            VerifyCached => ("prime.canary.example".parse().unwrap(), RecordType::A, false),
+            Snoop(i) => (records[i].0.clone(), records[i].1, false),
+            Timing(_) => ("pool.ntp.org".parse().unwrap(), RecordType::Ns, true),
+            FragProbe | Done => unreachable!("not a fixed query"),
+        };
+        let steps = [VerifyNoncached, Prime, VerifyCached].into_iter();
+        let steps = steps.chain((0..6).map(Snoop)).chain((0..4).map(Timing));
+        for (step, id) in steps.zip([0, 1, 0x00FF, 0x8000, 0xFFFF].into_iter().cycle()) {
+            let (name, rtype, rd) = question(step);
+            let full = Message::query(id, name, rtype, rd).encode().unwrap();
+            let mut fixed = FIXED_QUERIES[fixed_slot(step).unwrap()].clone();
+            fixed[..2].copy_from_slice(&id.to_be_bytes());
+            assert_eq!(fixed, full[..], "{step:?}");
+        }
+        assert_eq!((fixed_slot(FragProbe), fixed_slot(Done)), (None, None));
+    }
+
     /// [`probed_records`] as each trial built it before the names were
     /// built once per process.
     fn per_trial_records() -> Vec<(Name, RecordType)> {
@@ -554,8 +658,43 @@ mod tests {
         assert_eq!(probed_records()[..], per_trial_records()[..]);
         for idx in 0..2_000 {
             let (spec, seed) = (open_resolver_at(2020, idx), crate::scan_seed(2020, idx));
-            let per_trial = scan(per_trial_world(&spec, seed));
+            let per_trial = scan(&mut per_trial_world(&spec, seed));
             assert_eq!(scan_resolver(&spec, seed), per_trial, "resolver {idx}: {spec:?}");
         }
+    }
+
+    /// [`scan`] as it ran before the scanner stopped the simulation at
+    /// [`Step::Done`]: for the whole [`SCAN_DEADLINE`]. A stop only ends
+    /// one run, so running on to the deadline dispatches every event the
+    /// fixed-length run did, in the same order.
+    fn full_deadline_scan(sim: &mut Simulator) -> ResolverOutcome {
+        add_scanner(sim);
+        let deadline = sim.now() + SCAN_DEADLINE;
+        while sim.now() < deadline {
+            sim.run_until(deadline);
+        }
+        outcome(sim)
+    }
+
+    /// Stopping the scan once the scanner is done changes no outcome over
+    /// 2,000 indices of the open-resolver population, and cuts the events
+    /// of the resolvers that reject fragments (their retries to the
+    /// fragmenting nameserver outlive the scan).
+    #[test]
+    fn stopping_at_done_matches_the_full_deadline_scan() {
+        let mut cut = 0;
+        for idx in 0..2_000 {
+            let (spec, seed) = (open_resolver_at(2020, idx), crate::scan_seed(2020, idx));
+            let mut full = world(&spec, seed);
+            let reference = full_deadline_scan(&mut full);
+            let (outcome, stats) = scan_resolver_traffic(&spec, seed);
+            assert_eq!(outcome, reference, "resolver {idx}: {spec:?}");
+            let full_events = full.stats().events_dispatched;
+            assert!(stats.events_dispatched <= full_events, "resolver {idx}");
+            if reference.verified && !reference.accepts_fragments {
+                cut += usize::from(stats.events_dispatched < full_events);
+            }
+        }
+        assert!(cut > 0, "no fragment-rejecting scan stopped early");
     }
 }

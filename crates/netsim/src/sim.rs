@@ -657,6 +657,7 @@ pub struct Ctx<'a> {
     rng: &'a mut SmallRng,
     actions: &'a mut Vec<Action>,
     boxes: &'a mut BoxPool,
+    stop: &'a mut bool,
 }
 
 impl<'a> Ctx<'a> {
@@ -721,6 +722,14 @@ impl<'a> Ctx<'a> {
     /// [`Host::on_timer`].
     pub fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
         self.actions.push(Action::SetTimer { at: self.now + delay, token });
+    }
+
+    /// Ends the run in progress once this callback's actions are applied:
+    /// for a host whose result is final, so that nothing it no longer
+    /// reads is simulated. See [`Simulator::run_until`] for what `now` and
+    /// the queue hold afterwards.
+    pub fn stop(&mut self) {
+        *self.stop = true;
     }
 }
 
@@ -836,6 +845,9 @@ pub struct Simulator {
     /// address table is insert-only — a resolved id never goes stale.
     route_cache: Vec<(Ipv4Addr, HostId)>,
     max_events: u64,
+    /// Set by [`Ctx::stop`]; the run loop checks it after each event and
+    /// clears it as the run returns.
+    stop_requested: bool,
     /// The flight recorder, compiled in only under the `trace` feature:
     /// the default build carries no ring and no stores.
     #[cfg(feature = "trace")]
@@ -870,6 +882,7 @@ impl Simulator {
             // simlint: allow(hot-alloc) — cold constructor: empty.
             route_cache: Vec::new(),
             max_events: u64::MAX,
+            stop_requested: false,
             // simlint: allow(hot-alloc) — cold constructor: the ring is
             // allocated once here so recording never allocates.
             #[cfg(feature = "trace")]
@@ -1016,22 +1029,31 @@ impl Simulator {
         Some(&self.slots[id.index()].stack)
     }
 
-    /// Runs until the event queue is exhausted, `deadline` is reached, or
-    /// the event budget runs out; `now` afterwards equals `deadline` even
-    /// in the budget-exhausted case, so time-polling loops (step to
-    /// `deadline`, check a predicate, repeat) still terminate. Events left
-    /// queued by an exhausted budget dispatch on a later run (after
-    /// raising the budget) without moving time backwards.
+    /// Runs until the event queue is exhausted, `deadline` is reached, the
+    /// event budget runs out, or a host calls [`Ctx::stop`]; `now`
+    /// afterwards equals `deadline` even in the budget-exhausted case, so
+    /// time-polling loops (step to `deadline`, check a predicate, repeat)
+    /// still terminate. Events left queued by an exhausted budget dispatch
+    /// on a later run (after raising the budget) without moving time
+    /// backwards.
+    ///
+    /// A stop returns after the event whose callback asked for it, with
+    /// `now` at that event's time (not at `deadline`) and every event not
+    /// yet dispatched still queued, including those the stopping callback
+    /// scheduled. The stop ends only this run: a later run dispatches the
+    /// queued events in `(at, seq)` order, exactly as if there had been no
+    /// stop.
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.drain_until(deadline);
-        if self.now < deadline {
+        if !self.drain_until(deadline) && self.now < deadline {
             self.now = deadline;
         }
     }
 
     /// Dispatches queued events up to `deadline` within the event budget,
     /// one queue pop per event, leaving `now` at the last dispatched event.
-    fn drain_until(&mut self, deadline: SimTime) {
+    /// True when a host's [`Ctx::stop`] ended the drain (the request is
+    /// cleared).
+    fn drain_until(&mut self, deadline: SimTime) -> bool {
         while let Some(at) = self.queue.peek() {
             if at > deadline || self.stats.events_dispatched >= self.max_events {
                 break;
@@ -1039,7 +1061,12 @@ impl Simulator {
             let (at, kind) = self.queue.pop().expect("peeked event exists");
             self.now = self.now.max(at);
             self.dispatch(kind);
+            if self.stop_requested {
+                self.stop_requested = false;
+                return true;
+            }
         }
+        false
     }
 
     /// Runs for a span of simulated time.
@@ -1048,10 +1075,11 @@ impl Simulator {
         self.run_until(deadline);
     }
 
-    /// Processes every queued event regardless of time. `now` rests at the
-    /// last dispatched event (it does not jump to [`SimTime::MAX`]), so a
-    /// budget-exhausted simulation can be resumed with a raised budget and
-    /// an intact clock.
+    /// Processes every queued event regardless of time, or until a host
+    /// calls [`Ctx::stop`] (as for [`Simulator::run_until`]). `now` rests at
+    /// the last dispatched event (it does not jump to [`SimTime::MAX`]), so
+    /// a budget-exhausted simulation can be resumed with a raised budget
+    /// and an intact clock.
     ///
     /// # Errors
     ///
@@ -1105,6 +1133,7 @@ impl Simulator {
                         rng: &mut self.rng,
                         actions: &mut self.scratch,
                         boxes: &mut self.boxes,
+                        stop: &mut self.stop_requested,
                     };
                     slot.host.on_raw_packet(&mut ctx, &pkt)
                 };
@@ -1198,6 +1227,7 @@ impl Simulator {
                 rng: &mut self.rng,
                 actions: &mut self.scratch,
                 boxes: &mut self.boxes,
+                stop: &mut self.stop_requested,
             };
             match input {
                 HostInput::Start => slot.host.on_start(&mut ctx),
@@ -1638,6 +1668,73 @@ mod tests {
         assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_secs(3600));
         sim.run_for(SimDuration::from_secs(1));
         assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_secs(3601));
+    }
+
+    /// Pings `peer` and arms five timers on start (tokens 2 and 3 due at
+    /// the same instant); logs each firing, arms token 6 for the instant
+    /// token 2 fires, and asks for a stop when `stop_at` fires.
+    struct Stopper {
+        peer: Ipv4Addr,
+        stop_at: Option<TimerToken>,
+        fired: Vec<(SimTime, TimerToken)>,
+    }
+
+    impl Host for Stopper {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.send_udp(self.peer, 1000, 2000, Bytes::from_static(b"ping"));
+            for (ms, token) in [(5, 1), (10, 2), (10, 3), (20, 4), (30, 5)] {
+                ctx.set_timer(SimDuration::from_millis(ms), token);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+            self.fired.push((ctx.now(), token));
+            if token == 2 {
+                ctx.set_timer(SimDuration::ZERO, 6);
+            }
+            if self.stop_at == Some(token) {
+                ctx.stop();
+            }
+        }
+    }
+
+    #[test]
+    fn stop_leaves_later_events_queued_for_the_next_run() {
+        let world = |stop_at| {
+            let link = LinkSpec::fixed(SimDuration::from_millis(15));
+            let mut sim = Simulator::with_topology(3, Topology::uniform(link));
+            let stopper = Stopper { peer: B, stop_at, fired: Vec::new() };
+            sim.add_host(A, OsProfile::linux(), Box::new(stopper)).unwrap();
+            sim.add_host(B, OsProfile::linux(), Box::new(Echo { received: 0 })).unwrap();
+            sim
+        };
+        let fired = |sim: &Simulator| sim.host::<Stopper>(A).unwrap().fired.clone();
+        let deadline = SimTime::ZERO + SimDuration::from_secs(1);
+        let mut reference = world(None);
+        reference.run_until(deadline);
+
+        let mut sim = world(Some(2));
+        sim.run_until(deadline);
+        // The run ended at the stopping event: two starts and two timers.
+        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        assert_eq!(sim.now(), at(10));
+        assert_eq!(fired(&sim), [(at(5), 1), (at(10), 2)]);
+        assert_eq!(sim.stats().events_dispatched, 4);
+        // Token 3, token 6 (armed by the stopping callback), the ping's
+        // arrival at 15 ms and tokens 4 and 5 are still queued.
+        assert_eq!(sim.queue.len(), 5);
+        assert_eq!(sim.host::<Echo>(B).unwrap().received, 0);
+
+        // The next run dispatches them in `(at, seq)` order: 3 before 6 at
+        // the same instant, then the rest, as the run without a stop did.
+        sim.run_until(deadline);
+        assert_eq!(sim.now(), deadline);
+        let (f, r) = (fired(&sim), fired(&reference));
+        assert_eq!(f[2..4], [(at(10), 3), (at(10), 6)]);
+        assert_eq!(f, r);
+        assert_eq!(sim.stats(), reference.stats());
+        assert_eq!(sim.host::<Echo>(B).unwrap().received, 1);
+        #[cfg(feature = "trace")]
+        assert_eq!(sim.trace_digest(), reference.trace_digest());
     }
 
     #[test]

@@ -277,3 +277,55 @@ fn attack_traffic_is_pinned() {
          triggers_sent: 7, checks_sent: 9 }"
     );
 }
+
+/// The traffic of `table4_snoop` trial `idx` at seed 2020: its
+/// `SimStats` without the buffer-pool counters.
+fn survey_traffic(idx: usize) -> String {
+    let (spec, outcome) = registry::snoop(Scale { seed: 2020, ..Scale::quick() }).trial(idx);
+    let seed = scan_seed(2020 ^ experiments::salts::SNOOP_SCAN, idx);
+    let (traced, stats) = timeshift::measure::snoop::scan_resolver_traffic(&spec, seed);
+    assert_eq!(traced, outcome, "the same trial as the survey scan's");
+    format!("{:?}", SimStats { pool_hits: 0, pool_misses: 0, ..stats })
+}
+
+/// Packet and event counts of three survey trials, pinned: an RD-ignoring
+/// resolver (index 0), a fragment-accepting one (1) and a fragment-
+/// rejecting one (6). No Table IV record carries them, so this is what
+/// notices a scan that simulates more (or less) than it did.
+#[test]
+fn survey_traffic_is_pinned() {
+    for (idx, rd, frag) in [(0, false, false), (1, true, true), (6, true, false)] {
+        let spec = open_resolver_at(2020, idx);
+        assert_eq!((spec.respects_rd, spec.accepts_fragments), (rd, frag), "index {idx}");
+    }
+    assert_eq!(
+        survey_traffic(0),
+        "SimStats { packets_sent: 4, packets_lost: 0, packets_delivered: 4, \
+         packets_unrouted: 0, datagrams_delivered: 4, datagrams_dropped: 0, \
+         drops: DropCounts { no_frag_support: 0, tiny_fragment: 0, defrag_cap_full: 0, \
+         duplicate_fragment: 0, defrag_expired: 0, udp_truncated: 0, \
+         udp_length_mismatch: 0, udp_bad_checksum: 0, icmp_malformed: 0, unknown_protocol: 0 }, \
+         timers_fired: 0, events_dispatched: 12, ipid_evictions: 0, \
+         peak_queue_depth: 8, pool_hits: 0, pool_misses: 0 }"
+    );
+    assert_eq!(
+        survey_traffic(1),
+        "SimStats { packets_sent: 39, packets_lost: 0, packets_delivered: 39, \
+         packets_unrouted: 0, datagrams_delivered: 34, datagrams_dropped: 1, \
+         drops: DropCounts { no_frag_support: 0, tiny_fragment: 0, defrag_cap_full: 0, \
+         duplicate_fragment: 0, defrag_expired: 0, udp_truncated: 0, \
+         udp_length_mismatch: 0, udp_bad_checksum: 0, icmp_malformed: 0, unknown_protocol: 0 }, \
+         timers_fired: 5, events_dispatched: 52, ipid_evictions: 0, \
+         peak_queue_depth: 17, pool_hits: 0, pool_misses: 0 }"
+    );
+    assert_eq!(
+        survey_traffic(6),
+        "SimStats { packets_sent: 43, packets_lost: 0, packets_delivered: 43, \
+         packets_unrouted: 0, datagrams_delivered: 31, datagrams_dropped: 2, \
+         drops: DropCounts { no_frag_support: 12, tiny_fragment: 0, defrag_cap_full: 0, \
+         duplicate_fragment: 0, defrag_expired: 0, udp_truncated: 0, \
+         udp_length_mismatch: 0, udp_bad_checksum: 0, icmp_malformed: 0, unknown_protocol: 0 }, \
+         timers_fired: 12, events_dispatched: 63, ipid_evictions: 0, \
+         peak_queue_depth: 17, pool_hits: 0, pool_misses: 0 }"
+    );
+}
