@@ -32,6 +32,12 @@
 //! a nested object does not count) — how CI pins that
 //! `metrics.json` is the final normalized snapshot, not a stale live tick.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a CLI: reports, worker NDJSON and usage errors go to stdout and stderr"
+)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

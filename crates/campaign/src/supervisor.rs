@@ -42,8 +42,9 @@
 //!
 //! ## No wall clock
 //!
-//! The workspace bans `Instant::now`/`SystemTime::now` (simlint R3) —
-//! timing reads are where nondeterminism leaks in.
+//! The workspace bans `Instant::now`/`SystemTime::now` (clippy's
+//! `disallowed-methods`) — timing reads are where nondeterminism leaks
+//! in.
 //! The supervisor therefore measures time in **ticks**: one poll-loop
 //! iteration (one `poll_interval_ms` sleep) is one tick, timeouts and
 //! backoff are tick counts, and no code path ever reads a clock. Ticks

@@ -105,9 +105,10 @@ impl Scale {
     /// registry scan generates each spec lazily from its trial index, so
     /// the population is never materialized. A sharded campaign (`campaign
     /// run table4_snoop --scale paper`) also aggregates online, so memory
-    /// stays bounded; wall-clock is CPU-bound (hours on one box,
-    /// shardable). An in-process `Scan::run` keeps every `(spec, verdict)`
-    /// pair, so it suits [`Scale::quick`]-sized runs.
+    /// stays bounded; wall-clock is CPU-bound and shards across workers
+    /// (`table4_snoop --scale paper --shards 2 --workers 2` measured
+    /// 31–40 s on 2 vCPUs). An in-process `Scan::run` keeps every
+    /// `(spec, verdict)` pair, so it suits [`Scale::quick`]-sized runs.
     pub fn paper() -> Self {
         Scale {
             resolvers: 1_583_045,

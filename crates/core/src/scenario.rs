@@ -44,8 +44,6 @@ pub struct ScenarioConfig {
     pub rate_limit: Option<RateLimitConfig>,
     /// Time shift served by malicious NTP servers (paper: −500 s).
     pub shift_secs: f64,
-    /// Resolver behaviour.
-    pub resolver: ResolverConfig,
     /// Whether the resolver answers the attacker (open resolver): enables
     /// attacker-triggered resolution and RD=0 success checks.
     pub resolver_open: bool,
@@ -57,7 +55,6 @@ impl Default for ScenarioConfig {
             seed: 7,
             rate_limit: Some(RateLimitConfig::kod()),
             shift_secs: -500.0,
-            resolver: ResolverConfig::default(),
             resolver_open: true,
         }
     }
@@ -130,7 +127,7 @@ impl Scenario {
             resolver_addr,
             OsProfile::linux(),
             Box::new(Resolver::new(
-                config.resolver.clone(),
+                ResolverConfig::default(),
                 vec![(pool_domain(), ns_list.clone())],
             )),
         )

@@ -362,12 +362,6 @@ impl Host for AuthServer {
     }
 }
 
-/// Convenience: the default vulnerable pool nameserver OS profile (honours
-/// PMTUD down to 548 bytes, global sequential IPID).
-pub fn vulnerable_ns_profile() -> OsProfile {
-    OsProfile::nameserver(548)
-}
-
 /// Returns the addresses of the nameservers for a zone laid out by
 /// [`crate::zone::pool_zone`].
 pub fn ns_addrs(zone: &Zone) -> Vec<Ipv4Addr> {
@@ -422,7 +416,10 @@ mod tests {
         let mut srv = AuthServer::new(vec![zone]);
         let mut rng = rng();
         let r1 = srv.answer(&query("pool.ntp.org"), &mut rng);
-        #[allow(clippy::disallowed_types)] // test code (simlint R2 exempts tests)
+        #[allow(
+            clippy::disallowed_types,
+            reason = "a membership count: the set's iteration order is never read"
+        )]
         let mut seen: std::collections::HashSet<Ipv4Addr> = r1.answer_addrs().into_iter().collect();
         assert_eq!(seen.len(), 4);
         for _ in 0..10 {

@@ -51,9 +51,7 @@ pub mod zone;
 
 /// Commonly used types.
 pub mod prelude {
-    pub use crate::auth::{
-        ns_addrs, spawn_zone_nameservers, vulnerable_ns_profile, AuthServer, AuthStats, DNS_PORT,
-    };
+    pub use crate::auth::{ns_addrs, spawn_zone_nameservers, AuthServer, AuthStats, DNS_PORT};
     pub use crate::cache::{CacheHit, DnsCache};
     pub use crate::dnssec::{make_rrsig, sign_rrset, TrustAnchors, ZoneKey};
     pub use crate::error::DnsError;

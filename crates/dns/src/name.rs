@@ -464,7 +464,10 @@ mod tests {
         let a: Name = "NS1.Pool.Ntp.Org".parse().unwrap();
         let b: Name = "ns1.pool.ntp.org".parse().unwrap();
         assert_eq!(a, b);
-        #[allow(clippy::disallowed_types)] // test code (simlint R2 exempts tests)
+        #[allow(
+            clippy::disallowed_types,
+            reason = "checks `Name`'s `Hash` against std's SipHash set; iteration order is never read"
+        )]
         let set: std::collections::HashSet<Name> = [a].into_iter().collect();
         assert!(set.contains(&b));
     }

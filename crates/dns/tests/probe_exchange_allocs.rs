@@ -114,7 +114,7 @@ fn steady_state_probe_exchanges_do_not_allocate() {
     let query = Message::query(0, "pool.ntp.org".parse().unwrap(), RecordType::A, false);
     let prober = Prober { query: query.encode().unwrap(), txid: 0, spans: Vec::new(), replies: 0 };
     let mut sim = Simulator::new(2020);
-    sim.add_host(NAMESERVER, vulnerable_ns_profile(), Box::new(server)).unwrap();
+    sim.add_host(NAMESERVER, OsProfile::nameserver(548), Box::new(server)).unwrap();
     sim.add_host(PROBER, OsProfile::linux(), Box::new(prober)).unwrap();
     sim.run_for(SimDuration::from_secs(100));
     let warm = sim.host::<Prober>(PROBER).unwrap().replies;

@@ -9,9 +9,11 @@
 //! simulated addresses inside a single-process simulation, so HashDoS
 //! resistance buys nothing here.
 
-#[allow(clippy::disallowed_types)] // mirrored clippy allow for the same rule
-// simlint: allow(std-hash) — this module IS the sanctioned wrapper: FastMap and
-// FastSet re-key std's tables with a fixed-state hasher, removing the hazard.
+#[allow(
+    clippy::disallowed_types,
+    reason = "this module is the sanctioned wrapper: FastMap and FastSet re-key std's tables \
+              with a fixed-state hasher, removing the hazard"
+)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -65,13 +67,11 @@ impl Hasher for FastHasher {
 /// hasher has no random state: iteration order is a pure function of the
 /// inserted keys, so map-order effects can never leak nondeterminism into
 /// trial results.
-#[allow(clippy::disallowed_types)]
-// simlint: allow(std-hash) — the definition of FastMap itself.
+#[allow(clippy::disallowed_types, reason = "the definition of FastMap itself")]
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// A `HashSet` keyed through [`FastHasher`] (see [`FastMap`]).
-#[allow(clippy::disallowed_types)]
-// simlint: allow(std-hash) — the definition of FastSet itself.
+#[allow(clippy::disallowed_types, reason = "the definition of FastSet itself")]
 pub type FastSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
 
 /// A [`FastMap`] pre-sized for `capacity` entries. `FastMap::default()`

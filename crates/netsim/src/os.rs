@@ -100,13 +100,6 @@ impl OsProfile {
     pub fn nameserver_no_pmtud() -> Self {
         OsProfile { pmtu_floor: None, ipid: IpidMode::Random, ..OsProfile::linux() }
     }
-
-    /// A resolver host that drops non-final incoming fragments below
-    /// `min_size` on-wire bytes (Google-style filtering; pass 0 to accept
-    /// everything).
-    pub fn resolver_filtering(min_size: u16) -> Self {
-        OsProfile { fragments: Some(min_size), ..OsProfile::linux() }
-    }
 }
 
 impl Default for OsProfile {

@@ -579,10 +579,11 @@ const _: () = assert!(std::mem::size_of::<EventKind>() <= 32, "EventKind grew pa
 /// packet's box is reused for the next transmitted one, so boxing the
 /// variants costs no steady-state allocation.
 #[derive(Debug, Default)]
-// The boxes ARE the resource being pooled: each retained `Box` is a live
-// allocation waiting to carry the next event, so `Vec<Box<_>>` is exactly
-// right here despite the usual lint.
-#[allow(clippy::vec_box)]
+#[allow(
+    clippy::vec_box,
+    reason = "the boxes are the pooled resource: each retained `Box` is a live allocation \
+              waiting to carry the next event"
+)]
 struct BoxPool {
     pkts: Vec<Box<Ipv4Packet>>,
     dgrams: Vec<Box<UdpDatagram>>,

@@ -40,7 +40,7 @@ fn every_receive_discard_names_a_reason() {
     assert_eq!(stack.drop_counts().no_frag_support, 1);
 
     // tiny-fragment: filtering resolvers drop small non-final fragments.
-    let mut stack = NetStack::new(OsProfile::resolver_filtering(1500));
+    let mut stack = NetStack::new(OsProfile { fragments: Some(1500), ..OsProfile::linux() });
     let tiny = fragment(
         Ipv4Packet::udp(
             A,

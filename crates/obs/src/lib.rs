@@ -3,8 +3,8 @@
 //! The observability layer of the workspace: a fixed-capacity, pre-allocated
 //! **flight recorder** of structured trace events, the shared **trace-event
 //! taxonomy** ([`kind`]), and the [`console!`] funnel through which library
-//! crates emit human-facing diagnostics (simlint R7 bans raw `eprintln!` /
-//! `println!` in library code).
+//! crates emit human-facing diagnostics (clippy's `print_stdout` /
+//! `print_stderr` lints ban raw `println!` / `eprintln!` in library code).
 //!
 //! ## Determinism contract
 //!
@@ -284,7 +284,7 @@ impl Fnv {
 }
 
 /// The sanctioned console funnel for library crates: exactly `eprintln!`,
-/// but greppable and lintable. simlint R7 ("trace-hygiene") bans raw
+/// but greppable. Clippy's `print_stdout`/`print_stderr` lints ban raw
 /// `println!`/`eprintln!` in library code so every human-facing diagnostic
 /// goes through here (or a binary's own `main.rs`), keeping record streams
 /// and JSON artifacts clean of stray prints.

@@ -3,32 +3,12 @@
 //! source dir and the workspace walk skips it (see `config::SKIP_DIRS`).
 // simlint: hot-path
 
-use std::collections::HashMap; // R2: std-hash
-use std::time::Instant;
-
-fn wall_clock() -> Instant {
-    Instant::now() // R3: wall-clock
-}
-
-fn ambient() -> u64 {
-    let mut rng = thread_rng(); // R4: ambient-rng
-    rng.gen()
-}
-
 fn hot(v: &[u8]) -> Vec<u8> {
     v.to_vec() // R5: hot-alloc (file carries the hot-path marker)
 }
 
-fn undocumented(p: *mut u8) {
-    unsafe { p.write(0) } // R1: safety (no SAFETY comment anywhere near)
-}
-
-fn chatty() {
-    eprintln!("debug: {}", 1); // R7: console (library code must use obs::console!)
-}
-
-fn bad_suppression() -> HashMap<u32, u32> {
-    HashMap::new() // simlint: allow(std-hash)
+fn bad_suppression() -> Vec<u8> {
+    Vec::new() // simlint: allow(hot-alloc)
     // ^ allow-syntax: an allow without a reason is itself an error and
-    //   does not suppress the std-hash finding on its line.
+    //   does not suppress the hot-alloc finding on its line.
 }

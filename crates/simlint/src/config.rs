@@ -1,5 +1,5 @@
 //! Embedded workspace configuration: which trees are walked, which paths
-//! may print to the console, and which enums must carry a compile-time
+//! are test code, and which enums and structs must carry a compile-time
 //! size assertion.
 //!
 //! The tables live in code rather than a config file on purpose: changing
@@ -17,8 +17,8 @@ pub const WALK_ROOTS: &[&str] = &["src", "tests", "examples", "crates", "vendor/
 /// deliberately-violating sources for the CI negative smoke.
 pub const SKIP_DIRS: &[&str] = &["target", "fixtures"];
 
-/// Path fragments that mark a file as test code: R2 (std hash containers)
-/// and R5 (hot-path allocations) do not apply there. `#[cfg(test)]`
+/// Path fragments that mark a file as test code: R5 (hot-path
+/// allocations) does not apply there. `#[cfg(test)]`
 /// modules inside library files are detected separately.
 pub const TEST_PATH_MARKERS: &[&str] = &["tests/", "benches/"];
 
@@ -50,40 +50,14 @@ pub const HOT_STRUCTS: &[(&str, &[(&str, u64)])] = &[
     ("crates/dns", &[("Name", 32)]),
 ];
 
-/// Path prefixes where raw console macros (R7) are legitimate library
-/// code: `crates/obs/` defines the sanctioned `console!` funnel itself.
-/// Binaries (`main.rs`, `src/bin/`, `examples/`) are exempted by shape
-/// in [`console_allowed`] — a CLI's job is to print.
-pub const CONSOLE_ALLOW: &[&str] = &["crates/obs/"];
-
 /// Every rule simlint knows, by id. `allow(...)` comments naming
 /// anything else are themselves an error.
-pub const RULES: &[&str] = &[
-    "safety",
-    "std-hash",
-    "wall-clock",
-    "ambient-rng",
-    "hot-alloc",
-    "enum-size",
-    "console",
-    "allow-syntax",
-];
+pub const RULES: &[&str] = &["hot-alloc", "enum-size", "allow-syntax"];
 
 /// True when `path` (root-relative, `/`-separated) is test code by
 /// location alone.
 pub fn is_test_path(path: &str) -> bool {
     TEST_PATH_MARKERS.iter().any(|m| path.starts_with(m) || path.contains(&format!("/{m}")))
-}
-
-/// True when `path` may call raw console macros (R7): binaries and
-/// examples by shape, plus the [`CONSOLE_ALLOW`] prefixes.
-pub fn console_allowed(path: &str) -> bool {
-    path.ends_with("/main.rs")
-        || path == "main.rs"
-        || path.contains("/bin/")
-        || path.starts_with("examples/")
-        || path.contains("/examples/")
-        || CONSOLE_ALLOW.iter().any(|p| path.starts_with(p))
 }
 
 #[cfg(test)]
@@ -97,16 +71,5 @@ mod tests {
         assert!(is_test_path("crates/bench/benches/table3.rs"));
         assert!(!is_test_path("crates/netsim/src/queue.rs"));
         assert!(!is_test_path("src/lib.rs"));
-    }
-
-    #[test]
-    fn console_allowlist_covers_binaries_and_the_funnel() {
-        assert!(console_allowed("crates/campaign/src/main.rs"));
-        assert!(console_allowed("crates/demo/src/bin/tool.rs"));
-        assert!(console_allowed("crates/obs/src/lib.rs"));
-        assert!(console_allowed("examples/demo.rs"));
-        assert!(!console_allowed("crates/bench/src/lib.rs"));
-        assert!(!console_allowed("crates/campaign/src/supervisor.rs"));
-        assert!(!console_allowed("crates/netsim/src/sim.rs"));
     }
 }

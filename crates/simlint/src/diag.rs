@@ -12,7 +12,7 @@ pub struct Diagnostic {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// Rule id, e.g. `std-hash` (rendered as `simlint::std-hash`).
+    /// Rule id, e.g. `hot-alloc` (rendered as `simlint::hot-alloc`).
     pub rule: &'static str,
     /// Human explanation, including what to use instead.
     pub message: String,
@@ -46,9 +46,9 @@ mod tests {
             path: "crates/x/src/lib.rs".into(),
             line: 12,
             col: 5,
-            rule: "std-hash",
+            rule: "hot-alloc",
             message: "no".into(),
         };
-        assert_eq!(d.to_string(), "crates/x/src/lib.rs:12:5: error[simlint::std-hash]: no");
+        assert_eq!(d.to_string(), "crates/x/src/lib.rs:12:5: error[simlint::hot-alloc]: no");
     }
 }

@@ -5,11 +5,10 @@
 //! sequences, so the only correctness requirement here is that nothing
 //! inside a comment, any flavour of string literal (`"…"`, `r#"…"#`,
 //! `b"…"`, `c"…"`), or a char literal ever produces an `Ident` token —
-//! otherwise `// call thread_rng()` in prose or `"HashMap"` in a message
+//! otherwise `// call v.clone()` in prose or `"Vec::new"` in a message
 //! would raise false positives. Comments are kept (with exact line
-//! spans) because three rules read them: `// SAFETY:` proximity for R1,
-//! `// simlint: allow(rule)` suppressions, and the `// simlint:
-//! hot-path` file marker.
+//! spans) because two directives live in them: `// simlint: allow(rule)`
+//! suppressions and the `// simlint: hot-path` file marker.
 
 /// Where a token starts: 1-based line and (character) column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,24 +91,6 @@ pub struct Lexed {
     pub toks: Vec<Tok>,
     /// Comments, in source order.
     pub comments: Vec<Comment>,
-}
-
-impl Lexed {
-    /// True when line `line` lies inside some comment.
-    pub fn line_in_comment(&self, line: u32) -> bool {
-        self.comments.iter().any(|c| c.start_line <= line && line <= c.end_line)
-    }
-
-    /// The comment covering `line`, if any (innermost is irrelevant —
-    /// comments never nest across distinct entries).
-    pub fn comment_at(&self, line: u32) -> Option<&Comment> {
-        self.comments.iter().find(|c| c.start_line <= line && line <= c.end_line)
-    }
-
-    /// True when some code token starts on `line`.
-    pub fn line_has_code(&self, line: u32) -> bool {
-        self.toks.iter().any(|t| t.span.line == line)
-    }
 }
 
 struct Cursor {
@@ -435,8 +416,7 @@ mod tests {
         let lexed = lex("/* one\ntwo\nthree */ code");
         assert_eq!(lexed.comments.len(), 1);
         assert_eq!((lexed.comments[0].start_line, lexed.comments[0].end_line), (1, 3));
-        assert!(lexed.line_in_comment(2));
-        assert!(lexed.line_has_code(3));
+        assert_eq!(lexed.toks[0].span, Span { line: 3, col: 10 });
     }
 
     #[test]

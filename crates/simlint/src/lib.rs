@@ -1,16 +1,18 @@
-//! `simlint` — the workspace invariant linter.
+//! `simlint` — the workspace invariant linter for what clippy cannot name.
 //!
 //! The repo's value rests on two contracts: results are a bit-identical
 //! pure function of `(scale, seed, index)` at any worker/shard count, and
-//! the packet hot path holds a zero-heap-allocation steady state. Both
-//! used to be enforced only by runtime tests and reviewer vigilance; this
-//! crate makes them machine-checked. It is a dependency-free static pass
+//! the packet hot path holds a zero-heap-allocation steady state. Clippy
+//! enforces every part of them it has a lint for (no std hash
+//! containers, no wall-clock reads, SAFETY comments, no raw prints; see
+//! the root `Cargo.toml` and `clippy.toml`). This crate checks the rest:
+//! no allocation idioms in hot-path files, and a compile-time size bound
+//! on every hot enum and struct. It is a dependency-free static pass
 //! (hand-rolled lexer, no `syn` — there is no registry access here) in
-//! the spirit of clippy's `disallowed-methods` and netstack3's in-tree
-//! lints: [`rules`] documents the rule table, [`config`] the embedded
-//! scope/allowlist tables, and the `simlint` binary drives it over the
-//! workspace with rustc-style `file:line:col` diagnostics and a nonzero
-//! exit on any finding.
+//! the spirit of netstack3's in-tree lints: [`rules`] documents the rule
+//! table, [`config`] the embedded scope tables, and the `simlint` binary
+//! drives it over the workspace with rustc-style `file:line:col`
+//! diagnostics and a nonzero exit on any finding.
 
 #![warn(missing_docs)]
 

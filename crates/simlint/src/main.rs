@@ -8,6 +8,12 @@
 //!
 //! Exit status: 0 when clean, 1 on findings, 2 on usage/I-O errors.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a CLI: diagnostics go to stdout, usage errors to stderr"
+)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -1,14 +1,12 @@
-//! The invariant rules, evaluated over the token/comment stream.
+//! The rules clippy cannot express, evaluated over the token/comment
+//! stream. Every other invariant (SAFETY comments, std hash containers,
+//! wall-clock reads, raw prints, reasonless `#[allow]`s) is a clippy lint
+//! configured in the root `Cargo.toml` and `clippy.toml`.
 //!
 //! | id            | invariant                                                      |
 //! |---------------|----------------------------------------------------------------|
-//! | `safety`      | every `unsafe` is preceded by a SAFETY comment / doc section   |
-//! | `std-hash`    | no `HashMap`/`HashSet` in non-test library code                |
-//! | `wall-clock`  | no `Instant::now`/`SystemTime::now`, anywhere                  |
-//! | `ambient-rng` | no `thread_rng`/`from_entropy`/`rand::random`, anywhere        |
 //! | `hot-alloc`   | no allocation idioms in files marked hot-path                  |
-//! | `enum-size`   | every hot-list enum has a compile-time `size_of` assertion     |
-//! | `console`     | no raw print macros in library code — use `obs::console!`      |
+//! | `enum-size`   | every hot-list enum/struct has a compile-time `size_of` bound  |
 //! | `allow-syntax`| every suppression names a real rule and gives a reason         |
 //!
 //! Suppression is per-line and must carry a justification, e.g.
@@ -148,38 +146,6 @@ fn in_regions(regions: &[(u32, u32)], line: u32) -> bool {
     regions.iter().any(|&(a, b)| a <= line && line <= b)
 }
 
-/// True when a SAFETY marker comment covers `line` or sits in the
-/// contiguous comment/blank/attribute block directly above it.
-fn safety_comment_near(lexed: &Lexed, line: u32) -> bool {
-    let has_marker = |c: &Comment| c.text.contains("SAFETY:") || c.text.contains("# Safety");
-    if lexed.comment_at(line).is_some_and(&has_marker) {
-        return true;
-    }
-    let mut l = line.saturating_sub(1);
-    while l >= 1 {
-        if let Some(c) = lexed.comment_at(l) {
-            if has_marker(c) {
-                return true;
-            }
-            l = c.start_line.saturating_sub(1);
-            continue;
-        }
-        if lexed.line_has_code(l) {
-            // Attribute lines (`#[inline]`) may sit between the comment
-            // and the unsafe item; anything else ends the search.
-            let first_on_line =
-                lexed.toks.iter().find(|t| t.span.line == l).expect("line has code");
-            if first_on_line.is_punct('#') {
-                l -= 1;
-                continue;
-            }
-            return false;
-        }
-        l -= 1; // blank line
-    }
-    false
-}
-
 /// Matches `base :: name` starting at `toks[i]` (where `toks[i]` is the
 /// `base` identifier).
 fn qualified(toks: &[Tok], i: usize, base: &str, name: &str) -> bool {
@@ -197,7 +163,7 @@ fn method_call(toks: &[Tok], i: usize, name: &str) -> bool {
 }
 
 /// Lints one file's source. `path` must be workspace-root-relative with
-/// `/` separators — the rules use it for the test and allowlist scopes.
+/// `/` separators — R5 uses it to exempt test files.
 pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
     lint_lexed(path, &lex(source))
 }
@@ -260,107 +226,15 @@ pub fn lint_lexed(path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
         }
     }
 
-    let test_file = config::is_test_path(path);
-    let regions = test_regions(lexed);
-    let in_test = |line: u32| test_file || in_regions(&regions, line);
-    let toks = &lexed.toks;
-
-    let mut push = |line: u32, col: u32, rule: &'static str, message: String| {
-        diags.push(Diagnostic { path: path.into(), line, col, rule, message });
-    };
-
-    for (i, t) in toks.iter().enumerate() {
-        let (line, col) = (t.span.line, t.span.col);
-        match t.ident() {
-            // R1 — SAFETY comments. Applies everywhere, tests included:
-            // an unjustified `unsafe` in a test is still unjustified.
-            Some("unsafe") if !safety_comment_near(lexed, line) => {
-                push(
-                    line,
-                    col,
-                    "safety",
-                    "`unsafe` without a preceding `// SAFETY:` comment (or \
-                     `/// # Safety` doc section) stating the invariant relied on"
-                        .into(),
-                );
+    // R5 — allocation idioms in hot-path files (steady state must not
+    // touch the heap; cold/setup lines take a justified allow).
+    if hot && !config::is_test_path(path) {
+        let regions = test_regions(lexed);
+        let toks = &lexed.toks;
+        for (i, t) in toks.iter().enumerate() {
+            if in_regions(&regions, t.span.line) {
+                continue;
             }
-            // R2 — SipHash's random state makes iteration order differ
-            // run to run; results must be a pure function of
-            // (scale, seed, index).
-            Some(name @ ("HashMap" | "HashSet")) if !in_test(line) => {
-                let fast = if name == "HashMap" { "FastMap" } else { "FastSet" };
-                push(
-                    line,
-                    col,
-                    "std-hash",
-                    format!(
-                        "`{name}` in library code: SipHash's random state is a \
-                         determinism hazard — use `netsim::fasthash::{fast}`"
-                    ),
-                );
-            }
-            // R3 — simulated time comes from the simulator.
-            Some("Instant" | "SystemTime")
-                if qualified(toks, i, t.ident().unwrap_or_default(), "now") =>
-            {
-                push(
-                    line,
-                    col,
-                    "wall-clock",
-                    format!(
-                        "`{}::now`: simulated time must come from the simulator, not \
-                         the host clock",
-                        t.ident().unwrap_or_default()
-                    ),
-                );
-            }
-            // R4 — all randomness derives from (scale, master_seed, index).
-            Some(name @ ("thread_rng" | "from_entropy")) => {
-                push(
-                    line,
-                    col,
-                    "ambient-rng",
-                    format!(
-                        "`{name}` is ambient randomness — derive every seed from \
-                         (scale, master_seed, index) via SmallRng::seed_from_u64"
-                    ),
-                );
-            }
-            Some("rand") if qualified(toks, i, "rand", "random") => {
-                push(
-                    line,
-                    col,
-                    "ambient-rng",
-                    "`rand::random` is ambient randomness — derive every seed from \
-                     (scale, master_seed, index) via SmallRng::seed_from_u64"
-                        .into(),
-                );
-            }
-            // R7 — library code must not write to the console directly:
-            // diagnostics go through `obs::console!`, the one suppressible
-            // funnel, so traces and artifacts never interleave with stray
-            // prints (and a worker's NDJSON stdout stays machine-clean).
-            Some(name @ ("println" | "print" | "eprintln" | "eprint"))
-                if toks.get(i + 1).is_some_and(|n| n.is_punct('!'))
-                    && !in_test(line)
-                    && !config::console_allowed(path) =>
-            {
-                push(
-                    line,
-                    col,
-                    "console",
-                    format!(
-                        "`{name}!` in library code: route diagnostics through \
-                         `obs::console!` (binaries and examples are exempt)"
-                    ),
-                );
-            }
-            _ => {}
-        }
-
-        // R5 — allocation idioms in hot-path files (steady state must not
-        // touch the heap; cold/setup lines take a justified allow).
-        if hot && !in_test(line) {
             let hit: Option<&str> = if method_call(toks, i, "clone") {
                 Some(".clone()")
             } else if method_call(toks, i, "to_vec") {
@@ -381,21 +255,19 @@ pub fn lint_lexed(path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
                 None
             };
             if let Some(idiom) = hit {
-                let (line, col) = if idiom.starts_with('.') {
-                    (toks[i + 1].span.line, toks[i + 1].span.col)
-                } else {
-                    (line, col)
-                };
-                push(
-                    line,
-                    col,
-                    "hot-alloc",
-                    format!(
+                // A method call is reported at the method name, not the `.`.
+                let at = if idiom.starts_with('.') { toks[i + 1].span } else { t.span };
+                diags.push(Diagnostic {
+                    path: path.into(),
+                    line: at.line,
+                    col: at.col,
+                    rule: "hot-alloc",
+                    message: format!(
                         "`{idiom}` in a hot-path module: the packet path holds a \
                          zero-heap-allocation steady state — use pooled buffers / \
                          caller-supplied scratch, or justify with an allow"
                     ),
-                );
+                });
             }
         }
     }
@@ -577,114 +449,17 @@ mod tests {
         lint_source(LIB, src).into_iter().map(|d| (d.rule, d.line)).collect()
     }
 
-    // ---- R1: safety ----
+    // ---- clippy-owned invariants ----
 
     #[test]
-    fn unsafe_without_safety_comment_fires_at_the_right_line() {
-        let src = "fn f() {\n    let x = unsafe { danger() };\n}\n";
-        assert_eq!(rules_at(src), vec![("safety", 2)]);
-    }
-
-    #[test]
-    fn safety_comment_block_directly_above_passes() {
-        let src = "fn f() {\n    // SAFETY: the pointer is valid because\n    \
-                   // the arena outlives this call.\n    let x = unsafe { danger() };\n}\n";
-        assert_eq!(rules_at(src), vec![]);
-    }
-
-    #[test]
-    fn safety_doc_section_on_unsafe_fn_passes() {
-        let src = "/// Frees the thing.\n///\n/// # Safety\n///\n/// `p` must be \
-                   valid.\npub unsafe fn free(p: *mut u8) {}\n";
-        assert_eq!(rules_at(src), vec![]);
-    }
-
-    #[test]
-    fn attribute_between_safety_comment_and_unsafe_is_fine() {
-        let src = "// SAFETY: checked above.\n#[inline]\nunsafe fn g() {}\n";
-        assert_eq!(rules_at(src), vec![]);
-    }
-
-    #[test]
-    fn unrelated_comment_above_unsafe_still_fires() {
-        let src = "// Frees the thing quickly.\nunsafe fn g() {}\n";
-        assert_eq!(rules_at(src), vec![("safety", 2)]);
-    }
-
-    #[test]
-    fn code_between_safety_comment_and_unsafe_breaks_the_link() {
-        let src = "// SAFETY: stale justification.\nlet a = 1;\nlet x = unsafe { d() };\n";
-        assert_eq!(rules_at(src), vec![("safety", 3)]);
-    }
-
-    // ---- R2: std-hash ----
-
-    #[test]
-    fn hashmap_in_library_code_fires() {
-        let src = "use std::collections::HashMap;\nstruct S { m: HashMap<u32, u32> }\n";
-        assert_eq!(rules_at(src), vec![("std-hash", 1), ("std-hash", 2)]);
-    }
-
-    #[test]
-    fn hashset_in_cfg_test_module_is_exempt() {
-        let src = "pub fn lib() {}\n#[cfg(test)]\nmod tests {\n    use \
-                   std::collections::HashSet;\n    #[test]\n    fn t() { let _ = \
-                   HashSet::<u32>::new(); }\n}\n";
-        assert_eq!(rules_at(src), vec![]);
-    }
-
-    #[test]
-    fn hashmap_in_tests_dir_is_exempt() {
-        let src = "use std::collections::HashMap;\n";
-        assert_eq!(lint_source("crates/demo/tests/it.rs", src), vec![]);
-        assert_eq!(lint_source("tests/determinism.rs", src), vec![]);
-    }
-
-    #[test]
-    fn hashmap_in_string_or_comment_never_fires() {
-        let src = "// HashMap is banned here\nlet s = \"HashMap\";\nlet r = \
-                   r#\"HashSet \"inner\" \"#;\n";
-        assert_eq!(rules_at(src), vec![]);
-    }
-
-    // ---- R3: wall-clock ----
-
-    #[test]
-    fn instant_now_fires_outside_the_allowlist() {
-        let src = "let t = std::time::Instant::now();\n";
-        assert_eq!(rules_at(src), vec![("wall-clock", 1)]);
-        let src2 = "let t = SystemTime::now();\n";
-        assert_eq!(rules_at(src2), vec![("wall-clock", 1)]);
-    }
-
-    #[test]
-    fn no_crate_may_read_the_wall_clock() {
-        let src = "let t = Instant::now();\n";
-        let rules: Vec<&str> =
-            lint_source("crates/bench/src/lib.rs", src).iter().map(|d| d.rule).collect();
-        assert_eq!(rules, vec!["wall-clock"]);
-    }
-
-    #[test]
-    fn instant_elapsed_alone_does_not_fire() {
-        // Only the `::now` constructors are wall-clock reads.
-        let src = "fn f(t: std::time::Instant) -> u64 { t.elapsed().as_nanos() as u64 }\n";
-        assert_eq!(rules_at(src), vec![]);
-    }
-
-    // ---- R4: ambient-rng ----
-
-    #[test]
-    fn ambient_randomness_fires_even_in_tests() {
-        let src = "let mut rng = thread_rng();\n";
-        assert_eq!(rules_at(src), vec![("ambient-rng", 1)]);
-        for (path, src) in [
-            ("crates/demo/tests/it.rs", "let r = rand::random::<u8>();\n"),
-            ("tests/it.rs", "let g = SmallRng::from_entropy();\n"),
-        ] {
-            let rules: Vec<&str> = lint_source(path, src).iter().map(|d| d.rule).collect();
-            assert_eq!(rules, vec!["ambient-rng"], "must fire in test file {path}");
-        }
+    fn clippy_owned_invariants_are_not_checked_twice() {
+        // std hash containers, wall-clock reads, ambient RNG, raw prints
+        // and `unsafe` are clippy's (or, for ambient RNG, impossible):
+        // simlint stays silent on them, hot file or not.
+        let body = "use std::collections::HashMap;\nfn f() { let t = Instant::now(); \
+                    let r = thread_rng(); println!(\"x\"); unsafe { d() } }\n";
+        assert_eq!(rules_at(body), vec![]);
+        assert_eq!(rules_at(&format!("// simlint: hot-path\n{body}")), vec![]);
     }
 
     // ---- R5: hot-alloc ----
@@ -732,53 +507,6 @@ mod tests {
         assert_eq!(rules_at(src), vec![]);
     }
 
-    // ---- R7: console ----
-
-    #[test]
-    fn raw_print_macros_fire_in_library_code() {
-        for stmt in ["println!(\"x\")", "print!(\"x\")", "eprintln!(\"x\")", "eprint!(\"x\")"] {
-            let src = format!("fn f() {{ {stmt}; }}\n");
-            let diags = lint_source(LIB, &src);
-            assert_eq!(
-                diags.iter().map(|d| (d.rule, d.line)).collect::<Vec<_>>(),
-                vec![("console", 1)],
-                "{stmt} must fire exactly once"
-            );
-            assert!(diags[0].message.contains("obs::console!"), "{}", diags[0].message);
-        }
-    }
-
-    #[test]
-    fn console_macro_and_non_macro_idents_do_not_fire() {
-        // The sanctioned funnel itself, and `println` as a plain ident.
-        let src = "fn f() { obs::console!(\"status: {}\", 1); let println = 3; }\n";
-        assert_eq!(rules_at(src), vec![]);
-    }
-
-    #[test]
-    fn console_rule_exempts_binaries_tests_and_the_allowlist() {
-        let src = "fn f() { println!(\"x\"); }\n";
-        for path in [
-            "crates/campaign/src/main.rs",
-            "crates/demo/src/bin/tool.rs",
-            "crates/obs/src/lib.rs",
-            "crates/demo/tests/it.rs",
-            "examples/demo.rs",
-        ] {
-            assert_eq!(lint_source(path, src), vec![], "{path} must be exempt");
-        }
-        let in_test_mod = "pub fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { \
-                           println!(\"dbg\"); }\n}\n";
-        assert_eq!(rules_at(in_test_mod), vec![]);
-    }
-
-    #[test]
-    fn console_finding_is_suppressible_with_a_reason() {
-        let src = "fn f() { println!(\"x\"); } \
-                   // simlint: allow(console) — one-shot migration notice, reviewed\n";
-        assert_eq!(rules_at(src), vec![]);
-    }
-
     // ---- allows ----
 
     #[test]
@@ -817,9 +545,9 @@ mod tests {
 
     #[test]
     fn allow_only_covers_its_own_rule() {
-        let src = "fn f() { let t = Instant::now(); } \
-                   // simlint: allow(ambient-rng) — wrong rule named\n";
-        assert_eq!(rules_at(src), vec![("wall-clock", 1)]);
+        let src = "// simlint: hot-path\nfn f() { let v: Vec<u8> = Vec::new(); } \
+                   // simlint: allow(enum-size) — wrong rule named\n";
+        assert_eq!(rules_at(src), vec![("hot-alloc", 2)]);
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! cargo run --release --example boot_time_attack
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example reports its results on the console"
+)]
+
 use campaign::registry;
 use timeshift::prelude::*;
 

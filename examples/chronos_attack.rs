@@ -6,6 +6,12 @@
 //! cargo run --release --example chronos_attack
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example reports its results on the console"
+)]
+
 use campaign::registry;
 use timeshift::attack::pipeline::is_malicious;
 use timeshift::prelude::*;

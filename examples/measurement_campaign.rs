@@ -16,6 +16,12 @@
 //! campaign seed — the printed digests are identical for any shard or
 //! worker count.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example reports its results on the console"
+)]
+
 use campaign::prelude::*;
 use timeshift::prelude::*;
 

@@ -6,6 +6,12 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example reports its results on the console"
+)]
+
 use timeshift::prelude::*;
 
 fn main() {

@@ -7,6 +7,12 @@
 //! cargo run --release --example runtime_attack
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example reports its results on the console"
+)]
+
 use campaign::registry;
 use timeshift::prelude::*;
 
