@@ -17,7 +17,7 @@ use rand::Rng;
 use crate::dnssec::make_rrsig;
 use crate::error::DnsError;
 use crate::message::{Header, Message, MessageView, Question, Rcode};
-use crate::name::{read_name_at, Name};
+use crate::name::Name;
 use crate::record::{Record, RecordType};
 use crate::zone::{AnswerPolicy, Zone};
 
@@ -258,9 +258,7 @@ impl AuthServer {
         if flags & 0x80 != 0 || qdcount != [0, 1] {
             return None;
         }
-        let (name, next) = read_name_at(query, 12).ok()?;
-        let qtype = query.get(next..next + 2)?;
-        let qtype = RecordType::from_code(u16::from_be_bytes([qtype[0], qtype[1]]));
+        let (Question { name, qtype }, _) = Question::read_at(query, 12)?;
         let zone_idx = self.zone_of(&name)?;
         let zone = &self.zones[zone_idx];
         // The answers `respond` gives.

@@ -57,25 +57,30 @@ impl DnsCache {
         self.entries.insert((name, rtype), CachedRrset { records, inserted: now, ttl });
     }
 
-    /// Looks up a fresh RRset, rewriting TTLs to the remaining validity.
-    pub fn lookup(&self, now: SimTime, name: &Name, rtype: RecordType) -> Option<CacheHit> {
+    /// The fresh RRset for `(name, rtype)`, borrowed as stored, with the
+    /// seconds of validity remaining: an answer takes each record's TTL
+    /// capped at that remainder ([`DnsCache::lookup`] builds exactly
+    /// that).
+    pub fn get(&self, now: SimTime, name: &Name, rtype: RecordType) -> Option<(&[Record], u32)> {
         let entry = self.entries.get(&(name.clone(), rtype))?;
         let elapsed = now.saturating_since(entry.inserted).as_secs();
         if elapsed >= u64::from(entry.ttl) {
             return None;
         }
-        let remaining = entry.ttl - elapsed as u32;
-        let records = entry
-            .records
-            .iter()
-            .map(|r| Record { ttl: remaining.min(r.ttl), ..r.clone() })
-            .collect();
+        Some((&entry.records, entry.ttl - elapsed as u32))
+    }
+
+    /// Looks up a fresh RRset, rewriting TTLs to the remaining validity.
+    pub fn lookup(&self, now: SimTime, name: &Name, rtype: RecordType) -> Option<CacheHit> {
+        let (records, remaining) = self.get(now, name, rtype)?;
+        let records =
+            records.iter().map(|r| Record { ttl: remaining.min(r.ttl), ..r.clone() }).collect();
         Some(CacheHit { records, remaining_ttl: remaining })
     }
 
     /// True if a fresh RRset is cached (the RD=0 snooping primitive).
     pub fn contains(&self, now: SimTime, name: &Name, rtype: RecordType) -> bool {
-        self.lookup(now, name, rtype).is_some()
+        self.get(now, name, rtype).is_some()
     }
 
     /// Removes an RRset (cache eviction via third-party systems, §IV-B3).
@@ -124,6 +129,22 @@ mod tests {
         let hit = cache.lookup(t, &pool(), RecordType::A).unwrap();
         assert_eq!(hit.remaining_ttl, 110);
         assert!(hit.records.iter().all(|r| r.ttl == 110));
+    }
+
+    #[test]
+    fn get_borrows_the_stored_rrset_and_lookup_caps_its_ttls() {
+        let mut cache = DnsCache::new(u32::MAX);
+        let mixed = vec![
+            Record::a(pool(), 150, Ipv4Addr::new(1, 1, 1, 1)),
+            Record::a(pool(), 100, Ipv4Addr::new(2, 2, 2, 2)),
+        ];
+        cache.insert(SimTime::ZERO, pool(), RecordType::A, mixed.clone());
+        let t = SimTime::ZERO + SimDuration::from_secs(40);
+        let (records, remaining) = cache.get(t, &pool(), RecordType::A).unwrap();
+        assert_eq!((records, remaining), (&mixed[..], 60));
+        let hit = cache.lookup(t, &pool(), RecordType::A).unwrap();
+        assert!(hit.records.iter().all(|r| r.ttl == 60));
+        assert!(cache.get(t, &pool(), RecordType::Ns).is_none());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! servers do.
 
 use bytes::{BufMut, Bytes, BytesMut};
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
 
 use crate::error::DnsError;
@@ -112,6 +113,17 @@ pub struct Question {
     pub qtype: RecordType,
 }
 
+impl Question {
+    /// The question at offset `at` of the message `data`, and the offset
+    /// after it; `None` if it runs past the end or its name is malformed.
+    pub(crate) fn read_at(data: &[u8], at: usize) -> Option<(Question, usize)> {
+        let (name, at) = read_name_at(data, at).ok()?;
+        let fixed = data.get(at..at + 4)?;
+        let qtype = RecordType::from_code(u16::from_be_bytes([fixed[0], fixed[1]]));
+        Some((Question { name, qtype }, at + 4))
+    }
+}
+
 /// A complete DNS message.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Message {
@@ -174,8 +186,15 @@ impl Message {
     /// [`Message::encode`], plus the offset where the answer section
     /// starts.
     pub(crate) fn encode_split(&self) -> Result<(Bytes, usize), DnsError> {
-        let mut enc = Encoder::new();
-        enc.put_head(self);
+        ENCODER.with(|enc| self.encode_with(&mut enc.borrow_mut()))
+    }
+
+    fn encode_with(&self, enc: &mut Encoder) -> Result<(Bytes, usize), DnsError> {
+        let counts = [&self.answers, &self.authorities, &self.additionals].map(Vec::len);
+        enc.start(&self.header, self.questions.len(), counts);
+        for q in &self.questions {
+            enc.put_question(&q.name, q.qtype);
+        }
         let answers_at = enc.buf.len();
         for record in self.answers.iter().chain(&self.authorities).chain(&self.additionals) {
             enc.put_record(record)?;
@@ -193,6 +212,12 @@ impl Message {
         let [answers, authorities, additionals] = sections;
         Ok(Message { header, questions, answers, authorities, additionals })
     }
+}
+
+thread_local! {
+    /// The encoder [`Message::encode`] writes with, reused by every
+    /// message encoded on the thread.
+    static ENCODER: RefCell<Encoder> = RefCell::new(Encoder::new());
 }
 
 /// A checked DNS message, borrowed: [`MessageView::new`] accepts exactly
@@ -291,22 +316,45 @@ impl RecordSpan {
         read_name_at(data, self.record_offset).map(|(name, _)| name)
     }
 
+    /// Builds the record the span describes, given its owner name (from
+    /// [`RecordSpan::name`]): what [`Message::decode`] builds for it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DnsError`] if the span does not describe a well-formed
+    /// record of `data`.
+    pub(crate) fn record(&self, data: &[u8], owner: Name) -> Result<Record, DnsError> {
+        let mut dec = Decoder { data, pos: self.ttl_offset.saturating_sub(4) };
+        dec.read_record_body(&mut Build, self.section, self.record_offset, owner)
+    }
+
     /// True for a glue record: an A record in the additional section.
     pub fn is_glue(&self) -> bool {
         self.section == Section::Additional && self.rtype == RecordType::A
     }
 }
 
-struct Encoder {
-    buf: BytesMut,
+/// The message writer: header, questions, then records, with name
+/// compression. It writes into a scratch buffer and its compression
+/// table, both kept across messages: [`Encoder::start`] clears them and
+/// [`Encoder::finish`] copies the message out. A host that writes many
+/// messages keeps one; [`Message::encode`] uses one per thread.
+#[derive(Debug)]
+pub(crate) struct Encoder {
+    buf: Vec<u8>,
     /// Name-compression table: a trie of every label suffix written so
     /// far, keyed on wire-form labels compared in place in `buf`. Node 0
     /// is the root; a name is looked up from its last label inwards.
     suffixes: Vec<Suffix>,
+    /// The last name written and the pointer that now names all of it,
+    /// if one can: an RRset's records repeat their owner, and a repeat
+    /// is written as that pointer without a walk of the trie.
+    last: Option<(Name, u16)>,
 }
 
 /// One written suffix (a label plus its parent suffix) in the
 /// compression trie.
+#[derive(Debug)]
 struct Suffix {
     /// Buffer offset of the suffix's first label (its length byte).
     label_at: usize,
@@ -325,10 +373,10 @@ struct Suffix {
 /// equal keys mean equal labels for labels of up to seven bytes, so
 /// sibling scans rarely touch the buffer.
 fn label_key(label: &[u8]) -> u64 {
-    match label.first_chunk::<8>() {
-        Some(head) => u64::from_le_bytes(*head),
-        None => label.iter().rev().fold(0, |key, &b| key << 8 | u64::from(b)),
-    }
+    let mut head = [0u8; 8];
+    let len = label.len().min(8);
+    head[..len].copy_from_slice(&label[..len]);
+    u64::from_le_bytes(head)
 }
 
 const NO_POINTER: u16 = u16::MAX;
@@ -336,7 +384,7 @@ const NO_POINTER: u16 = u16::MAX;
 const POINTER_LIMIT: usize = 0x3FFF;
 
 impl Encoder {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let mut suffixes = Vec::with_capacity(64);
         suffixes.push(Suffix {
             label_at: 0,
@@ -345,33 +393,51 @@ impl Encoder {
             first_child: 0,
             next_sibling: 0,
         });
-        Encoder { buf: BytesMut::with_capacity(512), suffixes }
+        Encoder { buf: Vec::with_capacity(512), suffixes, last: None }
     }
 
-    /// Writes the header, then the questions.
-    fn put_head(&mut self, msg: &Message) {
-        self.buf.put_slice(&msg.header.id_and_flags());
-        let (questions, answers) = (msg.questions.len(), msg.answers.len());
-        for count in [questions, answers, msg.authorities.len(), msg.additionals.len()] {
+    /// Starts a message in the emptied buffer, with an empty compression
+    /// table: writes the header with `questions` and the three section
+    /// counts (each truncated to 16 bits). The caller then writes that
+    /// many questions and records.
+    pub(crate) fn start(&mut self, header: &Header, questions: usize, sections: [usize; 3]) {
+        self.buf.clear();
+        self.suffixes.truncate(1);
+        self.suffixes[0].first_child = 0;
+        self.last = None;
+        self.buf.put_slice(&header.id_and_flags());
+        self.buf.put_u16(questions as u16);
+        for count in sections {
             self.buf.put_u16(count as u16);
         }
-        for q in &msg.questions {
-            self.put_name(&q.name);
-            self.buf.put_u16(q.qtype.code());
-            self.buf.put_u16(1); // class IN
-        }
     }
 
-    /// The encoded message, if it fits the 16-bit length limit.
-    fn finish(self) -> Result<Bytes, DnsError> {
+    /// Writes a question (class IN).
+    pub(crate) fn put_question(&mut self, name: &Name, qtype: RecordType) {
+        self.put_name(name);
+        self.buf.put_u16(qtype.code());
+        self.buf.put_u16(1); // class IN
+    }
+
+    /// The encoded message, if it fits the 16-bit length limit, copied
+    /// into a pooled buffer of (at least) 512 bytes.
+    pub(crate) fn finish(&self) -> Result<Bytes, DnsError> {
         if self.buf.len() > usize::from(u16::MAX) {
             return Err(DnsError::Oversize { len: self.buf.len() });
         }
-        Ok(self.buf.freeze())
+        let mut wire = BytesMut::with_capacity(512);
+        wire.extend_from_slice(&self.buf);
+        Ok(wire.freeze())
     }
 
     /// Writes `name`, pointing at the longest suffix already written.
     fn put_name(&mut self, name: &Name) {
+        if let Some((last, pointer)) = &self.last {
+            if last == name {
+                self.buf.put_u16(0xC000 | pointer);
+                return;
+            }
+        }
         let wire = name.as_wire();
         // Label start offsets: a 254-byte name has at most 127 labels.
         let mut starts = [0u8; 128];
@@ -417,6 +483,10 @@ impl Encoder {
                 Suffix { label_at, key, pointer, first_child: 0, next_sibling: 0 },
             );
         }
+        // `node` is now the whole name's: the trie would point a repeat at
+        // its pointer, if it has one.
+        let pointer = self.suffixes[node as usize].pointer;
+        self.last = (node != 0 && pointer != NO_POINTER).then(|| (name.clone(), pointer));
     }
 
     /// The child of `parent` whose first label is `label` (length byte
@@ -446,7 +516,16 @@ impl Encoder {
         id
     }
 
-    fn put_record(&mut self, record: &Record) -> Result<(), DnsError> {
+    pub(crate) fn put_record(&mut self, record: &Record) -> Result<(), DnsError> {
+        self.put_record_with_ttl(record, record.ttl)
+    }
+
+    /// Writes `record` with its TTL replaced by `ttl`.
+    pub(crate) fn put_record_with_ttl(
+        &mut self,
+        record: &Record,
+        ttl: u32,
+    ) -> Result<(), DnsError> {
         self.put_name(&record.name);
         // Class: IN for everything except OPT, where EDNS0 reuses the class
         // field as the advertised UDP payload size (RFC 6891).
@@ -458,7 +537,7 @@ impl Encoder {
         let mut fixed = [0u8; 10];
         fixed[..2].copy_from_slice(&record.rtype().code().to_be_bytes());
         fixed[2..4].copy_from_slice(&class.to_be_bytes());
-        fixed[4..8].copy_from_slice(&record.ttl.to_be_bytes());
+        fixed[4..8].copy_from_slice(&ttl.to_be_bytes());
         self.buf.put_slice(&fixed);
         let rdlen_pos = self.buf.len() - 2;
         match &record.data {
@@ -707,7 +786,19 @@ impl<'a> Decoder<'a> {
         let record_offset = self.pos;
         let (owner, next) = K::name(self.data, self.pos)?;
         self.pos = next;
-        let ttl_offset = next + 4;
+        self.read_record_body(keep, section, record_offset, owner)
+    }
+
+    /// [`Decoder::read_record`] after the owner name: `owner` was read at
+    /// `record_offset`, and the decoder sits just after it.
+    fn read_record_body<K: Keep>(
+        &mut self,
+        keep: &mut K,
+        section: Section,
+        record_offset: usize,
+        owner: K::Name,
+    ) -> Result<K::Record, DnsError> {
+        let ttl_offset = self.pos + 4;
         let rtype = RecordType::from_code(self.u16()?);
         let class_or_size = self.u16()?;
         let ttl = self.u32()?;

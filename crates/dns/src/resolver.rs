@@ -17,8 +17,22 @@
 //! no modelled resolver runs without them. The retry, timeout, depth and
 //! TTL limits are constants; [`ResolverConfig`] holds only what the
 //! paper's resolver populations vary.
+//!
+//! Datagrams are read in place and every message is written once. A
+//! client query is checked by [`MessageView::new`] and its questions are
+//! read in place; the answer is written straight from the
+//! cache's borrowed RRset. An upstream reply is walked once into a
+//! reused [`RecordSpan`] buffer, and only its in-bailiwick records are
+//! built — the ones the cache keeps. Every reply and upstream query goes
+//! through one reused `Encoder`. The bytes sent are those of the
+//! former decode-clone-encode path, kept as a test oracle in
+//! `crates/measure/tests/oracle/`.
+// simlint: hot-path — every survey trial's client queries, cache answers
+// and upstream replies pass through here; only what the cache keeps and a
+// new resolution's client list allocate.
 
-use netsim::fasthash::{FastMap, FastSet};
+use bytes::Bytes;
+use netsim::fasthash::FastMap;
 use std::net::Ipv4Addr;
 
 use netsim::prelude::*;
@@ -28,9 +42,9 @@ use rand::RngExt;
 use crate::auth::DNS_PORT;
 use crate::cache::DnsCache;
 use crate::dnssec::TrustAnchors;
-use crate::message::{Message, Rcode};
+use crate::message::{Encoder, Header, MessageView, Question, Rcode, RecordSpan, Section};
 use crate::name::Name;
-use crate::record::{Record, RecordType};
+use crate::record::{RData, Record, RecordType};
 
 /// What differs between the modelled resolvers: RD handling (Table IV's
 /// snooping population) and DNSSEC-lite validation (§IX).
@@ -99,6 +113,11 @@ struct Pending {
     depth: u32,
 }
 
+/// The question count of the checked `query`.
+fn question_count(query: &[u8]) -> usize {
+    query.get(4..6).map_or(0, |count| usize::from(u16::from_be_bytes([count[0], count[1]])))
+}
+
 /// A caching recursive resolver host listening on UDP port 53.
 #[derive(Debug)]
 pub struct Resolver {
@@ -107,6 +126,13 @@ pub struct Resolver {
     hints: Vec<(Name, Vec<Ipv4Addr>)>,
     pending: FastMap<u64, Pending>,
     next_id: u64,
+    /// Writes every reply and upstream query, reused across messages.
+    encoder: Encoder,
+    /// Record layouts of the upstream reply being read, reused.
+    spans: Vec<RecordSpan>,
+    /// The in-bailiwick records of the upstream reply being read, in wire
+    /// order; emptied into the cache, reused.
+    kept: Vec<Record>,
     /// Counters.
     pub stats: ResolverStats,
 }
@@ -121,6 +147,11 @@ impl Resolver {
             hints,
             pending: FastMap::default(),
             next_id: 1,
+            encoder: Encoder::new(),
+            // simlint: allow(hot-alloc) — cold constructor: empty.
+            spans: Vec::new(),
+            // simlint: allow(hot-alloc) — cold constructor: empty.
+            kept: Vec::new(),
             stats: ResolverStats::default(),
         }
     }
@@ -143,7 +174,9 @@ impl Resolver {
     }
 
     /// Picks the nameserver to ask for `qname`: cached delegations first
-    /// (longest match), then configured hints.
+    /// (longest match), then configured hints. Among a cached
+    /// delegation's nameservers with a fresh cached address, one is drawn
+    /// with `random_range(0..n)`, the draw `choose` makes over them.
     fn find_nameserver(
         &self,
         now: SimTime,
@@ -151,24 +184,24 @@ impl Resolver {
         qname: &Name,
     ) -> Option<(Name, Ipv4Addr)> {
         for zone in qname.self_and_ancestors() {
-            if let Some(hit) = self.cache.lookup(now, &zone, RecordType::Ns) {
-                let addrs: Vec<Ipv4Addr> = hit
-                    .records
-                    .iter()
-                    .filter_map(Record::as_ns)
-                    .filter_map(|target| {
-                        self.cache
-                            .lookup(now, target, RecordType::A)
-                            .and_then(|glue| glue.records.first().and_then(Record::as_a))
+            if let Some((ns, _)) = self.cache.get(now, &zone, RecordType::Ns) {
+                let addrs = || {
+                    ns.iter().filter_map(Record::as_ns).filter_map(|target| {
+                        let (glue, _) = self.cache.get(now, target, RecordType::A)?;
+                        glue.first()?.as_a()
                     })
-                    .collect();
-                if let Some(&addr) = addrs.choose(ctx.rng()) {
-                    return Some((zone.clone(), addr));
+                };
+                let n = addrs().count();
+                if n > 0 {
+                    let k = ctx.rng().random_range(0..n);
+                    if let Some(addr) = addrs().nth(k) {
+                        return Some((zone, addr));
+                    }
                 }
             }
             if let Some((_, addrs)) = self.hints.iter().find(|(z, _)| *z == zone) {
                 if let Some(&addr) = addrs.choose(ctx.rng()) {
-                    return Some((zone.clone(), addr));
+                    return Some((zone, addr));
                 }
             }
         }
@@ -176,79 +209,83 @@ impl Resolver {
     }
 
     fn send_upstream(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        let Some(p) = self.pending.get_mut(&id) else { return };
-        let q = Message::query(p.txid, p.qname.clone(), p.qtype, false);
-        let Ok(wire) = q.encode() else { return };
+        let Some(p) = self.pending.get(&id) else { return };
+        self.encoder.start(&Header { id: p.txid, ..Header::default() }, 1, [0; 3]);
+        self.encoder.put_question(&p.qname, p.qtype);
+        let Ok(wire) = self.encoder.finish() else { return };
         self.stats.upstream_queries += 1;
-        let (server, sport) = (p.server, p.sport);
-        ctx.send_udp(server, sport, DNS_PORT, wire);
-        let token = encode_timer(id, p.depth, p.attempts);
-        ctx.set_timer(UPSTREAM_TIMEOUT, token);
+        ctx.send_udp(p.server, p.sport, DNS_PORT, wire);
+        ctx.set_timer(UPSTREAM_TIMEOUT, encode_timer(id, p.depth, p.attempts));
     }
 
-    fn reply_to_clients(&mut self, ctx: &mut Ctx<'_>, id: u64, answers: Vec<Record>, rcode: Rcode) {
+    /// Ends resolution `id`: every client gets `rcode` and the records of
+    /// `answers` that answer the question (its type, or RRSIG).
+    fn reply_to_clients(&mut self, ctx: &mut Ctx<'_>, id: u64, answers: &[Record], rcode: Rcode) {
         let Some(p) = self.pending.remove(&id) else { return };
         if rcode == Rcode::ServFail {
             self.stats.servfails += 1;
         }
-        for client in p.clients {
-            let mut resp = Message::query(client.txid, p.qname.clone(), p.qtype, client.rd);
-            resp.header.qr = true;
-            resp.header.ra = true;
-            resp.header.rcode = rcode;
-            resp.answers = answers.clone();
-            if let Ok(wire) = resp.encode() {
+        let answers = || {
+            answers.iter().filter(|r| {
+                r.name == p.qname && (r.rtype() == p.qtype || r.rtype() == RecordType::Rrsig)
+            })
+        };
+        let count = answers().count();
+        for client in &p.clients {
+            let header = Header {
+                id: client.txid,
+                qr: true,
+                rd: client.rd,
+                ra: true,
+                rcode,
+                ..Header::default()
+            };
+            let enc = &mut self.encoder;
+            enc.start(&header, 1, [count, 0, 0]);
+            enc.put_question(&p.qname, p.qtype);
+            let wire = answers().try_for_each(|r| enc.put_record(r)).and_then(|()| enc.finish());
+            if let Ok(wire) = wire {
                 ctx.send_udp(client.addr, DNS_PORT, client.port, wire);
             }
         }
     }
 
-    fn answer_from_cache_only(&mut self, ctx: &mut Ctx<'_>, d: &Datagram, query: &Message) {
-        let Some(q) = query.question() else { return };
-        let mut resp = Message::response_to(query);
-        resp.header.ra = true;
-        if let Some(hit) = self.cache.lookup(ctx.now(), &q.name, q.qtype) {
-            self.stats.cache_hits += 1;
-            resp.answers = hit.records;
-        }
-        if let Ok(wire) = resp.encode() {
-            ctx.send_udp(d.src, DNS_PORT, d.src_port, wire);
-        }
-    }
-
-    fn handle_client_query(&mut self, ctx: &mut Ctx<'_>, d: &Datagram, query: Message) {
+    fn handle_client_query(&mut self, ctx: &mut Ctx<'_>, d: &Datagram) {
+        let Ok(view) = MessageView::new(&d.payload) else { return };
         self.stats.client_queries += 1;
-        let Some(q) = query.question().cloned() else { return };
-        if !query.header.rd && self.config.respects_rd {
-            self.answer_from_cache_only(ctx, d, &query);
+        if question_count(view.bytes()) == 0 {
             return;
         }
-        if let Some(hit) = self.cache.lookup(ctx.now(), &q.name, q.qtype) {
-            self.stats.cache_hits += 1;
-            let mut resp = Message::response_to(&query);
-            resp.header.ra = true;
-            resp.answers = hit.records;
-            if let Ok(wire) = resp.encode() {
+        let Some(first) = Question::read_at(view.bytes(), 12) else { return };
+        let q = &first.0;
+        let rd = view.header().rd;
+        let now = ctx.now();
+        let hit = self.cache.get(now, &q.name, q.qtype);
+        if hit.is_some() || (!rd && self.config.respects_rd) {
+            // A cache answer; RD=0 to an RD-respecting resolver gets one
+            // even on a miss, with no records (cache-only).
+            if hit.is_some() {
+                self.stats.cache_hits += 1;
+            }
+            let (answers, remaining) = hit.unwrap_or_default();
+            let reply =
+                answer(&mut self.encoder, &view, &first, answers, remaining, Rcode::NoError);
+            if let Some(wire) = reply {
                 ctx.send_udp(d.src, DNS_PORT, d.src_port, wire);
             }
             return;
         }
-        let client =
-            ClientRef { addr: d.src, port: d.src_port, txid: query.header.id, rd: query.header.rd };
+        let client = ClientRef { addr: d.src, port: d.src_port, txid: view.header().id, rd };
         // Join an in-flight identical resolution, if any.
-        if let Some((_, p)) =
-            self.pending.iter_mut().find(|(_, p)| p.qname == q.name && p.qtype == q.qtype)
+        if let Some(p) = self.pending.values_mut().find(|p| p.qname == q.name && p.qtype == q.qtype)
         {
             p.clients.push(client);
             return;
         }
-        let Some((zone, server)) = self.find_nameserver(ctx.now(), ctx, &q.name) else {
+        let Some((zone, server)) = self.find_nameserver(now, ctx, &q.name) else {
             // No path to an authority: immediate SERVFAIL.
-            let mut resp = Message::response_to(&query);
-            resp.header.ra = true;
-            resp.header.rcode = Rcode::ServFail;
             self.stats.servfails += 1;
-            if let Ok(wire) = resp.encode() {
+            if let Some(wire) = answer(&mut self.encoder, &view, &first, &[], 0, Rcode::ServFail) {
                 ctx.send_udp(d.src, DNS_PORT, d.src_port, wire);
             }
             return;
@@ -256,11 +293,13 @@ impl Resolver {
         let id = self.next_id;
         self.next_id += 1;
         let (sport, txid) = Self::challenge(ctx);
+        let (Question { name: qname, qtype }, _) = first;
         self.pending.insert(
             id,
             Pending {
-                qname: q.name,
-                qtype: q.qtype,
+                qname,
+                qtype,
+                // simlint: allow(hot-alloc) — a new resolution's client list.
                 clients: vec![client],
                 zone,
                 server,
@@ -273,101 +312,90 @@ impl Resolver {
         self.send_upstream(ctx, id);
     }
 
-    fn handle_upstream_response(&mut self, ctx: &mut Ctx<'_>, d: &Datagram, resp: Message) {
+    fn handle_upstream_response(&mut self, ctx: &mut Ctx<'_>, d: &Datagram, txid: u16) {
         // Match pending by (source address, destination port, TXID) — the
         // challenge-response triple of RFC 5452.
-        let Some((&id, _)) = self
+        let Some(id) = self
             .pending
             .iter()
-            .find(|(_, p)| p.server == d.src && p.sport == d.dst_port && p.txid == resp.header.id)
+            .find(|(_, p)| p.server == d.src && p.sport == d.dst_port && p.txid == txid)
+            .map(|(&id, _)| id)
         else {
             return; // unsolicited (a blind-spoofing miss)
         };
-        let now = ctx.now();
-        let (zone, qname, qtype, depth) = {
-            let p = &self.pending[&id];
-            (p.zone.clone(), p.qname.clone(), p.qtype, p.depth)
-        };
-        // Bailiwick: discard records outside the zone we queried.
-        let mut in_bailiwick = |records: &[Record]| -> Vec<Record> {
-            let (keep, reject): (Vec<_>, Vec<_>) =
-                records.iter().cloned().partition(|r| r.name.is_subdomain_of(&zone));
-            self.stats.bailiwick_rejects += reject.len() as u64;
-            keep
-        };
-        let answers = in_bailiwick(&resp.answers);
-        let authorities = in_bailiwick(&resp.authorities);
-        let additionals = in_bailiwick(&resp.additionals);
+        let mut spans = std::mem::take(&mut self.spans);
+        let mut kept = std::mem::take(&mut self.kept);
+        if let Ok(view) = MessageView::with_spans(&d.payload, &mut spans) {
+            self.read_reply(ctx, id, view, &spans, &mut kept);
+        }
+        kept.clear();
+        (self.spans, self.kept) = (spans, kept);
+    }
 
-        // Group records into RRsets for validation and caching.
-        let mut rrsets: FastMap<(Name, RecordType), Vec<Record>> = FastMap::default();
-        for r in answers.iter().chain(&authorities).chain(&additionals) {
-            if r.rtype() == RecordType::Opt {
+    /// Reads the checked reply `view` (records at `spans`) to resolution
+    /// `id`: keeps its in-bailiwick records in `kept`, validates, then
+    /// answers the clients or follows a delegation, and caches the kept
+    /// RRsets.
+    fn read_reply(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: u64,
+        view: MessageView<'_>,
+        spans: &[RecordSpan],
+        kept: &mut Vec<Record>,
+    ) {
+        let now = ctx.now();
+        let data = view.bytes();
+        // Bailiwick: discard records outside the zone we queried, before
+        // building them.
+        let p = &self.pending[&id];
+        let (mut answers, mut authorities) = (0, 0);
+        for span in spans {
+            let Ok(owner) = span.name(data) else { continue };
+            if !owner.is_subdomain_of(&p.zone) {
+                self.stats.bailiwick_rejects += 1;
                 continue;
             }
-            rrsets.entry((r.name.clone(), r.rtype())).or_default().push(r.clone());
+            let Ok(record) = span.record(data, owner) else { continue };
+            kept.push(record);
+            match span.section {
+                Section::Answer => answers += 1,
+                Section::Authority => authorities += 1,
+                Section::Additional => {}
+            }
         }
+        let (answers, rest) = kept.split_at(answers);
+        let (authorities, additionals) = rest.split_at(authorities);
+
         if let Some(anchors) = &self.config.validation {
             // Validate answer-section RRsets under signed zones. Glue and
             // authority data are not validated — matching real DNSSEC,
             // where glue is unsigned; this is precisely why the glue
             // poisoning lands even on validating resolvers, while the
             // *final* forged answer for a signed name still fails here.
-            let answer_keys: FastSet<(Name, RecordType)> =
-                answers.iter().map(|r| (r.name.clone(), r.rtype())).collect();
-            for ((name, rtype), set) in &rrsets {
-                if *rtype == RecordType::Rrsig || !answer_keys.contains(&(name.clone(), *rtype)) {
-                    continue;
-                }
-                let mut with_sigs = set.clone();
-                if let Some(sigs) = rrsets.get(&(name.clone(), RecordType::Rrsig)) {
-                    with_sigs.extend(sigs.iter().cloned());
-                }
-                if !anchors.validate(name, *rtype, &with_sigs) {
-                    self.stats.validation_failures += 1;
-                    self.reply_to_clients(ctx, id, Vec::new(), Rcode::ServFail);
-                    return;
-                }
+            // An RRset's signature covers its records in every section,
+            // and `validate` picks them (and its RRSIGs) out of `kept`.
+            let forged = answers.iter().any(|r| {
+                !matches!(r.rtype(), RecordType::Rrsig | RecordType::Opt)
+                    && !anchors.validate(&r.name, r.rtype(), kept)
+            });
+            if forged {
+                self.stats.validation_failures += 1;
+                self.reply_to_clients(ctx, id, &[], Rcode::ServFail);
+                return;
             }
         }
-        for ((name, rtype), set) in rrsets {
-            self.cache.insert(now, name, rtype, set);
-        }
 
-        // Did we get an answer for the question?
-        let matching: Vec<Record> = answers
-            .iter()
-            .filter(|r| r.name == qname && (r.rtype() == qtype || r.rtype() == RecordType::Rrsig))
-            .cloned()
-            .collect();
-        if matching.iter().any(|r| r.rtype() == qtype) {
-            self.reply_to_clients(ctx, id, matching, Rcode::NoError);
-            return;
-        }
-        // Delegation? Follow NS records for a subzone of our current zone.
-        let delegation: Option<(Name, Ipv4Addr)> = authorities
-            .iter()
-            .filter_map(|r| {
-                let target = r.as_ns()?;
-                if !qname.is_subdomain_of(&r.name) || r.name.label_count() <= zone.label_count() {
-                    return None;
-                }
-                let addr = additionals
-                    .iter()
-                    .find(|g| g.name == *target && g.rtype() == RecordType::A)
-                    .and_then(Record::as_a)
-                    .or_else(|| {
-                        self.cache
-                            .lookup(now, target, RecordType::A)
-                            .and_then(|h| h.records.first().and_then(Record::as_a))
-                    })?;
-                Some((r.name.clone(), addr))
-            })
-            .next();
-        if let Some((subzone, addr)) = delegation {
-            if depth < MAX_DEPTH {
+        // Did we get an answer for the question? If not, a delegation?
+        let p = &self.pending[&id];
+        let answered = answers.iter().any(|r| r.rtype() == p.qtype && r.name == p.qname);
+        let delegation =
+            if answered { None } else { self.delegation(now, p, kept, authorities, additionals) };
+        match delegation {
+            Some((subzone, addr)) if p.depth < MAX_DEPTH => {
+                self.cache_rrsets(now, kept);
                 let (sport, txid) = Self::challenge(ctx);
-                let p = self.pending.get_mut(&id).expect("pending exists");
+                let Some(p) = self.pending.get_mut(&id) else { return };
                 p.zone = subzone;
                 p.server = addr;
                 p.sport = sport;
@@ -375,13 +403,118 @@ impl Resolver {
                 p.attempts = 0;
                 p.depth += 1;
                 self.send_upstream(ctx, id);
-                return;
+            }
+            _ => {
+                let rcode = match view.header().rcode {
+                    Rcode::NxDomain => Rcode::NxDomain,
+                    _ => Rcode::NoError,
+                };
+                self.reply_to_clients(ctx, id, answers, rcode);
+                self.cache_rrsets(now, kept);
             }
         }
-        let rcode =
-            if resp.header.rcode == Rcode::NxDomain { Rcode::NxDomain } else { Rcode::NoError };
-        self.reply_to_clients(ctx, id, matching, rcode);
     }
+
+    /// The delegation in a reply without an answer for `p`: the first
+    /// authority NS record for a zone below `p`'s, above its question
+    /// name, whose target has an address — from the reply's glue, else
+    /// from the cache as it stands once `kept` is cached.
+    fn delegation(
+        &self,
+        now: SimTime,
+        p: &Pending,
+        kept: &[Record],
+        authorities: &[Record],
+        additionals: &[Record],
+    ) -> Option<(Name, Ipv4Addr)> {
+        authorities.iter().find_map(|r| {
+            let target = r.as_ns()?;
+            if !p.qname.is_subdomain_of(&r.name) || r.name.label_count() <= p.zone.label_count() {
+                return None;
+            }
+            let addr = additionals
+                .iter()
+                .find(|g| g.name == *target && g.rtype() == RecordType::A)
+                .and_then(Record::as_a)
+                .or_else(|| self.address_once_cached(now, target, kept))?;
+            // simlint: allow(hot-alloc) — a subzone name, inline up to 30
+            // bytes; referrals only.
+            Some((r.name.clone(), addr))
+        })
+    }
+
+    /// The address the cache gives for `target` once `kept` is cached:
+    /// the reply's own A RRset for `target` replaces the cached one, and
+    /// is fresh unless a record of it has TTL 0.
+    fn address_once_cached(
+        &self,
+        now: SimTime,
+        target: &Name,
+        kept: &[Record],
+    ) -> Option<Ipv4Addr> {
+        let own = || kept.iter().filter(|r| r.rtype() == RecordType::A && r.name == *target);
+        match own().next() {
+            Some(first) => own().all(|r| r.ttl > 0).then(|| first.as_a()).flatten(),
+            None => self.cache.get(now, target, RecordType::A)?.0.first()?.as_a(),
+        }
+    }
+
+    /// Caches the reply's RRsets: `kept` grouped by owner and type, each
+    /// in wire order. Each record moves into its RRset and leaves an OPT
+    /// stand-in behind; OPT records are never cached.
+    fn cache_rrsets(&mut self, now: SimTime, kept: &mut [Record]) {
+        let stand_in = || Record::new(Name::root(), 0, RData::Opt { udp_payload_size: 0 });
+        for i in 0..kept.len() {
+            let rtype = kept[i].rtype();
+            if rtype == RecordType::Opt {
+                continue;
+            }
+            let owner = &kept[i].name;
+            let len = kept[i..].iter().filter(|r| r.rtype() == rtype && r.name == *owner).count();
+            // simlint: allow(hot-alloc) — the RRset the cache keeps.
+            let mut set = Vec::with_capacity(len);
+            set.push(std::mem::replace(&mut kept[i], stand_in()));
+            for r in &mut kept[i + 1..] {
+                if r.rtype() == rtype && r.name == set[0].name {
+                    set.push(std::mem::replace(r, stand_in()));
+                }
+            }
+            // simlint: allow(hot-alloc) — the cache key: a name inline up
+            // to 30 bytes, else a shared slice.
+            let name = set[0].name.clone();
+            self.cache.insert(now, name, rtype, set);
+        }
+    }
+}
+
+/// The reply to the checked client query `query`, whose first question
+/// and the offset after it are `first`: what `Message::response_to` of
+/// the decoded query, with RA, `rcode` and `answers` (TTLs capped at
+/// `remaining`), encodes to. Every question is echoed as read,
+/// lower-cased. `None` when it does not fit a message.
+fn answer(
+    enc: &mut Encoder,
+    query: &MessageView<'_>,
+    first: &(Question, usize),
+    answers: &[Record],
+    remaining: u32,
+    rcode: Rcode,
+) -> Option<Bytes> {
+    let Header { id, rd, .. } = *query.header();
+    let header = Header { id, qr: true, rd, ra: true, rcode, ..Header::default() };
+    let questions = question_count(query.bytes());
+    enc.start(&header, questions, [answers.len(), 0, 0]);
+    let (q, mut at) = (&first.0, first.1);
+    enc.put_question(&q.name, q.qtype);
+    for _ in 1..questions {
+        let (q, next) = Question::read_at(query.bytes(), at)?;
+        enc.put_question(&q.name, q.qtype);
+        at = next;
+    }
+    for r in answers {
+        enc.put_record_with_ttl(r, remaining.min(r.ttl)).ok()?;
+    }
+    enc.finish().ok()
 }
 
 /// The timeout token of one upstream send: the resolution's id, its
@@ -402,11 +535,13 @@ fn decode_timer(token: TimerToken) -> (u64, u32, u32) {
 
 impl Host for Resolver {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, d: &Datagram) {
-        let Ok(msg) = Message::decode(&d.payload) else { return };
-        if msg.header.qr {
-            self.handle_upstream_response(ctx, d, msg);
+        // Each handler checks the whole message before it acts; here only
+        // the ID and the QR bit are read.
+        let Some(head) = d.payload.first_chunk::<4>() else { return };
+        if head[2] & 0x80 != 0 {
+            self.handle_upstream_response(ctx, d, u16::from_be_bytes([head[0], head[1]]));
         } else if d.dst_port == DNS_PORT {
-            self.handle_client_query(ctx, d, msg);
+            self.handle_client_query(ctx, d);
         }
     }
 
@@ -419,15 +554,14 @@ impl Host for Resolver {
         self.stats.timeouts += 1;
         p.attempts += 1;
         if p.attempts > MAX_RETRIES {
-            self.reply_to_clients(ctx, id, Vec::new(), Rcode::ServFail);
+            self.reply_to_clients(ctx, id, &[], Rcode::ServFail);
             return;
         }
         // Re-randomise the challenge and re-select the nameserver on retry
         // (a dead NS must not wedge the resolution).
-        let qname = p.qname.clone();
         let (sport, txid) = Self::challenge(ctx);
-        let reselected = self.find_nameserver(ctx.now(), ctx, &qname);
-        let p = self.pending.get_mut(&id).expect("pending exists");
+        let reselected = self.find_nameserver(ctx.now(), ctx, &self.pending[&id].qname);
+        let Some(p) = self.pending.get_mut(&id) else { return };
         p.sport = sport;
         p.txid = txid;
         if let Some((zone, server)) = reselected {
@@ -441,6 +575,7 @@ impl Host for Resolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Message;
     use crate::stub::lookup_once;
     use crate::zone::pool_zone;
 

@@ -17,6 +17,7 @@ use std::sync::{Arc, LazyLock};
 
 use bytes::BytesMut;
 use dns::auth::{spawn_zone_nameservers, AuthServer, DNS_PORT};
+use dns::cache::DnsCache;
 use dns::dnssec::ZoneKey;
 use dns::message::{Message, MessageView, RecordSpan, Section};
 use dns::name::Name;
@@ -351,20 +352,61 @@ impl Host for Scanner {
 
 /// Probes one resolver in an isolated mini-simulation.
 pub fn scan_resolver(spec: &OpenResolverSpec, seed: u64) -> ResolverOutcome {
-    scan(&mut world(spec, seed))
+    scan(&mut world::<Resolver>(spec, seed))
 }
 
 /// [`scan_resolver`], with the traffic counters of the trial's
 /// simulation: what the scan cost, for pinning.
 pub fn scan_resolver_traffic(spec: &OpenResolverSpec, seed: u64) -> (ResolverOutcome, SimStats) {
-    let mut sim = world(spec, seed);
+    let mut sim = world::<Resolver>(spec, seed);
     (scan(&mut sim), sim.stats())
+}
+
+/// A resolver a survey world can be built around: [`Resolver`], or a
+/// reference implementation a differential test runs the same trials
+/// through.
+#[doc(hidden)]
+pub trait SurveyResolver: Host + Sized {
+    /// [`Resolver::new`].
+    fn build(config: ResolverConfig, hints: Vec<(Name, Vec<Ipv4Addr>)>) -> Self;
+    /// [`Resolver::cache_mut`].
+    fn cache_mut(&mut self) -> &mut DnsCache;
+}
+
+impl SurveyResolver for Resolver {
+    fn build(config: ResolverConfig, hints: Vec<(Name, Vec<Ipv4Addr>)>) -> Self {
+        Resolver::new(config, hints)
+    }
+
+    fn cache_mut(&mut self) -> &mut DnsCache {
+        Resolver::cache_mut(self)
+    }
+}
+
+/// [`scan_resolver`] with the resolver `R`, returning the trial's
+/// simulation as the scan left it, resolver at [`resolver_addr`].
+#[doc(hidden)]
+pub fn scan_resolver_with<R: SurveyResolver>(
+    spec: &OpenResolverSpec,
+    seed: u64,
+) -> (ResolverOutcome, Simulator) {
+    let mut sim = world::<R>(spec, seed);
+    (scan(&mut sim), sim)
+}
+
+/// Where a survey world puts the resolver.
+#[doc(hidden)]
+pub fn resolver_addr() -> Ipv4Addr {
+    RESOLVER
 }
 
 /// The world of one survey trial: the resolver at [`RESOLVER`] as `spec`
 /// describes it, and the nameservers it recurses to.
-fn world(spec: &OpenResolverSpec, seed: u64) -> Simulator {
+fn world<R: SurveyResolver>(spec: &OpenResolverSpec, seed: u64) -> Simulator {
     let mut sim = Simulator::new(seed);
+    // The resolver, four pool nameservers, the canary and fragmenting
+    // nameservers, and the scanner.
+    sim.reserve_hosts(8);
     // Per-resolver network distance with jitter — the Fig. 7 confound.
     let base = SimDuration::from_millis(spec.rtt_ms);
     let jitter = SimDuration::from_millis(spec.rtt_ms / 2);
@@ -381,7 +423,7 @@ fn world(spec: &OpenResolverSpec, seed: u64) -> Simulator {
     let mut profile = OsProfile::linux();
     profile.fragments = spec.accepts_fragments.then_some(0);
     let config = ResolverConfig { respects_rd: spec.respects_rd, ..ResolverConfig::default() };
-    let mut resolver = Resolver::new(
+    let mut resolver = R::build(
         config,
         vec![
             (NAMES.pool.clone(), ns_list),
@@ -685,7 +727,7 @@ mod tests {
         let mut cut = 0;
         for idx in 0..2_000 {
             let (spec, seed) = (open_resolver_at(2020, idx), crate::scan_seed(2020, idx));
-            let mut full = world(&spec, seed);
+            let mut full = world::<Resolver>(&spec, seed);
             let reference = full_deadline_scan(&mut full);
             let (outcome, stats) = scan_resolver_traffic(&spec, seed);
             assert_eq!(outcome, reference, "resolver {idx}: {spec:?}");

@@ -732,6 +732,17 @@ impl<'a> Ctx<'a> {
     pub fn stop(&mut self) {
         *self.stop = true;
     }
+
+    /// The UDP datagrams this host has sent while handling the current
+    /// event, oldest first, each with its destination: a host that wraps
+    /// another can see what the inner one sent (differential tests compare
+    /// two implementations' traffic this way).
+    pub fn sent_udp(&self) -> impl Iterator<Item = (Ipv4Addr, &UdpDatagram)> + '_ {
+        self.actions.iter().filter_map(|action| match action {
+            Action::SendUdp { dst, dgram } => Some((*dst, &**dgram)),
+            _ => None,
+        })
+    }
 }
 
 /// Aggregate counters, useful for assertions in tests and experiments.
