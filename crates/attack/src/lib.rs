@@ -40,5 +40,5 @@ pub mod prelude {
     pub use crate::pipeline::{PoisonConfig, PoisonPipeline, PoisonStats};
     pub use crate::poisoner::OffPathPoisoner;
     pub use crate::runtime::{RuntimeAttacker, RuntimeScenario, RuntimeStats};
-    pub use crate::wire_walk::{glue_spans, walk_records, RecordSpan, Section};
+    pub use crate::wire_walk::{walk_records, RecordSpan, Section};
 }

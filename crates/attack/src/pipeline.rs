@@ -179,7 +179,8 @@ pub struct PoisonPipeline {
     control_pending: FastMap<u16, ControlQuery>,
     check_name: Option<Name>,
     /// The walk buffer of the next probe reply, swapped with the kept
-    /// layout when the reply is accepted.
+    /// layout when the reply is accepted; control replies are walked into
+    /// it too.
     scratch_spans: Vec<RecordSpan>,
     last_icmp: Option<SimTime>,
     last_probe: Option<SimTime>,
@@ -438,20 +439,23 @@ impl PoisonPipeline {
                 true
             }
             CONTROL_PORT => {
-                let Ok(msg) = Message::decode(&d.payload) else { return true };
-                let Some(kind) = self.control_pending.remove(&msg.header.id) else { return true };
-                let addrs = msg.answer_addrs();
-                match kind {
-                    ControlQuery::CheckGlue => {
-                        if addrs.contains(&self.config.attacker_ns) {
-                            self.confirm(ctx.now(), false);
-                        }
-                    }
+                let spans = &mut self.scratch_spans;
+                let Ok(msg) = MessageView::with_spans(&d.payload, spans) else { return true };
+                let Some(kind) = self.control_pending.remove(&msg.header().id) else { return true };
+                let data = msg.bytes();
+                let mut addrs = spans
+                    .iter()
+                    .filter(|span| span.section == Section::Answer)
+                    .filter_map(|span| span.a_addr(data))
+                    .peekable();
+                let (poisoned, full) = match kind {
+                    ControlQuery::CheckGlue => (addrs.any(|a| a == self.config.attacker_ns), false),
                     ControlQuery::CheckPool | ControlQuery::Trigger => {
-                        if !addrs.is_empty() && addrs.iter().all(|&a| is_malicious(a)) {
-                            self.confirm(ctx.now(), true);
-                        }
+                        (addrs.peek().is_some() && addrs.all(is_malicious), true)
                     }
+                };
+                if poisoned {
+                    self.confirm(ctx.now(), full);
                 }
                 true
             }

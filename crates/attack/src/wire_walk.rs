@@ -24,12 +24,6 @@ pub fn walk_records(dns_bytes: &[u8]) -> Result<Vec<RecordSpan>, DnsError> {
     Ok(spans)
 }
 
-/// Convenience: the glue A records (additional-section A records) of a
-/// response, in order.
-pub fn glue_spans(spans: &[RecordSpan]) -> Vec<&RecordSpan> {
-    spans.iter().filter(|s| s.is_glue()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,7 +51,7 @@ mod tests {
             resp.answers.len() + resp.authorities.len() + resp.additionals.len()
         );
         assert_eq!(spans.iter().filter(|s| s.section == Section::Answer).count(), 4);
-        assert_eq!(glue_spans(&spans).len(), 23);
+        assert_eq!(spans.iter().filter(|s| s.is_glue()).count(), 23);
         // Offsets are strictly increasing.
         for pair in spans.windows(2) {
             assert!(pair[0].record_offset < pair[1].record_offset);
@@ -68,7 +62,7 @@ mod tests {
     fn rdata_offsets_point_at_the_actual_addresses() {
         let (resp, wire) = sample_response();
         let spans = walk_records(&wire).unwrap();
-        for (span, record) in glue_spans(&spans).iter().zip(&resp.additionals) {
+        for (span, record) in spans.iter().filter(|s| s.is_glue()).zip(&resp.additionals) {
             assert_eq!(span.name(&wire).unwrap(), record.name);
             let addr = Ipv4Addr::new(
                 wire[span.rdata_offset],
@@ -84,7 +78,7 @@ mod tests {
     fn ttl_offsets_point_at_ttls() {
         let (_, wire) = sample_response();
         let spans = walk_records(&wire).unwrap();
-        for span in glue_spans(&spans) {
+        for span in spans.iter().filter(|s| s.is_glue()) {
             let ttl = u32::from_be_bytes([
                 wire[span.ttl_offset],
                 wire[span.ttl_offset + 1],
@@ -109,7 +103,7 @@ mod tests {
         // glue RDATA must sit at DNS offset ≥ 520.
         let (_, wire) = sample_response();
         let spans = walk_records(&wire).unwrap();
-        let first_glue = glue_spans(&spans)[0];
+        let first_glue = spans.iter().find(|s| s.is_glue()).unwrap();
         assert!(
             first_glue.rdata_offset >= 520,
             "first glue rdata at {} must be ≥ 520",

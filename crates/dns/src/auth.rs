@@ -96,95 +96,50 @@ impl AuthServer {
     }
 
     /// Builds the response for a query, drawing random pool subsets where
-    /// the zone's policy asks for it.
+    /// the zone's policy asks for it: what [`Host::on_datagram`] sends for
+    /// the query's bytes, as a message.
     pub fn answer<R: Rng + ?Sized>(&mut self, query: &Message, rng: &mut R) -> Message {
-        let (mut resp, tail_zone) = self.respond(query, rng);
-        if let Some(zone) = tail_zone {
+        let mut resp = Message::response_to(query);
+        let selected = select(&self.zones, &mut self.picks, &mut self.stats, query.question(), rng);
+        if let Some(zone) = self.complete(&mut resp, selected) {
             self.fill(&mut resp, zone);
         }
         resp
     }
 
-    /// The encoded response to `query`: the bytes [`Host::on_datagram`]
-    /// sends, equal to `answer(query, rng).encode()` after the same draws.
-    fn reply<R: Rng + ?Sized>(&mut self, query: &Message, rng: &mut R) -> Result<Bytes, DnsError> {
-        let (resp, tail_zone) = self.respond(query, rng);
-        match tail_zone {
-            Some(zone) => self.encode_reply(resp, zone),
-            None => resp.encode(),
-        }
-    }
-
-    /// The policy step: the header, question and answer section of the
-    /// response (every RNG draw happens here), and the zone whose NS
+    /// Completes `resp`, a response echoing a query, from the selection
+    /// for its first question: the rcode, the AA flag and the answer
+    /// section (with an RRSIG in a signed zone). Returns the zone whose NS
     /// records and glue belong in its authority and additional sections,
     /// if any.
-    fn respond<R: Rng + ?Sized>(
-        &mut self,
-        query: &Message,
-        rng: &mut R,
-    ) -> (Message, Option<usize>) {
-        self.stats.queries += 1;
-        let mut resp = Message::response_to(query);
-        resp.header.ra = false;
-        let Some(q) = query.question().cloned() else {
-            resp.header.rcode = Rcode::FormErr;
-            return (resp, None);
+    fn complete(
+        &self,
+        resp: &mut Message,
+        selected: Result<Selection<'_>, Rcode>,
+    ) -> Option<usize> {
+        let sel = match selected {
+            Ok(sel) => sel,
+            Err(rcode) => {
+                resp.header.rcode = rcode;
+                return None;
+            }
         };
-        let Some(zone_idx) = self.zone_of(&q.name) else {
-            self.stats.refused += 1;
-            resp.header.rcode = Rcode::Refused;
-            return (resp, None);
-        };
+        let q = resp.questions.first()?;
         resp.header.aa = true;
-        let zone = &self.zones[zone_idx];
-        // Synthesise rotated/wildcard A answers, or fall back to statics.
-        let answers = match (&zone.policy, q.qtype) {
-            (AnswerPolicy::Rotate { names, addrs, per_response, ttl }, RecordType::A)
-                if names.contains(&q.name) && !addrs.is_empty() =>
-            {
-                let n = (*per_response).min(addrs.len());
-                sample_into(rng, addrs.len(), n, &mut self.picks);
-                self.picks.iter().map(|&i| Record::a(q.name.clone(), *ttl, addrs[i])).collect()
-            }
-            (AnswerPolicy::Wildcard { addrs, per_response, ttl }, RecordType::A)
-                if !addrs.is_empty() =>
-            {
-                let n = (*per_response).min(addrs.len());
-                addrs[..n].iter().map(|&addr| Record::a(q.name.clone(), *ttl, addr)).collect()
-            }
-            _ => zone.lookup(&q.name, q.qtype).to_vec(),
-        };
+        let zone = &self.zones[sel.zone];
+        let answers = sel.records(&q.name, &self.picks);
         if answers.is_empty() && !zone.name_exists(&q.name) {
             resp.header.rcode = Rcode::NxDomain;
-            return (resp, None);
+            return None;
         }
-        resp.answers = answers;
-        if let Some(key) = zone.key {
-            if !resp.answers.is_empty() {
-                let sig = make_rrsig(
-                    key,
-                    &zone.origin,
-                    &q.name,
-                    q.qtype,
-                    resp.answers[0].ttl,
-                    &resp.answers,
-                );
-                resp.answers.push(sig);
-            }
-        }
+        let sig = zone
+            .key
+            .filter(|_| !answers.is_empty())
+            .map(|key| make_rrsig(key, &zone.origin, &q.name, q.qtype, answers[0].ttl, &answers));
         let with_tail = self.include_authority && q.qtype != RecordType::Ns;
-        (resp, with_tail.then_some(zone_idx))
-    }
-
-    /// The zone `name` belongs to: the one with the longest origin.
-    fn zone_of(&self, name: &Name) -> Option<usize> {
-        self.zones
-            .iter()
-            .enumerate()
-            .filter(|(_, z)| name.is_subdomain_of(&z.origin))
-            .max_by_key(|(_, z)| z.origin.label_count())
-            .map(|(i, _)| i)
+        resp.answers = answers;
+        resp.answers.extend(sig);
+        with_tail.then_some(sel.zone)
     }
 
     /// The section fill: `zone`'s NS records and glue.
@@ -194,16 +149,17 @@ impl AuthServer {
         resp.additionals = zone.glue_records().to_vec();
     }
 
-    /// Encodes `resp` (header, question and answers, from
-    /// [`AuthServer::respond`]) with `zone`'s authority and additional
-    /// sections, caching the encode as a [`Template`] when the answers
-    /// add no compression target: one question, and every answer an A
-    /// record owned by the question name (each compresses to a pointer at
-    /// offset 12) in an unsigned zone. The encoder's output then depends
-    /// only on the header, the question and the answer count, bar the ID
-    /// and flags (bytes 0..4) and each answer's TTL and address, which
-    /// [`AuthServer::patched_reply`] writes in for later queries.
-    fn encode_reply(&mut self, mut resp: Message, zone: usize) -> Result<Bytes, DnsError> {
+    /// Encodes `resp` (completed by [`AuthServer::complete`]), with the
+    /// authority and additional sections of the `tail` zone if any,
+    /// caching the encode as a [`Template`] when the answers add no
+    /// compression target: one question, and every answer an A record
+    /// owned by the question name (each compresses to a pointer at offset
+    /// 12) in an unsigned zone. The encoder's output then depends only on
+    /// the header, the question and the answer count, bar the ID and flags
+    /// (bytes 0..4) and each answer's TTL and address, which
+    /// [`Template::patch`] writes in for later queries.
+    fn encode_reply(&mut self, mut resp: Message, tail: Option<usize>) -> Result<Bytes, DnsError> {
+        let Some(zone) = tail else { return resp.encode() };
         let patchable = matches!(resp.questions.as_slice(), [q]
             if self.zones[zone].key.is_none()
                 && resp.answers.iter().all(|r| r.as_a().is_some() && r.name == q.name));
@@ -213,10 +169,7 @@ impl AuthServer {
         }
         let (wire, answers_at) = resp.encode_split()?;
         let (question, answers) = (&resp.questions[0], resp.answers.len());
-        let cached = self
-            .templates
-            .iter()
-            .any(|t| t.zone == zone && t.answers == answers && t.question == *question);
+        let cached = self.template_for(zone, answers, question).is_some();
         if !cached && self.templates.len() < MAX_TEMPLATES {
             let (question, wire) = (question.clone(), wire.clone());
             self.templates.push(Template { zone, question, answers, wire, answers_at });
@@ -225,98 +178,114 @@ impl AuthServer {
     }
 
     /// The reply [`Host::on_datagram`] sends to the query bytes `query`,
-    /// if any: a template hit is patched straight from the bytes
-    /// ([`AuthServer::patched_reply`]); anything else decodes in full and
-    /// takes [`AuthServer::reply`]. Malformed bytes and responses get no
-    /// reply.
+    /// if any: equal to the encode of [`AuthServer::answer`] to the
+    /// decoded query, after the same draws. The query is checked once by
+    /// [`MessageView::new`] and its questions are read in place; the one
+    /// selection ([`select`]) then picks the zone and the answers. A reply
+    /// cached as a [`Template`] is patched from it; anything else is built
+    /// as a message and encoded in full ([`AuthServer::encode_reply`]). A
+    /// template exists only for a reply `encode_reply` found patchable,
+    /// and the zones never change, so finding one proves the reply is
+    /// patchable. Malformed bytes and responses get no reply.
     fn wire_reply<R: Rng + ?Sized>(&mut self, query: &[u8], rng: &mut R) -> Option<Bytes> {
-        if let Some(wire) = self.patched_reply(query, rng) {
-            return Some(wire);
-        }
-        let query = Message::decode(query).ok()?;
-        if query.header.qr {
+        let view = MessageView::new(query).ok()?;
+        let Header { id, qr, rd, .. } = *view.header();
+        if qr {
             return None; // not a query
         }
-        self.reply(&query, rng).ok()
+        let mut questions = view.questions();
+        let first = questions.next();
+        let selected = select(&self.zones, &mut self.picks, &mut self.stats, first.as_ref(), rng);
+        let header = Header { id, qr: true, rd, ..Header::default() };
+        if let (Ok(sel), Some(q), 0) = (selected, &first, questions.len()) {
+            if let Some(template) = self.template_for(sel.zone, sel.n, q) {
+                let answers = (0..sel.n).map(|k| sel.a(k, &self.picks));
+                let wire = template.patch(Header { aa: true, ..header }.id_and_flags(), answers);
+                if cfg!(debug_assertions) {
+                    let mut resp = view.response();
+                    let tail = self.complete(&mut resp, selected);
+                    let full = self.encode_reply(resp, tail);
+                    assert_eq!(full.as_ref(), Ok(&wire), "patch differs from a full encode");
+                }
+                return Some(wire);
+            }
+        }
+        let questions = first.into_iter().chain(questions).collect();
+        let mut resp = Message { header, questions, ..Message::default() };
+        let tail = self.complete(&mut resp, selected);
+        self.encode_reply(resp, tail).ok()
     }
 
-    /// Answers a template hit from the query bytes alone: equal to
-    /// `reply` of the decoded query, after the same draws, without
-    /// building a message. It reads the one question in place, selects
-    /// the zone, the answers [`AuthServer::respond`] would give and the
-    /// [`Template`], checks the whole query with the decoder's walk, then
-    /// draws the answers and patches the template. A template exists only
-    /// for a reply [`AuthServer::encode_reply`] found patchable, and the
-    /// zones never change, so finding one proves the reply is patchable.
-    ///
-    /// `None` for anything else — not exactly one question, a response,
-    /// malformed bytes, a reply that is not cached as a template — and
-    /// then no draw or counter has moved.
-    fn patched_reply<R: Rng + ?Sized>(&mut self, query: &[u8], rng: &mut R) -> Option<Bytes> {
-        let head = query.first_chunk::<12>()?;
-        let (id, flags, qdcount) = (&head[..2], head[2], &head[4..6]);
-        if flags & 0x80 != 0 || qdcount != [0, 1] {
-            return None;
-        }
-        let (Question { name, qtype }, _) = Question::read_at(query, 12)?;
-        let zone_idx = self.zone_of(&name)?;
-        let zone = &self.zones[zone_idx];
-        // The answers `respond` gives.
-        let (source, n) = match (&zone.policy, qtype) {
-            (AnswerPolicy::Rotate { names, addrs, per_response, ttl }, RecordType::A)
-                if names.contains(&name) && !addrs.is_empty() =>
-            {
-                (Answers::Drawn(addrs, *ttl), (*per_response).min(addrs.len()))
-            }
-            (AnswerPolicy::Wildcard { addrs, per_response, ttl }, RecordType::A)
-                if !addrs.is_empty() =>
-            {
-                (Answers::Prefix(addrs, *ttl), (*per_response).min(addrs.len()))
-            }
-            _ => {
-                let records = zone.lookup(&name, qtype);
-                (Answers::Static(records), records.len())
-            }
-        };
-        let template = self.templates.iter().find(|t| {
-            t.zone == zone_idx
-                && t.answers == n
-                && t.question.qtype == qtype
-                && t.question.name == name
-        })?;
-        MessageView::new(query).ok()?;
-        self.stats.queries += 1;
-        if let Answers::Drawn(addrs, _) = source {
-            sample_into(rng, addrs.len(), n, &mut self.picks);
-        }
-        let answer = |k: usize| match source {
-            Answers::Drawn(addrs, ttl) => (ttl, addrs[self.picks[k]]),
-            Answers::Prefix(addrs, ttl) => (ttl, addrs[k]),
-            Answers::Static(records) => {
-                (records[k].ttl, records[k].as_a().unwrap_or(Ipv4Addr::UNSPECIFIED))
-            }
-        };
-        let header = Header {
-            id: u16::from_be_bytes([id[0], id[1]]),
-            qr: true,
-            aa: true,
-            rd: flags & 0x01 != 0,
-            ..Header::default()
-        };
-        let wire = template.patch(header.id_and_flags(), (0..n).map(answer));
-        if cfg!(debug_assertions) {
-            let mut resp = Message::response_to(&Message::decode(query).expect("checked query"));
-            resp.header.aa = true;
-            resp.answers =
-                (0..n).map(answer).map(|(ttl, a)| Record::a(name.clone(), ttl, a)).collect();
-            self.fill(&mut resp, zone_idx);
-            assert_eq!(resp.encode().as_ref(), Ok(&wire), "patch differs from a full encode");
-        }
-        Some(wire)
+    /// The cached template of the reply from `zone` with `answers`
+    /// answers to the lone question `q`, if there is one.
+    fn template_for(&self, zone: usize, answers: usize, q: &Question) -> Option<&Template> {
+        self.templates.iter().find(|t| t.zone == zone && t.answers == answers && t.question == *q)
     }
 }
 
-/// Where the answers of a patched reply come from.
+/// The zone `name` belongs to: the one with the longest origin.
+fn zone_of(zones: &[Zone], name: &Name) -> Option<usize> {
+    zones
+        .iter()
+        .enumerate()
+        .filter(|(_, z)| name.is_subdomain_of(&z.origin))
+        .max_by_key(|(_, z)| z.origin.label_count())
+        .map(|(i, _)| i)
+}
+
+/// The one answer selection of an [`AuthServer`]: counts a query whose
+/// first question is `q` (in `stats`), then picks the zone and the answers
+/// its policy gives — a rotation drawn into `picks`, a wildcard's first
+/// addresses, or the static records. Every RNG draw of a reply happens
+/// here. `Err` is the rcode of a reply with no answer selection: FORMERR
+/// for a query without a question, REFUSED for a name outside every zone.
+fn select<'z, R: Rng + ?Sized>(
+    zones: &'z [Zone],
+    picks: &mut Vec<usize>,
+    stats: &mut AuthStats,
+    q: Option<&Question>,
+    rng: &mut R,
+) -> Result<Selection<'z>, Rcode> {
+    stats.queries += 1;
+    let q = q.ok_or(Rcode::FormErr)?;
+    let Some(zone_idx) = zone_of(zones, &q.name) else {
+        stats.refused += 1;
+        return Err(Rcode::Refused);
+    };
+    let zone = &zones[zone_idx];
+    let (answers, n) = match (&zone.policy, q.qtype) {
+        (AnswerPolicy::Rotate { names, addrs, per_response, ttl }, RecordType::A)
+            if names.contains(&q.name) && !addrs.is_empty() =>
+        {
+            let n = (*per_response).min(addrs.len());
+            sample_into(rng, addrs.len(), n, picks);
+            (Answers::Drawn(addrs, *ttl), n)
+        }
+        (AnswerPolicy::Wildcard { addrs, per_response, ttl }, RecordType::A)
+            if !addrs.is_empty() =>
+        {
+            (Answers::Prefix(addrs, *ttl), (*per_response).min(addrs.len()))
+        }
+        _ => {
+            let records = zone.lookup(&q.name, q.qtype);
+            (Answers::Static(records), records.len())
+        }
+    };
+    Ok(Selection { zone: zone_idx, answers, n })
+}
+
+/// The answers selected for a question ([`select`]).
+#[derive(Clone, Copy)]
+struct Selection<'z> {
+    /// The zone the question belongs to.
+    zone: usize,
+    /// Where the answers come from.
+    answers: Answers<'z>,
+    /// How many answers there are.
+    n: usize,
+}
+
+/// Where the answers of a reply come from.
 #[derive(Clone, Copy)]
 enum Answers<'z> {
     /// A rotation: the addresses at the drawn [`AuthServer::picks`], with
@@ -324,8 +293,36 @@ enum Answers<'z> {
     Drawn(&'z [Ipv4Addr], u32),
     /// A wildcard: the first addresses, with the TTL.
     Prefix(&'z [Ipv4Addr], u32),
-    /// Static A records owned by the question name.
+    /// The zone's static records for the question.
     Static(&'z [Record]),
+}
+
+impl Selection<'_> {
+    /// The TTL and address of answer `k`, for a reply a [`Template`]
+    /// fits (so a static answer is an A record).
+    fn a(&self, k: usize, picks: &[usize]) -> (u32, Ipv4Addr) {
+        match self.answers {
+            Answers::Drawn(addrs, ttl) => (ttl, addrs[picks[k]]),
+            Answers::Prefix(addrs, ttl) => (ttl, addrs[k]),
+            Answers::Static(records) => {
+                (records[k].ttl, records[k].as_a().unwrap_or(Ipv4Addr::UNSPECIFIED))
+            }
+        }
+    }
+
+    /// The answer records, owned by `name` where the policy synthesises
+    /// them.
+    fn records(&self, name: &Name, picks: &[usize]) -> Vec<Record> {
+        match self.answers {
+            Answers::Static(records) => records.to_vec(),
+            Answers::Drawn(..) | Answers::Prefix(..) => (0..self.n)
+                .map(|k| {
+                    let (ttl, addr) = self.a(k, picks);
+                    Record::a(name.clone(), ttl, addr)
+                })
+                .collect(),
+        }
+    }
 }
 
 impl Template {
@@ -404,6 +401,11 @@ mod tests {
         Message::query(0x42, name.parse().unwrap(), RecordType::A, false)
     }
 
+    /// The A addresses in `resp`'s answer section.
+    fn answer_addrs(resp: &Message) -> Vec<Ipv4Addr> {
+        resp.answers.iter().filter_map(Record::as_a).collect()
+    }
+
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(1234)
     }
@@ -418,10 +420,10 @@ mod tests {
             clippy::disallowed_types,
             reason = "a membership count: the set's iteration order is never read"
         )]
-        let mut seen: std::collections::HashSet<Ipv4Addr> = r1.answer_addrs().into_iter().collect();
+        let mut seen: std::collections::HashSet<Ipv4Addr> = answer_addrs(&r1).into_iter().collect();
         assert_eq!(seen.len(), 4);
         for _ in 0..10 {
-            seen.extend(srv.answer(&query("pool.ntp.org"), &mut rng).answer_addrs());
+            seen.extend(answer_addrs(&srv.answer(&query("pool.ntp.org"), &mut rng)));
         }
         assert!(seen.len() > 16, "random selection must surface new servers: {}", seen.len());
         assert!(r1.answers.iter().all(|r| r.ttl == POOL_A_TTL));
@@ -432,7 +434,7 @@ mod tests {
         let zone = pool_zone(servers(8), 4, Ipv4Addr::new(198, 51, 100, 1));
         let mut srv = AuthServer::new(vec![zone]);
         let r = srv.answer(&query("0.pool.ntp.org"), &mut rng());
-        assert_eq!(r.answer_addrs().len(), 4);
+        assert_eq!(answer_addrs(&r).len(), 4);
         assert_eq!(r.header.rcode, Rcode::NoError);
     }
 
@@ -454,7 +456,7 @@ mod tests {
             (0..89).map(|i| Ipv4Addr::new(6, 6, (i / 250) as u8, (i % 250) as u8)).collect();
         let mut srv = AuthServer::new(vec![malicious_pool_zone(addrs, 89, 86_400 * 2)]);
         let r = srv.answer(&query("pool.ntp.org"), &mut rng());
-        assert_eq!(r.answer_addrs().len(), 89);
+        assert_eq!(answer_addrs(&r).len(), 89);
         assert!(r.answers.iter().all(|rec| rec.ttl == 86_400 * 2));
         // Must fit a single unfragmented 1500-byte response (paper §VI-C).
         assert!(r.encode().unwrap().len() + 28 <= 1500, "len = {}", r.encode().unwrap().len());
@@ -549,10 +551,11 @@ mod tests {
         AuthServer::new(vec![malicious_pool_zone(servers(89), 89, 86_400 * 2)])
     }
 
-    /// What `on_datagram` sends — patched from the query bytes, patched
-    /// from a decoded query, or encoded in full — equals the full encode
-    /// of `answer` and leaves the RNG in the same state: rotated,
-    /// wildcard and static answers, signed and bare zones.
+    /// What `on_datagram` sends — patched from a template, or built from
+    /// the query read in place and encoded in full — equals the full
+    /// encode of `answer` to the decoded query and leaves the RNG in the
+    /// same state: rotated, wildcard and static answers, signed and bare
+    /// zones.
     #[test]
     fn replies_equal_full_encodes_of_answer() {
         use crate::dnssec::ZoneKey;
@@ -578,10 +581,10 @@ mod tests {
         assert_replies_match_answers("attacker", attacker, &names);
     }
 
-    /// Queries the question read in place must leave to the full decode —
-    /// no question, two questions, a response, and every truncation and
-    /// single-byte garble of a query whose template is cached — get what
-    /// the full decode gives them: the same reply, or none.
+    /// Odd queries — no question, two questions, a response, and every
+    /// truncation and single-byte garble of a query whose template is
+    /// cached — get what `answer` to the full decode gives them: the same
+    /// reply, or none.
     #[test]
     fn odd_and_malformed_queries_match_the_full_decode() {
         let twins = [
@@ -625,17 +628,29 @@ mod tests {
         }
     }
 
+    /// True if `srv`'s reply to the query bytes `wire` would be patched
+    /// from a cached template: the selection [`AuthServer::wire_reply`]
+    /// makes, with draws and counts kept off `srv`.
+    fn fits_a_template(srv: &AuthServer, wire: &[u8]) -> bool {
+        let view = MessageView::new(wire).unwrap();
+        let q = view.questions().next().unwrap();
+        let (mut picks, mut stats) = (Vec::new(), AuthStats::default());
+        let selected = select(&srv.zones, &mut picks, &mut stats, Some(&q), &mut rng());
+        let fits = selected.is_ok_and(|sel| srv.template_for(sel.zone, sel.n, &q).is_some());
+        view.questions().len() == 1 && fits
+    }
+
     /// Once a template is cached, every reply it fits is answered from
-    /// the query bytes — rotated, wildcard and static A sets and empty
-    /// answers — and nothing else is.
+    /// the query bytes by a patch — rotated, wildcard and static A sets
+    /// and empty answers — and nothing else is.
     #[test]
     fn template_hits_are_patched_from_the_query_bytes() {
         use crate::dnssec::ZoneKey;
         let mut rng = rng();
         let patched_after_one_reply = |srv: &mut AuthServer, wire: &[u8], rng: &mut SmallRng| {
-            assert!(srv.patched_reply(wire, rng).is_none(), "nothing is cached yet");
+            assert!(!fits_a_template(srv, wire), "nothing is cached yet");
             assert!(srv.wire_reply(wire, rng).is_some());
-            srv.patched_reply(wire, rng).is_some()
+            fits_a_template(srv, wire)
         };
         for (name, qtype) in [
             ("POOL.ntp.org", RecordType::A),
@@ -664,7 +679,7 @@ mod tests {
         let ns_query = Message::query(1, "pool.ntp.org".parse().unwrap(), RecordType::Ns, false);
         let templates_after = |mut srv: AuthServer| {
             for query in [query("pool.ntp.org"), query("pool.ntp.org"), ns_query.clone()] {
-                srv.reply(&query, &mut rng()).unwrap();
+                srv.wire_reply(&query.encode().unwrap(), &mut rng()).unwrap();
             }
             srv.templates.len()
         };

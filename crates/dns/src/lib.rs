@@ -59,7 +59,7 @@ pub mod prelude {
     pub use crate::name::Name;
     pub use crate::record::{RData, Record, RecordType};
     pub use crate::resolver::{Resolver, ResolverConfig, ResolverStats};
-    pub use crate::stub::{lookup_once, snoop_once, DnsReply, OneShot, StubResolver};
+    pub use crate::stub::{lookup_once, DnsReply, OneShot, StubResolver};
     pub use crate::zone::{
         malicious_pool_zone, pool_domain, pool_zone, AnswerPolicy, Zone, POOL_ADDRS_PER_RESPONSE,
         POOL_A_TTL, POOL_DOMAIN,

@@ -5,6 +5,11 @@
 //! header, question, then answer/authority/additional sections, with
 //! compression pointers shrinking repeated names exactly the way real
 //! servers do.
+//!
+//! The model reads DNS bytes through one checked walk, [`MessageView`];
+//! [`Message`] is the owned builder.
+// simlint: hot-path — every host that reads a DNS datagram walks it here,
+// and the resolver and the nameservers write through the `Encoder`.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use std::cell::RefCell;
@@ -113,17 +118,6 @@ pub struct Question {
     pub qtype: RecordType,
 }
 
-impl Question {
-    /// The question at offset `at` of the message `data`, and the offset
-    /// after it; `None` if it runs past the end or its name is malformed.
-    pub(crate) fn read_at(data: &[u8], at: usize) -> Option<(Question, usize)> {
-        let (name, at) = read_name_at(data, at).ok()?;
-        let fixed = data.get(at..at + 4)?;
-        let qtype = RecordType::from_code(u16::from_be_bytes([fixed[0], fixed[1]]));
-        Some((Question { name, qtype }, at + 4))
-    }
-}
-
 /// A complete DNS message.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Message {
@@ -144,6 +138,8 @@ impl Message {
     pub fn query(id: u16, name: Name, qtype: RecordType, recursion_desired: bool) -> Message {
         Message {
             header: Header { id, rd: recursion_desired, ..Header::default() },
+            // simlint: allow(hot-alloc) — the owned builder's one question;
+            // the resolver writes its queries through its `Encoder`.
             questions: vec![Question { name, qtype }],
             ..Message::default()
         }
@@ -159,6 +155,8 @@ impl Message {
                 rd: query.header.rd,
                 ..Header::default()
             },
+            // simlint: allow(hot-alloc) — the owned builder echoes an owned
+            // query; in-place readers build from `MessageView::questions`.
             questions: query.questions.clone(),
             ..Message::default()
         }
@@ -167,11 +165,6 @@ impl Message {
     /// The first question, if any.
     pub fn question(&self) -> Option<&Question> {
         self.questions.first()
-    }
-
-    /// All A-record addresses in the answer section.
-    pub fn answer_addrs(&self) -> Vec<Ipv4Addr> {
-        self.answers.iter().filter_map(Record::as_a).collect()
     }
 
     /// Encodes the message to wire bytes with name compression.
@@ -202,15 +195,35 @@ impl Message {
         enc.finish().map(|wire| (wire, answers_at))
     }
 
-    /// Decodes a message from wire bytes.
+    /// Decodes a message from wire bytes into an owned [`Message`], for
+    /// tests and benchmarks; the model reads datagrams in place. The
+    /// checked walk ([`MessageView::with_spans`]) decides what is
+    /// accepted; every question and record is then built from it.
     ///
     /// # Errors
     ///
     /// Returns [`DnsError`] on truncation, bad pointers or malformed fields.
     pub fn decode(data: &[u8]) -> Result<Message, DnsError> {
-        let Walked { header, questions, sections } = walk(data, &mut Build)?;
-        let [answers, authorities, additionals] = sections;
-        Ok(Message { header, questions, answers, authorities, additionals })
+        // simlint: allow(hot-alloc) — the owned decode, off the model's path.
+        let mut spans = Vec::new();
+        let view = MessageView::with_spans(data, &mut spans)?;
+        let build = |spans: &[RecordSpan]| {
+            let mut records = Vec::with_capacity(spans.len());
+            for span in spans {
+                records.push(span.record(data, span.name(data)?)?);
+            }
+            Ok::<_, DnsError>(records)
+        };
+        // The spans come in section order.
+        let authority = spans.partition_point(|span| span.section == Section::Answer);
+        let additional = spans.partition_point(|span| span.section != Section::Additional);
+        Ok(Message {
+            header: view.header,
+            questions: view.questions().collect(),
+            answers: build(&spans[..authority])?,
+            authorities: build(&spans[authority..additional])?,
+            additionals: build(&spans[additional..])?,
+        })
     }
 }
 
@@ -220,11 +233,14 @@ thread_local! {
     static ENCODER: RefCell<Encoder> = RefCell::new(Encoder::new());
 }
 
-/// A checked DNS message, borrowed: [`MessageView::new`] accepts exactly
-/// the bytes [`Message::decode`] accepts — the same walk, the same
-/// checks — but builds no name, record or section, so it never allocates
-/// (bar the lossy copy of a non-UTF-8 label). For paths that only read
-/// the header, or the layout of the records ([`MessageView::with_spans`]).
+/// A checked DNS message, borrowed: [`MessageView::new`] runs the one
+/// checked walk, which decides what [`Message::decode`] accepts too, and
+/// builds no name, record or section, so it never allocates (bar the
+/// lossy copy of a non-UTF-8 label). It is how the model reads every DNS
+/// datagram: the header, the questions in place
+/// ([`MessageView::questions`]) and the layout of the records
+/// ([`MessageView::with_spans`]), whose TTLs and A addresses
+/// [`RecordSpan`] reads.
 #[derive(Debug, Clone, Copy)]
 pub struct MessageView<'a> {
     data: &'a [u8],
@@ -238,8 +254,7 @@ impl<'a> MessageView<'a> {
     ///
     /// Returns the [`DnsError`] [`Message::decode`] returns for `data`.
     pub fn new(data: &'a [u8]) -> Result<Self, DnsError> {
-        let walked = walk(data, &mut Check)?;
-        Ok(MessageView { data, header: walked.header })
+        Ok(MessageView { data, header: walk(data, None)? })
     }
 
     /// [`MessageView::new`], keeping where every record sits: `spans` is
@@ -261,8 +276,7 @@ impl<'a> MessageView<'a> {
                 counts.chunks_exact(2).map(|c| usize::from(u16::from_be_bytes([c[0], c[1]]))).sum();
             spans.reserve(records.min(data.len() / MIN_RECORD_LEN));
         }
-        let walked = walk(data, &mut Spans(spans))?;
-        Ok(MessageView { data, header: walked.header })
+        Ok(MessageView { data, header: walk(data, Some(spans))? })
     }
 
     /// The message header.
@@ -274,7 +288,58 @@ impl<'a> MessageView<'a> {
     pub fn bytes(&self) -> &'a [u8] {
         self.data
     }
+
+    /// The questions, in wire order, each as [`Message::decode`] builds
+    /// it (the name lower-cased).
+    pub fn questions(&self) -> Questions<'a> {
+        let count = self.data.get(4..6).map_or(0, |c| u16::from_be_bytes([c[0], c[1]]));
+        Questions { data: self.data, at: 12, left: count }
+    }
+
+    /// An empty response skeleton echoing this query's ID, questions and
+    /// RD flag: what [`Message::response_to`] builds for the decoded
+    /// query, for a host that answers from the bytes.
+    pub fn response(&self) -> Message {
+        let Header { id, rd, .. } = self.header;
+        Message {
+            header: Header { id, qr: true, rd, ..Header::default() },
+            questions: self.questions().collect(),
+            ..Message::default()
+        }
+    }
 }
+
+/// The questions of a checked message, read in place
+/// ([`MessageView::questions`]): `left` more from offset `at`.
+#[derive(Debug, Clone)]
+pub struct Questions<'a> {
+    data: &'a [u8],
+    at: usize,
+    left: u16,
+}
+
+impl Iterator for Questions<'_> {
+    type Item = Question;
+
+    fn next(&mut self) -> Option<Question> {
+        self.left = self.left.checked_sub(1)?;
+        // The message was checked, so every counted question reads.
+        let (name, at) = read_name_at(self.data, self.at).ok()?;
+        let qtype = self.data.get(at..at + 4)?;
+        self.at = at + 4;
+        Some(Question {
+            name,
+            qtype: RecordType::from_code(u16::from_be_bytes([qtype[0], qtype[1]])),
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = usize::from(self.left);
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Questions<'_> {}
 
 /// Which message section a record came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -316,6 +381,20 @@ impl RecordSpan {
         read_name_at(data, self.record_offset).map(|(name, _)| name)
     }
 
+    /// The record's TTL, as [`Message::decode`] reads it.
+    pub fn ttl(&self, data: &[u8]) -> Option<u32> {
+        data.get(self.ttl_offset..)?.first_chunk::<4>().map(|ttl| u32::from_be_bytes(*ttl))
+    }
+
+    /// The address of an A record; `None` for any other type. What
+    /// [`Record::as_a`] gives for the record [`Message::decode`] builds.
+    pub fn a_addr(&self, data: &[u8]) -> Option<Ipv4Addr> {
+        if self.rtype != RecordType::A {
+            return None;
+        }
+        data.get(self.rdata_offset..)?.first_chunk::<4>().map(|&octets| Ipv4Addr::from(octets))
+    }
+
     /// Builds the record the span describes, given its owner name (from
     /// [`RecordSpan::name`]): what [`Message::decode`] builds for it.
     ///
@@ -325,7 +404,8 @@ impl RecordSpan {
     /// record of `data`.
     pub(crate) fn record(&self, data: &[u8], owner: Name) -> Result<Record, DnsError> {
         let mut dec = Decoder { data, pos: self.ttl_offset.saturating_sub(4) };
-        dec.read_record_body(&mut Build, self.section, self.record_offset, owner)
+        let (record, _) = dec.read_record_body::<Build>(self.section, self.record_offset, owner)?;
+        Ok(record)
     }
 
     /// True for a glue record: an A record in the additional section.
@@ -486,6 +566,8 @@ impl Encoder {
         // `node` is now the whole name's: the trie would point a repeat at
         // its pointer, if it has one.
         let pointer = self.suffixes[node as usize].pointer;
+        // simlint: allow(hot-alloc) — a `Name` clone copies its inline
+        // bytes; only a name past 30 bytes shares its spilled `Arc`.
         self.last = (node != 0 && pointer != NO_POINTER).then(|| (name.clone(), pointer));
     }
 
@@ -578,21 +660,17 @@ impl Encoder {
     }
 }
 
-/// What a walk over a message keeps of what it reads. The walk itself —
-/// header, sections and the per-type RDATA rules — exists once, in
-/// [`walk`] and [`Decoder::read_record`]; [`Build`] keeps everything,
-/// [`Check`] keeps nothing and [`Spans`] keeps each record's layout.
+/// What reading a record keeps of it. The per-type RDATA rules exist
+/// once, in [`Decoder::read_record_body`]: the checked walk ([`walk`])
+/// reads every record with [`Check`], which keeps nothing, and
+/// [`RecordSpan::record`] builds one with [`Build`].
 trait Keep {
     /// A read name.
     type Name;
-    /// A read question.
-    type Question;
     /// A read record.
     type Record;
     /// Reads the name at `pos`; returns it and the position after it.
     fn name(data: &[u8], pos: usize) -> Result<(Self::Name, usize), DnsError>;
-    /// Keeps a question.
-    fn question(name: Self::Name, qtype: RecordType) -> Self::Question;
     /// Keeps a record whose RDATA holds no name; `rdata` runs only if the
     /// record is kept.
     fn record(owner: Self::Name, ttl: u32, rdata: impl FnOnce() -> RData) -> Self::Record;
@@ -603,24 +681,17 @@ trait Keep {
         target: Self::Name,
         rdata: impl FnOnce(Name) -> RData,
     ) -> Self::Record;
-    /// Sees the layout of a record that passed its checks.
-    fn span(&mut self, _span: RecordSpan) {}
 }
 
-/// Keeps every name and record: [`Message::decode`].
+/// Keeps every name and the record: [`RecordSpan::record`].
 struct Build;
 
 impl Keep for Build {
     type Name = Name;
-    type Question = Question;
     type Record = Record;
 
     fn name(data: &[u8], pos: usize) -> Result<(Name, usize), DnsError> {
         read_name_at(data, pos)
-    }
-
-    fn question(name: Name, qtype: RecordType) -> Question {
-        Question { name, qtype }
     }
 
     fn record(owner: Name, ttl: u32, rdata: impl FnOnce() -> RData) -> Record {
@@ -637,66 +708,31 @@ impl Keep for Build {
     }
 }
 
-/// Keeps nothing, so its sections are `Vec<()>`s, which never allocate:
-/// [`MessageView`].
+/// Keeps nothing, only checking: the walk.
 struct Check;
 
 impl Keep for Check {
     type Name = ();
-    type Question = ();
     type Record = ();
 
     fn name(data: &[u8], pos: usize) -> Result<((), usize), DnsError> {
         skip_name_at(data, pos).map(|next| ((), next))
     }
 
-    fn question((): (), _: RecordType) {}
-
     fn record((): (), _: u32, _: impl FnOnce() -> RData) {}
 
     fn record_with((): (), _: u32, (): (), _: impl FnOnce(Name) -> RData) {}
 }
 
-/// Keeps what [`Check`] keeps, plus every record's [`RecordSpan`]:
-/// [`MessageView::with_spans`].
-struct Spans<'a>(&'a mut Vec<RecordSpan>);
-
-impl Keep for Spans<'_> {
-    type Name = ();
-    type Question = ();
-    type Record = ();
-
-    fn name(data: &[u8], pos: usize) -> Result<((), usize), DnsError> {
-        Check::name(data, pos)
-    }
-
-    fn question((): (), _: RecordType) {}
-
-    fn record((): (), _: u32, _: impl FnOnce() -> RData) {}
-
-    fn record_with((): (), _: u32, (): (), _: impl FnOnce(Name) -> RData) {}
-
-    fn span(&mut self, span: RecordSpan) {
-        self.0.push(span);
-    }
-}
-
-/// A message as walked by `K`.
-struct Walked<K: Keep> {
-    header: Header,
-    questions: Vec<K::Question>,
-    /// Answer, authority and additional records.
-    sections: [Vec<K::Record>; 3],
-}
-
-/// Smallest wire size of a question (root name, type, class) and of a
-/// record (root owner and the fixed fields): the section counts are the
-/// sender's, so capacities are bounded by the bytes that are left.
-const MIN_QUESTION_LEN: usize = 5;
+/// Smallest wire size of a record (root owner and the fixed fields): the
+/// section counts are the sender's, so capacities are bounded by the
+/// bytes that are left.
 const MIN_RECORD_LEN: usize = 11;
 
-/// Walks and checks a whole message, keeping what `keep` keeps.
-fn walk<K: Keep>(data: &[u8], keep: &mut K) -> Result<Walked<K>, DnsError> {
+/// The checked walk: checks a whole message, building nothing, and
+/// returns its header. `spans`, if given, gets each record's layout, in
+/// wire order.
+fn walk(data: &[u8], mut spans: Option<&mut Vec<RecordSpan>>) -> Result<Header, DnsError> {
     let mut dec = Decoder { data, pos: 0 };
     if data.len() < 12 {
         return Err(DnsError::Truncated { context: "header" });
@@ -715,27 +751,23 @@ fn walk<K: Keep>(data: &[u8], keep: &mut K) -> Result<Walked<K>, DnsError> {
         ad: flags & 0x0020 != 0,
         rcode: Rcode::from_code(flags as u8),
     };
-    let mut questions = Vec::with_capacity(dec.capacity(counts[0], MIN_QUESTION_LEN));
     for _ in 0..counts[0] {
-        let (name, next) = K::name(data, dec.pos)?;
-        dec.pos = next;
-        let qtype = RecordType::from_code(dec.u16()?);
+        dec.pos = skip_name_at(data, dec.pos)?;
+        let _qtype = dec.u16()?;
         let _class = dec.u16()?;
-        questions.push(K::question(name, qtype));
     }
-    let mut section = |section: Section, count: u16| -> Result<Vec<K::Record>, DnsError> {
-        let mut out = Vec::with_capacity(dec.capacity(count, MIN_RECORD_LEN));
-        for _ in 0..count {
-            out.push(dec.read_record(keep, section)?);
+    let sections = [Section::Answer, Section::Authority, Section::Additional];
+    for (section, count) in sections.into_iter().zip(&counts[1..]) {
+        for _ in 0..*count {
+            let record_offset = dec.pos;
+            dec.pos = skip_name_at(data, dec.pos)?;
+            let ((), span) = dec.read_record_body::<Check>(section, record_offset, ())?;
+            if let Some(spans) = spans.as_deref_mut() {
+                spans.push(span);
+            }
         }
-        Ok(out)
-    };
-    let sections = [
-        section(Section::Answer, counts[1])?,
-        section(Section::Authority, counts[2])?,
-        section(Section::Additional, counts[3])?,
-    ];
-    Ok(Walked { header, questions, sections })
+    }
+    Ok(header)
 }
 
 struct Decoder<'a> {
@@ -744,12 +776,6 @@ struct Decoder<'a> {
 }
 
 impl<'a> Decoder<'a> {
-    /// A capacity for `count` entries of at least `min_len` bytes each
-    /// that the rest of the message could hold.
-    fn capacity(&self, count: u16, min_len: usize) -> usize {
-        usize::from(count).min(self.data.len().saturating_sub(self.pos) / min_len)
-    }
-
     fn u8(&mut self) -> Result<u8, DnsError> {
         let b = *self.data.get(self.pos).ok_or(DnsError::Truncated { context: "u8" })?;
         self.pos += 1;
@@ -777,27 +803,15 @@ impl<'a> Decoder<'a> {
         Ok(out)
     }
 
-    /// Reads one record of `section`: the per-type RDATA rules.
-    fn read_record<K: Keep>(
-        &mut self,
-        keep: &mut K,
-        section: Section,
-    ) -> Result<K::Record, DnsError> {
-        let record_offset = self.pos;
-        let (owner, next) = K::name(self.data, self.pos)?;
-        self.pos = next;
-        self.read_record_body(keep, section, record_offset, owner)
-    }
-
-    /// [`Decoder::read_record`] after the owner name: `owner` was read at
-    /// `record_offset`, and the decoder sits just after it.
+    /// Reads one record of `section` after its owner name, which was read
+    /// at `record_offset` (the decoder sits just after it): the per-type
+    /// RDATA rules. Returns what `K` keeps and the record's layout.
     fn read_record_body<K: Keep>(
         &mut self,
-        keep: &mut K,
         section: Section,
         record_offset: usize,
         owner: K::Name,
-    ) -> Result<K::Record, DnsError> {
+    ) -> Result<(K::Record, RecordSpan), DnsError> {
         let ttl_offset = self.pos + 4;
         let rtype = RecordType::from_code(self.u16()?);
         let class_or_size = self.u16()?;
@@ -883,15 +897,15 @@ impl<'a> Decoder<'a> {
                 })
             }
         };
-        keep.span(RecordSpan {
+        let span = RecordSpan {
             rtype,
             section,
             record_offset,
             ttl_offset,
             rdata_offset: rdata_start,
             rdata_len: rdlen,
-        });
-        Ok(record)
+        };
+        Ok((record, span))
     }
 }
 
@@ -943,7 +957,7 @@ mod tests {
         let wire = resp.encode().unwrap();
         let back = Message::decode(&wire).unwrap();
         assert_eq!(back, resp);
-        assert_eq!(back.answer_addrs().len(), 2);
+        assert_eq!(back.answers.iter().filter_map(Record::as_a).count(), 2);
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //!
 //! Datagrams are read in place and every message is written once. A
 //! client query is checked by [`MessageView::new`] and its questions are
-//! read in place; the answer is written straight from the
-//! cache's borrowed RRset. An upstream reply is walked once into a
-//! reused [`RecordSpan`] buffer, and only its in-bailiwick records are
-//! built — the ones the cache keeps. Every reply and upstream query goes
+//! read in place ([`MessageView::questions`]); the answer is written
+//! straight from the cache's borrowed RRset. An upstream reply is walked
+//! once into a reused [`RecordSpan`] buffer, and only its in-bailiwick
+//! records are built — the ones the cache keeps. Every reply and upstream query goes
 //! through one reused `Encoder`. The bytes sent are those of the
 //! former decode-clone-encode path, kept as a test oracle in
 //! `crates/measure/tests/oracle/`.
@@ -42,7 +42,9 @@ use rand::RngExt;
 use crate::auth::DNS_PORT;
 use crate::cache::DnsCache;
 use crate::dnssec::TrustAnchors;
-use crate::message::{Encoder, Header, MessageView, Question, Rcode, RecordSpan, Section};
+use crate::message::{
+    Encoder, Header, MessageView, Question, Questions, Rcode, RecordSpan, Section,
+};
 use crate::name::Name;
 use crate::record::{RData, Record, RecordType};
 
@@ -111,11 +113,6 @@ struct Pending {
     txid: u16,
     attempts: u32,
     depth: u32,
-}
-
-/// The question count of the checked `query`.
-fn question_count(query: &[u8]) -> usize {
-    query.get(4..6).map_or(0, |count| usize::from(u16::from_be_bytes([count[0], count[1]])))
 }
 
 /// A caching recursive resolver host listening on UDP port 53.
@@ -253,11 +250,8 @@ impl Resolver {
     fn handle_client_query(&mut self, ctx: &mut Ctx<'_>, d: &Datagram) {
         let Ok(view) = MessageView::new(&d.payload) else { return };
         self.stats.client_queries += 1;
-        if question_count(view.bytes()) == 0 {
-            return;
-        }
-        let Some(first) = Question::read_at(view.bytes(), 12) else { return };
-        let q = &first.0;
+        let mut questions = view.questions();
+        let Some(q) = questions.next() else { return };
         let rd = view.header().rd;
         let now = ctx.now();
         let hit = self.cache.get(now, &q.name, q.qtype);
@@ -268,8 +262,14 @@ impl Resolver {
                 self.stats.cache_hits += 1;
             }
             let (answers, remaining) = hit.unwrap_or_default();
-            let reply =
-                answer(&mut self.encoder, &view, &first, answers, remaining, Rcode::NoError);
+            let reply = answer(
+                &mut self.encoder,
+                view.header(),
+                (&q, questions),
+                answers,
+                remaining,
+                Rcode::NoError,
+            );
             if let Some(wire) = reply {
                 ctx.send_udp(d.src, DNS_PORT, d.src_port, wire);
             }
@@ -285,7 +285,9 @@ impl Resolver {
         let Some((zone, server)) = self.find_nameserver(now, ctx, &q.name) else {
             // No path to an authority: immediate SERVFAIL.
             self.stats.servfails += 1;
-            if let Some(wire) = answer(&mut self.encoder, &view, &first, &[], 0, Rcode::ServFail) {
+            let reply =
+                answer(&mut self.encoder, view.header(), (&q, questions), &[], 0, Rcode::ServFail);
+            if let Some(wire) = reply {
                 ctx.send_udp(d.src, DNS_PORT, d.src_port, wire);
             }
             return;
@@ -293,7 +295,7 @@ impl Resolver {
         let id = self.next_id;
         self.next_id += 1;
         let (sport, txid) = Self::challenge(ctx);
-        let (Question { name: qname, qtype }, _) = first;
+        let Question { name: qname, qtype } = q;
         self.pending.insert(
             id,
             Pending {
@@ -487,29 +489,25 @@ impl Resolver {
     }
 }
 
-/// The reply to the checked client query `query`, whose first question
-/// and the offset after it are `first`: what `Message::response_to` of
-/// the decoded query, with RA, `rcode` and `answers` (TTLs capped at
-/// `remaining`), encodes to. Every question is echoed as read,
-/// lower-cased. `None` when it does not fit a message.
+/// The reply to a checked client query with header `query` and questions
+/// `(first, rest)`: what `Message::response_to` of the decoded query,
+/// with RA, `rcode` and `answers` (TTLs capped at `remaining`), encodes
+/// to. Every question is echoed as read, lower-cased. `None` when it does
+/// not fit a message.
 fn answer(
     enc: &mut Encoder,
-    query: &MessageView<'_>,
-    first: &(Question, usize),
+    query: &Header,
+    (first, rest): (&Question, Questions<'_>),
     answers: &[Record],
     remaining: u32,
     rcode: Rcode,
 ) -> Option<Bytes> {
-    let Header { id, rd, .. } = *query.header();
-    let header = Header { id, qr: true, rd, ra: true, rcode, ..Header::default() };
-    let questions = question_count(query.bytes());
-    enc.start(&header, questions, [answers.len(), 0, 0]);
-    let (q, mut at) = (&first.0, first.1);
-    enc.put_question(&q.name, q.qtype);
-    for _ in 1..questions {
-        let (q, next) = Question::read_at(query.bytes(), at)?;
+    let header =
+        Header { id: query.id, qr: true, rd: query.rd, ra: true, rcode, ..Header::default() };
+    enc.start(&header, 1 + rest.len(), [answers.len(), 0, 0]);
+    enc.put_question(&first.name, first.qtype);
+    for q in rest {
         enc.put_question(&q.name, q.qtype);
-        at = next;
     }
     for r in answers {
         enc.put_record_with_ttl(r, remaining.min(r.ttl)).ok()?;
@@ -626,14 +624,44 @@ mod tests {
         assert_eq!(r.stats.upstream_queries, 1);
     }
 
+    /// Sends one RD=0 query for `pool.ntp.org` (the cache-snooping probe)
+    /// and keeps the reply.
+    struct Snoop {
+        stub: crate::stub::StubResolver,
+        reply: Option<crate::stub::DnsReply>,
+    }
+
+    impl Host for Snoop {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.stub.query(ctx, &pool_name(), RecordType::A, false);
+        }
+
+        fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, d: &Datagram) {
+            if let Some(reply) = self.stub.handle(d) {
+                self.reply = Some(reply);
+            }
+        }
+    }
+
+    /// Snoops the resolver from `client`: the cached addresses and their
+    /// smallest TTL, or `None` if it revealed no cached RRset.
+    fn snoop(sim: &mut Simulator, client: Ipv4Addr) -> Option<(Vec<Ipv4Addr>, u32)> {
+        let stub = crate::stub::StubResolver::new(RESOLVER, 5353);
+        sim.add_host(client, OsProfile::linux(), Box::new(Snoop { stub, reply: None })).unwrap();
+        sim.run_for(SimDuration::from_secs(5));
+        let reply = sim.host::<Snoop>(client)?.reply.clone()?;
+        let ttl = reply.ttls.iter().copied().min()?;
+        Some((reply.addrs, ttl))
+    }
+
     #[test]
     fn rd0_answers_from_cache_only() {
         let mut sim = build_sim(ResolverConfig::default());
         // Snoop before priming: no answer.
-        let snooped = crate::stub::snoop_once(&mut sim, CLIENT, RESOLVER, &pool_name());
+        let snooped = snoop(&mut sim, Ipv4Addr::new(10, 0, 0, 110));
         assert!(snooped.is_none(), "uncached record must not be revealed");
         lookup_once(&mut sim, CLIENT, RESOLVER, &pool_name());
-        let snooped = crate::stub::snoop_once(&mut sim, CLIENT, RESOLVER, &pool_name());
+        let snooped = snoop(&mut sim, Ipv4Addr::new(10, 0, 0, 111));
         let (addrs, ttl) = snooped.expect("cached record is revealed");
         assert_eq!(addrs.len(), 4);
         assert!(ttl <= 150);

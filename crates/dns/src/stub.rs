@@ -8,7 +8,7 @@ use netsim::prelude::*;
 use rand::RngExt;
 
 use crate::auth::DNS_PORT;
-use crate::message::Message;
+use crate::message::{Message, MessageView, Section};
 use crate::name::Name;
 use crate::record::RecordType;
 
@@ -61,25 +61,19 @@ impl StubResolver {
         if d.dst_port != self.port || d.src != self.resolver {
             return None;
         }
-        let msg = Message::decode(&d.payload).ok()?;
-        if !msg.header.qr {
+        let mut spans = Vec::new();
+        let view = MessageView::with_spans(&d.payload, &mut spans).ok()?;
+        let header = view.header();
+        if !header.qr || !self.pending.remove(&header.id) {
             return None;
         }
-        if !self.pending.remove(&msg.header.id) {
-            return None;
-        }
-        let (addrs, ttls) = msg
-            .answers
+        let data = view.bytes();
+        let (addrs, ttls) = spans
             .iter()
-            .filter(|r| r.rtype() == RecordType::A)
-            .filter_map(|r| r.as_a().map(|a| (a, r.ttl)))
+            .filter(|span| span.section == Section::Answer)
+            .filter_map(|span| Some((span.a_addr(data)?, span.ttl(data)?)))
             .unzip();
         Some(DnsReply { addrs, ttls })
-    }
-
-    /// Number of queries still awaiting a reply.
-    pub fn outstanding(&self) -> usize {
-        self.pending.len()
     }
 }
 
@@ -89,28 +83,14 @@ impl StubResolver {
 pub struct OneShot {
     stub: StubResolver,
     name: Name,
-    rd: bool,
     /// The addresses from the reply (empty until it arrives, or on failure).
     pub addrs: Vec<Ipv4Addr>,
-    /// TTLs parallel to `addrs`.
-    pub ttls: Vec<u32>,
 }
 
 impl OneShot {
     /// Creates a host that will query `resolver` for `name` (A, RD=1).
     pub fn new(resolver: Ipv4Addr, name: Name) -> Self {
-        OneShot {
-            stub: StubResolver::new(resolver, 5353),
-            name,
-            rd: true,
-            addrs: Vec::new(),
-            ttls: Vec::new(),
-        }
-    }
-
-    /// Same, but with RD=0 (the cache-snooping probe).
-    pub fn new_snoop(resolver: Ipv4Addr, name: Name) -> Self {
-        OneShot { rd: false, ..OneShot::new(resolver, name) }
+        OneShot { stub: StubResolver::new(resolver, 5353), name, addrs: Vec::new() }
     }
 
     /// Adds the host to `sim` at `addr` and returns `addr` for later
@@ -129,14 +109,12 @@ impl OneShot {
 
 impl Host for OneShot {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let name = self.name.clone();
-        self.stub.query(ctx, &name, RecordType::A, self.rd);
+        self.stub.query_a(ctx, &self.name);
     }
 
     fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, d: &Datagram) {
         if let Some(reply) = self.stub.handle(d) {
             self.addrs = reply.addrs;
-            self.ttls = reply.ttls;
         }
     }
 }
@@ -171,25 +149,6 @@ pub fn lookup_once(
     sim.host::<OneShot>(addr).map(|h| h.addrs.clone()).unwrap_or_default()
 }
 
-/// Runs a blocking RD=0 snoop probe. Returns `Some((addrs, min_ttl))` if the
-/// resolver revealed a cached RRset, `None` otherwise. The probe host is
-/// placed at `client` or the next free consecutive address.
-pub fn snoop_once(
-    sim: &mut Simulator,
-    client: Ipv4Addr,
-    resolver: Ipv4Addr,
-    name: &Name,
-) -> Option<(Vec<Ipv4Addr>, u32)> {
-    let addr = spawn_at_free(sim, client, || Box::new(OneShot::new_snoop(resolver, name.clone())));
-    sim.run_for(SimDuration::from_secs(5));
-    let h = sim.host::<OneShot>(addr)?;
-    if h.addrs.is_empty() {
-        None
-    } else {
-        Some((h.addrs.clone(), h.ttls.iter().copied().min().unwrap_or(0)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,7 +172,7 @@ mod tests {
             payload: msg.encode().unwrap(),
         };
         assert!(stub.handle(&d).is_none());
-        assert_eq!(stub.outstanding(), 0);
+        assert!(stub.pending.is_empty());
     }
 
     #[test]

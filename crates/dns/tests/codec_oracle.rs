@@ -7,7 +7,9 @@
 //! is also truncated at every offset and garbled at every byte: decoding
 //! never panics and matches the reference wherever either accepts.
 //! Wherever `Message::decode` runs, `MessageView::new` runs too and must
-//! agree with it on `Ok`/`Err`, the error and the header.
+//! agree with it on `Ok`/`Err`, the error and the header; on an accepted
+//! message, the questions read in place and the record spans' TTLs and A
+//! addresses must equal the decoded ones.
 //!
 //! The one intended difference — the reference encoder confusing a label
 //! containing `.` with a label boundary — is covered by a regression test
@@ -234,12 +236,35 @@ fn gen_message(rng: &mut SmallRng) -> Message {
     msg
 }
 
+/// What the model reads in place from an accepted message equals what
+/// `Message::decode` builds, which `check_decode` holds to the reference
+/// decoder: the questions (and the response skeleton echoing them), and
+/// each record's TTL and A address, in wire order.
+fn check_in_place_reads(view: MessageView<'_>, msg: &Message) -> Result<(), TestCaseError> {
+    let questions = view.questions();
+    prop_assert_eq!(questions.len(), msg.questions.len());
+    prop_assert_eq!(questions.collect::<Vec<_>>(), msg.questions.clone());
+    prop_assert_eq!(view.response(), Message::response_to(msg));
+    let data = view.bytes();
+    let mut spans = Vec::new();
+    prop_assert!(MessageView::with_spans(data, &mut spans).is_ok());
+    let records: Vec<&Record> =
+        msg.answers.iter().chain(&msg.authorities).chain(&msg.additionals).collect();
+    prop_assert_eq!(spans.len(), records.len());
+    for (span, record) in spans.iter().zip(records) {
+        prop_assert_eq!(span.ttl(data), Some(record.ttl));
+        prop_assert_eq!(span.a_addr(data), record.as_a());
+    }
+    Ok(())
+}
+
 fn check_decode(data: &[u8]) -> Result<(), TestCaseError> {
     let decoded = Message::decode(data);
     match (MessageView::new(data), &decoded) {
         (Ok(view), Ok(msg)) => {
             prop_assert_eq!(view.header(), &msg.header);
             prop_assert_eq!(view.bytes(), data);
+            check_in_place_reads(view, msg)?;
         }
         (Err(e), Err(decode_e)) => prop_assert_eq!(&e, decode_e),
         (view, decoded) => {

@@ -4,8 +4,17 @@
 //! After a warm-up, a counting global allocator counts the allocations
 //! of 1,000 RD=0 (cache-only) answers, then of 1,000 RD=1 cache hits —
 //! query copy, send, delivery, the resolver's in-place read and cache
-//! answer, and the client's walk. This binary holds one test, so no other
-//! test thread allocates while it counts.
+//! answer, and the client's walk. A third phase asks the same RD=1
+//! question through a `StubResolver`, as every NTP and Chronos client
+//! does, and counts 1,000 lookups end to end. Each allocates 4 times, all
+//! in the stub:
+//!
+//! - `Message::query`'s one-question `Vec` for the query it encodes;
+//! - the span buffer `StubResolver::handle` walks the reply into;
+//! - `DnsReply`'s two `Vec`s, of addresses and of TTLs.
+//!
+//! This binary holds one test, so no other test thread allocates while
+//! it counts.
 //!
 //! Debug builds allocate in places release builds do not, so the counts
 //! are taken in release builds only (`cargo test -p dns --release`).
@@ -71,6 +80,7 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 const CLIENT: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 7);
+const STUB_CLIENT: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 8);
 const RESOLVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 53);
 const CLIENT_PORT: u16 = 5300;
 const ASK_EVERY: SimDuration = SimDuration::from_millis(100);
@@ -79,6 +89,8 @@ const ASK_EVERY: SimDuration = SimDuration::from_millis(100);
 const RD0_ANSWERS: usize = 0;
 /// Allocations of 1,000 RD=1 cache hits (measured).
 const RD1_HITS: usize = 0;
+/// Allocations of 1,000 RD=1 lookups through a `StubResolver` (measured).
+const STUB_LOOKUPS: usize = 4_000;
 
 /// Sends a copy of one encoded query, TXID patched in, every
 /// [`ASK_EVERY`], and walks each reply into a reused span buffer.
@@ -87,6 +99,8 @@ struct Client {
     txid: u16,
     spans: Vec<RecordSpan>,
     replies: usize,
+    /// False once the stub phase takes over.
+    asking: bool,
 }
 
 impl Host for Client {
@@ -95,6 +109,9 @@ impl Host for Client {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken) {
+        if !self.asking {
+            return;
+        }
         self.txid = self.txid.wrapping_add(1);
         let mut wire = BytesMut::with_capacity(self.query.len());
         wire.extend_from_slice(&self.query);
@@ -111,6 +128,30 @@ impl Host for Client {
     }
 }
 
+/// Looks `pool.ntp.org` up through a [`StubResolver`] every
+/// [`ASK_EVERY`], as an NTP client does.
+struct StubClient {
+    stub: StubResolver,
+    replies: usize,
+}
+
+impl Host for StubClient {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(ASK_EVERY, 0);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken) {
+        self.stub.query_a(ctx, &pool());
+        ctx.set_timer(ASK_EVERY, 0);
+    }
+
+    fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, d: &Datagram) {
+        let reply = self.stub.handle(d).expect("a reply to a pending lookup");
+        assert_eq!(reply.addrs.len(), 4, "the cached RRset");
+        self.replies += 1;
+    }
+}
+
 fn pool() -> Name {
     "pool.ntp.org".parse().unwrap()
 }
@@ -119,15 +160,16 @@ fn query(rd: bool) -> Bytes {
     Message::query(0, pool(), RecordType::A, rd).encode().unwrap()
 }
 
-/// Runs 1,000 more exchanges and returns their allocations.
-fn count_thousand(sim: &mut Simulator) -> usize {
-    let before = sim.host::<Client>(CLIENT).unwrap().replies;
+/// Runs 1,000 more exchanges, each ending in a reply that `replies`
+/// counts, and returns their allocations.
+fn count_thousand(sim: &mut Simulator, replies: impl Fn(&Simulator) -> usize) -> usize {
+    let before = replies(sim);
     ALLOCATIONS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
     sim.run_for(SimDuration::from_secs(100));
     COUNTING.store(false, Ordering::SeqCst);
     let allocations = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(sim.host::<Client>(CLIENT).unwrap().replies - before, 1000);
+    assert_eq!(replies(sim) - before, 1000);
     allocations
 }
 
@@ -138,19 +180,35 @@ fn cache_answers_do_not_allocate() {
     let mut resolver = Resolver::new(ResolverConfig::default(), Vec::new());
     let records = (1..=4).map(|i| Record::a(pool(), 86_400, Ipv4Addr::new(192, 0, 2, i))).collect();
     resolver.cache_mut().insert(SimTime::ZERO, pool(), RecordType::A, records);
-    let client = Client { query: query(false), txid: 0, spans: Vec::new(), replies: 0 };
+    let client =
+        Client { query: query(false), txid: 0, spans: Vec::new(), replies: 0, asking: true };
     let mut sim = Simulator::new(2020);
     sim.add_host(RESOLVER, OsProfile::linux(), Box::new(resolver)).unwrap();
     sim.add_host(CLIENT, OsProfile::linux(), Box::new(client)).unwrap();
     sim.run_for(SimDuration::from_secs(10));
-    let rd0 = count_thousand(&mut sim);
+    let client_replies = |sim: &Simulator| sim.host::<Client>(CLIENT).unwrap().replies;
+    let rd0 = count_thousand(&mut sim, client_replies);
 
     sim.host_mut::<Client>(CLIENT).unwrap().query = query(true);
     sim.run_for(SimDuration::from_secs(10));
-    let rd1 = count_thousand(&mut sim);
+    let rd1 = count_thousand(&mut sim, client_replies);
+
+    sim.host_mut::<Client>(CLIENT).unwrap().asking = false;
+    let stub = StubClient { stub: StubResolver::new(RESOLVER, CLIENT_PORT), replies: 0 };
+    sim.add_host(STUB_CLIENT, OsProfile::linux(), Box::new(stub)).unwrap();
+    sim.run_for(SimDuration::from_secs(10));
+    let stub_replies = |sim: &Simulator| sim.host::<StubClient>(STUB_CLIENT).unwrap().replies;
+    let lookups = count_thousand(&mut sim, stub_replies);
 
     let stats = sim.host::<Resolver>(RESOLVER).unwrap().stats;
     assert_eq!((stats.upstream_queries, stats.servfails), (0, 0), "{stats:?}");
-    eprintln!("{rd0} allocations in 1,000 RD=0 answers, {rd1} in 1,000 RD=1 cache hits");
-    assert_eq!((rd0, rd1), (RD0_ANSWERS, RD1_HITS), "allocations of (RD=0 answers, RD=1 hits)");
+    eprintln!(
+        "{rd0} allocations in 1,000 RD=0 answers, {rd1} in 1,000 RD=1 cache hits, \
+         {lookups} in 1,000 stub lookups"
+    );
+    assert_eq!(
+        (rd0, rd1, lookups),
+        (RD0_ANSWERS, RD1_HITS, STUB_LOOKUPS),
+        "allocations of (RD=0 answers, RD=1 hits, stub lookups)"
+    );
 }

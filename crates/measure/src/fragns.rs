@@ -24,7 +24,7 @@ use std::net::Ipv4Addr;
 use bytes::{Bytes, BytesMut};
 use dns::auth::DNS_PORT;
 use dns::dnssec::{make_rrsig, ZoneKey};
-use dns::message::{Message, Question, Rcode};
+use dns::message::{Message, MessageView, Question, Rcode};
 use dns::name::Name;
 use dns::record::{RData, Record, RecordType};
 use netsim::frag::fragment;
@@ -51,7 +51,7 @@ pub struct FragmentingNs {
 }
 
 /// An encoded reply, keyed on all of the query it depends on besides the
-/// ID: the question section and the RD bit ([`Message::response_to`]
+/// ID: the question section and the RD bit ([`MessageView::response`]
 /// copies nothing else, and the answers follow the first question).
 #[derive(Debug)]
 struct LastReply {
@@ -82,17 +82,19 @@ impl FragmentingNs {
         }
     }
 
-    /// The encoded reply to `query` and the fragment size for it, if the
-    /// query names a kind: the last reply with `query`'s ID written in
-    /// when the question section and RD bit repeat, else a fresh build
-    /// (kept for the next query).
-    fn reply(&mut self, query: &Message) -> Option<(Bytes, u16)> {
-        let repeat =
-            |last: &&LastReply| last.rd == query.header.rd && last.questions == query.questions;
+    /// The encoded reply to the checked `query` and the fragment size for
+    /// it, if the query names a kind: the last reply with `query`'s ID
+    /// written in when the question section and RD bit repeat, else a
+    /// fresh build (kept for the next query).
+    fn reply(&mut self, query: &MessageView<'_>) -> Option<(Bytes, u16)> {
+        let header = query.header();
+        let repeat = |last: &&LastReply| {
+            last.rd == header.rd && query.questions().eq(last.questions.iter().cloned())
+        };
         if let Some(last) = self.last.as_ref().filter(repeat) {
             let mut wire = BytesMut::with_capacity(last.wire.len());
             wire.extend_from_slice(&last.wire);
-            wire[..2].copy_from_slice(&query.header.id.to_be_bytes());
+            wire[..2].copy_from_slice(&header.id.to_be_bytes());
             let (wire, mtu) = (wire.freeze(), last.mtu);
             if cfg!(debug_assertions) {
                 let fresh = self.fresh_reply(query).map(|(fresh, _)| fresh);
@@ -101,22 +103,22 @@ impl FragmentingNs {
             return Some((wire, mtu));
         }
         let (wire, mtu) = self.fresh_reply(query)?;
-        let (questions, rd) = (query.questions.clone(), query.header.rd);
-        self.last = Some(LastReply { questions, rd, wire: wire.clone(), mtu });
+        let questions = query.questions().collect();
+        self.last = Some(LastReply { questions, rd: header.rd, wire: wire.clone(), mtu });
         Some((wire, mtu))
     }
 
     /// Builds and encodes the reply to `query`, with its fragment size.
-    fn fresh_reply(&self, query: &Message) -> Option<(Bytes, u16)> {
-        let kind = self.kind_of(&query.question()?.name)?;
-        let wire = self.build_answer(query, kind)?.encode().ok()?;
+    fn fresh_reply(&self, query: &MessageView<'_>) -> Option<(Bytes, u16)> {
+        let q = query.questions().next()?;
+        let kind = self.kind_of(&q.name)?;
+        let wire = self.build_answer(query, &q, kind).encode().ok()?;
         let mtu = SIZES.iter().find(|(k, _)| *k == kind).map_or(1500, |(_, mtu)| *mtu);
         Some((wire, mtu))
     }
 
-    fn build_answer(&self, query: &Message, kind: &str) -> Option<Message> {
-        let q = query.question()?;
-        let mut resp = Message::response_to(query);
+    fn build_answer(&self, query: &MessageView<'_>, q: &Question, kind: &str) -> Message {
+        let mut resp = query.response();
         resp.header.aa = true;
         let addr = Ipv4Addr::new(198, 51, 7, 7);
         // The zone is signed: every RRset carries an RRSIG made with the
@@ -145,7 +147,7 @@ impl FragmentingNs {
                 resp.header.rcode = Rcode::NxDomain;
             }
         }
-        Some(resp)
+        resp
     }
 }
 
@@ -154,8 +156,8 @@ impl Host for FragmentingNs {
         if d.dst_port != DNS_PORT {
             return;
         }
-        let Ok(query) = Message::decode(&d.payload) else { return };
-        if query.header.qr {
+        let Ok(query) = MessageView::new(&d.payload) else { return };
+        if query.header().qr {
             return;
         }
         let Some((dns_bytes, mtu)) = self.reply(&query) else { return };
@@ -350,7 +352,8 @@ mod tests {
     fn only_a_repeated_question_and_rd_bit_reuse_the_reply() {
         let mut ns = FragmentingNs::new("adtest.example".parse().unwrap(), ZoneKey(0x5EED));
         let mut kept = |query: Message| {
-            let (wire, mtu) = ns.reply(&query).unwrap();
+            let wire = query.encode().unwrap();
+            let (wire, mtu) = ns.reply(&MessageView::new(&wire).unwrap()).unwrap();
             assert_eq!(&wire[..2], query.header.id.to_be_bytes());
             assert_eq!(mtu, 296);
             ns.last.as_ref().unwrap().wire.as_ptr()

@@ -11,7 +11,7 @@ use std::sync::{Arc, LazyLock};
 use bytes::Bytes;
 use dns::auth::{AuthServer, DNS_PORT};
 use dns::dnssec::ZoneKey;
-use dns::message::Message;
+use dns::message::{Message, MessageView, Section};
 use dns::name::Name;
 use dns::record::{RData, Record, RecordType};
 use dns::zone::Zone;
@@ -116,10 +116,12 @@ impl Host for Probe {
     }
 
     fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, d: &Datagram) {
-        if let Ok(msg) = Message::decode(&d.payload) {
+        let mut spans = Vec::new();
+        if MessageView::with_spans(&d.payload, &mut spans).is_ok() {
             self.answered = true;
-            self.signed =
-                msg.answers.iter().chain(&msg.additionals).any(|r| r.rtype() == RecordType::Rrsig);
+            self.signed = spans
+                .iter()
+                .any(|span| span.rtype == RecordType::Rrsig && span.section != Section::Authority);
         }
     }
 }

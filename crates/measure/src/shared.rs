@@ -16,7 +16,7 @@
 use std::net::Ipv4Addr;
 
 use dns::auth::DNS_PORT;
-use dns::message::Message;
+use dns::message::{Message, MessageView, Section};
 use dns::name::Name;
 use dns::record::{Record, RecordType};
 use dns::resolver::{Resolver, ResolverConfig};
@@ -125,15 +125,15 @@ impl Host for LoggingNs {
         if d.dst_port != DNS_PORT {
             return;
         }
-        let Ok(query) = Message::decode(&d.payload) else { return };
-        if query.header.qr {
+        let Ok(query) = MessageView::new(&d.payload) else { return };
+        if query.header().qr {
             return;
         }
-        let Some(q) = query.question() else { return };
+        let mut resp = query.response();
+        let Some(q) = resp.questions.first() else { return };
         if q.name.labels().next().is_some_and(|token| token.starts_with("mail")) {
             self.mail_seen = true;
         }
-        let mut resp = Message::response_to(&query);
         resp.header.aa = true;
         resp.answers.push(Record::a(q.name.clone(), 60, Ipv4Addr::new(198, 51, 0, 9)));
         if let Ok(wire) = resp.encode() {
@@ -184,8 +184,10 @@ impl Host for ShareProbe {
     fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, d: &Datagram) {
         match d.dst_port {
             5402 if d.src == RESOLVER => {
-                if let Ok(msg) = Message::decode(&d.payload) {
-                    self.open |= msg.header.id == DIRECT_TXID && !msg.answers.is_empty();
+                let mut spans = Vec::new();
+                if let Ok(msg) = MessageView::with_spans(&d.payload, &mut spans) {
+                    let answered = spans.iter().any(|span| span.section == Section::Answer);
+                    self.open |= msg.header().id == DIRECT_TXID && answered;
                 }
             }
             5403 => self.smtp_found = true,

@@ -340,8 +340,7 @@ impl Host for Scanner {
             .spans
             .iter()
             .filter(|span| span.section == Section::Answer)
-            .filter_map(|span| data.get(span.ttl_offset..)?.first_chunk::<4>().copied())
-            .map(u32::from_be_bytes)
+            .filter_map(|span| span.ttl(data))
             .min();
         self.handle_reply(ctx, min_ttl);
         if self.step == Step::Done {
