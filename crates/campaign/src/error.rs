@@ -21,17 +21,6 @@ pub enum CampaignError {
         /// The underlying OS error.
         source: std::io::Error,
     },
-    /// A checkpoint holds an invalid record *before* its final line —
-    /// not a torn tail but mid-file corruption. [`crate::checkpoint`]
-    /// quarantines the file instead of returning this from recovery; the
-    /// variant survives for merge-time validation, where corruption in a
-    /// supposedly-complete shard is fatal.
-    CorruptCheckpoint {
-        /// The checkpoint file.
-        path: PathBuf,
-        /// 1-based line number of the first invalid record.
-        line: usize,
-    },
     /// A record failed schema decoding during the merge pass.
     Schema {
         /// The checkpoint file being merged.
@@ -130,9 +119,6 @@ impl std::fmt::Display for CampaignError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CampaignError::Io { context, source } => write!(f, "{context}: {source}"),
-            CampaignError::CorruptCheckpoint { path, line } => {
-                write!(f, "{}: corrupt record at line {line} (not a torn tail)", path.display())
-            }
             CampaignError::Schema { path, record, detail } => {
                 write!(f, "{} record {record}: {detail}", path.display())
             }

@@ -251,9 +251,9 @@ impl ShardState {
 fn failure_kind(err: &CampaignError) -> u16 {
     match err {
         CampaignError::WorkerStalled { .. } => obs::kind::WORKER_STALL,
-        CampaignError::WorkerStream { .. }
-        | CampaignError::Schema { .. }
-        | CampaignError::CorruptCheckpoint { .. } => obs::kind::STREAM_CORRUPT,
+        CampaignError::WorkerStream { .. } | CampaignError::Schema { .. } => {
+            obs::kind::STREAM_CORRUPT
+        }
         _ => obs::kind::WORKER_CRASH,
     }
 }

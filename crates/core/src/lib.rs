@@ -11,10 +11,10 @@
 //! * [`analysis`] — the closed-form models: Table III probabilities and
 //!   the 5-fragment boot budget (the Chronos 2/3 pool bound, N ≤ 11, is
 //!   [`chronos::bound`]);
-//! * [`experiments`] — the per-trial rows of the attack tables, the
-//!   closed-form reports, and the paper-style formatters the examples
-//!   print. The measurement scans themselves are defined once, as typed
-//!   scans in the campaign scenario registry (`campaign::registry`).
+//! * [`experiments`] — the Table II cases, the closed-form reports, and
+//!   the paper-style formatters the examples print. Every trial-based
+//!   artifact, the attack tables included, is defined once, as a typed
+//!   scan in the campaign scenario registry (`campaign::registry`).
 //!
 //! The parallel Monte-Carlo trial runner, [`TrialRunner`](prelude::TrialRunner),
 //! lives in the `runner` crate and is re-exported in the [`prelude`].

@@ -8,7 +8,7 @@ use netsim::prelude::*;
 use rand::RngExt;
 
 use crate::auth::DNS_PORT;
-use crate::message::{Message, MessageView, Section};
+use crate::message::{Encoder, Header, MessageView, RecordSpan, Section};
 use crate::name::Name;
 use crate::record::RecordType;
 
@@ -30,13 +30,23 @@ pub struct StubResolver {
     port: u16,
     /// TXIDs of the queries still awaiting a reply.
     pending: FastSet<u16>,
+    /// Writes every query, reset per message.
+    encoder: Encoder,
+    /// The record spans of the reply [`StubResolver::handle`] last walked.
+    spans: Vec<RecordSpan>,
 }
 
 impl StubResolver {
     /// Creates a stub pointing at `resolver`, sourcing queries from local
     /// UDP port `port`.
     pub fn new(resolver: Ipv4Addr, port: u16) -> Self {
-        StubResolver { resolver, port, pending: FastSet::default() }
+        StubResolver {
+            resolver,
+            port,
+            pending: FastSet::default(),
+            encoder: Encoder::new(),
+            spans: Vec::new(),
+        }
     }
 
     /// Sends an A query with RD=1; returns the TXID.
@@ -44,11 +54,13 @@ impl StubResolver {
         self.query(ctx, name, RecordType::A, true)
     }
 
-    /// Sends a query; returns the TXID.
+    /// Sends a query; returns the TXID. The bytes are those of
+    /// `Message::query(txid, name, qtype, rd).encode()`.
     pub fn query(&mut self, ctx: &mut Ctx<'_>, name: &Name, qtype: RecordType, rd: bool) -> u16 {
         let txid: u16 = ctx.rng().random();
-        let msg = Message::query(txid, name.clone(), qtype, rd);
-        if let Ok(wire) = msg.encode() {
+        self.encoder.start(&Header { id: txid, rd, ..Header::default() }, 1, [0; 3]);
+        self.encoder.put_question(name, qtype);
+        if let Ok(wire) = self.encoder.finish() {
             ctx.send_udp(self.resolver, self.port, DNS_PORT, wire);
             self.pending.insert(txid);
         }
@@ -61,14 +73,14 @@ impl StubResolver {
         if d.dst_port != self.port || d.src != self.resolver {
             return None;
         }
-        let mut spans = Vec::new();
-        let view = MessageView::with_spans(&d.payload, &mut spans).ok()?;
+        let view = MessageView::with_spans(&d.payload, &mut self.spans).ok()?;
         let header = view.header();
         if !header.qr || !self.pending.remove(&header.id) {
             return None;
         }
         let data = view.bytes();
-        let (addrs, ttls) = spans
+        let (addrs, ttls) = self
+            .spans
             .iter()
             .filter(|span| span.section == Section::Answer)
             .filter_map(|span| Some((span.a_addr(data)?, span.ttl(data)?)))
@@ -152,6 +164,60 @@ pub fn lookup_once(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Message;
+    use bytes::Bytes;
+
+    /// Sends every query of `QUESTIONS` through one stub on start.
+    struct Asker {
+        stub: StubResolver,
+        txids: Vec<u16>,
+    }
+
+    const QUESTIONS: [(&str, RecordType, bool); 4] = [
+        ("pool.ntp.org", RecordType::A, true),
+        ("pool.ntp.org", RecordType::A, true),
+        ("2.debian.pool.ntp.org.example-long-suffix.net", RecordType::Ns, false),
+        ("ntp.org", RecordType::Txt, true),
+    ];
+
+    impl Host for Asker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for (name, qtype, rd) in QUESTIONS {
+                let txid = self.stub.query(ctx, &name.parse().unwrap(), qtype, rd);
+                self.txids.push(txid);
+            }
+        }
+    }
+
+    /// Keeps the payload of every datagram it receives.
+    struct Sink(Vec<Bytes>);
+
+    impl Host for Sink {
+        fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, d: &Datagram) {
+            self.0.push(d.payload.clone());
+        }
+    }
+
+    /// The stub's encoder writes each query as the owned builder encodes
+    /// it, however many queries it wrote before.
+    #[test]
+    fn queries_are_the_owned_builders_bytes() {
+        let (client, resolver) = ("10.0.0.1".parse().unwrap(), "10.0.0.53".parse().unwrap());
+        let mut sim = Simulator::new(7);
+        let asker = Asker { stub: StubResolver::new(resolver, 7777), txids: Vec::new() };
+        sim.add_host(client, OsProfile::linux(), Box::new(asker)).unwrap();
+        sim.add_host(resolver, OsProfile::linux(), Box::new(Sink(Vec::new()))).unwrap();
+        sim.run_for(SimDuration::from_secs(1));
+        let txids = &sim.host::<Asker>(client).unwrap().txids;
+        let sent = &sim.host::<Sink>(resolver).unwrap().0;
+        assert_eq!(sent.len(), QUESTIONS.len());
+        // Links may reorder the queries; each carries its own TXID.
+        for (&(name, qtype, rd), &txid) in QUESTIONS.iter().zip(txids) {
+            let expected = Message::query(txid, name.parse().unwrap(), qtype, rd).encode();
+            let wire = sent.iter().find(|w| w[..2] == txid.to_be_bytes()).expect("sent");
+            assert_eq!(wire, &expected.unwrap(), "{name} {qtype:?}");
+        }
+    }
 
     #[test]
     fn stub_matches_only_its_own_replies() {

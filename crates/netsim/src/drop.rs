@@ -22,8 +22,8 @@ pub enum DropReason {
     /// A non-final fragment below the profile's minimum size (the
     /// tiny-fragment filtering of Table V resolvers).
     TinyFragment = 2,
-    /// The per-(src, dst) defrag cache cap was reached (64 on Linux / 100
-    /// on Windows, paper §III-2).
+    /// The per-(src, dst) defrag cache cap was reached: Linux's 64, which
+    /// every modelled stack keeps (Windows keeps 100, paper §III-2).
     DefragCapFull = 3,
     /// A fragment for an already-covered byte range (the earlier one wins).
     DuplicateFragment = 4,

@@ -116,7 +116,8 @@ impl FragKey {
 /// closed form).
 pub const REASSEMBLY_TIMEOUT: SimDuration = SimDuration::from_secs(30);
 
-/// Tuning knob of a [`DefragCache`], matching an OS profile.
+/// Tuning knob of a [`DefragCache`]. Every simulated stack uses the
+/// default, Linux's cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DefragConfig {
     /// Maximum concurrently-pending fragments per (src, dst) pair.

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::icmp::IcmpMessage;
     pub use crate::ipv4::{Ipv4Packet, IPV4_HEADER_LEN, MIN_IPV4_MTU, PROTO_ICMP, PROTO_UDP};
     pub use crate::link::{LinkSpec, Topology};
-    pub use crate::os::{IpidMode, OsProfile, DEFAULT_IPID_CACHE_CAP};
+    pub use crate::os::{IpidMode, OsProfile};
     pub use crate::sim::{
         Ctx, Datagram, Host, HostId, NetStack, ReceiveOutcome, SimStats, Simulator, StackOutput,
         TimerToken,

@@ -9,10 +9,10 @@
 //! Only the behaviours that differ between the modelled hosts are profile
 //! fields. What every host shares is a constant next to its reader: the
 //! 1500-byte interface MTU and the 10-minute PMTU lifetime
-//! ([`crate::pmtu`]), and first-wins duplicate handling in the
-//! defragmentation cache ([`crate::frag`]).
-
-use crate::frag::DefragConfig;
+//! ([`crate::pmtu`]); the defragmentation cache's 30 s timeout, 64-fragment
+//! cap and first-wins duplicate handling ([`crate::frag`]); and one IPID
+//! counter per destination for as long as the stack lives
+//! ([`IpidMode::PerDestination`]).
 
 /// How a host assigns the IPv4 identification field on sent packets.
 ///
@@ -45,8 +45,6 @@ impl Default for IpidMode {
 /// A complete OS network-stack profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OsProfile {
-    /// Defragmentation-cache behaviour.
-    pub defrag: DefragConfig,
     /// Which incoming fragments are processed. `None` refuses every
     /// fragment (middleboxes and resolvers that drop them, defeating the
     /// attack). `Some(n)` drops non-final fragments under `n` on-wire
@@ -61,26 +59,16 @@ pub struct OsProfile {
     pub pmtu_floor: Option<u16>,
     /// IPID assignment strategy.
     pub ipid: IpidMode,
-    /// Cap on the per-destination IPID counter table
-    /// ([`IpidMode::PerDestination`]): least-recently-used counters are
-    /// evicted past this, bounding memory under spoofed-source sprays.
-    pub ipid_cache_cap: usize,
 }
-
-/// Default [`OsProfile::ipid_cache_cap`]: enough for every paper scenario
-/// while keeping a sprayed stack's footprint bounded.
-pub const DEFAULT_IPID_CACHE_CAP: usize = 4096;
 
 impl OsProfile {
     /// Patched Linux: 30 s reassembly timeout, 64-fragment cap, sequential
     /// per-destination IPIDs, honours PMTUD down to 552 bytes.
     pub fn linux() -> Self {
         OsProfile {
-            defrag: DefragConfig { max_pending_per_pair: 64 },
             fragments: Some(0),
             pmtu_floor: Some(552),
             ipid: IpidMode::PerDestination { start: 1 },
-            ipid_cache_cap: DEFAULT_IPID_CACHE_CAP,
         }
     }
 
@@ -115,7 +103,7 @@ mod tests {
     #[test]
     fn presets_match_paper_constants() {
         let linux = OsProfile::linux();
-        assert_eq!(linux.defrag.max_pending_per_pair, 64);
+        assert_eq!(crate::frag::DefragConfig::default().max_pending_per_pair, 64);
         assert_eq!(linux.fragments, Some(0));
         assert_eq!(linux.pmtu_floor, Some(552));
     }

@@ -50,7 +50,6 @@
 // and the allows mark the cold constructors and pool-miss refill paths.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
@@ -60,7 +59,7 @@ use rand::{Rng, RngExt, SeedableRng};
 use crate::drop::{DropCounts, DropReason};
 use crate::error::{SimError, WireError};
 use crate::fasthash::FastMap;
-use crate::frag::{fragment_into, DefragCache, FragInsert};
+use crate::frag::{fragment_into, DefragCache, DefragConfig, FragInsert};
 use crate::icmp::IcmpMessage;
 use crate::ipv4::{Ipv4Packet, IPV4_HEADER_LEN, PROTO_ICMP, PROTO_UDP};
 use crate::link::Topology;
@@ -126,13 +125,6 @@ pub trait Host: Any {
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: TimerToken) {}
 }
 
-/// Per-destination IPID counter plus its last-use tick (for LRU eviction).
-#[derive(Debug, Clone, Copy)]
-struct IpidSlot {
-    counter: u16,
-    tick: u64,
-}
-
 /// Per-host network stack: fragmentation on send, reassembly and
 /// verification on receive, PMTUD bookkeeping, IPID assignment.
 ///
@@ -183,12 +175,8 @@ struct StackCold {
     profile: OsProfile,
     defrag: DefragCache,
     pmtu: PmtuCache,
-    ipid_per_dst: FastMap<Ipv4Addr, IpidSlot>,
-    /// LRU order of `ipid_per_dst` accesses, lazily cleaned: entries whose
-    /// tick no longer matches the map are stale and skipped on eviction.
-    ipid_lru: VecDeque<(u64, Ipv4Addr)>,
-    ipid_tick: u64,
-    ipid_evictions: u64,
+    /// The next IPID towards each destination ([`IpidMode::PerDestination`]).
+    ipid_per_dst: FastMap<Ipv4Addr, u16>,
     /// Per-host drop taxonomy: every discarded packet names its reason.
     drops: DropCounts,
 }
@@ -253,7 +241,7 @@ impl NetStack {
         // Pre-size the per-destination IPID table to its first plateau so
         // steady traffic towards a handful of peers never rehashes.
         let ipid_cap = match profile.ipid {
-            IpidMode::PerDestination { .. } => profile.ipid_cache_cap.min(16),
+            IpidMode::PerDestination { .. } => 16,
             _ => 0,
         };
         NetStack {
@@ -271,12 +259,9 @@ impl NetStack {
             // simlint: allow(hot-alloc) — cold constructor: one boxed
             // cold half per host, at registration time.
             cold: Box::new(StackCold {
-                defrag: DefragCache::new(profile.defrag),
+                defrag: DefragCache::new(DefragConfig::default()),
                 pmtu: PmtuCache::new(),
                 ipid_per_dst: crate::fasthash::map_with_capacity(ipid_cap),
-                ipid_lru: VecDeque::new(),
-                ipid_tick: 0,
-                ipid_evictions: 0,
                 drops: DropCounts::default(),
                 profile,
             }),
@@ -297,53 +282,18 @@ impl NetStack {
         }
     }
 
-    /// Per-destination counter with an LRU-bounded table: spoofed-source
-    /// sprays touch unbounded destination sets, so the map is capped at
-    /// [`OsProfile::ipid_cache_cap`] and the least-recently-used counter is
-    /// evicted (and counted) past the cap.
+    /// One counter per destination, kept for the stack's lifetime: the
+    /// table holds one entry per address the host has sent to, which a
+    /// world of at most a few hundred hosts bounds.
     fn next_ipid_per_dst(&mut self, dst: Ipv4Addr) -> u16 {
         let cold = &mut *self.cold;
         let IpidMode::PerDestination { start } = cold.profile.ipid else {
             unreachable!("per-destination counters only run in per-destination mode")
         };
-        cold.ipid_tick += 1;
-        let tick = cold.ipid_tick;
-        let slot = cold.ipid_per_dst.entry(dst).or_insert(IpidSlot { counter: start, tick });
-        let id = slot.counter;
-        slot.counter = slot.counter.wrapping_add(1);
-        slot.tick = tick;
-        match cold.ipid_lru.back_mut() {
-            // A repeat send to the newest destination: moving its entry's
-            // tick keeps the queue order without growing the queue.
-            Some((last, addr)) if *addr == dst => *last = tick,
-            _ => cold.ipid_lru.push_back((tick, dst)),
-        }
-        let cap = cold.profile.ipid_cache_cap.max(1);
-        if cold.ipid_per_dst.len() > cap {
-            while let Some((t, addr)) = cold.ipid_lru.pop_front() {
-                if cold.ipid_per_dst.get(&addr).is_some_and(|s| s.tick == t) {
-                    cold.ipid_per_dst.remove(&addr);
-                    cold.ipid_evictions += 1;
-                    break;
-                }
-            }
-        }
-        // Compact the lazily-cleaned queue before stale entries dominate.
-        if cold.ipid_lru.len() > 2 * cap + 64 {
-            let map = &cold.ipid_per_dst;
-            cold.ipid_lru.retain(|(t, addr)| map.get(addr).is_some_and(|s| s.tick == *t));
-        }
+        let counter = cold.ipid_per_dst.entry(dst).or_insert(start);
+        let id = *counter;
+        *counter = id.wrapping_add(1);
         id
-    }
-
-    /// Destinations currently tracked by the per-destination IPID table.
-    pub fn ipid_tracked_destinations(&self) -> usize {
-        self.cold.ipid_per_dst.len()
-    }
-
-    /// IPID counters evicted past [`OsProfile::ipid_cache_cap`].
-    pub fn ipid_evictions(&self) -> u64 {
-        self.cold.ipid_evictions
     }
 
     /// Encodes and (if needed) fragments a UDP datagram for the wire,
@@ -769,9 +719,6 @@ pub struct SimStats {
     pub timers_fired: u64,
     /// Events dispatched by the loop (arrivals + timers + starts).
     pub events_dispatched: u64,
-    /// Per-destination IPID counters evicted past the cache cap, summed
-    /// over all host stacks.
-    pub ipid_evictions: u64,
     /// High-water mark of the event queue (scheduled, not yet dispatched).
     pub peak_queue_depth: u64,
     /// Buffer-pool serves that avoided a heap allocation (inline storage
@@ -912,8 +859,8 @@ impl Simulator {
         self.now
     }
 
-    /// Aggregate counters. IPID evictions and the drop taxonomy are
-    /// aggregated incrementally at their source sites, so a snapshot is
+    /// Aggregate counters. The drop taxonomy is aggregated
+    /// incrementally at its source sites, so a snapshot is
     /// O(1) in the host count; the buffer-pool counters are read from the
     /// thread-local `bytes` pool, which [`Simulator::new`] reset — they
     /// cover allocations made on this thread since this simulator was
@@ -1262,23 +1209,14 @@ impl Simulator {
             match action {
                 Action::SendUdp { dst, dgram } => {
                     let mut pkts = std::mem::take(&mut self.pkt_scratch);
-                    {
-                        // IPID assignment (inside `send_udp_into`) may evict
-                        // a per-destination counter; fold the delta into the
-                        // aggregate here so stats snapshots never re-sum the
-                        // slab (O(1) in the host count).
-                        let slot = &mut self.slots[origin.index()];
-                        let evictions_before = slot.stack.ipid_evictions();
-                        slot.stack.send_udp_into(
-                            self.now,
-                            origin_addr,
-                            dst,
-                            &dgram,
-                            &mut self.rng,
-                            &mut pkts,
-                        );
-                        self.stats.ipid_evictions += slot.stack.ipid_evictions() - evictions_before;
-                    }
+                    self.slots[origin.index()].stack.send_udp_into(
+                        self.now,
+                        origin_addr,
+                        dst,
+                        &dgram,
+                        &mut self.rng,
+                        &mut pkts,
+                    );
                     // The datagram (and its payload reference) drops here;
                     // the box goes back to the pool for the next send.
                     drop(self.boxes.unbox_dgram(dgram));
@@ -1289,13 +1227,7 @@ impl Simulator {
                     self.pkt_scratch = pkts;
                 }
                 Action::SendIcmp { dst, msg } => {
-                    let id = {
-                        let slot = &mut self.slots[origin.index()];
-                        let evictions_before = slot.stack.ipid_evictions();
-                        let id = slot.stack.next_ipid(dst, &mut self.rng);
-                        self.stats.ipid_evictions += slot.stack.ipid_evictions() - evictions_before;
-                        id
-                    };
+                    let id = self.slots[origin.index()].stack.next_ipid(dst, &mut self.rng);
                     let pkt = self.boxes.pkt(Ipv4Packet::icmp(origin_addr, dst, id, msg.encode()));
                     self.transmit(origin, origin_addr, pkt);
                 }
@@ -1749,160 +1681,21 @@ mod tests {
         assert_eq!(sim.trace_digest(), reference.trace_digest());
     }
 
+    /// Every destination keeps its own counter however many a stack sends
+    /// to: after first sends to 10,000 destinations, the first one's
+    /// counter continues from where it stopped, not from `start`.
     #[test]
-    fn ipid_per_dst_cache_is_bounded_with_lru_eviction() {
-        let mut profile = OsProfile::linux();
-        assert!(matches!(profile.ipid, IpidMode::PerDestination { .. }));
-        profile.ipid_cache_cap = 8;
+    fn per_destination_counters_survive_ten_thousand_destinations() {
+        let profile = OsProfile::linux();
+        let IpidMode::PerDestination { start } = profile.ipid else { unreachable!() };
         let mut stack = NetStack::new(profile);
         let mut rng = SmallRng::seed_from_u64(1);
-        // Spray 100 distinct destinations: the table must stay at the cap.
-        for i in 0..100u32 {
-            let dst = Ipv4Addr::from(0x0A00_0000 + i);
-            stack.next_ipid(dst, &mut rng);
-            assert!(stack.ipid_tracked_destinations() <= 8);
+        let dst = |i: u32| Ipv4Addr::from(0x0A00_0000 + i);
+        for i in 0..10_000 {
+            assert_eq!(stack.next_ipid(dst(i), &mut rng), start, "first send to {}", dst(i));
         }
-        assert_eq!(stack.ipid_tracked_destinations(), 8);
-        assert_eq!(stack.ipid_evictions(), 92);
-        // LRU, not FIFO: keep destination 0 warm while spraying, and its
-        // counter must survive (still incrementing from where it left off).
-        let mut profile = OsProfile::linux();
-        profile.ipid_cache_cap = 4;
-        let mut stack = NetStack::new(profile);
-        let warm = Ipv4Addr::from(0x0A00_0000u32);
-        let first = stack.next_ipid(warm, &mut rng);
-        for i in 1..50u32 {
-            stack.next_ipid(Ipv4Addr::from(0x0A00_0000 + i), &mut rng);
-            let again = stack.next_ipid(warm, &mut rng);
-            assert_eq!(
-                again,
-                first.wrapping_add(i as u16),
-                "warm destination must never be evicted"
-            );
-        }
-    }
-
-    /// The per-destination IPID table as it was when every send pushed
-    /// onto the LRU queue, kept as the reference for the in-place update
-    /// of a repeat send.
-    struct PushAlwaysIpids {
-        start: u16,
-        cap: usize,
-        map: FastMap<Ipv4Addr, IpidSlot>,
-        lru: VecDeque<(u64, Ipv4Addr)>,
-        tick: u64,
-        evicted: Vec<Ipv4Addr>,
-        high_water: usize,
-    }
-
-    impl PushAlwaysIpids {
-        fn new(start: u16, cap: usize) -> Self {
-            PushAlwaysIpids {
-                start,
-                cap: cap.max(1),
-                map: FastMap::default(),
-                lru: VecDeque::new(),
-                tick: 0,
-                evicted: Vec::new(),
-                high_water: 0,
-            }
-        }
-
-        fn next(&mut self, dst: Ipv4Addr) -> u16 {
-            self.tick += 1;
-            let tick = self.tick;
-            let slot = self.map.entry(dst).or_insert(IpidSlot { counter: self.start, tick });
-            let id = slot.counter;
-            slot.counter = slot.counter.wrapping_add(1);
-            slot.tick = tick;
-            self.lru.push_back((tick, dst));
-            self.high_water = self.high_water.max(self.lru.len());
-            if self.map.len() > self.cap {
-                while let Some((t, addr)) = self.lru.pop_front() {
-                    if self.map.get(&addr).is_some_and(|s| s.tick == t) {
-                        self.map.remove(&addr);
-                        self.evicted.push(addr);
-                        break;
-                    }
-                }
-            }
-            if self.lru.len() > 2 * self.cap + 64 {
-                let map = &self.map;
-                self.lru.retain(|(t, addr)| map.get(addr).is_some_and(|s| s.tick == *t));
-            }
-            id
-        }
-    }
-
-    /// Overwriting the back entry on a repeat send changes nothing
-    /// observable: on seeded streams with bursts of repeats, the stack
-    /// hands out the reference's IDs and evicts the reference's
-    /// destinations in the reference's order. Returns the two queues'
-    /// high-water marks.
-    fn ipids_match_push_always(cap: usize, seed: u64, sends: usize) -> (usize, usize) {
-        let mut profile = OsProfile::linux();
-        profile.ipid_cache_cap = cap;
-        let IpidMode::PerDestination { start } = profile.ipid else { unreachable!() };
-        let mut stack = NetStack::new(profile);
-        let mut reference = PushAlwaysIpids::new(start, cap);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let peers = 2 * cap as u32 + 3;
-        let mut high_water = 0;
-        let mut sent = 0;
-        while sent < sends {
-            let dst = Ipv4Addr::from(0x0A00_0000 + rng.random_range(0..peers));
-            for _ in 0..rng.random_range(1..5usize) {
-                let id = stack.next_ipid(dst, &mut rng);
-                assert_eq!(id, reference.next(dst), "cap {cap} seed {seed}: send {sent}");
-                let evictions = reference.evicted.len() as u64;
-                assert_eq!(stack.ipid_evictions(), evictions, "cap {cap} seed {seed}: {sent}");
-                assert_eq!(stack.ipid_tracked_destinations(), reference.map.len());
-                if let Some(gone) = reference.evicted.last() {
-                    assert!(!stack.cold.ipid_per_dst.contains_key(gone), "evicted {gone}");
-                }
-                high_water = high_water.max(stack.cold.ipid_lru.len());
-                sent += 1;
-            }
-        }
-        (high_water, reference.high_water)
-    }
-
-    #[test]
-    fn repeat_sends_overwrite_the_lru_back_without_changing_ids_or_evictions() {
-        for cap in [1, 2, 16, 4096] {
-            for seed in 0..4 {
-                let sends = 4 * (2 * cap + 3) + 200;
-                let (high_water, reference) = ipids_match_push_always(cap, seed, sends);
-                assert!(high_water <= reference, "cap {cap}: {high_water} > {reference}");
-            }
-        }
-    }
-
-    /// A single-destination stack keeps one queue entry, where pushing on
-    /// every send grew the queue to `2·cap + 65` before compacting.
-    #[test]
-    fn single_destination_sends_keep_one_lru_entry() {
-        let profile = OsProfile::linux();
-        let cap = profile.ipid_cache_cap;
-        let IpidMode::PerDestination { start } = profile.ipid else { unreachable!() };
-        let mut stack = NetStack::new(profile);
-        let mut reference = PushAlwaysIpids::new(start, cap);
-        let mut rng = SmallRng::seed_from_u64(5);
-        for _ in 0..3 * cap {
-            assert_eq!(stack.next_ipid(B, &mut rng), reference.next(B));
-            assert_eq!(stack.cold.ipid_lru.len(), 1);
-        }
-        assert_eq!(reference.high_water, 2 * cap + 65);
-    }
-
-    #[test]
-    fn hot_enums_stay_within_32_bytes() {
-        // Also enforced at compile time by the static asserts next to the
-        // enum definitions; this test reports the actual numbers.
-        let action = std::mem::size_of::<Action>();
-        let event = std::mem::size_of::<EventKind>();
-        assert!(action <= 32, "Action is {action} bytes");
-        assert!(event <= 32, "EventKind is {event} bytes");
+        assert_eq!(stack.next_ipid(dst(0), &mut rng), start.wrapping_add(1));
+        assert_eq!(stack.next_ipid(dst(0), &mut rng), start.wrapping_add(2));
     }
 
     /// Steady-state traffic must be served by the buffer pool: after the
@@ -1943,23 +1736,5 @@ mod tests {
             stats.pool_hits,
             stats.pool_misses
         );
-    }
-
-    #[test]
-    fn ipid_evictions_surface_in_sim_stats() {
-        struct Sprayer;
-        impl Host for Sprayer {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                for i in 0..20u32 {
-                    ctx.send_udp(Ipv4Addr::from(0xC633_6400 + i), 1, 2, Bytes::from_static(b"x"));
-                }
-            }
-        }
-        let mut profile = OsProfile::linux();
-        profile.ipid_cache_cap = 4;
-        let mut sim = Simulator::new(11);
-        sim.add_host(A, profile, Box::new(Sprayer)).unwrap();
-        sim.run_for(SimDuration::from_secs(1));
-        assert_eq!(sim.stats().ipid_evictions, 16, "20 destinations past a cap of 4");
     }
 }

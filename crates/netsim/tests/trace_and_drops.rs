@@ -55,14 +55,14 @@ fn every_receive_discard_names_a_reason() {
     expect_drop(stack.receive_counted(now, tiny, &mut global), DropReason::TinyFragment);
     assert_eq!(stack.drop_counts().tiny_fragment, 1);
 
-    // defrag-cap-full: pending fragments past the per-pair cap.
-    let mut profile = OsProfile::linux();
-    profile.defrag.max_pending_per_pair = 2;
-    let mut stack = NetStack::new(profile);
-    for id in 0..3u8 {
+    // defrag-cap-full: pending fragments past the per-pair cap of 64.
+    let cap = DefragConfig::default().max_pending_per_pair;
+    assert_eq!(cap, 64);
+    let mut stack = NetStack::new(OsProfile::linux());
+    for id in 0..=cap as u8 {
         let first = frags_of(id).remove(0);
         let outcome = stack.receive_counted(now, first, &mut global);
-        if id < 2 {
+        if usize::from(id) < cap {
             assert!(matches!(outcome, ReceiveOutcome::Pending), "{outcome:?}");
         } else {
             expect_drop(outcome, DropReason::DefragCapFull);

@@ -1,8 +1,8 @@
 //! The system-clock model disciplined by NTP clients.
 //!
-//! A clock is an offset (and optional drift) against the simulation's true
-//! time. The attack's observable — "did the victim's clock shift by
-//! −500 s?" — is read straight off [`SystemClock::offset_from_true`].
+//! A clock is an offset against the simulation's true time. The attack's
+//! observable — "did the victim's clock shift by −500 s?" — is read
+//! straight off [`SystemClock::offset_from_true`].
 
 use netsim::time::SimTime;
 
@@ -19,15 +19,14 @@ pub enum ClockAdjustment {
     PanicRejected,
 }
 
+/// Offsets beyond this are stepped, smaller ones slewed (ntpd: 128 ms).
+const STEP_THRESHOLD: NtpDuration = NtpDuration::from_nanos(128_000_000);
+
 /// A simulated system clock.
 #[derive(Debug, Clone)]
 pub struct SystemClock {
     /// Current offset from true time (clock − true), nanoseconds.
     offset_ns: i64,
-    /// Frequency error in parts per million (applied linearly).
-    drift_ppm: f64,
-    /// Step threshold: offsets beyond this are stepped (ntpd: 128 ms).
-    pub step_threshold: NtpDuration,
     /// Panic threshold: run-time corrections beyond this are refused
     /// (ntpd: 1000 s). `None` disables the check (boot with `-g`).
     pub panic_threshold: Option<NtpDuration>,
@@ -40,34 +39,20 @@ impl SystemClock {
     pub fn new() -> Self {
         SystemClock {
             offset_ns: 0,
-            drift_ppm: 0.0,
-            step_threshold: NtpDuration::from_nanos(128_000_000),
             panic_threshold: Some(NtpDuration::from_secs(1000)),
             adjustments: Vec::new(),
         }
     }
 
-    /// A clock starting `offset` away from true time (e.g. a dead RTC
-    /// battery at boot).
-    pub fn with_initial_offset(offset: NtpDuration) -> Self {
-        SystemClock { offset_ns: offset.as_nanos(), ..SystemClock::new() }
-    }
-
-    /// Sets the frequency error.
-    pub fn set_drift_ppm(&mut self, ppm: f64) {
-        self.drift_ppm = ppm;
-    }
-
     /// The clock's reading at simulated instant `now`.
     pub fn now(&self, now: SimTime) -> NtpTimestamp {
-        let drift_ns = (now.as_nanos() as f64 * self.drift_ppm / 1e6) as i64;
-        NtpTimestamp::at_sim_time(now) + NtpDuration::from_nanos(self.offset_ns + drift_ns)
+        NtpTimestamp::at_sim_time(now) + NtpDuration::from_nanos(self.offset_ns)
     }
 
-    /// Current offset from true time.
-    pub fn offset_from_true(&self, now: SimTime) -> NtpDuration {
-        let drift_ns = (now.as_nanos() as f64 * self.drift_ppm / 1e6) as i64;
-        NtpDuration::from_nanos(self.offset_ns + drift_ns)
+    /// Offset from true time at `now`; a modelled clock does not drift,
+    /// so it changes only through [`SystemClock::apply_offset`].
+    pub fn offset_from_true(&self, _now: SimTime) -> NtpDuration {
+        NtpDuration::from_nanos(self.offset_ns)
     }
 
     /// Applies a measured offset (server − client): step if beyond the step
@@ -88,7 +73,7 @@ impl SystemClock {
         }
         self.offset_ns = self.offset_ns.saturating_add(offset.as_nanos());
         self.adjustments.push((now, self.offset_from_true(now).as_secs_f64()));
-        if offset.abs() > self.step_threshold {
+        if offset.abs() > STEP_THRESHOLD {
             ClockAdjustment::Stepped
         } else {
             ClockAdjustment::Slewed
@@ -149,20 +134,5 @@ mod tests {
         let mut clock = SystemClock::new();
         let adj = clock.apply_offset(SimTime::ZERO, NtpDuration::from_secs(-500), false);
         assert_eq!(adj, ClockAdjustment::Stepped);
-    }
-
-    #[test]
-    fn drift_accumulates() {
-        let mut clock = SystemClock::new();
-        clock.set_drift_ppm(100.0); // 100 µs/s
-        let t = SimTime::from_secs(1000);
-        let off = clock.offset_from_true(t).as_secs_f64();
-        assert!((off - 0.1).abs() < 1e-9, "drift offset {off}");
-    }
-
-    #[test]
-    fn boot_offset_modelled() {
-        let clock = SystemClock::with_initial_offset(NtpDuration::from_secs(-3600));
-        assert_eq!(clock.offset_from_true(SimTime::ZERO).as_secs_f64(), -3600.0);
     }
 }

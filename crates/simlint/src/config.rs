@@ -1,6 +1,5 @@
-//! Embedded workspace configuration: which trees are walked, which paths
-//! are test code, and which enums and structs must carry a compile-time
-//! size assertion.
+//! Embedded workspace configuration: which trees are walked and which
+//! paths are test code.
 //!
 //! The tables live in code rather than a config file on purpose: changing
 //! an invariant should be a reviewed diff to the linter, not an edit to a
@@ -22,37 +21,9 @@ pub const SKIP_DIRS: &[&str] = &["target", "fixtures"];
 /// modules inside library files are detected separately.
 pub const TEST_PATH_MARKERS: &[&str] = &["tests/", "benches/"];
 
-/// Enums on the hot list (R6): every one must have a compile-time
-/// `size_of` assertion somewhere in its crate, so "aggressive" struct
-/// refactors (ROADMAP item 4) cannot silently fatten the event loop.
-/// Format: (crate directory, enum names defined in that crate).
-pub const HOT_ENUMS: &[(&str, &[&str])] =
-    &[("crates/netsim", &["Action", "EventKind"]), ("vendor/bytes", &["Repr", "MutRepr"])];
-
-/// Structs on the hot list with explicit byte budgets (R6): every one
-/// must have a compile-time `size_of::<Name>() <= N` assertion in its
-/// crate with `N` no larger than the budget here. These are the types the
-/// event loop moves per event; the budgets are their cache-shape contract.
-/// Format: (crate directory, [(struct name, max bytes)]).
-pub const HOT_STRUCTS: &[(&str, &[(&str, u64)])] = &[
-    (
-        "crates/netsim",
-        &[
-            ("Ipv4Packet", 40),
-            ("UdpDatagram", 32),
-            ("Datagram", 40),
-            ("NetStack", 24),
-            ("StackHot", 16),
-            ("HostSlot", 48),
-        ],
-    ),
-    ("vendor/bytes", &[("Bytes", 24)]),
-    ("crates/dns", &[("Name", 32)]),
-];
-
 /// Every rule simlint knows, by id. `allow(...)` comments naming
 /// anything else are themselves an error.
-pub const RULES: &[&str] = &["hot-alloc", "enum-size", "allow-syntax"];
+pub const RULES: &[&str] = &["hot-alloc", "allow-syntax"];
 
 /// True when `path` (root-relative, `/`-separated) is test code by
 /// location alone.

@@ -28,9 +28,8 @@ pub enum TokKind {
     Punct(char),
     /// Any string-ish literal (string, raw string, byte string, char).
     Literal,
-    /// Numeric literal, with its raw text (the enum-size budgets read
-    /// the value; suffixes and `_` separators are kept verbatim).
-    Number(String),
+    /// Numeric literal, suffix included (`0x1F`, `64_usize`).
+    Number,
     /// A lifetime such as `'a` (distinguished from char literals).
     Lifetime,
 }
@@ -56,19 +55,6 @@ impl Tok {
     /// True when this token is the punctuation character `c`.
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct(c)
-    }
-
-    /// The numeric value, if this token is an integer literal (underscore
-    /// separators and a type suffix are tolerated).
-    pub fn number(&self) -> Option<u64> {
-        match &self.kind {
-            TokKind::Number(raw) => {
-                let digits: String =
-                    raw.chars().take_while(|c| c.is_ascii_digit() || *c == '_').collect();
-                digits.replace('_', "").parse().ok()
-            }
-            _ => None,
-        }
     }
 }
 
@@ -295,19 +281,13 @@ pub fn lex(source: &str) -> Lexed {
             }
             continue;
         }
-        // Numbers (suffixes and separators kept in the raw text).
+        // Numbers, suffix included, so `64usize` lexes as no identifier.
         if c.is_ascii_digit() {
             let span = cur.span();
-            let mut raw = String::new();
-            while let Some(c) = cur.peek() {
-                if c.is_alphanumeric() || c == '_' {
-                    raw.push(c);
-                    cur.bump();
-                } else {
-                    break;
-                }
+            while cur.peek().is_some_and(|c| c.is_alphanumeric() || c == '_') {
+                cur.bump();
             }
-            out.toks.push(Tok { kind: TokKind::Number(raw), span });
+            out.toks.push(Tok { kind: TokKind::Number, span });
             continue;
         }
         // Everything else: single punctuation character.

@@ -5,9 +5,10 @@
 //! the packet hot path holds a zero-heap-allocation steady state. Clippy
 //! enforces every part of them it has a lint for (no std hash
 //! containers, no wall-clock reads, SAFETY comments, no raw prints; see
-//! the root `Cargo.toml` and `clippy.toml`). This crate checks the rest:
-//! no allocation idioms in hot-path files, and a compile-time size bound
-//! on every hot enum and struct. It is a dependency-free static pass
+//! the root `Cargo.toml` and `clippy.toml`), and `const` asserts next to
+//! the hot types hold them to their byte budgets at compile time. This
+//! crate checks the rest: no allocation idioms in hot-path files, and
+//! well-formed suppressions. It is a dependency-free static pass
 //! (hand-rolled lexer, no `syn` — there is no registry access here) in
 //! the spirit of netstack3's in-tree lints: [`rules`] documents the rule
 //! table, [`config`] the embedded scope tables, and the `simlint` binary
@@ -65,25 +66,17 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
             collect_rs_files(&dir, &mut files)?;
         }
     }
-    let mut lexed_files = Vec::with_capacity(files.len());
+    let mut diags = Vec::new();
     for path in &files {
         let source = fs::read_to_string(path)?;
-        lexed_files.push((rel_label(root, path), lexer::lex(&source)));
+        diags.extend(rules::lint_source(&rel_label(root, path), &source));
     }
-    let mut diags = Vec::new();
-    for (label, lexed) in &lexed_files {
-        diags.extend(rules::lint_lexed(label, lexed));
-    }
-    diags.extend(rules::check_enum_sizes(&lexed_files));
-    diags.extend(rules::check_struct_budgets(&lexed_files));
     diags.sort_by_key(Diagnostic::sort_key);
     Ok(diags)
 }
 
 /// Lints an explicit list of files (paths used verbatim as labels) —
 /// the mode the CI negative smoke uses on the violation fixture.
-/// Crate-level rules (enum-size) only apply to crates whose sources are
-/// all present, so single-file mode runs the per-file rules.
 pub fn lint_files(paths: &[PathBuf]) -> io::Result<Vec<Diagnostic>> {
     let mut diags = Vec::new();
     for path in paths {

@@ -6,7 +6,6 @@
 //! | id            | invariant                                                      |
 //! |---------------|----------------------------------------------------------------|
 //! | `hot-alloc`   | no allocation idioms in files marked hot-path                  |
-//! | `enum-size`   | every hot-list enum/struct has a compile-time `size_of` bound  |
 //! | `allow-syntax`| every suppression names a real rule and gives a reason         |
 //!
 //! Suppression is per-line and must carry a justification, e.g.
@@ -165,11 +164,7 @@ fn method_call(toks: &[Tok], i: usize, name: &str) -> bool {
 /// Lints one file's source. `path` must be workspace-root-relative with
 /// `/` separators — R5 uses it to exempt test files.
 pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
-    lint_lexed(path, &lex(source))
-}
-
-/// Lints one file that has already been lexed.
-pub fn lint_lexed(path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
+    let lexed = lex(source);
     let mut diags = Vec::new();
     let mut allows: Vec<Allow> = Vec::new();
     let mut hot = false;
@@ -229,7 +224,7 @@ pub fn lint_lexed(path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
     // R5 — allocation idioms in hot-path files (steady state must not
     // touch the heap; cold/setup lines take a justified allow).
     if hot && !config::is_test_path(path) {
-        let regions = test_regions(lexed);
+        let regions = test_regions(&lexed);
         let toks = &lexed.toks;
         for (i, t) in toks.iter().enumerate() {
             if in_regions(&regions, t.span.line) {
@@ -280,162 +275,6 @@ pub fn lint_lexed(path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
                 .iter()
                 .any(|a| a.rule == d.rule && a.from_line <= d.line && d.line <= a.to_line)
     });
-    diags
-}
-
-/// R6 — every hot-list enum must carry a compile-time size assertion in
-/// its crate, so "shrink the hot structs" refactors get a permanent gate.
-/// `files` holds every walked (path, lexed) pair.
-pub fn check_enum_sizes(files: &[(String, Lexed)]) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for &(crate_dir, enums) in config::HOT_ENUMS {
-        let in_crate: Vec<&(String, Lexed)> =
-            files.iter().filter(|(p, _)| p.starts_with(&format!("{crate_dir}/"))).collect();
-        if in_crate.is_empty() {
-            continue; // crate not part of this lint invocation (e.g. single-file mode)
-        }
-        for &name in enums {
-            let mut def: Option<(String, u32, u32)> = None;
-            let mut asserted = false;
-            for (path, lexed) in &in_crate {
-                let toks = &lexed.toks;
-                for (i, t) in toks.iter().enumerate() {
-                    if t.ident() == Some("enum")
-                        && toks.get(i + 1).and_then(Tok::ident) == Some(name)
-                    {
-                        let s = toks[i + 1].span;
-                        def.get_or_insert((path.clone(), s.line, s.col));
-                    }
-                    // `… const _ … size_of::<Name>` — a compile-time
-                    // assertion mentions the enum within a const item.
-                    if t.ident() == Some("size_of")
-                        && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                        && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-                        && toks.get(i + 3).is_some_and(|t| t.is_punct('<'))
-                        && toks.get(i + 4).and_then(Tok::ident) == Some(name)
-                    {
-                        let window = &toks[i.saturating_sub(40)..i];
-                        if window.iter().any(|t| t.ident() == Some("const")) {
-                            asserted = true;
-                        }
-                    }
-                }
-            }
-            match def {
-                None => diags.push(Diagnostic {
-                    path: crate_dir.into(),
-                    line: 0,
-                    col: 0,
-                    rule: "enum-size",
-                    message: format!(
-                        "hot-list enum `{name}` is not defined in this crate — \
-                         update simlint's HOT_ENUMS table"
-                    ),
-                }),
-                Some((path, line, col)) if !asserted => diags.push(Diagnostic {
-                    path,
-                    line,
-                    col,
-                    rule: "enum-size",
-                    message: format!(
-                        "enum `{name}` is on the hot list but its crate has no \
-                         compile-time size assertion — add \
-                         `const _: () = assert!(std::mem::size_of::<{name}>() <= N);`"
-                    ),
-                }),
-                Some(_) => {}
-            }
-        }
-    }
-    diags
-}
-
-/// R6 (structs) — every hot-list struct must carry a compile-time size
-/// assertion whose bound stays within the byte budget in
-/// [`config::HOT_STRUCTS`]. An assertion with a *looser* bound than the
-/// budget is as much a violation as a missing one: the budget table is
-/// the single place the cache-shape contract can be renegotiated.
-pub fn check_struct_budgets(files: &[(String, Lexed)]) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for &(crate_dir, structs) in config::HOT_STRUCTS {
-        let in_crate: Vec<&(String, Lexed)> =
-            files.iter().filter(|(p, _)| p.starts_with(&format!("{crate_dir}/"))).collect();
-        if in_crate.is_empty() {
-            continue; // crate not part of this lint invocation
-        }
-        for &(name, budget) in structs {
-            let mut def: Option<(String, u32, u32)> = None;
-            // The tightest asserted bound found anywhere in the crate.
-            let mut asserted_bound: Option<u64> = None;
-            for (path, lexed) in &in_crate {
-                let toks = &lexed.toks;
-                for (i, t) in toks.iter().enumerate() {
-                    if t.ident() == Some("struct")
-                        && toks.get(i + 1).and_then(Tok::ident) == Some(name)
-                    {
-                        let s = toks[i + 1].span;
-                        def.get_or_insert((path.clone(), s.line, s.col));
-                    }
-                    // `… const _ … size_of::<Name>() <= N` — capture N.
-                    if t.ident() == Some("size_of")
-                        && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                        && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-                        && toks.get(i + 3).is_some_and(|t| t.is_punct('<'))
-                        && toks.get(i + 4).and_then(Tok::ident) == Some(name)
-                        && toks.get(i + 5).is_some_and(|t| t.is_punct('>'))
-                        && toks.get(i + 6).is_some_and(|t| t.is_punct('('))
-                        && toks.get(i + 7).is_some_and(|t| t.is_punct(')'))
-                        && toks.get(i + 8).is_some_and(|t| t.is_punct('<'))
-                        && toks.get(i + 9).is_some_and(|t| t.is_punct('='))
-                    {
-                        let window = &toks[i.saturating_sub(40)..i];
-                        if window.iter().any(|t| t.ident() == Some("const")) {
-                            if let Some(n) = toks.get(i + 10).and_then(Tok::number) {
-                                asserted_bound = Some(asserted_bound.map_or(n, |prev| prev.min(n)));
-                            }
-                        }
-                    }
-                }
-            }
-            match (def, asserted_bound) {
-                (None, _) => diags.push(Diagnostic {
-                    path: crate_dir.into(),
-                    line: 0,
-                    col: 0,
-                    rule: "enum-size",
-                    message: format!(
-                        "hot-list struct `{name}` is not defined in this crate — \
-                         update simlint's HOT_STRUCTS table"
-                    ),
-                }),
-                (Some((path, line, col)), None) => diags.push(Diagnostic {
-                    path,
-                    line,
-                    col,
-                    rule: "enum-size",
-                    message: format!(
-                        "struct `{name}` is on the hot list (budget {budget} bytes) but its \
-                         crate has no compile-time size assertion — add \
-                         `const _: () = assert!(std::mem::size_of::<{name}>() <= {budget});`"
-                    ),
-                }),
-                (Some((path, line, col)), Some(bound)) if bound > budget => {
-                    diags.push(Diagnostic {
-                        path,
-                        line,
-                        col,
-                        rule: "enum-size",
-                        message: format!(
-                            "struct `{name}` asserts `size_of <= {bound}` but the hot-list \
-                             budget is {budget} bytes — tighten the assertion or renegotiate \
-                             the budget in simlint's HOT_STRUCTS table"
-                        ),
-                    });
-                }
-                (Some(_), Some(_)) => {}
-            }
-        }
-    }
     diags
 }
 
@@ -546,7 +385,7 @@ mod tests {
     #[test]
     fn allow_only_covers_its_own_rule() {
         let src = "// simlint: hot-path\nfn f() { let v: Vec<u8> = Vec::new(); } \
-                   // simlint: allow(enum-size) — wrong rule named\n";
+                   // simlint: allow(allow-syntax) — wrong rule named\n";
         assert_eq!(rules_at(src), vec![("hot-alloc", 2)]);
     }
 
@@ -558,104 +397,5 @@ mod tests {
         // comment *starting* with the directive still validates the rule
         // name, which is what the previous test pins.
         assert_eq!(rules_at(src), vec![]);
-    }
-
-    // ---- R6: enum-size ----
-
-    fn lexed_files(files: &[(&str, &str)]) -> Vec<(String, Lexed)> {
-        files.iter().map(|(p, s)| (p.to_string(), lex(s))).collect()
-    }
-
-    #[test]
-    fn hot_enum_without_assertion_fires_at_its_definition() {
-        let files = lexed_files(&[(
-            "crates/netsim/src/sim.rs",
-            "pub enum Action { A }\npub enum EventKind { B }\n\
-             const _: () = assert!(std::mem::size_of::<EventKind>() <= 32);\n",
-        )]);
-        let diags = check_enum_sizes(&files);
-        assert_eq!(diags.len(), 1);
-        assert_eq!((diags[0].rule, diags[0].line), ("enum-size", 1));
-        assert!(diags[0].message.contains("`Action`"));
-    }
-
-    #[test]
-    fn asserted_hot_enums_pass_and_stale_config_is_reported() {
-        let files = lexed_files(&[(
-            "crates/netsim/src/sim.rs",
-            "pub enum Action { A }\npub enum EventKind { B }\n\
-             const _: () = assert!(std::mem::size_of::<Action>() <= 32);\n\
-             const _: () = assert!(std::mem::size_of::<EventKind>() <= 32);\n",
-        )]);
-        assert_eq!(check_enum_sizes(&files), vec![]);
-
-        // A crate that no longer defines a listed enum is a config bug.
-        let files = lexed_files(&[("crates/netsim/src/sim.rs", "pub enum Action { A }")]);
-        let diags = check_enum_sizes(&files);
-        assert!(diags.iter().any(|d| d.rule == "enum-size" && d.message.contains("EventKind")));
-    }
-
-    #[test]
-    fn size_of_outside_a_const_item_is_not_an_assertion() {
-        let files = lexed_files(&[(
-            "crates/netsim/src/sim.rs",
-            "pub enum Action { A }\npub enum EventKind { B }\n\
-             fn report() -> (usize, usize) {\n    \
-             (std::mem::size_of::<Action>(), std::mem::size_of::<EventKind>())\n}\n",
-        )]);
-        assert_eq!(check_enum_sizes(&files).len(), 2);
-    }
-
-    // ---- R6: struct byte budgets ----
-
-    #[test]
-    fn budgeted_struct_passes_only_with_a_tight_enough_bound() {
-        let ok = lexed_files(&[(
-            "vendor/bytes/src/lib.rs",
-            "pub struct Bytes { repr: Repr }\n\
-             const _: () = assert!(std::mem::size_of::<Bytes>() <= 24);\n",
-        )]);
-        assert_eq!(check_struct_budgets(&ok), vec![]);
-
-        // An assertion looser than the budget is a violation: the budget
-        // table is the only place the cache-shape contract is renegotiated.
-        let loose = lexed_files(&[(
-            "vendor/bytes/src/lib.rs",
-            "pub struct Bytes { repr: Repr }\n\
-             const _: () = assert!(std::mem::size_of::<Bytes>() <= 32);\n",
-        )]);
-        let diags = check_struct_budgets(&loose);
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("<= 32"));
-        assert!(diags[0].message.contains("24"));
-    }
-
-    #[test]
-    fn budgeted_struct_without_assertion_fires_at_its_definition() {
-        let files =
-            lexed_files(&[("vendor/bytes/src/lib.rs", "pub struct Bytes { repr: Repr }\n")]);
-        let diags = check_struct_budgets(&files);
-        assert_eq!(diags.len(), 1);
-        assert_eq!((diags[0].rule, diags[0].line), ("enum-size", 1));
-        assert!(diags[0].message.contains("`Bytes`"));
-    }
-
-    #[test]
-    fn missing_budgeted_struct_is_reported_as_stale_config() {
-        let files = lexed_files(&[("vendor/bytes/src/lib.rs", "pub struct Other;\n")]);
-        let diags = check_struct_budgets(&files);
-        assert!(diags.iter().any(|d| d.message.contains("HOT_STRUCTS")));
-    }
-
-    #[test]
-    fn tightest_bound_wins_across_multiple_assertions() {
-        // A loose equality-style bound elsewhere doesn't mask a tight one.
-        let files = lexed_files(&[(
-            "vendor/bytes/src/lib.rs",
-            "pub struct Bytes { repr: Repr }\n\
-             const _: () = assert!(std::mem::size_of::<Bytes>() <= 64);\n\
-             const _: () = assert!(std::mem::size_of::<Bytes>() <= 24);\n",
-        )]);
-        assert_eq!(check_struct_budgets(&files), vec![]);
     }
 }

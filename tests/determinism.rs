@@ -252,7 +252,7 @@ fn attack_traffic_is_pinned() {
          drops: DropCounts { no_frag_support: 0, tiny_fragment: 0, defrag_cap_full: 0, \
          duplicate_fragment: 1355, defrag_expired: 1472, udp_truncated: 0, \
          udp_length_mismatch: 0, udp_bad_checksum: 0, icmp_malformed: 0, unknown_protocol: 0 }, \
-         timers_fired: 1802, events_dispatched: 9230, ipid_evictions: 0, peak_queue_depth: 372, \
+         timers_fired: 1802, events_dispatched: 9230, peak_queue_depth: 372, \
          pool_hits: 0, pool_misses: 0 }\n\
          PoisonStats { icmps_sent: 184, probes_sent: 2093, fragments_planted: 2944, \
          triggers_sent: 7, checks_sent: 9 }"
@@ -271,7 +271,7 @@ fn attack_traffic_is_pinned() {
          drops: DropCounts { no_frag_support: 0, tiny_fragment: 0, defrag_cap_full: 0, \
          duplicate_fragment: 1355, defrag_expired: 1589, udp_truncated: 0, \
          udp_length_mismatch: 0, udp_bad_checksum: 0, icmp_malformed: 0, unknown_protocol: 0 }, \
-         timers_fired: 14523, events_dispatched: 99551, ipid_evictions: 0, peak_queue_depth: 381, \
+         timers_fired: 14523, events_dispatched: 99551, peak_queue_depth: 381, \
          pool_hits: 0, pool_misses: 0 }\n\
          PoisonStats { icmps_sent: 437, probes_sent: 5129, fragments_planted: 2944, \
          triggers_sent: 7, checks_sent: 9 }"
@@ -305,7 +305,7 @@ fn survey_traffic_is_pinned() {
          drops: DropCounts { no_frag_support: 0, tiny_fragment: 0, defrag_cap_full: 0, \
          duplicate_fragment: 0, defrag_expired: 0, udp_truncated: 0, \
          udp_length_mismatch: 0, udp_bad_checksum: 0, icmp_malformed: 0, unknown_protocol: 0 }, \
-         timers_fired: 0, events_dispatched: 12, ipid_evictions: 0, \
+         timers_fired: 0, events_dispatched: 12, \
          peak_queue_depth: 8, pool_hits: 0, pool_misses: 0 }"
     );
     assert_eq!(
@@ -315,7 +315,7 @@ fn survey_traffic_is_pinned() {
          drops: DropCounts { no_frag_support: 0, tiny_fragment: 0, defrag_cap_full: 0, \
          duplicate_fragment: 0, defrag_expired: 0, udp_truncated: 0, \
          udp_length_mismatch: 0, udp_bad_checksum: 0, icmp_malformed: 0, unknown_protocol: 0 }, \
-         timers_fired: 5, events_dispatched: 52, ipid_evictions: 0, \
+         timers_fired: 5, events_dispatched: 52, \
          peak_queue_depth: 17, pool_hits: 0, pool_misses: 0 }"
     );
     assert_eq!(
@@ -325,7 +325,7 @@ fn survey_traffic_is_pinned() {
          drops: DropCounts { no_frag_support: 12, tiny_fragment: 0, defrag_cap_full: 0, \
          duplicate_fragment: 0, defrag_expired: 0, udp_truncated: 0, \
          udp_length_mismatch: 0, udp_bad_checksum: 0, icmp_malformed: 0, unknown_protocol: 0 }, \
-         timers_fired: 12, events_dispatched: 63, ipid_evictions: 0, \
+         timers_fired: 12, events_dispatched: 63, \
          peak_queue_depth: 17, pool_hits: 0, pool_misses: 0 }"
     );
 }
