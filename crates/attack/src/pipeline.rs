@@ -7,13 +7,13 @@
 //!    before the PMTU cache expires).
 //! 2. **Probe**: periodic direct DNS queries to each nameserver — the
 //!    responses yield both the response byte layout (for forging) and the
-//!    IPID counter samples (for prediction). Each probe is a copy of one
-//!    encoded query with its TXID patched in. A reply is checked and kept
-//!    with its record layout, both from the one checked walk that accepts
-//!    it; a plant round forges the spoofed tail from that layout without
-//!    walking the reply again. Once the resolver is fully poisoned no plant
-//!    round is left, so the probes still go out but their replies and IPIDs
-//!    go unread.
+//!    IPID counter samples (for prediction). Each probe is written by
+//!    `dns::message::query_bytes` with a fresh TXID. A reply is checked
+//!    and kept with its record layout, both from the one checked walk that
+//!    accepts it; a plant round forges the spoofed tail from that layout
+//!    without walking the reply again. Once the resolver is fully poisoned
+//!    no plant round is left, so the probes still go out but their replies
+//!    and IPIDs go unread.
 //! 3. **Plant**: every 25 s (under the 30 s Linux reassembly timeout),
 //!    spoofed second fragments for a window of predicted IPIDs are placed
 //!    in the resolver's defragmentation cache, for every target NS.
@@ -26,9 +26,9 @@
 use netsim::fasthash::FastMap;
 use std::net::Ipv4Addr;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use dns::auth::DNS_PORT;
-use dns::message::{Message, MessageView, Section};
+use dns::message::{query_bytes, MessageView, Section};
 use dns::name::Name;
 use dns::record::RecordType;
 use dns::zone::pool_domain;
@@ -286,17 +286,15 @@ impl PoisonPipeline {
     /// same probes go out, but nothing waits for their replies.
     fn send_probes(&mut self, ctx: &mut Ctx<'_>) {
         self.last_probe = Some(ctx.now());
-        let query = Message::query(0, pool_domain(), RecordType::A, false);
-        let query = query.encode();
+        let pool = pool_domain();
         for &ns in &self.config.ns_targets {
             let txid: u16 = ctx.rng().random();
-            if let Ok(query) = &query {
-                self.stats.probes_sent += 1;
-                if !self.fully_poisoned() {
-                    self.probe_pending.insert(txid, ns);
-                }
-                ctx.send_udp(ns, PROBE_PORT, DNS_PORT, with_txid(query, txid));
+            self.stats.probes_sent += 1;
+            if !self.fully_poisoned() {
+                self.probe_pending.insert(txid, ns);
             }
+            let query = query_bytes(txid, &pool, RecordType::A, false);
+            ctx.send_udp(ns, PROBE_PORT, DNS_PORT, query);
         }
     }
 
@@ -326,32 +324,28 @@ impl PoisonPipeline {
     }
 
     fn send_checks(&mut self, ctx: &mut Ctx<'_>) {
-        let send = |pipeline: &mut Self, ctx: &mut Ctx<'_>, name: Name, kind: ControlQuery| {
+        let send = |pipeline: &mut Self, ctx: &mut Ctx<'_>, name: &Name, kind: ControlQuery| {
             let txid: u16 = ctx.rng().random();
+            pipeline.stats.checks_sent += 1;
+            pipeline.control_pending.insert(txid, kind);
             // RD=0: answer from cache only — never perturbs the resolver.
-            let query = Message::query(txid, name, RecordType::A, false);
-            if let Ok(wire) = query.encode() {
-                pipeline.stats.checks_sent += 1;
-                pipeline.control_pending.insert(txid, kind);
-                ctx.send_udp(pipeline.config.resolver, CONTROL_PORT, DNS_PORT, wire);
-            }
+            let query = query_bytes(txid, name, RecordType::A, false);
+            ctx.send_udp(pipeline.config.resolver, CONTROL_PORT, DNS_PORT, query);
         };
         if let Some(name) = self.check_name.clone() {
             if !self.glue_poisoned() {
-                send(self, ctx, name, ControlQuery::CheckGlue);
+                send(self, ctx, &name, ControlQuery::CheckGlue);
             }
         }
-        send(self, ctx, pool_domain(), ControlQuery::CheckPool);
+        send(self, ctx, &pool_domain(), ControlQuery::CheckPool);
     }
 
     fn send_trigger(&mut self, ctx: &mut Ctx<'_>) {
         let txid: u16 = ctx.rng().random();
-        let query = Message::query(txid, pool_domain(), RecordType::A, true);
-        if let Ok(wire) = query.encode() {
-            self.stats.triggers_sent += 1;
-            self.control_pending.insert(txid, ControlQuery::Trigger);
-            ctx.send_udp(self.config.resolver, CONTROL_PORT, DNS_PORT, wire);
-        }
+        self.stats.triggers_sent += 1;
+        self.control_pending.insert(txid, ControlQuery::Trigger);
+        let query = query_bytes(txid, &pool_domain(), RecordType::A, true);
+        ctx.send_udp(self.config.resolver, CONTROL_PORT, DNS_PORT, query);
     }
 
     /// Raw tap: harvest IPIDs from nameserver responses, until the
@@ -464,14 +458,6 @@ impl PoisonPipeline {
     }
 }
 
-/// A copy of the encoded `query` with its ID set to `txid`.
-fn with_txid(query: &[u8], txid: u16) -> Bytes {
-    let mut wire = BytesMut::with_capacity(query.len());
-    wire.extend_from_slice(query);
-    wire[..2].copy_from_slice(&txid.to_be_bytes());
-    wire.freeze()
-}
-
 fn due(now: SimTime, last: Option<SimTime>, interval: SimDuration) -> bool {
     match last {
         None => true,
@@ -482,6 +468,7 @@ fn due(now: SimTime, last: Option<SimTime>, interval: SimDuration) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dns::message::Message;
 
     #[test]
     fn malicious_net_matching() {
@@ -662,21 +649,6 @@ mod tests {
         p.confirm(t(2), true);
         p.confirm(t(3), true);
         assert_eq!(state(&p), (Some(t(1)), Some(t(2)), (0, false)));
-    }
-
-    /// A patched probe is the query encoded with its TXID.
-    #[test]
-    fn patched_probes_equal_encoded_queries() {
-        for name in
-            ["pool.ntp.org", "0.pool.ntp.org", "a-much-longer-label.europe.pool.ntp.org", "."]
-        {
-            let name: Name = name.parse().unwrap();
-            let encode = |txid| Message::query(txid, name.clone(), RecordType::A, false).encode();
-            let query = encode(0).unwrap();
-            for txid in [0, 1, 0x00FF, 0x1234, 0xFF00, u16::MAX] {
-                assert_eq!(with_txid(&query, txid), encode(txid).unwrap(), "{name} txid {txid}");
-            }
-        }
     }
 
     #[test]

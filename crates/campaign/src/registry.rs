@@ -20,7 +20,7 @@
 //! fold into the `measure` result types.
 
 use measure::prelude::*;
-use ntp::prelude::{ClientKind, ClientProfile};
+use ntp::prelude::ClientKind;
 use runner::{scan_seed, TrialRunner};
 use timeshift::experiments::{self, figspec, salts, Scale, Table2Case};
 use timeshift::scenario::MALICIOUS_COUNT;
@@ -205,7 +205,7 @@ fn table1_record(&(kind, _): &(ClientKind, u64), o: &AttackOutcome) -> Record {
         kind.name().into(),
         opt(kind.pool_share()),
         o.success.into(),
-        opt(ClientProfile::for_kind(kind).vulnerable_run_time()),
+        opt(kind.vulnerable_run_time()),
         o.observed_shift.into(),
     ])
 }

@@ -12,7 +12,7 @@ use core::fmt;
 use attack::prelude::RuntimeScenario;
 use measure::prelude::*;
 use netsim::time::SimDuration;
-use ntp::prelude::{ClientKind, ClientProfile};
+use ntp::prelude::ClientKind;
 
 use crate::analysis::{self, Table3Row, P_RATE};
 use crate::scenario::{AttackOutcome, MALICIOUS_COUNT};
@@ -137,7 +137,7 @@ pub fn format_table1(rows: &[((ClientKind, u64), AttackOutcome)]) -> String {
             .pool_share()
             .map(|s| format!("{:5.1}%", s * 100.0))
             .unwrap_or_else(|| "  n/l ".into());
-        let run = match ClientProfile::for_kind(*kind).vulnerable_run_time() {
+        let run = match kind.vulnerable_run_time() {
             Some(true) => "yes",
             Some(false) => "no ",
             None => "n/a",

@@ -202,11 +202,7 @@ impl Scenario {
     pub fn spawn_victim(&mut self, kind: ClientKind) -> Ipv4Addr {
         let addr = self.addrs.victim;
         self.sim
-            .add_host(
-                addr,
-                OsProfile::linux(),
-                Box::new(NtpClient::new(ClientProfile::for_kind(kind), self.addrs.resolver)),
-            )
+            .add_host(addr, OsProfile::linux(), Box::new(NtpClient::new(kind, self.addrs.resolver)))
             .expect("victim address free");
         addr
     }

@@ -83,11 +83,6 @@ impl DnsCache {
         self.get(now, name, rtype).is_some()
     }
 
-    /// Removes an RRset (cache eviction via third-party systems, §IV-B3).
-    pub fn evict(&mut self, name: &Name, rtype: RecordType) -> bool {
-        self.entries.remove(&(name.clone(), rtype)).is_some()
-    }
-
     /// Drops everything.
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -174,15 +169,6 @@ mod tests {
         let hit = cache.lookup(SimTime::ZERO, &pool(), RecordType::A).unwrap();
         assert_eq!(hit.records.len(), 1);
         assert_eq!(hit.records[0].as_a(), Some(Ipv4Addr::new(6, 6, 6, 6)));
-    }
-
-    #[test]
-    fn eviction_removes() {
-        let mut cache = DnsCache::new(u32::MAX);
-        cache.insert(SimTime::ZERO, pool(), RecordType::A, rrset(150));
-        assert!(cache.evict(&pool(), RecordType::A));
-        assert!(!cache.contains(SimTime::ZERO, &pool(), RecordType::A));
-        assert!(!cache.evict(&pool(), RecordType::A));
     }
 
     #[test]

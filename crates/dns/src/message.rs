@@ -6,10 +6,13 @@
 //! compression pointers shrinking repeated names exactly the way real
 //! servers do.
 //!
-//! The model reads DNS bytes through one checked walk, [`MessageView`];
-//! [`Message`] is the owned builder.
+//! The model reads DNS bytes through one checked walk, [`MessageView`].
+//! It writes every query with [`query_bytes`] and every reply through the
+//! `Encoder`, the one writer that compresses. [`Message`] is the owned
+//! builder.
 // simlint: hot-path — every host that reads a DNS datagram walks it here,
-// and the resolver and the nameservers write through the `Encoder`.
+// every query is written here, and the resolver and the nameservers write
+// their replies through the `Encoder`.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use std::cell::RefCell;
@@ -133,13 +136,33 @@ pub struct Message {
     pub additionals: Vec<Record>,
 }
 
+/// The wire bytes of a standard query for `name` and `qtype` (class IN)
+/// with ID `id` and RD `rd`: the bytes the owned builder writes for that
+/// query ([`Message::encode`]). Every query the model sends is written
+/// here. A query's one name has nothing earlier to point at, so nothing
+/// compresses, and it always fits the 16-bit length limit, so this cannot
+/// fail. The buffer is of the 512-byte pool class that `Encoder::finish`
+/// copies replies into.
+pub fn query_bytes(id: u16, name: &Name, qtype: RecordType, rd: bool) -> Bytes {
+    let mut wire = BytesMut::with_capacity(512);
+    wire.put_slice(&Header { id, rd, ..Header::default() }.id_and_flags());
+    // One question, no records.
+    wire.put_slice(&[0, 1, 0, 0, 0, 0, 0, 0]);
+    wire.put_slice(name.as_wire());
+    wire.put_u8(0);
+    wire.put_u16(qtype.code());
+    wire.put_u16(1); // class IN
+    wire.freeze()
+}
+
 impl Message {
-    /// Builds a standard query.
+    /// Builds a standard query, owned: for tests and benchmarks, and the
+    /// reference [`query_bytes`] is checked against.
     pub fn query(id: u16, name: Name, qtype: RecordType, recursion_desired: bool) -> Message {
         Message {
             header: Header { id, rd: recursion_desired, ..Header::default() },
             // simlint: allow(hot-alloc) — the owned builder's one question;
-            // the resolver writes its queries through its `Encoder`.
+            // the model writes its queries with `query_bytes`.
             questions: vec![Question { name, qtype }],
             ..Message::default()
         }
@@ -926,6 +949,7 @@ fn txt_strings(mut raw: &[u8]) -> impl Iterator<Item = Option<&[u8]>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pool() -> Name {
         "pool.ntp.org".parse().unwrap()
@@ -1066,5 +1090,66 @@ mod tests {
         ));
         let back = Message::decode(&m.encode().unwrap()).unwrap();
         assert_eq!(back, m);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// [`query_bytes`] writes what the owned builder encodes, for
+        /// every record type, both RD values and any ID, over names from
+        /// the root to 127 labels or 255 bytes, in mixed case; and the
+        /// checked walk reads the bytes back as that one question.
+        #[test]
+        fn query_bytes_are_the_owned_builders_encode(
+            raw_id in any::<u16>(),
+            id_pick in 0..4u8,
+            labels in proptest::collection::vec("[a-zA-Z0-9-]{1,63}", 0..128),
+            shape in 0..4u8,
+            type_pick in 0..9u8,
+            code in any::<u16>(),
+            rd in any::<bool>(),
+        ) {
+            let id = match id_pick {
+                0 => 0,
+                1 => u16::MAX,
+                _ => raw_id,
+            };
+            // Shape 0 is the root, shape 1 the most labels a name holds
+            // (127), shape 2 up to 127 one-byte labels, and shape 3 long
+            // labels up to the 255-byte limit.
+            let short = |k: usize| labels.get(k).map_or("x", |label| &label[..1]).to_string();
+            let mut labels = match shape {
+                0 => Vec::new(),
+                1 => (0..127).map(short).collect(),
+                2 => (0..labels.len()).map(short).collect(),
+                _ => labels.clone(),
+            };
+            let mut len = 1;
+            let fits = labels.iter().take_while(|label| {
+                len += 1 + label.len();
+                len <= 255
+            });
+            labels.truncate(fits.count());
+            let name = Name::from_labels(&labels).unwrap();
+            let qtype = [
+                RecordType::A,
+                RecordType::Ns,
+                RecordType::Cname,
+                RecordType::Soa,
+                RecordType::Txt,
+                RecordType::Opt,
+                RecordType::Rrsig,
+                RecordType::Dnskey,
+                RecordType::Unknown(code),
+            ][usize::from(type_pick)];
+            let wire = query_bytes(id, &name, qtype, rd);
+            let full = Message::query(id, name.clone(), qtype, rd).encode().unwrap();
+            prop_assert_eq!(&wire, &full, "{} {:?} rd {} id {}", name, qtype, rd, id);
+            let view = MessageView::new(&wire).unwrap();
+            let header = view.header();
+            prop_assert_eq!((header.id, header.rd, header.qr), (id, rd, false));
+            let questions: Vec<_> = view.questions().map(|q| (q.name, q.qtype.code())).collect();
+            prop_assert_eq!(questions, vec![(name, qtype.code())]);
+        }
     }
 }

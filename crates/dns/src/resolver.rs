@@ -23,9 +23,10 @@
 //! read in place ([`MessageView::questions`]); the answer is written
 //! straight from the cache's borrowed RRset. An upstream reply is walked
 //! once into a reused [`RecordSpan`] buffer, and only its in-bailiwick
-//! records are built — the ones the cache keeps. Every reply and upstream query goes
-//! through one reused `Encoder`. The bytes sent are those of the
-//! former decode-clone-encode path, kept as a test oracle in
+//! records are built — the ones the cache keeps. Every reply goes through
+//! one reused `Encoder`, and every upstream query is written by
+//! [`query_bytes`]. The bytes sent are those of the former
+//! decode-clone-encode path, kept as a test oracle in
 //! `crates/measure/tests/oracle/`.
 // simlint: hot-path — every survey trial's client queries, cache answers
 // and upstream replies pass through here; only what the cache keeps and a
@@ -43,7 +44,7 @@ use crate::auth::DNS_PORT;
 use crate::cache::DnsCache;
 use crate::dnssec::TrustAnchors;
 use crate::message::{
-    Encoder, Header, MessageView, Question, Questions, Rcode, RecordSpan, Section,
+    query_bytes, Encoder, Header, MessageView, Question, Questions, Rcode, RecordSpan, Section,
 };
 use crate::name::Name;
 use crate::record::{RData, Record, RecordType};
@@ -123,7 +124,7 @@ pub struct Resolver {
     hints: Vec<(Name, Vec<Ipv4Addr>)>,
     pending: FastMap<u64, Pending>,
     next_id: u64,
-    /// Writes every reply and upstream query, reused across messages.
+    /// Writes every reply, reused across messages.
     encoder: Encoder,
     /// Record layouts of the upstream reply being read, reused.
     spans: Vec<RecordSpan>,
@@ -207,10 +208,8 @@ impl Resolver {
 
     fn send_upstream(&mut self, ctx: &mut Ctx<'_>, id: u64) {
         let Some(p) = self.pending.get(&id) else { return };
-        self.encoder.start(&Header { id: p.txid, ..Header::default() }, 1, [0; 3]);
-        self.encoder.put_question(&p.qname, p.qtype);
-        let Ok(wire) = self.encoder.finish() else { return };
         self.stats.upstream_queries += 1;
+        let wire = query_bytes(p.txid, &p.qname, p.qtype, false);
         ctx.send_udp(p.server, p.sport, DNS_PORT, wire);
         ctx.set_timer(UPSTREAM_TIMEOUT, encode_timer(id, p.depth, p.attempts));
     }

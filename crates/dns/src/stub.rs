@@ -1,5 +1,9 @@
 //! Client-side DNS helpers: a stub resolver for embedding in other hosts
 //! (NTP clients, scanners) and one-shot lookup utilities for tests.
+//!
+//! The stub writes each query with [`query_bytes`] and walks each reply in
+//! place ([`MessageView::with_spans`] into a reused span buffer), so a
+//! lookup allocates only the two `Vec`s of its [`DnsReply`].
 
 use netsim::fasthash::FastSet;
 use std::net::Ipv4Addr;
@@ -8,7 +12,7 @@ use netsim::prelude::*;
 use rand::RngExt;
 
 use crate::auth::DNS_PORT;
-use crate::message::{Encoder, Header, MessageView, RecordSpan, Section};
+use crate::message::{query_bytes, MessageView, RecordSpan, Section};
 use crate::name::Name;
 use crate::record::RecordType;
 
@@ -30,8 +34,6 @@ pub struct StubResolver {
     port: u16,
     /// TXIDs of the queries still awaiting a reply.
     pending: FastSet<u16>,
-    /// Writes every query, reset per message.
-    encoder: Encoder,
     /// The record spans of the reply [`StubResolver::handle`] last walked.
     spans: Vec<RecordSpan>,
 }
@@ -40,13 +42,7 @@ impl StubResolver {
     /// Creates a stub pointing at `resolver`, sourcing queries from local
     /// UDP port `port`.
     pub fn new(resolver: Ipv4Addr, port: u16) -> Self {
-        StubResolver {
-            resolver,
-            port,
-            pending: FastSet::default(),
-            encoder: Encoder::new(),
-            spans: Vec::new(),
-        }
+        StubResolver { resolver, port, pending: FastSet::default(), spans: Vec::new() }
     }
 
     /// Sends an A query with RD=1; returns the TXID.
@@ -54,16 +50,11 @@ impl StubResolver {
         self.query(ctx, name, RecordType::A, true)
     }
 
-    /// Sends a query; returns the TXID. The bytes are those of
-    /// `Message::query(txid, name, qtype, rd).encode()`.
+    /// Sends a query, written by [`query_bytes`]; returns the TXID.
     pub fn query(&mut self, ctx: &mut Ctx<'_>, name: &Name, qtype: RecordType, rd: bool) -> u16 {
         let txid: u16 = ctx.rng().random();
-        self.encoder.start(&Header { id: txid, rd, ..Header::default() }, 1, [0; 3]);
-        self.encoder.put_question(name, qtype);
-        if let Ok(wire) = self.encoder.finish() {
-            ctx.send_udp(self.resolver, self.port, DNS_PORT, wire);
-            self.pending.insert(txid);
-        }
+        ctx.send_udp(self.resolver, self.port, DNS_PORT, query_bytes(txid, name, qtype, rd));
+        self.pending.insert(txid);
         txid
     }
 

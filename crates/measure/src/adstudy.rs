@@ -10,7 +10,7 @@ use std::net::Ipv4Addr;
 
 use dns::auth::DNS_PORT;
 use dns::dnssec::{TrustAnchors, ZoneKey};
-use dns::message::{Message, MessageView, Section};
+use dns::message::{query_bytes, MessageView, Section};
 use dns::name::Name;
 use dns::record::RecordType;
 use dns::resolver::{Resolver, ResolverConfig};
@@ -124,10 +124,8 @@ impl TestPage {
             format!("t{}.{kind}.adtest.example", self.token).parse().expect("name")
         };
         self.txid = ctx.rng().random();
-        let q = Message::query(self.txid, qname, RecordType::A, true);
-        if let Ok(wire) = q.encode() {
-            ctx.send_udp(self.resolver, 5401, DNS_PORT, wire);
-        }
+        let query = query_bytes(self.txid, &qname, RecordType::A, true);
+        ctx.send_udp(self.resolver, 5401, DNS_PORT, query);
         ctx.set_timer(SimDuration::from_secs(8), self.current as u64);
     }
 }

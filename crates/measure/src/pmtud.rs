@@ -11,7 +11,7 @@ use std::sync::{Arc, LazyLock};
 use bytes::Bytes;
 use dns::auth::{AuthServer, DNS_PORT};
 use dns::dnssec::ZoneKey;
-use dns::message::{Message, MessageView, Section};
+use dns::message::{query_bytes, MessageView, Section};
 use dns::name::Name;
 use dns::record::{RData, Record, RecordType};
 use dns::zone::Zone;
@@ -104,8 +104,8 @@ impl Host for Probe {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken) {
         let txid: u16 = ctx.rng().random();
-        let q = Message::query(txid, self.qname.clone(), RecordType::Txt, false);
-        ctx.send_udp(self.target, 4000, DNS_PORT, q.encode().expect("query encodes"));
+        let query = query_bytes(txid, &self.qname, RecordType::Txt, false);
+        ctx.send_udp(self.target, 4000, DNS_PORT, query);
     }
 
     fn on_raw_packet(&mut self, _ctx: &mut Ctx<'_>, pkt: &Ipv4Packet) -> bool {

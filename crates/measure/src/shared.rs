@@ -16,7 +16,7 @@
 use std::net::Ipv4Addr;
 
 use dns::auth::DNS_PORT;
-use dns::message::{Message, MessageView, Section};
+use dns::message::{query_bytes, MessageView, Section};
 use dns::name::Name;
 use dns::record::{Record, RecordType};
 use dns::resolver::{Resolver, ResolverConfig};
@@ -164,10 +164,8 @@ struct ShareProbe {
 impl Host for ShareProbe {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let name: Name = "direct.scan.example".parse().expect("static");
-        let q = Message::query(DIRECT_TXID, name, RecordType::A, true);
-        if let Ok(wire) = q.encode() {
-            ctx.send_udp(RESOLVER, 5402, DNS_PORT, wire);
-        }
+        let query = query_bytes(DIRECT_TXID, &name, RecordType::A, true);
+        ctx.send_udp(RESOLVER, 5402, DNS_PORT, query);
         ctx.send_udp(SMTP, 5403, SMTP_PORT, bytes::Bytes::from_static(b"probe"));
         ctx.set_timer(SimDuration::from_secs(5), 1);
     }

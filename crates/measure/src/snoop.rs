@@ -15,11 +15,10 @@
 use std::net::Ipv4Addr;
 use std::sync::{Arc, LazyLock};
 
-use bytes::BytesMut;
 use dns::auth::{spawn_zone_nameservers, AuthServer, DNS_PORT};
 use dns::cache::DnsCache;
 use dns::dnssec::ZoneKey;
-use dns::message::{Message, MessageView, RecordSpan, Section};
+use dns::message::{query_bytes, MessageView, RecordSpan, Section};
 use dns::name::Name;
 use dns::record::{Record, RecordType};
 use dns::resolver::{Resolver, ResolverConfig};
@@ -164,44 +163,6 @@ static CANARY_ZONES: LazyLock<Arc<[Zone]>> = LazyLock::new(|| {
     Arc::new([zone])
 });
 
-/// The query of every step but the fragment probe (whose name counts
-/// the queries sent before it), encoded once per process with ID 0: the
-/// ID is the only byte of a query that varies between trials.
-static FIXED_QUERIES: LazyLock<[Vec<u8>; 10]> = LazyLock::new(|| {
-    let query = |name: &Name, rtype, rd| {
-        let wire = Message::query(0, name.clone(), rtype, rd).encode().expect("a short query");
-        wire.to_vec()
-    };
-    let snoop = |i: usize| query(&probed_records()[i].0, probed_records()[i].1, false);
-    let names = &*NAMES;
-    [
-        query(&names.known, RecordType::A, false),
-        query(&names.prime, RecordType::A, true),
-        query(&names.prime, RecordType::A, false),
-        snoop(0),
-        snoop(1),
-        snoop(2),
-        snoop(3),
-        snoop(4),
-        snoop(5),
-        query(&names.pool, RecordType::Ns, true),
-    ]
-});
-
-/// Where a step's query sits in [`FIXED_QUERIES`]; `None` for the
-/// fragment probe (and for [`Step::Done`], which sends nothing).
-fn fixed_slot(step: Step) -> Option<usize> {
-    use Step::*;
-    match step {
-        VerifyNoncached => Some(0),
-        Prime => Some(1),
-        VerifyCached => Some(2),
-        Snoop(i) => Some(3 + i),
-        Timing(_) => Some(9),
-        FragProbe | Done => None,
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Step {
     VerifyNoncached,
@@ -211,6 +172,31 @@ enum Step {
     FragProbe,
     Timing(usize),
     Done,
+}
+
+impl Step {
+    /// The question this step asks, as (name, type, RD); `None` for
+    /// [`Step::Done`], which asks nothing. The fragment probe's name
+    /// counts the `sent` queries before it.
+    fn question(self, sent: u64) -> Option<(Name, RecordType, bool)> {
+        use Step::*;
+        let names = &*NAMES;
+        Some(match self {
+            VerifyNoncached => (names.known.clone(), RecordType::A, false),
+            Prime => (names.prime.clone(), RecordType::A, true),
+            VerifyCached => (names.prime.clone(), RecordType::A, false),
+            Snoop(i) => {
+                let (name, rtype) = &probed_records()[i];
+                (name.clone(), *rtype, false)
+            }
+            FragProbe => {
+                let name = format!("t{sent}.fsmall.adtest.example").parse().expect("label");
+                (name, RecordType::A, true)
+            }
+            Timing(_) => (names.pool.clone(), RecordType::Ns, true),
+            Done => return None,
+        })
+    }
 }
 
 /// The survey scanner driving the per-resolver protocol. Its outcome is
@@ -245,29 +231,12 @@ impl Scanner {
     }
 
     fn send_current(&mut self, ctx: &mut Ctx<'_>) {
-        if self.step == Step::Done {
-            return;
-        }
-        let sent = self.seq;
+        let Some((name, rtype, rd)) = self.step.question(self.seq) else { return };
         self.seq += 1;
         self.txid = ctx.rng().random();
         self.sent_at = ctx.now();
-        let wire = match fixed_slot(self.step) {
-            Some(slot) => {
-                let fixed = &FIXED_QUERIES[slot];
-                let mut wire = BytesMut::with_capacity(fixed.len());
-                wire.extend_from_slice(fixed);
-                wire[..2].copy_from_slice(&self.txid.to_be_bytes());
-                Ok(wire.freeze())
-            }
-            None => {
-                let name = format!("t{sent}.fsmall.adtest.example").parse().expect("label");
-                Message::query(self.txid, name, RecordType::A, true).encode()
-            }
-        };
-        if let Ok(wire) = wire {
-            ctx.send_udp(self.resolver, 5400, DNS_PORT, wire);
-        }
+        let query = query_bytes(self.txid, &name, rtype, rd);
+        ctx.send_udp(self.resolver, 5400, DNS_PORT, query);
         ctx.set_timer(SimDuration::from_secs(3), self.seq);
     }
 
@@ -533,6 +502,7 @@ impl FromIterator<ResolverOutcome> for SurveyResult {
 mod tests {
     use super::*;
     use crate::population::{open_resolver_at, open_resolvers};
+    use dns::message::Message;
 
     fn survey(population: &[OpenResolverSpec], seed: u64, workers: usize) -> SurveyResult {
         runner::TrialRunner::new(workers)
@@ -606,31 +576,35 @@ mod tests {
         assert!(!result.timing_diffs_ms.is_empty());
     }
 
-    /// Every fixed query, with an ID written in, is the full encode of the
-    /// question its step asks (the scanner's per-send encode before the
-    /// queries were encoded once per process).
+    /// Every step sends, under any ID, the full encode of the question it
+    /// asked when the scanner encoded each send in full: fixed for every
+    /// step but the fragment probe, whose name counts the queries sent
+    /// before it.
     #[test]
     fn fixed_queries_are_full_encodes_of_their_questions() {
         use Step::*;
         let records = per_trial_records();
-        let question = |step| match step {
+        let question = |step, sent: u64| match step {
             VerifyNoncached => ("known.canary.example".parse().unwrap(), RecordType::A, false),
             Prime => ("prime.canary.example".parse().unwrap(), RecordType::A, true),
             VerifyCached => ("prime.canary.example".parse().unwrap(), RecordType::A, false),
             Snoop(i) => (records[i].0.clone(), records[i].1, false),
+            FragProbe => {
+                (format!("t{sent}.fsmall.adtest.example").parse().unwrap(), RecordType::A, true)
+            }
             Timing(_) => ("pool.ntp.org".parse().unwrap(), RecordType::Ns, true),
-            FragProbe | Done => unreachable!("not a fixed query"),
+            Done => unreachable!("asks nothing"),
         };
-        let steps = [VerifyNoncached, Prime, VerifyCached].into_iter();
-        let steps = steps.chain((0..6).map(Snoop)).chain((0..4).map(Timing));
-        for (step, id) in steps.zip([0, 1, 0x00FF, 0x8000, 0xFFFF].into_iter().cycle()) {
-            let (name, rtype, rd) = question(step);
-            let full = Message::query(id, name, rtype, rd).encode().unwrap();
-            let mut fixed = FIXED_QUERIES[fixed_slot(step).unwrap()].clone();
-            fixed[..2].copy_from_slice(&id.to_be_bytes());
-            assert_eq!(fixed, full[..], "{step:?}");
+        let steps = [VerifyNoncached, Prime, VerifyCached].into_iter().chain((0..6).map(Snoop));
+        let steps = steps.chain([FragProbe]).chain((0..4).map(Timing));
+        let ids = [0, 1, 0x00FF, 0x8000, 0xFFFF].into_iter().cycle();
+        for ((sent, step), id) in (0..).zip(steps).zip(ids) {
+            let (name, rtype, rd) = step.question(sent).expect("a question");
+            let (full_name, full_rtype, full_rd) = question(step, sent);
+            let full = Message::query(id, full_name, full_rtype, full_rd).encode().unwrap();
+            assert_eq!(query_bytes(id, &name, rtype, rd), full, "{step:?}");
         }
-        assert_eq!((fixed_slot(FragProbe), fixed_slot(Done)), (None, None));
+        assert_eq!(Done.question(0), None);
     }
 
     /// [`probed_records`] as each trial built it before the names were

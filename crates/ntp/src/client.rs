@@ -5,7 +5,7 @@
 //! One engine ([`NtpClient`]) implements the shared machinery — DNS lookups
 //! through a resolver, associations with reachability registers, polling,
 //! offset computation, majority selection, clock stepping — and a
-//! [`ClientProfile`] encodes each implementation's documented differences:
+//! [`ClientKind`] fixes each implementation's documented differences:
 //! how often it polls, how many associations are kept, how quickly
 //! unreachable servers are abandoned, whether the client also acts as a
 //! server (leaking its upstream in the refid, the P2 discovery channel),
@@ -113,25 +113,26 @@ pub enum DnsPolicy {
 /// association before it resolves again.
 pub const OUTAGE_REQUERY: SimDuration = SimDuration::from_mins(60);
 
-/// Behaviour parameters of one client implementation.
-#[derive(Debug, Clone)]
-pub struct ClientProfile {
+/// Behaviour parameters of one client implementation: a function of its
+/// [`ClientKind`] ([`ClientKind::profile`]), not a setting.
+#[derive(Debug, Clone, Copy)]
+struct Profile {
     /// Poll interval per association (for [`DnsPolicy::PerSync`], the
     /// interval between syncs).
-    pub poll_interval: SimDuration,
+    poll_interval: SimDuration,
     /// Consecutive unanswered polls before an association is abandoned.
-    pub unreach_polls: u32,
+    unreach_polls: u32,
     /// Maximum simultaneous associations.
-    pub max_associations: usize,
+    max_associations: usize,
     /// When DNS is queried: one of the six policies of Table I.
-    pub dns: DnsPolicy,
+    dns: DnsPolicy,
     /// Whether the client answers mode-3 queries (ntpd default), leaking
     /// its system peer in the refid — attack scenario P2's channel.
-    pub acts_as_server: bool,
+    acts_as_server: bool,
 }
 
-impl ClientProfile {
-    /// The profile for a [`ClientKind`]:
+impl ClientKind {
+    /// The behaviour of each implementation:
     ///
     /// * ntpd: 6 associations (4 pool + margin up to MAXCLOCK), 8-bit
     ///   reach register at 64 s polls, acts as a server by default;
@@ -145,10 +146,10 @@ impl ClientProfile {
     ///   cached list before re-querying DNS;
     /// * Android SNTP: a fresh DNS lookup for every sync;
     /// * ntpclient: SNTP, resolves once at start, never re-resolves.
-    pub fn for_kind(kind: ClientKind) -> Self {
+    fn profile(self) -> Profile {
         use DnsPolicy::*;
         // (poll interval s, unreachable after, max associations, DNS policy)
-        let (poll_secs, unreach_polls, max_associations, dns) = match kind {
+        let (poll_secs, unreach_polls, max_associations, dns) = match self {
             ClientKind::Ntpd => (64, 8, 6, Refill),
             ClientKind::Chrony => (256, 10, 4, Refill),
             ClientKind::OpenNtpd => (90, 8, 4, AfterOutage),
@@ -157,21 +158,26 @@ impl ClientProfile {
             ClientKind::AndroidSntp => (64, 8, 1, PerSync),
             ClientKind::NtpClientTiny => (64, 8, 1, Once),
         };
-        ClientProfile {
+        Profile {
             poll_interval: SimDuration::from_secs(poll_secs),
             unreach_polls,
             max_associations,
             dns,
-            acts_as_server: kind == ClientKind::Ntpd,
+            acts_as_server: self == ClientKind::Ntpd,
         }
+    }
+
+    /// When this client asks DNS for servers.
+    pub fn dns_policy(self) -> DnsPolicy {
+        self.profile().dns
     }
 
     /// Table I column: vulnerable to the run-time attack — the client can
     /// be driven to a *prompt* DNS re-query by breaking associations.
     /// OpenNTPD's slow outage re-resolution and ntpdate's one-shot nature
     /// don't count (matching the paper's classification).
-    pub fn vulnerable_run_time(&self) -> Option<bool> {
-        match self.dns {
+    pub fn vulnerable_run_time(self) -> Option<bool> {
+        match self.dns_policy() {
             DnsPolicy::OneShot => None, // "n/a" in the paper's table
             DnsPolicy::Refill | DnsPolicy::CachedList | DnsPolicy::PerSync => Some(true),
             DnsPolicy::Once | DnsPolicy::AfterOutage => Some(false),
@@ -243,7 +249,7 @@ const TICK_INTERVAL: SimDuration = SimDuration::from_secs(1);
 /// The NTP client host: one engine, seven behaviour profiles.
 #[derive(Debug)]
 pub struct NtpClient {
-    profile: ClientProfile,
+    profile: Profile,
     /// The disciplined clock (public: experiments read the offset).
     pub clock: SystemClock,
     stub: StubResolver,
@@ -260,8 +266,8 @@ pub struct NtpClient {
 }
 
 impl NtpClient {
-    /// Creates a client using `resolver` for DNS.
-    pub fn new(profile: ClientProfile, resolver: Ipv4Addr) -> Self {
+    /// Creates a client of `kind` using `resolver` for DNS.
+    pub fn new(kind: ClientKind, resolver: Ipv4Addr) -> Self {
         NtpClient {
             clock: SystemClock::new(),
             stub: StubResolver::new(resolver, 5353),
@@ -273,14 +279,9 @@ impl NtpClient {
             outage_since: None,
             next_sync: SimTime::ZERO,
             system_peer: None,
-            profile,
+            profile: kind.profile(),
             stats: ClientStats::default(),
         }
-    }
-
-    /// The behaviour profile.
-    pub fn profile(&self) -> &ClientProfile {
-        &self.profile
     }
 
     /// Current clock offset from true time, in seconds.
@@ -659,12 +660,7 @@ mod tests {
             )),
         )
         .unwrap();
-        sim.add_host(
-            CLIENT,
-            OsProfile::linux(),
-            Box::new(NtpClient::new(ClientProfile::for_kind(kind), RESOLVER)),
-        )
-        .unwrap();
+        sim.add_host(CLIENT, OsProfile::linux(), Box::new(NtpClient::new(kind, RESOLVER))).unwrap();
     }
 
     #[test]
@@ -840,8 +836,7 @@ mod tests {
             (ClientKind::SystemdTimesyncd, Some(true)),
         ];
         for (kind, run) in expect {
-            let p = ClientProfile::for_kind(kind);
-            assert_eq!(p.vulnerable_run_time(), run, "{}", kind.name());
+            assert_eq!(kind.vulnerable_run_time(), run, "{}", kind.name());
         }
     }
 

@@ -18,11 +18,9 @@
 //!
 //! // Every Table I client model comes from its kind; its DNS policy alone
 //! // decides the run-time column:
-//! let ntpd = ClientProfile::for_kind(ClientKind::Ntpd);
-//! assert_eq!(ntpd.dns, DnsPolicy::Refill);
-//! assert_eq!(ntpd.vulnerable_run_time(), Some(true));
-//! let ntpdate = ClientProfile::for_kind(ClientKind::Ntpdate);
-//! assert_eq!(ntpdate.vulnerable_run_time(), None);
+//! assert_eq!(ClientKind::Ntpd.dns_policy(), DnsPolicy::Refill);
+//! assert_eq!(ClientKind::Ntpd.vulnerable_run_time(), Some(true));
+//! assert_eq!(ClientKind::Ntpdate.vulnerable_run_time(), None);
 //! ```
 
 #![warn(missing_docs)]
@@ -36,9 +34,7 @@ pub mod timestamp;
 
 /// Commonly used types.
 pub mod prelude {
-    pub use crate::client::{
-        Association, ClientKind, ClientProfile, ClientStats, DnsPolicy, NtpClient,
-    };
+    pub use crate::client::{Association, ClientKind, ClientStats, DnsPolicy, NtpClient};
     pub use crate::clock::{ClockAdjustment, SystemClock};
     pub use crate::packet::{peek_mode, ControlMessage, NtpMode, NtpPacket, KOD_RATE, NTP_PORT};
     pub use crate::select::{default_window, select, OffsetSample, Selection};
